@@ -145,11 +145,9 @@ fn bench_keyswitch(c: &mut Criterion) {
 /// The cross-kernel lazy residue chain against its baselines, over the
 /// whole keyswitch pipeline (digit NTTs → inner products → iNTT →
 /// ModDown) — the tentpole's headline micro (acceptance: lazy >= 1.2x
-/// over `canonical`). Three reduction tiers per shape:
+/// over `canonical`). Two reduction tiers per shape:
 /// * `lazy` — cross-kernel `[0, 2p)` chain, one fold per limb at the
 ///   ModDown boundary (`key_switch`);
-/// * `harvey` — per-kernel canonicalisation with internally-lazy
-///   Harvey transforms, the PR 2 pipeline (`key_switch_per_kernel`);
 /// * `canonical` — the fully-reduced strict oracle, every butterfly
 ///   canonicalises (`key_switch_strict`).
 fn bench_keyswitch_lazy_vs_canonical(c: &mut Criterion) {
@@ -188,9 +186,6 @@ fn bench_keyswitch_lazy_vs_canonical(c: &mut Criterion) {
             group.bench_function(format!("lazy_threaded4_{tag}"), |b| {
                 b.iter(|| key_switch(&ctx, &d, &rlk, l))
             });
-        });
-        group.bench_function(format!("harvey_{tag}"), |b| {
-            b.iter(|| key_switch_per_kernel(&ctx, &d, &rlk, l))
         });
         group.bench_function(format!("canonical_{tag}"), |b| {
             b.iter(|| key_switch_strict(&ctx, &d, &rlk, l))
@@ -237,15 +232,13 @@ fn bench_threaded_scaling(c: &mut Criterion) {
 }
 
 /// The lazy Galois/rotation chain against its baselines, over the full
-/// HRotate pipeline (automorphism on `c0` + hoisted Galois keyswitch of
-/// `c1` + recombination) — the rotation counterpart of
+/// HRotate pipeline (automorphism on `c0` + Galois keyswitch of `c1` +
+/// recombination) — the rotation counterpart of
 /// `keyswitch_lazy_vs_canonical` (acceptance: lazy >= 1.2x over
-/// `canonical`). Three reduction tiers per shape:
-/// * `lazy` — hoisted `[0, 2p)` chain, automorphism as a lazy slot
+/// `canonical`). Two reduction tiers per shape:
+/// * `lazy` — `[0, 2p)` chain, automorphism as a lazy slot
 ///   permutation inside the keyswitch, one fold per limb at ModDown
 ///   (`Evaluator::apply_galois` / `key_switch_galois`);
-/// * `harvey` — per-kernel canonicalisation with internally-lazy
-///   Harvey transforms (`key_switch_galois_per_kernel`);
 /// * `canonical` — the fully-reduced strict oracle
 ///   (`Evaluator::apply_galois_strict` / `key_switch_galois_strict`).
 fn bench_rotate_lazy_vs_canonical(c: &mut Criterion) {
@@ -269,23 +262,12 @@ fn bench_rotate_lazy_vs_canonical(c: &mut Criterion) {
         group.bench_function(format!("lazy_{tag}"), |b| {
             b.iter(|| eval.apply_galois(&ct, g, gk))
         });
-        // The hoisted rotation chain under the threaded limb-parallel
+        // The rotation chain under the threaded limb-parallel
         // backend (4 lanes) — same pipeline, row-parallel dispatch.
         with_backend(fhe_math::kernel::threaded(Some(4)), || {
             group.bench_function(format!("lazy_threaded4_{tag}"), |b| {
                 b.iter(|| eval.apply_galois(&ct, g, gk))
             });
-        });
-        group.bench_function(format!("harvey_{tag}"), |b| {
-            b.iter(|| {
-                // The per-kernel middle tier, assembled like
-                // apply_galois but over key_switch_galois_per_kernel.
-                let mut c0 = ct.c0.clone();
-                c0.automorphism(g, ctx.galois());
-                let (ks0, ks1) = key_switch_galois_per_kernel(&ctx, &ct.c1, g, gk, ct.level);
-                c0.add_assign(&ks0);
-                (c0, ks1)
-            })
         });
         group.bench_function(format!("canonical_{tag}"), |b| {
             b.iter(|| eval.apply_galois_strict(&ct, g, gk))
@@ -391,10 +373,10 @@ fn bench_coalesced_vs_sequential_keyswitch(c: &mut Criterion) {
 }
 
 /// Cross-request TFHE gate batching (the `trinity-service` Interactive
-/// lane path): four independent gates from one tenant, evaluated as
-/// four sequential `apply_gate` calls vs one `apply_gates_batched`
-/// dispatch that runs the four blind rotations as a single batched
-/// external-product sweep. On the 1-CPU CI container the gate is the
+/// lane path): four independent gates from one tenant through the one
+/// gate engine, as 4 × `k = 1` (`apply_gate` per job) vs 1 × `k = 4`
+/// (one `apply_gates_batched` dispatch whose blind rotations share
+/// each external-product sweep). On the 1-CPU CI container the gate is the
 /// bit-identity assertion below plus the batch-width assertions in the
 /// service suites, not a wall-clock ratio.
 fn bench_gates_batched_vs_sequential(c: &mut Criterion) {

@@ -19,9 +19,8 @@ use crate::context::CkksContext;
 use crate::encoding::Plaintext;
 use crate::keys::SwitchingKey;
 use crate::keyswitch::{
-    hoist_rotations, key_switch, key_switch_galois, key_switch_galois_coalesced,
-    key_switch_galois_hoisted, key_switch_galois_strict, key_switch_strict, HoistedRotations,
-    KsJob,
+    hoist_rotations, key_switch, key_switch_galois_coalesced, key_switch_galois_hoisted,
+    key_switch_galois_strict, key_switch_strict, HoistedRotations, KsJob,
 };
 
 /// Relative scale mismatch tolerated by additive operations.
@@ -394,7 +393,7 @@ impl Evaluator {
     }
 
     /// HRotate: homomorphic slot rotation by `r` — the slot permutation
-    /// on `c0` plus the hoisted Galois keyswitch of `c1`, via
+    /// on `c0` plus the Galois keyswitch of `c1`, via
     /// [`Self::apply_galois`] (see there for the lazy-chain dataflow).
     ///
     /// # Panics
@@ -411,16 +410,17 @@ impl Evaluator {
         self.apply_galois(a, g, gk)
     }
 
-    /// Applies an arbitrary Galois automorphism with its switching key.
+    /// Applies an arbitrary Galois automorphism with its switching key —
+    /// the one-job instance of [`Self::apply_galois_coalesced`].
     ///
-    /// Runs the *hoisted lazy rotation chain*: `c1` goes through the
-    /// keyswitch pipeline un-rotated and the automorphism is applied to
-    /// the raised digits in evaluation form — a pure slot permutation
-    /// that preserves the `[0, 2p)` window — so the whole HRotate
-    /// kernel chain (digit NTT → `Auto` → `IP` → iNTT) stays
+    /// Runs the *lazy rotation chain*: `c1` goes through the keyswitch
+    /// pipeline un-rotated and the automorphism is applied to the
+    /// raised digits in evaluation form — a pure slot permutation that
+    /// preserves the `[0, 2p)` window — so the whole HRotate kernel
+    /// chain (digit NTT → `Auto` → `IP` → iNTT) stays
     /// [`fhe_math::ReductionState::Lazy2p`] and folds exactly once per
-    /// limb at the ModDown boundary ([`key_switch_galois`]). `c0` only
-    /// needs the slot permutation itself. Bit-identical to
+    /// limb at the ModDown boundary ([`key_switch_galois_coalesced`]).
+    /// `c0` only needs the slot permutation itself. Bit-identical to
     /// [`Self::apply_galois_strict`] (asserted by
     /// `tests/lazy_chains.rs`).
     ///
@@ -431,11 +431,24 @@ impl Evaluator {
     /// [`crate::bootstrap::Bootstrapper::expected_ops`]'s
     /// "every Galois op keyswitches once" model matches exactly.
     pub fn apply_galois(&self, a: &Ciphertext, g: u64, gk: &SwitchingKey) -> Ciphertext {
+        self.apply_galois_coalesced(&[(a, gk)], g)
+            .pop()
+            .expect("one job in, one ciphertext out")
+    }
+
+    /// The tail every lazy Galois application shares: counts the
+    /// operation, slot-permutes `c0` and assembles the output around
+    /// the keyswitched pair `(ks0, ks1)` of `c1`.
+    fn assemble_galois(
+        &self,
+        a: &Ciphertext,
+        g: u64,
+        (ks0, ks1): (RnsPoly, RnsPoly),
+    ) -> Ciphertext {
         OpCounters::bump(&self.counters.galois_ops);
         OpCounters::bump(&self.counters.keyswitches);
         let mut c0 = a.c0.clone();
         c0.automorphism_lazy(g, self.ctx.galois());
-        let (ks0, ks1) = key_switch_galois(&self.ctx, &a.c1, g, gk, a.level);
         c0.add_assign(&ks0);
         Ciphertext {
             c0,
@@ -450,19 +463,18 @@ impl Evaluator {
     /// different tenants, hence per-job keys) that happen to share
     /// geometry — through **one** keyswitch pipeline whose kernel
     /// dispatches carry every job's limb rows at once
-    /// ([`key_switch_galois_coalesced`]). Output `i` is bit-identical
-    /// to `apply_galois(jobs[i].0, g, jobs[i].1)`; the win is batch
-    /// width, which is what the threaded backend scales with.
+    /// ([`key_switch_galois_coalesced`]). A job's output does not
+    /// depend on its batch mates; the win is batch width, which is what
+    /// the threaded backend scales with.
     ///
-    /// Counter contract: exactly as `k` sequential
-    /// [`Self::apply_galois`] calls — one `galois_ops` and one
-    /// `keyswitches` bump **per job** (coalescing is an execution
-    /// detail, not an operation-count change).
+    /// Counter contract: one `galois_ops` and one `keyswitches` bump
+    /// **per job** (coalescing is an execution detail, not an
+    /// operation-count change).
     ///
     /// # Panics
     ///
     /// Panics if the jobs' levels disagree, or per job as
-    /// [`Self::apply_galois`].
+    /// [`key_switch_galois_coalesced`].
     pub fn apply_galois_coalesced(
         &self,
         jobs: &[(&Ciphertext, &SwitchingKey)],
@@ -471,29 +483,17 @@ impl Evaluator {
         let Some(level) = jobs.first().map(|(a, _)| a.level) else {
             return Vec::new();
         };
-        for (a, _) in jobs {
-            assert_eq!(a.level, level, "coalesced jobs must share a level");
-            OpCounters::bump(&self.counters.galois_ops);
-            OpCounters::bump(&self.counters.keyswitches);
-        }
         let ks_jobs: Vec<KsJob<'_>> = jobs
             .iter()
-            .map(|(a, key)| KsJob { d: &a.c1, key })
+            .map(|(a, key)| {
+                assert_eq!(a.level, level, "coalesced jobs must share a level");
+                KsJob { d: &a.c1, key }
+            })
             .collect();
         let switched = key_switch_galois_coalesced(&self.ctx, &ks_jobs, g, level);
         jobs.iter()
             .zip(switched)
-            .map(|((a, _), (ks0, ks1))| {
-                let mut c0 = a.c0.clone();
-                c0.automorphism_lazy(g, self.ctx.galois());
-                c0.add_assign(&ks0);
-                Ciphertext {
-                    c0,
-                    c1: ks1,
-                    level,
-                    scale: a.scale,
-                }
-            })
+            .map(|((a, _), ks)| self.assemble_galois(a, g, ks))
             .collect()
     }
 
@@ -543,18 +543,7 @@ impl Evaluator {
         gk: &SwitchingKey,
     ) -> Ciphertext {
         assert_eq!(h.level(), a.level, "hoisted state level mismatch");
-        OpCounters::bump(&self.counters.galois_ops);
-        OpCounters::bump(&self.counters.keyswitches);
-        let mut c0 = a.c0.clone();
-        c0.automorphism_lazy(g, self.ctx.galois());
-        let (ks0, ks1) = key_switch_galois_hoisted(&self.ctx, h, g, gk);
-        c0.add_assign(&ks0);
-        Ciphertext {
-            c0,
-            c1: ks1,
-            level: a.level,
-            scale: a.scale,
-        }
+        self.assemble_galois(a, g, key_switch_galois_hoisted(&self.ctx, h, g, gk))
     }
 
     /// [`Self::rotate`] over a pre-hoisted ModUp state — slot rotation

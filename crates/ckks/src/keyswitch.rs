@@ -13,57 +13,49 @@
 //! 5. **iNTT**, then **ModDown**: subtract the `P`-part's base conversion
 //!    and multiply by `P^{-1}`.
 //!
-//! # Lazy residue chain
+//! # Two tiers: one lazy engine, one strict oracle
 //!
-//! [`key_switch`] keeps steps 3–5 in the redundant `[0, 2p)` window:
-//! every raised digit is transformed with the lazy-exit NTT, the `IP`
-//! accumulators stay lazy across all `beta` digits, the iNTT exits
-//! lazily, and a *single* canonicalisation per accumulator limb happens
-//! at the ModDown boundary (BConv needs true `[0, p)` representatives —
-//! base conversion depends on the representative, not just the residue
-//! class). That replaces `beta * ext_limbs` NTT exit passes plus
-//! `2 * ext_limbs` MAC/iNTT exit passes with `2 * ext_limbs` folds —
-//! mirroring how Trinity/FAB pipelines keep operands in redundant form
-//! between butterfly and MAC stages and only fully reduce at memory
-//! writeback. [`key_switch_strict`] preserves the fully-canonical
-//! pipeline as the oracle; `tests/lazy_chains.rs` asserts the two are
-//! bit-identical across every workspace modulus shape.
+//! Every production entry point is the same lazy-chain engine. It keeps
+//! steps 3–5 in the redundant `[0, 2p)` window — lazy-exit digit NTTs,
+//! `IP` accumulators lazy across all `beta` digits, a lazy-exit iNTT —
+//! and canonicalises *once* per accumulator limb at the ModDown
+//! boundary (BConv needs true `[0, p)` representatives), mirroring how
+//! Trinity/FAB pipelines keep operands in redundant form between
+//! butterfly and MAC stages and only fully reduce at memory writeback.
+//! For the Galois variants the automorphism rides the same chain,
+//! applied to the raised digits in evaluation form, where it is a pure,
+//! reduction-agnostic slot permutation.
 //!
-//! The Galois variants ([`key_switch_galois`] and its per-kernel /
-//! strict tiers) extend the same chain through HRotate: the automorphism
-//! is *hoisted* into the pipeline — applied to the raised digits in
-//! evaluation form, where it is a pure, reduction-agnostic slot
-//! permutation — so a rotation stays `[0, 2p)` from the digit NTT
-//! through the automorphism and inner product to the ModDown fold,
-//! instead of canonicalising the input at the automorphism first.
+//! The engine is **batch-first**: `k` jobs that share geometry (ring
+//! degree, level, Galois element — keys may differ per job, e.g. per
+//! tenant) go through one pipeline whose kernel dispatches carry all
+//! `k` jobs' limb rows at once, so [`fhe_math::ThreadedBackend`] sees
+//! `k`-fold wider batches even at small `L`. [`key_switch`] and
+//! [`key_switch_galois`] are its `k = 1` instances. Batching
+//! concatenates rows and never changes a per-row kernel, which is why
+//! coalesced results are bit-identical to per-request execution.
 //!
-//! [`hoist_rotations`] + [`key_switch_galois_hoisted`] extend the same
-//! commutation *across* rotations: a linear layer applying `k`
-//! rotations to one ciphertext computes Decompose + ModUp + the digit
-//! NTTs once and replays only the automorphism → inner product →
-//! ModDown tail per rotation, bit-identical to `k` sequential
-//! [`key_switch_galois`] calls.
+//! It runs in three stages: (1) *raise* — `inputs_to_coeff` once, then
+//! `raise_digit_lazy` per digit (Decompose + ModUp + lazy NTT);
+//! (2) *accumulate* — `LazyAccumulators::mac_digit` per digit ((permute
+//! +) lazy MAC against every job's key row); (3) *finish* —
+//! `LazyAccumulators::finish` (lazy iNTT → one fold → ModDown →
+//! canonical NTT). The fused entry points interleave stages 1–2 digit
+//! by digit over one reused buffer. **Rotation hoisting is a stage
+//! split, not another pipeline**: [`hoist_rotations`] is stage 1 stored
+//! for all `beta` digits and [`key_switch_galois_hoisted`] is stages
+//! 2–3 over the stored digits, so a linear layer applying many
+//! rotations to one ciphertext pays for the raise once.
 //!
-//! # Cross-request coalescing
-//!
-//! The lazy chain itself is **batch-first**: [`key_switch_coalesced`]
-//! and [`key_switch_galois_coalesced`] run `k` independent keyswitch
-//! jobs that share geometry (ring degree, level, Galois element — keys
-//! may differ per job, e.g. per tenant) through *one* pipeline whose
-//! kernel dispatches carry all `k` jobs' limb rows at once:
-//! `k · (l+1)` rows per input iNTT, `k · ext_limbs` rows per digit NTT
-//! / automorphism / inner product, `2k · ext_limbs` rows per
-//! accumulator iNTT + fold. [`crate::keyswitch::key_switch`] is the
-//! `k = 1` instance of the same engine, so a service layer coalescing
-//! requests widens every `KernelBackend` batch entry point it already
-//! goes through — [`fhe_math::ThreadedBackend`] sees `k`-fold wider
-//! batches even at small `L` — without changing a single per-row
-//! kernel, which is why coalesced results are bit-identical to
-//! sequential per-request execution (asserted by the suite below and
-//! `tests/backend_identity.rs`).
+//! [`key_switch_strict`] / [`key_switch_galois_strict`] are the
+//! straight-line fully-canonical oracle. `tests/lazy_chains.rs` asserts
+//! engine and oracle bit-identical across every workspace modulus
+//! shape, and `tests/backend_identity.rs` across kernel backends.
+
+use std::sync::Arc;
 
 use fhe_math::kernel::{self, ExitFold};
-use fhe_math::{Modulus, NttTable, ReductionState, Representation, RnsPoly};
+use fhe_math::{Modulus, NttTable, Representation, RnsBasis, RnsPoly};
 
 use crate::context::CkksContext;
 use crate::keys::SwitchingKey;
@@ -72,9 +64,7 @@ use crate::keys::SwitchingKey;
 /// `level`), producing the pair `(ks0, ks1)` such that
 /// `ks0 + ks1 * s_to ≈ d * s_from` — both in evaluation form at `level`.
 ///
-/// This is the lazy-chain pipeline: digit NTTs, inner products and the
-/// accumulator iNTTs all stay in the `[0, 2p)` window, with one
-/// canonicalisation per accumulator at the ModDown boundary.
+/// The `k = 1` instance of the lazy engine (see the module docs).
 /// Bit-identical to [`key_switch_strict`] (asserted by
 /// `tests/lazy_chains.rs`).
 ///
@@ -92,23 +82,23 @@ pub fn key_switch(
     out.pop().expect("one job in, one result out")
 }
 
-/// Hoisted Galois keyswitch: applies the automorphism `sigma_g` *inside*
-/// the keyswitch pipeline, to the raised digits in evaluation form —
+/// Galois keyswitch: applies the automorphism `sigma_g` *inside* the
+/// keyswitch pipeline, to the raised digits in evaluation form —
 /// digit NTT → automorphism → inner product → iNTT, entirely in the
 /// `[0, 2p)` window, with one fold per limb at ModDown.
 ///
-/// In evaluation form `sigma_g` is a pure slot permutation
-/// ([`RnsPoly::automorphism_lazy`]), so it rides the lazy chain for
-/// free where the pre-rotation formulation (`sigma_g(d)` then
-/// [`key_switch`]) had to canonicalise `d` at the automorphism. The two
-/// orderings are interchangeable because `sigma_g` commutes exactly
-/// with the limb-group digit decompose (it acts per limb) and commutes
-/// with ModUp up to the usual approximate-BConv overshoot — a small
-/// polynomial times the digit modulus `Q_j`, which the gadget residues
-/// (`P` on digit-`j` limbs, `0` elsewhere, so `Q_j ≡ 0` wherever the
-/// gadget is nonzero) annihilate except for a `Q_j e_j / P` noise term
-/// attenuated at ModDown, exactly like the overshoot the non-hoisted
-/// pipeline already absorbs.
+/// In evaluation form `sigma_g` is a pure slot permutation, so it rides
+/// the lazy chain for free where the pre-rotation formulation
+/// (`sigma_g(d)` then [`key_switch`]) had to canonicalise `d` at the
+/// automorphism. The two orderings are interchangeable because
+/// `sigma_g` commutes exactly with the limb-group digit decompose (it
+/// acts per limb) and commutes with ModUp up to the usual
+/// approximate-BConv overshoot — a small polynomial times the digit
+/// modulus `Q_j`, which the gadget residues (`P` on digit-`j` limbs,
+/// `0` elsewhere, so `Q_j ≡ 0` wherever the gadget is nonzero)
+/// annihilate except for a `Q_j e_j / P` noise term attenuated at
+/// ModDown, exactly like the overshoot the non-Galois pipeline already
+/// absorbs.
 ///
 /// Returns `(ks0, ks1)` with `ks0 + ks1 * s ≈ sigma_g(d) * s_from`
 /// (for a Galois key, `s_from = sigma_g(s)`). Bit-identical to
@@ -178,28 +168,10 @@ pub fn key_switch_galois_coalesced(
     key_switch_coalesced_impl(ctx, jobs, level, Some(g))
 }
 
-/// The per-kernel-canonicalising tier of [`key_switch_galois`]
-/// (internally-lazy Harvey transforms, canonical automorphism and inner
-/// products) — the `harvey` row of the `rotate_lazy_vs_canonical`
-/// micro.
-///
-/// # Panics
-///
-/// As [`key_switch_galois`].
-pub fn key_switch_galois_per_kernel(
-    ctx: &CkksContext,
-    d: &RnsPoly,
-    g: u64,
-    key: &SwitchingKey,
-    level: usize,
-) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::PerKernel, Some(g))
-}
-
 /// The fully-canonical strict oracle of [`key_switch_galois`]: same
-/// hoisted dataflow, fully-reduced transforms and canonical kernels
-/// throughout. The `canonical` row of the `rotate_lazy_vs_canonical`
-/// micro and the bit-identity reference for the lazy rotation chain.
+/// dataflow, fully-reduced transforms and canonical kernels throughout.
+/// The `canonical` row of the `rotate_lazy_vs_canonical` micro and the
+/// bit-identity reference for the lazy rotation chain.
 ///
 /// # Panics
 ///
@@ -211,32 +183,13 @@ pub fn key_switch_galois_strict(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::Strict, Some(g))
-}
-
-/// The per-kernel-canonicalising keyswitch pipeline (the PR 2
-/// baseline): internally-lazy Harvey transforms whose exit passes
-/// canonicalise, canonical inner products — every kernel hands `[0, p)`
-/// residues to the next. The middle tier between [`key_switch`] (no
-/// per-kernel folds) and [`key_switch_strict`] (every butterfly folds);
-/// the `harvey` row of the `keyswitch_lazy_vs_canonical` micro.
-///
-/// # Panics
-///
-/// As [`key_switch`].
-pub fn key_switch_per_kernel(
-    ctx: &CkksContext,
-    d: &RnsPoly,
-    key: &SwitchingKey,
-    level: usize,
-) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::PerKernel, None)
+    key_switch_strict_impl(ctx, d, key, level, Some(g))
 }
 
 /// The fully-canonical keyswitch pipeline: fully-reduced transforms
 /// (`forward_strict`/`inverse_strict`, every butterfly canonicalises)
 /// and canonical inner products, `[0, p)` between all steps. Kept as
-/// the strict oracle the lazy chain is asserted against, and as the
+/// the strict oracle the lazy engine is asserted against, and as the
 /// `canonical` side of the `keyswitch_lazy_vs_canonical` micro.
 ///
 /// # Panics
@@ -248,43 +201,15 @@ pub fn key_switch_strict(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::Strict, None)
+    key_switch_strict_impl(ctx, d, key, level, None)
 }
 
-/// The reduction discipline a keyswitch pipeline runs under — the
-/// three tiers the `keyswitch_lazy_vs_canonical` micro splits apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KsReduction {
-    /// Cross-kernel `[0, 2p)` chain, one fold per limb at ModDown.
-    LazyChain,
-    /// Harvey transforms with canonicalising exits (PR 2 pipeline).
-    PerKernel,
-    /// Fully-reduced butterflies (`*_strict` transforms).
-    Strict,
-}
-
-/// The digit-raising front half of the pipeline, shared by
-/// [`key_switch_impl`] and [`hoist_rotations`]: gather digit `j`'s
-/// limbs from the canonical coefficient-form input, ModUp (approximate
-/// BConv) into the complement limbs and `P`, and reassemble the
-/// extended-basis limb order `[q_0..q_l, p_0..]` — returning the raised
-/// digit in coefficient form.
-fn raise_digit(ctx: &CkksContext, d_coeff: &RnsPoly, level: usize, j: usize) -> RnsPoly {
-    let n_ext = ctx.extended_basis(level).len();
-    let mut flat = Vec::with_capacity(n_ext * ctx.n());
-    raise_digit_into(ctx, d_coeff.flat(), level, j, &mut flat);
-    RnsPoly::from_flat(
-        ctx.extended_basis(level).clone(),
-        flat,
-        Representation::Coeff,
-    )
-}
-
-/// Flat-buffer core of [`raise_digit`]: reads the canonical
-/// coefficient-form limb rows of one input (`(level + 1) * n` words)
-/// and appends the raised digit's `ext_limbs * n` words to `out` — the
-/// append-only form the coalesced engine uses to build one combined
-/// buffer for all jobs of a batch.
+/// Decompose + ModUp of digit `j`, shared by the oracle and the engine:
+/// reads the canonical coefficient-form limb rows of one input
+/// (`(level + 1) * n` words), gathers digit `j`'s limbs, base-converts
+/// them (approximate BConv) into the complement limbs and `P`, and
+/// appends the raised digit's `ext_limbs * n` words to `out` in the
+/// extended-basis limb order `[q_0..q_l, p_0..]`.
 fn raise_digit_into(ctx: &CkksContext, d_flat: &[u64], level: usize, j: usize, out: &mut Vec<u64>) {
     let precomp = ctx.keyswitch_precomp(level);
     let digit = &precomp.digits[j];
@@ -313,60 +238,76 @@ fn raise_digit_into(ctx: &CkksContext, d_flat: &[u64], level: usize, j: usize, o
     out.extend_from_slice(&converted[p_start * n..(p_start + n_p) * n]);
 }
 
-fn key_switch_impl(
+/// ModDown of one accumulator, shared by the oracle and the engine:
+/// reads its canonical coefficient-form rows over `C_l ∪ P`
+/// (`ext_limbs * n` words), divides by `P` with rounding (exact BConv
+/// of the `P`-part, subtract, multiply by `P^{-1}` — the tail step of
+/// Algorithm 1, line 12) and appends the `(level + 1) * n`
+/// coefficient-form words over `C_l` to `out`.
+fn mod_down_into(ctx: &CkksContext, acc: &[u64], level: usize, out: &mut Vec<u64>) {
+    let precomp = ctx.keyswitch_precomp(level);
+    let level_basis = ctx.level_basis(level);
+    let n = ctx.n();
+    let n_q = level + 1;
+    // Limb-major layout: the q-limbs and P-limbs are contiguous halves,
+    // so the P-part feeds BConv without any gather.
+    let (q_flat, p_flat) = acc.split_at(n_q * n);
+    let p_in_q = precomp.mod_down.convert_exact(p_flat);
+    for i in 0..n_q {
+        let qi = level_basis.modulus(i);
+        let inv = precomp.p_inv_mod_q[i];
+        out.extend(
+            q_flat[i * n..(i + 1) * n]
+                .iter()
+                .zip(&p_in_q[i * n..(i + 1) * n])
+                .map(|(&c, &p)| qi.mul(qi.sub(c, p), inv)),
+        );
+    }
+}
+
+/// The strict oracle pipeline, straight-line: every kernel hands
+/// `[0, p)` residues to the next, and the digit NTTs and accumulator
+/// iNTTs are the fully-reduced `*_strict` transforms.
+fn key_switch_strict_impl(
     ctx: &CkksContext,
     d: &RnsPoly,
     key: &SwitchingKey,
     level: usize,
-    mode: KsReduction,
     galois: Option<u64>,
 ) -> (RnsPoly, RnsPoly) {
     assert_eq!(d.representation(), Representation::Eval);
     assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
-    let precomp = ctx.keyswitch_precomp(level);
-    let ext_basis = ctx.extended_basis(level).clone();
-
-    // Decompose needs true [0, p) representatives, so the input iNTT
-    // canonicalises (its exit pass does that for free).
+    let ext_basis = ctx.extended_basis(level);
+    // Decompose needs true [0, p) representatives; the input iNTT's
+    // exit pass canonicalises.
     let mut d_coeff = d.clone();
     d_coeff.to_coeff();
 
     let mut acc0 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
     let mut acc1 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
-
-    for j in 0..precomp.digits.len() {
-        let mut d_tilde = raise_digit(ctx, &d_coeff, level, j);
-        let (b_j, a_j) = key.row_at_level(ctx, j, level);
-        match mode {
-            // The lazy-chain tier runs through the coalesced engine
-            // (`key_switch_coalesced_impl`) — this oracle pipeline only
-            // serves the canonicalising tiers.
-            KsReduction::LazyChain => {
-                unreachable!("lazy-chain keyswitch runs through the coalesced engine")
-            }
-            KsReduction::PerKernel => {
-                d_tilde.to_eval();
-                if let Some(g) = galois {
-                    d_tilde.automorphism(g, ctx.galois());
-                }
-                acc0.mul_acc_pointwise(&d_tilde, &b_j);
-                acc1.mul_acc_pointwise(&d_tilde, &a_j);
-            }
-            KsReduction::Strict => {
-                d_tilde.to_eval_strict();
-                if let Some(g) = galois {
-                    d_tilde.automorphism(g, ctx.galois());
-                }
-                acc0.mul_acc_pointwise(&d_tilde, &b_j);
-                acc1.mul_acc_pointwise(&d_tilde, &a_j);
-            }
+    for j in 0..ctx.keyswitch_precomp(level).digits.len() {
+        let mut flat = Vec::with_capacity(ext_basis.len() * ctx.n());
+        raise_digit_into(ctx, d_coeff.flat(), level, j, &mut flat);
+        let mut d_tilde = RnsPoly::from_flat(ext_basis.clone(), flat, Representation::Coeff);
+        d_tilde.to_eval_strict();
+        if let Some(g) = galois {
+            d_tilde.automorphism(g, ctx.galois());
         }
+        let (b_j, a_j) = key.row_at_level(ctx, j, level);
+        acc0.mul_acc_pointwise(&d_tilde, &b_j);
+        acc1.mul_acc_pointwise(&d_tilde, &a_j);
     }
 
-    // iNTT + ModDown both accumulators.
-    let ks0 = mod_down(ctx, acc0, level, mode);
-    let ks1 = mod_down(ctx, acc1, level, mode);
-    (ks0, ks1)
+    let mod_down = |mut acc: RnsPoly| {
+        acc.to_coeff_strict();
+        let mut flat = Vec::with_capacity((level + 1) * ctx.n());
+        mod_down_into(ctx, acc.flat(), level, &mut flat);
+        let mut out =
+            RnsPoly::from_flat(ctx.level_basis(level).clone(), flat, Representation::Coeff);
+        out.to_eval();
+        out
+    };
+    (mod_down(acc0), mod_down(acc1))
 }
 
 /// Repeats the per-limb slice `once` back to back `k` times — the
@@ -380,20 +321,171 @@ fn repeat_rows<T: Copy>(once: &[T], k: usize) -> Vec<T> {
     out
 }
 
-/// The coalesced lazy-chain keyswitch engine (see the module docs):
-/// runs all `jobs` — same `ctx`/`level`/`galois` geometry, per-job
-/// inputs and keys — through one pipeline whose kernel dispatches
-/// carry every job's limb rows at once.
+/// The NTT tables of `basis`, repeated for `k` jobs' limb rows.
+fn table_rows(basis: &RnsBasis, k: usize) -> Vec<&NttTable> {
+    let once: Vec<&NttTable> = basis.tables().iter().map(|t| t.as_ref()).collect();
+    repeat_rows(&once, k)
+}
+
+/// Engine stage 1a: the canonical coefficient-form limb rows of every
+/// input, job after job. Decompose needs true `[0, p)` representatives,
+/// so the batched input iNTT exits canonically — one dispatch over all
+/// `k * (l+1)` rows.
 ///
-/// Per row this is exactly the `k = 1` lazy chain: input iNTT with a
-/// canonical exit, per digit a lazy-exit NTT + (optional) slot
-/// permutation + lazy multiply-accumulate against the key rows, one
-/// lazy-exit iNTT over both accumulators, a single `[0, 2p) → [0, p)`
-/// fold per limb, ModDown's exact BConv + combine, and a canonical
-/// output NTT. Batching concatenates rows; it never changes a per-row
-/// kernel, which is the bit-identity argument (asserted against the
-/// strict oracle by `tests/lazy_chains.rs` and per-backend by
-/// `tests/backend_identity.rs`).
+/// # Panics
+///
+/// Panics if an input is not in evaluation form at `level`.
+fn inputs_to_coeff<'a>(
+    ctx: &CkksContext,
+    inputs: impl ExactSizeIterator<Item = &'a RnsPoly>,
+    level: usize,
+) -> Vec<u64> {
+    let k = inputs.len();
+    let mut d_coeff = Vec::with_capacity(k * (level + 1) * ctx.n());
+    for d in inputs {
+        assert_eq!(d.representation(), Representation::Eval);
+        assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
+        d_coeff.extend_from_slice(d.flat());
+    }
+    kernel::active().inverse_batch(
+        &table_rows(ctx.level_basis(level), k),
+        &mut d_coeff,
+        ExitFold::Canonical,
+    );
+    d_coeff
+}
+
+/// Engine stage 1b: raises digit `j` of every job in `d_coeff` into
+/// `out` (appending `k * ext_limbs * n` words) and NTTs all those rows
+/// with one lazy-exit dispatch, leaving them in the `[0, 2p)` window.
+fn raise_digit_lazy(
+    ctx: &CkksContext,
+    d_coeff: &[u64],
+    level: usize,
+    j: usize,
+    out: &mut Vec<u64>,
+) {
+    let inputs = d_coeff.chunks_exact((level + 1) * ctx.n());
+    let ext_tables_k = table_rows(ctx.extended_basis(level), inputs.len());
+    for d_flat in inputs {
+        raise_digit_into(ctx, d_flat, level, j, out);
+    }
+    kernel::active().forward_batch(&ext_tables_k, out, ExitFold::Lazy2p);
+}
+
+/// Engine stages 2 and 3: the lazy inner-product accumulators of `k`
+/// jobs. Both accumulators live in one buffer (acc0 rows for all jobs,
+/// then acc1 rows for all jobs) so the tail iNTT + fold are single
+/// dispatches over `2k * ext_limbs` rows.
+struct LazyAccumulators<'a> {
+    ctx: &'a CkksContext,
+    level: usize,
+    k: usize,
+    acc_all: Vec<u64>,
+    ext_moduli_k: Vec<Modulus>,
+    /// The eval-form slot permutation of the Galois variants, with its
+    /// `k * ext_limbs * n`-word gather target.
+    perm: Option<(Arc<Vec<usize>>, Vec<u64>)>,
+    b_buf: Vec<u64>,
+    a_buf: Vec<u64>,
+}
+
+impl<'a> LazyAccumulators<'a> {
+    /// Zeroed accumulators for `k` jobs at `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `galois` holds an even element.
+    fn new(ctx: &'a CkksContext, level: usize, k: usize, galois: Option<u64>) -> Self {
+        let ext_basis = ctx.extended_basis(level);
+        let words = k * ext_basis.len() * ctx.n();
+        Self {
+            ctx,
+            level,
+            k,
+            acc_all: vec![0u64; 2 * words],
+            ext_moduli_k: repeat_rows(ext_basis.moduli(), k),
+            perm: galois.map(|g| (ctx.galois().eval_permutation(g), vec![0u64; words])),
+            b_buf: Vec::with_capacity(words),
+            a_buf: Vec::with_capacity(words),
+        }
+    }
+
+    /// Stage 2 for digit `j`: `digit` holds every job's raised digit
+    /// (lazy evaluation form). The automorphism, when present, is a
+    /// pure slot permutation that preserves the `[0, 2p)` window — one
+    /// gather over the batch — then one lazy MAC dispatch per
+    /// accumulator multiplies all `k * ext_limbs` rows against each
+    /// job's key row for this digit.
+    fn mac_digit<'k>(
+        &mut self,
+        j: usize,
+        digit: &[u64],
+        keys: impl Iterator<Item = &'k SwitchingKey>,
+    ) {
+        let digit = match &mut self.perm {
+            Some((perm, perm_buf)) => {
+                kernel::active().permute_batch(perm.as_slice(), digit, perm_buf);
+                perm_buf.as_slice()
+            }
+            None => digit,
+        };
+        self.b_buf.clear();
+        self.a_buf.clear();
+        for key in keys {
+            let (b_j, a_j) = key.row_at_level(self.ctx, j, self.level);
+            self.b_buf.extend_from_slice(b_j.flat());
+            self.a_buf.extend_from_slice(a_j.flat());
+        }
+        let (acc0, acc1) = self.acc_all.split_at_mut(digit.len());
+        kernel::active().mul_acc_lazy_batch(&self.ext_moduli_k, acc0, digit, &self.b_buf);
+        kernel::active().mul_acc_lazy_batch(&self.ext_moduli_k, acc1, digit, &self.a_buf);
+    }
+
+    /// Stage 3: lazy-exit iNTT over both accumulators of every job, the
+    /// chain's single deferred `[0, 2p) → [0, p)` fold per limb,
+    /// ModDown per accumulator, and one canonical-exit NTT over all
+    /// `2k * (l+1)` output rows — then the split into per-job
+    /// `(ks0, ks1)` pairs.
+    fn finish(mut self) -> Vec<(RnsPoly, RnsPoly)> {
+        let (ctx, level, k) = (self.ctx, self.level, self.k);
+        let ext_basis = ctx.extended_basis(level);
+        let level_basis = ctx.level_basis(level);
+        kernel::active().inverse_batch(
+            &table_rows(ext_basis, 2 * k),
+            &mut self.acc_all,
+            ExitFold::Lazy2p,
+        );
+        kernel::active()
+            .fold_2p_to_canonical_batch(&repeat_rows(ext_basis.moduli(), 2 * k), &mut self.acc_all);
+
+        let stride = level_basis.len() * ctx.n();
+        let mut out_all = Vec::with_capacity(2 * k * stride);
+        for acc in self.acc_all.chunks_exact(ext_basis.len() * ctx.n()) {
+            mod_down_into(ctx, acc, level, &mut out_all);
+        }
+        kernel::active().forward_batch(
+            &table_rows(level_basis, 2 * k),
+            &mut out_all,
+            ExitFold::Canonical,
+        );
+
+        // Job i's ks0 rows sit at chunk i, its ks1 rows at chunk k + i.
+        let poly = |chunk: usize| {
+            RnsPoly::from_flat(
+                level_basis.clone(),
+                out_all[chunk * stride..(chunk + 1) * stride].to_vec(),
+                Representation::Eval,
+            )
+        };
+        (0..k).map(|i| (poly(i), poly(k + i))).collect()
+    }
+}
+
+/// The lazy engine, fused: all `jobs` — same `ctx`/`level`/`galois`
+/// geometry, per-job inputs and keys — go through the three stages with
+/// stages 1–2 interleaved digit by digit over one reused buffer, so the
+/// working set holds a single raised digit per job.
 fn key_switch_coalesced_impl(
     ctx: &CkksContext,
     jobs: &[KsJob<'_>],
@@ -404,142 +496,25 @@ fn key_switch_coalesced_impl(
         return Vec::new();
     }
     let k = jobs.len();
-    let n = ctx.n();
-    let n_q = level + 1;
-    let precomp = ctx.keyswitch_precomp(level);
-    let level_basis = ctx.level_basis(level).clone();
-    let ext_basis = ctx.extended_basis(level).clone();
-    let n_ext = ext_basis.len();
-
-    let level_tables: Vec<&NttTable> = level_basis.tables().iter().map(|t| t.as_ref()).collect();
-    let ext_tables: Vec<&NttTable> = ext_basis.tables().iter().map(|t| t.as_ref()).collect();
-    let ext_tables_k = repeat_rows(&ext_tables, k);
-    let ext_moduli_k: Vec<Modulus> = repeat_rows(ext_basis.moduli(), k);
-
-    // Decompose needs true [0, p) representatives, so the batched input
-    // iNTT exits canonically — one dispatch over all k * (l+1) rows.
-    let mut d_coeff = Vec::with_capacity(k * n_q * n);
-    for job in jobs {
-        assert_eq!(job.d.representation(), Representation::Eval);
-        assert_eq!(job.d.limbs(), n_q, "polynomial level mismatch");
-        d_coeff.extend_from_slice(job.d.flat());
-    }
-    kernel::active().inverse_batch(
-        &repeat_rows(&level_tables, k),
-        &mut d_coeff,
-        ExitFold::Canonical,
-    );
-
-    // Both accumulators live in one buffer (acc0 rows for all jobs,
-    // then acc1 rows for all jobs) so the tail iNTT + fold are single
-    // dispatches over 2k * ext_limbs rows.
-    let mut acc_all = vec![0u64; 2 * k * n_ext * n];
-    let perm = galois.map(|g| {
-        assert_eq!(g % 2, 1, "galois element must be odd");
-        ctx.galois().eval_permutation(g)
-    });
-
-    let mut digit_buf: Vec<u64> = Vec::with_capacity(k * n_ext * n);
-    let mut perm_buf = vec![0u64; if perm.is_some() { k * n_ext * n } else { 0 }];
-    let mut b_buf: Vec<u64> = Vec::with_capacity(k * n_ext * n);
-    let mut a_buf: Vec<u64> = Vec::with_capacity(k * n_ext * n);
-    for j in 0..precomp.digits.len() {
-        // Raise digit j of every job into one combined buffer, then NTT
-        // all k * ext_limbs rows with one lazy-exit dispatch.
+    let d_coeff = inputs_to_coeff(ctx, jobs.iter().map(|job| job.d), level);
+    let mut acc = LazyAccumulators::new(ctx, level, k, galois);
+    let mut digit_buf = Vec::with_capacity(k * ctx.extended_basis(level).len() * ctx.n());
+    for j in 0..ctx.keyswitch_precomp(level).digits.len() {
         digit_buf.clear();
-        for i in 0..k {
-            raise_digit_into(
-                ctx,
-                &d_coeff[i * n_q * n..(i + 1) * n_q * n],
-                level,
-                j,
-                &mut digit_buf,
-            );
-        }
-        kernel::active().forward_batch(&ext_tables_k, &mut digit_buf, ExitFold::Lazy2p);
-        // The hoisted automorphism is a pure slot permutation that
-        // preserves the [0, 2p) window — one gather over the batch.
-        if let Some(perm) = &perm {
-            kernel::active().permute_batch(perm.as_slice(), &digit_buf, &mut perm_buf);
-            std::mem::swap(&mut digit_buf, &mut perm_buf);
-        }
-        // Inner product: every job's key row for this digit, one lazy
-        // MAC dispatch per accumulator over all k * ext_limbs rows.
-        b_buf.clear();
-        a_buf.clear();
-        for job in jobs {
-            let (b_j, a_j) = job.key.row_at_level(ctx, j, level);
-            b_buf.extend_from_slice(b_j.flat());
-            a_buf.extend_from_slice(a_j.flat());
-        }
-        let (acc0, acc1) = acc_all.split_at_mut(k * n_ext * n);
-        kernel::active().mul_acc_lazy_batch(&ext_moduli_k, acc0, &digit_buf, &b_buf);
-        kernel::active().mul_acc_lazy_batch(&ext_moduli_k, acc1, &digit_buf, &a_buf);
+        raise_digit_lazy(ctx, &d_coeff, level, j, &mut digit_buf);
+        acc.mac_digit(j, &digit_buf, jobs.iter().map(|job| job.key));
     }
-
-    // Tail: lazy-exit iNTT over both accumulators of every job, then
-    // the chain's single deferred fold per limb — each one dispatch.
-    kernel::active().inverse_batch(
-        &repeat_rows(&ext_tables, 2 * k),
-        &mut acc_all,
-        ExitFold::Lazy2p,
-    );
-    kernel::active()
-        .fold_2p_to_canonical_batch(&repeat_rows(ext_basis.moduli(), 2 * k), &mut acc_all);
-
-    // ModDown per accumulator (exact BConv of the P-part + combine),
-    // collecting every output's coefficient rows for one final
-    // canonical-exit NTT over all 2k * (l+1) rows.
-    let mut out_all = Vec::with_capacity(2 * k * n_q * n);
-    for acc in acc_all.chunks_exact(n_ext * n) {
-        let (q_flat, p_flat) = acc.split_at(n_q * n);
-        let p_in_q = precomp.mod_down.convert_exact(p_flat);
-        for i in 0..n_q {
-            let qi = level_basis.modulus(i);
-            let inv = precomp.p_inv_mod_q[i];
-            out_all.extend(
-                q_flat[i * n..(i + 1) * n]
-                    .iter()
-                    .zip(&p_in_q[i * n..(i + 1) * n])
-                    .map(|(&c, &p)| qi.mul(qi.sub(c, p), inv)),
-            );
-        }
-    }
-    kernel::active().forward_batch(
-        &repeat_rows(&level_tables, 2 * k),
-        &mut out_all,
-        ExitFold::Canonical,
-    );
-
-    // Split back into per-job (ks0, ks1) pairs: job i's ks0 rows sit at
-    // chunk i, its ks1 rows at chunk k + i.
-    let stride = n_q * n;
-    (0..k)
-        .map(|i| {
-            let ks0 = RnsPoly::from_flat(
-                level_basis.clone(),
-                out_all[i * stride..(i + 1) * stride].to_vec(),
-                Representation::Eval,
-            );
-            let ks1 = RnsPoly::from_flat(
-                level_basis.clone(),
-                out_all[(k + i) * stride..(k + i + 1) * stride].to_vec(),
-                Representation::Eval,
-            );
-            (ks0, ks1)
-        })
-        .collect()
+    acc.finish()
 }
 
-/// The shared ModUp state of a rotation batch: the input's digit
-/// decomposition raised to the extended basis and NTT'd once, held in
-/// the lazy `[0, 2p)` evaluation window — exactly the state
-/// `key_switch_impl` reaches after the digit NTT, *before* the
-/// per-rotation automorphism.
+/// The shared ModUp state of a rotation batch: engine stage 1 of one
+/// input, stored for all `beta` digits — each raised to the extended
+/// basis and NTT'd once, held in the lazy `[0, 2p)` evaluation window,
+/// *before* the per-rotation automorphism.
 ///
 /// A linear layer that applies `k` rotations to one ciphertext pays
 /// for Decompose + ModUp + the `beta * ext_limbs` digit NTTs once via
-/// [`hoist_rotations`], then runs only the per-rotation tail
+/// [`hoist_rotations`], then runs only the per-rotation stages
 /// (automorphism → inner product → iNTT → ModDown) `k` times via
 /// [`key_switch_galois_hoisted`]. This works because the eval-form
 /// automorphism is a pure slot permutation that commutes with the
@@ -548,7 +523,9 @@ fn key_switch_coalesced_impl(
 #[derive(Debug, Clone)]
 pub struct HoistedRotations {
     level: usize,
-    digits: Vec<RnsPoly>,
+    /// `digits[j]`: the `ext_limbs * n` lazy evaluation-form words of
+    /// raised digit `j`.
+    digits: Vec<Vec<u64>>,
 }
 
 impl HoistedRotations {
@@ -564,42 +541,34 @@ impl HoistedRotations {
 }
 
 /// Computes the hoisted ModUp state of `d` (evaluation form, at
-/// `level`): decompose into digits, raise each to the extended basis,
-/// and NTT each with a lazy exit. The result feeds any number of
+/// `level`): engine stage 1 for every digit, stored instead of
+/// consumed. The result feeds any number of
 /// [`key_switch_galois_hoisted`] calls.
 ///
 /// # Panics
 ///
 /// As [`key_switch`].
 pub fn hoist_rotations(ctx: &CkksContext, d: &RnsPoly, level: usize) -> HoistedRotations {
-    assert_eq!(d.representation(), Representation::Eval);
-    assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
-    // Decompose needs true [0, p) representatives, so the input iNTT
-    // canonicalises (its exit pass does that for free).
-    let mut d_coeff = d.clone();
-    d_coeff.to_coeff();
-    let beta = ctx.keyswitch_precomp(level).digits.len();
-    let digits = (0..beta)
+    let d_coeff = inputs_to_coeff(ctx, std::iter::once(d), level);
+    let digits = (0..ctx.keyswitch_precomp(level).digits.len())
         .map(|j| {
-            let mut raised = raise_digit(ctx, &d_coeff, level, j);
-            raised.to_eval_lazy();
+            let mut raised = Vec::with_capacity(ctx.extended_basis(level).len() * ctx.n());
+            raise_digit_lazy(ctx, &d_coeff, level, j, &mut raised);
             raised
         })
         .collect();
     HoistedRotations { level, digits }
 }
 
-/// The per-rotation tail of the hoisted pipeline: applies the
-/// eval-form automorphism `sigma_g` to each shared raised digit (a
-/// pure slot permutation preserving the `[0, 2p)` window), runs the
-/// inner product against the Galois key rows, and ModDowns with the
-/// lazy-chain single fold per limb.
+/// The per-rotation stages of the hoisted pipeline: engine stages 2–3
+/// over the stored digits — slot-permute each by `sigma_g`, run the
+/// inner product against the Galois key rows, and finish.
 ///
 /// Bit-identical to [`key_switch_galois`] on the same `(d, g, key)`
-/// because the per-digit kernel sequence — lazy NTT, lazy
-/// automorphism, lazy MAC, lazy iNTT, one fold — is unchanged; the
-/// digits are merely not recomputed per rotation. Asserted by the
-/// suite below and `tests/backend_identity.rs`.
+/// because it *is* the same stages on the same digit words; the digits
+/// are merely not recomputed per rotation. Asserted against the strict
+/// oracle by the suite below and `tests/lazy_chains.rs`, and per
+/// backend by `tests/backend_identity.rs`.
 ///
 /// # Panics
 ///
@@ -610,62 +579,11 @@ pub fn key_switch_galois_hoisted(
     g: u64,
     key: &SwitchingKey,
 ) -> (RnsPoly, RnsPoly) {
-    let level = hoisted.level;
-    let ext_basis = ctx.extended_basis(level).clone();
-    let mut acc0 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
-    let mut acc1 = RnsPoly::zero(ext_basis, Representation::Eval);
-    for (j, raised) in hoisted.digits.iter().enumerate() {
-        let mut d_tilde = raised.clone();
-        d_tilde.automorphism_lazy(g, ctx.galois());
-        let (b_j, a_j) = key.row_at_level(ctx, j, level);
-        acc0.mul_acc_pointwise_lazy(&d_tilde, &b_j);
-        acc1.mul_acc_pointwise_lazy(&d_tilde, &a_j);
+    let mut acc = LazyAccumulators::new(ctx, hoisted.level, 1, Some(g));
+    for (j, digit) in hoisted.digits.iter().enumerate() {
+        acc.mac_digit(j, digit, std::iter::once(key));
     }
-    let ks0 = mod_down(ctx, acc0, level, KsReduction::LazyChain);
-    let ks1 = mod_down(ctx, acc1, level, KsReduction::LazyChain);
-    (ks0, ks1)
-}
-
-/// ModDown: maps a polynomial over `C_l ∪ P` to `C_l`, dividing by `P`
-/// with rounding (the tail step of Algorithm 1, line 12).
-///
-/// In the lazy pipeline the accumulator arrives in `[0, 2p)`; the iNTT
-/// exits lazily and the deferred fold happens here, once per limb —
-/// the ciphertext-boundary canonicalisation of the chain.
-fn mod_down(ctx: &CkksContext, mut acc: RnsPoly, level: usize, mode: KsReduction) -> RnsPoly {
-    let precomp = ctx.keyswitch_precomp(level);
-    match mode {
-        KsReduction::LazyChain => {
-            acc.to_coeff_lazy();
-            debug_assert_eq!(acc.reduction_state(), ReductionState::Lazy2p);
-            acc.canonicalize();
-        }
-        KsReduction::PerKernel => acc.to_coeff(),
-        KsReduction::Strict => acc.to_coeff_strict(),
-    }
-    debug_assert_eq!(acc.reduction_state(), ReductionState::Canonical);
-    let n = acc.n();
-    let flat = acc.into_flat();
-    let n_q = level + 1;
-    // Limb-major layout: the q-limbs and P-limbs are contiguous halves,
-    // so the P-part feeds BConv without any gather.
-    let (q_flat, p_flat) = flat.split_at(n_q * n);
-    let p_in_q = precomp.mod_down.convert_exact(p_flat);
-    let level_basis = ctx.level_basis(level).clone();
-    let mut out_flat = Vec::with_capacity(n_q * n);
-    for i in 0..n_q {
-        let qi = level_basis.modulus(i);
-        let inv = precomp.p_inv_mod_q[i];
-        out_flat.extend(
-            q_flat[i * n..(i + 1) * n]
-                .iter()
-                .zip(&p_in_q[i * n..(i + 1) * n])
-                .map(|(&c, &p)| qi.mul(qi.sub(c, p), inv)),
-        );
-    }
-    let mut out = RnsPoly::from_flat(level_basis, out_flat, Representation::Coeff);
-    out.to_eval();
-    out
+    acc.finish().pop().expect("one job in, one result out")
 }
 
 #[cfg(test)]
@@ -673,7 +591,7 @@ mod tests {
     use super::*;
     use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
-    use fhe_math::sampler;
+    use fhe_math::{sampler, ReductionState};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -812,9 +730,9 @@ mod tests {
         }
     }
 
-    /// All three reduction tiers of the hoisted Galois pipeline are
-    /// bit-identical — the rotation-chain counterpart of the plain
-    /// keyswitch tier assertions in `tests/lazy_chains.rs`.
+    /// Both tiers of the Galois pipeline — lazy engine and strict
+    /// oracle — are bit-identical: the rotation-chain counterpart of the
+    /// plain keyswitch assertions in `tests/lazy_chains.rs`.
     #[test]
     fn galois_keyswitch_tiers_bit_identical() {
         let ctx = CkksContext::new(CkksParams::tiny_params());
@@ -831,21 +749,19 @@ mod tests {
             }
             let d = RnsPoly::from_flat(basis, flat, Representation::Eval);
             let (l0, l1) = key_switch_galois(&ctx, &d, g, &gk, level);
-            let (h0, h1) = key_switch_galois_per_kernel(&ctx, &d, g, &gk, level);
             let (s0, s1) = key_switch_galois_strict(&ctx, &d, g, &gk, level);
             assert_eq!(l0.flat(), s0.flat(), "lazy vs strict ks0, level {level}");
             assert_eq!(l1.flat(), s1.flat(), "lazy vs strict ks1, level {level}");
-            assert_eq!(h0.flat(), s0.flat(), "harvey vs strict ks0, level {level}");
-            assert_eq!(h1.flat(), s1.flat(), "harvey vs strict ks1, level {level}");
             assert_eq!(l0.reduction_state(), ReductionState::Canonical);
             assert_eq!(l1.reduction_state(), ReductionState::Canonical);
         }
     }
 
     /// One [`hoist_rotations`] call must serve every rotation in a
-    /// batch, each output bitwise identical to the corresponding
-    /// sequential [`key_switch_galois`] — the digits are shared, not
-    /// recomputed, and sharing must not change a single bit.
+    /// batch, each output bitwise identical to the strict oracle (the
+    /// independent reference: hoisted and fused paths are one engine)
+    /// and to the fused [`key_switch_galois`] — the digits are shared,
+    /// not recomputed, and sharing must not change a bit.
     #[test]
     fn hoisted_rotations_bit_identical_to_sequential() {
         let ctx = CkksContext::new(CkksParams::tiny_params());
@@ -868,9 +784,12 @@ mod tests {
                 let g = fhe_math::galois::rotation_galois_element(r, ctx.n());
                 let gk = kg.galois_key(&sk, g, &mut rng);
                 let (h0, h1) = key_switch_galois_hoisted(&ctx, &hoisted, g, &gk);
-                let (s0, s1) = key_switch_galois(&ctx, &d, g, &gk, level);
-                assert_eq!(h0.flat(), s0.flat(), "ks0 r={r} level={level}");
-                assert_eq!(h1.flat(), s1.flat(), "ks1 r={r} level={level}");
+                let strict = key_switch_galois_strict(&ctx, &d, g, &gk, level);
+                let fused = key_switch_galois(&ctx, &d, g, &gk, level);
+                for (s0, s1) in [strict, fused] {
+                    assert_eq!(h0.flat(), s0.flat(), "ks0 r={r} level={level}");
+                    assert_eq!(h1.flat(), s1.flat(), "ks1 r={r} level={level}");
+                }
             }
         }
     }

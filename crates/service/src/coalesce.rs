@@ -73,8 +73,9 @@ pub fn mates(head: Geometry, candidates: &[(usize, Geometry)], max_batch: usize)
 
 /// Whether two TFHE gate jobs may share one batched blind-rotate
 /// dispatch ([`fhe_tfhe::apply_gates_batched`]): both server keys must
-/// use the exact NTT backend and agree on the parameter set and ring
-/// modulus. Equal `(modulus, degree)` implies identical deterministic
+/// agree on the parameter set and ring modulus (the engine's lockstep
+/// condition) and use the exact NTT backend (FFT-keyed jobs are
+/// evaluated per job, so widening their batch buys nothing). Equal `(modulus, degree)` implies identical deterministic
 /// NTT tables, so — unlike CKKS [`Geometry`] — *pointer* identity of
 /// the ring is not required: TFHE tenants never share key material, and
 /// per-job bootstrap/keyswitch keys are what keep cross-tenant batching

@@ -196,90 +196,86 @@ impl ServerKey {
             + self.ksk.heap_bytes()
     }
 
-    /// Blind rotation (Algorithm 2 lines 2–12): rotates the test vector
-    /// by the encrypted phase through `n_lwe` CMUXes.
-    pub fn blind_rotate(&self, a_tilde: &[u64], b_tilde: u64, tv: &[u64]) -> GlweCiphertext {
-        let ring = &self.ctx.ring;
-        let k = self.ctx.params.k;
-        let init = ring.mul_monomial(tv, -(b_tilde as i64));
-        let mut acc = GlweCiphertext::trivial(ring, k, init);
-        for (i, &ai) in a_tilde.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let rotated = acc.rotate(ring, ai as i64);
-            acc = self.bsk[i].cmux(ring, &acc, &rotated);
-        }
-        acc
+    /// Whether both keys' jobs can share one lockstep rotation: equal
+    /// (parameters, modulus) mean identical deterministic NTT tables.
+    pub(crate) fn shares_ring_with(&self, other: &ServerKey) -> bool {
+        self.ctx.params == other.ctx.params && self.ctx.ring.q() == other.ctx.ring.q()
     }
 
-    /// Batched blind rotation: each job rotates its own test vector by
-    /// its own mod-switched phase under its own bootstrapping key, but
-    /// the `n_lwe` CMUX steps run in lockstep so every step's external
-    /// products coalesce into one wide [`Ggsw::external_product_batch`]
-    /// call — the MATCHA batching shape: k independent gate bootstraps
-    /// through one kernel dispatch per step.
-    ///
-    /// Per job the arithmetic is exactly [`Self::blind_rotate`]'s
-    /// (`acc <- acc + bsk[i] ⊡ (rotate(acc, a_i) - acc)` for the same
-    /// non-zero `a_i` in the same order), so each output is
-    /// bit-identical to the sequential call.
-    ///
-    /// All jobs must share the parameter set and ring modulus (their
-    /// rings then hold identical NTT tables; the first job's ring drives
-    /// the batch) and use the NTT backend.
+    /// Blind rotation (Algorithm 2 lines 2–12): rotates the test vector
+    /// by the encrypted phase through `n_lwe` CMUXes — the one-job
+    /// instance of [`Self::blind_rotate_batch`].
     ///
     /// # Panics
     ///
-    /// Panics if jobs disagree on parameters or modulus, or any key was
-    /// prepared for the FFT backend.
+    /// Panics if `a_tilde.len() != n_lwe`.
+    pub fn blind_rotate(&self, a_tilde: &[u64], b_tilde: u64, tv: &[u64]) -> GlweCiphertext {
+        Self::blind_rotate_batch(&[(self, a_tilde, b_tilde)], tv)
+            .pop()
+            .expect("one job in, one accumulator out")
+    }
+
+    /// The blind-rotation engine: each job rotates the test vector by
+    /// its own mod-switched phase under its own bootstrapping key
+    /// (`acc <- acc + bsk[i] ⊡ (rotate(acc, a_i) - acc)` for every
+    /// non-zero `a_i`, in increasing `i`), and the `n_lwe` CMUX steps
+    /// run in lockstep so every step's external products coalesce into
+    /// one wide [`Ggsw::external_product_batch`] call — the MATCHA
+    /// batching shape. A job's output does not depend on its batch
+    /// mates; NTT- and FFT-prepared keys may share a batch. A batch
+    /// mixing parameter sets or moduli cannot run in lockstep and is
+    /// served job by job, each as a batch of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job's `a_tilde.len()` differs from its key's
+    /// `n_lwe`.
     pub fn blind_rotate_batch(
         jobs: &[(&ServerKey, &[u64], u64)],
         tv: &[u64],
     ) -> Vec<GlweCiphertext> {
-        if jobs.is_empty() {
+        let Some(&(head, ..)) = jobs.first() else {
             return Vec::new();
+        };
+        if !jobs.iter().all(|(sk, ..)| sk.shares_ring_with(head)) {
+            return jobs
+                .iter()
+                .flat_map(|job| Self::blind_rotate_batch(std::slice::from_ref(job), tv))
+                .collect();
         }
-        let head = jobs[0].0;
-        assert!(
-            jobs.iter().all(|(sk, ..)| sk.backend == MulBackend::Ntt
-                && sk.ctx.params == head.ctx.params
-                && sk.ctx.ring.q() == head.ctx.ring.q()),
-            "blind_rotate_batch requires NTT keys sharing one parameter set and modulus"
-        );
         let ring = &head.ctx.ring;
         let k = head.ctx.params.k;
+        let n_lwe = head.ctx.params.n_lwe;
         let mut accs: Vec<GlweCiphertext> = jobs
             .iter()
-            .map(|&(_, _, b_tilde)| {
+            .map(|&(_, a_tilde, b_tilde)| {
+                assert_eq!(
+                    a_tilde.len(),
+                    n_lwe,
+                    "switched mask length must equal n_lwe"
+                );
                 GlweCiphertext::trivial(ring, k, ring.mul_monomial(tv, -(b_tilde as i64)))
             })
             .collect();
-        for i in 0..head.ctx.params.n_lwe {
+        for i in 0..n_lwe {
             // Jobs whose i-th switched mask coefficient is zero skip
-            // this CMUX, exactly as in the sequential rotation.
-            let mut active = Vec::with_capacity(jobs.len());
-            let mut diffs = Vec::with_capacity(jobs.len());
-            for (j, &(_, a_tilde, _)) in jobs.iter().enumerate() {
-                let ai = a_tilde[i];
-                if ai == 0 {
-                    continue;
-                }
-                let mut diff = accs[j].rotate(ring, ai as i64);
-                diff.sub_assign(ring, &accs[j]);
-                active.push(j);
-                diffs.push(diff);
-            }
-            if active.is_empty() {
-                continue;
-            }
-            let ep_jobs: Vec<(&Ggsw, &GlweCiphertext)> = active
+            // this CMUX.
+            let diffs: Vec<(usize, GlweCiphertext)> = jobs
                 .iter()
-                .zip(&diffs)
-                .map(|(&j, diff)| (&jobs[j].0.bsk[i], diff))
+                .enumerate()
+                .filter(|(_, &(_, a_tilde, _))| a_tilde[i] != 0)
+                .map(|(j, &(_, a_tilde, _))| {
+                    let mut diff = accs[j].rotate(ring, a_tilde[i] as i64);
+                    diff.sub_assign(ring, &accs[j]);
+                    (j, diff)
+                })
+                .collect();
+            let ep_jobs: Vec<(&Ggsw, &GlweCiphertext)> = diffs
+                .iter()
+                .map(|(j, diff)| (&jobs[*j].0.bsk[i], diff))
                 .collect();
             let outs = Ggsw::external_product_batch(ring, &ep_jobs);
-            for (&j, mut out) in active.iter().zip(outs) {
+            for (&(j, _), mut out) in diffs.iter().zip(outs) {
                 out.add_assign(ring, &accs[j]);
                 accs[j] = out;
             }
@@ -295,7 +291,16 @@ impl ServerKey {
     /// (the TFHE keyswitch would add noise the conversion budget cannot
     /// afford); chain [`crate::lwe::LweKeySwitchKey::switch`] to return
     /// to the small key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ct` is not of dimension `n_lwe`.
     pub fn bootstrap_with_tv_unswitched(&self, ct: &LweCiphertext, tv: &[u64]) -> LweCiphertext {
+        assert_eq!(
+            ct.dim(),
+            self.ctx.params.n_lwe,
+            "input LWE dimension must equal n_lwe"
+        );
         let two_n = 2 * self.ctx.params.n as u64;
         let (a_tilde, b_tilde) = ct.mod_switch(self.ctx.q(), two_n);
         let acc = self.blind_rotate(&a_tilde, b_tilde, tv);
@@ -534,28 +539,115 @@ mod tests {
         check_predicate_bootstrap(&[8, 15], 118);
     }
 
+    /// The sequential CMUX loop over the strict external product — the
+    /// reference the one rotation engine is checked against, sharing no
+    /// code with it.
+    fn blind_rotate_reference(
+        sk: &ServerKey,
+        a_tilde: &[u64],
+        b_tilde: u64,
+        tv: &[u64],
+    ) -> GlweCiphertext {
+        let ring = &sk.ctx.ring;
+        let init = ring.mul_monomial(tv, -(b_tilde as i64));
+        let mut acc = GlweCiphertext::trivial(ring, sk.ctx.params.k, init);
+        for (bsk_i, &ai) in sk.bsk.iter().zip(a_tilde) {
+            if ai == 0 {
+                continue;
+            }
+            let mut diff = acc.rotate(ring, ai as i64);
+            diff.sub_assign(ring, &acc);
+            let mut out = bsk_i.external_product_strict(ring, &diff);
+            out.add_assign(ring, &acc);
+            acc = out;
+        }
+        acc
+    }
+
+    fn switched_bits(ck: &ClientKey, bits: &[bool], rng: &mut StdRng) -> Vec<(Vec<u64>, u64)> {
+        let two_n = 2 * ck.ctx.params.n as u64;
+        bits.iter()
+            .map(|&bit| ck.encrypt_bit(bit, rng).mod_switch(ck.ctx.q(), two_n))
+            .collect()
+    }
+
     #[test]
     fn batched_blind_rotate_is_bit_identical_to_sequential() {
         let (ck, sk) = set_i_ntt();
         let mut rng = StdRng::seed_from_u64(119);
-        let q = ck.ctx.q().value();
-        let two_n = 2 * ck.ctx.params.n as u64;
-        let tv = vec![q / 8; ck.ctx.params.n];
-        let switched: Vec<(Vec<u64>, u64)> = [true, false, true]
-            .iter()
-            .map(|&bit| ck.encrypt_bit(bit, &mut rng).mod_switch(ck.ctx.q(), two_n))
-            .collect();
+        let tv = vec![ck.ctx.q().value() / 8; ck.ctx.params.n];
+        let switched = switched_bits(ck, &[true, false, true], &mut rng);
         let jobs: Vec<(&ServerKey, &[u64], u64)> = switched
             .iter()
             .map(|(a, b)| (sk, a.as_slice(), *b))
             .collect();
         let batched = ServerKey::blind_rotate_batch(&jobs, &tv);
         for ((a, b), got) in switched.iter().zip(&batched) {
-            let want = sk.blind_rotate(a, *b, &tv);
-            assert_eq!(got.mask, want.mask);
-            assert_eq!(got.body, want.body);
+            let reference = blind_rotate_reference(sk, a, *b, &tv);
+            let single = sk.blind_rotate(a, *b, &tv);
+            for want in [reference, single] {
+                assert_eq!(got.mask, want.mask);
+                assert_eq!(got.body, want.body);
+            }
         }
         assert!(ServerKey::blind_rotate_batch(&[], &tv).is_empty());
+    }
+
+    /// Batch shapes beyond same-parameter NTT keys: an FFT-keyed job
+    /// alone, beside an NTT job, and a batch mixing Set-I with Set-II keys
+    /// (same ring, different `n_lwe` and gadget) — every output equal to
+    /// the job's own single rotation and decrypting to its input bit.
+    #[test]
+    fn blind_rotate_batch_serves_fft_and_mixed_parameter_jobs() {
+        let fixtures = [set_i_fft(), set_i_ntt(), set_ii_ntt(), set_i_fft()];
+        let head = &fixtures[0].0.ctx;
+        let tv = vec![head.q().value() / 8; head.params.n];
+        let bits = [true, false, false, true];
+        let mut rng = StdRng::seed_from_u64(120);
+        let switched: Vec<(Vec<u64>, u64)> = fixtures
+            .iter()
+            .zip(bits)
+            .map(|((ck, _), bit)| switched_bits(ck, &[bit], &mut rng).remove(0))
+            .collect();
+        let jobs: Vec<(&ServerKey, &[u64], u64)> = fixtures
+            .iter()
+            .zip(&switched)
+            .map(|((_, sk), (a, b))| (sk, a.as_slice(), *b))
+            .collect();
+        // [FFT] alone, [FFT, NTT] sharing Set-I, then all four with the
+        // Set-II key in the middle.
+        for batch in [&jobs[..1], &jobs[..2], &jobs[..]] {
+            let got = ServerKey::blind_rotate_batch(batch, &tv);
+            assert_eq!(got.len(), batch.len());
+            for (i, (&(sk, a, b), acc)) in batch.iter().zip(&got).enumerate() {
+                let single = sk.blind_rotate(a, b, &tv);
+                assert_eq!(acc.mask, single.mask, "job {i} of {}", batch.len());
+                assert_eq!(acc.body, single.body, "job {i} of {}", batch.len());
+                let (ck, _) = fixtures[i];
+                let extracted = acc.sample_extract(&sk.ctx.ring, 0);
+                let out = sk.ksk.switch(sk.ctx.q(), &extracted);
+                assert_eq!(ck.decrypt_bit(&out), bits[i], "job {i} of {}", batch.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "switched mask length must equal n_lwe")]
+    fn blind_rotate_rejects_wrong_mask_length() {
+        let (ck, sk) = set_i_ntt();
+        let tv = vec![ck.ctx.q().value() / 8; ck.ctx.params.n];
+        // One coefficient too many would index past `bsk`; one too few
+        // would silently skip CMUXes.
+        let a_tilde = vec![1u64; ck.ctx.params.n_lwe + 1];
+        sk.blind_rotate(&a_tilde, 0, &tv);
+    }
+
+    #[test]
+    #[should_panic(expected = "input LWE dimension must equal n_lwe")]
+    fn bootstrap_rejects_wrong_lwe_dimension() {
+        let (ck, sk) = set_i_ntt();
+        let ct = LweCiphertext::trivial(ck.ctx.params.n_lwe - 1, ck.ctx.encode_bit(true));
+        sk.bootstrap_sign(&ct);
     }
 
     #[test]

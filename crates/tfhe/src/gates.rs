@@ -53,20 +53,16 @@ impl GateOp {
 
 impl ServerKey {
     /// Applies a binary gate selected at runtime — the dispatch point
-    /// for queued [`GateOp`] jobs.
+    /// for queued [`GateOp`] jobs, and the one-job instance of
+    /// [`apply_gates_batched`].
     pub fn apply_gate(&self, op: GateOp, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        let (lin, negate) = self.gate_linear(op, a, b);
-        let mut out = self.bootstrap_sign(&lin);
-        if negate {
-            out.neg_assign(self.ctx.q());
-        }
-        out
+        apply_gates_batched(&[(self, op, a, b)])
+            .pop()
+            .expect("one job in, one gate out")
     }
 
     /// The linear combination feeding a gate's sign bootstrap, plus
     /// whether the bootstrapped output must be negated (the N-gates).
-    /// Shared by [`Self::apply_gate`] and [`apply_gates_batched`] so the
-    /// two paths are bit-identical by construction.
     fn gate_linear(
         &self,
         op: GateOp,
@@ -152,41 +148,32 @@ impl ServerKey {
 /// the gate, and its two encrypted inputs.
 pub type BatchedGateJob<'a> = (&'a ServerKey, GateOp, &'a LweCiphertext, &'a LweCiphertext);
 
-/// Applies `k` independent binary gates as one batched dispatch — the
-/// Interactive-lane analogue of the CKKS `apply_galois_coalesced`: per
-/// job the usual linear combination, then the `k` sign bootstraps run
-/// through the lockstep [`ServerKey::blind_rotate_batch`] so every CMUX
-/// step issues one wide kernel batch call instead of `k` narrow ones
-/// (the MATCHA batching shape).
+/// The gate engine: applies `k` independent binary gates as one
+/// dispatch — the Interactive-lane analogue of the CKKS
+/// `apply_galois_coalesced`. Per job the gate's linear combination and
+/// mod-switch, then the `k` sign bootstraps run through the lockstep
+/// [`ServerKey::blind_rotate_batch`] (one wide kernel batch call per
+/// CMUX step instead of `k` narrow ones), then SampleExtract, keyswitch
+/// and negate per job. [`ServerKey::apply_gate`] is the one-job
+/// instance, so a job's output does not depend on how it was batched.
+/// NTT- and FFT-prepared keys may share a batch; jobs that do not share
+/// one parameter set and modulus cannot share a test vector, and such a
+/// batch is served job by job, each as a batch of one.
 ///
-/// Outputs are bit-identical to calling [`ServerKey::apply_gate`] per
-/// job in order: the linear part is shared code, the batched rotation
-/// is bit-identical by construction, and SampleExtract/keyswitch/negate
-/// run per job. When the jobs cannot share a rotation — mixed parameter
-/// sets or moduli, an FFT-backend key, or a singleton batch — the jobs
-/// fall back to sequential `apply_gate` calls, which is the same
-/// arithmetic.
+/// # Panics
+///
+/// Panics if a job's inputs are not of its key's LWE dimension `n_lwe`.
 pub fn apply_gates_batched(jobs: &[BatchedGateJob<'_>]) -> Vec<LweCiphertext> {
-    use crate::ggsw::MulBackend;
-
     let Some(&(head, ..)) = jobs.first() else {
         return Vec::new();
     };
-    let batchable = jobs.len() > 1
-        && jobs.iter().all(|&(sk, ..)| {
-            sk.backend == MulBackend::Ntt
-                && sk.ctx.params == head.ctx.params
-                && sk.ctx.ring.q() == head.ctx.ring.q()
-        });
-    if !batchable {
+    if !jobs.iter().all(|&(sk, ..)| sk.shares_ring_with(head)) {
         return jobs
             .iter()
-            .map(|&(sk, op, a, b)| sk.apply_gate(op, a, b))
+            .flat_map(|job| apply_gates_batched(std::slice::from_ref(job)))
             .collect();
     }
 
-    // Equal (modulus, degree) means equal deterministic NTT tables, so
-    // the head's ring can drive every job's rotation and extraction.
     let ring = &head.ctx.ring;
     let q = head.ctx.q();
     let two_n = 2 * head.ctx.params.n as u64;
@@ -309,13 +296,55 @@ mod tests {
             assert_eq!(got.b, want.b, "{op:?} body");
             assert_eq!(ck.decrypt_bit(got), op.eval(*a, *b), "{op:?}({a},{b})");
         }
-        // Singleton batches take the sequential path and stay identical.
-        let solo = apply_gates_batched(&jobs[..1]);
-        let (op, ca, cb, ..) = &inputs[0];
-        let want = sk.apply_gate(*op, ca, cb);
-        assert_eq!(solo[0].a, want.a);
-        assert_eq!(solo[0].b, want.b);
         assert!(apply_gates_batched(&[]).is_empty());
+    }
+
+    /// Batch shapes beyond same-parameter NTT keys: an FFT-keyed job
+    /// alone, an NTT + FFT batch on one parameter set, and a batch mixing
+    /// Set-I with Set-II keys — every output equal to the job's own
+    /// `apply_gate` and decrypting to the truth table.
+    #[test]
+    fn batched_gates_serve_fft_and_mixed_parameter_jobs() {
+        let mut rng = StdRng::seed_from_u64(122);
+        let tenants: Vec<(ClientKey, ServerKey)> = [
+            (TfheParams::set_i(), MulBackend::Fft),
+            (TfheParams::set_i(), MulBackend::Ntt),
+            (TfheParams::set_ii(), MulBackend::Ntt),
+        ]
+        .into_iter()
+        .map(|(params, backend)| {
+            let ck = ClientKey::generate(TfheContext::new(params), &mut rng);
+            let sk = ServerKey::generate(&ck, backend, &mut rng);
+            (ck, sk)
+        })
+        .collect();
+        let inputs: Vec<(GateOp, LweCiphertext, LweCiphertext)> = tenants
+            .iter()
+            .zip([GateOp::Nand, GateOp::Xor, GateOp::Or])
+            .map(|((ck, _), op)| {
+                (
+                    op,
+                    ck.encrypt_bit(true, &mut rng),
+                    ck.encrypt_bit(false, &mut rng),
+                )
+            })
+            .collect();
+        let jobs: Vec<BatchedGateJob<'_>> = tenants
+            .iter()
+            .zip(&inputs)
+            .map(|((_, sk), (op, a, b))| (sk, *op, a, b))
+            .collect();
+        // [FFT] alone, [FFT, NTT] sharing Set-I, then all three.
+        for batch in [&jobs[..1], &jobs[..2], &jobs[..]] {
+            let got = apply_gates_batched(batch);
+            assert_eq!(got.len(), batch.len());
+            for (i, (&(sk, op, a, b), out)) in batch.iter().zip(&got).enumerate() {
+                let single = sk.apply_gate(op, a, b);
+                assert_eq!(out.a, single.a, "job {i} of {}", batch.len());
+                assert_eq!(out.b, single.b, "job {i} of {}", batch.len());
+                assert_eq!(tenants[i].0.decrypt_bit(out), op.eval(true, false));
+            }
+        }
     }
 
     #[test]

@@ -165,82 +165,20 @@ impl Ggsw {
         }
     }
 
-    /// External product `self ⊡ glwe`.
-    ///
-    /// Decomposes every GLWE component into `lb` digit polynomials and
-    /// accumulates digit-by-row products (Algorithm 2 lines 6–10).
-    ///
-    /// The NTT backend runs as a lazy residue chain: digit NTTs exit in
-    /// the `[0, 2p)` window, all `(k+1) * lb` multiply-accumulates stay
-    /// lazy, and the per-component iNTT's exit pass performs the single
-    /// deferred canonicalisation — once per output limb instead of once
-    /// per kernel, exactly the blind-rotation accumulator discipline of
-    /// NTT hardware pipelines. Bit-identical to
-    /// [`Self::external_product_strict`] (asserted by
-    /// `tests/lazy_chains.rs`).
+    /// External product `self ⊡ glwe` — the `k = 1` instance of
+    /// [`Self::external_product_batch`], the one engine both key
+    /// representations run through.
     pub fn external_product(&self, ring: &TfheRing, glwe: &GlweCiphertext) -> GlweCiphertext {
-        let n = ring.n();
-        let k = self.k;
-        let digits = self.decompose_digits(ring, glwe);
-        match &self.repr {
-            GgswRepr::Ntt(rows) => {
-                // Forward-transform each digit poly once (lazy exit),
-                // accumulate in the evaluation domain in [0, 2p), and
-                // let the per-component iNTT exit canonicalise.
-                let mut acc = vec![vec![0u64; n]; k + 1];
-                for (r, digit) in digits.iter().enumerate() {
-                    let mut d = ring.poly_from_signed(digit);
-                    ring.table().forward_lazy(&mut d);
-                    for comp in 0..=k {
-                        ring.table()
-                            .pointwise_mul_acc_lazy(&mut acc[comp], &d, &rows[r][comp]);
-                    }
-                }
-                let mut comps: Vec<Vec<u64>> = acc
-                    .into_iter()
-                    .map(|mut poly| {
-                        // `inverse` accepts the lazy accumulator and its
-                        // n^{-1} exit pass folds to canonical for free —
-                        // the chain's ciphertext-boundary reduction.
-                        ring.table().inverse(&mut poly);
-                        poly
-                    })
-                    .collect();
-                let body = comps.pop().expect("k+1 components");
-                GlweCiphertext { mask: comps, body }
-            }
-            GgswRepr::Fft(rows) => {
-                // Accumulate per-row FFT products in wide integers, then
-                // reduce — rounding error mirrors real FFT accelerators.
-                let q = ring.modulus();
-                let mut acc = vec![vec![0i128; n]; k + 1];
-                for (r, digit) in digits.iter().enumerate() {
-                    for comp in 0..=k {
-                        let prod = fhe_math::fft::negacyclic_mul_fft(digit, &rows[r][comp]);
-                        for (a, &p) in acc[comp].iter_mut().zip(&prod) {
-                            *a += p as i128;
-                        }
-                    }
-                }
-                let reduce = |v: &Vec<i128>| -> Vec<u64> {
-                    v.iter()
-                        .map(|&x| {
-                            let r = x.rem_euclid(q.value() as i128);
-                            r as u64
-                        })
-                        .collect()
-                };
-                let mut comps: Vec<Vec<u64>> = acc.iter().map(reduce).collect();
-                let body = comps.pop().expect("k+1 components");
-                GlweCiphertext { mask: comps, body }
-            }
-        }
+        Self::external_product_batch(ring, &[(self, glwe)])
+            .pop()
+            .expect("one job in, one product out")
     }
 
     /// Strict-oracle external product for the NTT backend: fully-reduced
     /// transforms (`forward_strict`/`inverse_strict`) and canonical
     /// multiply-accumulates, every kernel canonicalising its output.
-    /// The reference [`Self::external_product`] is asserted against.
+    /// The reference [`Self::external_product_batch`] is asserted
+    /// against.
     ///
     /// # Panics
     ///
@@ -253,165 +191,138 @@ impl Ggsw {
         glwe: &GlweCiphertext,
     ) -> GlweCiphertext {
         let n = ring.n();
-        let k = self.k;
-        let digits = self.decompose_digits(ring, glwe);
+        let digits = self.decompose_digits(ring, std::iter::once(glwe));
         let GgswRepr::Ntt(rows) = &self.repr else {
             panic!("external_product_strict requires the NTT backend");
         };
-        let mut acc = vec![vec![0u64; n]; k + 1];
-        for (r, digit) in digits.iter().enumerate() {
+        let mut acc = vec![vec![0u64; n]; self.k + 1];
+        for (digit, row) in digits.chunks_exact(n).zip(rows) {
             let mut d = ring.poly_from_signed(digit);
             ring.table().forward_strict(&mut d);
-            for comp in 0..=k {
-                ring.table()
-                    .pointwise_mul_acc(&mut acc[comp], &d, &rows[r][comp]);
+            for (limb, key) in acc.iter_mut().zip(row) {
+                ring.table().pointwise_mul_acc(limb, &d, key);
             }
         }
-        let mut comps: Vec<Vec<u64>> = acc
-            .into_iter()
-            .map(|mut poly| {
-                ring.table().inverse_strict(&mut poly);
-                poly
-            })
-            .collect();
-        let body = comps.pop().expect("k+1 components");
-        GlweCiphertext { mask: comps, body }
+        glwe_from_components(acc.into_iter().map(|mut poly| {
+            ring.table().inverse_strict(&mut poly);
+            poly
+        }))
     }
 
-    /// Gadget-decomposes every GLWE component into `lb` digit
-    /// polynomials, row-aligned with the GGSW rows (index
-    /// `i*lb + (j-1)`) — Algorithm 2 lines 6–8, shared by both reduction
-    /// disciplines.
-    fn decompose_digits(&self, ring: &TfheRing, glwe: &GlweCiphertext) -> Vec<Vec<i64>> {
+    /// Gadget-decomposes every component of every GLWE into `lb` digit
+    /// rows (Algorithm 2 lines 6–8) with one dispatch through the
+    /// active kernel backend, which may slice component rows across
+    /// worker threads (the digit carry chain forbids slicing across
+    /// levels). Digit `j` of GLWE `g`'s component `i` lands in row
+    /// `g*(k+1)*lb + i*lb + j` — per GLWE exactly the GGSW row
+    /// alignment. Shared by both reduction disciplines.
+    fn decompose_digits<'a>(
+        &self,
+        ring: &TfheRing,
+        glwes: impl Iterator<Item = &'a GlweCiphertext>,
+    ) -> Vec<i64> {
         let n = ring.n();
-        let q = ring.modulus();
-        let k = self.k;
-        // Flatten the k+1 components into contiguous rows and dispatch
-        // through the active kernel backend, which may slice component
-        // rows across worker threads (the digit carry chain forbids
-        // slicing across levels). The batch layout puts digit j of
-        // component i at row `i*lb + j` — exactly the GGSW row
-        // alignment this function must return.
-        let mut src = Vec::with_capacity((k + 1) * n);
-        for mask in &glwe.mask {
-            src.extend_from_slice(mask);
+        let mut src = Vec::new();
+        for glwe in glwes {
+            for mask in &glwe.mask {
+                src.extend_from_slice(mask);
+            }
+            src.extend_from_slice(&glwe.body);
         }
-        src.extend_from_slice(&glwe.body);
-        let mut flat = vec![0i64; (k + 1) * self.lb * n];
-        fhe_math::kernel::active().decompose_batch(
-            q.value(),
-            self.bg_log,
-            self.lb,
-            n,
-            &src,
-            &mut flat,
-        );
-        flat.chunks_exact(n).map(|row| row.to_vec()).collect()
+        let mut digits = vec![0i64; src.len() * self.lb];
+        kernel::active().decompose_batch(ring.q(), self.bg_log, self.lb, n, &src, &mut digits);
+        digits
     }
 
-    /// Batched external product: `jobs[i].0 ⊡ jobs[i].1` for every job
-    /// in one pass of wide kernel batch calls.
+    /// The external-product engine: `jobs[i].0 ⊡ jobs[i].1` for every
+    /// job in one pass of wide kernel batch calls (Algorithm 2 lines
+    /// 6–10). [`Self::external_product`] is its one-job instance.
     ///
-    /// Where [`Self::external_product`] feeds the kernel one digit row
-    /// at a time, this entry concatenates every job's rows so each
-    /// batch call sees `jobs * (k+1)` rows at once — the MATCHA-style
-    /// "k independent bootstraps through one kernel dispatch" shape the
-    /// worker pool can slice across threads. Per job the arithmetic is
-    /// the *same* lazy residue chain in the same order (one gadget
-    /// decomposition, digit NTTs exiting in `[0, 2p)`, lazy
-    /// multiply-accumulates per gadget row in increasing row order, one
-    /// canonicalising iNTT per output limb), so each output is
-    /// bit-identical to the sequential call — the batched-gate tests
-    /// and the service determinism suite pin this.
+    /// One gadget decomposition covers every job. NTT-keyed jobs then
+    /// ride one lazy residue chain whose batch calls carry all their
+    /// rows at once — the MATCHA-style "k independent bootstraps
+    /// through one kernel dispatch" shape the worker pool can slice
+    /// across threads: digit NTTs exit in `[0, 2p)`, the lazy
+    /// multiply-accumulates run per gadget row in increasing row order,
+    /// and one canonicalising iNTT per output limb is the chain's single
+    /// ciphertext-boundary reduction. Rows never interact, so a job's
+    /// output does not depend on its batch mates, and it is
+    /// bit-identical to [`Self::external_product_strict`] (asserted by
+    /// `tests/lazy_chains.rs`). FFT-keyed jobs are evaluated one by one
+    /// from the shared digits (rounding there is per product).
     ///
     /// All jobs must share the gadget geometry (`k`, `lb`, `bg_log`)
     /// and live on `ring`.
     ///
     /// # Panics
     ///
-    /// Panics if any GGSW was prepared for the FFT backend (rounding
-    /// there is per-product; batching would not be value-preserving) or
-    /// if the jobs disagree on gadget geometry.
+    /// Panics if the jobs disagree on gadget geometry.
     pub fn external_product_batch(
         ring: &TfheRing,
         jobs: &[(&Ggsw, &GlweCiphertext)],
     ) -> Vec<GlweCiphertext> {
-        if jobs.is_empty() {
+        let Some(&(head, _)) = jobs.first() else {
             return Vec::new();
-        }
+        };
         let n = ring.n();
-        let q = ring.modulus();
-        let (head, _) = jobs[0];
         let (k, lb, bg_log) = (head.k, head.lb, head.bg_log);
         assert!(
-            jobs.iter().all(|(g, _)| g.k == k
-                && g.lb == lb
-                && g.bg_log == bg_log
-                && g.backend() == MulBackend::Ntt),
-            "external_product_batch requires NTT-backend jobs with one gadget geometry"
+            jobs.iter()
+                .all(|(g, _)| g.k == k && g.lb == lb && g.bg_log == bg_log),
+            "external_product_batch requires one gadget geometry"
         );
         let rows_per = (k + 1) * lb;
+        let digits = head.decompose_digits(ring, jobs.iter().map(|&(_, glwe)| glwe));
 
-        // One gadget decomposition over every job's components; row
-        // `job*rows_per + i*lb + j` holds digit j of job's component i,
-        // matching the per-job GGSW row alignment.
-        let mut src = Vec::with_capacity(jobs.len() * (k + 1) * n);
-        for (_, glwe) in jobs {
-            for mask in &glwe.mask {
-                src.extend_from_slice(mask);
-            }
-            src.extend_from_slice(&glwe.body);
-        }
-        let mut digits = vec![0i64; jobs.len() * rows_per * n];
-        kernel::active().decompose_batch(q.value(), bg_log, lb, n, &src, &mut digits);
-
-        // One forward pass over every digit row, exiting lazy in
-        // [0, 2p) exactly like the sequential `forward_lazy`.
-        let mut fwd = Vec::with_capacity(digits.len());
-        for row in digits.chunks_exact(n) {
-            fwd.extend(ring.poly_from_signed(row));
-        }
-        let tables: Vec<&NttTable> = vec![ring.table().as_ref(); jobs.len() * rows_per];
-        kernel::active().forward_batch(&tables, &mut fwd, ExitFold::Lazy2p);
-
-        // Accumulator row `job*(k+1) + comp`; gadget rows accumulate in
-        // the same increasing order as the sequential loop, so the lazy
-        // sums agree word-for-word.
-        let acc_rows = jobs.len() * (k + 1);
-        let moduli = vec![*q; acc_rows];
-        let mut acc = vec![0u64; acc_rows * n];
-        let mut a_flat = vec![0u64; acc_rows * n];
-        let mut b_flat = vec![0u64; acc_rows * n];
-        for r in 0..rows_per {
-            for (j, (ggsw, _)) in jobs.iter().enumerate() {
-                let GgswRepr::Ntt(rows) = &ggsw.repr else {
-                    unreachable!("asserted above");
-                };
-                let digit = &fwd[(j * rows_per + r) * n..][..n];
-                for (comp, row) in rows[r].iter().enumerate() {
-                    let at = (j * (k + 1) + comp) * n;
-                    a_flat[at..at + n].copy_from_slice(digit);
-                    b_flat[at..at + n].copy_from_slice(row);
+        // The one place the key representation matters: FFT jobs finish
+        // here, NTT jobs lift their digit rows into `fwd` for the chain.
+        let mut out: Vec<Option<GlweCiphertext>> = vec![None; jobs.len()];
+        let mut lazy: Vec<(usize, &[Vec<Vec<u64>>])> = Vec::with_capacity(jobs.len());
+        let mut fwd = Vec::new();
+        for (j, (ggsw, _)) in jobs.iter().enumerate() {
+            let job_digits = &digits[j * rows_per * n..][..rows_per * n];
+            match &ggsw.repr {
+                GgswRepr::Ntt(rows) => {
+                    lazy.push((j, rows));
+                    fwd.extend(job_digits.iter().map(|&c| ring.modulus().from_i64(c)));
                 }
+                GgswRepr::Fft(rows) => out[j] = Some(fft_product(ring, k, rows, job_digits)),
             }
-            kernel::active().mul_acc_lazy_batch(&moduli, &mut acc, &a_flat, &b_flat);
         }
 
-        // One canonicalising inverse pass over every output limb — the
-        // chain's single ciphertext-boundary reduction, batched.
-        let acc_tables: Vec<&NttTable> = vec![ring.table().as_ref(); acc_rows];
-        kernel::active().inverse_batch(&acc_tables, &mut acc, ExitFold::Canonical);
+        if !lazy.is_empty() {
+            let tables: Vec<&NttTable> = vec![ring.table().as_ref(); lazy.len() * rows_per];
+            kernel::active().forward_batch(&tables, &mut fwd, ExitFold::Lazy2p);
 
-        let mut out = Vec::with_capacity(jobs.len());
-        let mut limbs = acc.chunks_exact(n);
-        for _ in jobs {
-            let mut comps: Vec<Vec<u64>> = (0..=k)
-                .map(|_| limbs.next().expect("acc_rows limbs").to_vec())
-                .collect();
-            let body = comps.pop().expect("k+1 components");
-            out.push(GlweCiphertext { mask: comps, body });
+            // Accumulator row `slot*(k+1) + comp`; gadget rows accumulate
+            // in increasing order whatever the batch width, so the lazy
+            // sums agree word-for-word.
+            let acc_rows = lazy.len() * (k + 1);
+            let moduli = vec![*ring.modulus(); acc_rows];
+            let mut acc = vec![0u64; acc_rows * n];
+            let mut a_flat = vec![0u64; acc_rows * n];
+            let mut b_flat = vec![0u64; acc_rows * n];
+            for r in 0..rows_per {
+                for (slot, (_, rows)) in lazy.iter().enumerate() {
+                    let digit = &fwd[(slot * rows_per + r) * n..][..n];
+                    for (comp, row) in rows[r].iter().enumerate() {
+                        let at = (slot * (k + 1) + comp) * n;
+                        a_flat[at..at + n].copy_from_slice(digit);
+                        b_flat[at..at + n].copy_from_slice(row);
+                    }
+                }
+                kernel::active().mul_acc_lazy_batch(&moduli, &mut acc, &a_flat, &b_flat);
+            }
+            kernel::active().inverse_batch(&tables[..acc_rows], &mut acc, ExitFold::Canonical);
+
+            let mut limbs = acc.chunks_exact(n).map(<[u64]>::to_vec);
+            for &(j, _) in &lazy {
+                out[j] = Some(glwe_from_components(limbs.by_ref().take(k + 1)));
+            }
         }
-        out
+        out.into_iter()
+            .map(|ct| ct.expect("every job is NTT- or FFT-keyed"))
+            .collect()
     }
 
     /// CMUX: returns `ct0 + self ⊡ (ct1 - ct0)` — selects `ct1` when the
@@ -428,6 +339,39 @@ impl Ggsw {
         out.add_assign(ring, ct0);
         out
     }
+}
+
+/// Assembles a GLWE ciphertext from its `k + 1` component polynomials,
+/// mask components first and the body last.
+fn glwe_from_components(comps: impl Iterator<Item = Vec<u64>>) -> GlweCiphertext {
+    let mut mask: Vec<Vec<u64>> = comps.collect();
+    let body = mask.pop().expect("k+1 components");
+    GlweCiphertext { mask, body }
+}
+
+/// One external product against FFT-prepared rows: per-row FFT products
+/// accumulated in wide integers, then reduced — rounding error mirrors
+/// real FFT accelerators.
+fn fft_product(
+    ring: &TfheRing,
+    k: usize,
+    rows: &[Vec<Vec<i64>>],
+    digits: &[i64],
+) -> GlweCiphertext {
+    let q = ring.q() as i128;
+    let mut acc = vec![vec![0i128; ring.n()]; k + 1];
+    for (digit, row) in digits.chunks_exact(ring.n()).zip(rows) {
+        for (limb, key) in acc.iter_mut().zip(row) {
+            let prod = fhe_math::fft::negacyclic_mul_fft(digit, key);
+            for (a, &p) in limb.iter_mut().zip(&prod) {
+                *a += p as i128;
+            }
+        }
+    }
+    glwe_from_components(
+        acc.iter()
+            .map(|poly| poly.iter().map(|&x| x.rem_euclid(q) as u64).collect()),
+    )
 }
 
 #[cfg(test)]
@@ -507,47 +451,87 @@ mod tests {
         }
     }
 
+    fn job(
+        ring: &TfheRing,
+        sk: &GlweSecretKey,
+        i: usize,
+        backend: MulBackend,
+        rng: &mut StdRng,
+    ) -> (Ggsw, GlweCiphertext) {
+        let ggsw = Ggsw::encrypt_scalar(ring, sk, (i % 2) as u64, 2, 10, 3.73e-9, backend, rng);
+        let mut msg = ring.zero_poly();
+        msg[i] = ring.q() / 8;
+        (ggsw, GlweCiphertext::encrypt(ring, sk, &msg, 3.73e-9, rng))
+    }
+
+    /// "Sequential" is the `k = 1` instance of the same engine, so the
+    /// independent reference for the wide batch is the strict oracle.
     #[test]
     fn batched_external_product_is_bit_identical_to_sequential() {
         let (ring, sk, mut rng) = setup();
-        let q = ring.q();
         // Distinct GGSWs and GLWEs per job so the batch cannot get away
         // with evaluating only one and fanning it out.
         let jobs: Vec<(Ggsw, GlweCiphertext)> = (0..4)
-            .map(|i| {
-                let ggsw = Ggsw::encrypt_scalar(
-                    &ring,
-                    &sk,
-                    (i % 2) as u64,
-                    2,
-                    10,
-                    3.73e-9,
-                    MulBackend::Ntt,
-                    &mut rng,
-                );
-                let mut msg = ring.zero_poly();
-                msg[i] = q / 8;
-                let glwe = GlweCiphertext::encrypt(&ring, &sk, &msg, 3.73e-9, &mut rng);
-                (ggsw, glwe)
-            })
+            .map(|i| job(&ring, &sk, i, MulBackend::Ntt, &mut rng))
             .collect();
         let refs: Vec<(&Ggsw, &GlweCiphertext)> = jobs.iter().map(|(g, c)| (g, c)).collect();
         let batched = Ggsw::external_product_batch(&ring, &refs);
         for ((ggsw, glwe), got) in jobs.iter().zip(&batched) {
-            let want = ggsw.external_product(&ring, glwe);
-            assert_eq!(got.mask, want.mask);
-            assert_eq!(got.body, want.body);
+            let strict = ggsw.external_product_strict(&ring, glwe);
+            let single = ggsw.external_product(&ring, glwe);
+            for want in [strict, single] {
+                assert_eq!(got.mask, want.mask);
+                assert_eq!(got.body, want.body);
+            }
         }
         assert!(Ggsw::external_product_batch(&ring, &[]).is_empty());
     }
 
+    /// FFT-keyed jobs run through the same engine, alone or beside NTT
+    /// jobs, and neither kind is perturbed by its batch mates.
     #[test]
-    #[should_panic(expected = "NTT-backend jobs")]
-    fn batched_external_product_rejects_fft_jobs() {
+    fn batched_external_product_serves_fft_and_mixed_jobs() {
         let (ring, sk, mut rng) = setup();
-        let ggsw = Ggsw::encrypt_scalar(&ring, &sk, 1, 2, 10, 3.73e-9, MulBackend::Fft, &mut rng);
+        let backends = [
+            MulBackend::Fft,
+            MulBackend::Ntt,
+            MulBackend::Fft,
+            MulBackend::Ntt,
+        ];
+        let jobs: Vec<(Ggsw, GlweCiphertext)> = backends
+            .iter()
+            .enumerate()
+            .map(|(i, &backend)| job(&ring, &sk, i, backend, &mut rng))
+            .collect();
+        let refs: Vec<(&Ggsw, &GlweCiphertext)> = jobs.iter().map(|(g, c)| (g, c)).collect();
+        let mixed = Ggsw::external_product_batch(&ring, &refs);
+        let fft_only = Ggsw::external_product_batch(&ring, &[refs[0], refs[2]]);
+        assert_eq!(fft_only[0].body, mixed[0].body);
+        assert_eq!(fft_only[1].mask, mixed[2].mask);
+        for (i, ((ggsw, glwe), got)) in jobs.iter().zip(&mixed).enumerate() {
+            let single = ggsw.external_product(&ring, glwe);
+            assert_eq!(got.mask, single.mask, "job {i}");
+            assert_eq!(got.body, single.body, "job {i}");
+            if ggsw.backend() == MulBackend::Ntt {
+                let strict = ggsw.external_product_strict(&ring, glwe);
+                assert_eq!(got.body, strict.body, "job {i} vs strict");
+            }
+            // Job i multiplies X^i * q/8 by the bit i % 2.
+            let mut want = ring.zero_poly();
+            want[i] = (i % 2) as u64 * (ring.q() / 8);
+            let err = phase_error(&ring, &got.phase(&ring, &sk), &want);
+            assert!(err < (ring.q() / 64) as i64, "job {i}: err {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one gadget geometry")]
+    fn batched_external_product_rejects_mixed_geometry() {
+        let (ring, sk, mut rng) = setup();
+        let two = Ggsw::encrypt_scalar(&ring, &sk, 1, 2, 10, 3.73e-9, MulBackend::Ntt, &mut rng);
+        let three = Ggsw::encrypt_scalar(&ring, &sk, 1, 3, 7, 3.73e-9, MulBackend::Ntt, &mut rng);
         let glwe = GlweCiphertext::encrypt(&ring, &sk, &ring.zero_poly(), 3.73e-9, &mut rng);
-        Ggsw::external_product_batch(&ring, &[(&ggsw, &glwe)]);
+        Ggsw::external_product_batch(&ring, &[(&two, &glwe), (&three, &glwe)]);
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //!
 //! # Lazy-domain invariants
 //!
-//! The NTT-backend external product — and through it the
-//! blind-rotation accumulator of every bootstrap — is a cross-kernel
-//! lazy residue chain: digit NTTs exit in the `[0, 2p)` window, all
+//! Every operation is one batch engine whose single-request form is
+//! its `k = 1` instance ([`Ggsw::external_product`] over
+//! [`Ggsw::external_product_batch`], [`ServerKey::blind_rotate`] over
+//! [`ServerKey::blind_rotate_batch`], [`ServerKey::apply_gate`] over
+//! [`apply_gates_batched`]). The NTT-keyed external product — and
+//! through it the blind-rotation accumulator of every bootstrap — is a
+//! cross-kernel lazy residue chain: digit NTTs exit in the `[0, 2p)` window, all
 //! `(k+1) * lb` multiply-accumulates stay lazy, and the per-component
 //! iNTT exit performs the single deferred canonicalisation (once per
 //! output limb, the way NTT hardware pipelines fold at memory

@@ -5,9 +5,10 @@
 //! it under `scalar`, `lanes` and `threaded`. This file closes the
 //! remaining gap **in one process**: it swaps the process-wide backend
 //! between `scalar`, `lanes` and `threaded` with [`kernel::force`] and
-//! asserts that CKKS keyswitch, HMult (+rescale), rotation, and the
-//! TFHE external product produce bit-identical ciphertexts under all
-//! three — i.e. backend choice is unobservable, not merely
+//! asserts that CKKS keyswitch, HMult (+rescale), rotation (fused and
+//! hoisted), and the TFHE external product and gate bootstrap — the
+//! `k = 1` instances of the batch engines — produce bit-identical
+//! ciphertexts under all three — i.e. backend choice is unobservable, not merely
 //! correct-up-to-the-oracle.
 //!
 //! `force` swaps global state, so every test serialises on one mutex
@@ -22,7 +23,10 @@ use trinity::ckks::{
 };
 use trinity::math::kernel::{self, KernelBackend};
 use trinity::math::{galois, sampler, Representation, RnsPoly};
-use trinity::tfhe::{Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, TfheParams, TfheRing};
+use trinity::tfhe::{
+    ClientKey, GateOp, Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, ServerKey, TfheContext,
+    TfheParams, TfheRing,
+};
 
 /// Serialises `kernel::force` swaps across the tests of this binary.
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
@@ -195,4 +199,24 @@ fn tfhe_external_product_is_bit_identical_across_backends() {
         flat
     });
     assert_all_identical(results, "tfhe external_product");
+}
+
+/// A whole gate — linear part, the one-job blind rotation, extract and
+/// LWE keyswitch — under each backend.
+#[test]
+fn tfhe_apply_gate_is_bit_identical_across_backends() {
+    let mut rng = StdRng::seed_from_u64(0x5EED4);
+    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut rng);
+    let sk = ServerKey::generate(&ck, MulBackend::Ntt, &mut rng);
+    let a = ck.encrypt_bit(true, &mut rng);
+    let b = ck.encrypt_bit(false, &mut rng);
+
+    let results = under_each_backend(|| {
+        let out = sk.apply_gate(GateOp::Nand, &a, &b);
+        assert!(ck.decrypt_bit(&out));
+        let mut flat = out.a;
+        flat.push(out.b);
+        flat
+    });
+    assert_all_identical(results, "tfhe apply_gate");
 }

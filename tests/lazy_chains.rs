@@ -26,8 +26,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trinity::ckks::bootstrap::bootstrap_test_params;
 use trinity::ckks::{
-    key_switch, key_switch_per_kernel, key_switch_strict, CkksContext, CkksParams, Decryptor,
-    Encoder, Encryptor, Evaluator, KeyGenerator, KeySet, NoiseModel,
+    hoist_rotations, key_switch, key_switch_galois_hoisted, key_switch_galois_strict,
+    key_switch_strict, CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator,
+    KeyGenerator, KeySet, NoiseModel,
 };
 use trinity::math::{sampler, ReductionState, Representation, RnsPoly};
 use trinity::tfhe::{Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, TfheParams, TfheRing};
@@ -104,7 +105,6 @@ proptest! {
                 let d = random_eval_poly(&f.ctx, level, &mut rng);
                 let (l0, l1) = key_switch(&f.ctx, &d, &f.keys.relin, level);
                 let (s0, s1) = key_switch_strict(&f.ctx, &d, &f.keys.relin, level);
-                let (h0, h1) = key_switch_per_kernel(&f.ctx, &d, &f.keys.relin, level);
                 prop_assert_eq!(
                     l0.flat(), s0.flat(),
                     "ks0 mismatch: shape={} level={} seed={}", name, level, seed
@@ -112,16 +112,6 @@ proptest! {
                 prop_assert_eq!(
                     l1.flat(), s1.flat(),
                     "ks1 mismatch: shape={} level={} seed={}", name, level, seed
-                );
-                // The per-kernel-canonicalising middle tier (the PR 2
-                // pipeline) agrees with both.
-                prop_assert_eq!(
-                    h0.flat(), s0.flat(),
-                    "per-kernel ks0 mismatch: shape={} level={} seed={}", name, level, seed
-                );
-                prop_assert_eq!(
-                    h1.flat(), s1.flat(),
-                    "per-kernel ks1 mismatch: shape={} level={} seed={}", name, level, seed
                 );
                 // The chain's outputs are canonical at the ciphertext
                 // boundary — never a leaked lazy window.
@@ -226,8 +216,21 @@ proptest! {
                 &enc.encode_real(&[0.5, -0.25, 0.75, 0.1], l), &f.keys.secret, &mut rng);
             let g_rot = trinity::math::galois::rotation_galois_element(1, f.ctx.n());
             let g_conj = trinity::math::galois::conjugation_galois_element(f.ctx.n());
+            let hoisted = hoist_rotations(&f.ctx, &ct.c1, l);
             for (what, g) in [("rotate(1)", g_rot), ("conjugate", g_conj)] {
                 let gk = &f.keys.galois[&g];
+                // The hoisted stage split (stored digits, then MAC +
+                // finish) against the strict keyswitch oracle.
+                let (h0, h1) = key_switch_galois_hoisted(&f.ctx, &hoisted, g, gk);
+                let (s0, s1) = key_switch_galois_strict(&f.ctx, &ct.c1, g, gk, l);
+                prop_assert_eq!(
+                    h0.flat(), s0.flat(),
+                    "hoisted ks0 mismatch: shape={} op={} seed={}", name, what, seed
+                );
+                prop_assert_eq!(
+                    h1.flat(), s1.flat(),
+                    "hoisted ks1 mismatch: shape={} op={} seed={}", name, what, seed
+                );
                 let lazy = eval.apply_galois(&ct, g, gk);
                 let strict = eval.apply_galois_strict(&ct, g, gk);
                 prop_assert_eq!(
