@@ -111,7 +111,7 @@ mod tests {
         let canon = [0u64, 1, 96];
         let lazy = [0u64, 97, 193];
         debug_assert_domain!(slice_canonical: m, &canon, "forward_strict");
-        debug_assert_domain!(slice_within_2p: m, &lazy, "forward_lazy");
+        debug_assert_domain!(slice_within_2p: m, &lazy, "forward");
     }
 
     #[test]

@@ -1,52 +1,39 @@
 //! Pluggable batched kernel backends for the flat-limb hot paths.
 //!
-//! The paper's pipelines win by running butterflies, MACs and slot
-//! permutations as *wide, batched* passes over scratchpad rows, keeping
-//! operands in redundant form between stages (the `[0, 4p)` butterfly
-//! window and the `[0, 2p)` cross-kernel window) and folding only at
-//! memory writeback. [`KernelBackend`] captures exactly that contract in
-//! software: every method is a whole-row pass over a flat limb-major
-//! buffer with a documented input/output window, so an implementation is
-//! free to batch, unroll, or vectorise however it likes as long as the
-//! per-element results are **bit-identical** to the scalar reference.
+//! The paper's pipelines run butterflies, MACs and slot permutations as
+//! *wide, batched* passes over scratchpad rows, keeping operands in
+//! redundant form between stages (the `[0, 4p)` butterfly window and
+//! the `[0, 2p)` cross-kernel window) and folding only at memory
+//! writeback. [`KernelBackend`] is that contract in software, with one
+//! rule:
 //!
-//! Three implementations ship:
+//! * **Production dispatches `*_batch`.** Every caller outside this
+//!   module hands [`active`] a whole flat limb-major buffer (`rows * n`
+//!   words; a lone row is a 1-row batch): NTTs, folds, lazy
+//!   MAC/add/sub/mul, slot permutes, the `BConv` matmul (sliced over
+//!   *output* limb rows) and the TFHE gadget decomposition (sliced over
+//!   input rows, never across the levels of the digit carry chain).
+//! * **Row passes are the backend-internal SPI.** The `*_batch`
+//!   defaults loop `self`'s row passes; a backend overrides the passes
+//!   it accelerates.
+//! * **Provided bodies are the reference.** Each row pass has a
+//!   one-element-at-a-time provided body; every override must match it
+//!   **bit for bit** (asserted against the NTT golden vectors).
 //!
-//! * [`ScalarBackend`] — the straightforward one-element-at-a-time
-//!   loops (the PR 2/3 code paths, kept as the readable reference).
-//! * [`LaneBackend`] — chunked and unrolled into fixed-width lanes with
-//!   branchless window folds (`min`-select conditional subtractions),
-//!   the shape autovectorisers and SIMD ports want. Same results, bit
-//!   for bit (asserted against the NTT golden vectors).
-//! * [`ThreadedBackend`] — the limb-parallel backend: batched passes
-//!   slice their whole-limb rows across a persistent
-//!   [`crate::pool::WorkerPool`] (each job runs the [`LaneBackend`]
-//!   loops on its rows), with a sequential fallback below a row-size
-//!   threshold. This is the software shape of the one parallelism axis
-//!   every FHE accelerator exploits — independent residue rows (FAB's
-//!   parallel NTT lanes, TREBUCHET's per-tower RNS parallelism).
-//!
-//! Besides the per-row passes, the trait has **batched entry points**
-//! (`*_batch`) taking the whole flat limb-major buffer of an
-//! [`crate::RnsPoly`] at once — including the `BConv` base-conversion
-//! matmul ([`KernelBackend::convert_approx_batch`] /
-//! [`KernelBackend::convert_exact_batch`], which slice over *output*
-//! limb rows) and the TFHE gadget decomposition
-//! ([`KernelBackend::decompose_batch`], which slices over input
-//! component rows; the per-coefficient digit carry chain forbids
-//! slicing across levels). Their default implementations loop rows
-//! sequentially — per-element identical to the per-row methods — and
-//! [`ThreadedBackend`] overrides them with row-parallel dispatch.
-//! Because each row is still computed by the sequential row pass (and
-//! the BConv `u128` row accumulation is order-independent), results are
-//! bit-identical to [`ScalarBackend`] no matter how rows are scheduled.
+//! Three implementations ship: [`ScalarBackend`] (the provided bodies),
+//! [`LaneBackend`] (row passes unrolled into 8-word branchless lanes)
+//! and [`ThreadedBackend`] (batches sliced by whole rows across a
+//! [`crate::pool::WorkerPool`] — the per-tower RNS parallelism of FAB
+//! and TREBUCHET). Rows never share output words and the BConv `u128`
+//! accumulation is order-independent, so results do not depend on how
+//! rows are scheduled.
 //!
 //! The active backend is process-wide: [`active`] resolves it once from
 //! `TRINITY_KERNEL_BACKEND` (`scalar`, `lanes`, or `threaded[:N]`;
 //! default `lanes`; unknown values warn once on stderr and fall back),
 //! or [`select`] pins it programmatically before first use. Tests and
-//! benches can also bypass the global and call a backend directly, or
-//! swap it explicitly with [`force`].
+//! benches can also call a backend directly, or swap the global with
+//! [`force`].
 //!
 //! # Window contracts
 //!
@@ -59,18 +46,18 @@
 //! | [`KernelBackend::fold_2p_to_canonical`] | `[0, 2p)` | `[0, p)` |
 //! | [`KernelBackend::scale_shoup`]      | any `u64`   | `[0, p)`  |
 //! | [`KernelBackend::scale_shoup_lazy`] | any `u64`   | `[0, 2p)` |
-//! | [`KernelBackend::mul_acc_lazy`]     | `[0, 2p)`   | `[0, 2p)` |
-//! | [`KernelBackend::mul_lazy`]         | `[0, 2p)`   | `[0, 2p)` |
+//! | [`KernelBackend::mul_acc_lazy`] / [`KernelBackend::mul_lazy`] | `[0, 2p)` | `[0, 2p)` |
 //! | [`KernelBackend::add_lazy`] / [`KernelBackend::sub_lazy`] | `[0, 2p)` | `[0, 2p)` |
 //! | [`KernelBackend::permute`]          | any         | unchanged |
-//! | [`KernelBackend::convert_approx_batch`] | canonical `[0, a_i)` digits | canonical `[0, b_j)` |
-//! | [`KernelBackend::convert_exact_batch`]  | canonical `[0, a_i)` digits | canonical `[0, b_j)` |
+//! | [`KernelBackend::convert_approx_batch`] / [`KernelBackend::convert_exact_batch`] | canonical `[0, a_i)` digits | canonical `[0, b_j)` |
 //! | [`KernelBackend::decompose_batch`]  | `[0, q)`    | digits in `[-B/2, B/2)` |
 //!
+//! A `*_batch` entry keeps the windows of the row passes it loops.
 //! Callers (the [`crate::NttTable`] and [`crate::RnsPoly`] entry points)
 //! own the debug-assert window checks; backends may assume their
 //! contracts hold.
 
+use std::ops::Range;
 use std::sync::{Mutex, Once, PoisonError, RwLock};
 
 use crate::modulus::Modulus;
@@ -100,15 +87,19 @@ pub enum ExitFold {
 
 /// A batched kernel implementation over flat limb-major rows.
 ///
-/// See the module docs for the window contract of every method. All
-/// implementations must be element-wise **bit-identical** to
-/// [`ScalarBackend`]; the NTT golden-vector suite asserts this.
+/// Production code dispatches the `*_batch` entry points only; the
+/// twelve row passes are the SPI those entries loop, and their provided
+/// bodies are the scalar reference. A backend overrides what it
+/// accelerates — row passes ([`LaneBackend`]), batch scheduling
+/// ([`ThreadedBackend`]) or nothing ([`ScalarBackend`]) — and must stay
+/// element-wise **bit-identical** to the provided bodies; the NTT
+/// golden-vector suite asserts this. See the module docs for the window
+/// contract of every method.
 ///
 /// # Examples
 ///
-/// Backends are plain objects — tests and benches can drive one
-/// directly instead of going through the process-wide [`active`]
-/// dispatch. A full lazy round-trip over one limb row:
+/// Backends are plain objects: tests and benches can drive one
+/// directly instead of through [`active`]. A one-row lazy round-trip:
 ///
 /// ```
 /// use fhe_math::kernel::{ExitFold, KernelBackend, SCALAR};
@@ -117,26 +108,15 @@ pub enum ExitFold {
 /// let n = 64;
 /// let p = prime::ntt_primes(40, n, 1)[0];
 /// let table = NttTable::new(Modulus::new(p)?, n);
-/// let modulus = *table.modulus();
 ///
-/// let mut row: Vec<u64> = (0..n as u64).collect();
-/// let expect = row.clone();
-///
-/// // Forward stages leave [0, 4p); fold into the lazy [0, 2p) window.
-/// SCALAR.forward_stages(&table, &mut row);
-/// SCALAR.fold_4p_to_2p(&modulus, &mut row);
-/// assert!(row.iter().all(|&x| x < 2 * modulus.value()));
-///
-/// // Inverse stages + the n^{-1} Shoup scaling pass canonicalise.
-/// SCALAR.inverse_stages(&table, &mut row);
-/// let (ni, nis) = table.n_inv();
-/// SCALAR.scale_shoup(&modulus, ni, nis, &mut row);
-/// assert_eq!(row, expect);
-///
-/// // The batched entry point runs the same chain over a whole flat
-/// // buffer (here: one row, canonical exit).
+/// let expect: Vec<u64> = (0..n as u64).collect();
 /// let mut flat = expect.clone();
-/// SCALAR.forward_batch(&[&table], &mut flat, ExitFold::Canonical);
+///
+/// // Chain interior: stay in the lazy [0, 2p) window.
+/// SCALAR.forward_batch(&[&table], &mut flat, ExitFold::Lazy2p);
+/// assert!(flat.iter().all(|&x| x < 2 * p));
+///
+/// // Chain boundary: the n^{-1} scaling pass canonicalises.
 /// SCALAR.inverse_batch(&[&table], &mut flat, ExitFold::Canonical);
 /// assert_eq!(flat, expect);
 /// # Ok::<(), fhe_math::InvalidModulusError>(())
@@ -145,78 +125,185 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// Human-readable backend name (`"scalar"`, `"lanes"`, ...).
     fn name(&self) -> &'static str;
 
+    // Row passes: the backend-internal SPI. The provided bodies are the
+    // one-element-at-a-time reference every override is asserted against.
+    // Operand lengths are equal: the `*_batch` entries assert them.
+
     /// The shared Cooley–Tukey butterfly stages of the forward
     /// negacyclic NTT: inputs in `[0, 2p)`, outputs in `[0, 4p)`.
     /// Callers fold into their target window afterwards.
-    fn forward_stages(&self, t: &NttTable, a: &mut [u64]);
+    fn forward_stages(&self, t: &NttTable, a: &mut [u64]) {
+        assert_eq!(a.len(), t.n());
+        let m = t.modulus();
+        let two_p = 2 * m.value();
+        let psi_rev = t.psi_rev();
+        let n = t.n();
+        let mut len = n;
+        let mut groups = 1usize;
+        while groups < n {
+            len >>= 1;
+            for i in 0..groups {
+                let (w, ws) = psi_rev[groups + i];
+                let j1 = 2 * i * len;
+                for j in j1..j1 + len {
+                    // u in [0, 4p) -> [0, 2p); v in [0, 2p) from the
+                    // lazy multiply; outputs in [0, 4p).
+                    let mut u = a[j];
+                    if u >= two_p {
+                        u -= two_p;
+                    }
+                    let v = m.mul_shoup_lazy(a[j + len], w, ws);
+                    a[j] = u + v;
+                    a[j + len] = u + two_p - v;
+                }
+            }
+            groups <<= 1;
+        }
+    }
 
     /// The shared Gentleman–Sande stages of the inverse negacyclic NTT:
     /// inputs and outputs in `[0, 2p)` (before the `n^{-1}` scaling
     /// pass).
-    fn inverse_stages(&self, t: &NttTable, a: &mut [u64]);
+    fn inverse_stages(&self, t: &NttTable, a: &mut [u64]) {
+        assert_eq!(a.len(), t.n());
+        let m = t.modulus();
+        let two_p = 2 * m.value();
+        let psi_inv_rev = t.psi_inv_rev();
+        let mut len = 1usize;
+        let mut groups = t.n();
+        while groups > 1 {
+            let h = groups >> 1;
+            let mut j1 = 0usize;
+            for i in 0..h {
+                let (w, ws) = psi_inv_rev[h + i];
+                for j in j1..j1 + len {
+                    // u, v in [0, 2p); sum folded back below 2p; the
+                    // lazy multiply accepts the [0, 4p) difference.
+                    let u = a[j];
+                    let v = a[j + len];
+                    let mut s = u + v;
+                    if s >= two_p {
+                        s -= two_p;
+                    }
+                    a[j] = s;
+                    a[j + len] = m.mul_shoup_lazy(u + two_p - v, w, ws);
+                }
+                j1 += 2 * len;
+            }
+            len <<= 1;
+            groups = h;
+        }
+    }
 
     /// One conditional subtraction at `2p`: folds `[0, 4p)` residues
     /// into the `[0, 2p)` lazy window.
-    fn fold_4p_to_2p(&self, m: &Modulus, a: &mut [u64]);
+    fn fold_4p_to_2p(&self, m: &Modulus, a: &mut [u64]) {
+        let two_p = 2 * m.value();
+        for x in a.iter_mut() {
+            if *x >= two_p {
+                *x -= two_p;
+            }
+        }
+    }
 
     /// Two conditional subtractions in a single pass: folds `[0, 4p)`
     /// residues all the way to canonical `[0, p)`.
-    fn fold_4p_to_canonical(&self, m: &Modulus, a: &mut [u64]);
+    fn fold_4p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
+        let p = m.value();
+        let two_p = 2 * p;
+        for x in a.iter_mut() {
+            let mut v = *x;
+            if v >= two_p {
+                v -= two_p;
+            }
+            if v >= p {
+                v -= p;
+            }
+            *x = v;
+        }
+    }
 
     /// The deferred canonicalisation pass of a lazy chain: folds
     /// `[0, 2p)` residues to canonical `[0, p)`.
-    fn fold_2p_to_canonical(&self, m: &Modulus, a: &mut [u64]);
+    fn fold_2p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
+        for x in a.iter_mut() {
+            *x = m.reduce_2p(*x);
+        }
+    }
 
     /// Multiplies every residue by the Shoup pair `(w, w_shoup)`,
     /// canonicalising (`[0, p)` out) — the strict exit of the inverse
     /// transform's `n^{-1}` pass. Accepts any `u64` input (the Shoup
     /// lazy product is correct for the full butterfly window).
-    fn scale_shoup(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]);
+    fn scale_shoup(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
+        let p = m.value();
+        for x in a.iter_mut() {
+            let mut v = m.mul_shoup_lazy(*x, w, w_shoup);
+            if v >= p {
+                v -= p;
+            }
+            *x = v;
+        }
+    }
 
     /// As [`Self::scale_shoup`] but skipping the canonicalising
     /// subtraction (`[0, 2p)` out) — the lazy chain-tail exit.
-    fn scale_shoup_lazy(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]);
+    fn scale_shoup_lazy(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
+        for x in a.iter_mut() {
+            *x = m.mul_shoup_lazy(*x, w, w_shoup);
+        }
+    }
 
-    /// Batched lazy `IP` kernel: `acc[i] += a[i] * b[i]` with all
-    /// operands in `[0, 2p)` and the accumulator kept in `[0, 2p)`.
-    fn mul_acc_lazy(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]);
+    /// Lazy `IP` row pass: `acc[i] += a[i] * b[i]` with all operands in
+    /// `[0, 2p)` and the accumulator kept in `[0, 2p)`.
+    fn mul_acc_lazy(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        for ((x, &ya), &yb) in acc.iter_mut().zip(a).zip(b) {
+            *x = m.reduce_u128_lazy(ya as u128 * yb as u128 + *x as u128);
+        }
+    }
 
-    /// Batched lazy pointwise multiply: `a[i] *= b[i]`, operands and
-    /// result in `[0, 2p)`.
-    fn mul_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]);
+    /// Lazy pointwise multiply: `a[i] *= b[i]`, operands and result in
+    /// `[0, 2p)`.
+    fn mul_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = m.mul_lazy(*x, y);
+        }
+    }
 
-    /// Batched lazy addition: `a[i] += b[i]` with one conditional
-    /// subtraction at `2p`.
-    fn add_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]);
+    /// Lazy addition: `a[i] += b[i]` with one conditional subtraction
+    /// at `2p`.
+    fn add_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = m.add_lazy(*x, y);
+        }
+    }
 
-    /// Batched lazy subtraction: `a[i] = a[i] - b[i] (+ 2p)`.
-    fn sub_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]);
+    /// Lazy subtraction: `a[i] = a[i] - b[i] (+ 2p)`.
+    fn sub_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = m.sub_lazy(*x, y);
+        }
+    }
 
     /// Slot permutation (the eval-form `Auto` kernel): `dst[i] =
     /// src[perm[i]]`. A pure gather — reduction-agnostic, values pass
-    /// through whatever window they are in.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may assume `perm.len() == src.len() ==
-    /// dst.len()` and every index is in range (callers assert).
-    fn permute(&self, perm: &[usize], src: &[u64], dst: &mut [u64]);
+    /// through whatever window they are in (panics on an index out of
+    /// range for `src`).
+    fn permute(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
+        for (x, &s) in dst.iter_mut().zip(perm) {
+            *x = src[s];
+        }
+    }
 
-    // -----------------------------------------------------------------
-    // Batched (whole-poly) entry points. One limb row per table/modulus;
-    // `flat` is the limb-major buffer of an `RnsPoly` (`rows * n`
-    // words). Defaults loop rows sequentially through the per-row
-    // passes; `ThreadedBackend` overrides them with limb-parallel
-    // dispatch. Window contracts are per row, identical to the per-row
-    // methods.
-    // -----------------------------------------------------------------
+    // Batched (whole-poly) entry points — the surface production code
+    // dispatches. One limb row per table/modulus; `flat` is the
+    // limb-major buffer of an `RnsPoly` (`rows * n` words). Defaults
+    // loop rows sequentially through `self`'s row passes;
+    // `ThreadedBackend` overrides them with limb-parallel dispatch.
 
     /// Batched forward negacyclic NTT over all limb rows of `flat`
     /// (row `i` under `tables[i]`): butterfly stages plus the chosen
     /// exit fold (`[0, p)` or `[0, 2p)` out; `[0, 2p)` in).
-    ///
-    /// # Panics
-    ///
     /// Implementations may assume `flat.len() == tables.len() * n` with
     /// every table sharing the ring degree `n` (callers assert).
     fn forward_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
@@ -235,11 +322,7 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// Batched inverse negacyclic NTT over all limb rows of `flat`:
     /// Gentleman–Sande stages plus the `n^{-1}` Shoup scaling pass,
     /// canonicalising ([`ExitFold::Canonical`]) or staying lazy
-    /// ([`ExitFold::Lazy2p`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::forward_batch`].
+    /// ([`ExitFold::Lazy2p`]). Geometry as [`Self::forward_batch`].
     fn inverse_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
         let Some(n) = batch_rows(tables.len(), flat.len()) else {
             return;
@@ -267,7 +350,13 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
 
     /// Batched lazy addition over all limb rows: `a[i] += b[i]` per row
     /// under its modulus, staying in `[0, 2p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != a.len()` (on every backend, before any
+    /// row is touched).
     fn add_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
+        assert_operand_lens(a.len(), &[b.len()]);
         let Some(n) = batch_rows(moduli.len(), a.len()) else {
             return;
         };
@@ -277,8 +366,9 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Batched lazy subtraction over all limb rows (see
-    /// [`Self::add_lazy_batch`]).
+    /// [`Self::add_lazy_batch`], including its panic).
     fn sub_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
+        assert_operand_lens(a.len(), &[b.len()]);
         let Some(n) = batch_rows(moduli.len(), a.len()) else {
             return;
         };
@@ -288,8 +378,9 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Batched lazy pointwise multiply over all limb rows (see
-    /// [`Self::mul_lazy`]).
+    /// [`Self::add_lazy_batch`], including its panic).
     fn mul_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
+        assert_operand_lens(a.len(), &[b.len()]);
         let Some(n) = batch_rows(moduli.len(), a.len()) else {
             return;
         };
@@ -300,7 +391,12 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
 
     /// Batched lazy `IP` accumulation over all limb rows:
     /// `acc[i] += a[i] * b[i]` per row, accumulator kept in `[0, 2p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len()` or `b.len()` differs from `acc.len()`.
     fn mul_acc_lazy_batch(&self, moduli: &[Modulus], acc: &mut [u64], a: &[u64], b: &[u64]) {
+        assert_operand_lens(acc.len(), &[a.len(), b.len()]);
         let Some(n) = batch_rows(moduli.len(), acc.len()) else {
             return;
         };
@@ -320,13 +416,14 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Implementations may assume `src.len() == dst.len()` is an exact
-    /// multiple of `perm.len()` (callers assert; debug-asserted here).
+    /// Panics if `src.len() != dst.len()`. Implementations may assume
+    /// that length is an exact multiple of `perm.len()` (callers
+    /// assert; debug-asserted here).
     fn permute_batch(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
+        assert_operand_lens(dst.len(), &[src.len()]);
         if perm.is_empty() || src.is_empty() {
             return;
         }
-        debug_assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
         debug_assert_eq!(
             src.len() % perm.len(),
             0,
@@ -447,6 +544,17 @@ fn batch_rows(rows: usize, flat_len: usize) -> Option<usize> {
     }
 }
 
+/// The operand-length contract of the two-/three-operand batches:
+/// every operand spans exactly the words of the output buffer. Checked
+/// once per batch entry (before any fan-out), so no backend can
+/// truncate a row pass or skip whole rows on a short operand.
+#[inline]
+fn assert_operand_lens(out_len: usize, operands: &[usize]) {
+    for &len in operands {
+        assert_eq!(len, out_len, "batch operand length mismatch");
+    }
+}
+
 /// Branchless conditional subtraction: `x - bound` if `x >= bound`,
 /// else `x`. Requires `bound <= 2^63` (all our windows satisfy this:
 /// `4p < 2^64`, `2p <= 2^63`, `p < 2^62`), so the wrapped difference of
@@ -532,152 +640,15 @@ pub fn gadget_decompose_rows(
 // Scalar reference backend.
 // ---------------------------------------------------------------------
 
-/// The one-element-at-a-time reference implementation — the exact loops
-/// the flat-limb engine ran before the backend split, kept as the
-/// readable baseline every other backend is asserted against.
+/// The reference backend: overrides nothing, so every call runs the
+/// trait's provided one-element-at-a-time bodies — the readable
+/// baseline every other backend is asserted against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
 
 impl KernelBackend for ScalarBackend {
     fn name(&self) -> &'static str {
         "scalar"
-    }
-
-    fn forward_stages(&self, t: &NttTable, a: &mut [u64]) {
-        assert_eq!(a.len(), t.n());
-        let m = t.modulus();
-        let two_p = 2 * m.value();
-        let psi_rev = t.psi_rev();
-        let n = t.n();
-        let mut len = n;
-        let mut groups = 1usize;
-        while groups < n {
-            len >>= 1;
-            for i in 0..groups {
-                let (w, ws) = psi_rev[groups + i];
-                let j1 = 2 * i * len;
-                for j in j1..j1 + len {
-                    // u in [0, 4p) -> [0, 2p); v in [0, 2p) from the
-                    // lazy multiply; outputs in [0, 4p).
-                    let mut u = a[j];
-                    if u >= two_p {
-                        u -= two_p;
-                    }
-                    let v = m.mul_shoup_lazy(a[j + len], w, ws);
-                    a[j] = u + v;
-                    a[j + len] = u + two_p - v;
-                }
-            }
-            groups <<= 1;
-        }
-    }
-
-    fn inverse_stages(&self, t: &NttTable, a: &mut [u64]) {
-        assert_eq!(a.len(), t.n());
-        let m = t.modulus();
-        let two_p = 2 * m.value();
-        let psi_inv_rev = t.psi_inv_rev();
-        let mut len = 1usize;
-        let mut groups = t.n();
-        while groups > 1 {
-            let h = groups >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let (w, ws) = psi_inv_rev[h + i];
-                for j in j1..j1 + len {
-                    // u, v in [0, 2p); sum folded back below 2p; the
-                    // lazy multiply accepts the [0, 4p) difference.
-                    let u = a[j];
-                    let v = a[j + len];
-                    let mut s = u + v;
-                    if s >= two_p {
-                        s -= two_p;
-                    }
-                    a[j] = s;
-                    a[j + len] = m.mul_shoup_lazy(u + two_p - v, w, ws);
-                }
-                j1 += 2 * len;
-            }
-            len <<= 1;
-            groups = h;
-        }
-    }
-
-    fn fold_4p_to_2p(&self, m: &Modulus, a: &mut [u64]) {
-        let two_p = 2 * m.value();
-        for x in a.iter_mut() {
-            if *x >= two_p {
-                *x -= two_p;
-            }
-        }
-    }
-
-    fn fold_4p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
-        let p = m.value();
-        let two_p = 2 * p;
-        for x in a.iter_mut() {
-            let mut v = *x;
-            if v >= two_p {
-                v -= two_p;
-            }
-            if v >= p {
-                v -= p;
-            }
-            *x = v;
-        }
-    }
-
-    fn fold_2p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
-        for x in a.iter_mut() {
-            *x = m.reduce_2p(*x);
-        }
-    }
-
-    fn scale_shoup(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
-        let p = m.value();
-        for x in a.iter_mut() {
-            let mut v = m.mul_shoup_lazy(*x, w, w_shoup);
-            if v >= p {
-                v -= p;
-            }
-            *x = v;
-        }
-    }
-
-    fn scale_shoup_lazy(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
-        for x in a.iter_mut() {
-            *x = m.mul_shoup_lazy(*x, w, w_shoup);
-        }
-    }
-
-    fn mul_acc_lazy(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        for ((x, &ya), &yb) in acc.iter_mut().zip(a).zip(b) {
-            *x = m.reduce_u128_lazy(ya as u128 * yb as u128 + *x as u128);
-        }
-    }
-
-    fn mul_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x = m.mul_lazy(*x, y);
-        }
-    }
-
-    fn add_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x = m.add_lazy(*x, y);
-        }
-    }
-
-    fn sub_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x = m.sub_lazy(*x, y);
-        }
-    }
-
-    fn permute(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
-        for (x, &s) in dst.iter_mut().zip(perm) {
-            *x = src[s];
-        }
     }
 }
 
@@ -951,26 +922,18 @@ const DEFAULT_MIN_JOB_ELEMS: usize = 4096;
 /// `threaded:100000` must not fork-bomb the process).
 const MAX_THREADS: usize = 256;
 
-/// The limb-parallel backend: batched passes slice their whole-limb
-/// rows across a persistent [`WorkerPool`], each job running the
-/// [`LaneBackend`] row loops on a contiguous row group.
+/// The limb-parallel backend. It overrides the eleven `*_batch`
+/// entries and no row pass: one private `fan_out` slices a batch into
+/// at most `threads` contiguous row groups of at least `min_job`
+/// elements, each run as one [`WorkerPool`] job calling the
+/// [`LaneBackend`] batch on its rows. A batch below the threshold — any
+/// 1-row batch included — runs the lane batch inline: slicing inside a
+/// row would need a barrier per NTT stage, so the profitable axis is
+/// *across* limb rows (the paper's per-tower RNS parallelism).
 ///
-/// * **Per-row methods** (`forward_stages`, `mul_acc_lazy`, ...) run
-///   the lane loops inline: a lone row is below the batch threshold by
-///   construction, and intra-row butterfly slicing would need a
-///   barrier per NTT stage, which channel dispatch cannot amortise at
-///   FHE ring degrees. The profitable axis is *across* limb rows —
-///   exactly what the `*_batch` overrides exploit (the paper's
-///   per-tower RNS parallelism in software).
-/// * **Batch methods** partition the rows into at most `threads`
-///   contiguous groups of at least `min_job` elements and run each
-///   group as one pool job. Every row is still computed by the
-///   sequential lane pass, so results are **bit-identical** to
-///   [`ScalarBackend`] regardless of scheduling.
-///
-/// Determinism: per-limb results do not depend on which worker ran the
-/// row, and rows never share output words, so the whole lazy-chain
-/// oracle suite passes unchanged under this backend.
+/// Every row is computed by the sequential lane pass and rows never
+/// share output words, so results are **bit-identical** to
+/// [`ScalarBackend`] whichever worker ran the row.
 ///
 /// # Examples
 ///
@@ -991,6 +954,7 @@ const MAX_THREADS: usize = 256;
 /// threaded.forward_batch(&tables, &mut flat, ExitFold::Lazy2p);
 /// SCALAR.forward_batch(&tables, &mut oracle, ExitFold::Lazy2p);
 /// assert_eq!(flat, oracle);
+/// assert_eq!(threaded.pool().parallel_jobs_dispatched(), 2);
 /// ```
 #[derive(Debug)]
 pub struct ThreadedBackend {
@@ -1021,68 +985,51 @@ impl ThreadedBackend {
         self.pool.threads()
     }
 
-    /// Cumulative count of jobs this backend's pool ran through its
-    /// parallel path (see [`WorkerPool::parallel_jobs_dispatched`]).
-    /// Lets tests assert that a batched dispatch genuinely fanned out
-    /// into the expected number of jobs — observable parallelism even
-    /// on a single-CPU host.
-    pub fn parallel_jobs_dispatched(&self) -> u64 {
-        self.pool.parallel_jobs_dispatched()
+    /// The underlying pool, for its gauges: parallel-job counters
+    /// (overall and per [`crate::pool::tag_dispatches`] tag) make
+    /// fan-out observable even on a single-CPU host.
+    pub fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
-    /// [`Self::parallel_jobs_dispatched`] restricted to fan-outs whose
-    /// dispatching thread carried `tag` (see
-    /// [`crate::pool::tag_dispatches`]) — the per-lane attribution a
-    /// service scheduler's audit log reads.
-    pub fn parallel_jobs_dispatched_by_tag(&self, tag: usize) -> u64 {
-        self.pool.parallel_jobs_dispatched_by_tag(tag)
-    }
-
-    /// Pool dispatches currently inside the parallel path under `tag`
-    /// (see [`WorkerPool::parallel_in_flight_by_tag`]) — the
-    /// instantaneous overlap gauge.
-    pub fn parallel_in_flight_by_tag(&self, tag: usize) -> u64 {
-        self.pool.parallel_in_flight_by_tag(tag)
-    }
-
-    /// Lifetime high-water mark of concurrently in-flight `tag`-tagged
-    /// pool dispatches (see
-    /// [`WorkerPool::parallel_in_flight_peak_by_tag`]) — reads ≥ 2 when
-    /// a multi-dispatch service genuinely overlapped dispatches on this
-    /// backend.
-    pub fn parallel_in_flight_peak_by_tag(&self, tag: usize) -> u64 {
-        self.pool.parallel_in_flight_peak_by_tag(tag)
-    }
-
-    /// Jobs currently queued in the underlying pool's injector (see
-    /// [`WorkerPool::queue_depth`]) — the saturation gauge admission
-    /// control reads.
-    pub fn queue_depth(&self) -> u64 {
-        self.pool.queue_depth()
-    }
-
-    /// Partitions `rows` rows of `n` words into contiguous job groups,
-    /// or `None` when the batch is below the parallel threshold (the
-    /// sequential fallback).
-    fn row_groups(&self, rows: usize, n: usize) -> Option<Vec<std::ops::Range<usize>>> {
-        let threads = self.pool.threads();
-        if threads < 2 || rows < 2 || n == 0 {
-            return None;
-        }
-        let k = (rows * n / self.min_job).clamp(1, threads.min(rows));
+    /// The one scheduler behind every batch override: partitions `out`
+    /// (`rows` rows of `words_per_row` words) into contiguous row groups
+    /// — at most one per lane, each covering at least `min_job` words —
+    /// and runs `job(group, group's rows of out)` as one pool job per
+    /// group, or `job(0..rows, out)` inline when fewer than two fit.
+    /// Jobs slice their read-only operands by the row range they get.
+    fn fan_out<T: Send>(
+        &self,
+        rows: usize,
+        words_per_row: usize,
+        out: &mut [T],
+        job: impl Fn(Range<usize>, &mut [T]) + Sync,
+    ) {
+        let lanes = self.pool.threads().min(rows);
+        let k = (rows * words_per_row / self.min_job).min(lanes);
         if k < 2 {
-            return None;
+            return job(0..rows, out);
         }
         let (base, extra) = (rows / k, rows % k);
-        let mut groups = Vec::with_capacity(k);
-        let mut start = 0usize;
+        let job = &job;
+        let (mut rest, mut start) = (out, 0usize);
+        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(k);
         for i in 0..k {
             let len = base + usize::from(i < extra);
-            groups.push(start..start + len);
+            let (chunk, tail) = rest.split_at_mut(len * words_per_row);
+            rest = tail;
+            let group = start..start + len;
             start += len;
+            tasks.push(Box::new(move || job(group, chunk)));
         }
-        Some(groups)
+        self.pool.run(tasks);
     }
+}
+
+/// The words rows `g` occupy in a flat buffer of `n`-word rows.
+#[inline]
+fn row_words(g: &Range<usize>, n: usize) -> Range<usize> {
+    g.start * n..g.end * n
 }
 
 impl KernelBackend for ThreadedBackend {
@@ -1090,179 +1037,88 @@ impl KernelBackend for ThreadedBackend {
         "threaded"
     }
 
-    fn forward_stages(&self, t: &NttTable, a: &mut [u64]) {
-        LANES_BACKEND.forward_stages(t, a);
-    }
-
-    fn inverse_stages(&self, t: &NttTable, a: &mut [u64]) {
-        LANES_BACKEND.inverse_stages(t, a);
-    }
-
-    fn fold_4p_to_2p(&self, m: &Modulus, a: &mut [u64]) {
-        LANES_BACKEND.fold_4p_to_2p(m, a);
-    }
-
-    fn fold_4p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
-        LANES_BACKEND.fold_4p_to_canonical(m, a);
-    }
-
-    fn fold_2p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
-        LANES_BACKEND.fold_2p_to_canonical(m, a);
-    }
-
-    fn scale_shoup(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
-        LANES_BACKEND.scale_shoup(m, w, w_shoup, a);
-    }
-
-    fn scale_shoup_lazy(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
-        LANES_BACKEND.scale_shoup_lazy(m, w, w_shoup, a);
-    }
-
-    fn mul_acc_lazy(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        LANES_BACKEND.mul_acc_lazy(m, acc, a, b);
-    }
-
-    fn mul_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        LANES_BACKEND.mul_lazy(m, a, b);
-    }
-
-    fn add_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        LANES_BACKEND.add_lazy(m, a, b);
-    }
-
-    fn sub_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        LANES_BACKEND.sub_lazy(m, a, b);
-    }
-
-    fn permute(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
-        LANES_BACKEND.permute(perm, src, dst);
-    }
-
     fn forward_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
         let Some(n) = batch_rows(tables.len(), flat.len()) else {
             return;
         };
-        let Some(groups) = self.row_groups(tables.len(), n) else {
-            return LANES_BACKEND.forward_batch(tables, flat, exit);
-        };
-        let mut rest: &mut [u64] = flat;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (chunk, tail) = rest.split_at_mut(g.len() * n);
-            rest = tail;
-            let tbl = &tables[g];
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.forward_batch(tbl, chunk, exit)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(tables.len(), n, flat, |g, rows| {
+            LANES_BACKEND.forward_batch(&tables[g], rows, exit)
+        });
     }
 
     fn inverse_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
         let Some(n) = batch_rows(tables.len(), flat.len()) else {
             return;
         };
-        let Some(groups) = self.row_groups(tables.len(), n) else {
-            return LANES_BACKEND.inverse_batch(tables, flat, exit);
-        };
-        let mut rest: &mut [u64] = flat;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (chunk, tail) = rest.split_at_mut(g.len() * n);
-            rest = tail;
-            let tbl = &tables[g];
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.inverse_batch(tbl, chunk, exit)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(tables.len(), n, flat, |g, rows| {
+            LANES_BACKEND.inverse_batch(&tables[g], rows, exit)
+        });
     }
 
     fn fold_2p_to_canonical_batch(&self, moduli: &[Modulus], flat: &mut [u64]) {
         let Some(n) = batch_rows(moduli.len(), flat.len()) else {
             return;
         };
-        let Some(groups) = self.row_groups(moduli.len(), n) else {
-            return LANES_BACKEND.fold_2p_to_canonical_batch(moduli, flat);
-        };
-        let mut rest: &mut [u64] = flat;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (chunk, tail) = rest.split_at_mut(g.len() * n);
-            rest = tail;
-            let ms = &moduli[g];
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.fold_2p_to_canonical_batch(ms, chunk)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(moduli.len(), n, flat, |g, rows| {
+            LANES_BACKEND.fold_2p_to_canonical_batch(&moduli[g], rows)
+        });
     }
 
     fn add_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
-        self.binary_batch(moduli, a, b, BinaryLazyOp::Add);
+        assert_operand_lens(a.len(), &[b.len()]);
+        let Some(n) = batch_rows(moduli.len(), a.len()) else {
+            return;
+        };
+        self.fan_out(moduli.len(), n, a, |g, rows| {
+            LANES_BACKEND.add_lazy_batch(&moduli[g.clone()], rows, &b[row_words(&g, n)])
+        });
     }
 
     fn sub_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
-        self.binary_batch(moduli, a, b, BinaryLazyOp::Sub);
+        assert_operand_lens(a.len(), &[b.len()]);
+        let Some(n) = batch_rows(moduli.len(), a.len()) else {
+            return;
+        };
+        self.fan_out(moduli.len(), n, a, |g, rows| {
+            LANES_BACKEND.sub_lazy_batch(&moduli[g.clone()], rows, &b[row_words(&g, n)])
+        });
     }
 
     fn mul_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
-        self.binary_batch(moduli, a, b, BinaryLazyOp::Mul);
+        assert_operand_lens(a.len(), &[b.len()]);
+        let Some(n) = batch_rows(moduli.len(), a.len()) else {
+            return;
+        };
+        self.fan_out(moduli.len(), n, a, |g, rows| {
+            LANES_BACKEND.mul_lazy_batch(&moduli[g.clone()], rows, &b[row_words(&g, n)])
+        });
     }
 
     fn mul_acc_lazy_batch(&self, moduli: &[Modulus], acc: &mut [u64], a: &[u64], b: &[u64]) {
+        assert_operand_lens(acc.len(), &[a.len(), b.len()]);
         let Some(n) = batch_rows(moduli.len(), acc.len()) else {
             return;
         };
-        let Some(groups) = self.row_groups(moduli.len(), n) else {
-            return LANES_BACKEND.mul_acc_lazy_batch(moduli, acc, a, b);
-        };
-        let (mut racc, mut ra, mut rb): (&mut [u64], &[u64], &[u64]) = (acc, a, b);
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let words = g.len() * n;
-            let (cacc, tacc) = racc.split_at_mut(words);
-            racc = tacc;
-            let (ca, ta) = ra.split_at(words);
-            ra = ta;
-            let (cb, tb) = rb.split_at(words);
-            rb = tb;
-            let ms = &moduli[g];
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.mul_acc_lazy_batch(ms, cacc, ca, cb)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(moduli.len(), n, acc, |g, rows| {
+            let w = row_words(&g, n);
+            LANES_BACKEND.mul_acc_lazy_batch(&moduli[g], rows, &a[w.clone()], &b[w])
+        });
     }
 
     fn permute_batch(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
+        assert_operand_lens(dst.len(), &[src.len()]);
         let n = perm.len();
         if n == 0 || src.is_empty() {
             return;
         }
-        debug_assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
         debug_assert_eq!(
             src.len() % n,
             0,
             "flat buffer not a multiple of the permutation length"
         );
-        let rows = src.len() / n;
-        let Some(groups) = self.row_groups(rows, n) else {
-            return LANES_BACKEND.permute_batch(perm, src, dst);
-        };
-        let (mut rsrc, mut rdst): (&[u64], &mut [u64]) = (src, dst);
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let words = g.len() * n;
-            let (csrc, tsrc) = rsrc.split_at(words);
-            rsrc = tsrc;
-            let (cdst, tdst) = rdst.split_at_mut(words);
-            rdst = tdst;
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.permute_batch(perm, csrc, cdst)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(src.len() / n, n, dst, |g, rows| {
+            LANES_BACKEND.permute_batch(perm, &src[row_words(&g, n)], rows)
+        });
     }
 
     fn convert_approx_batch(
@@ -1278,21 +1134,10 @@ impl KernelBackend for ThreadedBackend {
         let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
             return;
         };
-        let Some(groups) = self.row_groups(to_moduli.len(), n) else {
-            return LANES_BACKEND.convert_approx_batch(to_moduli, weights, y, out);
-        };
-        let mut rest: &mut [u64] = out;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (chunk, tail) = rest.split_at_mut(g.len() * n);
-            rest = tail;
-            let ms = &to_moduli[g.clone()];
-            let ws = &weights[g.start * alpha..g.end * alpha];
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.convert_approx_batch(ms, ws, y, chunk)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(to_moduli.len(), n, out, |g, rows| {
+            let ws = &weights[row_words(&g, alpha)];
+            LANES_BACKEND.convert_approx_batch(&to_moduli[g], ws, y, rows)
+        });
     }
 
     fn convert_exact_batch(
@@ -1310,22 +1155,10 @@ impl KernelBackend for ThreadedBackend {
         let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
             return;
         };
-        let Some(groups) = self.row_groups(to_moduli.len(), n) else {
-            return LANES_BACKEND.convert_exact_batch(to_moduli, weights, a_mod_b, v, y, out);
-        };
-        let mut rest: &mut [u64] = out;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (chunk, tail) = rest.split_at_mut(g.len() * n);
-            rest = tail;
-            let ms = &to_moduli[g.clone()];
-            let am = &a_mod_b[g.clone()];
-            let ws = &weights[g.start * alpha..g.end * alpha];
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.convert_exact_batch(ms, ws, am, v, y, chunk)
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(to_moduli.len(), n, out, |g, rows| {
+            let ws = &weights[row_words(&g, alpha)];
+            LANES_BACKEND.convert_exact_batch(&to_moduli[g.clone()], ws, &a_mod_b[g], v, y, rows)
+        });
     }
 
     fn decompose_batch(
@@ -1341,65 +1174,11 @@ impl KernelBackend for ThreadedBackend {
             return;
         }
         debug_assert_eq!(src.len() % n, 0, "src not a multiple of the row length");
-        let rows = src.len() / n;
         // Each input row expands into `levels * n` digit words — that
         // is the job size the threshold must weigh, not `n`.
-        let Some(groups) = self.row_groups(rows, levels * n) else {
-            return LANES_BACKEND.decompose_batch(q, base_log, levels, n, src, out);
-        };
-        let (mut rsrc, mut rout): (&[u64], &mut [i64]) = (src, out);
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let (cs, ts) = rsrc.split_at(g.len() * n);
-            rsrc = ts;
-            let (co, to) = rout.split_at_mut(g.len() * levels * n);
-            rout = to;
-            tasks.push(Box::new(move || {
-                LANES_BACKEND.decompose_batch(q, base_log, levels, n, cs, co)
-            }));
-        }
-        self.pool.run(tasks);
-    }
-}
-
-/// Which lazy two-operand row pass a shared batch dispatcher runs.
-#[derive(Debug, Clone, Copy)]
-enum BinaryLazyOp {
-    Add,
-    Sub,
-    Mul,
-}
-
-impl ThreadedBackend {
-    /// Shared row-parallel dispatcher for the three lazy `a op= b`
-    /// batches (identical slicing, different row pass).
-    fn binary_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64], op: BinaryLazyOp) {
-        let Some(n) = batch_rows(moduli.len(), a.len()) else {
-            return;
-        };
-        let Some(groups) = self.row_groups(moduli.len(), n) else {
-            return match op {
-                BinaryLazyOp::Add => LANES_BACKEND.add_lazy_batch(moduli, a, b),
-                BinaryLazyOp::Sub => LANES_BACKEND.sub_lazy_batch(moduli, a, b),
-                BinaryLazyOp::Mul => LANES_BACKEND.mul_lazy_batch(moduli, a, b),
-            };
-        };
-        let (mut ra, mut rb): (&mut [u64], &[u64]) = (a, b);
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let words = g.len() * n;
-            let (ca, ta) = ra.split_at_mut(words);
-            ra = ta;
-            let (cb, tb) = rb.split_at(words);
-            rb = tb;
-            let ms = &moduli[g];
-            tasks.push(Box::new(move || match op {
-                BinaryLazyOp::Add => LANES_BACKEND.add_lazy_batch(ms, ca, cb),
-                BinaryLazyOp::Sub => LANES_BACKEND.sub_lazy_batch(ms, ca, cb),
-                BinaryLazyOp::Mul => LANES_BACKEND.mul_lazy_batch(ms, ca, cb),
-            }));
-        }
-        self.pool.run(tasks);
+        self.fan_out(src.len() / n, levels * n, out, |g, rows| {
+            LANES_BACKEND.decompose_batch(q, base_log, levels, n, &src[row_words(&g, n)], rows)
+        });
     }
 }
 
@@ -1895,23 +1674,23 @@ mod tests {
         let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=alpha as u64)).collect();
         let mut out = vec![0u64; limbs * n];
 
-        // row_groups(8 rows, 256 words, min_job 64) on 4 lanes:
-        // k = (8*256/64).clamp(1, min(4, 8)) = 4 jobs per dispatch.
-        let before = threaded.parallel_jobs_dispatched();
+        // fan_out(8 rows, 256 words, min_job 64) on 4 lanes:
+        // k = min(8*256/64, 4, 8) = 4 jobs per dispatch.
+        let before = threaded.pool().parallel_jobs_dispatched();
         threaded.convert_approx_batch(&moduli, &weights, &digits, &mut out);
-        assert_eq!(threaded.parallel_jobs_dispatched() - before, 4);
+        assert_eq!(threaded.pool().parallel_jobs_dispatched() - before, 4);
 
-        let before = threaded.parallel_jobs_dispatched();
+        let before = threaded.pool().parallel_jobs_dispatched();
         threaded.convert_exact_batch(&moduli, &weights, &a_mod, &v, &digits, &mut out);
-        assert_eq!(threaded.parallel_jobs_dispatched() - before, 4);
+        assert_eq!(threaded.pool().parallel_jobs_dispatched() - before, 4);
 
         let src: Vec<u64> = (0..limbs * n)
             .map(|_| rng.gen_range(0..moduli[0].value()))
             .collect();
         let mut dig = vec![0i64; limbs * levels * n];
-        let before = threaded.parallel_jobs_dispatched();
+        let before = threaded.pool().parallel_jobs_dispatched();
         threaded.decompose_batch(moduli[0].value(), 7, levels, n, &src, &mut dig);
-        assert_eq!(threaded.parallel_jobs_dispatched() - before, 4);
+        assert_eq!(threaded.pool().parallel_jobs_dispatched() - before, 4);
 
         // Below the job-size threshold the passes fall back to the
         // sequential lane loops: no parallel jobs recorded.
@@ -1919,28 +1698,51 @@ mod tests {
         seq.convert_approx_batch(&moduli, &weights, &digits, &mut out);
         seq.convert_exact_batch(&moduli, &weights, &a_mod, &v, &digits, &mut out);
         seq.decompose_batch(moduli[0].value(), 7, levels, n, &src, &mut dig);
-        assert_eq!(seq.parallel_jobs_dispatched(), 0);
+        assert_eq!(seq.pool().parallel_jobs_dispatched(), 0);
+
+        // So does a 1-row batch at any threshold — the inline path
+        // `NttTable::forward` / `inverse` take under `threaded`.
+        let t = table(45, n);
+        let mut row: Vec<u64> = (0..n as u64).collect();
+        let before = threaded.pool().parallel_jobs_dispatched();
+        threaded.forward_batch(&[&t], &mut row, ExitFold::Lazy2p);
+        threaded.inverse_batch(&[&t], &mut row, ExitFold::Lazy2p);
+        let (a, b) = (row.clone(), row.clone());
+        threaded.mul_acc_lazy_batch(&[*t.modulus()], &mut row, &a, &b);
+        assert_eq!(threaded.pool().parallel_jobs_dispatched(), before);
     }
 
-    /// The threaded per-row methods delegate to the lane loops, so a
-    /// single-row call is bit-identical too (the sequential fallback).
+    /// The operand-length contract holds at the batch boundary on every
+    /// backend: a short operand panics before any row is touched
+    /// instead of truncating a row pass (scalar `zip`) or skipping
+    /// whole rows (`chunks_exact` in release builds).
     #[test]
-    fn threaded_per_row_methods_match_scalar() {
-        let mut rng = StdRng::seed_from_u64(0x7412);
-        let threaded = ThreadedBackend::with_config(3, 64);
-        let t = table(50, 128);
-        let m = *t.modulus();
-        let p = m.value();
-        let row: Vec<u64> = (0..128).map(|_| rng.gen_range(0..2 * p)).collect();
-        let (mut s, mut l) = (row.clone(), row.clone());
-        SCALAR.forward_stages(&t, &mut s);
-        threaded.forward_stages(&t, &mut l);
-        assert_eq!(s, l);
-        SCALAR.fold_4p_to_2p(&m, &mut s);
-        threaded.fold_4p_to_2p(&m, &mut l);
-        assert_eq!(s, l);
-        SCALAR.inverse_stages(&t, &mut s);
-        threaded.inverse_stages(&t, &mut l);
-        assert_eq!(s, l);
+    fn short_batch_operand_panics_on_every_backend() {
+        let (n, limbs) = (64usize, 4usize);
+        let moduli: Vec<Modulus> = ntt_primes(45, n, limbs)
+            .iter()
+            .map(|&p| Modulus::new(p).unwrap())
+            .collect();
+        let perm: Vec<usize> = (0..n).rev().collect();
+        let full = vec![1u64; limbs * n];
+        let short = &full[..(limbs - 1) * n];
+        let threaded = ThreadedBackend::with_config(2, 64);
+        let backends: [&dyn KernelBackend; 3] = [&SCALAR, &LANES_BACKEND, &threaded];
+        for b in backends {
+            for op in 0..4 {
+                let mut out = full.clone();
+                let run = std::panic::AssertUnwindSafe(|| match op {
+                    0 => b.add_lazy_batch(&moduli, &mut out, short),
+                    1 => b.mul_acc_lazy_batch(&moduli, &mut out, short, &full),
+                    2 => b.mul_acc_lazy_batch(&moduli, &mut out, &full, short),
+                    _ => b.permute_batch(&perm, short, &mut out),
+                });
+                let panic = std::panic::catch_unwind(run).expect_err("short operand accepted");
+                let msg = panic.downcast::<String>().expect("assert_eq! message");
+                assert!(msg.contains("operand length"), "op {op}: {msg}");
+                assert_eq!(out, full, "{} op {op} touched rows", b.name());
+            }
+        }
+        assert_eq!(threaded.pool().parallel_jobs_dispatched(), 0);
     }
 }

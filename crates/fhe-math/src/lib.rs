@@ -20,10 +20,9 @@
 //!   operations over a flat contiguous limb buffer.
 //! * [`kernel`] — pluggable batched kernel backends ([`KernelBackend`]):
 //!   the scalar reference, a chunked/unrolled lane implementation, and
-//!   the limb-parallel [`ThreadedBackend`], runtime-selected, executing
-//!   the butterfly / MAC / permutation passes over flat limb rows in
-//!   their documented lazy windows — with batched (whole-poly) entry
-//!   points that slice independent limb rows across worker threads.
+//!   the limb-parallel [`ThreadedBackend`], runtime-selected. Production
+//!   dispatches only the `*_batch` (whole-poly) entry points; the row
+//!   passes behind them are the backend-internal SPI.
 //! * [`pool`] — the persistent home-grown worker pool behind the
 //!   threaded backend (`std::thread` + channels; the build is offline,
 //!   so no `rayon`).
@@ -46,14 +45,14 @@
 //! and `[0, 2p)` (inverse) — Harvey's trick, sound because every modulus
 //! is below `2^62`. That `[0, 4p)` window never escapes a transform.
 //! The narrower `[0, 2p)` window, however, *may* cross kernel
-//! boundaries: the `*_lazy` kernel family ([`NttTable::forward_lazy`],
-//! [`NttTable::inverse_lazy`], [`NttTable::pointwise_mul_acc_lazy`],
-//! the `RnsPoly::*_lazy` ops and the scalar `Modulus::*_lazy`
-//! primitives) consumes and produces `[0, 2p)` representatives so whole
+//! boundaries: the `*_lazy` kernel family (the `RnsPoly::*_lazy` ops,
+//! the [`KernelBackend`] `*_batch` entries with [`kernel::ExitFold::Lazy2p`],
+//! and the scalar `Modulus::*_lazy` primitives) consumes and produces
+//! `[0, 2p)` representatives so whole
 //! kernel chains — keyswitch digit NTTs feeding inner products, tensor
 //! products, external-product accumulators — skip per-kernel
 //! canonicalisation and fold exactly once at the ciphertext boundary
-//! ([`RnsPoly::canonicalize`] / [`NttTable::canonicalize_2p`]).
+//! ([`RnsPoly::canonicalize`]).
 //!
 //! **Explicit reduction state.** An [`RnsPoly`] tracks which window it
 //! is in via [`ReductionState`] (`Canonical` vs `Lazy2p`), orthogonal

@@ -27,14 +27,14 @@
 //! suite), so higher layers can use the fast lazy transform while the
 //! simulator reasons about the hardware-shaped variants.
 //!
-//! The production entry points (`forward`, `forward_lazy`, `inverse`,
-//! `inverse_lazy`, `pointwise_mul_acc_lazy`, `canonicalize_2p`)
-//! dispatch their batched stage/fold passes through the process-wide
-//! [`crate::kernel::KernelBackend`]; the `*_strict` oracles and the
-//! hardware-dataflow variants never do, so the reference the backends
-//! are asserted against stays fixed.
+//! `forward` and `inverse` are one-row batches of the process-wide
+//! [`crate::kernel::KernelBackend`] (the lazy-exit and MAC forms live
+//! on its `*_batch` surface, which [`crate::RnsPoly`] wraps); the
+//! `*_strict` oracles and the hardware-dataflow variants never
+//! dispatch, so the reference the backends are asserted against stays
+//! fixed.
 
-use crate::kernel;
+use crate::kernel::{self, ExitFold};
 use crate::modulus::Modulus;
 use crate::prime::primitive_root_of_unity;
 use crate::scratch::with_scratch2;
@@ -149,12 +149,11 @@ impl NttTable {
     ///
     /// Input and output are in natural order; the output is canonical
     /// (`[0, p)`) and the input may be canonical or a lazy `[0, 2p)`
-    /// representative (see [`Self::forward_lazy`] for the lazy-out
-    /// variant). *Between* butterfly stages values roam in `[0, 4p)` —
-    /// each butterfly does one conditional subtraction (on its upper
-    /// operand) instead of three, and a single correction pass at the
-    /// end maps everything back to `[0, p)`. Sound because `p < 2^62`,
-    /// so `4p` fits a `u64` with headroom.
+    /// representative. *Between* butterfly stages values roam in
+    /// `[0, 4p)` — each butterfly does one conditional subtraction (on
+    /// its upper operand) instead of three, and a single correction pass
+    /// at the end maps everything back to `[0, p)`. Sound because
+    /// `p < 2^62`, so `4p` fits a `u64` with headroom.
     ///
     /// Bit-identical to [`Self::forward_strict`] (asserted by tests).
     ///
@@ -162,33 +161,9 @@ impl NttTable {
     ///
     /// Panics if `a.len() != self.n()`.
     pub fn forward(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n);
         crate::debug_assert_domain!(slice_within_2p: self.modulus, a, "forward");
-        let k = kernel::active();
-        k.forward_stages(self, a);
-        k.fold_4p_to_canonical(&self.modulus, a);
-    }
-
-    /// Lazy-in/lazy-out forward NTT: accepts `[0, 2p)` residues and
-    /// returns `[0, 2p)` residues, skipping the canonicalising half of
-    /// the exit correction pass.
-    ///
-    /// This is the kernel-chain entry point: a keyswitch digit raised by
-    /// BConv is transformed here, multiply-accumulated lazily against
-    /// the key, and only canonicalised once at the ciphertext boundary —
-    /// the paper's pipelines keep operands in redundant form between
-    /// butterfly and MAC stages the same way. Congruent mod `p` to
-    /// [`Self::forward_strict`] (bit-identical after folding with
-    /// [`crate::Modulus::reduce_2p`]; asserted by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`; debug-asserts every input is in
-    /// `[0, 2p)`.
-    pub fn forward_lazy(&self, a: &mut [u64]) {
-        crate::debug_assert_domain!(slice_within_2p: self.modulus, a, "forward_lazy");
-        let k = kernel::active();
-        k.forward_stages(self, a);
-        k.fold_4p_to_2p(&self.modulus, a);
+        kernel::active().forward_batch(&[self], a, ExitFold::Canonical);
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient form),
@@ -202,31 +177,9 @@ impl NttTable {
     ///
     /// Panics if `a.len() != self.n()`.
     pub fn inverse(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n);
         crate::debug_assert_domain!(slice_within_2p: self.modulus, a, "inverse");
-        let k = kernel::active();
-        k.inverse_stages(self, a);
-        let (ni, nis) = self.n_inv;
-        k.scale_shoup(&self.modulus, ni, nis, a);
-    }
-
-    /// Lazy-in/lazy-out inverse NTT: accepts `[0, 2p)` residues and
-    /// returns `[0, 2p)` residues, skipping the canonicalising
-    /// subtraction in the final `n^{-1}` scaling pass.
-    ///
-    /// Congruent mod `p` to [`Self::inverse_strict`] (bit-identical
-    /// after folding with [`crate::Modulus::reduce_2p`]); the chain
-    /// tail of lazy keyswitch and external-product accumulators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`; debug-asserts every input is in
-    /// `[0, 2p)`.
-    pub fn inverse_lazy(&self, a: &mut [u64]) {
-        crate::debug_assert_domain!(slice_within_2p: self.modulus, a, "inverse_lazy");
-        let k = kernel::active();
-        k.inverse_stages(self, a);
-        let (ni, nis) = self.n_inv;
-        k.scale_shoup_lazy(&self.modulus, ni, nis, a);
+        kernel::active().inverse_batch(&[self], a, ExitFold::Canonical);
     }
 
     /// Fully-reduced forward transform: every butterfly reduces to
@@ -449,36 +402,6 @@ impl NttTable {
         }
     }
 
-    /// Lazy pointwise multiply-accumulate: `acc[i] += a[i] * b[i]` with
-    /// all operands in `[0, 2p)` and the accumulator kept in `[0, 2p)`.
-    ///
-    /// `4p^2 + 2p < 2^127` for `p < 2^62`, so the u128 term never
-    /// overflows. This is the `IP` kernel of lazy keyswitch chains: the
-    /// accumulator is folded to canonical once per ciphertext limb
-    /// instead of once per product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ from `self.n()`; debug-asserts all
-    /// operands are in `[0, 2p)`.
-    pub fn pointwise_mul_acc_lazy(&self, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        assert_eq!(acc.len(), self.n);
-        assert_eq!(a.len(), self.n);
-        assert_eq!(b.len(), self.n);
-        let m = &self.modulus;
-        crate::debug_assert_domain!(slice_within_2p: m, acc, "pointwise_mul_acc_lazy (acc)");
-        crate::debug_assert_domain!(slice_within_2p: m, a, "pointwise_mul_acc_lazy (a)");
-        crate::debug_assert_domain!(slice_within_2p: m, b, "pointwise_mul_acc_lazy (b)");
-        kernel::active().mul_acc_lazy(m, acc, a, b);
-    }
-
-    /// Folds a slice of lazy `[0, 2p)` residues to canonical `[0, p)` —
-    /// the single deferred canonicalisation pass at a ciphertext
-    /// boundary.
-    pub fn canonicalize_2p(&self, a: &mut [u64]) {
-        kernel::active().fold_2p_to_canonical(&self.modulus, a);
-    }
-
     /// Negacyclic polynomial multiplication through the NTT.
     ///
     /// Convenience used pervasively by tests: `c = a * b mod (X^n+1, p)`.
@@ -583,8 +506,10 @@ mod tests {
 
     #[test]
     fn lazy_in_lazy_out_matches_strict_after_fold() {
-        // forward_lazy/inverse_lazy chains on [0, 2p) inputs must be
-        // congruent to the strict oracle, and bit-identical once folded.
+        // Lazy-exit one-row batches (the calls ggsw.rs and keyswitch.rs
+        // make) on [0, 2p) inputs must be congruent to the strict
+        // oracle, and bit-identical once folded.
+        let k = kernel::active();
         let mut rng = StdRng::seed_from_u64(23);
         for n in [4usize, 64, 1024] {
             for bits in [30u32, 45, 61] {
@@ -602,16 +527,16 @@ mod tests {
                 t.forward_strict(&mut strict);
 
                 let mut lazy = lifted.clone();
-                t.forward_lazy(&mut lazy);
+                k.forward_batch(&[&t], &mut lazy, ExitFold::Lazy2p);
                 assert!(lazy.iter().all(|&x| x < 2 * p), "n={n} bits={bits}");
                 let mut folded = lazy.clone();
-                t.canonicalize_2p(&mut folded);
+                k.fold_2p_to_canonical_batch(&[*m], &mut folded);
                 assert_eq!(folded, strict, "forward n={n} bits={bits}");
 
-                // Chain: inverse_lazy directly on the lazy spectrum.
-                t.inverse_lazy(&mut lazy);
+                // Chain: lazy inverse directly on the lazy spectrum.
+                k.inverse_batch(&[&t], &mut lazy, ExitFold::Lazy2p);
                 assert!(lazy.iter().all(|&x| x < 2 * p));
-                t.canonicalize_2p(&mut lazy);
+                k.fold_2p_to_canonical_batch(&[*m], &mut lazy);
                 t.inverse_strict(&mut strict);
                 assert_eq!(lazy, strict, "roundtrip n={n} bits={bits}");
                 assert_eq!(lazy, a, "roundtrip value n={n} bits={bits}");
@@ -639,10 +564,10 @@ mod tests {
             .collect();
         for _ in 0..3 {
             t.pointwise_mul_acc(&mut acc_strict, &a, &b);
-            t.pointwise_mul_acc_lazy(&mut acc_lazy, &a_lazy, &b);
+            kernel::active().mul_acc_lazy_batch(&[*m], &mut acc_lazy, &a_lazy, &b);
         }
         assert!(acc_lazy.iter().all(|&x| x < 2 * p));
-        t.canonicalize_2p(&mut acc_lazy);
+        kernel::active().fold_2p_to_canonical_batch(&[*m], &mut acc_lazy);
         assert_eq!(acc_lazy, acc_strict);
     }
 

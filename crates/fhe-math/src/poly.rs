@@ -341,9 +341,8 @@ impl RnsPoly {
 
     /// Converts to evaluation form *lazily*: the batched forward
     /// transform exits into the `[0, 2p)` window (skipping the
-    /// canonicalising half of the fold, as
-    /// [`crate::NttTable::forward_lazy`] does per row), leaving the
-    /// polynomial in [`ReductionState::Lazy2p`].
+    /// canonicalising half of the fold), leaving the polynomial in
+    /// [`ReductionState::Lazy2p`].
     ///
     /// This is the entry of every lazy kernel chain. A keyswitch digit,
     /// for instance, is raised, transformed here, multiply-accumulated
@@ -388,9 +387,9 @@ impl RnsPoly {
         self.red = ReductionState::Lazy2p;
     }
 
-    /// Converts to coefficient form *lazily* (the batched counterpart
-    /// of per-row [`crate::NttTable::inverse_lazy`]), leaving the
-    /// polynomial in [`ReductionState::Lazy2p`].
+    /// Converts to coefficient form *lazily* (the batched inverse
+    /// transform with a lazy exit), leaving the polynomial in
+    /// [`ReductionState::Lazy2p`].
     ///
     /// # Panics
     ///

@@ -361,7 +361,7 @@ mod tests {
     fn call_sites_receivers_and_mut_args() {
         let m = build_model(
             "crates/x/src/a.rs",
-            "fn f() { acc.to_eval_lazy(); t.forward_lazy(&mut d); self.pool.run(v); free(1); }\n",
+            "fn f() { acc.to_eval_lazy(); t.forward_strict(&mut d); self.pool.run(v); free(1); }\n",
         );
         let (s, e) = m.fns[0].body.unwrap();
         let calls = calls_in(m.toks(), s, e);
@@ -376,7 +376,7 @@ mod tests {
             })
             .collect();
         assert!(by_name.contains(&(("to_eval_lazy"), Some("acc"), None)));
-        assert!(by_name.contains(&(("forward_lazy"), Some("t"), Some("d"))));
+        assert!(by_name.contains(&(("forward_strict"), Some("t"), Some("d"))));
         // `self.pool.run` is a field chain: no simple receiver.
         assert!(by_name.contains(&(("run"), None, None)));
         assert!(by_name.contains(&(("free"), None, None)));

@@ -58,12 +58,7 @@ const PRESERVERS: &[&str] = &["automorphism_lazy", "permute"];
 
 /// Kernels that *mark their `&mut` argument* lazy (slice-level APIs
 /// where the mutated buffer is the first argument).
-const ARG_LAZY_MARKERS: &[&str] = &[
-    "forward_lazy",
-    "inverse_lazy",
-    "pointwise_mul_acc_lazy",
-    "mul_acc_lazy_batch",
-];
+const ARG_LAZY_MARKERS: &[&str] = &["mul_acc_lazy_batch"];
 
 /// Strict kernels: debug-panic on a lazy receiver at runtime, so a
 /// statically-proven lazy receiver here is a guaranteed debug failure.
@@ -88,7 +83,6 @@ const ARG_STRICT_KERNELS: &[&str] = &["forward_strict", "inverse_strict", "point
 /// (or at least re-establish the kernel's documented exit window).
 const CLEARERS: &[&str] = &[
     "canonicalize",
-    "canonicalize_2p",
     "to_eval",
     "to_coeff",
     "forward",
@@ -353,8 +347,9 @@ fn lazy_chain_coverage(files: &[FileModel], workspace_mode: bool, out: &mut Vec<
             continue;
         };
         // BFS over callee names, depth-capped: deep enough for
-        // blind_rotate -> cmux -> external_product -> forward_lazy and
-        // future chains, shallow enough to stay cheap.
+        // blind_rotate -> cmux -> external_product ->
+        // mul_acc_lazy_batch and future chains, shallow enough to stay
+        // cheap.
         let mut frontier: Vec<&str> = vec![root];
         let mut seen: HashSet<&str> = frontier.iter().copied().collect();
         let mut reached = false;

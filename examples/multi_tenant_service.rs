@@ -221,17 +221,18 @@ fn main() {
         widest_gates >= 2,
         "no Interactive dispatch batched >= 2 gates (widest {widest_gates})"
     );
+    let pool = threaded.pool();
     println!(
         "  worker-pool jobs by lane tag: interactive {}, timed {}, bulk {}",
-        threaded.parallel_jobs_dispatched_by_tag(Lane::Interactive.dispatch_tag()),
-        threaded.parallel_jobs_dispatched_by_tag(Lane::Timed.dispatch_tag()),
-        threaded.parallel_jobs_dispatched_by_tag(Lane::Bulk.dispatch_tag()),
+        pool.parallel_jobs_dispatched_by_tag(Lane::Interactive.dispatch_tag()),
+        pool.parallel_jobs_dispatched_by_tag(Lane::Timed.dispatch_tag()),
+        pool.parallel_jobs_dispatched_by_tag(Lane::Bulk.dispatch_tag()),
     );
     println!(
         "  worker-pool in-flight peaks by lane tag: interactive {}, timed {}, bulk {}",
-        threaded.parallel_in_flight_peak_by_tag(Lane::Interactive.dispatch_tag()),
-        threaded.parallel_in_flight_peak_by_tag(Lane::Timed.dispatch_tag()),
-        threaded.parallel_in_flight_peak_by_tag(Lane::Bulk.dispatch_tag()),
+        pool.parallel_in_flight_peak_by_tag(Lane::Interactive.dispatch_tag()),
+        pool.parallel_in_flight_peak_by_tag(Lane::Timed.dispatch_tag()),
+        pool.parallel_in_flight_peak_by_tag(Lane::Bulk.dispatch_tag()),
     );
     println!(
         "  key cache: {} / {} bytes resident, {} evictions",

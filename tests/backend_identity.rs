@@ -9,7 +9,9 @@
 //! hoisted), and the TFHE external product and gate bootstrap — the
 //! `k = 1` instances of the batch engines — produce bit-identical
 //! ciphertexts under all three — i.e. backend choice is unobservable, not merely
-//! correct-up-to-the-oracle.
+//! correct-up-to-the-oracle. The `NttTable` single-row entry points
+//! (1-row batches of the same surface) are checked against their
+//! strict oracles under each backend too.
 //!
 //! `force` swaps global state, so every test serialises on one mutex
 //! and restores the previous backend before releasing it.
@@ -17,12 +19,13 @@
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use trinity::ckks::{
     key_switch, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, KeySet,
 };
 use trinity::math::kernel::{self, KernelBackend};
-use trinity::math::{galois, sampler, Representation, RnsPoly};
+use trinity::math::ntt::negacyclic_mul_schoolbook;
+use trinity::math::{galois, prime, sampler, Modulus, NttTable, Representation, RnsPoly};
 use trinity::tfhe::{
     ClientKey, GateOp, Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, ServerKey, TfheContext,
     TfheParams, TfheRing,
@@ -84,6 +87,39 @@ fn test_shape() -> &'static CkksFixture {
         let keys = KeyGenerator::new(ctx.clone()).key_set(&[1], &mut rng);
         CkksFixture { ctx, keys }
     })
+}
+
+/// `NttTable::forward` / `inverse` / `negacyclic_mul` are one-row
+/// batches of the active backend: under every backend they must equal
+/// the strict transforms and the schoolbook product, which never
+/// dispatch.
+#[test]
+fn ntt_table_one_row_path_matches_strict_oracles_on_every_backend() {
+    let mut rng = StdRng::seed_from_u64(0x5EED0);
+    for (n, bits) in [(64usize, 30u32), (256, 45), (1024, 61)] {
+        let p = prime::ntt_primes(bits, n, 1)[0];
+        let t = NttTable::new(Modulus::new(p).unwrap(), n);
+        let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..p)).collect();
+        let b: Vec<u64> = (0..n).map(|_| rng.gen_range(0..p)).collect();
+        let mut spectrum = a.clone();
+        t.forward_strict(&mut spectrum);
+        let mut back = spectrum.clone();
+        t.inverse_strict(&mut back);
+        assert_eq!(back, a, "strict roundtrip n={n}");
+        let product = negacyclic_mul_schoolbook(t.modulus(), &a, &b);
+
+        for (name, (fwd, inv, mul)) in under_each_backend(|| {
+            let mut fwd = a.clone();
+            t.forward(&mut fwd);
+            let mut inv = spectrum.clone();
+            t.inverse(&mut inv);
+            (fwd, inv, t.negacyclic_mul(&a, &b))
+        }) {
+            assert_eq!(fwd, spectrum, "forward vs forward_strict ({name}, n={n})");
+            assert_eq!(inv, a, "inverse vs inverse_strict ({name}, n={n})");
+            assert_eq!(mul, product, "negacyclic_mul vs schoolbook ({name}, n={n})");
+        }
+    }
 }
 
 #[test]
