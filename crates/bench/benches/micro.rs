@@ -276,10 +276,11 @@ fn bench_rotate_lazy_vs_canonical(c: &mut Criterion) {
     group.finish();
 }
 
-/// An 8-rotation encrypted linear layer, sequential vs hoisted: the
-/// sequential path runs the full hybrid keyswitch (Decompose + ModUp +
-/// digit NTTs + IP + ModDown) once per diagonal rotation; the hoisted
-/// path shares Decompose/ModUp/digit-NTTs across the batch and replays
+/// An 8-rotation encrypted linear layer, oracle vs engine: the
+/// sequential oracle (`LinearTransform::apply_sequential`) runs the full
+/// hybrid keyswitch (Decompose + ModUp + digit NTTs + IP + ModDown)
+/// once per diagonal rotation; the engine (`LinearTransform::apply`)
+/// shares Decompose/ModUp/digit-NTTs across the batch and replays
 /// only the automorphism → IP → ModDown tail per rotation
 /// (`hoist_rotations` / `key_switch_galois_hoisted`). On the 1-CPU CI
 /// container the gate is the bit-identity assertion below plus the
@@ -293,17 +294,15 @@ fn bench_rotations_hoisted_vs_sequential(c: &mut Criterion) {
     assert_eq!(layer.rotation_count(), 8);
     // The optimisation must be unobservable in the output bits.
     let seq = layer.eval_sequential();
-    let hoisted = layer.eval_hoisted();
+    let hoisted = layer.eval();
     assert_eq!(hoisted.c0.flat(), seq.c0.flat());
     assert_eq!(hoisted.c1.flat(), seq.c1.flat());
     group.bench_function("sequential_8rot", |b| b.iter(|| layer.eval_sequential()));
-    group.bench_function("hoisted_8rot", |b| b.iter(|| layer.eval_hoisted()));
+    group.bench_function("hoisted_8rot", |b| b.iter(|| layer.eval()));
     // The hoisted layer under the threaded limb-parallel backend: the
     // pooled BConv/digit-NTT front half row-group-dispatches once.
     with_backend(fhe_math::kernel::threaded(Some(4)), || {
-        group.bench_function("hoisted_threaded4_8rot", |b| {
-            b.iter(|| layer.eval_hoisted())
-        });
+        group.bench_function("hoisted_threaded4_8rot", |b| b.iter(|| layer.eval()));
     });
     group.finish();
 }

@@ -429,7 +429,10 @@ impl Evaluator {
     /// the keyswitch layer itself never counts, so there is no double
     /// count with [`Self::relinearize`]'s bump, and
     /// [`crate::bootstrap::Bootstrapper::expected_ops`]'s
-    /// "every Galois op keyswitches once" model matches exactly.
+    /// "every Galois op keyswitches once" model matches exactly — the
+    /// diagonal engine's [`Self::rotate_hoisted`] calls included, so the
+    /// model counts each rotation CoeffToSlot shares across its two
+    /// halves once.
     pub fn apply_galois(&self, a: &Ciphertext, g: u64, gk: &SwitchingKey) -> Ciphertext {
         self.apply_galois_coalesced(&[(a, gk)], g)
             .pop()
@@ -513,8 +516,9 @@ impl Evaluator {
     /// rotations: Decompose + ModUp + the digit NTTs run once here,
     /// and every subsequent [`Self::apply_galois_hoisted`] /
     /// [`Self::rotate_hoisted`] on `a` replays only the per-rotation
-    /// tail. Use when one ciphertext feeds many rotations (a
-    /// [`crate::LinearTransform`] diagonal layer); each hoisted
+    /// tail. Use when one ciphertext feeds many rotations (the
+    /// diagonal engine behind [`crate::LinearTransform::apply`] and
+    /// bootstrapping's CoeffToSlot/SlotToCoeff); each hoisted
     /// application is bit-identical to the sequential
     /// [`Self::apply_galois`].
     pub fn hoist_rotations(&self, a: &Ciphertext) -> HoistedRotations {
@@ -832,7 +836,9 @@ mod tests {
     /// calling key_switch" — and a relinearisation bumps `keyswitches`
     /// once while the tensor bumps `ct_mults` once. This is precisely
     /// the `keyswitches = galois + ct_mults` model `expected_ops`
-    /// assumes (and `op_counters_match_prediction` pins end to end).
+    /// assumes (and `op_counters_match_prediction` pins end to end, with
+    /// CoeffToSlot's shared `1 + 2(n - 1)` asserted alone by
+    /// `bootstrap_bit_identical_to_sequential_reference`).
     #[test]
     fn op_counter_contract() {
         let mut f = fixture();

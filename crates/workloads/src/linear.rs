@@ -7,8 +7,8 @@
 //! bit-checked end to end: a layer applying `k` rotations to one
 //! ciphertext pays for Decompose + ModUp + the digit NTTs once
 //! ([`fhe_ckks::hoist_rotations`]) instead of `k` times, and
-//! [`LinearLayer::eval_hoisted`] must produce output bit-identical to
-//! [`LinearLayer::eval_sequential`] — the same oracle discipline the
+//! [`LinearLayer::eval`] must produce output bit-identical to the
+//! oracle [`LinearLayer::eval_sequential`] — the same discipline the
 //! lazy-reduction chains are held to.
 
 use std::sync::Arc;
@@ -23,9 +23,9 @@ use rand::{Rng, SeedableRng};
 
 /// A fully materialised encrypted linear layer: a plaintext diagonal
 /// transform, key material covering its rotations, and an encrypted
-/// input vector — everything needed to run the matvec either
-/// sequentially (one full keyswitch per diagonal) or hoisted (shared
-/// ModUp, per-rotation tail only).
+/// input vector — everything needed to run the matvec through the
+/// engine (shared ModUp, per-rotation tail only) or its sequential
+/// oracle (one full keyswitch per diagonal).
 pub struct LinearLayer {
     /// CKKS context the layer runs in.
     pub ctx: Arc<CkksContext>,
@@ -103,10 +103,11 @@ impl LinearLayer {
             .count()
     }
 
-    /// Sequential evaluation: one complete hybrid keyswitch —
-    /// Decompose, ModUp, digit NTTs, inner product, ModDown — per
-    /// diagonal rotation ([`LinearTransform::apply`]).
-    pub fn eval_sequential(&self) -> Ciphertext {
+    /// The layer as production runs it ([`LinearTransform::apply`]):
+    /// Decompose + ModUp + digit NTTs once, then only the automorphism
+    /// → inner product → ModDown tail per rotation. Bit-identical to
+    /// [`Self::eval_sequential`].
+    pub fn eval(&self) -> Ciphertext {
         self.transform.apply(
             &self.evaluator,
             &self.encoder,
@@ -115,12 +116,11 @@ impl LinearLayer {
         )
     }
 
-    /// Hoisted evaluation: Decompose + ModUp + digit NTTs once, then
-    /// only the automorphism → inner product → ModDown tail per
-    /// rotation ([`LinearTransform::apply_hoisted`]). Bit-identical to
-    /// [`Self::eval_sequential`].
-    pub fn eval_hoisted(&self) -> Ciphertext {
-        self.transform.apply_hoisted(
+    /// The oracle ([`LinearTransform::apply_sequential`]): one complete
+    /// hybrid keyswitch — Decompose, ModUp, digit NTTs, inner product,
+    /// ModDown — per diagonal rotation.
+    pub fn eval_sequential(&self) -> Ciphertext {
+        self.transform.apply_sequential(
             &self.evaluator,
             &self.encoder,
             &self.input,
@@ -142,7 +142,7 @@ mod tests {
         assert_eq!(layer.rotation_count(), 8, "9x9 dense layer: 8 rotations");
 
         let seq = layer.eval_sequential();
-        let hoisted = layer.eval_hoisted();
+        let hoisted = layer.eval();
         assert_eq!(hoisted.c0.flat(), seq.c0.flat());
         assert_eq!(hoisted.c1.flat(), seq.c1.flat());
         assert_eq!(hoisted.level, seq.level);
@@ -158,7 +158,7 @@ mod tests {
         let _ = layer.eval_sequential();
         let seq_snapshot = layer.evaluator.counters().snapshot();
         layer.evaluator.counters().reset();
-        let _ = layer.eval_hoisted();
+        let _ = layer.eval();
         assert_eq!(layer.evaluator.counters().snapshot(), seq_snapshot);
     }
 
@@ -168,7 +168,7 @@ mod tests {
         let dim = 8usize;
         let seed = 83u64;
         let layer = LinearLayer::random(dim, seed);
-        let out = layer.eval_hoisted();
+        let out = layer.eval();
         let decryptor = Decryptor::new(layer.ctx.clone());
         let back = decryptor.decrypt(&out, &layer.keys.secret, &layer.encoder);
 

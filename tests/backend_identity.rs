@@ -22,10 +22,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trinity::ckks::{
     key_switch, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, KeySet,
+    LinearTransform,
 };
 use trinity::math::kernel::{self, KernelBackend};
 use trinity::math::ntt::negacyclic_mul_schoolbook;
-use trinity::math::{galois, prime, sampler, Modulus, NttTable, Representation, RnsPoly};
+use trinity::math::{galois, prime, sampler, Complex, Modulus, NttTable, Representation, RnsPoly};
 use trinity::tfhe::{
     ClientKey, GateOp, Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, ServerKey, TfheContext,
     TfheParams, TfheRing,
@@ -173,7 +174,9 @@ fn hmult_rescale_and_rotation_are_bit_identical_across_backends() {
 /// rotations must (a) match the sequential `apply_galois` bit for bit
 /// *within* each backend, and (b) be bit-identical *across* backends —
 /// the pooled BConv/digit-NTT front half dispatches through the worker
-/// pool on `threaded`, and that must be unobservable.
+/// pool on `threaded`, and that must be unobservable. The diagonal
+/// engine (`LinearTransform::apply`) is swept the same way against its
+/// sequential oracle.
 #[test]
 fn hoisted_rotations_are_bit_identical_across_backends() {
     let f = test_shape();
@@ -186,6 +189,12 @@ fn hoisted_rotations_are_bit_identical_across_backends() {
     let keys = KeyGenerator::new(f.ctx.clone()).key_set(&rotations, &mut rng);
     let vals: Vec<f64> = (0..8).map(|i| 0.05 * i as f64 - 0.2).collect();
     let x = encryptor.encrypt_sk(&enc.encode_real(&vals, l), &keys.secret, &mut rng);
+    let diagonal = |d: i64| -> Vec<Complex> {
+        (0..4)
+            .map(|j| Complex::new(0.1 * (d + j) as f64, 0.0))
+            .collect()
+    };
+    let lt = LinearTransform::from_diagonals(4, (0..3).map(|d| (d, diagonal(d))));
 
     let results = under_each_backend(|| {
         let hoisted = eval.hoist_rotations(&x);
@@ -200,6 +209,12 @@ fn hoisted_rotations_are_bit_identical_across_backends() {
             out.extend_from_slice(h.c0.flat());
             out.extend_from_slice(h.c1.flat());
         }
+        let engine = lt.apply(&eval, &enc, &x, &keys.galois);
+        let oracle = lt.apply_sequential(&eval, &enc, &x, &keys.galois);
+        assert_eq!(engine.c0.flat(), oracle.c0.flat(), "engine != oracle c0");
+        assert_eq!(engine.c1.flat(), oracle.c1.flat(), "engine != oracle c1");
+        out.extend_from_slice(engine.c0.flat());
+        out.extend_from_slice(engine.c1.flat());
         out
     });
     assert_all_identical(results, "ckks hoisted rotation batch");
