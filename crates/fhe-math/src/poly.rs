@@ -42,6 +42,7 @@ use std::sync::Arc;
 
 use crate::galois::GaloisPerms;
 use crate::kernel::{self, ExitFold};
+use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::rns::RnsBasis;
 use crate::scratch::with_scratch;
@@ -632,23 +633,12 @@ impl RnsPoly {
         );
         self.debug_assert_canonical("mul_monomial");
         let n = self.n();
-        let k = k.rem_euclid(2 * n as i64) as usize;
-        if k == 0 {
+        if k.rem_euclid(2 * n as i64) == 0 {
             return;
         }
         with_scratch(n, |out| {
             for (row, m) in self.data.chunks_exact_mut(n).zip(self.basis.moduli()) {
-                for (j, &c) in row.iter().enumerate() {
-                    let idx = j + k;
-                    let (pos, negate) = if idx < n {
-                        (idx, false)
-                    } else if idx < 2 * n {
-                        (idx - n, true)
-                    } else {
-                        (idx - 2 * n, false)
-                    };
-                    out[pos] = if negate { m.neg(c) } else { c };
-                }
+                mul_monomial_row(m, row, k, out);
                 row.copy_from_slice(out);
             }
         });
@@ -778,6 +768,28 @@ impl RnsPoly {
             out.push(self.basis.crt_to_centered_f64(&residues));
         }
         out
+    }
+}
+
+/// One row of the negacyclic monomial product: `dst = src * X^k` in
+/// `Z_m[X]/(X^n + 1)`, `n = src.len()`, any integer `k` — under
+/// [`RnsPoly::mul_monomial`] (per limb) and the TFHE ring (per GLWE
+/// component).
+///
+/// # Panics
+///
+/// Panics if `dst.len() != src.len()`.
+pub fn mul_monomial_row(m: &Modulus, src: &[u64], k: i64, dst: &mut [u64]) {
+    let n = src.len();
+    let k = k.rem_euclid(2 * n as i64) as usize;
+    // X^n = -1: a shift by k >= n is a shift by k - n with signs flipped.
+    let (shift, flip) = if k < n { (k, false) } else { (k - n, true) };
+    let (head, tail) = src.split_at(n - shift);
+    dst[shift..].copy_from_slice(head);
+    dst[..shift].copy_from_slice(tail);
+    let negated = if flip { shift..n } else { 0..shift };
+    for x in &mut dst[negated] {
+        *x = m.neg(*x);
     }
 }
 

@@ -73,18 +73,16 @@ pub fn mates(head: Geometry, candidates: &[(usize, Geometry)], max_batch: usize)
 
 /// Whether two TFHE gate jobs may share one batched blind-rotate
 /// dispatch ([`fhe_tfhe::apply_gates_batched`]): both server keys must
-/// agree on the parameter set and ring modulus (the engine's lockstep
-/// condition) and use the exact NTT backend (FFT-keyed jobs are
-/// evaluated per job, so widening their batch buys nothing). Equal `(modulus, degree)` implies identical deterministic
-/// NTT tables, so — unlike CKKS [`Geometry`] — *pointer* identity of
-/// the ring is not required: TFHE tenants never share key material, and
-/// per-job bootstrap/keyswitch keys are what keep cross-tenant batching
-/// safe.
+/// meet the engine's lockstep condition
+/// ([`ServerKey::shares_ring_with`]: one parameter set and ring
+/// modulus) and use the exact NTT backend (FFT-keyed jobs are
+/// evaluated per job, so widening their batch buys nothing). Equal
+/// `(modulus, degree)` implies identical deterministic NTT tables, so
+/// — unlike CKKS [`Geometry`] — *pointer* identity of the ring is not
+/// required: TFHE tenants never share key material, and per-job
+/// bootstrap/keyswitch keys are what keep cross-tenant batching safe.
 pub fn gates_compatible(a: &ServerKey, b: &ServerKey) -> bool {
-    a.backend == MulBackend::Ntt
-        && b.backend == MulBackend::Ntt
-        && a.ctx.params == b.ctx.params
-        && a.ctx.ring.q() == b.ctx.ring.q()
+    a.backend == MulBackend::Ntt && b.backend == MulBackend::Ntt && a.shares_ring_with(b)
 }
 
 #[cfg(test)]
@@ -113,19 +111,22 @@ mod tests {
 
     #[test]
     fn gate_compatibility_requires_ntt_and_matching_params() {
-        use fhe_tfhe::{LweKeySwitchKey, TfheContext, TfheParams};
+        use fhe_tfhe::{LweKeySwitchKey, LweSecretKey, TfheContext, TfheParams};
+        use rand::SeedableRng;
 
         // `gates_compatible` reads only backend/params/modulus, so the
-        // fixtures can carry empty key material.
-        let key = |params: TfheParams, backend: MulBackend| ServerKey {
-            ctx: TfheContext::new(params),
-            bsk: Vec::new(),
-            ksk: LweKeySwitchKey {
-                rows: Vec::new(),
-                base_log: 2,
-                levels: 8,
-            },
-            backend,
+        // fixtures can carry empty key material (a keyswitch key from
+        // and to the zero-dimensional secret).
+        let key = |params: TfheParams, backend: MulBackend| {
+            let ctx = TfheContext::new(params);
+            let none = LweSecretKey::from_coeffs(Vec::new());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+            ServerKey {
+                ksk: LweKeySwitchKey::generate(ctx.q(), &none, &none, 2, 8, 0.0, &mut rng),
+                ctx,
+                bsk: Vec::new(),
+                backend,
+            }
         };
         let a = key(TfheParams::set_i(), MulBackend::Ntt);
         let b = key(TfheParams::set_i(), MulBackend::Ntt);

@@ -186,10 +186,10 @@ impl ServerKey {
     }
 
     /// Measured heap bytes of the server-side key material (allocated
-    /// `Vec` capacities of the bootstrap key's GGSW rows and the
-    /// keyswitch key) — the per-tenant number a byte-budgeted key cache
-    /// evicts by, pinned against manual capacity sums by
-    /// `tests::key_bytes_pins_to_manual_capacity_sums`.
+    /// capacities of the `bsk` table, each GGSW's flat row buffer and
+    /// the flat keyswitch matrix) — the per-tenant number a
+    /// byte-budgeted key cache evicts by, pinned against manual
+    /// capacity sums by `tests::key_bytes_pins_to_manual_capacity_sums`.
     pub fn key_bytes(&self) -> usize {
         self.bsk.capacity() * std::mem::size_of::<Ggsw>()
             + self.bsk.iter().map(Ggsw::heap_bytes).sum::<usize>()
@@ -198,7 +198,7 @@ impl ServerKey {
 
     /// Whether both keys' jobs can share one lockstep rotation: equal
     /// (parameters, modulus) mean identical deterministic NTT tables.
-    pub(crate) fn shares_ring_with(&self, other: &ServerKey) -> bool {
+    pub fn shares_ring_with(&self, other: &ServerKey) -> bool {
         self.ctx.params == other.ctx.params && self.ctx.ring.q() == other.ctx.ring.q()
     }
 
@@ -275,9 +275,8 @@ impl ServerKey {
                 .map(|(j, diff)| (&jobs[*j].0.bsk[i], diff))
                 .collect();
             let outs = Ggsw::external_product_batch(ring, &ep_jobs);
-            for (&(j, _), mut out) in diffs.iter().zip(outs) {
-                out.add_assign(ring, &accs[j]);
-                accs[j] = out;
+            for (&(j, _), out) in diffs.iter().zip(outs) {
+                accs[j].add_assign(ring, &out);
             }
         }
         accs
@@ -411,36 +410,54 @@ mod tests {
         K.get_or_init(|| keys(TfheParams::set_iii(), MulBackend::Ntt, 116))
     }
 
-    /// `key_bytes` must equal the manual sum of the underlying `Vec`
-    /// capacities at every nesting level — the service key cache's
-    /// eviction arithmetic depends on this accounting being honest.
+    /// `key_bytes` must equal the manual sum of the flat key buffers —
+    /// the service key cache's eviction arithmetic depends on this
+    /// accounting being honest — and every buffer must be allocated at
+    /// exactly its final size (`capacity == len`): the keys dominate a
+    /// process's resident set.
     #[test]
     fn key_bytes_pins_to_manual_capacity_sums() {
         let (_, sk) = set_i_ntt();
-        let manual_bsk: usize = sk.bsk.capacity() * std::mem::size_of::<Ggsw>()
-            + sk.bsk.iter().map(Ggsw::heap_bytes).sum::<usize>();
-        let manual_ksk = sk.ksk.rows.capacity()
-            * std::mem::size_of::<Vec<crate::lwe::LweCiphertext>>()
-            + sk.ksk
-                .rows
-                .iter()
-                .map(|row| {
-                    row.capacity() * std::mem::size_of::<crate::lwe::LweCiphertext>()
-                        + row
-                            .iter()
-                            .map(|ct| ct.a.capacity() * std::mem::size_of::<u64>())
-                            .sum::<usize>()
-                })
-                .sum::<usize>();
-        assert_eq!(sk.key_bytes(), manual_bsk + manual_ksk);
-        // A gate-bootstrapping key is megabytes of state — the reason
-        // per-tenant admission is byte-budgeted, not count-budgeted.
         let p = &sk.ctx.params;
-        let lwe_masks = p.n * p.k * p.lk * p.n_lwe * std::mem::size_of::<u64>();
-        assert!(
-            sk.key_bytes() > lwe_masks,
-            "ksk masks alone are {lwe_masks} bytes"
+        let word = std::mem::size_of::<u64>();
+        let ggsw_words = (p.k + 1) * p.lb * (p.k + 1) * p.n;
+        let ksk_words = p.k * p.n * p.lk * (p.n_lwe + 1);
+        assert_eq!(sk.bsk.capacity(), sk.bsk.len());
+        for ggsw in &sk.bsk {
+            assert_eq!(ggsw.words().capacity(), ggsw.words().len());
+            assert_eq!(ggsw.heap_bytes(), ggsw_words * word);
+        }
+        assert_eq!(sk.ksk.words().capacity(), sk.ksk.words().len());
+        assert_eq!(sk.ksk.heap_bytes(), ksk_words * word);
+        assert_eq!(
+            sk.key_bytes(),
+            p.n_lwe * (std::mem::size_of::<Ggsw>() + ggsw_words * word) + ksk_words * word
         );
+        // The FFT representation is built by a collect: same contract.
+        let (_, fft) = set_i_fft();
+        assert_eq!(fft.key_bytes(), sk.key_bytes());
+    }
+
+    /// FNV-1a over the key words of `set_i_ntt()` — bsk in
+    /// `[i][gadget row][component][coeff]` order, then ksk in
+    /// `[i][j][n_out + 1]` order — computed at the commit that still
+    /// stored both keys as nested `Vec`s: the flat layout moved no key
+    /// bit and key generation still draws from the RNG in that order.
+    #[test]
+    fn server_key_words_match_the_nested_layout_checksum() {
+        let (_, sk) = set_i_ntt();
+        let words = sk
+            .bsk
+            .iter()
+            .flat_map(|ggsw| ggsw.words().iter())
+            .chain(sk.ksk.words());
+        let (mut hash, mut count) = (0xcbf2_9ce4_8422_2325_u64, 0usize);
+        for &w in words {
+            hash = (hash ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            count += 1;
+        }
+        assert_eq!(count, 8_200_192);
+        assert_eq!(hash, 0x87be_cbc8_d1f8_f378);
     }
 
     fn check_sign_bootstrap(bit: bool, seed: u64) {
@@ -586,8 +603,8 @@ mod tests {
             let reference = blind_rotate_reference(sk, a, *b, &tv);
             let single = sk.blind_rotate(a, *b, &tv);
             for want in [reference, single] {
-                assert_eq!(got.mask, want.mask);
-                assert_eq!(got.body, want.body);
+                assert_eq!(got.mask(0), want.mask(0));
+                assert_eq!(got.body(), want.body());
             }
         }
         assert!(ServerKey::blind_rotate_batch(&[], &tv).is_empty());
@@ -621,8 +638,8 @@ mod tests {
             assert_eq!(got.len(), batch.len());
             for (i, (&(sk, a, b), acc)) in batch.iter().zip(&got).enumerate() {
                 let single = sk.blind_rotate(a, b, &tv);
-                assert_eq!(acc.mask, single.mask, "job {i} of {}", batch.len());
-                assert_eq!(acc.body, single.body, "job {i} of {}", batch.len());
+                assert_eq!(acc.mask(0), single.mask(0), "job {i} of {}", batch.len());
+                assert_eq!(acc.body(), single.body(), "job {i} of {}", batch.len());
                 let (ck, _) = fixtures[i];
                 let extracted = acc.sample_extract(&sk.ctx.ring, 0);
                 let out = sk.ksk.switch(sk.ctx.q(), &extracted);

@@ -9,9 +9,13 @@
 //! accelerators (Morphling, Strix, Matcha) use the approximate
 //! double-precision path kept here as [`MulBackend::Fft`] for the
 //! ablation.
+//!
+//! A GGSW is one flat buffer laid out `[gadget row][component][coeff]`:
+//! row `r` is the `(k+1) * n` words at `r * (k+1) * n` — GLWE-shaped,
+//! so one multiply-accumulate into a GLWE accumulator borrows it whole.
 
 use fhe_math::kernel::{self, ExitFold};
-use fhe_math::NttTable;
+use fhe_math::{Modulus, NttTable};
 use rand::Rng;
 
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
@@ -29,10 +33,10 @@ pub enum MulBackend {
 
 /// A GGSW ciphertext prepared for fast external products.
 ///
-/// Row `(i, j)` (for component `i in 0..=k`, level `j in 1..=lb`)
-/// encrypts `m * g_j` added at component `i`. For the NTT backend all
-/// rows are stored in evaluation form; for the FFT backend rows are
-/// stored as centered signed integers.
+/// Gadget row `r = i * lb + (j - 1)` (for component `i in 0..=k`, level
+/// `j in 1..=lb`) encrypts `m * g_j` added at component `i`. For the
+/// NTT backend all rows are stored in evaluation form; for the FFT
+/// backend rows are stored as centered signed integers.
 #[derive(Debug, Clone)]
 pub struct Ggsw {
     k: usize,
@@ -41,12 +45,13 @@ pub struct Ggsw {
     repr: GgswRepr,
 }
 
+/// All `(k+1) * lb` gadget rows, flat (see the module docs).
 #[derive(Debug, Clone)]
 enum GgswRepr {
-    /// `rows[r][component][coeff]` in NTT evaluation form.
-    Ntt(Vec<Vec<Vec<u64>>>),
-    /// `rows[r][component][coeff]` centered in `[-q/2, q/2)`.
-    Fft(Vec<Vec<Vec<i64>>>),
+    /// NTT evaluation form.
+    Ntt(Vec<u64>),
+    /// Centered in `[-q/2, q/2)`.
+    Fft(Vec<i64>),
 }
 
 impl Ggsw {
@@ -67,63 +72,27 @@ impl Ggsw {
         rng: &mut R,
     ) -> Self {
         let k = sk.k();
+        let n = ring.n();
         let q = ring.modulus();
-        let mut rows = Vec::with_capacity((k + 1) * lb);
-        for i in 0..=k {
-            for j in 1..=lb {
-                let zero = ring.zero_poly();
-                let mut ct = GlweCiphertext::encrypt(ring, sk, &zero, noise_std, rng);
-                if m != 0 {
-                    let g = gadget_element(q.value(), bg_log, j);
-                    let add = q.mul(q.reduce(m), g);
-                    if i < k {
-                        ct.mask[i][0] = q.add(ct.mask[i][0], add);
-                    } else {
-                        ct.body[0] = q.add(ct.body[0], add);
-                    }
-                }
-                rows.push(ct);
+        let zero = ring.zero_poly();
+        // Allocated once at its final size; every row is written in place.
+        let mut words = vec![0u64; (k + 1) * lb * (k + 1) * n];
+        for (r, row) in words.chunks_exact_mut((k + 1) * n).enumerate() {
+            let (i, j) = (r / lb, r % lb + 1);
+            let ct = GlweCiphertext::encrypt(ring, sk, &zero, noise_std, rng);
+            row.copy_from_slice(ct.words());
+            if m != 0 {
+                let g = gadget_element(q.value(), bg_log, j);
+                row[i * n] = q.add(row[i * n], q.mul(q.reduce(m), g));
             }
         }
-        Self::prepare(ring, rows, k, lb, bg_log, backend)
-    }
-
-    fn prepare(
-        ring: &TfheRing,
-        rows: Vec<GlweCiphertext>,
-        k: usize,
-        lb: usize,
-        bg_log: u32,
-        backend: MulBackend,
-    ) -> Self {
         let repr = match backend {
-            MulBackend::Ntt => GgswRepr::Ntt(
-                rows.into_iter()
-                    .map(|ct| {
-                        let mut comps = ct.mask;
-                        comps.push(ct.body);
-                        comps
-                            .into_iter()
-                            .map(|mut poly| {
-                                ring.table().forward(&mut poly);
-                                poly
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            MulBackend::Fft => GgswRepr::Fft(
-                rows.into_iter()
-                    .map(|ct| {
-                        let mut comps = ct.mask;
-                        comps.push(ct.body);
-                        comps
-                            .into_iter()
-                            .map(|poly| ring.to_centered(&poly))
-                            .collect()
-                    })
-                    .collect(),
-            ),
+            MulBackend::Ntt => {
+                let tables: Vec<&NttTable> = vec![ring.table().as_ref(); words.len() / n];
+                kernel::active().forward_batch(&tables, &mut words, ExitFold::Canonical);
+                GgswRepr::Ntt(words)
+            }
+            MulBackend::Fft => GgswRepr::Fft(words.iter().map(|&c| q.to_centered(c)).collect()),
         };
         Self {
             k,
@@ -141,27 +110,13 @@ impl Ggsw {
         }
     }
 
-    /// Measured heap bytes of this ciphertext's row storage (allocated
-    /// `Vec` capacities at every nesting level) — one summand of
-    /// [`crate::ServerKey::key_bytes`], the number a byte-budgeted key
-    /// cache evicts by.
+    /// Measured heap bytes of this ciphertext's row buffer (allocated
+    /// capacity) — one summand of [`crate::ServerKey::key_bytes`], the
+    /// number a byte-budgeted key cache evicts by.
     pub fn heap_bytes(&self) -> usize {
-        fn nested<T>(rows: &[Vec<Vec<T>>], cap: usize) -> usize {
-            cap * std::mem::size_of::<Vec<Vec<T>>>()
-                + rows
-                    .iter()
-                    .map(|row| {
-                        row.capacity() * std::mem::size_of::<Vec<T>>()
-                            + row
-                                .iter()
-                                .map(|c| c.capacity() * std::mem::size_of::<T>())
-                                .sum::<usize>()
-                    })
-                    .sum::<usize>()
-        }
         match &self.repr {
-            GgswRepr::Ntt(rows) => nested(rows, rows.capacity()),
-            GgswRepr::Fft(rows) => nested(rows, rows.capacity()),
+            GgswRepr::Ntt(rows) => rows.capacity() * std::mem::size_of::<u64>(),
+            GgswRepr::Fft(rows) => rows.capacity() * std::mem::size_of::<i64>(),
         }
     }
 
@@ -184,79 +139,73 @@ impl Ggsw {
     ///
     /// Panics if this GGSW was prepared for the FFT backend (the strict
     /// oracle only distinguishes reduction discipline, which is an
-    /// NTT-path concept).
+    /// NTT-path concept), or if `glwe` is not of this GGSW's `(k, n)`.
     pub fn external_product_strict(
         &self,
         ring: &TfheRing,
         glwe: &GlweCiphertext,
     ) -> GlweCiphertext {
         let n = ring.n();
-        let digits = self.decompose_digits(ring, std::iter::once(glwe));
-        let GgswRepr::Ntt(rows) = &self.repr else {
+        let GgswRepr::Ntt(key) = &self.repr else {
             panic!("external_product_strict requires the NTT backend");
         };
-        let mut acc = vec![vec![0u64; n]; self.k + 1];
-        for (digit, row) in digits.chunks_exact(n).zip(rows) {
+        let row_words = (self.k + 1) * n;
+        let mut digits = vec![0i64; self.lb * row_words];
+        self.decompose_digits(ring, glwe, &mut digits);
+        let mut out = GlweCiphertext::zero(ring, self.k);
+        for (digit, row) in digits.chunks_exact(n).zip(key.chunks_exact(row_words)) {
             let mut d = ring.poly_from_signed(digit);
             ring.table().forward_strict(&mut d);
-            for (limb, key) in acc.iter_mut().zip(row) {
-                ring.table().pointwise_mul_acc(limb, &d, key);
+            for (limb, key_poly) in out.words_mut().chunks_exact_mut(n).zip(row.chunks_exact(n)) {
+                ring.table().pointwise_mul_acc(limb, &d, key_poly);
             }
         }
-        glwe_from_components(acc.into_iter().map(|mut poly| {
-            ring.table().inverse_strict(&mut poly);
-            poly
-        }))
+        for limb in out.words_mut().chunks_exact_mut(n) {
+            ring.table().inverse_strict(limb);
+        }
+        out
     }
 
-    /// Gadget-decomposes every component of every GLWE into `lb` digit
-    /// rows (Algorithm 2 lines 6–8) with one dispatch through the
-    /// active kernel backend, which may slice component rows across
-    /// worker threads (the digit carry chain forbids slicing across
-    /// levels). Digit `j` of GLWE `g`'s component `i` lands in row
-    /// `g*(k+1)*lb + i*lb + j` — per GLWE exactly the GGSW row
-    /// alignment. Shared by both reduction disciplines.
-    fn decompose_digits<'a>(
-        &self,
-        ring: &TfheRing,
-        glwes: impl Iterator<Item = &'a GlweCiphertext>,
-    ) -> Vec<i64> {
+    /// Gadget-decomposes every component of `glwe` into `lb` digit rows
+    /// (Algorithm 2 lines 6–8) straight from the ciphertext's buffer,
+    /// one dispatch through the active kernel backend (which may slice
+    /// component rows, never levels, across worker threads). Digit `j`
+    /// of component `i` lands in row `i*lb + j` of `out` — the GGSW row
+    /// alignment. Shared by both reduction disciplines; panics if
+    /// `glwe` is not of this GGSW's `(k, n)`.
+    fn decompose_digits(&self, ring: &TfheRing, glwe: &GlweCiphertext, out: &mut [i64]) {
         let n = ring.n();
-        let mut src = Vec::new();
-        for glwe in glwes {
-            for mask in &glwe.mask {
-                src.extend_from_slice(mask);
-            }
-            src.extend_from_slice(&glwe.body);
-        }
-        let mut digits = vec![0i64; src.len() * self.lb];
-        kernel::active().decompose_batch(ring.q(), self.bg_log, self.lb, n, &src, &mut digits);
-        digits
+        assert!(
+            glwe.k() == self.k && glwe.words().len() == (self.k + 1) * n,
+            "GLWE shape differs from the GGSW's (k, n)"
+        );
+        kernel::active().decompose_batch(ring.q(), self.bg_log, self.lb, n, glwe.words(), out);
     }
 
     /// The external-product engine: `jobs[i].0 ⊡ jobs[i].1` for every
-    /// job in one pass of wide kernel batch calls (Algorithm 2 lines
-    /// 6–10). [`Self::external_product`] is its one-job instance.
+    /// job (Algorithm 2 lines 6–10). [`Self::external_product`] is its
+    /// one-job instance.
     ///
-    /// One gadget decomposition covers every job. NTT-keyed jobs then
-    /// ride one lazy residue chain whose batch calls carry all their
-    /// rows at once — the MATCHA-style "k independent bootstraps
-    /// through one kernel dispatch" shape the worker pool can slice
-    /// across threads: digit NTTs exit in `[0, 2p)`, the lazy
-    /// multiply-accumulates run per gadget row in increasing row order,
-    /// and one canonicalising iNTT per output limb is the chain's single
-    /// ciphertext-boundary reduction. Rows never interact, so a job's
-    /// output does not depend on its batch mates, and it is
-    /// bit-identical to [`Self::external_product_strict`] (asserted by
-    /// `tests/lazy_chains.rs`). FFT-keyed jobs are evaluated one by one
-    /// from the shared digits (rounding there is per product).
+    /// Each GLWE is decomposed from its own buffer; the digit rows of
+    /// all NTT-keyed jobs share one wide forward dispatch exiting in
+    /// `[0, 2p)` (the MATCHA-style "k bootstraps through one kernel
+    /// dispatch" shape the worker pool can slice); each job then
+    /// multiply-accumulates lazily, gadget rows in increasing order,
+    /// against its GGSW's rows borrowed in place and into the buffer
+    /// that is its output ciphertext, and one canonicalising iNTT is
+    /// the chain's single reduction. A job's output does not depend on
+    /// its batch mates and is bit-identical to
+    /// [`Self::external_product_strict`] (`tests/lazy_chains.rs`).
+    /// FFT-keyed jobs are evaluated from their digits directly
+    /// (rounding there is per product).
     ///
     /// All jobs must share the gadget geometry (`k`, `lb`, `bg_log`)
     /// and live on `ring`.
     ///
     /// # Panics
     ///
-    /// Panics if the jobs disagree on gadget geometry.
+    /// Panics if the jobs disagree on gadget geometry, or a GLWE is not
+    /// of its GGSW's `(k, n)`.
     pub fn external_product_batch(
         ring: &TfheRing,
         jobs: &[(&Ggsw, &GlweCiphertext)],
@@ -271,57 +220,30 @@ impl Ggsw {
                 .all(|(g, _)| g.k == k && g.lb == lb && g.bg_log == bg_log),
             "external_product_batch requires one gadget geometry"
         );
-        let rows_per = (k + 1) * lb;
-        let digits = head.decompose_digits(ring, jobs.iter().map(|&(_, glwe)| glwe));
-
-        // The one place the key representation matters: FFT jobs finish
-        // here, NTT jobs lift their digit rows into `fwd` for the chain.
-        let mut out: Vec<Option<GlweCiphertext>> = vec![None; jobs.len()];
-        let mut lazy: Vec<(usize, &[Vec<Vec<u64>>])> = Vec::with_capacity(jobs.len());
-        let mut fwd = Vec::new();
-        for (j, (ggsw, _)) in jobs.iter().enumerate() {
-            let job_digits = &digits[j * rows_per * n..][..rows_per * n];
-            match &ggsw.repr {
-                GgswRepr::Ntt(rows) => {
-                    lazy.push((j, rows));
-                    fwd.extend(job_digits.iter().map(|&c| ring.modulus().from_i64(c)));
-                }
-                GgswRepr::Fft(rows) => out[j] = Some(fft_product(ring, k, rows, job_digits)),
+        let job_words = (k + 1) * lb * n;
+        let mut digits = vec![0i64; jobs.len() * job_words];
+        // NTT jobs lift their digit rows into `fwd` for the lazy chain.
+        let mut fwd = Vec::with_capacity(digits.len());
+        for ((ggsw, glwe), out) in jobs.iter().zip(digits.chunks_exact_mut(job_words)) {
+            head.decompose_digits(ring, glwe, out);
+            if let GgswRepr::Ntt(_) = ggsw.repr {
+                fwd.extend(out.iter().map(|&c| ring.modulus().from_i64(c)));
             }
         }
+        let tables: Vec<&NttTable> = vec![ring.table().as_ref(); fwd.len() / n];
+        kernel::active().forward_batch(&tables, &mut fwd, ExitFold::Lazy2p);
 
-        if !lazy.is_empty() {
-            let tables: Vec<&NttTable> = vec![ring.table().as_ref(); lazy.len() * rows_per];
-            kernel::active().forward_batch(&tables, &mut fwd, ExitFold::Lazy2p);
-
-            // Accumulator row `slot*(k+1) + comp`; gadget rows accumulate
-            // in increasing order whatever the batch width, so the lazy
-            // sums agree word-for-word.
-            let acc_rows = lazy.len() * (k + 1);
-            let moduli = vec![*ring.modulus(); acc_rows];
-            let mut acc = vec![0u64; acc_rows * n];
-            let mut a_flat = vec![0u64; acc_rows * n];
-            let mut b_flat = vec![0u64; acc_rows * n];
-            for r in 0..rows_per {
-                for (slot, (_, rows)) in lazy.iter().enumerate() {
-                    let digit = &fwd[(slot * rows_per + r) * n..][..n];
-                    for (comp, row) in rows[r].iter().enumerate() {
-                        let at = (slot * (k + 1) + comp) * n;
-                        a_flat[at..at + n].copy_from_slice(digit);
-                        b_flat[at..at + n].copy_from_slice(row);
-                    }
+        let moduli = vec![*ring.modulus(); k + 1];
+        let mut lifted = fwd.chunks_exact(job_words);
+        jobs.iter()
+            .zip(digits.chunks_exact(job_words))
+            .map(|((ggsw, _), job_digits)| match &ggsw.repr {
+                GgswRepr::Ntt(key) => {
+                    let fwd = lifted.next().expect("one lifted slot per NTT job");
+                    lazy_product(ring, &moduli, &tables[..=k], key, fwd)
                 }
-                kernel::active().mul_acc_lazy_batch(&moduli, &mut acc, &a_flat, &b_flat);
-            }
-            kernel::active().inverse_batch(&tables[..acc_rows], &mut acc, ExitFold::Canonical);
-
-            let mut limbs = acc.chunks_exact(n).map(<[u64]>::to_vec);
-            for &(j, _) in &lazy {
-                out[j] = Some(glwe_from_components(limbs.by_ref().take(k + 1)));
-            }
-        }
-        out.into_iter()
-            .map(|ct| ct.expect("every job is NTT- or FFT-keyed"))
+                GgswRepr::Fft(key) => fft_product(ring, k, key, job_digits),
+            })
             .collect()
     }
 
@@ -341,37 +263,52 @@ impl Ggsw {
     }
 }
 
-/// Assembles a GLWE ciphertext from its `k + 1` component polynomials,
-/// mask components first and the body last.
-fn glwe_from_components(comps: impl Iterator<Item = Vec<u64>>) -> GlweCiphertext {
-    let mut mask: Vec<Vec<u64>> = comps.collect();
-    let body = mask.pop().expect("k+1 components");
-    GlweCiphertext { mask, body }
+/// One NTT-keyed external product from lazily transformed digit rows:
+/// per gadget row one lazy multiply-accumulate against the borrowed key
+/// row into the output's own buffer, then the canonicalising iNTT.
+/// `moduli` and `tables` carry one entry per GLWE component.
+fn lazy_product(
+    ring: &TfheRing,
+    moduli: &[Modulus],
+    tables: &[&NttTable],
+    key: &[u64],
+    fwd: &[u64],
+) -> GlweCiphertext {
+    let n = ring.n();
+    let mut out = GlweCiphertext::zero(ring, moduli.len() - 1);
+    // The MAC takes operands as long as the accumulator: the digit is
+    // replicated per component, key words are never copied.
+    let mut digit_rows = vec![0u64; moduli.len() * n];
+    for (digit, row) in fwd.chunks_exact(n).zip(key.chunks_exact(moduli.len() * n)) {
+        for rep in digit_rows.chunks_exact_mut(n) {
+            rep.copy_from_slice(digit);
+        }
+        kernel::active().mul_acc_lazy_batch(moduli, out.words_mut(), &digit_rows, row);
+    }
+    kernel::active().inverse_batch(tables, out.words_mut(), ExitFold::Canonical);
+    out
 }
 
 /// One external product against FFT-prepared rows: per-row FFT products
 /// accumulated in wide integers, then reduced — rounding error mirrors
 /// real FFT accelerators.
-fn fft_product(
-    ring: &TfheRing,
-    k: usize,
-    rows: &[Vec<Vec<i64>>],
-    digits: &[i64],
-) -> GlweCiphertext {
+fn fft_product(ring: &TfheRing, k: usize, key: &[i64], digits: &[i64]) -> GlweCiphertext {
+    let n = ring.n();
     let q = ring.q() as i128;
-    let mut acc = vec![vec![0i128; ring.n()]; k + 1];
-    for (digit, row) in digits.chunks_exact(ring.n()).zip(rows) {
-        for (limb, key) in acc.iter_mut().zip(row) {
-            let prod = fhe_math::fft::negacyclic_mul_fft(digit, key);
+    let mut acc = vec![0i128; (k + 1) * n];
+    for (digit, row) in digits.chunks_exact(n).zip(key.chunks_exact((k + 1) * n)) {
+        for (limb, key_poly) in acc.chunks_exact_mut(n).zip(row.chunks_exact(n)) {
+            let prod = fhe_math::fft::negacyclic_mul_fft(digit, key_poly);
             for (a, &p) in limb.iter_mut().zip(&prod) {
                 *a += p as i128;
             }
         }
     }
-    glwe_from_components(
-        acc.iter()
-            .map(|poly| poly.iter().map(|&x| x.rem_euclid(q) as u64).collect()),
-    )
+    let mut out = GlweCiphertext::zero(ring, k);
+    for (o, &x) in out.words_mut().iter_mut().zip(&acc) {
+        *o = x.rem_euclid(q) as u64;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -379,6 +316,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Ggsw {
+        /// The NTT row buffer, for the key-layout tests in `bootstrap`.
+        pub(crate) fn words(&self) -> &Vec<u64> {
+            match &self.repr {
+                GgswRepr::Ntt(rows) => rows,
+                GgswRepr::Fft(_) => panic!("FFT-prepared GGSW holds no residue words"),
+            }
+        }
+    }
 
     fn setup() -> (TfheRing, GlweSecretKey, StdRng) {
         let ring = TfheRing::new(1024, 32);
@@ -480,8 +427,8 @@ mod tests {
             let strict = ggsw.external_product_strict(&ring, glwe);
             let single = ggsw.external_product(&ring, glwe);
             for want in [strict, single] {
-                assert_eq!(got.mask, want.mask);
-                assert_eq!(got.body, want.body);
+                assert_eq!(got.mask(0), want.mask(0));
+                assert_eq!(got.body(), want.body());
             }
         }
         assert!(Ggsw::external_product_batch(&ring, &[]).is_empty());
@@ -506,15 +453,15 @@ mod tests {
         let refs: Vec<(&Ggsw, &GlweCiphertext)> = jobs.iter().map(|(g, c)| (g, c)).collect();
         let mixed = Ggsw::external_product_batch(&ring, &refs);
         let fft_only = Ggsw::external_product_batch(&ring, &[refs[0], refs[2]]);
-        assert_eq!(fft_only[0].body, mixed[0].body);
-        assert_eq!(fft_only[1].mask, mixed[2].mask);
+        assert_eq!(fft_only[0].body(), mixed[0].body());
+        assert_eq!(fft_only[1].mask(0), mixed[2].mask(0));
         for (i, ((ggsw, glwe), got)) in jobs.iter().zip(&mixed).enumerate() {
             let single = ggsw.external_product(&ring, glwe);
-            assert_eq!(got.mask, single.mask, "job {i}");
-            assert_eq!(got.body, single.body, "job {i}");
+            assert_eq!(got.mask(0), single.mask(0), "job {i}");
+            assert_eq!(got.body(), single.body(), "job {i}");
             if ggsw.backend() == MulBackend::Ntt {
                 let strict = ggsw.external_product_strict(&ring, glwe);
-                assert_eq!(got.body, strict.body, "job {i} vs strict");
+                assert_eq!(got.body(), strict.body(), "job {i} vs strict");
             }
             // Job i multiplies X^i * q/8 by the bit i % 2.
             let mut want = ring.zero_poly();
@@ -531,6 +478,18 @@ mod tests {
         let two = Ggsw::encrypt_scalar(&ring, &sk, 1, 2, 10, 3.73e-9, MulBackend::Ntt, &mut rng);
         let three = Ggsw::encrypt_scalar(&ring, &sk, 1, 3, 7, 3.73e-9, MulBackend::Ntt, &mut rng);
         let glwe = GlweCiphertext::encrypt(&ring, &sk, &ring.zero_poly(), 3.73e-9, &mut rng);
+        // A GLWE of the wrong dimension `k` is rejected too, at engine
+        // entry, before any kernel reads past its buffer.
+        let wrong_k = GlweCiphertext::zero(&ring, 2);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Ggsw::external_product_batch(&ring, &[(&two, &glwe), (&two, &wrong_k)])
+        }))
+        .expect_err("a wrong-k GLWE must be rejected");
+        let message = rejected.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(
+            message.contains("GLWE shape"),
+            "unexpected panic: {message}"
+        );
         Ggsw::external_product_batch(&ring, &[(&two, &glwe), (&three, &glwe)]);
     }
 

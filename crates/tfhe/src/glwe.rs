@@ -1,7 +1,9 @@
 //! GLWE ciphertexts and sample extraction.
 //!
 //! A GLWE ciphertext is `(A_1(X), .., A_k(X), B(X))` with
-//! `B = sum A_i S_i + M + E` over the negacyclic ring (paper §II-B).
+//! `B = sum A_i S_i + M + E` over the negacyclic ring (paper §II-B),
+//! stored as one flat `(k + 1) * n`-word buffer with stride `n` — the
+//! `k` mask components first, the body last (§IV-B scratchpad rows).
 //! `SampleExtract` (Algorithm 2 line 14, and the whole of the CKKS→TFHE
 //! conversion, Algorithm 3) reads one message coefficient out as an LWE
 //! ciphertext under the flattened key.
@@ -51,30 +53,27 @@ impl GlweSecretKey {
     }
 }
 
-/// A GLWE ciphertext: `k` mask polynomials plus a body.
+/// A GLWE ciphertext: `k` mask polynomials plus a body (flat; module docs).
 #[derive(Debug, Clone)]
 pub struct GlweCiphertext {
-    /// Mask polynomials `A_i`.
-    pub mask: Vec<Vec<u64>>,
-    /// Body polynomial `B`.
-    pub body: Vec<u64>,
+    words: Vec<u64>,
+    n: usize,
 }
 
 impl GlweCiphertext {
     /// The trivial encryption of a plaintext polynomial.
     pub fn trivial(ring: &TfheRing, k: usize, message: Vec<u64>) -> Self {
         assert_eq!(message.len(), ring.n());
-        Self {
-            mask: vec![ring.zero_poly(); k],
-            body: message,
-        }
+        let mut ct = Self::zero(ring, k);
+        ct.words[k * ring.n()..].copy_from_slice(&message);
+        ct
     }
 
     /// The all-zero ciphertext.
     pub fn zero(ring: &TfheRing, k: usize) -> Self {
         Self {
-            mask: vec![ring.zero_poly(); k],
-            body: ring.zero_poly(),
+            words: vec![0u64; (k + 1) * ring.n()],
+            n: ring.n(),
         }
     }
 
@@ -89,26 +88,58 @@ impl GlweCiphertext {
         let n = ring.n();
         assert_eq!(message.len(), n);
         let q = ring.modulus();
-        let mask: Vec<Vec<u64>> = (0..sk.k())
-            .map(|_| fhe_math::sampler::uniform_residues(rng, q, n))
-            .collect();
+        let mut ct = Self::zero(ring, sk.k());
+        let (mask, body) = ct.words.split_at_mut(sk.k() * n);
+        mask.fill_with(|| rng.gen_range(0..q.value()));
         let sigma_abs = (noise_std * q.value() as f64).max(1e-9);
         let noise = fhe_math::sampler::gaussian(rng, n, sigma_abs);
-        let mut body = ring.poly_from_signed(&noise);
-        ring.add_assign(&mut body, message);
+        for ((b, &e), &m) in body.iter_mut().zip(&noise).zip(message) {
+            *b = q.add(q.from_i64(e), m);
+        }
         // body += sum mask_i * s_i (negacyclic product via NTT).
-        for (a, s) in mask.iter().zip(&sk.polys) {
+        for (a, s) in mask.chunks_exact(n).zip(&sk.polys) {
             let s_lifted = ring.poly_from_signed(s);
             let prod = ring.table().negacyclic_mul(a, &s_lifted);
-            ring.add_assign(&mut body, &prod);
+            ring.add_assign(body, &prod);
         }
-        Self { mask, body }
+        ct
+    }
+
+    /// GLWE dimension `k`.
+    pub fn k(&self) -> usize {
+        self.words.len() / self.n - 1
+    }
+
+    /// Mask polynomial `A_i`.
+    pub fn mask(&self, i: usize) -> &[u64] {
+        assert!(i < self.k(), "mask index out of range");
+        &self.words[i * self.n..][..self.n]
+    }
+
+    /// Body polynomial `B`.
+    pub fn body(&self) -> &[u64] {
+        &self.words[self.words.len() - self.n..]
+    }
+
+    /// The `k + 1` component polynomials, mask first and body last.
+    pub fn components(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.n)
+    }
+
+    /// The whole buffer: the operand the engines hand to the kernels.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Mutable view of the buffer (the slice fixes length and shape).
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Decrypts to the raw phase polynomial `B - sum A_i S_i`.
     pub fn phase(&self, ring: &TfheRing, sk: &GlweSecretKey) -> Vec<u64> {
-        let mut acc = self.body.clone();
-        for (a, s) in self.mask.iter().zip(&sk.polys) {
+        let mut acc = self.body().to_vec();
+        for (a, s) in self.components().zip(&sk.polys) {
             let s_lifted = ring.poly_from_signed(s);
             let prod = ring.table().negacyclic_mul(a, &s_lifted);
             ring.sub_assign(&mut acc, &prod);
@@ -117,27 +148,28 @@ impl GlweCiphertext {
     }
 
     /// `self += other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two ciphertexts (both on `ring`) differ in `k`.
     pub fn add_assign(&mut self, ring: &TfheRing, other: &GlweCiphertext) {
-        for (a, b) in self.mask.iter_mut().zip(&other.mask) {
-            ring.add_assign(a, b);
-        }
-        ring.add_assign(&mut self.body, &other.body);
+        assert_eq!(self.words.len(), other.words.len(), "GLWE shape mismatch");
+        ring.add_assign(&mut self.words, &other.words);
     }
 
-    /// `self -= other`.
+    /// `self -= other`; panics like [`Self::add_assign`].
     pub fn sub_assign(&mut self, ring: &TfheRing, other: &GlweCiphertext) {
-        for (a, b) in self.mask.iter_mut().zip(&other.mask) {
-            ring.sub_assign(a, b);
-        }
-        ring.sub_assign(&mut self.body, &other.body);
+        assert_eq!(self.words.len(), other.words.len(), "GLWE shape mismatch");
+        ring.sub_assign(&mut self.words, &other.words);
     }
 
     /// Returns `self * X^r` (the Rotate of Algorithm 2, exact).
     pub fn rotate(&self, ring: &TfheRing, r: i64) -> GlweCiphertext {
-        GlweCiphertext {
-            mask: self.mask.iter().map(|a| ring.mul_monomial(a, r)).collect(),
-            body: ring.mul_monomial(&self.body, r),
+        let mut out = Self::zero(ring, self.k());
+        for (src, dst) in self.components().zip(out.words.chunks_exact_mut(self.n)) {
+            fhe_math::poly::mul_monomial_row(ring.modulus(), src, r, dst);
         }
+        out
     }
 
     /// SampleExtract: extracts coefficient `idx` of the message as an
@@ -146,22 +178,15 @@ impl GlweCiphertext {
         let n = ring.n();
         assert!(idx < n);
         let q = ring.modulus();
-        let mut a = Vec::with_capacity(self.mask.len() * n);
-        for mask_poly in &self.mask {
+        let (mask, body) = self.words.split_at(self.words.len() - n);
+        let mut a = Vec::with_capacity(mask.len());
+        for mask_poly in mask.chunks_exact(n) {
             // Coefficient of s_j[i] in (A_j * S_j)[idx]:
             //   A_j[idx - i] for i <= idx, and -A_j[N + idx - i] for i > idx.
-            for i in 0..n {
-                if i <= idx {
-                    a.push(mask_poly[idx - i]);
-                } else {
-                    a.push(q.neg(mask_poly[n + idx - i]));
-                }
-            }
+            a.extend(mask_poly[..=idx].iter().rev());
+            a.extend(mask_poly[idx + 1..].iter().rev().map(|&c| q.neg(c)));
         }
-        LweCiphertext {
-            a,
-            b: self.body[idx],
-        }
+        LweCiphertext { a, b: body[idx] }
     }
 }
 
@@ -227,6 +252,15 @@ mod tests {
             let err = m.to_centered(m.sub(phase, msg[idx])).abs();
             assert!(err < (q / 32) as i64, "idx {idx}: err {err}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "GLWE shape mismatch")]
+    fn add_assign_rejects_mismatched_k() {
+        let (ring, _, _) = setup();
+        // The nested layout zip-truncated to the shorter mask.
+        let mut one = GlweCiphertext::zero(&ring, 1);
+        one.add_assign(&ring, &GlweCiphertext::zero(&ring, 2));
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! design), [`MulBackend::Fft`] uses double-precision FFT with rounding
 //! (the conventional accelerator approach the paper replaces).
 //!
+//! # Data layout
+//!
+//! Every ciphertext and key owns exactly one flat buffer indexed by
+//! stride (paper §IV-B scratchpad rows, like `fhe_math::RnsPoly`), so
+//! the engines lend the kernel backend slices instead of staging
+//! copies; the [`glwe`], [`ggsw`] and [`lwe`] module docs give each.
+//!
 //! # Lazy-domain invariants
 //!
 //! Every operation is one batch engine whose single-request form is

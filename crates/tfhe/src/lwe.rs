@@ -2,9 +2,12 @@
 //!
 //! The scalar side of TFHE: `(a, b)` with `b = <a, s> + m + e`. The
 //! kernels here appear directly in the paper's Algorithm 2: `ModSwitch`
-//! (line 1), `TFHE KeySwitch` (lines 16–17), plus `Decompose`.
+//! (line 1), `TFHE KeySwitch` (lines 16–17), plus `Decompose`. The
+//! keyswitching key is one flat `(n_in * levels) x (n_out + 1)` word
+//! matrix (per row the mask words, then the body) whose borrowed rows a
+//! switch streams past one stationary accumulator.
 
-use fhe_math::Modulus;
+use fhe_math::{kernel, Modulus};
 use rand::Rng;
 
 /// An LWE secret key. TFHE proper uses binary coefficients; the
@@ -63,11 +66,6 @@ impl LweCiphertext {
         self.a.len()
     }
 
-    /// Measured heap bytes of the mask buffer (allocated capacity).
-    pub fn heap_bytes(&self) -> usize {
-        self.a.capacity() * std::mem::size_of::<u64>()
-    }
-
     /// Encrypts `message` (already encoded as a torus point in `[0, q)`).
     pub fn encrypt<R: Rng + ?Sized>(
         q: &Modulus,
@@ -76,8 +74,23 @@ impl LweCiphertext {
         noise_std: f64,
         rng: &mut R,
     ) -> Self {
-        let n = sk.dim();
-        let a = fhe_math::sampler::uniform_residues(rng, q, n);
+        let mut a = vec![0u64; sk.dim()];
+        let b = Self::encrypt_into(q, sk, message, noise_std, rng, &mut a);
+        Self { a, b }
+    }
+
+    /// [`Self::encrypt`] in place: fills `a` with the fresh mask (the
+    /// same draws, in the same order) and returns the body.
+    fn encrypt_into<R: Rng + ?Sized>(
+        q: &Modulus,
+        sk: &LweSecretKey,
+        message: u64,
+        noise_std: f64,
+        rng: &mut R,
+        a: &mut [u64],
+    ) -> u64 {
+        assert_eq!(a.len(), sk.dim(), "key dimension mismatch");
+        a.fill_with(|| rng.gen_range(0..q.value()));
         let e = sample_noise(q, noise_std, rng);
         let mut b = q.add(q.reduce(message), e);
         for (ai, &si) in a.iter().zip(&sk.s) {
@@ -87,7 +100,7 @@ impl LweCiphertext {
                 _ => {}
             }
         }
-        Self { a, b }
+        b
     }
 
     /// Decrypts to the raw phase `b - <a, s>` (message plus noise).
@@ -183,19 +196,25 @@ pub fn gadget_element(q: u64, base_log: u32, j: usize) -> u64 {
 }
 
 /// An LWE keyswitching key from dimension `n_in` to `n_out`:
-/// `ksk[i][j]` encrypts `s_in[i] * g_j` under `s_out` (paper Table I).
+/// `ksk[i][j]` encrypts `s_in[i] * g_j` under `s_out` (paper Table I),
+/// stored as row `i * levels + (j - 1)` of one flat matrix (module docs).
 #[derive(Debug, Clone)]
 pub struct LweKeySwitchKey {
-    /// `ksk[i][j]` for `i < n_in`, `j < lk`.
-    pub rows: Vec<Vec<LweCiphertext>>,
-    /// log2 of the decomposition base.
-    pub base_log: u32,
-    /// Number of levels `lk`.
-    pub levels: usize,
+    rows: Vec<u64>,
+    n_in: usize,
+    n_out: usize,
+    base_log: u32,
+    levels: usize,
 }
 
 impl LweKeySwitchKey {
     /// Generates a keyswitching key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base_log > 32` or the key has `2^31` rows or more:
+    /// [`Self::switch`] sums the `digit * word` products, each below
+    /// `2^95`, unreduced in an `i128`.
     pub fn generate<R: Rng + ?Sized>(
         q: &Modulus,
         from: &LweSecretKey,
@@ -205,58 +224,92 @@ impl LweKeySwitchKey {
         noise_std: f64,
         rng: &mut R,
     ) -> Self {
-        let rows = from
-            .s
-            .iter()
-            .map(|&si| {
-                (1..=levels)
-                    .map(|j| {
-                        let g = gadget_element(q.value(), base_log, j);
-                        let msg = q.mul(q.from_i64(si), g);
-                        LweCiphertext::encrypt(q, to, msg, noise_std, rng)
-                    })
-                    .collect()
-            })
-            .collect();
+        let (n_in, n_out) = (from.dim(), to.dim());
+        assert!(
+            base_log <= 32 && n_in * levels < 1 << 31,
+            "keyswitch gadget too wide for exact accumulation"
+        );
+        // Allocated once at its final size; every row is written in place.
+        let mut rows = vec![0u64; n_in * levels * (n_out + 1)];
+        for (r, row) in rows.chunks_exact_mut(n_out + 1).enumerate() {
+            let g = gadget_element(q.value(), base_log, r % levels + 1);
+            let msg = q.mul(q.from_i64(from.s[r / levels]), g);
+            let (a, b) = row.split_at_mut(n_out);
+            b[0] = LweCiphertext::encrypt_into(q, to, msg, noise_std, rng, a);
+        }
         Self {
             rows,
+            n_in,
+            n_out,
             base_log,
             levels,
         }
     }
 
-    /// Measured heap bytes of the key: allocated capacities of the row
-    /// table and every ciphertext mask — one summand of
-    /// [`crate::ServerKey::key_bytes`].
+    /// Measured heap bytes of the key matrix (allocated capacity) — one
+    /// summand of [`crate::ServerKey::key_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<Vec<LweCiphertext>>()
-            + self
-                .rows
-                .iter()
-                .map(|row| {
-                    row.capacity() * std::mem::size_of::<LweCiphertext>()
-                        + row.iter().map(LweCiphertext::heap_bytes).sum::<usize>()
-                })
-                .sum::<usize>()
+        self.rows.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Switches `ct` to the output key:
     /// `c'' = (0, b) - sum_i sum_j a''_i[j] * ksk[i][j]` (Alg. 2 line 17).
+    ///
+    /// One backend dispatch gadget-decomposes the whole mask; every
+    /// non-zero digit then costs one fused `acc -= d * row` pass over
+    /// its borrowed key row in exact wide integers ([`Self::generate`]
+    /// asserts the bound that keeps them inside `i128`), folded once to
+    /// canonical residues — bit-identical to [`Self::switch_strict`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ct.dim()` differs from the key's `n_in`.
     pub fn switch(&self, q: &Modulus, ct: &LweCiphertext) -> LweCiphertext {
-        let n_out = self.rows[0][0].dim();
-        let mut out = LweCiphertext::trivial(n_out, ct.b);
-        for (i, &ai) in ct.a.iter().enumerate() {
+        let (n_in, n_out, base_log, levels) = (self.n_in, self.n_out, self.base_log, self.levels);
+        assert_eq!(ct.dim(), n_in, "input LWE dimension must equal n_in");
+        // One row of `n_in` coefficients: digit `j` of `a_i` lands at
+        // `digits[j * n_in + i]`.
+        let mut digits = vec![0i64; n_in * levels];
+        kernel::active().decompose_batch(q.value(), base_log, levels, n_in, &ct.a, &mut digits);
+        let mut acc = vec![0i128; n_out + 1];
+        acc[n_out] = ct.b as i128;
+        for (r, row) in self.rows.chunks_exact(n_out + 1).enumerate() {
+            let d = digits[(r % levels) * n_in + r / levels] as i128;
+            if d == 0 {
+                continue;
+            }
+            for (x, &w) in acc.iter_mut().zip(row) {
+                *x -= w as i128 * d;
+            }
+        }
+        let qv = q.value() as i128;
+        let mut out: Vec<u64> = acc.iter().map(|&x| x.rem_euclid(qv) as u64).collect();
+        let b = out.pop().expect("n_out + 1 words");
+        LweCiphertext { a: out, b }
+    }
+
+    /// Strict-oracle keyswitch: per mask coefficient the scalar
+    /// reference decomposition, per non-zero digit a cloned key row
+    /// scaled by `mul_small` and folded in by `add_assign` /
+    /// `sub_assign`. The reference [`Self::switch`] is asserted against,
+    /// with the same panic.
+    pub fn switch_strict(&self, q: &Modulus, ct: &LweCiphertext) -> LweCiphertext {
+        assert_eq!(ct.dim(), self.n_in, "input LWE dimension must equal n_in");
+        let n = self.n_out;
+        let mut out = LweCiphertext::trivial(n, ct.b);
+        let mut rows = self.rows.chunks_exact(n + 1);
+        for &ai in &ct.a {
             let digits = gadget_decompose(q.value(), ai, self.base_log, self.levels);
-            for (j, &d) in digits.iter().enumerate() {
+            for (&d, row) in digits.iter().zip(rows.by_ref()) {
                 if d == 0 {
                     continue;
                 }
-                let mut term = self.rows[i][j].clone();
+                let (a, b) = (row[..n].to_vec(), row[n]);
+                let mut term = LweCiphertext { a, b };
+                term.mul_small(q, d.unsigned_abs());
                 if d < 0 {
-                    term.mul_small(q, q.reduce((-d) as u64));
                     out.add_assign(q, &term);
                 } else {
-                    term.mul_small(q, d as u64);
                     out.sub_assign(q, &term);
                 }
             }
@@ -270,6 +323,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl LweKeySwitchKey {
+        /// The key matrix, for the key-layout tests in `bootstrap`.
+        pub(crate) fn words(&self) -> &Vec<u64> {
+            &self.rows
+        }
+    }
 
     fn q32() -> Modulus {
         Modulus::new(fhe_math::prime::prime_near(1 << 32, 1024)).unwrap()
@@ -369,5 +429,94 @@ mod tests {
         let phase = switched.phase(&q, &sk_out);
         let err = q.to_centered(q.sub(phase, msg)).abs();
         assert!(err < (q.value() / 32) as i64, "keyswitch error {err}");
+    }
+
+    /// `(q, n_in, n_out, base_log, levels)` of the paper's Sets I–III
+    /// keyswitch and of the cross-scheme shape (a ~45-bit CKKS prime,
+    /// fine base, many levels; dimensions shrunk — the gadget and the
+    /// modulus are what differ).
+    fn switch_shapes() -> Vec<(Modulus, usize, usize, u32, usize)> {
+        let mut shapes: Vec<_> = [
+            crate::TfheParams::set_i(),
+            crate::TfheParams::set_ii(),
+            crate::TfheParams::set_iii(),
+        ]
+        .iter()
+        .map(|p| {
+            let q = Modulus::new(fhe_math::prime::prime_near(1 << p.q_bits, p.n)).unwrap();
+            (q, p.k * p.n, p.n_lwe, p.ks_base_log, p.lk)
+        })
+        .collect();
+        let q45 = Modulus::new(fhe_math::prime::prime_near(1 << 45, 1024)).unwrap();
+        shapes.push((q45, 256, 128, 2, 16));
+        shapes
+    }
+
+    #[test]
+    fn switch_is_bit_identical_to_switch_strict() {
+        let mut rng = StdRng::seed_from_u64(84);
+        for (q, n_in, n_out, base_log, levels) in switch_shapes() {
+            // Ternary input key: the conversion layer's extracted CKKS
+            // secrets carry -1 coefficients.
+            let sk_in = LweSecretKey::from_coeffs(fhe_math::sampler::ternary(&mut rng, n_in, None));
+            let sk_out = LweSecretKey::generate(n_out, &mut rng);
+            let ksk =
+                LweKeySwitchKey::generate(&q, &sk_in, &sk_out, base_log, levels, 1e-9, &mut rng);
+            let random = LweCiphertext::encrypt(&q, &sk_in, q.value() / 8, 1e-7, &mut rng);
+            // Every digit of a zero mask is zero: no key row is touched.
+            let zero_mask = LweCiphertext::trivial(n_in, q.value() / 4);
+            // Residues that round to zero digits beside ones that do not.
+            let mut sparse = LweCiphertext::trivial(n_in, 1);
+            sparse.a[0] = 1;
+            sparse.a[n_in / 2] = q.value() - 1;
+            sparse.a[n_in - 1] = q.value() / 2;
+            for ct in [&random, &zero_mask, &sparse] {
+                let got = ksk.switch(&q, ct);
+                let want = ksk.switch_strict(&q, ct);
+                assert_eq!(got.a, want.a, "q {} levels {levels}", q.value());
+                assert_eq!(got.b, want.b, "q {} levels {levels}", q.value());
+                assert_eq!(got.a.len(), n_out);
+            }
+            let switched = ksk.switch(&q, &zero_mask);
+            assert!(switched.a.iter().all(|&w| w == 0) && switched.b == q.value() / 4);
+        }
+    }
+
+    fn short_key() -> (Modulus, LweKeySwitchKey) {
+        let q = q32();
+        let mut rng = StdRng::seed_from_u64(85);
+        let sk_in = LweSecretKey::generate(16, &mut rng);
+        let sk_out = LweSecretKey::generate(8, &mut rng);
+        let ksk = LweKeySwitchKey::generate(&q, &sk_in, &sk_out, 2, 8, 1e-7, &mut rng);
+        (q, ksk)
+    }
+
+    /// A longer ciphertext used to index past the key, a shorter one
+    /// silently dropped mask terms.
+    #[test]
+    #[should_panic(expected = "input LWE dimension must equal n_in")]
+    fn switch_rejects_wrong_input_dimension() {
+        let (q, ksk) = short_key();
+        ksk.switch(&q, &LweCiphertext::trivial(15, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "input LWE dimension must equal n_in")]
+    fn switch_strict_rejects_wrong_input_dimension() {
+        let (q, ksk) = short_key();
+        ksk.switch_strict(&q, &LweCiphertext::trivial(17, 0));
+    }
+
+    /// An empty key (no input coefficients) switches the empty
+    /// ciphertext instead of panicking on `rows[0][0]`.
+    #[test]
+    fn empty_key_switches_the_empty_ciphertext() {
+        let q = q32();
+        let mut rng = StdRng::seed_from_u64(86);
+        let none = LweSecretKey::from_coeffs(Vec::new());
+        let ksk = LweKeySwitchKey::generate(&q, &none, &none, 2, 8, 1e-7, &mut rng);
+        assert_eq!(ksk.heap_bytes(), 0);
+        let out = ksk.switch(&q, &LweCiphertext::trivial(0, 7));
+        assert_eq!((out.dim(), out.b), (0, 7));
     }
 }

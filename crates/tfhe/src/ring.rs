@@ -88,25 +88,9 @@ impl TfheRing {
 
     /// Returns `a * X^k` (negacyclic rotation; any integer `k`).
     pub fn mul_monomial(&self, a: &[u64], k: i64) -> Vec<u64> {
-        let n = self.n as i64;
-        let k = k.rem_euclid(2 * n) as usize;
-        let mut out = vec![0u64; self.n];
-        for (j, &c) in a.iter().enumerate() {
-            let idx = j + k;
-            if idx < self.n {
-                out[idx] = c;
-            } else if idx < 2 * self.n {
-                out[idx - self.n] = self.modulus.neg(c);
-            } else {
-                out[idx - 2 * self.n] = c;
-            }
-        }
+        let mut out = self.zero_poly();
+        fhe_math::poly::mul_monomial_row(&self.modulus, a, k, &mut out);
         out
-    }
-
-    /// Centered representatives of a polynomial.
-    pub fn to_centered(&self, a: &[u64]) -> Vec<i64> {
-        a.iter().map(|&c| self.modulus.to_centered(c)).collect()
     }
 }
 

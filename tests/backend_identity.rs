@@ -28,8 +28,8 @@ use trinity::math::kernel::{self, KernelBackend};
 use trinity::math::ntt::negacyclic_mul_schoolbook;
 use trinity::math::{galois, prime, sampler, Complex, Modulus, NttTable, Representation, RnsPoly};
 use trinity::tfhe::{
-    ClientKey, GateOp, Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, ServerKey, TfheContext,
-    TfheParams, TfheRing,
+    ClientKey, GateOp, Ggsw, GlweCiphertext, GlweSecretKey, LweCiphertext, MulBackend, ServerKey,
+    TfheContext, TfheParams, TfheRing,
 };
 
 /// Serialises `kernel::force` swaps across the tests of this binary.
@@ -243,17 +243,15 @@ fn tfhe_external_product_is_bit_identical_across_backends() {
 
     let results = under_each_backend(|| {
         let out = ggsw.external_product(&ring, &glwe);
-        let mut flat = out.body.clone();
-        for m in &out.mask {
-            flat.extend_from_slice(m);
-        }
-        flat
+        out.components().flatten().copied().collect()
     });
     assert_all_identical(results, "tfhe external_product");
 }
 
 /// A whole gate — linear part, the one-job blind rotation, extract and
-/// LWE keyswitch — under each backend.
+/// LWE keyswitch — under each backend, plus the keyswitch on its own
+/// against its strict oracle (its mask decomposition is a backend
+/// dispatch).
 #[test]
 fn tfhe_apply_gate_is_bit_identical_across_backends() {
     let mut rng = StdRng::seed_from_u64(0x5EED4);
@@ -261,12 +259,25 @@ fn tfhe_apply_gate_is_bit_identical_across_backends() {
     let sk = ServerKey::generate(&ck, MulBackend::Ntt, &mut rng);
     let a = ck.encrypt_bit(true, &mut rng);
     let b = ck.encrypt_bit(false, &mut rng);
+    let q = ck.ctx.q();
+    let extracted = LweCiphertext::encrypt(
+        q,
+        &ck.glwe_sk.extracted_lwe_key(),
+        ck.ctx.encode_bit(true),
+        ck.ctx.params.glwe_noise,
+        &mut rng,
+    );
+    let strict = sk.ksk.switch_strict(q, &extracted);
 
     let results = under_each_backend(|| {
         let out = sk.apply_gate(GateOp::Nand, &a, &b);
         assert!(ck.decrypt_bit(&out));
+        let switched = sk.ksk.switch(q, &extracted);
+        assert_eq!((&switched.a, switched.b), (&strict.a, strict.b));
         let mut flat = out.a;
         flat.push(out.b);
+        flat.extend(switched.a);
+        flat.push(switched.b);
         flat
     });
     assert_all_identical(results, "tfhe apply_gate");

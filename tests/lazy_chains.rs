@@ -183,12 +183,13 @@ proptest! {
             let lazy = ggsw.external_product(&ring, &glwe);
             let strict = ggsw.external_product_strict(&ring, &glwe);
             prop_assert_eq!(
-                &lazy.body, &strict.body,
+                lazy.body(), strict.body(),
                 "body mismatch: set={} seed={} bit={}", name, seed, bit
             );
-            for (i, (lm, sm)) in lazy.mask.iter().zip(&strict.mask).enumerate() {
+            for i in 0..params.k {
                 prop_assert_eq!(
-                    lm, sm, "mask[{}] mismatch: set={} seed={} bit={}", i, name, seed, bit
+                    lazy.mask(i), strict.mask(i),
+                    "mask[{}] mismatch: set={} seed={} bit={}", i, name, seed, bit
                 );
             }
         }
