@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use fhe_math::{BasisConverter, FftPlan, GaloisPerms, RnsBasis};
+use fhe_math::{BasisConverter, FftPlan, GaloisPerms, Modulus, RnsBasis};
 
 use crate::params::CkksParams;
 
@@ -30,8 +30,12 @@ pub struct KeySwitchPrecomp {
     pub digits: Vec<DigitPrecomp>,
     /// BConv from the special basis P down to `C_l` (ModDown).
     pub mod_down: BasisConverter,
-    /// `P^{-1} mod q_i` for each limb `i <= l`.
-    pub p_inv_mod_q: Vec<u64>,
+    /// `P^{-1} mod q_i` for each limb `i <= l`, as Shoup pairs
+    /// `(w, shoup(w))`.
+    pub p_inv_mod_q: Vec<(u64, u64)>,
+    /// `q_l^{-1} mod q_i` for each limb `i < l`, as Shoup pairs — the
+    /// divide of a rescale from level `l` (empty at level 0).
+    pub q_last_inv_mod_q: Vec<(u64, u64)>,
 }
 
 /// Shared, immutable CKKS precomputation. Cheap to clone via [`Arc`].
@@ -91,6 +95,11 @@ impl CkksContext {
                 });
             }
             let mod_down = BasisConverter::new(&special, level_basis);
+            // `x^{-1} mod q_i` as a Shoup pair.
+            let inv_pair = |qi: &Modulus, x: u64| {
+                let inv = qi.inv(x).expect("distinct primes are invertible");
+                (inv, qi.shoup(inv))
+            };
             let p_inv_mod_q = level_basis
                 .moduli()
                 .iter()
@@ -99,13 +108,19 @@ impl CkksContext {
                     for &p in &params.p_special {
                         p_mod = qi.mul(p_mod, qi.reduce(p));
                     }
-                    qi.inv(p_mod).expect("P invertible mod q_i")
+                    inv_pair(qi, p_mod)
                 })
+                .collect();
+            let q_last = level_basis.modulus(l).value();
+            let q_last_inv_mod_q = level_basis.moduli()[..l]
+                .iter()
+                .map(|qi| inv_pair(qi, qi.reduce(q_last)))
                 .collect();
             keyswitch.push(KeySwitchPrecomp {
                 digits,
                 mod_down,
                 p_inv_mod_q,
+                q_last_inv_mod_q,
             });
         }
         let encode_fft = Arc::new(FftPlan::new(2 * n));
@@ -187,6 +202,7 @@ mod tests {
             let ks = ctx.keyswitch_precomp(l);
             assert_eq!(ks.digits.len(), ctx.params().beta_at_level(l));
             assert_eq!(ks.p_inv_mod_q.len(), l + 1);
+            assert_eq!(ks.q_last_inv_mod_q.len(), l);
         }
     }
 
@@ -220,7 +236,15 @@ mod tests {
             for &p in &ctx.params().p_special {
                 p_mod = qi.mul(p_mod, qi.reduce(p));
             }
-            assert_eq!(qi.mul(p_mod, ks.p_inv_mod_q[i]), 1);
+            let (inv, inv_shoup) = ks.p_inv_mod_q[i];
+            assert_eq!(qi.mul(p_mod, inv), 1);
+            assert_eq!(inv_shoup, qi.shoup(inv));
+        }
+        let q_last = ctx.level_basis(l).modulus(l).value();
+        for (qi, &(inv, inv_shoup)) in ctx.level_basis(l).moduli().iter().zip(&ks.q_last_inv_mod_q)
+        {
+            assert_eq!(qi.mul(qi.reduce(q_last), inv), 1);
+            assert_eq!(inv_shoup, qi.shoup(inv));
         }
     }
 }

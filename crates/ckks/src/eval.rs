@@ -12,7 +12,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fhe_math::{Representation, RnsPoly};
+use fhe_math::kernel::{self, ExitFold};
+use fhe_math::{scratch, Representation, RnsPoly};
 
 use crate::ciphertext::{Ciphertext, Ciphertext3};
 use crate::context::CkksContext;
@@ -20,7 +21,8 @@ use crate::encoding::Plaintext;
 use crate::keys::SwitchingKey;
 use crate::keyswitch::{
     hoist_rotations, key_switch, key_switch_galois_coalesced, key_switch_galois_hoisted,
-    key_switch_galois_strict, key_switch_strict, HoistedRotations, KsJob,
+    key_switch_galois_strict, key_switch_strict, sub_scale_into, table_rows, HoistedRotations,
+    KsJob,
 };
 
 /// Relative scale mismatch tolerated by additive operations.
@@ -313,11 +315,23 @@ impl Evaluator {
         self.relinearize_strict(&self.mul_no_relin_strict(a, b), rlk)
     }
 
-    /// Rescale: divides by the top prime `q_l`, dropping one level.
+    /// Rescale: divides by the top prime `q_l` with rounding, dropping
+    /// one level.
+    ///
+    /// Runs in the evaluation domain under the keyswitch engine's rule —
+    /// a limb leaves it only if something reads its coefficients. Only
+    /// the dropped limb does (its centred lift into every remaining
+    /// `q_i` is not linear), so per polynomial one row is iNTT'd, its
+    /// `l` lifted copies are NTT'd back, and one pass computes
+    /// `(c_i - r_i) * q_l^{-1} mod q_i` against limbs that were never
+    /// transformed: `l + 1` NTT rows where the coefficient-domain form
+    /// takes `2l + 1`, on the same canonical residues (the NTT is a
+    /// `Z_q`-linear bijection).
     ///
     /// # Panics
     ///
-    /// Panics at level 0 (nothing left to drop).
+    /// Panics at level 0 (nothing left to drop), or if a component is
+    /// not in evaluation form.
     pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
         assert!(a.level > 0, "cannot rescale at level 0");
         OpCounters::bump(&self.counters.rescales);
@@ -334,35 +348,35 @@ impl Evaluator {
     }
 
     fn rescale_poly(&self, p: &RnsPoly, level: usize) -> RnsPoly {
-        let mut p = p.clone();
-        p.to_coeff();
+        assert_eq!(p.representation(), Representation::Eval);
+        assert_eq!(p.limbs(), level + 1, "polynomial level mismatch");
+        fhe_math::debug_assert_domain!(within_2p: p, "rescale");
         let n = p.n();
-        let flat = p.into_flat();
         let basis = self.ctx.level_basis(level);
-        let last_mod = *basis.modulus(level);
-        let last_row = &flat[level * n..(level + 1) * n];
-        let new_basis = self.ctx.level_basis(level - 1).clone();
-        let mut out_flat = Vec::with_capacity(level * n);
-        for i in 0..level {
-            let qi = basis.modulus(i);
-            let inv = qi
-                .inv(qi.reduce(last_mod.value()))
-                .expect("distinct primes");
-            out_flat.extend(
-                flat[i * n..(i + 1) * n]
-                    .iter()
-                    .zip(last_row)
-                    .map(|(&c, &r)| {
-                        // Centered lift of r into q_i for unbiased rounding.
-                        let r_centered = last_mod.to_centered(r);
-                        let r_in_qi = qi.from_i64(r_centered);
-                        qi.mul(qi.sub(c, r_in_qi), inv)
-                    }),
+        let new_basis = self.ctx.level_basis(level - 1);
+        let last_mod = basis.modulus(level);
+        let (kept, last) = p.flat().split_at(level * n);
+        scratch::with_scratch((level + 1) * n, |buf| {
+            let (r, lifted) = buf.split_at_mut(n);
+            r.copy_from_slice(last);
+            kernel::active().inverse_batch(&[basis.table(level)], r, ExitFold::Canonical);
+            for (row, qi) in lifted.chunks_exact_mut(n).zip(new_basis.moduli()) {
+                for (x, &rc) in row.iter_mut().zip(r.iter()) {
+                    // Centered lift of r into q_i for unbiased rounding.
+                    *x = qi.from_i64(last_mod.to_centered(rc));
+                }
+            }
+            kernel::active().forward_batch(&table_rows(new_basis, 1), lifted, ExitFold::Lazy2p);
+            let mut out = Vec::with_capacity(level * n);
+            sub_scale_into(
+                new_basis.moduli(),
+                &self.ctx.keyswitch_precomp(level).q_last_inv_mod_q,
+                kept,
+                lifted,
+                &mut out,
             );
-        }
-        let mut out = RnsPoly::from_flat(new_basis, out_flat, Representation::Coeff);
-        out.to_eval();
-        out
+            RnsPoly::from_flat(new_basis.clone(), out, Representation::Eval)
+        })
     }
 
     /// Drops limbs down to `target_level` without dividing (level
@@ -417,9 +431,9 @@ impl Evaluator {
     /// pipeline un-rotated and the automorphism is applied to the
     /// raised digits in evaluation form — a pure slot permutation that
     /// preserves the `[0, 2p)` window — so the whole HRotate kernel
-    /// chain (digit NTT → `Auto` → `IP` → iNTT) stays
-    /// [`fhe_math::ReductionState::Lazy2p`] and folds exactly once per
-    /// limb at the ModDown boundary ([`key_switch_galois_coalesced`]).
+    /// chain (digit NTT → `Auto` → `IP`) stays
+    /// [`fhe_math::ReductionState::Lazy2p`] and is canonicalised exactly
+    /// once per limb, by ModDown ([`key_switch_galois_coalesced`]).
     /// `c0` only needs the slot permutation itself. Bit-identical to
     /// [`Self::apply_galois_strict`] (asserted by
     /// `tests/lazy_chains.rs`).
@@ -645,6 +659,95 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
+    }
+
+    /// The coefficient-domain rescale: iNTT every limb, subtract the
+    /// centred lift of the dropped one, multiply by `q_l^{-1}`, NTT
+    /// every kept limb (`2l + 1` rows). The reference
+    /// `Evaluator::rescale_poly` is pinned against.
+    fn rescale_poly_coeff_reference(ctx: &CkksContext, p: &RnsPoly, level: usize) -> RnsPoly {
+        let mut p = p.clone();
+        p.to_coeff();
+        let n = p.n();
+        let flat = p.into_flat();
+        let basis = ctx.level_basis(level);
+        let last_mod = *basis.modulus(level);
+        let last_row = &flat[level * n..(level + 1) * n];
+        let new_basis = ctx.level_basis(level - 1).clone();
+        let mut out_flat = Vec::with_capacity(level * n);
+        for i in 0..level {
+            let qi = basis.modulus(i);
+            let inv = qi
+                .inv(qi.reduce(last_mod.value()))
+                .expect("distinct primes");
+            out_flat.extend(
+                flat[i * n..(i + 1) * n]
+                    .iter()
+                    .zip(last_row)
+                    .map(|(&c, &r)| {
+                        // Centered lift of r into q_i for unbiased rounding.
+                        let r_centered = last_mod.to_centered(r);
+                        let r_in_qi = qi.from_i64(r_centered);
+                        qi.mul(qi.sub(c, r_in_qi), inv)
+                    }),
+            );
+        }
+        let mut out = RnsPoly::from_flat(new_basis, out_flat, Representation::Coeff);
+        out.to_eval();
+        out
+    }
+
+    /// The evaluation-domain rescale lands on the coefficient-domain
+    /// reference's words at every level of the small parameter sets and
+    /// the top of the bootstrap chain (60-bit `q_0`, 50-bit scale
+    /// primes), for canonical input and for input whose every word sits
+    /// in `[p, 2p)` — both forms take any lazy evaluation-form row.
+    #[test]
+    fn rescale_bit_identical_to_coefficient_domain_reference() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let bootstrap_top = crate::bootstrap::bootstrap_test_params().max_level();
+        for (params, levels) in [
+            (CkksParams::tiny_params(), 1..=3),
+            (CkksParams::test_params(), 1..=4),
+            (
+                crate::bootstrap::bootstrap_test_params(),
+                bootstrap_top - 1..=bootstrap_top,
+            ),
+        ] {
+            let ctx = CkksContext::new(params);
+            assert_eq!(*levels.end(), ctx.params().max_level());
+            let eval = Evaluator::new(ctx.clone());
+            let n = ctx.n();
+            for level in levels {
+                let basis = ctx.level_basis(level).clone();
+                let mut flat = Vec::with_capacity(basis.len() * n);
+                for m in basis.moduli() {
+                    flat.extend(fhe_math::sampler::uniform_residues(&mut rng, m, n));
+                }
+                let canonical = RnsPoly::from_flat(basis.clone(), flat, Representation::Eval);
+                let mut lifted = canonical.clone();
+                for (row, m) in lifted.flat_mut().chunks_exact_mut(n).zip(basis.moduli()) {
+                    row.iter_mut().for_each(|x| *x += m.value());
+                }
+                let want = rescale_poly_coeff_reference(&ctx, &canonical, level);
+                for (input, what) in [(&canonical, "canonical"), (&lifted, "[p, 2p)")] {
+                    let got = eval.rescale_poly(input, level);
+                    assert_eq!(got.flat(), want.flat(), "n={n} level {level}, {what}");
+                    assert_eq!(got.limbs(), level);
+                    assert_eq!(got.representation(), Representation::Eval);
+                    assert_eq!(got.reduction_state(), fhe_math::ReductionState::Canonical);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Eval")]
+    fn rescale_rejects_coefficient_form() {
+        let f = fixture();
+        let level = f.ctx.params().max_level();
+        let p = RnsPoly::zero(f.ctx.level_basis(level).clone(), Representation::Coeff);
+        let _ = f.eval.rescale_poly(&p, level);
     }
 
     #[test]

@@ -93,8 +93,10 @@ impl PublicKey {
 #[derive(Debug, Clone)]
 pub struct SwitchingKey {
     /// Per-digit pairs `(b_j, a_j)` in evaluation form over the full
-    /// extended basis.
-    pub rows: Vec<(RnsPoly, RnsPoly)>,
+    /// extended basis `q_0..q_L ++ P`.
+    rows: Vec<(RnsPoly, RnsPoly)>,
+    /// `L + 1`: where the special limbs start in every stored row.
+    q_limbs: usize,
 }
 
 impl SwitchingKey {
@@ -153,22 +155,41 @@ impl SwitchingKey {
             b.add_assign(&gs);
             rows.push((b, a));
         }
-        Self { rows }
+        Self {
+            rows,
+            q_limbs: max_l + 1,
+        }
+    }
+
+    /// Digit `j`'s pair at level `l`, borrowed: `[b, a]`, each as the
+    /// two contiguous segments of its stored row that level reads —
+    /// limbs `q_0..q_l`, then the special limbs `P`. What the keyswitch
+    /// engine multiplies against in place; [`Self::row_at_level`] is
+    /// the copying form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not a digit of this key or `l` exceeds the
+    /// maximum level.
+    pub fn row_segments(&self, j: usize, l: usize) -> [(&[u64], &[u64]); 2] {
+        assert!(l < self.q_limbs, "level {l} above the key's maximum");
+        let (b, a) = &self.rows[j];
+        let n = b.n();
+        [b, a].map(|poly| {
+            let (q, p) = poly.flat().split_at(self.q_limbs * n);
+            (&q[..(l + 1) * n], p)
+        })
     }
 
     /// Restricts digit `j`'s pair to the extended basis of level `l`
-    /// (residues for `q_0..q_l ++ P`).
+    /// (residues for `q_0..q_l ++ P`) — the copying form of
+    /// [`Self::row_segments`].
     pub fn row_at_level(&self, ctx: &CkksContext, j: usize, l: usize) -> (RnsPoly, RnsPoly) {
-        let max_l = ctx.params().max_level();
-        let target = ctx.extended_basis(l).clone();
-        let select = |p: &RnsPoly| {
-            let n = p.n();
-            let mut data = p.flat()[..(l + 1) * n].to_vec();
-            data.extend_from_slice(&p.flat()[(max_l + 1) * n..]);
-            RnsPoly::from_flat(target.clone(), data, Representation::Eval)
-        };
-        let (b, a) = &self.rows[j];
-        (select(b), select(a))
+        let target = ctx.extended_basis(l);
+        let [b, a] = self.row_segments(j, l).map(|(q, p)| {
+            RnsPoly::from_flat(target.clone(), [q, p].concat(), Representation::Eval)
+        });
+        (b, a)
     }
 
     /// Measured heap bytes of this key: the allocated capacity of every

@@ -10,16 +10,39 @@
 //! 3. **NTT** the raised digits (the paper's phase-1/phase-2 NTTU + CU
 //!    collaboration for long polynomials).
 //! 4. **Inner product** with the switching key digits (`IP` kernel).
-//! 5. **iNTT**, then **ModDown**: subtract the `P`-part's base conversion
-//!    and multiply by `P^{-1}`.
+//! 5. **ModDown**: base-convert the `P`-part down to `C_l`, subtract and
+//!    multiply by `P^{-1}`.
 //!
 //! # Two tiers: one lazy engine, one strict oracle
 //!
-//! Every production entry point is the same lazy-chain engine. It keeps
-//! steps 3–5 in the redundant `[0, 2p)` window — lazy-exit digit NTTs,
-//! `IP` accumulators lazy across all `beta` digits, a lazy-exit iNTT —
-//! and canonicalises *once* per accumulator limb at the ModDown
-//! boundary (BConv needs true `[0, p)` representatives), mirroring how
+//! Every production entry point is the same lazy-chain engine. It obeys
+//! one rule at both base-conversion boundaries: **a limb leaves the
+//! evaluation domain only if a BConv reads it.** The NTT is a
+//! `Z_q`-linear bijection, so whatever is linear — the subtract and the
+//! `P^{-1}` scaling of ModDown, the digit's own limbs of a ModUp — can
+//! stay in evaluation form and lands on the same canonical residues:
+//!
+//! * **ModUp** reads every input limb once (the digit it belongs to), so
+//!   the input iNTT covers all `l + 1` limbs — but of a raised digit's
+//!   `ext = l + 1 + |P|` limbs only the `ext - |digit|` *converted* ones
+//!   are new; the digit's own limbs are, in evaluation form, the input
+//!   rows themselves (already in `[0, 2p)`) and are never transformed.
+//! * **The inner product** multiplies against the switching key's
+//!   stored rows in place: at level `l` a key row is two contiguous
+//!   segments of the full-basis row ([`SwitchingKey::row_segments`]).
+//! * **ModDown** reads only the `|P|` special limbs of an accumulator,
+//!   so only those are iNTT'd (canonical exit — BConv needs true
+//!   `[0, p)` representatives); the converted `l + 1` rows are NTT'd back
+//!   and one pass computes `(acc - conv) * P^{-1}` against `q` limbs
+//!   that never left evaluation form, canonical out.
+//!
+//! NTT rows per keyswitch at level `l` with `beta` digits:
+//! `2(l+1) + beta*ext + 2|P|` (input iNTT `l+1`, digit NTTs
+//! `beta*ext - (l+1)`, tail `2|P| + 2(l+1)`) against Algorithm 1's
+//! `3(l+1) + (beta+2)*ext` — 35 vs 50 at `test_params` level 4, 115 vs
+//! 166 at `bootstrap_test_params` level 16. Everything between the two
+//! boundaries stays in the redundant `[0, 2p)` window — lazy-exit digit
+//! NTTs, `IP` accumulators lazy across all `beta` digits — mirroring how
 //! Trinity/FAB pipelines keep operands in redundant form between
 //! butterfly and MAC stages and only fully reduce at memory writeback.
 //! For the Galois variants the automorphism rides the same chain,
@@ -28,36 +51,41 @@
 //!
 //! The engine is **batch-first**: `k` jobs that share geometry (ring
 //! degree, level, Galois element — keys may differ per job, e.g. per
-//! tenant) go through one pipeline whose kernel dispatches carry all
-//! `k` jobs' limb rows at once, so [`fhe_math::ThreadedBackend`] sees
-//! `k`-fold wider batches even at small `L`. [`key_switch`] and
+//! tenant) go through one pipeline whose transform and permute
+//! dispatches carry all `k` jobs' limb rows at once, so
+//! [`fhe_math::ThreadedBackend`] sees `k`-fold wider batches even at
+//! small `L`; the inner product goes out per job and key segment,
+//! because that is what lets it borrow the key. [`key_switch`] and
 //! [`key_switch_galois`] are its `k = 1` instances. Batching
 //! concatenates rows and never changes a per-row kernel, which is why
 //! coalesced results are bit-identical to per-request execution.
 //!
 //! It runs in three stages: (1) *raise* — `inputs_to_coeff` once, then
-//! `raise_digit_lazy` per digit (Decompose + ModUp + lazy NTT);
-//! (2) *accumulate* — `LazyAccumulators::mac_digit` per digit ((permute
-//! +) lazy MAC against every job's key row); (3) *finish* —
-//! `LazyAccumulators::finish` (lazy iNTT → one fold → ModDown →
-//! canonical NTT). The fused entry points interleave stages 1–2 digit
-//! by digit over one reused buffer. **Rotation hoisting is a stage
-//! split, not another pipeline**: [`hoist_rotations`] is stage 1 stored
-//! for all `beta` digits and [`key_switch_galois_hoisted`] is stages
-//! 2–3 over the stored digits, so a linear layer applying many
-//! rotations to one ciphertext pays for the raise once.
+//! `raise_digit_lazy` per digit (Decompose + ModUp + lazy NTT of the
+//! converted rows); (2) *accumulate* — `LazyAccumulators::mac_digit` per
+//! digit ((permute +) lazy MAC of converted and own rows against every
+//! job's borrowed key row); (3) *finish* — `LazyAccumulators::finish`
+//! (ModDown in the evaluation domain). The fused entry points
+//! interleave stages 1–2 digit by digit over one leased buffer.
+//! **Rotation hoisting is a stage split, not another pipeline**:
+//! [`hoist_rotations`] is stage 1 stored for all `beta` digits and
+//! [`key_switch_galois_hoisted`] is stages 2–3 over the stored digits,
+//! so a linear layer applying many rotations to one ciphertext pays for
+//! the raise once.
 //!
 //! [`key_switch_strict`] / [`key_switch_galois_strict`] are the
 //! straight-line fully-canonical oracle. `tests/lazy_chains.rs` asserts
 //! engine and oracle bit-identical across every workspace modulus
 //! shape, and `tests/backend_identity.rs` across kernel backends.
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use fhe_math::kernel::{self, ExitFold};
-use fhe_math::{Modulus, NttTable, Representation, RnsBasis, RnsPoly};
+use fhe_math::{scratch, Modulus, NttTable, Representation, RnsBasis, RnsPoly};
 
-use crate::context::CkksContext;
+use crate::context::{CkksContext, DigitPrecomp};
 use crate::keys::SwitchingKey;
 
 /// Applies hybrid keyswitching to a polynomial `d` (evaluation form, at
@@ -84,8 +112,9 @@ pub fn key_switch(
 
 /// Galois keyswitch: applies the automorphism `sigma_g` *inside* the
 /// keyswitch pipeline, to the raised digits in evaluation form —
-/// digit NTT → automorphism → inner product → iNTT, entirely in the
-/// `[0, 2p)` window, with one fold per limb at ModDown.
+/// digit NTT → automorphism → inner product, entirely in the
+/// `[0, 2p)` window, canonicalised by ModDown's two exits (the
+/// `P`-limb iNTT and the final divide).
 ///
 /// In evaluation form `sigma_g` is a pure slot permutation, so it rides
 /// the lazy chain for free where the pre-rotation formulation
@@ -133,9 +162,10 @@ pub struct KsJob<'a> {
 }
 
 /// Runs `k` independent [`key_switch`] jobs through one coalesced
-/// pipeline: every kernel dispatch (input iNTT, digit NTTs, inner
-/// products, accumulator iNTT, fold, output NTT) carries all `k` jobs'
-/// limb rows at once. Output `i` is bit-identical to
+/// pipeline: every transform dispatch (input iNTT, digit NTTs, the
+/// ModDown iNTT and NTT) carries all `k` jobs' limb rows at once; the
+/// inner products go out per job, against that job's borrowed key.
+/// Output `i` is bit-identical to
 /// `key_switch(ctx, jobs[i].d, jobs[i].key, level)` — the per-row
 /// kernels are unchanged, only the batch width grows.
 ///
@@ -168,8 +198,10 @@ pub fn key_switch_galois_coalesced(
     key_switch_coalesced_impl(ctx, jobs, level, Some(g))
 }
 
-/// The fully-canonical strict oracle of [`key_switch_galois`]: same
-/// dataflow, fully-reduced transforms and canonical kernels throughout.
+/// The fully-canonical strict oracle of [`key_switch_galois`]:
+/// Algorithm 1 as written (every raised limb NTT'd, ModDown in the
+/// coefficient domain), fully-reduced transforms and canonical kernels
+/// throughout.
 /// The `canonical` row of the `rotate_lazy_vs_canonical` micro and the
 /// bit-identity reference for the lazy rotation chain.
 ///
@@ -204,8 +236,7 @@ pub fn key_switch_strict(
     key_switch_strict_impl(ctx, d, key, level, None)
 }
 
-/// Decompose + ModUp of digit `j`, shared by the oracle and the engine:
-/// reads the canonical coefficient-form limb rows of one input
+/// Decompose + ModUp of digit `j` as the strict oracle runs it: reads the canonical coefficient-form limb rows of one input
 /// (`(level + 1) * n` words), gathers digit `j`'s limbs, base-converts
 /// them (approximate BConv) into the complement limbs and `P`, and
 /// appends the raised digit's `ext_limbs * n` words to `out` in the
@@ -238,8 +269,8 @@ fn raise_digit_into(ctx: &CkksContext, d_flat: &[u64], level: usize, j: usize, o
     out.extend_from_slice(&converted[p_start * n..(p_start + n_p) * n]);
 }
 
-/// ModDown of one accumulator, shared by the oracle and the engine:
-/// reads its canonical coefficient-form rows over `C_l ∪ P`
+/// ModDown of one accumulator as the strict oracle runs it, in the
+/// coefficient domain: reads its canonical coefficient-form rows over `C_l ∪ P`
 /// (`ext_limbs * n` words), divides by `P` with rounding (exact BConv
 /// of the `P`-part, subtract, multiply by `P^{-1}` — the tail step of
 /// Algorithm 1, line 12) and appends the `(level + 1) * n`
@@ -255,7 +286,7 @@ fn mod_down_into(ctx: &CkksContext, acc: &[u64], level: usize, out: &mut Vec<u64
     let p_in_q = precomp.mod_down.convert_exact(p_flat);
     for i in 0..n_q {
         let qi = level_basis.modulus(i);
-        let inv = precomp.p_inv_mod_q[i];
+        let (inv, _) = precomp.p_inv_mod_q[i];
         out.extend(
             q_flat[i * n..(i + 1) * n]
                 .iter()
@@ -310,27 +341,59 @@ fn key_switch_strict_impl(
     (mod_down(acc0), mod_down(acc1))
 }
 
-/// Repeats the per-limb slice `once` back to back `k` times — the
-/// row-metadata side of widening a kernel dispatch from one job's limb
-/// rows to a whole batch's.
-fn repeat_rows<T: Copy>(once: &[T], k: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(once.len() * k);
-    for _ in 0..k {
-        out.extend_from_slice(once);
-    }
-    out
+/// The NTT tables of `basis`, repeated for `k` jobs' limb rows — the
+/// row-metadata side of widening a transform dispatch from one job's
+/// limb rows to a whole batch's.
+pub(crate) fn table_rows(basis: &RnsBasis, k: usize) -> Vec<&NttTable> {
+    (0..k)
+        .flat_map(|_| basis.tables().iter().map(|t| t.as_ref()))
+        .collect()
 }
 
-/// The NTT tables of `basis`, repeated for `k` jobs' limb rows.
-fn table_rows(basis: &RnsBasis, k: usize) -> Vec<&NttTable> {
-    let once: Vec<&NttTable> = basis.tables().iter().map(|t| t.as_ref()).collect();
-    repeat_rows(&once, k)
+/// The exact divide ModDown and Rescale both end in, in the evaluation
+/// domain: for every limb row `i`, `(c - r) * inv_i mod q_i` with `c`,
+/// `r` in `[0, 2q_i)` and `inv_i` a Shoup pair — one lazy Shoup product
+/// of the `(0, 4q_i)` difference plus the canonicalising subtraction.
+/// Appends the canonical rows to `out`.
+pub(crate) fn sub_scale_into(
+    moduli: &[Modulus],
+    inv: &[(u64, u64)],
+    c: &[u64],
+    r: &[u64],
+    out: &mut Vec<u64>,
+) {
+    assert_eq!(c.len(), r.len());
+    assert_eq!(moduli.len(), inv.len());
+    let n = c.len() / moduli.len();
+    for (((qi, &(w, ws)), crow), rrow) in moduli
+        .iter()
+        .zip(inv)
+        .zip(c.chunks_exact(n))
+        .zip(r.chunks_exact(n))
+    {
+        fhe_math::debug_assert_domain!(slice_within_2p: qi, crow, "sub_scale_into");
+        fhe_math::debug_assert_domain!(slice_within_2p: qi, rrow, "sub_scale_into");
+        let two_q = 2 * qi.value();
+        out.extend(
+            crow.iter()
+                .zip(rrow)
+                .map(|(&c, &r)| qi.reduce_2p(qi.mul_shoup_lazy(c + two_q - r, w, ws))),
+        );
+    }
+}
+
+/// Digit `j`'s limbs at `level`: the contiguous range
+/// `params.digit_limbs(j) ∩ 0..=level`.
+fn digit_range(ctx: &CkksContext, level: usize, j: usize) -> Range<usize> {
+    let limbs = ctx.params().digit_limbs(j);
+    limbs.start..limbs.end.min(level + 1)
 }
 
 /// Engine stage 1a: the canonical coefficient-form limb rows of every
-/// input, job after job. Decompose needs true `[0, p)` representatives,
-/// so the batched input iNTT exits canonically — one dispatch over all
-/// `k * (l+1)` rows.
+/// input, job after job. Decompose needs true `[0, p)` representatives
+/// and every limb is read by its digit's BConv, so the batched input
+/// iNTT covers all `k * (l+1)` rows and exits canonically — one
+/// dispatch.
 ///
 /// # Panics
 ///
@@ -355,136 +418,203 @@ fn inputs_to_coeff<'a>(
     d_coeff
 }
 
-/// Engine stage 1b: raises digit `j` of every job in `d_coeff` into
-/// `out` (appending `k * ext_limbs * n` words) and NTTs all those rows
-/// with one lazy-exit dispatch, leaving them in the `[0, 2p)` window.
-fn raise_digit_lazy(
-    ctx: &CkksContext,
-    d_coeff: &[u64],
-    level: usize,
-    j: usize,
-    out: &mut Vec<u64>,
-) {
-    let inputs = d_coeff.chunks_exact((level + 1) * ctx.n());
-    let ext_tables_k = table_rows(ctx.extended_basis(level), inputs.len());
-    for d_flat in inputs {
-        raise_digit_into(ctx, d_flat, level, j, out);
+/// Engine stage 1b: ModUp of digit `j` for every job in `d_coeff`. The
+/// digit's limbs are contiguous, so its BConv source is a slice of the
+/// job's coefficient rows; the `ext - |digit|` converted rows — the
+/// limbs of `mod_up.to_basis()`: the other `q` limbs, then `P` — fill
+/// `out` job after job, and one lazy-exit dispatch NTTs them all into
+/// the `[0, 2p)` window. The digit's own limbs are not produced: in
+/// evaluation form they are the input rows themselves.
+fn raise_digit_lazy(ctx: &CkksContext, d_coeff: &[u64], level: usize, j: usize, out: &mut [u64]) {
+    let n = ctx.n();
+    let mod_up = &ctx.keyswitch_precomp(level).digits[j].mod_up;
+    let digit = digit_range(ctx, level, j);
+    let inputs = d_coeff.chunks_exact((level + 1) * n);
+    let converted_words = mod_up.to_basis().len() * n;
+    assert_eq!(out.len(), inputs.len() * converted_words);
+    let tables_k = table_rows(mod_up.to_basis(), inputs.len());
+    for (d_flat, converted) in inputs.zip(out.chunks_exact_mut(converted_words)) {
+        mod_up.convert_approx_into(&d_flat[digit.start * n..digit.end * n], converted);
     }
-    kernel::active().forward_batch(&ext_tables_k, out, ExitFold::Lazy2p);
+    kernel::active().forward_batch(&tables_k, out, ExitFold::Lazy2p);
 }
 
 /// Engine stages 2 and 3: the lazy inner-product accumulators of `k`
-/// jobs. Both accumulators live in one buffer (acc0 rows for all jobs,
-/// then acc1 rows for all jobs) so the tail iNTT + fold are single
-/// dispatches over `2k * ext_limbs` rows.
+/// jobs, split by what ModDown does with them — the `q` limbs
+/// (`acc_q`) stay in evaluation form to the end, the `P` limbs
+/// (`acc_p`) are what its BConv reads. Each buffer holds acc0 rows for
+/// all jobs, then acc1 rows for all jobs, so the tail transforms are
+/// single dispatches over `2k * |P|` and `2k * (l+1)` rows.
 struct LazyAccumulators<'a> {
     ctx: &'a CkksContext,
     level: usize,
-    k: usize,
-    acc_all: Vec<u64>,
-    ext_moduli_k: Vec<Modulus>,
-    /// The eval-form slot permutation of the Galois variants, with its
-    /// `k * ext_limbs * n`-word gather target.
+    /// Per job, the `(l+1) * n` evaluation-form input words every
+    /// raised digit takes its own limbs from: borrowed as they are, or
+    /// their slot-permuted copy for the Galois variants.
+    own: Vec<Cow<'a, [u64]>>,
+    acc_q: Vec<u64>,
+    acc_p: Vec<u64>,
+    /// The eval-form slot permutation of the Galois variants, with the
+    /// gather target for a digit's converted rows.
     perm: Option<(Arc<Vec<usize>>, Vec<u64>)>,
-    b_buf: Vec<u64>,
-    a_buf: Vec<u64>,
 }
 
 impl<'a> LazyAccumulators<'a> {
-    /// Zeroed accumulators for `k` jobs at `level`.
+    /// Zeroed accumulators for the jobs whose evaluation-form input
+    /// rows (`(level + 1) * n` words each, in `[0, 2p)`) are `inputs`.
     ///
     /// # Panics
     ///
     /// Panics if `galois` holds an even element.
-    fn new(ctx: &'a CkksContext, level: usize, k: usize, galois: Option<u64>) -> Self {
-        let ext_basis = ctx.extended_basis(level);
-        let words = k * ext_basis.len() * ctx.n();
+    fn new(
+        ctx: &'a CkksContext,
+        level: usize,
+        inputs: impl Iterator<Item = &'a [u64]>,
+        galois: Option<u64>,
+    ) -> Self {
+        let n = ctx.n();
+        let perm = galois.map(|g| ctx.galois().eval_permutation(g));
+        let own: Vec<Cow<'a, [u64]>> = inputs
+            .map(|rows| {
+                debug_assert_eq!(rows.len(), (level + 1) * n);
+                match &perm {
+                    Some(perm) => {
+                        let mut permuted = vec![0u64; rows.len()];
+                        kernel::active().permute_batch(perm.as_slice(), rows, &mut permuted);
+                        Cow::Owned(permuted)
+                    }
+                    None => Cow::Borrowed(rows),
+                }
+            })
+            .collect();
+        let k = own.len();
         Self {
             ctx,
             level,
-            k,
-            acc_all: vec![0u64; 2 * words],
-            ext_moduli_k: repeat_rows(ext_basis.moduli(), k),
-            perm: galois.map(|g| (ctx.galois().eval_permutation(g), vec![0u64; words])),
-            b_buf: Vec::with_capacity(words),
-            a_buf: Vec::with_capacity(words),
+            acc_q: vec![0u64; 2 * k * (level + 1) * n],
+            acc_p: vec![0u64; 2 * k * ctx.special_basis().len() * n],
+            own,
+            perm: perm.map(|perm| (perm, Vec::new())),
         }
     }
 
-    /// Stage 2 for digit `j`: `digit` holds every job's raised digit
-    /// (lazy evaluation form). The automorphism, when present, is a
-    /// pure slot permutation that preserves the `[0, 2p)` window — one
-    /// gather over the batch — then one lazy MAC dispatch per
-    /// accumulator multiplies all `k * ext_limbs` rows against each
-    /// job's key row for this digit.
+    /// Stage 2 for digit `j`: `converted` holds every job's converted
+    /// rows of the raised digit (lazy evaluation form, as
+    /// `raise_digit_lazy` lays them out). The automorphism, when
+    /// present, is a pure slot permutation that preserves the `[0, 2p)`
+    /// window — one gather over the batch. Then, per job and
+    /// accumulator, the raised digit meets the key row *in place*: its
+    /// limbs are the converted `q` rows below the digit, the job's own
+    /// input rows, the converted `q` rows above it and the converted
+    /// `P` rows, each run one lazy MAC against the matching slice of
+    /// the borrowed key segment.
     fn mac_digit<'k>(
         &mut self,
         j: usize,
-        digit: &[u64],
+        converted: &[u64],
         keys: impl Iterator<Item = &'k SwitchingKey>,
     ) {
-        let digit = match &mut self.perm {
-            Some((perm, perm_buf)) => {
-                kernel::active().permute_batch(perm.as_slice(), digit, perm_buf);
-                perm_buf.as_slice()
+        let (ctx, level, k) = (self.ctx, self.level, self.own.len());
+        let n = ctx.n();
+        let converted = match &mut self.perm {
+            Some((perm, permuted)) => {
+                permuted.resize(converted.len(), 0);
+                kernel::active().permute_batch(perm.as_slice(), converted, permuted);
+                permuted.as_slice()
             }
-            None => digit,
+            None => converted,
         };
-        self.b_buf.clear();
-        self.a_buf.clear();
-        for key in keys {
-            let (b_j, a_j) = key.row_at_level(self.ctx, j, self.level);
-            self.b_buf.extend_from_slice(b_j.flat());
-            self.a_buf.extend_from_slice(a_j.flat());
+        let q_moduli = ctx.level_basis(level).moduli();
+        let p_moduli = ctx.special_basis().moduli();
+        let (q_words, p_words) = (q_moduli.len() * n, p_moduli.len() * n);
+        let digit = digit_range(ctx, level, j);
+        // Word offsets: where the digit sits in a `q` part, and where
+        // the rows above it end in a job's converted rows.
+        let (lo, hi) = (digit.start * n, digit.end * n);
+        let above_end = q_words - (hi - lo);
+        let mac = |moduli: &[Modulus], acc: &mut [u64], raised: &[u64], key: &[u64]| {
+            if !acc.is_empty() {
+                kernel::active().mul_acc_lazy_batch(moduli, acc, raised, key);
+            }
+        };
+        for (i, key) in keys.enumerate() {
+            let own = &self.own[i][lo..hi];
+            let conv = &converted[i * (above_end + p_words)..][..above_end + p_words];
+            for (half, (key_q, key_p)) in key.row_segments(j, level).into_iter().enumerate() {
+                let chunk = half * k + i;
+                let acc_q = &mut self.acc_q[chunk * q_words..][..q_words];
+                let acc_p = &mut self.acc_p[chunk * p_words..][..p_words];
+                mac(
+                    &q_moduli[..digit.start],
+                    &mut acc_q[..lo],
+                    &conv[..lo],
+                    &key_q[..lo],
+                );
+                mac(
+                    &q_moduli[digit.clone()],
+                    &mut acc_q[lo..hi],
+                    own,
+                    &key_q[lo..hi],
+                );
+                mac(
+                    &q_moduli[digit.end..],
+                    &mut acc_q[hi..],
+                    &conv[lo..above_end],
+                    &key_q[hi..],
+                );
+                mac(p_moduli, acc_p, &conv[above_end..], key_p);
+            }
         }
-        let (acc0, acc1) = self.acc_all.split_at_mut(digit.len());
-        kernel::active().mul_acc_lazy_batch(&self.ext_moduli_k, acc0, digit, &self.b_buf);
-        kernel::active().mul_acc_lazy_batch(&self.ext_moduli_k, acc1, digit, &self.a_buf);
     }
 
-    /// Stage 3: lazy-exit iNTT over both accumulators of every job, the
-    /// chain's single deferred `[0, 2p) → [0, p)` fold per limb,
-    /// ModDown per accumulator, and one canonical-exit NTT over all
-    /// `2k * (l+1)` output rows — then the split into per-job
-    /// `(ks0, ks1)` pairs.
+    /// Stage 3, ModDown in the evaluation domain: a canonical-exit iNTT
+    /// over the `2k * |P|` special-limb rows (all a BConv reads), the
+    /// exact BConv of each `P`-part down to `C_l`, one lazy-exit NTT
+    /// over the `2k * (l+1)` converted rows, and the `(acc - conv) *
+    /// P^{-1}` pass against the `q` limbs that never left evaluation
+    /// form — canonical out, split into per-job `(ks0, ks1)` pairs.
     fn finish(mut self) -> Vec<(RnsPoly, RnsPoly)> {
-        let (ctx, level, k) = (self.ctx, self.level, self.k);
-        let ext_basis = ctx.extended_basis(level);
+        let (ctx, level, k) = (self.ctx, self.level, self.own.len());
+        let precomp = ctx.keyswitch_precomp(level);
         let level_basis = ctx.level_basis(level);
-        kernel::active().inverse_batch(
-            &table_rows(ext_basis, 2 * k),
-            &mut self.acc_all,
-            ExitFold::Lazy2p,
-        );
-        kernel::active()
-            .fold_2p_to_canonical_batch(&repeat_rows(ext_basis.moduli(), 2 * k), &mut self.acc_all);
-
+        let special = ctx.special_basis();
         let stride = level_basis.len() * ctx.n();
-        let mut out_all = Vec::with_capacity(2 * k * stride);
-        for acc in self.acc_all.chunks_exact(ext_basis.len() * ctx.n()) {
-            mod_down_into(ctx, acc, level, &mut out_all);
-        }
-        kernel::active().forward_batch(
-            &table_rows(level_basis, 2 * k),
-            &mut out_all,
+        kernel::active().inverse_batch(
+            &table_rows(special, 2 * k),
+            &mut self.acc_p,
             ExitFold::Canonical,
         );
+        scratch::with_scratch(2 * k * stride, |conv| {
+            for (p_part, conv) in self
+                .acc_p
+                .chunks_exact(special.len() * ctx.n())
+                .zip(conv.chunks_exact_mut(stride))
+            {
+                precomp.mod_down.convert_exact_into(p_part, conv);
+            }
+            kernel::active().forward_batch(&table_rows(level_basis, 2 * k), conv, ExitFold::Lazy2p);
 
-        // Job i's ks0 rows sit at chunk i, its ks1 rows at chunk k + i.
-        let poly = |chunk: usize| {
-            RnsPoly::from_flat(
-                level_basis.clone(),
-                out_all[chunk * stride..(chunk + 1) * stride].to_vec(),
-                Representation::Eval,
-            )
-        };
-        (0..k).map(|i| (poly(i), poly(k + i))).collect()
+            // Job i's ks0 rows sit at chunk i, its ks1 rows at chunk k + i.
+            let poly = |chunk: usize| {
+                let rows = chunk * stride..(chunk + 1) * stride;
+                let mut flat = Vec::with_capacity(stride);
+                sub_scale_into(
+                    level_basis.moduli(),
+                    &precomp.p_inv_mod_q,
+                    &self.acc_q[rows.clone()],
+                    &conv[rows],
+                    &mut flat,
+                );
+                RnsPoly::from_flat(level_basis.clone(), flat, Representation::Eval)
+            };
+            (0..k).map(|i| (poly(i), poly(k + i))).collect()
+        })
     }
 }
 
 /// The lazy engine, fused: all `jobs` — same `ctx`/`level`/`galois`
 /// geometry, per-job inputs and keys — go through the three stages with
-/// stages 1–2 interleaved digit by digit over one reused buffer, so the
+/// stages 1–2 interleaved digit by digit over one leased buffer, so the
 /// working set holds a single raised digit per job.
 fn key_switch_coalesced_impl(
     ctx: &CkksContext,
@@ -495,27 +625,28 @@ fn key_switch_coalesced_impl(
     if jobs.is_empty() {
         return Vec::new();
     }
-    let k = jobs.len();
     let d_coeff = inputs_to_coeff(ctx, jobs.iter().map(|job| job.d), level);
-    let mut acc = LazyAccumulators::new(ctx, level, k, galois);
-    let mut digit_buf = Vec::with_capacity(k * ctx.extended_basis(level).len() * ctx.n());
-    for j in 0..ctx.keyswitch_precomp(level).digits.len() {
-        digit_buf.clear();
-        raise_digit_lazy(ctx, &d_coeff, level, j, &mut digit_buf);
-        acc.mac_digit(j, &digit_buf, jobs.iter().map(|job| job.key));
+    let mut acc = LazyAccumulators::new(ctx, level, jobs.iter().map(|job| job.d.flat()), galois);
+    for (j, digit) in ctx.keyswitch_precomp(level).digits.iter().enumerate() {
+        let words = jobs.len() * digit.mod_up.to_basis().len() * ctx.n();
+        scratch::with_scratch(words, |converted| {
+            raise_digit_lazy(ctx, &d_coeff, level, j, converted);
+            acc.mac_digit(j, converted, jobs.iter().map(|job| job.key));
+        });
     }
     acc.finish()
 }
 
 /// The shared ModUp state of a rotation batch: engine stage 1 of one
-/// input, stored for all `beta` digits — each raised to the extended
-/// basis and NTT'd once, held in the lazy `[0, 2p)` evaluation window,
-/// *before* the per-rotation automorphism.
+/// input, stored for all `beta` digits — each digit's converted rows
+/// base-converted and NTT'd once, held in the lazy `[0, 2p)` evaluation
+/// window, *before* the per-rotation automorphism — next to the
+/// evaluation-form input rows every digit takes its own limbs from.
 ///
 /// A linear layer that applies `k` rotations to one ciphertext pays
-/// for Decompose + ModUp + the `beta * ext_limbs` digit NTTs once via
-/// [`hoist_rotations`], then runs only the per-rotation stages
-/// (automorphism → inner product → iNTT → ModDown) `k` times via
+/// for Decompose + ModUp + the `beta * ext_limbs - (l+1)` digit NTTs
+/// once via [`hoist_rotations`], then runs only the per-rotation stages
+/// (automorphism → inner product → ModDown) `k` times via
 /// [`key_switch_galois_hoisted`]. This works because the eval-form
 /// automorphism is a pure slot permutation that commutes with the
 /// shared raise — the same commutation [`key_switch_galois`] already
@@ -523,8 +654,10 @@ fn key_switch_coalesced_impl(
 #[derive(Debug, Clone)]
 pub struct HoistedRotations {
     level: usize,
-    /// `digits[j]`: the `ext_limbs * n` lazy evaluation-form words of
-    /// raised digit `j`.
+    /// The input's `(level + 1) * n` evaluation-form words.
+    own: Vec<u64>,
+    /// `digits[j]`: the `(ext_limbs - |digit j|) * n` lazy
+    /// evaluation-form words of raised digit `j`'s converted rows.
     digits: Vec<Vec<u64>>,
 }
 
@@ -550,14 +683,18 @@ impl HoistedRotations {
 /// As [`key_switch`].
 pub fn hoist_rotations(ctx: &CkksContext, d: &RnsPoly, level: usize) -> HoistedRotations {
     let d_coeff = inputs_to_coeff(ctx, std::iter::once(d), level);
-    let digits = (0..ctx.keyswitch_precomp(level).digits.len())
-        .map(|j| {
-            let mut raised = Vec::with_capacity(ctx.extended_basis(level).len() * ctx.n());
-            raise_digit_lazy(ctx, &d_coeff, level, j, &mut raised);
-            raised
-        })
-        .collect();
-    HoistedRotations { level, digits }
+    let raise = |(j, digit): (usize, &DigitPrecomp)| {
+        let mut converted = vec![0u64; digit.mod_up.to_basis().len() * ctx.n()];
+        raise_digit_lazy(ctx, &d_coeff, level, j, &mut converted);
+        converted
+    };
+    let precomp = ctx.keyswitch_precomp(level);
+    let digits = precomp.digits.iter().enumerate().map(raise).collect();
+    HoistedRotations {
+        level,
+        own: d.flat().to_vec(),
+        digits,
+    }
 }
 
 /// The per-rotation stages of the hoisted pipeline: engine stages 2–3
@@ -579,9 +716,10 @@ pub fn key_switch_galois_hoisted(
     g: u64,
     key: &SwitchingKey,
 ) -> (RnsPoly, RnsPoly) {
-    let mut acc = LazyAccumulators::new(ctx, hoisted.level, 1, Some(g));
-    for (j, digit) in hoisted.digits.iter().enumerate() {
-        acc.mac_digit(j, digit, std::iter::once(key));
+    let own = std::iter::once(hoisted.own.as_slice());
+    let mut acc = LazyAccumulators::new(ctx, hoisted.level, own, Some(g));
+    for (j, converted) in hoisted.digits.iter().enumerate() {
+        acc.mac_digit(j, converted, std::iter::once(key));
     }
     acc.finish().pop().expect("one job in, one result out")
 }
@@ -841,43 +979,48 @@ mod tests {
     /// The Galois form of the same guarantee: k rotations by one
     /// element under per-job keys, coalesced, each output bit-identical
     /// to its sequential `key_switch_galois` (and hence to the strict
-    /// oracle, by `galois_keyswitch_tiers_bit_identical`).
+    /// oracle, by `galois_keyswitch_tiers_bit_identical`) — at the top
+    /// level, where a key row is one contiguous run, and one below it,
+    /// where every job's MAC reads two segments of its own key and the
+    /// last digit is cut short.
     #[test]
     fn coalesced_galois_keyswitch_bit_identical_to_sequential() {
         let ctx = CkksContext::new(CkksParams::tiny_params());
         let mut rng = StdRng::seed_from_u64(58);
         let kg = KeyGenerator::new(ctx.clone());
         let g = fhe_math::galois::rotation_galois_element(1, ctx.n());
-        let level = ctx.params().max_level();
-        let basis = ctx.level_basis(level).clone();
-        let mut ds = Vec::new();
-        let mut keys = Vec::new();
-        for _ in 0..4 {
-            let sk = kg.secret_key(&mut rng);
-            keys.push(kg.galois_key(&sk, g, &mut rng));
-            let mut flat = Vec::with_capacity(basis.len() * ctx.n());
-            for m in basis.moduli() {
-                flat.extend(sampler::uniform_residues(&mut rng, m, ctx.n()));
+        let max_level = ctx.params().max_level();
+        for level in [max_level, max_level - 1] {
+            let basis = ctx.level_basis(level).clone();
+            let mut ds = Vec::new();
+            let mut keys = Vec::new();
+            for _ in 0..4 {
+                let sk = kg.secret_key(&mut rng);
+                keys.push(kg.galois_key(&sk, g, &mut rng));
+                let mut flat = Vec::with_capacity(basis.len() * ctx.n());
+                for m in basis.moduli() {
+                    flat.extend(sampler::uniform_residues(&mut rng, m, ctx.n()));
+                }
+                ds.push(RnsPoly::from_flat(
+                    basis.clone(),
+                    flat,
+                    Representation::Eval,
+                ));
             }
-            ds.push(RnsPoly::from_flat(
-                basis.clone(),
-                flat,
-                Representation::Eval,
-            ));
+            let jobs: Vec<KsJob<'_>> = ds
+                .iter()
+                .zip(&keys)
+                .map(|(d, key)| KsJob { d, key })
+                .collect();
+            let coalesced = key_switch_galois_coalesced(&ctx, &jobs, g, level);
+            for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
+                let (s0, s1) = key_switch_galois(&ctx, job.d, g, job.key, level);
+                assert_eq!(c0.flat(), s0.flat(), "ks0 job {i}");
+                assert_eq!(c1.flat(), s1.flat(), "ks1 job {i}");
+            }
+            // An empty batch is a no-op, not a panic.
+            assert!(key_switch_galois_coalesced(&ctx, &[], g, level).is_empty());
         }
-        let jobs: Vec<KsJob<'_>> = ds
-            .iter()
-            .zip(&keys)
-            .map(|(d, key)| KsJob { d, key })
-            .collect();
-        let coalesced = key_switch_galois_coalesced(&ctx, &jobs, g, level);
-        for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
-            let (s0, s1) = key_switch_galois(&ctx, job.d, g, job.key, level);
-            assert_eq!(c0.flat(), s0.flat(), "ks0 job {i}");
-            assert_eq!(c1.flat(), s1.flat(), "ks1 job {i}");
-        }
-        // An empty batch is a no-op, not a panic.
-        assert!(key_switch_galois_coalesced(&ctx, &[], g, level).is_empty());
     }
 
     #[test]

@@ -22,14 +22,15 @@
 //!   [`Ciphertext3::canonicalize`]).
 //! * [`key_switch`] — the `k = 1` instance of the one batch-first lazy
 //!   engine ([`key_switch_coalesced`] widens it, [`hoist_rotations`]
-//!   splits its stages) — keeps digit NTTs, inner-product accumulators
-//!   and the exit iNTT lazy, folding once per accumulator limb at the
-//!   ModDown boundary.
+//!   splits its stages) — keeps digit NTTs and inner-product
+//!   accumulators lazy and transforms only the limbs a base conversion
+//!   reads; ModDown, run in the evaluation domain, canonicalises each
+//!   accumulator limb once.
 //! * [`Evaluator::apply_galois`] moves the automorphism into the
 //!   keyswitch ([`key_switch_galois`]): in evaluation form it is a
 //!   pure, reduction-agnostic slot permutation, so the whole HRotate
-//!   chain (digit NTT → `Auto` → `IP` → iNTT) stays `[0, 2p)` and
-//!   folds once at ModDown.
+//!   chain (digit NTT → `Auto` → `IP`) stays `[0, 2p)` and is
+//!   canonicalised once, by ModDown.
 //! * Every lazy chain has one strict oracle ([`key_switch_strict`],
 //!   [`Evaluator::mul_strict`], ...) built on the fully-reduced
 //!   transforms; the workspace suite `tests/lazy_chains.rs` asserts

@@ -21,7 +21,8 @@
 //!   **bit for bit** (asserted against the NTT golden vectors).
 //!
 //! Three implementations ship: [`ScalarBackend`] (the provided bodies),
-//! [`LaneBackend`] (row passes unrolled into 8-word branchless lanes)
+//! [`LaneBackend`] (row passes unrolled into 8-word branchless lanes,
+//! the BConv matmul streamed row-wise over 8-word accumulator blocks)
 //! and [`ThreadedBackend`] (batches sliced by whole rows across a
 //! [`crate::pool::WorkerPool`] — the per-tower RNS parallelism of FAB
 //! and TREBUCHET). Rows never share output words and the BConv `u128`
@@ -715,6 +716,76 @@ impl LaneBackend {
             *y = m.mul_shoup_lazy(u + two_p - v, w, ws);
         }
     }
+
+    /// One output-limb row of the BConv matmul, row-wise: each 8-word
+    /// block of `u128` accumulators streams every source row at unit
+    /// stride (`acc[k] += y[i*n + c + k] * w_i`) and is reduced once per
+    /// output word. The per-term `bj.reduce` of the reference
+    /// [`bconv_row`] is skipped — with `y < 2^62`, `w < 2^62` and
+    /// `alpha <= 16` the unreduced sum still fits a `u128`, and
+    /// [`Modulus::reduce_u128`] is exact over that whole range
+    /// (`modulus::tests::reduce_u128_exact_over_bconv_accumulator_range`),
+    /// so the canonical result is the same word.
+    #[inline]
+    fn bconv_row(bj: &Modulus, wrow: &[u64], y: &[u64], n: usize, orow: &mut [u64]) {
+        let mut chunks = orow.chunks_exact_mut(LANES);
+        let mut c = 0usize;
+        for och in chunks.by_ref() {
+            let mut acc = [0u128; LANES];
+            for (i, &w) in wrow.iter().enumerate() {
+                let ych = &y[i * n + c..i * n + c + LANES];
+                for k in 0..LANES {
+                    acc[k] += ych[k] as u128 * w as u128;
+                }
+            }
+            for k in 0..LANES {
+                och[k] = bj.reduce_u128(acc[k]);
+            }
+            c += LANES;
+        }
+        for (o, c) in chunks.into_remainder().iter_mut().zip(c..) {
+            let mut acc: u128 = 0;
+            for (i, &w) in wrow.iter().enumerate() {
+                acc += y[i * n + c] as u128 * w as u128;
+            }
+            *o = bj.reduce_u128(acc);
+        }
+    }
+
+    /// Both BConv batches: [`Self::bconv_row`] per output limb `j`, then
+    /// `finish_row(j, b_j, row)` (the exact variant's overshoot
+    /// correction). Skipping the per-term reduce rests the `u128` sum
+    /// bound on every digit word being a residue of some workspace
+    /// modulus — `BasisConverter::premultiply`'s canonical output always
+    /// is; debug-asserted here.
+    fn bconv_rows(
+        to_moduli: &[Modulus],
+        weights: &[u64],
+        y: &[u64],
+        out: &mut [u64],
+        finish_row: impl Fn(usize, &Modulus, &mut [u64]),
+    ) {
+        let Some(n) = batch_rows(to_moduli.len(), out.len()) else {
+            return;
+        };
+        let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
+            return;
+        };
+        debug_assert_eq!(y.len(), alpha * n, "digit buffer size mismatch");
+        debug_assert!(
+            y.iter().all(|&x| x < Modulus::MAX),
+            "BConv digit word outside [0, 2^62)"
+        );
+        for (j, ((orow, wrow), bj)) in out
+            .chunks_exact_mut(n)
+            .zip(weights.chunks_exact(alpha))
+            .zip(to_moduli)
+            .enumerate()
+        {
+            Self::bconv_row(bj, wrow, y, n, orow);
+            finish_row(j, bj, orow);
+        }
+    }
 }
 
 impl KernelBackend for LaneBackend {
@@ -905,6 +976,38 @@ impl KernelBackend for LaneBackend {
         for (x, &s) in dc.into_remainder().iter_mut().zip(pc.remainder()) {
             *x = src[s];
         }
+    }
+
+    fn convert_approx_batch(
+        &self,
+        to_moduli: &[Modulus],
+        weights: &[u64],
+        y: &[u64],
+        out: &mut [u64],
+    ) {
+        Self::bconv_rows(to_moduli, weights, y, out, |_, _, _| {});
+    }
+
+    fn convert_exact_batch(
+        &self,
+        to_moduli: &[Modulus],
+        weights: &[u64],
+        a_mod_b: &[u64],
+        v: &[u64],
+        y: &[u64],
+        out: &mut [u64],
+    ) {
+        debug_assert_eq!(a_mod_b.len(), to_moduli.len(), "one A mod b_j per limb");
+        Self::bconv_rows(to_moduli, weights, y, out, |j, bj, orow| {
+            debug_assert_eq!(
+                v.len(),
+                orow.len(),
+                "one overshoot multiple per coefficient"
+            );
+            for (o, &vc) in orow.iter_mut().zip(v) {
+                *o = bj.sub(*o, bj.mul(bj.reduce(vc), a_mod_b[j]));
+            }
+        });
     }
 }
 
@@ -1614,7 +1717,15 @@ mod tests {
                     (0..alpha).map(|_| rng.gen_range(0..p)).collect::<Vec<_>>()
                 })
                 .collect();
-            let digits: Vec<u64> = (0..alpha * n).map(|_| rng.gen()).collect();
+            // Canonical digits as `BasisConverter::premultiply` emits
+            // them: row `i` below a source modulus of 62 - i bits, wider
+            // than every output limb (the ModDown shape).
+            let digits: Vec<u64> = (0..alpha)
+                .flat_map(|i| {
+                    let bound = Modulus::MAX >> i;
+                    (0..n).map(|_| rng.gen_range(0..bound)).collect::<Vec<_>>()
+                })
+                .collect();
             let a_mod: Vec<u64> = moduli.iter().map(|m| rng.gen_range(0..m.value())).collect();
             let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=alpha as u64)).collect();
             assert_all_eq(
@@ -1669,7 +1780,9 @@ mod tests {
                 (0..alpha).map(|_| rng.gen_range(0..p)).collect::<Vec<_>>()
             })
             .collect();
-        let digits: Vec<u64> = (0..alpha * n).map(|_| rng.gen()).collect();
+        let digits: Vec<u64> = (0..alpha * n)
+            .map(|_| rng.gen_range(0..Modulus::MAX))
+            .collect();
         let a_mod: Vec<u64> = moduli.iter().map(|m| rng.gen_range(0..m.value())).collect();
         let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=alpha as u64)).collect();
         let mut out = vec![0u64; limbs * n];

@@ -559,6 +559,43 @@ mod tests {
         }
     }
 
+    /// The lanes BConv pass sums `alpha <= 16` unreduced products
+    /// `y * w` (`y < 2^62` a source residue, `w < p` a weight) and
+    /// reduces once per output word; that is the reference's
+    /// reduce-every-term result only if `reduce_u128` is exact over the
+    /// whole range such sums reach.
+    #[test]
+    fn reduce_u128_exact_over_bconv_accumulator_range() {
+        let primes = [
+            (1u64 << 30) - 35,
+            (1 << 36) - 5,
+            (1 << 45) - 55,
+            (1 << 50) - 27,
+            (1 << 59) - 55,
+            (1 << 61) - 1,
+            4611686018427387847, // just below 2^62
+        ];
+        for p in primes {
+            let m = Modulus::new(p).unwrap();
+            let check = |a: u128| {
+                assert_eq!(m.reduce_u128(a), (a % p as u128) as u64, "p={p} a={a}");
+            };
+            check(u128::MAX);
+            for alpha in [1u128, 2, 6, 16] {
+                for dy in 1..=3u64 {
+                    for dw in 1..=3u64 {
+                        let term = (Modulus::MAX - dy) as u128 * (p - dw) as u128;
+                        // Every term at the top of its range, then the
+                        // sums one term and one word short of it.
+                        check(alpha * term);
+                        check(alpha * term - 1);
+                        check((alpha - 1) * term + (p - dw) as u128);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn mul_add_consistent() {
         let p = (1u64 << 50) - 27;

@@ -307,17 +307,26 @@ impl BasisConverter {
     /// the same layout. The result may exceed the true value by a small
     /// multiple of `A` (bounded by `alpha`), which RNS-CKKS tolerates as
     /// extra noise — this is the hardware `BConv` kernel of the paper.
+    /// Allocating wrapper of [`Self::convert_approx_into`].
     ///
     /// # Panics
     ///
     /// Panics if `src.len()` is not `from.len() * n`.
     pub fn convert_approx(&self, src: &[u64]) -> Vec<u64> {
-        let n = self.from.n();
-        let alpha = self.from.len();
-        assert_eq!(src.len(), alpha * n, "wrong flat source length");
-        let mut out = vec![0u64; self.to.len() * n];
-        crate::scratch::with_scratch(alpha * n, |y| {
-            self.premultiply(src, y);
+        let mut out = vec![0u64; self.to.len() * self.to.n()];
+        self.convert_approx_into(src, &mut out);
+        out
+    }
+
+    /// [`Self::convert_approx`] into caller-owned rows: `out` receives
+    /// the `to.len() * n` converted residues (every word is overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len()` is not `from.len() * n` or `out.len()` is
+    /// not `to.len() * n`.
+    pub fn convert_approx_into(&self, src: &[u64], out: &mut [u64]) {
+        self.with_premultiplied(src, out.len(), |y| {
             // out_j = sum_i y_i * |A/a_i|_{b_j} — the systolic-array
             // matmul, dispatched through the active kernel backend,
             // which may slice the output-limb rows across worker
@@ -326,10 +335,9 @@ impl BasisConverter {
                 self.to.moduli(),
                 &self.a_hat_mod_b,
                 y,
-                &mut out,
+                out,
             );
         });
-        out
     }
 
     /// Exact base conversion using the floating-point overshoot estimate
@@ -338,19 +346,28 @@ impl BasisConverter {
     ///
     /// Exact when the underlying value is not pathologically close to a
     /// multiple of `A` (always true for FHE noise distributions). Flat,
-    /// limb-major layout as in [`Self::convert_approx`].
+    /// limb-major layout as in [`Self::convert_approx`]. Allocating
+    /// wrapper of [`Self::convert_exact_into`].
     ///
     /// # Panics
     ///
     /// Panics if `src.len()` is not `from.len() * n`.
     pub fn convert_exact(&self, src: &[u64]) -> Vec<u64> {
-        let n = self.from.n();
-        let alpha = self.from.len();
-        assert_eq!(src.len(), alpha * n, "wrong flat source length");
-        let mut out = vec![0u64; self.to.len() * n];
-        crate::scratch::with_scratch(alpha * n, |y| {
-            self.premultiply(src, y);
-            crate::scratch::with_scratch(n, |v| {
+        let mut out = vec![0u64; self.to.len() * self.to.n()];
+        self.convert_exact_into(src, &mut out);
+        out
+    }
+
+    /// [`Self::convert_exact`] into caller-owned rows, as
+    /// [`Self::convert_approx_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len()` is not `from.len() * n` or `out.len()` is
+    /// not `to.len() * n`.
+    pub fn convert_exact_into(&self, src: &[u64], out: &mut [u64]) {
+        self.with_premultiplied(src, out.len(), |y| {
+            crate::scratch::with_scratch(self.from.n(), |v| {
                 // The overshoot multiples are computed once, here, so
                 // every backend applies the identical correction no
                 // matter how it schedules the output-limb rows.
@@ -361,11 +378,24 @@ impl BasisConverter {
                     &self.a_mod_b,
                     v,
                     y,
-                    &mut out,
+                    out,
                 );
             });
         });
-        out
+    }
+
+    /// The shared front of both conversions: checks the flat geometry
+    /// (`src` over `from`, `out_len` words over `to`) and runs `f` on
+    /// the premultiplied digits of `src`, leased from the scratch pool.
+    fn with_premultiplied(&self, src: &[u64], out_len: usize, f: impl FnOnce(&[u64])) {
+        let n = self.from.n();
+        let alpha = self.from.len();
+        assert_eq!(src.len(), alpha * n, "wrong flat source length");
+        assert_eq!(out_len, self.to.len() * n, "wrong flat output length");
+        crate::scratch::with_scratch(alpha * n, |y| {
+            self.premultiply(src, y);
+            f(y);
+        });
     }
 
     /// `v[c] = round(sum_i y_i[c] / a_i)` — the HPS overshoot multiple
