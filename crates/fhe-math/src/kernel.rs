@@ -22,8 +22,9 @@
 //!
 //! Three implementations ship: [`ScalarBackend`] (the provided bodies),
 //! [`LaneBackend`] (row passes unrolled into 8-word branchless lanes,
-//! the BConv matmul streamed row-wise over 8-word accumulator blocks)
-//! and [`ThreadedBackend`] (batches sliced by whole rows across a
+//! the BConv matmul streamed row-wise over 8-word accumulator blocks,
+//! the gadget decomposition division-free with unit-stride digit
+//! passes) and [`ThreadedBackend`] (batches sliced by whole rows across a
 //! [`crate::pool::WorkerPool`] — the per-tower RNS parallelism of FAB
 //! and TREBUCHET). Rows never share output words and the BConv `u128`
 //! accumulation is order-independent, so results do not depend on how
@@ -786,6 +787,40 @@ impl LaneBackend {
             finish_row(j, bj, orow);
         }
     }
+
+    /// One row of the division-free gadget decomposition (the
+    /// [`KernelBackend::decompose_batch`] override states the
+    /// arithmetic): `srow`, every word below `q`, into the `levels`
+    /// digit rows of `orows`, through the leased row `rest`.
+    /// `q_inv = ⌊(2^64 − 1) / q⌋`.
+    #[inline]
+    fn decompose_row(
+        q: u64,
+        q_inv: u64,
+        base_log: u32,
+        levels: usize,
+        srow: &[u64],
+        orows: &mut [i64],
+        rest: &mut [u64],
+    ) {
+        let n = srow.len();
+        let beta = base_log * levels as u32;
+        let half_q = q / 2;
+        for (y, &x) in rest.iter_mut().zip(srow) {
+            let num = (x << beta) + half_q;
+            let est = ((num as u128 * q_inv as u128) >> 64) as u64;
+            *y = est + u64::from(num - est * q >= q);
+        }
+        let mask = (1u64 << base_log) - 1;
+        for orow in orows.chunks_exact_mut(n).rev() {
+            for (o, y) in orow.iter_mut().zip(rest.iter_mut()) {
+                let d = *y & mask;
+                let carry = d >> (base_log - 1);
+                *o = d as i64 - ((carry << base_log) as i64);
+                *y = (*y >> base_log) + carry;
+            }
+        }
+    }
 }
 
 impl KernelBackend for LaneBackend {
@@ -1006,6 +1041,50 @@ impl KernelBackend for LaneBackend {
             );
             for (o, &vc) in orow.iter_mut().zip(v) {
                 *o = bj.sub(*o, bj.mul(bj.reduce(vc), a_mod_b[j]));
+            }
+        });
+    }
+
+    /// Division-free when `base_log >= 1` and `bits(q) + beta <= 63`
+    /// for `beta = base_log * levels` (every TFHE geometry here), so
+    /// that `num = x * 2^beta + ⌊q/2⌋ < 2^64` for every `x < q`.
+    ///
+    /// The rounded quotient `y = ⌊num / q⌋` is `mulhi(num, q_inv)`,
+    /// `q_inv = ⌊(2^64 − 1) / q⌋`, plus one correction: `q_inv <=
+    /// 2^64 / q` gives `mulhi <= y`, and `q_inv >= (2^64 − q) / q`
+    /// gives `num * q_inv / 2^64 >= num / q − num / 2^64 > num / q − 1`,
+    /// hence `mulhi >= y − 1` — the estimate is short by at most one,
+    /// which `num − mulhi * q >= q` detects. The digits are then peeled
+    /// one unit-stride pass per level, last level first; a digit is
+    /// folded into `[-B/2, B/2)` exactly when its top bit is set.
+    ///
+    /// Any other geometry, and any row holding a word outside `[0, q)`,
+    /// takes the reference body, so the digits are
+    /// [`gadget_decompose_rows`]'s for every input it accepts.
+    fn decompose_batch(
+        &self,
+        q: u64,
+        base_log: u32,
+        levels: usize,
+        n: usize,
+        src: &[u64],
+        out: &mut [i64],
+    ) {
+        let bits = (u64::BITS - q.leading_zeros()) as usize;
+        let in_window = base_log >= 1 && bits + base_log as usize * levels <= 63;
+        if !in_window || n == 0 || levels == 0 || src.is_empty() {
+            return gadget_decompose_rows(q, base_log, levels, n, src, out);
+        }
+        assert_eq!(src.len() % n, 0, "src not a multiple of the row length");
+        assert_eq!(out.len(), src.len() * levels, "digit buffer size mismatch");
+        let q_inv = u64::MAX / q;
+        crate::scratch::with_scratch(n, |rest| {
+            for (srow, orows) in src.chunks_exact(n).zip(out.chunks_exact_mut(levels * n)) {
+                if srow.iter().all(|&x| x < q) {
+                    Self::decompose_row(q, q_inv, base_log, levels, srow, orows, rest);
+                } else {
+                    gadget_decompose_rows(q, base_log, levels, n, srow, orows);
+                }
             }
         });
     }
@@ -1756,6 +1835,71 @@ mod tests {
                     "decompose_batch n={n} limbs={limbs} ({})",
                     b.name()
                 );
+            }
+        }
+    }
+
+    /// The lanes decomposition equals the reference on every geometry —
+    /// inside the one-word window (division-free pass) and outside it
+    /// (fallback) — on the words where the rounded quotient or a digit
+    /// changes, and on a row holding a word outside `[0, q)`.
+    #[test]
+    fn lanes_decompose_matches_reference_on_every_geometry() {
+        let mut rng = StdRng::seed_from_u64(0xDEC0);
+        let check = |q: u64, base_log: u32, levels: usize, n: usize, src: &[u64]| {
+            let mut want = vec![0i64; src.len() * levels];
+            let mut got = want.clone();
+            gadget_decompose_rows(q, base_log, levels, n, src, &mut want);
+            LANES_BACKEND.decompose_batch(q, base_log, levels, n, src, &mut got);
+            assert_eq!(got, want, "q={q} base_log={base_log} levels={levels} n={n}");
+        };
+        for bits in [20u32, 32, 33, 45, 62] {
+            let q = (0..)
+                .map(|i| (1u64 << bits) - 1 - i)
+                .find(|&c| crate::prime::is_prime(c))
+                .unwrap();
+            for base_log in 1..=16u32 {
+                for levels in 1..=6usize {
+                    // The quotient steps from `j` to `j + 1` at the word
+                    // `ceil((2j + 1) * q / 2^(beta + 1))`.
+                    let beta = base_log * levels as u32;
+                    if bits + beta > 127 {
+                        // The reference's own `u128` numerator overflows.
+                        continue;
+                    }
+                    let steps = 1u128 << beta;
+                    let boundary = |j: u128| (((2 * j + 1) * q as u128) >> (beta + 1)) as u64 + 1;
+                    let mut js: Vec<u128> = if beta <= 8 {
+                        (0..steps).collect()
+                    } else {
+                        // Quotients whose low digits sit at 0, B/2 - 1,
+                        // B/2 and B - 1 (the balanced-digit carry),
+                        // both ends of the range, and random ones.
+                        let half = 1u128 << (base_log - 1);
+                        let mut js = vec![0, 1, half - 1, half, 2 * half - 1, 2 * half];
+                        js.extend([steps - 1, steps - half, steps - half - 1]);
+                        js.extend((0..64).map(|_| rng.gen::<u128>() % steps));
+                        js
+                    };
+                    js.retain(|&j| j < steps);
+                    let mut words = vec![0, 1, q - 1];
+                    for j in js {
+                        let x = boundary(j);
+                        words.extend([x - 1, x.min(q - 1)]);
+                    }
+                    words.extend((0..256).map(|_| rng.gen_range(0..q)));
+                    for n in [1usize, 7, 8, 1024] {
+                        let mut src = words.clone();
+                        let rows = src.len().div_ceil(n);
+                        src.resize_with(rows * n, || rng.gen_range(0..q));
+                        check(q, base_log, levels, n, &src);
+                    }
+                    // One word outside the window: that row takes the
+                    // reference body, its neighbours the lanes pass.
+                    let mut src: Vec<u64> = (0..3 * 8).map(|_| rng.gen_range(0..q)).collect();
+                    src[11] = q;
+                    check(q, base_log, levels, 8, &src);
+                }
             }
         }
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use fhe_math::Modulus;
 use rand::Rng;
 
-use crate::ggsw::{Ggsw, MulBackend};
+use crate::ggsw::{CmuxScratch, Ggsw, MulBackend};
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
 use crate::lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 use crate::params::TfheParams;
@@ -218,18 +218,26 @@ impl ServerKey {
     /// The blind-rotation engine: each job rotates the test vector by
     /// its own mod-switched phase under its own bootstrapping key
     /// (`acc <- acc + bsk[i] ⊡ (rotate(acc, a_i) - acc)` for every
-    /// non-zero `a_i`, in increasing `i`), and the `n_lwe` CMUX steps
-    /// run in lockstep so every step's external products coalesce into
-    /// one wide [`Ggsw::external_product_batch`] call — the MATCHA
-    /// batching shape. A job's output does not depend on its batch
-    /// mates; NTT- and FFT-prepared keys may share a batch. A batch
-    /// mixing parameter sets or moduli cannot run in lockstep and is
-    /// served job by job, each as a batch of one.
+    /// non-zero `a_i`, in increasing `i`), the `n_lwe` CMUX steps in
+    /// lockstep and **in place**: the accumulators and one
+    /// `CmuxScratch` (the [`crate::ggsw`] module's one external-product
+    /// dataflow) are created here, and a step allocates nothing. Per
+    /// step `i`: the jobs with `a_i != 0` take the leading slots (a job
+    /// that skips the step occupies none); each slot's operand is
+    /// written straight from its accumulator as `X^{a_i} * acc - acc`
+    /// in one fused pass; then one `decompose_batch`, one forward NTT
+    /// and one inverse NTT serve all slots, the multiply-accumulates
+    /// between them run gadget row outer so batch mates sharing a key
+    /// meet `bsk[i]`'s row while it is hot; last, `acc += product` per
+    /// slot. A job's output does not depend on its batch mates; NTT-
+    /// and FFT-prepared keys may share a batch. A batch mixing
+    /// parameter sets or moduli cannot run in lockstep and is served
+    /// job by job, each as a batch of one.
     ///
     /// # Panics
     ///
-    /// Panics if any job's `a_tilde.len()` differs from its key's
-    /// `n_lwe`.
+    /// Panics if `tv.len()` differs from the ring degree `N`, or any
+    /// job's `a_tilde.len()` from its key's `n_lwe`.
     pub fn blind_rotate_batch(
         jobs: &[(&ServerKey, &[u64], u64)],
         tv: &[u64],
@@ -244,39 +252,33 @@ impl ServerKey {
                 .collect();
         }
         let ring = &head.ctx.ring;
-        let k = head.ctx.params.k;
-        let n_lwe = head.ctx.params.n_lwe;
+        let p = &head.ctx.params;
+        assert_eq!(
+            tv.len(),
+            ring.n(),
+            "test vector length must equal the ring degree N"
+        );
         let mut accs: Vec<GlweCiphertext> = jobs
             .iter()
             .map(|&(_, a_tilde, b_tilde)| {
                 assert_eq!(
                     a_tilde.len(),
-                    n_lwe,
+                    p.n_lwe,
                     "switched mask length must equal n_lwe"
                 );
-                GlweCiphertext::trivial(ring, k, ring.mul_monomial(tv, -(b_tilde as i64)))
+                GlweCiphertext::trivial(ring, p.k, ring.mul_monomial(tv, -(b_tilde as i64)))
             })
             .collect();
-        for i in 0..n_lwe {
+        let mut cmux = CmuxScratch::new(ring, p.k, p.lb, p.bg_log, jobs.len());
+        for i in 0..p.n_lwe {
             // Jobs whose i-th switched mask coefficient is zero skip
             // this CMUX.
-            let diffs: Vec<(usize, GlweCiphertext)> = jobs
-                .iter()
-                .enumerate()
-                .filter(|(_, &(_, a_tilde, _))| a_tilde[i] != 0)
-                .map(|(j, &(_, a_tilde, _))| {
-                    let mut diff = accs[j].rotate(ring, a_tilde[i] as i64);
-                    diff.sub_assign(ring, &accs[j]);
-                    (j, diff)
-                })
-                .collect();
-            let ep_jobs: Vec<(&Ggsw, &GlweCiphertext)> = diffs
-                .iter()
-                .map(|(j, diff)| (&jobs[*j].0.bsk[i], diff))
-                .collect();
-            let outs = Ggsw::external_product_batch(ring, &ep_jobs);
-            for (&(j, _), out) in diffs.iter().zip(outs) {
-                accs[j].add_assign(ring, &out);
+            cmux.step(
+                |j| (jobs[j].1[i] != 0).then(|| &jobs[j].0.bsk[i]),
+                |j, diff| accs[j].rotate_sub_into(ring, jobs[j].1[i] as i64, diff),
+            );
+            for (j, prod) in cmux.products() {
+                ring.add_assign(accs[j].words_mut(), prod);
             }
         }
         accs
@@ -646,6 +648,59 @@ mod tests {
                 assert_eq!(ck.decrypt_bit(&out), bits[i], "job {i} of {}", batch.len());
             }
         }
+    }
+
+    /// Random masks hold a zero once in 2 048 coefficients, so the
+    /// jobs here carry hand-built ones whose zeros are staggered: at
+    /// step 0 job 0 sits out while its mates run, at step 7 jobs 0 and
+    /// 1 do, at step 8 job 1 alone, and job 2 never takes a slot.
+    #[test]
+    fn blind_rotate_batch_packs_jobs_that_sit_a_step_out() {
+        let (ck, ntt) = set_i_ntt();
+        let (_, fft) = set_i_fft();
+        let n_lwe = ck.ctx.params.n_lwe;
+        let tv = vec![ck.ctx.q().value() / 8; ck.ctx.params.n];
+        let zeros: [&[usize]; 4] = [&[0, 7], &[7, 8], &[], &[]];
+        let masks: Vec<Vec<u64>> = (0..4)
+            .map(|j| {
+                if j == 2 {
+                    return vec![0; n_lwe];
+                }
+                let mut a: Vec<u64> = (0..n_lwe)
+                    .map(|i| 1 + ((i * 37 + j * 101) % 2047) as u64)
+                    .collect();
+                for &step in zeros[j] {
+                    a[step] = 0;
+                }
+                a
+            })
+            .collect();
+        for keys in [[ntt; 4], [ntt, fft, fft, ntt]] {
+            let jobs: Vec<(&ServerKey, &[u64], u64)> = keys
+                .iter()
+                .zip(&masks)
+                .enumerate()
+                .map(|(j, (sk, a))| (*sk, a.as_slice(), 3 + 500 * j as u64))
+                .collect();
+            let batched = ServerKey::blind_rotate_batch(&jobs, &tv);
+            for (j, (&(sk, a, b), got)) in jobs.iter().zip(&batched).enumerate() {
+                let single = sk.blind_rotate(a, b, &tv);
+                assert_eq!(got.words(), single.words(), "job {j} vs its k = 1 run");
+                if sk.backend == MulBackend::Ntt {
+                    let reference = blind_rotate_reference(sk, a, b, &tv);
+                    assert_eq!(got.words(), reference.words(), "job {j} vs reference");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "test vector length must equal the ring degree N")]
+    fn blind_rotate_rejects_wrong_test_vector_length() {
+        let (ck, sk) = set_i_ntt();
+        // A short vector used to die inside the monomial copy.
+        let tv = vec![ck.ctx.q().value() / 8; ck.ctx.params.n - 1];
+        sk.blind_rotate(&vec![1u64; ck.ctx.params.n_lwe], 0, &tv);
     }
 
     #[test]

@@ -12,10 +12,42 @@
 //!
 //! A GGSW is one flat buffer laid out `[gadget row][component][coeff]`:
 //! row `r` is the `(k+1) * n` words at `r * (k+1) * n` — GLWE-shaped,
-//! so one multiply-accumulate into a GLWE accumulator borrows it whole.
+//! so a multiply-accumulate reads each of its polynomials in place.
+//!
+//! # The one dataflow
+//!
+//! Every external product in this crate — a lone
+//! [`Ggsw::external_product`], a batch, each of the `n_lwe` CMUX steps
+//! of a blind rotation — is one step of `CmuxScratch`, which owns the
+//! buffers (`diff`, `prod`: `jobs * (k+1) * n` words; `digits`, `fwd`:
+//! `jobs * (k+1) * lb * n`; the `NttTable` row list; the slot list),
+//! allocated once per blind rotation and reused by every step:
+//!
+//! 1. **Pack.** The jobs that take part in the step occupy the leading
+//!    slots, NTT-keyed jobs first; a job that sits the step out
+//!    occupies none.
+//! 2. **Operand.** The caller writes each slot's GLWE operand into
+//!    `diff` (blind rotation: `X^a * acc - acc` in one fused pass).
+//! 3. **One `decompose_batch`** over all slots — `diff` is already in
+//!    the job-major row layout the kernel emits digits for — and one
+//!    branch-free lift of the signed digits into `fwd`.
+//! 4. **One forward NTT** over every NTT-keyed slot, exiting in the
+//!    lazy `[0, 2p)` window.
+//! 5. **Multiply-accumulate**, gadget row outer, then slot, then
+//!    component: one-row `mul_acc_lazy_batch` calls over the
+//!    transformed digit row itself and the key polynomial borrowed in
+//!    place. Nothing is replicated or copied, and slots that share a
+//!    key meet its row while it is hot (key-stationary by loop order).
+//! 6. **One canonicalising inverse NTT** over all NTT-keyed product
+//!    rows — the chain's single reduction.
+//!
+//! Per slot the kernels and their order (gadget rows increasing) are
+//! those of [`Ggsw::external_product_strict`], so every word is
+//! bit-identical to it (`tests/lazy_chains.rs`). FFT-keyed slots are
+//! evaluated from their digit rows directly.
 
 use fhe_math::kernel::{self, ExitFold};
-use fhe_math::{Modulus, NttTable};
+use fhe_math::NttTable;
 use rand::Rng;
 
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
@@ -168,33 +200,36 @@ impl Ggsw {
 
     /// Gadget-decomposes every component of `glwe` into `lb` digit rows
     /// (Algorithm 2 lines 6–8) straight from the ciphertext's buffer,
-    /// one dispatch through the active kernel backend (which may slice
-    /// component rows, never levels, across worker threads). Digit `j`
-    /// of component `i` lands in row `i*lb + j` of `out` — the GGSW row
-    /// alignment. Shared by both reduction disciplines; panics if
-    /// `glwe` is not of this GGSW's `(k, n)`.
+    /// one dispatch through the active kernel backend. Digit `j` of
+    /// component `i` lands in row `i*lb + j` of `out` — the GGSW row
+    /// alignment. The strict oracle's decomposition; panics if `glwe`
+    /// is not of this GGSW's `(k, n)`.
     fn decompose_digits(&self, ring: &TfheRing, glwe: &GlweCiphertext, out: &mut [i64]) {
         let n = ring.n();
-        assert!(
-            glwe.k() == self.k && glwe.words().len() == (self.k + 1) * n,
-            "GLWE shape differs from the GGSW's (k, n)"
-        );
+        self.assert_shape(ring, glwe);
         kernel::active().decompose_batch(ring.q(), self.bg_log, self.lb, n, glwe.words(), out);
     }
 
+    /// The operand contract of every external product, checked before
+    /// any kernel reads the GLWE's buffer.
+    fn assert_shape(&self, ring: &TfheRing, glwe: &GlweCiphertext) {
+        assert!(
+            glwe.k() == self.k && glwe.words().len() == (self.k + 1) * ring.n(),
+            "GLWE shape differs from the GGSW's (k, n)"
+        );
+    }
+
     /// The external-product engine: `jobs[i].0 ⊡ jobs[i].1` for every
-    /// job (Algorithm 2 lines 6–10). [`Self::external_product`] is its
-    /// one-job instance.
+    /// job (Algorithm 2 lines 6–10) — one step of the crate's one
+    /// dataflow (module docs) with every job taking part and its GLWE
+    /// as the operand. [`Self::external_product`] is its one-job
+    /// instance.
     ///
-    /// Each GLWE is decomposed from its own buffer; the digit rows of
-    /// all NTT-keyed jobs share one wide forward dispatch exiting in
-    /// `[0, 2p)` (the MATCHA-style "k bootstraps through one kernel
-    /// dispatch" shape the worker pool can slice); each job then
-    /// multiply-accumulates lazily, gadget rows in increasing order,
-    /// against its GGSW's rows borrowed in place and into the buffer
-    /// that is its output ciphertext, and one canonicalising iNTT is
-    /// the chain's single reduction. A job's output does not depend on
-    /// its batch mates and is bit-identical to
+    /// All jobs share one `decompose_batch`, the NTT-keyed ones one
+    /// lazy-exit forward NTT and one canonicalising inverse NTT; the
+    /// multiply-accumulates between them read each transformed digit
+    /// row and each key polynomial in place. A job's output does not
+    /// depend on its batch mates and is bit-identical to
     /// [`Self::external_product_strict`] (`tests/lazy_chains.rs`).
     /// FFT-keyed jobs are evaluated from their digits directly
     /// (rounding there is per product).
@@ -213,38 +248,19 @@ impl Ggsw {
         let Some(&(head, _)) = jobs.first() else {
             return Vec::new();
         };
-        let n = ring.n();
-        let (k, lb, bg_log) = (head.k, head.lb, head.bg_log);
-        assert!(
-            jobs.iter()
-                .all(|(g, _)| g.k == k && g.lb == lb && g.bg_log == bg_log),
-            "external_product_batch requires one gadget geometry"
+        let mut cmux = CmuxScratch::new(ring, head.k, head.lb, head.bg_log, jobs.len());
+        cmux.step(
+            |job| Some(jobs[job].0),
+            |job, operand| {
+                head.assert_shape(ring, jobs[job].1);
+                operand.copy_from_slice(jobs[job].1.words());
+            },
         );
-        let job_words = (k + 1) * lb * n;
-        let mut digits = vec![0i64; jobs.len() * job_words];
-        // NTT jobs lift their digit rows into `fwd` for the lazy chain.
-        let mut fwd = Vec::with_capacity(digits.len());
-        for ((ggsw, glwe), out) in jobs.iter().zip(digits.chunks_exact_mut(job_words)) {
-            head.decompose_digits(ring, glwe, out);
-            if let GgswRepr::Ntt(_) = ggsw.repr {
-                fwd.extend(out.iter().map(|&c| ring.modulus().from_i64(c)));
-            }
+        let mut outs = vec![GlweCiphertext::zero(ring, head.k); jobs.len()];
+        for (job, prod) in cmux.products() {
+            outs[job].words_mut().copy_from_slice(prod);
         }
-        let tables: Vec<&NttTable> = vec![ring.table().as_ref(); fwd.len() / n];
-        kernel::active().forward_batch(&tables, &mut fwd, ExitFold::Lazy2p);
-
-        let moduli = vec![*ring.modulus(); k + 1];
-        let mut lifted = fwd.chunks_exact(job_words);
-        jobs.iter()
-            .zip(digits.chunks_exact(job_words))
-            .map(|((ggsw, _), job_digits)| match &ggsw.repr {
-                GgswRepr::Ntt(key) => {
-                    let fwd = lifted.next().expect("one lifted slot per NTT job");
-                    lazy_product(ring, &moduli, &tables[..=k], key, fwd)
-                }
-                GgswRepr::Fft(key) => fft_product(ring, k, key, job_digits),
-            })
-            .collect()
+        outs
     }
 
     /// CMUX: returns `ct0 + self ⊡ (ct1 - ct0)` — selects `ct1` when the
@@ -263,40 +279,157 @@ impl Ggsw {
     }
 }
 
-/// One NTT-keyed external product from lazily transformed digit rows:
-/// per gadget row one lazy multiply-accumulate against the borrowed key
-/// row into the output's own buffer, then the canonicalising iNTT.
-/// `moduli` and `tables` carry one entry per GLWE component.
-fn lazy_product(
-    ring: &TfheRing,
-    moduli: &[Modulus],
-    tables: &[&NttTable],
-    key: &[u64],
-    fwd: &[u64],
-) -> GlweCiphertext {
-    let n = ring.n();
-    let mut out = GlweCiphertext::zero(ring, moduli.len() - 1);
-    // The MAC takes operands as long as the accumulator: the digit is
-    // replicated per component, key words are never copied.
-    let mut digit_rows = vec![0u64; moduli.len() * n];
-    for (digit, row) in fwd.chunks_exact(n).zip(key.chunks_exact(moduli.len() * n)) {
-        for rep in digit_rows.chunks_exact_mut(n) {
-            rep.copy_from_slice(digit);
-        }
-        kernel::active().mul_acc_lazy_batch(moduli, out.words_mut(), &digit_rows, row);
-    }
-    kernel::active().inverse_batch(tables, out.words_mut(), ExitFold::Canonical);
-    out
+/// The buffers of a CMUX loop and the one external-product dataflow
+/// over them (module docs, "The one dataflow"): sized once for `jobs`
+/// lockstep jobs of one gadget geometry, then reused by every
+/// [`Self::step`] — nothing is allocated per step.
+pub(crate) struct CmuxScratch<'a> {
+    ring: &'a TfheRing,
+    k: usize,
+    lb: usize,
+    bg_log: u32,
+    jobs: usize,
+    /// `(job, GGSW)` of the current step's slots, NTT-keyed first.
+    slots: Vec<(usize, &'a Ggsw)>,
+    /// Slot operands, `(k+1) * n` words each.
+    diff: Vec<u64>,
+    /// Slot products, laid out like `diff`.
+    prod: Vec<u64>,
+    /// Signed gadget digits, `(k+1) * lb * n` words per slot.
+    digits: Vec<i64>,
+    /// The NTT-keyed slots' digits, lifted and transformed.
+    fwd: Vec<u64>,
+    /// One table per row of `fwd`.
+    tables: Vec<&'a NttTable>,
 }
 
-/// One external product against FFT-prepared rows: per-row FFT products
-/// accumulated in wide integers, then reduced — rounding error mirrors
-/// real FFT accelerators.
-fn fft_product(ring: &TfheRing, k: usize, key: &[i64], digits: &[i64]) -> GlweCiphertext {
+impl<'a> CmuxScratch<'a> {
+    /// Buffers for `jobs` lockstep external products of gadget geometry
+    /// `(k, lb, bg_log)` over `ring`.
+    pub(crate) fn new(ring: &'a TfheRing, k: usize, lb: usize, bg_log: u32, jobs: usize) -> Self {
+        let row_words = (k + 1) * ring.n();
+        Self {
+            ring,
+            k,
+            lb,
+            bg_log,
+            jobs,
+            slots: Vec::with_capacity(jobs),
+            diff: vec![0; jobs * row_words],
+            prod: vec![0; jobs * row_words],
+            digits: vec![0; jobs * lb * row_words],
+            fwd: vec![0; jobs * lb * row_words],
+            tables: vec![ring.table().as_ref(); jobs * (k + 1) * lb],
+        }
+    }
+
+    /// One lockstep step: job `j` takes part iff `key(j)` names its
+    /// GGSW, `operand(j, slot)` writes its GLWE operand, and
+    /// [`Self::products`] then holds `key(j) ⊡ operand` per taking-part
+    /// job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a GGSW's gadget geometry differs from the scratch's.
+    pub(crate) fn step(
+        &mut self,
+        key: impl Fn(usize) -> Option<&'a Ggsw>,
+        mut operand: impl FnMut(usize, &mut [u64]),
+    ) {
+        let n = self.ring.n();
+        let row_words = (self.k + 1) * n;
+        let job_rows = (self.k + 1) * self.lb;
+        let job_words = job_rows * n;
+        self.slots.clear();
+        for kind in [MulBackend::Ntt, MulBackend::Fft] {
+            for job in 0..self.jobs {
+                let Some(ggsw) = key(job).filter(|ggsw| ggsw.backend() == kind) else {
+                    continue;
+                };
+                assert!(
+                    (ggsw.k, ggsw.lb, ggsw.bg_log) == (self.k, self.lb, self.bg_log),
+                    "lockstep external products require one gadget geometry"
+                );
+                let slot = self.slots.len();
+                operand(job, &mut self.diff[slot * row_words..][..row_words]);
+                self.slots.push((job, ggsw));
+            }
+        }
+        if self.slots.is_empty() {
+            return;
+        }
+        let slots = self.slots.len();
+        let ntt = self
+            .slots
+            .partition_point(|(_, ggsw)| ggsw.backend() == MulBackend::Ntt);
+        let backend = kernel::active();
+        backend.decompose_batch(
+            self.ring.q(),
+            self.bg_log,
+            self.lb,
+            n,
+            &self.diff[..slots * row_words],
+            &mut self.digits[..slots * job_words],
+        );
+
+        // The lazy NTT chain over the leading slots. A balanced digit
+        // has |d| <= B/2 < p, so adding p to the negative ones is
+        // `Modulus::from_i64` without its branches.
+        let p = self.ring.q();
+        let fwd = &mut self.fwd[..ntt * job_words];
+        for (w, &d) in fwd.iter_mut().zip(&self.digits[..ntt * job_words]) {
+            debug_assert!(d.unsigned_abs() < p, "gadget digit outside (-p, p)");
+            *w = (d + (p as i64 & (d >> 63))) as u64;
+        }
+        backend.forward_batch(&self.tables[..ntt * job_rows], fwd, ExitFold::Lazy2p);
+        let modulus = std::slice::from_ref(self.ring.modulus());
+        let prod = &mut self.prod[..ntt * row_words];
+        prod.fill(0);
+        for r in 0..job_rows {
+            for (slot, (_, ggsw)) in self.slots[..ntt].iter().enumerate() {
+                let GgswRepr::Ntt(key) = &ggsw.repr else {
+                    unreachable!("NTT-keyed slots lead");
+                };
+                let digit = &fwd[(slot * job_rows + r) * n..][..n];
+                let key_row = &key[r * row_words..][..row_words];
+                let acc = &mut prod[slot * row_words..][..row_words];
+                for (acc, key_poly) in acc.chunks_exact_mut(n).zip(key_row.chunks_exact(n)) {
+                    backend.mul_acc_lazy_batch(modulus, acc, digit, key_poly);
+                }
+            }
+        }
+        backend.inverse_batch(
+            &self.tables[..ntt * (self.k + 1)],
+            prod,
+            ExitFold::Canonical,
+        );
+
+        for (slot, (_, ggsw)) in self.slots.iter().enumerate().skip(ntt) {
+            let GgswRepr::Fft(key) = &ggsw.repr else {
+                unreachable!("FFT-keyed slots trail");
+            };
+            let digits = &self.digits[slot * job_words..][..job_words];
+            let out = &mut self.prod[slot * row_words..][..row_words];
+            fft_product(self.ring, key, digits, out);
+        }
+    }
+
+    /// `(job, product)` for every job that took part in the last step.
+    pub(crate) fn products(&self) -> impl Iterator<Item = (usize, &[u64])> {
+        let row_words = (self.k + 1) * self.ring.n();
+        let jobs = self.slots.iter().map(|&(job, _)| job);
+        jobs.zip(self.prod.chunks_exact(row_words))
+    }
+}
+
+/// One external product against FFT-prepared rows into `out`: per-row
+/// FFT products accumulated in wide integers, then reduced — rounding
+/// error mirrors real FFT accelerators.
+fn fft_product(ring: &TfheRing, key: &[i64], digits: &[i64], out: &mut [u64]) {
     let n = ring.n();
     let q = ring.q() as i128;
-    let mut acc = vec![0i128; (k + 1) * n];
-    for (digit, row) in digits.chunks_exact(n).zip(key.chunks_exact((k + 1) * n)) {
+    let mut acc = vec![0i128; out.len()];
+    for (digit, row) in digits.chunks_exact(n).zip(key.chunks_exact(out.len())) {
         for (limb, key_poly) in acc.chunks_exact_mut(n).zip(row.chunks_exact(n)) {
             let prod = fhe_math::fft::negacyclic_mul_fft(digit, key_poly);
             for (a, &p) in limb.iter_mut().zip(&prod) {
@@ -304,11 +437,9 @@ fn fft_product(ring: &TfheRing, k: usize, key: &[i64], digits: &[i64]) -> GlweCi
             }
         }
     }
-    let mut out = GlweCiphertext::zero(ring, k);
-    for (o, &x) in out.words_mut().iter_mut().zip(&acc) {
+    for (o, &x) in out.iter_mut().zip(&acc) {
         *o = x.rem_euclid(q) as u64;
     }
-    out
 }
 
 #[cfg(test)]

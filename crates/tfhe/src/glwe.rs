@@ -172,6 +172,21 @@ impl GlweCiphertext {
         out
     }
 
+    /// Writes `self * X^r - self` into `diff` (flat, this ciphertext's
+    /// layout), each component in one fused pass: the CMUX operand of
+    /// the blind-rotation loop, equal word for word to
+    /// [`Self::rotate`] followed by [`Self::sub_assign`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diff` is not `(k + 1) * n` words.
+    pub(crate) fn rotate_sub_into(&self, ring: &TfheRing, r: i64, diff: &mut [u64]) {
+        assert_eq!(diff.len(), self.words.len(), "GLWE shape mismatch");
+        for (src, dst) in self.components().zip(diff.chunks_exact_mut(self.n)) {
+            ring.monomial_sub_into(src, r, dst);
+        }
+    }
+
     /// SampleExtract: extracts coefficient `idx` of the message as an
     /// LWE ciphertext under [`GlweSecretKey::extracted_lwe_key`].
     pub fn sample_extract(&self, ring: &TfheRing, idx: usize) -> LweCiphertext {

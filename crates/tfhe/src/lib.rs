@@ -27,10 +27,12 @@
 //! [`apply_gates_batched`]). The NTT-keyed external product — and
 //! through it the blind-rotation accumulator of every bootstrap — is a
 //! cross-kernel lazy residue chain: digit NTTs exit in the `[0, 2p)` window, all
-//! `(k+1) * lb` multiply-accumulates stay lazy, and the per-component
+//! `(k+1)^2 * lb` one-row multiply-accumulates stay lazy, and the
 //! iNTT exit performs the single deferred canonicalisation (once per
 //! output limb, the way NTT hardware pipelines fold at memory
-//! writeback). [`Ggsw::external_product_strict`] is the fully-reduced
+//! writeback). All of them are steps of one dataflow over buffers a
+//! blind rotation creates once and updates in place (the [`ggsw`]
+//! module docs list the six stages of a step). [`Ggsw::external_product_strict`] is the fully-reduced
 //! oracle; the workspace suite `tests/lazy_chains.rs` asserts
 //! bit-identity across the paper's Sets I–III.
 //!

@@ -66,14 +66,24 @@ impl TfheRing {
     }
 
     /// `a += b` coefficient-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` differ in length.
     pub fn add_assign(&self, a: &mut [u64], b: &[u64]) {
+        assert_eq!(a.len(), b.len(), "add_assign operand length mismatch");
         for (x, &y) in a.iter_mut().zip(b) {
             *x = self.modulus.add(*x, y);
         }
     }
 
     /// `a -= b` coefficient-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` differ in length.
     pub fn sub_assign(&self, a: &mut [u64], b: &[u64]) {
+        assert_eq!(a.len(), b.len(), "sub_assign operand length mismatch");
         for (x, &y) in a.iter_mut().zip(b) {
             *x = self.modulus.sub(*x, y);
         }
@@ -91,6 +101,39 @@ impl TfheRing {
         let mut out = self.zero_poly();
         fhe_math::poly::mul_monomial_row(&self.modulus, a, k, &mut out);
         out
+    }
+
+    /// Writes `a * X^k - a` into `out` in one pass — the CMUX operand
+    /// of blind rotation (Algorithm 2 line 5), with no rotated
+    /// temporary: [`fhe_math::poly::mul_monomial_row`]'s index
+    /// arithmetic with the subtraction folded in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != a.len()`.
+    pub(crate) fn monomial_sub_into(&self, a: &[u64], k: i64, out: &mut [u64]) {
+        let n = a.len();
+        assert_eq!(out.len(), n, "monomial_sub_into operand length mismatch");
+        let k = k.rem_euclid(2 * n as i64) as usize;
+        // X^n = -1: a shift by k >= n is a shift by k - n with signs flipped.
+        let (shift, flip) = if k < n { (k, false) } else { (k - n, true) };
+        let (wrapped, kept) = out.split_at_mut(shift);
+        self.signed_sub(kept, &a[..n - shift], &a[shift..], flip);
+        self.signed_sub(wrapped, &a[n - shift..], &a[..shift], !flip);
+    }
+
+    /// `out = x - y`, or `-x - y` when `negate`.
+    fn signed_sub(&self, out: &mut [u64], x: &[u64], y: &[u64], negate: bool) {
+        let q = &self.modulus;
+        if negate {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *o = q.neg(q.add(x, y));
+            }
+        } else {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *o = q.sub(x, y);
+            }
+        }
     }
 }
 
@@ -130,5 +173,36 @@ mod tests {
         ring.add_assign(&mut c, &b);
         ring.sub_assign(&mut c, &b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_assign operand length mismatch")]
+    fn add_assign_rejects_short_operand() {
+        let ring = TfheRing::new(1024, 32);
+        // A zip would stop at the short operand and leave the tail.
+        ring.add_assign(&mut ring.zero_poly(), &[1; 1023]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sub_assign operand length mismatch")]
+    fn sub_assign_rejects_short_operand() {
+        let ring = TfheRing::new(1024, 32);
+        ring.sub_assign(&mut ring.zero_poly(), &[1; 1023]);
+    }
+
+    #[test]
+    fn monomial_sub_matches_rotate_then_subtract() {
+        let ring = TfheRing::new(1024, 32);
+        let q = ring.q();
+        let mut a: Vec<u64> = (0..1024u64).map(|i| i * 0x9e37_79b9 % q).collect();
+        // Zeros and q - 1 exercise both ends of the negation.
+        (a[0], a[5], a[1023]) = (0, q - 1, 0);
+        for k in [0i64, 1, 5, 1023, 1024, 1025, 2047, 2048, -1, -1030] {
+            let mut want = ring.mul_monomial(&a, k);
+            ring.sub_assign(&mut want, &a);
+            let mut got = vec![u64::MAX; 1024];
+            ring.monomial_sub_into(&a, k, &mut got);
+            assert_eq!(got, want, "k = {k}");
+        }
     }
 }
