@@ -17,13 +17,17 @@
 //!
 //! # Lazy-domain invariants
 //!
-//! The keyed rotations inside `PackLWEs` and the field trace are
-//! `fhe_ckks::Evaluator::apply_galois` calls, so they ride the lazy
-//! Galois chain: the automorphism is hoisted into the keyswitch as an
-//! evaluation-form slot permutation and the digit-NTT → `Auto` → `IP`
-//! → iNTT pipeline stays in the `[0, 2p)` window, folding once per
-//! limb at ModDown (strict oracle and bit-identity assertions live in
-//! `tests/lazy_chains.rs`). This crate only ever sees canonical
+//! Extraction leaves the evaluation domain once per ciphertext (two
+//! iNTT rows) and gathers every index from the coefficient rows; the
+//! modulus raise of the ring embedding is word arithmetic. The keyed
+//! rotations of a `PackLWEs` merge round go through one
+//! `fhe_ckks::Evaluator::apply_galois_coalesced` dispatch (the field
+//! trace's, each reading the last, are its one-job instances), so they
+//! ride the lazy Galois chain: the automorphism is hoisted into the
+//! keyswitch as an evaluation-form slot permutation and the digit-NTT →
+//! `Auto` → `IP` → iNTT pipeline stays in the `[0, 2p)` window, folding
+//! once per limb at ModDown (strict oracle and bit-identity assertions
+//! live in `tests/lazy_chains.rs`). This crate only ever sees canonical
 //! ciphertexts at rest, and its results are independent of the
 //! runtime-selected `fhe_math::kernel::KernelBackend` bit for bit.
 //! See `README.md` for the kernel mapping.

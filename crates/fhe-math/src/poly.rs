@@ -793,6 +793,28 @@ pub fn mul_monomial_row(m: &Modulus, src: &[u64], k: i64, dst: &mut [u64]) {
     }
 }
 
+/// One row of SampleExtract: `dst[i]` is the coefficient of `s[i]` in
+/// coefficient `idx` of the negacyclic product `src * s` over
+/// `Z_m[X]/(X^n + 1)` — `src[idx - i]` for `i <= idx`,
+/// `-src[n + idx - i]` above. The one index walk under the TFHE
+/// `SampleExtract` (per GLWE mask component) and the CKKS → LWE
+/// extraction of `fhe-convert` (over `-c1`).
+///
+/// # Panics
+///
+/// Panics if `idx >= src.len()` or `dst.len() != src.len()`.
+pub fn sample_extract_row(m: &Modulus, src: &[u64], idx: usize, dst: &mut [u64]) {
+    assert!(idx < src.len(), "sample-extract index must be below N");
+    assert_eq!(dst.len(), src.len(), "extracted mask length must equal N");
+    let (low, high) = dst.split_at_mut(idx + 1);
+    for (d, &s) in low.iter_mut().zip(src[..=idx].iter().rev()) {
+        *d = s;
+    }
+    for (d, &s) in high.iter_mut().zip(src[idx + 1..].iter().rev()) {
+        *d = m.neg(s);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

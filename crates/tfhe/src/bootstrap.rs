@@ -4,6 +4,11 @@
 //! SampleExtract → TFHE KeySwitch`. This is the operation Trinity's
 //! Table VII benchmarks (PBS throughput under Sets I–III) and the NN-x
 //! benchmarks chain thousands of times.
+//!
+//! The pipeline up to `SampleExtract` is written once, as the batch
+//! engine [`ServerKey::bootstrap_batch`]; every `bootstrap_*` entry
+//! point is its one-job instance, a gate dispatch and a network layer
+//! are wider ones.
 
 use std::sync::Arc;
 
@@ -284,28 +289,61 @@ impl ServerKey {
         accs
     }
 
-    /// Programmable bootstrap *without* the final TFHE keyswitch: the
-    /// result stays under the extracted GLWE key (dimension `k * N`)
-    /// and carries only the blind-rotation noise.
+    /// The programmable-bootstrap engine (Algorithm 2 lines 1–14):
+    /// per job the dimension check and `ModSwitch` to its own `2N`, one
+    /// [`Self::blind_rotate_batch`] over all jobs (its doc says how
+    /// jobs that cannot run in lockstep are served), per job
+    /// `SampleExtract` of coefficient 0. Outputs are *unswitched*: each
+    /// stays under its key's extracted GLWE key (dimension `k * N`) and
+    /// carries only the blind-rotation noise; chain
+    /// [`crate::lwe::LweKeySwitchKey::switch`] to return to the small
+    /// key. A job's output does not depend on its batch mates:
+    /// [`Self::bootstrap_with_tv_unswitched`] is the one-job instance,
+    /// [`crate::apply_gates_batched`] and [`Self::infer_layer`] are
+    /// wider ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job's ciphertext is not of its key's dimension
+    /// `n_lwe`, or `tv.len()` differs from a job's ring degree `N`.
+    pub fn bootstrap_batch(
+        jobs: &[(&ServerKey, &LweCiphertext)],
+        tv: &[u64],
+    ) -> Vec<LweCiphertext> {
+        let switched: Vec<(Vec<u64>, u64)> = jobs
+            .iter()
+            .map(|&(sk, ct)| {
+                let p = &sk.ctx.params;
+                assert_eq!(ct.dim(), p.n_lwe, "input LWE dimension must equal n_lwe");
+                ct.mod_switch(sk.ctx.q(), 2 * p.n as u64)
+            })
+            .collect();
+        let rotations: Vec<(&ServerKey, &[u64], u64)> = jobs
+            .iter()
+            .zip(&switched)
+            .map(|(&(sk, _), (a, b))| (sk, a.as_slice(), *b))
+            .collect();
+        Self::blind_rotate_batch(&rotations, tv)
+            .iter()
+            .zip(jobs)
+            .map(|(acc, &(sk, _))| acc.sample_extract(&sk.ctx.ring, 0))
+            .collect()
+    }
+
+    /// Programmable bootstrap *without* the final TFHE keyswitch — the
+    /// one-job instance of [`Self::bootstrap_batch`].
     ///
     /// Scheme-conversion pipelines aggregate and convert from this form
     /// (the TFHE keyswitch would add noise the conversion budget cannot
-    /// afford); chain [`crate::lwe::LweKeySwitchKey::switch`] to return
-    /// to the small key.
+    /// afford).
     ///
     /// # Panics
     ///
     /// Panics if `ct` is not of dimension `n_lwe`.
     pub fn bootstrap_with_tv_unswitched(&self, ct: &LweCiphertext, tv: &[u64]) -> LweCiphertext {
-        assert_eq!(
-            ct.dim(),
-            self.ctx.params.n_lwe,
-            "input LWE dimension must equal n_lwe"
-        );
-        let two_n = 2 * self.ctx.params.n as u64;
-        let (a_tilde, b_tilde) = ct.mod_switch(self.ctx.q(), two_n);
-        let acc = self.blind_rotate(&a_tilde, b_tilde, tv);
-        acc.sample_extract(&self.ctx.ring, 0)
+        Self::bootstrap_batch(&[(self, ct)], tv)
+            .pop()
+            .expect("one job in, one ciphertext out")
     }
 
     /// Full programmable bootstrap with an explicit test vector.
@@ -648,6 +686,54 @@ mod tests {
                 assert_eq!(ck.decrypt_bit(&out), bits[i], "job {i} of {}", batch.len());
             }
         }
+    }
+
+    /// The parent's `bootstrap_with_tv_unswitched`, kept as the
+    /// reference the one pipeline is pinned to.
+    fn bootstrap_reference(sk: &ServerKey, ct: &LweCiphertext, tv: &[u64]) -> LweCiphertext {
+        let two_n = 2 * sk.ctx.params.n as u64;
+        let (a_tilde, b_tilde) = ct.mod_switch(sk.ctx.q(), two_n);
+        let acc = sk.blind_rotate(&a_tilde, b_tilde, tv);
+        acc.sample_extract(&sk.ctx.ring, 0)
+    }
+
+    /// Three jobs in one call — NTT-keyed Set-I, FFT-keyed Set-I and a
+    /// Set-II key (another parameter set: the batch cannot run in
+    /// lockstep and takes the rotation engine's fallback) — equal, word
+    /// for word, their three one-job calls and the reference pipeline,
+    /// and decrypt to their inputs after the keyswitch.
+    #[test]
+    fn bootstrap_batch_is_bit_identical_to_one_job_calls() {
+        let fixtures = [set_i_ntt(), set_i_fft(), set_ii_ntt()];
+        let head = &fixtures[0].0.ctx;
+        let tv = vec![head.q().value() / 8; head.params.n];
+        let bits = [true, false, true];
+        let mut rng = StdRng::seed_from_u64(121);
+        let inputs: Vec<LweCiphertext> = fixtures
+            .iter()
+            .zip(bits)
+            .map(|((ck, _), bit)| ck.encrypt_bit(bit, &mut rng))
+            .collect();
+        let jobs: Vec<(&ServerKey, &LweCiphertext)> = fixtures
+            .iter()
+            .zip(&inputs)
+            .map(|((_, sk), ct)| (sk, ct))
+            .collect();
+        // [NTT, FFT] share Set-I and run in lockstep; all three do not.
+        for batch in [&jobs[..2], &jobs[..]] {
+            let got = ServerKey::bootstrap_batch(batch, &tv);
+            assert_eq!(got.len(), batch.len());
+            for (i, (&(sk, ct), out)) in batch.iter().zip(&got).enumerate() {
+                let single = sk.bootstrap_with_tv_unswitched(ct, &tv);
+                let reference = bootstrap_reference(sk, ct, &tv);
+                for want in [single, reference] {
+                    assert_eq!((&out.a, out.b), (&want.a, want.b), "job {i}");
+                }
+                let switched = sk.ksk.switch(sk.ctx.q(), out);
+                assert_eq!(fixtures[i].0.decrypt_bit(&switched), bits[i], "job {i}");
+            }
+        }
+        assert!(ServerKey::bootstrap_batch(&[], &tv).is_empty());
     }
 
     /// Random masks hold a zero once in 2 048 coefficients, so the

@@ -2,7 +2,9 @@
 //!
 //! Each binary gate is one linear combination followed by one sign PBS —
 //! the throughput unit of the paper's Table VII and the building block
-//! of its NN-x benchmarks. Booleans are encoded as `±q/8`.
+//! of its NN-x benchmarks. Booleans are encoded as `±q/8`. A dispatch
+//! of `k` gates is the linear parts, one [`ServerKey::bootstrap_batch`]
+//! under the sign test vector, then keyswitch and negate per gate.
 
 use crate::bootstrap::ServerKey;
 use crate::lwe::LweCiphertext;
@@ -150,58 +152,42 @@ pub type BatchedGateJob<'a> = (&'a ServerKey, GateOp, &'a LweCiphertext, &'a Lwe
 
 /// The gate engine: applies `k` independent binary gates as one
 /// dispatch — the Interactive-lane analogue of the CKKS
-/// `apply_galois_coalesced`. Per job the gate's linear combination and
-/// mod-switch, then the `k` sign bootstraps run through the lockstep
-/// [`ServerKey::blind_rotate_batch`] (one wide kernel batch call per
-/// CMUX step instead of `k` narrow ones), then SampleExtract, keyswitch
-/// and negate per job. [`ServerKey::apply_gate`] is the one-job
-/// instance, so a job's output does not depend on how it was batched.
-/// NTT- and FFT-prepared keys may share a batch; jobs that do not share
-/// one parameter set and modulus cannot share a test vector, and such a
-/// batch is served job by job, each as a batch of one.
+/// `apply_galois_coalesced`. Per job the gate's linear combination,
+/// then the `k` sign bootstraps as one [`ServerKey::bootstrap_batch`]
+/// (one wide kernel batch call per CMUX step instead of `k` narrow
+/// ones), then keyswitch and negate per job. [`ServerKey::apply_gate`]
+/// is the one-job instance, so a job's output does not depend on how it
+/// was batched. NTT- and FFT-prepared keys and different parameter sets
+/// may share a dispatch (the bootstrap engine serves jobs that cannot
+/// run in lockstep one by one). The sign test vector is `q/8` over `N`
+/// coefficients, so the dispatch is bootstrapped in runs of consecutive
+/// jobs of one ring degree and modulus — one run unless rings are mixed.
 ///
 /// # Panics
 ///
 /// Panics if a job's inputs are not of its key's LWE dimension `n_lwe`.
 pub fn apply_gates_batched(jobs: &[BatchedGateJob<'_>]) -> Vec<LweCiphertext> {
-    let Some(&(head, ..)) = jobs.first() else {
-        return Vec::new();
-    };
-    if !jobs.iter().all(|&(sk, ..)| sk.shares_ring_with(head)) {
-        return jobs
-            .iter()
-            .flat_map(|job| apply_gates_batched(std::slice::from_ref(job)))
-            .collect();
-    }
-
-    let ring = &head.ctx.ring;
-    let q = head.ctx.q();
-    let two_n = 2 * head.ctx.params.n as u64;
-    let lins: Vec<(LweCiphertext, bool)> = jobs
-        .iter()
-        .map(|&(sk, op, a, b)| sk.gate_linear(op, a, b))
-        .collect();
-    let switched: Vec<(Vec<u64>, u64)> = lins
-        .iter()
-        .map(|(lin, _)| lin.mod_switch(q, two_n))
-        .collect();
-    let rotate_jobs: Vec<(&ServerKey, &[u64], u64)> = jobs
-        .iter()
-        .zip(&switched)
-        .map(|(&(sk, ..), (a, b))| (sk, a.as_slice(), *b))
-        .collect();
-    let tv = vec![q.value() / 8; head.ctx.params.n];
-    let accs = ServerKey::blind_rotate_batch(&rotate_jobs, &tv);
-    jobs.iter()
-        .zip(accs)
-        .zip(&lins)
-        .map(|((&(sk, ..), acc), &(_, negate))| {
-            let extracted = acc.sample_extract(ring, 0);
-            let mut out = sk.ksk.switch(q, &extracted);
-            if negate {
-                out.neg_assign(q);
+    let sign_ring = |job: &BatchedGateJob<'_>| (job.0.ctx.ring.n(), job.0.ctx.ring.q());
+    jobs.chunk_by(|x, y| sign_ring(x) == sign_ring(y))
+        .flat_map(|run| {
+            let (n, q) = sign_ring(&run[0]);
+            let lins: Vec<(LweCiphertext, bool)> = run
+                .iter()
+                .map(|&(sk, op, a, b)| sk.gate_linear(op, a, b))
+                .collect();
+            let boots: Vec<(&ServerKey, &LweCiphertext)> = run
+                .iter()
+                .zip(&lins)
+                .map(|(&(sk, ..), (lin, _))| (sk, lin))
+                .collect();
+            let mut outs = ServerKey::bootstrap_batch(&boots, &vec![q / 8; n]);
+            for ((out, &(sk, ..)), &(_, negate)) in outs.iter_mut().zip(run).zip(&lins) {
+                *out = sk.ksk.switch(sk.ctx.q(), out);
+                if negate {
+                    out.neg_assign(sk.ctx.q());
+                }
             }
-            out
+            outs
         })
         .collect()
 }
@@ -344,6 +330,40 @@ mod tests {
                 assert_eq!(out.b, single.b, "job {i} of {}", batch.len());
                 assert_eq!(tenants[i].0.decrypt_bit(out), op.eval(true, false));
             }
+        }
+    }
+
+    /// A Set-I and a Set-III job share no sign test vector (`N` 1024
+    /// vs 2048): the dispatch runs them as two bootstrap batches, and
+    /// each output still equals the job's own `apply_gate`.
+    #[test]
+    fn batched_gates_serve_jobs_of_different_rings() {
+        let (ck_i, sk_i, mut rng) = setup();
+        let ck_iii = ClientKey::generate(TfheContext::new(TfheParams::set_iii()), &mut rng);
+        let sk_iii = ServerKey::generate(&ck_iii, MulBackend::Ntt, &mut rng);
+        let tenants = [(&ck_i, &sk_i), (&ck_iii, &sk_iii), (&ck_i, &sk_i)];
+        let inputs: Vec<(GateOp, LweCiphertext, LweCiphertext)> = tenants
+            .iter()
+            .zip([GateOp::And, GateOp::Nor, GateOp::Xnor])
+            .map(|((ck, _), op)| {
+                (
+                    op,
+                    ck.encrypt_bit(true, &mut rng),
+                    ck.encrypt_bit(false, &mut rng),
+                )
+            })
+            .collect();
+        let jobs: Vec<BatchedGateJob<'_>> = tenants
+            .iter()
+            .zip(&inputs)
+            .map(|(&(_, sk), (op, a, b))| (sk, *op, a, b))
+            .collect();
+        let got = apply_gates_batched(&jobs);
+        assert_eq!(got.len(), jobs.len());
+        for (i, (&(sk, op, a, b), out)) in jobs.iter().zip(&got).enumerate() {
+            let single = sk.apply_gate(op, a, b);
+            assert_eq!((&out.a, out.b), (&single.a, single.b), "job {i}");
+            assert_eq!(tenants[i].0.decrypt_bit(out), op.eval(true, false));
         }
     }
 

@@ -188,18 +188,19 @@ impl GlweCiphertext {
     }
 
     /// SampleExtract: extracts coefficient `idx` of the message as an
-    /// LWE ciphertext under [`GlweSecretKey::extracted_lwe_key`].
+    /// LWE ciphertext under [`GlweSecretKey::extracted_lwe_key`] — per
+    /// mask component the shared index walk
+    /// [`fhe_math::poly::sample_extract_row`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= N`.
     pub fn sample_extract(&self, ring: &TfheRing, idx: usize) -> LweCiphertext {
         let n = ring.n();
-        assert!(idx < n);
-        let q = ring.modulus();
         let (mask, body) = self.words.split_at(self.words.len() - n);
-        let mut a = Vec::with_capacity(mask.len());
-        for mask_poly in mask.chunks_exact(n) {
-            // Coefficient of s_j[i] in (A_j * S_j)[idx]:
-            //   A_j[idx - i] for i <= idx, and -A_j[N + idx - i] for i > idx.
-            a.extend(mask_poly[..=idx].iter().rev());
-            a.extend(mask_poly[idx + 1..].iter().rev().map(|&c| q.neg(c)));
+        let mut a = vec![0u64; mask.len()];
+        for (src, dst) in mask.chunks_exact(n).zip(a.chunks_exact_mut(n)) {
+            fhe_math::poly::sample_extract_row(ring.modulus(), src, idx, dst);
         }
         LweCiphertext { a, b: body[idx] }
     }

@@ -23,11 +23,14 @@
 //! Every operation is one batch engine whose single-request form is
 //! its `k = 1` instance ([`Ggsw::external_product`] over
 //! [`Ggsw::external_product_batch`], [`ServerKey::blind_rotate`] over
-//! [`ServerKey::blind_rotate_batch`], [`ServerKey::apply_gate`] over
-//! [`apply_gates_batched`]). The NTT-keyed external product — and
-//! through it the blind-rotation accumulator of every bootstrap — is a
-//! cross-kernel lazy residue chain: digit NTTs exit in the `[0, 2p)` window, all
-//! `(k+1)^2 * lb` one-row multiply-accumulates stay lazy, and the
+//! [`ServerKey::blind_rotate_batch`], every `bootstrap_*` over
+//! [`ServerKey::bootstrap_batch`], [`ServerKey::apply_gate`] over
+//! [`apply_gates_batched`], itself a `bootstrap_batch` under the sign
+//! test vector, like [`ServerKey::infer_layer`]). The NTT-keyed
+//! external product — and through it the blind-rotation accumulator of
+//! every bootstrap — is a cross-kernel lazy residue chain: digit NTTs
+//! exit in the `[0, 2p)` window, all `(k+1)^2 * lb` one-row
+//! multiply-accumulates stay lazy, and the
 //! iNTT exit performs the single deferred canonicalisation (once per
 //! output limb, the way NTT hardware pipelines fold at memory
 //! writeback). All of them are steps of one dataflow over buffers a

@@ -152,14 +152,15 @@ impl LweCiphertext {
         self.b = q.mul(self.b, c);
     }
 
-    /// ModSwitch: rounds every component from modulus `q` to `2N`
-    /// (Algorithm 2 line 1). Returns `(a_tilde, b_tilde)` in `[0, 2N)`.
-    pub fn mod_switch(&self, q: &Modulus, two_n: u64) -> (Vec<u64>, u64) {
+    /// ModSwitch: rounds every component from modulus `q` to modulus
+    /// `to`, `round(x * to / q) mod to` — `to = 2N` is Algorithm 2
+    /// line 1 (`(a_tilde, b_tilde)` in `[0, 2N)`), `to` the other
+    /// scheme's prime is the conversion layer's `lwe_mod_switch`.
+    pub fn mod_switch(&self, q: &Modulus, to: u64) -> (Vec<u64>, u64) {
         let switch = |x: u64| -> u64 {
-            // round(x * 2N / q) mod 2N
-            let prod = x as u128 * two_n as u128;
+            let prod = x as u128 * to as u128;
             let rounded = (prod + q.value() as u128 / 2) / q.value() as u128;
-            (rounded % two_n as u128) as u64
+            (rounded % to as u128) as u64
         };
         (self.a.iter().map(|&x| switch(x)).collect(), switch(self.b))
     }
@@ -345,6 +346,34 @@ mod tests {
         let phase = ct.phase(&q, &sk);
         let err = q.to_centered(q.sub(phase, msg)).abs();
         assert!(err < (q.value() / 64) as i64, "noise too large: {err}");
+    }
+
+    /// `ModSwitch` to `2N` against the parent's closure, on the words
+    /// around each rounding boundary `(2k + 1) q / 4N`, the ends of the
+    /// range, and the top words that round up to `2N` and wrap to 0.
+    #[test]
+    fn mod_switch_is_bit_identical_to_the_reference_at_the_rounding_boundary() {
+        let q = q32();
+        let two_n = 2048u64;
+        let reference = |x: u64| -> u64 {
+            let prod = x as u128 * two_n as u128;
+            let rounded = (prod + q.value() as u128 / 2) / q.value() as u128;
+            (rounded % two_n as u128) as u64
+        };
+        let mut words = vec![0, 1, q.value() / 2, q.value() / 2 + 1, q.value() - 1];
+        for k in [0u128, 1, 1023, 1024, 2047] {
+            let edge = ((2 * k + 1) * q.value() as u128 / (2 * two_n as u128)) as u64;
+            words.extend([edge - 1, edge, edge + 1]);
+        }
+        for (i, &b) in words.iter().enumerate() {
+            let mut a = words.clone();
+            a.rotate_left(i);
+            let (a_tilde, b_tilde) = LweCiphertext { a: a.clone(), b }.mod_switch(&q, two_n);
+            let want: Vec<u64> = a.iter().map(|&x| reference(x)).collect();
+            assert_eq!((a_tilde, b_tilde), (want, reference(b)), "body {b}");
+        }
+        let wrapped = LweCiphertext::trivial(1, q.value() - 1).mod_switch(&q, two_n);
+        assert_eq!(wrapped.1, 0, "the top word rounds to 2N and wraps");
     }
 
     #[test]

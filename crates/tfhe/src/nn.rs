@@ -6,7 +6,10 @@
 //! per-layer amplitude `A`; each neuron computes a plaintext-weighted
 //! sum of its encrypted inputs (pure LWE linear algebra — the paper's
 //! MAC workload) followed by a sign bootstrap (the paper's PBS
-//! workload). The amplitude for each layer is chosen so the
+//! workload). A layer's bootstraps share the key and the test vector,
+//! so they run as [`ServerKey::bootstrap_batch`] calls, eight neurons
+//! wide — the batch over which the blind rotation keeps each `bsk` row
+//! stationary. The amplitude for each layer is chosen so the
 //! pre-activation phase never wraps the torus.
 
 use rand::Rng;
@@ -216,6 +219,11 @@ impl ClientKey {
     }
 }
 
+/// Neurons bootstrapped per [`ServerKey::bootstrap_batch`] call: the
+/// rotation scratch grows with the batch, so a wide layer runs in
+/// slices of the service's default dispatch width.
+const LAYER_BATCH: usize = 8;
+
 /// Amplitude for a layer's input activations: keeps the worst-case
 /// pre-activation strictly inside `(-q/4, q/4)` with a 2x safety margin
 /// for noise.
@@ -225,9 +233,11 @@ fn layer_amplitude(q: u64, layer: &SignLayer) -> u64 {
 }
 
 impl ServerKey {
-    /// One dense sign layer: plaintext-weighted sums (LWE linear
-    /// algebra) followed by one sign bootstrap per neuron emitting the
-    /// next layer's amplitude.
+    /// One dense sign layer: the `fan_out` plaintext-weighted sums (LWE
+    /// linear algebra), then the layer's sign bootstraps — one per
+    /// neuron, all under this key and one test vector emitting the next
+    /// layer's amplitude — as [`ServerKey::bootstrap_batch`] calls of
+    /// up to `LAYER_BATCH` neurons, then the TFHE keyswitch per neuron.
     pub fn infer_layer(
         &self,
         layer: &SignLayer,
@@ -237,8 +247,7 @@ impl ServerKey {
         assert_eq!(inputs.len(), layer.fan_in(), "input arity mismatch");
         let q = self.ctx.q();
         let in_amp = layer_amplitude(q.value(), layer);
-        let tv = vec![out_amplitude; self.ctx.params.n];
-        layer
+        let pre_activations: Vec<LweCiphertext> = layer
             .weights
             .iter()
             .zip(&layer.biases)
@@ -262,8 +271,18 @@ impl ServerKey {
                     }
                     acc.add_assign(q, &term);
                 }
-                self.bootstrap_with_tv(&acc, &tv)
+                acc
             })
+            .collect();
+        let tv = vec![out_amplitude; self.ctx.params.n];
+        pre_activations
+            .chunks(LAYER_BATCH)
+            .flat_map(|chunk| {
+                let jobs: Vec<(&ServerKey, &LweCiphertext)> =
+                    chunk.iter().map(|ct| (self, ct)).collect();
+                ServerKey::bootstrap_batch(&jobs, &tv)
+            })
+            .map(|extracted| self.ksk.switch(q, &extracted))
             .collect()
     }
 
@@ -355,6 +374,67 @@ mod tests {
                 net.infer_plain(&inputs),
                 "trial {trial}, inputs {inputs:?}"
             );
+        }
+    }
+
+    /// The parent's `infer_layer`, kept as the reference the batched
+    /// layer is pinned to: one full bootstrap per neuron, in turn.
+    fn infer_layer_reference(
+        sk: &ServerKey,
+        layer: &SignLayer,
+        inputs: &[LweCiphertext],
+        out_amplitude: u64,
+    ) -> Vec<LweCiphertext> {
+        let q = sk.ctx.q();
+        let in_amp = layer_amplitude(q.value(), layer);
+        let tv = vec![out_amplitude; sk.ctx.params.n];
+        layer
+            .weights
+            .iter()
+            .zip(&layer.biases)
+            .map(|(row, &b)| {
+                let bias_phase = if b >= 0 {
+                    q.reduce(in_amp.wrapping_mul(b as u64))
+                } else {
+                    q.neg(q.reduce(in_amp.wrapping_mul((-b) as u64)))
+                };
+                let mut acc = LweCiphertext::trivial(inputs[0].dim(), bias_phase);
+                for (&w, x) in row.iter().zip(inputs) {
+                    if w == 0 {
+                        continue;
+                    }
+                    let mut term = x.clone();
+                    if w < 0 {
+                        term.neg_assign(q);
+                    }
+                    if w.unsigned_abs() > 1 {
+                        term.mul_small(q, w.unsigned_abs());
+                    }
+                    acc.add_assign(q, &term);
+                }
+                sk.bootstrap_with_tv(&acc, &tv)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_layer_is_bit_identical_to_per_neuron_bootstraps() {
+        let (ck, sk, mut rng) = keys(614);
+        // Weights 0, ±1 and ±2 and both bias signs: every branch of the
+        // pre-activation sum. Nine neurons: a full batch and a tail.
+        let rows = [[1, -1, 0, 2], [-2, 1, 1, 0], [1, 1, -1, -1]];
+        let layer = SignLayer::new(
+            (0..LAYER_BATCH + 1).map(|o| rows[o % 3].to_vec()).collect(),
+            (0..LAYER_BATCH + 1).map(|o| [1, -1, 0][o % 3]).collect(),
+        );
+        let net = DiscreteMlp::new(vec![layer]);
+        let cts = ck.encrypt_signs(&random_signs(4, &mut rng), &net, &mut rng);
+        let amp = ck.ctx.q().value() / 8;
+        let got = sk.infer_layer(&net.layers[0], &cts, amp);
+        let want = infer_layer_reference(&sk, &net.layers[0], &cts, amp);
+        assert_eq!(got.len(), want.len());
+        for (o, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!((&got.a, got.b), (&want.a, want.b), "neuron {o}");
         }
     }
 

@@ -6,8 +6,9 @@
 //! remaining gap **in one process**: it swaps the process-wide backend
 //! between `scalar`, `lanes` and `threaded` with [`kernel::force`] and
 //! asserts that CKKS keyswitch, HMult (+rescale), rotation (fused and
-//! hoisted), and the TFHE external product and gate bootstrap — the
-//! `k = 1` instances of the batch engines — produce bit-identical
+//! hoisted), the TFHE external product and gate bootstrap — the
+//! `k = 1` instances of the batch engines — and the scheme-conversion
+//! round trip (extract, then pack) produce bit-identical
 //! ciphertexts under all three — i.e. backend choice is unobservable, not merely
 //! correct-up-to-the-oracle. The `NttTable` single-row entry points
 //! (1-row batches of the same surface) are checked against their
@@ -22,8 +23,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trinity::ckks::{
     key_switch, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, KeySet,
-    LinearTransform,
+    LinearTransform, Plaintext,
 };
+use trinity::convert::{extract_lwes, RlwePacker};
 use trinity::math::kernel::{self, KernelBackend};
 use trinity::math::ntt::negacyclic_mul_schoolbook;
 use trinity::math::{galois, prime, sampler, Complex, Modulus, NttTable, Representation, RnsPoly};
@@ -281,4 +283,42 @@ fn tfhe_apply_gate_is_bit_identical_across_backends() {
         flat
     });
     assert_all_identical(results, "tfhe apply_gate");
+}
+
+/// CKKS → LWE → CKKS: the extraction engine (two inverse rows, then
+/// gathers) and the packer (residue mod-raise, coalesced merge rounds,
+/// field trace) under each backend.
+#[test]
+fn scheme_conversion_round_trip_is_bit_identical_across_backends() {
+    let ctx = CkksContext::new(CkksParams::tiny_params());
+    let mut rng = StdRng::seed_from_u64(0x5EED5);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let packer = RlwePacker::new(ctx.clone(), &sk, 1, &mut rng);
+    let n = ctx.n();
+    let delta = (ctx.level_basis(0).modulus(0).value() / (128 * n as u64)) as i64;
+    let mut coeffs = vec![0i64; n];
+    for (c, m) in coeffs.iter_mut().zip([1i64, -2, 3, -4, 0, 2, -1, 4]) {
+        *c = m * delta;
+    }
+    let mut poly = RnsPoly::from_signed_coeffs(ctx.level_basis(0).clone(), &coeffs);
+    poly.to_eval();
+    let pt = Plaintext {
+        poly,
+        scale: delta as f64,
+        level: 0,
+    };
+    let ct = Encryptor::new(ctx.clone()).encrypt_sk(&pt, &sk, &mut rng);
+
+    let results = under_each_backend(|| {
+        let lwes = extract_lwes(&ctx, &ct, 8);
+        let packed = packer.convert(&lwes, delta as f64);
+        let mut out: Vec<u64> = lwes
+            .iter()
+            .flat_map(|lwe| lwe.a.iter().copied().chain([lwe.b]))
+            .collect();
+        out.extend_from_slice(packed.c0.flat());
+        out.extend_from_slice(packed.c1.flat());
+        out
+    });
+    assert_all_identical(results, "scheme conversion round trip");
 }
