@@ -21,14 +21,57 @@
 //!   **bit for bit** (asserted against the NTT golden vectors).
 //!
 //! Three implementations ship: [`ScalarBackend`] (the provided bodies),
-//! [`LaneBackend`] (row passes unrolled into 8-word branchless lanes,
-//! the BConv matmul streamed row-wise over 8-word accumulator blocks,
-//! the gadget decomposition division-free with unit-stride digit
-//! passes) and [`ThreadedBackend`] (batches sliced by whole rows across a
-//! [`crate::pool::WorkerPool`] — the per-tower RNS parallelism of FAB
-//! and TREBUCHET). Rows never share output words and the BConv `u128`
+//! [`LaneBackend`] (see below) and [`ThreadedBackend`] (batches sliced
+//! by whole rows across a [`crate::pool::WorkerPool`] — the per-tower
+//! RNS parallelism of FAB and TREBUCHET — each slice a [`LaneBackend`]
+//! batch). Rows never share output words and the BConv `u128`
 //! accumulation is order-independent, so results do not depend on how
 //! rows are scheduled.
+//!
+//! # What `LaneBackend` is
+//!
+//! *Portable row passes* — the SPI unrolled into 8-word branchless
+//! lanes, the BConv matmul streamed row-wise over 8-word accumulator
+//! blocks, the gadget decomposition division-free with unit-stride
+//! digit passes; the MAC and the pointwise multiply are the reference
+//! bodies — plus *wide batch passes*: `forward_batch`, `inverse_batch`,
+//! `mul_acc_lazy_batch` and `mul_lazy_batch` pick, **per row**, the
+//! AVX-512 IFMA body of the private `wide` module when
+//!
+//! * the CPU reports `avx512f` and `avx512ifma`,
+//! * the row's modulus is at most `2^50` (`4p <= 2^52`: the whole
+//!   butterfly window fits the 52-bit multiplier) and not a power of
+//!   two, and
+//! * the row is a power-of-two `n >= 16` (NTT) or a multiple of 8 words
+//!   (MAC),
+//!
+//! and the portable passes otherwise. Nothing selects between them but
+//! the platform and the modulus: no backend name, environment value,
+//! feature or flag. The wide bodies return the reference's words, not
+//! merely congruent ones, by two identities:
+//!
+//! 1. **The Shoup quotient is exact in 52-bit pieces.**
+//!    [`Modulus::mul_shoup_lazy`] returns `a*w - q*p` for
+//!    `q = floor(a * ws / 2^64)`. Split `ws = h * 2^12 + l` (`l < 2^12`)
+//!    and let `a * h = q' * 2^52 + f` — for `a < 2^52` two 52-bit
+//!    multiply-adds. Then `a * ws = q' * 2^64 + (f * 2^12 + a * l)` with
+//!    both terms below `2^64`, so `q = q' + c` where `c = 1` exactly when
+//!    `f + floor(a*l / 2^12) >= 2^52`, and `floor(a*l / 2^12)` is the
+//!    high half of the 52-bit product `a * (l * 2^40)`. The remainder is
+//!    below `2p <= 2^51`, so taking it modulo `2^52` loses nothing. Every
+//!    butterfly operand is below `4p <= 2^52`; hence each stage, the
+//!    exit folds and the `n^{-1}` scaling reproduce the reference's own
+//!    `[0, 2p)` / `[0, 4p)` representatives.
+//! 2. **The reference MAC is canonical.** Over `a <= 4p^2 + 2p`
+//!    [`Modulus::reduce_u128_lazy`] returns `a mod p` itself (its docs
+//!    have the proof; `reduce_u128_lazy_is_canonical_over_the_mac_range`
+//!    pins it), so *any* exact `(x*y + acc) mod p` is the MAC's word —
+//!    the wide body uses a 52-bit Barrett step of its own.
+//!
+//! The row-pass SPI keeps the portable bodies on every host
+//! (`lane_backend_is_bit_identical_to_scalar`);
+//! `wide_passes_match_the_reference_words` sweeps the batches over
+//! every prime width on both sides of the rule.
 //!
 //! The active backend is process-wide: [`active`] resolves it once from
 //! `TRINITY_KERNEL_BACKEND` (`scalar`, `lanes`, or `threaded[:N]`;
@@ -48,11 +91,15 @@
 //! | [`KernelBackend::fold_2p_to_canonical`] | `[0, 2p)` | `[0, p)` |
 //! | [`KernelBackend::scale_shoup`]      | any `u64`   | `[0, p)`  |
 //! | [`KernelBackend::scale_shoup_lazy`] | any `u64`   | `[0, 2p)` |
-//! | [`KernelBackend::mul_acc_lazy`] / [`KernelBackend::mul_lazy`] | `[0, 2p)` | `[0, 2p)` |
+//! | [`KernelBackend::mul_acc_lazy`] / [`KernelBackend::mul_lazy`] | `[0, 2p)` | `[0, 2p)` (*) |
 //! | [`KernelBackend::add_lazy`] / [`KernelBackend::sub_lazy`] | `[0, 2p)` | `[0, 2p)` |
 //! | [`KernelBackend::permute`]          | any         | unchanged |
 //! | [`KernelBackend::convert_approx_batch`] / [`KernelBackend::convert_exact_batch`] | canonical `[0, a_i)` digits | canonical `[0, b_j)` |
 //! | [`KernelBackend::decompose_batch`]  | `[0, q)`    | digits in `[-B/2, B/2)` |
+//!
+//! (*) The contract callers may rely on. Both shipped bodies (the
+//! reference and the wide one) return the canonical `[0, p)` word —
+//! identity 2 above — which is what makes them bit-identical.
 //!
 //! A `*_batch` entry keeps the windows of the row passes it loops.
 //! Callers (the [`crate::NttTable`] and [`crate::RnsPoly`] entry points)
@@ -65,6 +112,8 @@ use std::sync::{Mutex, Once, PoisonError, RwLock};
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::pool::{Task, WorkerPool};
+#[cfg(target_arch = "x86_64")]
+use crate::wide;
 
 /// Unroll width of the [`LaneBackend`] passes. Eight `u64` words span
 /// one cache line, and the branchless bodies below compile to straight
@@ -138,14 +187,14 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         assert_eq!(a.len(), t.n());
         let m = t.modulus();
         let two_p = 2 * m.value();
-        let psi_rev = t.psi_rev();
+        let (psi, psi_shoup) = t.psi_rev();
         let n = t.n();
         let mut len = n;
         let mut groups = 1usize;
         while groups < n {
             len >>= 1;
             for i in 0..groups {
-                let (w, ws) = psi_rev[groups + i];
+                let (w, ws) = (psi[groups + i], psi_shoup[groups + i]);
                 let j1 = 2 * i * len;
                 for j in j1..j1 + len {
                     // u in [0, 4p) -> [0, 2p); v in [0, 2p) from the
@@ -170,14 +219,14 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         assert_eq!(a.len(), t.n());
         let m = t.modulus();
         let two_p = 2 * m.value();
-        let psi_inv_rev = t.psi_inv_rev();
+        let (psi_inv, psi_inv_shoup) = t.psi_inv_rev();
         let mut len = 1usize;
         let mut groups = t.n();
         while groups > 1 {
             let h = groups >> 1;
             let mut j1 = 0usize;
             for i in 0..h {
-                let (w, ws) = psi_inv_rev[h + i];
+                let (w, ws) = (psi_inv[h + i], psi_inv_shoup[h + i]);
                 for j in j1..j1 + len {
                     // u, v in [0, 2p); sum folded back below 2p; the
                     // lazy multiply accepts the [0, 4p) difference.
@@ -536,12 +585,17 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
 
 /// Row geometry of a batched call: `Some(n)` when there is work,
 /// `None` for the empty batch.
+///
+/// # Panics
+///
+/// Panics, in every build, on a ragged buffer — `chunks_exact` would
+/// silently leave its tail untouched.
 #[inline]
 fn batch_rows(rows: usize, flat_len: usize) -> Option<usize> {
     if rows == 0 || flat_len == 0 {
         None
     } else {
-        debug_assert_eq!(flat_len % rows, 0, "flat buffer not a multiple of rows");
+        assert_eq!(flat_len % rows, 0, "flat buffer not a multiple of rows");
         Some(flat_len / rows)
     }
 }
@@ -658,11 +712,12 @@ impl KernelBackend for ScalarBackend {
 // Chunked/unrolled lane backend.
 // ---------------------------------------------------------------------
 
-/// Fixed-width-lane implementation: every pass is split into
-/// `LANES`-wide (8-word) chunks with branchless window folds, the layout that
-/// lets the compiler batch independent butterflies/MACs the way a
-/// hardware BU/MAC array consumes a scratchpad row. Bit-identical to
-/// [`ScalarBackend`].
+/// Fixed-width-lane implementation: the row passes are split into
+/// `LANES`-wide (8-word) chunks with branchless window folds, the layout
+/// that lets the compiler batch independent butterflies the way a
+/// hardware BU array consumes a scratchpad row, and the NTT / MAC
+/// batches run an AVX-512 IFMA body on the rows it serves (module docs:
+/// "What `LaneBackend` is"). Bit-identical to [`ScalarBackend`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LaneBackend;
 
@@ -832,14 +887,14 @@ impl KernelBackend for LaneBackend {
         assert_eq!(a.len(), t.n());
         let m = t.modulus();
         let two_p = 2 * m.value();
-        let psi_rev = t.psi_rev();
+        let (psi, psi_shoup) = t.psi_rev();
         let n = t.n();
         let mut len = n;
         let mut groups = 1usize;
         while groups < n {
             len >>= 1;
             for i in 0..groups {
-                let (w, ws) = psi_rev[groups + i];
+                let (w, ws) = (psi[groups + i], psi_shoup[groups + i]);
                 let base = 2 * i * len;
                 let (lo, hi) = a[base..base + 2 * len].split_at_mut(len);
                 Self::forward_row(m, two_p, w, ws, lo, hi);
@@ -852,14 +907,14 @@ impl KernelBackend for LaneBackend {
         assert_eq!(a.len(), t.n());
         let m = t.modulus();
         let two_p = 2 * m.value();
-        let psi_inv_rev = t.psi_inv_rev();
+        let (psi_inv, psi_inv_shoup) = t.psi_inv_rev();
         let mut len = 1usize;
         let mut groups = t.n();
         while groups > 1 {
             let h = groups >> 1;
             let mut j1 = 0usize;
             for i in 0..h {
-                let (w, ws) = psi_inv_rev[h + i];
+                let (w, ws) = (psi_inv[h + i], psi_inv_shoup[h + i]);
                 let (lo, hi) = a[j1..j1 + 2 * len].split_at_mut(len);
                 Self::inverse_row(m, two_p, w, ws, lo, hi);
                 j1 += 2 * len;
@@ -934,41 +989,6 @@ impl KernelBackend for LaneBackend {
         }
     }
 
-    fn mul_acc_lazy(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        assert_eq!(acc.len(), a.len());
-        assert_eq!(acc.len(), b.len());
-        let mut xc = acc.chunks_exact_mut(LANES);
-        let mut ac = a.chunks_exact(LANES);
-        let mut bc = b.chunks_exact(LANES);
-        for ((xch, ach), bch) in xc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()) {
-            for k in 0..LANES {
-                xch[k] = m.reduce_u128_lazy(ach[k] as u128 * bch[k] as u128 + xch[k] as u128);
-            }
-        }
-        for ((x, &ya), &yb) in xc
-            .into_remainder()
-            .iter_mut()
-            .zip(ac.remainder())
-            .zip(bc.remainder())
-        {
-            *x = m.reduce_u128_lazy(ya as u128 * yb as u128 + *x as u128);
-        }
-    }
-
-    fn mul_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        let mut ac = a.chunks_exact_mut(LANES);
-        let mut bc = b.chunks_exact(LANES);
-        for (ach, bch) in ac.by_ref().zip(bc.by_ref()) {
-            for k in 0..LANES {
-                ach[k] = m.reduce_u128_lazy(ach[k] as u128 * bch[k] as u128);
-            }
-        }
-        for (x, &y) in ac.into_remainder().iter_mut().zip(bc.remainder()) {
-            *x = m.reduce_u128_lazy(*x as u128 * y as u128);
-        }
-    }
-
     fn add_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
         assert_eq!(a.len(), b.len());
         let two_p = 2 * m.value();
@@ -1010,6 +1030,90 @@ impl KernelBackend for LaneBackend {
         }
         for (x, &s) in dc.into_remainder().iter_mut().zip(pc.remainder()) {
             *x = src[s];
+        }
+    }
+
+    // The four batches below pick a body per row: the wide pass of
+    // `wide.rs` where `wide::takes_*` holds, else what the provided
+    // batch runs (this backend's row passes; for the MAC the reference).
+
+    fn forward_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
+        let Some(n) = batch_rows(tables.len(), flat.len()) else {
+            return;
+        };
+        for (row, t) in flat.chunks_exact_mut(n).zip(tables) {
+            #[cfg(target_arch = "x86_64")]
+            if wide::takes_ntt(t.modulus(), n) {
+                // SAFETY: `takes_ntt` holds only on a CPU that reports
+                // avx512f and avx512ifma, the features `wide::forward`
+                // is compiled for; the pass asserts its own shapes.
+                unsafe { wide::forward(t, row, exit) };
+                continue;
+            }
+            self.forward_stages(t, row);
+            match exit {
+                ExitFold::Canonical => self.fold_4p_to_canonical(t.modulus(), row),
+                ExitFold::Lazy2p => self.fold_4p_to_2p(t.modulus(), row),
+            }
+        }
+    }
+
+    fn inverse_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
+        let Some(n) = batch_rows(tables.len(), flat.len()) else {
+            return;
+        };
+        for (row, t) in flat.chunks_exact_mut(n).zip(tables) {
+            #[cfg(target_arch = "x86_64")]
+            if wide::takes_ntt(t.modulus(), n) {
+                // SAFETY: as in `forward_batch`, for `wide::inverse`.
+                unsafe { wide::inverse(t, row, exit) };
+                continue;
+            }
+            self.inverse_stages(t, row);
+            let (ni, nis) = t.n_inv();
+            match exit {
+                ExitFold::Canonical => self.scale_shoup(t.modulus(), ni, nis, row),
+                ExitFold::Lazy2p => self.scale_shoup_lazy(t.modulus(), ni, nis, row),
+            }
+        }
+    }
+
+    fn mul_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
+        assert_operand_lens(a.len(), &[b.len()]);
+        let Some(n) = batch_rows(moduli.len(), a.len()) else {
+            return;
+        };
+        for ((row, orow), m) in a.chunks_exact_mut(n).zip(b.chunks_exact(n)).zip(moduli) {
+            #[cfg(target_arch = "x86_64")]
+            if wide::takes_mac(m, n) {
+                // SAFETY: `takes_mac` holds only on a CPU that reports
+                // avx512f and avx512ifma, the features `wide::mul` is
+                // compiled for; the pass asserts its own shapes.
+                unsafe { wide::mul(m, row, orow) };
+                continue;
+            }
+            self.mul_lazy(m, row, orow);
+        }
+    }
+
+    fn mul_acc_lazy_batch(&self, moduli: &[Modulus], acc: &mut [u64], a: &[u64], b: &[u64]) {
+        assert_operand_lens(acc.len(), &[a.len(), b.len()]);
+        let Some(n) = batch_rows(moduli.len(), acc.len()) else {
+            return;
+        };
+        for (((row, arow), brow), m) in acc
+            .chunks_exact_mut(n)
+            .zip(a.chunks_exact(n))
+            .zip(b.chunks_exact(n))
+            .zip(moduli)
+        {
+            #[cfg(target_arch = "x86_64")]
+            if wide::takes_mac(m, n) {
+                // SAFETY: as in `mul_lazy_batch`, for `wide::mul_acc`.
+                unsafe { wide::mul_acc(m, row, arow, brow) };
+                continue;
+            }
+            self.mul_acc_lazy(m, row, arow, brow);
         }
     }
 
@@ -1839,6 +1943,107 @@ mod tests {
         }
     }
 
+    /// `[0, 2p)` rows for `tables`, each opening with the edge words
+    /// `0, 1, p - 1, p, p + 1, 2p - 1`.
+    fn window_rows(rng: &mut StdRng, tables: &[&NttTable]) -> Vec<u64> {
+        let mut flat = Vec::new();
+        for t in tables {
+            let p = t.modulus().value();
+            let mut row: Vec<u64> = (0..t.n()).map(|_| rng.gen_range(0..2 * p)).collect();
+            row[..6].copy_from_slice(&[0, 1, p - 1, p, p + 1, 2 * p - 1]);
+            flat.extend(row);
+        }
+        flat
+    }
+
+    /// Both transforms under both exits, the MAC and the pointwise
+    /// multiply of `backend` against the scalar reference, word for word.
+    fn assert_ntt_and_mac_batches_match(
+        backend: &dyn KernelBackend,
+        tables: &[&NttTable],
+        rng: &mut StdRng,
+    ) {
+        let moduli: Vec<Modulus> = tables.iter().map(|t| *t.modulus()).collect();
+        let what = |op: &str| format!("{op} n={} moduli={moduli:?}", tables[0].n());
+        let (x, y, z) = (
+            window_rows(rng, tables),
+            window_rows(rng, tables),
+            window_rows(rng, tables),
+        );
+        for exit in [ExitFold::Canonical, ExitFold::Lazy2p] {
+            let (mut want, mut got) = (x.clone(), x.clone());
+            SCALAR.forward_batch(tables, &mut want, exit);
+            backend.forward_batch(tables, &mut got, exit);
+            assert_eq!(got, want, "{}", what("forward_batch"));
+            let (mut want, mut got) = (x.clone(), x.clone());
+            SCALAR.inverse_batch(tables, &mut want, exit);
+            backend.inverse_batch(tables, &mut got, exit);
+            assert_eq!(got, want, "{}", what("inverse_batch"));
+        }
+        let (mut want, mut got) = (x.clone(), x.clone());
+        SCALAR.mul_acc_lazy_batch(&moduli, &mut want, &y, &z);
+        backend.mul_acc_lazy_batch(&moduli, &mut got, &y, &z);
+        assert_eq!(got, want, "{}", what("mul_acc_lazy_batch"));
+        let (mut want, mut got) = (x.clone(), x);
+        SCALAR.mul_lazy_batch(&moduli, &mut want, &y);
+        backend.mul_lazy_batch(&moduli, &mut got, &y);
+        assert_eq!(got, want, "{}", what("mul_lazy_batch"));
+    }
+
+    /// The wide passes of `LaneBackend`'s four overridden batches return
+    /// the reference's words for every prime width they take, at every
+    /// row length on both sides of their `n >= 16` / `n % 8 == 0` rules,
+    /// and the first prime above `2^50` stays on the portable bodies.
+    #[test]
+    fn wide_passes_match_the_reference_words() {
+        let mut rng = StdRng::seed_from_u64(0x1F3A);
+        let table = |p: u64, n: usize| NttTable::new(Modulus::new(p).unwrap(), n);
+        // The smallest NTT prime above 2^50 (for every n <= 4096).
+        let above = (0..)
+            .map(|i| (1u64 << 50) + 1 + 8192 * i)
+            .find(|&c| crate::prime::is_prime(c))
+            .unwrap();
+        #[cfg(target_arch = "x86_64")]
+        let live = {
+            assert!(!wide::takes_ntt(&Modulus::new(above).unwrap(), 1024));
+            assert!(!wide::takes_mac(&Modulus::new(above).unwrap(), 1024));
+            wide::takes_ntt(&Modulus::new(ntt_primes(50, 4096, 1)[0]).unwrap(), 1024)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let live = false;
+        println!("wide passes live on this host: {live}");
+
+        for bits in 20..=50u32 {
+            // Scanned down from 2^bits: at 50 bits the first is the
+            // largest NTT prime the wide passes take.
+            let mut primes = ntt_primes(bits, 4096, 3);
+            if bits == 50 {
+                primes.push(above);
+            }
+            for p in primes {
+                for n in [8usize, 16, 32, 1024, 4096] {
+                    let t = table(p, n);
+                    assert_ntt_and_mac_batches_match(&LANES_BACKEND, &[&t], &mut rng);
+                }
+            }
+        }
+
+        // One batch whose rows take different bodies, sequentially and
+        // fanned out over two lanes.
+        let n = 1024;
+        let mixed = [
+            table(ntt_primes(50, n, 1)[0], n),
+            table(above, n),
+            table(ntt_primes(32, n, 1)[0], n),
+            table(ntt_primes(61, n, 1)[0], n),
+        ];
+        let mixed: Vec<&NttTable> = mixed.iter().collect();
+        assert_ntt_and_mac_batches_match(&LANES_BACKEND, &mixed, &mut rng);
+        let threaded = ThreadedBackend::with_config(2, 64);
+        assert_ntt_and_mac_batches_match(&threaded, &mixed, &mut rng);
+        assert!(threaded.pool().parallel_jobs_dispatched() > 0);
+    }
+
     /// The lanes decomposition equals the reference on every geometry —
     /// inside the one-word window (division-free pass) and outside it
     /// (fallback) — on the words where the rounded quotient or a digit
@@ -1967,6 +2172,32 @@ mod tests {
         let (a, b) = (row.clone(), row.clone());
         threaded.mul_acc_lazy_batch(&[*t.modulus()], &mut row, &a, &b);
         assert_eq!(threaded.pool().parallel_jobs_dispatched(), before);
+    }
+
+    /// A buffer that is not a whole number of rows: three rows' worth
+    /// of words plus one, handed over as a three-row batch.
+    fn ragged_batch(backend: &dyn KernelBackend) {
+        let t = table(45, 64);
+        let mut flat = vec![1u64; 3 * 64 + 1];
+        backend.forward_batch(&[&t, &t, &t], &mut flat, ExitFold::Lazy2p);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of rows")]
+    fn ragged_batch_panics_on_scalar() {
+        ragged_batch(&SCALAR);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of rows")]
+    fn ragged_batch_panics_on_lanes() {
+        ragged_batch(&LANES_BACKEND);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of rows")]
+    fn ragged_batch_panics_on_threaded() {
+        ragged_batch(&ThreadedBackend::with_config(2, 64));
     }
 
     /// The operand-length contract holds at the batch boundary on every

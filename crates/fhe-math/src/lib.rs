@@ -103,6 +103,8 @@ pub mod rns;
 pub mod sampler;
 pub mod scratch;
 pub mod util;
+#[cfg(target_arch = "x86_64")]
+mod wide;
 
 pub use bigint::UBig;
 pub use fft::{Complex, FftPlan};

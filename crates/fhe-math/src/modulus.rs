@@ -78,6 +78,13 @@ impl Modulus {
         self.p
     }
 
+    /// The Barrett constant `floor(2^128 / p)` (a backend deriving a
+    /// narrower one shifts this instead of dividing again).
+    #[inline]
+    pub(crate) const fn barrett_ratio(&self) -> u128 {
+        (self.ratio_hi as u128) << 64 | self.ratio_lo as u128
+    }
+
     /// Number of significant bits in the modulus.
     #[inline]
     pub const fn bits(&self) -> u32 {
@@ -112,11 +119,24 @@ impl Modulus {
     }
 
     /// Reduces a u128 into the lazy window `[0, 2p)`: Barrett reduction
-    /// with the final conditional subtraction skipped.
+    /// with one conditional subtraction.
     ///
     /// This is the accumulator primitive of lazy kernel chains — inner
     /// products and pointwise multiplies that keep their running values
     /// in `[0, 2p)` and canonicalise once at a ciphertext boundary.
+    ///
+    /// `[0, 2p)` is the *contract*. Over the range the multiply-accumulate
+    /// feeds it, `a <= 4p^2 + 2p` (operands in `[0, 2p)`), the result is
+    /// in fact the canonical residue `a mod p`: the partial sums below
+    /// are terms of `a * ratio / 2^64 < (a / p) * 2^64 < 2^128`, so none
+    /// wraps and `q = floor(a * ratio / 2^128)` exactly; with
+    /// `ratio > 2^128 / p - 1` and `a < 2^127`,
+    /// `a/p - 1/2 < a * ratio / 2^128 <= a/p`, so `q` is `floor(a/p)`
+    /// or one less, the raw remainder is below `2p`, and the one
+    /// subtraction canonicalises it
+    /// (`tests::reduce_u128_lazy_is_canonical_over_the_mac_range`). For
+    /// larger `a` the estimate can fall short by two and only the
+    /// `[0, 2p)` contract holds.
     #[inline]
     #[must_use]
     pub fn reduce_u128_lazy(&self, a: u128) -> u64 {
@@ -131,8 +151,10 @@ impl Modulus {
         let mid = mid1.wrapping_add(mid2).wrapping_add(lo_hi as u128);
         let q = (a_hi as u128 * self.ratio_hi as u128).wrapping_add(mid >> 64);
         let mut r = (a as u64).wrapping_sub((q as u64).wrapping_mul(self.p));
-        // Raw r < 3p (quotient estimate short by at most 2): one
-        // correction lands in the lazy window.
+        // The estimate is short by at most 2 (raw r < 3p), so one
+        // correction lands in the lazy window — and by at most 1 over
+        // the MAC range, where it lands on the canonical residue (see
+        // the rustdoc).
         if r >= self.p {
             r = r.wrapping_sub(self.p);
         }
@@ -555,6 +577,51 @@ mod tests {
                 let r = m.reduce_u128_lazy(a);
                 assert!(r < 2 * p, "p={p} a={a}: {r} not below 2p");
                 assert_eq!(r % p, m.reduce_u128(a), "p={p} a={a}");
+            }
+        }
+    }
+
+    /// Both shipped multiply-accumulate bodies — the reference through
+    /// `reduce_u128_lazy`, the wide one through its own Barrett step —
+    /// are bit-identical only because the reference's word is the
+    /// canonical residue over the MAC's whole range `x*y + acc` with
+    /// `x, y, acc` in `[0, 2p)`, not merely some `[0, 2p)` representative.
+    #[test]
+    fn reduce_u128_lazy_is_canonical_over_the_mac_range() {
+        let primes = [
+            (1u64 << 20) - 3,
+            (1 << 32) - 5,
+            (1 << 36) - 5,
+            (1 << 46) - 21,
+            (1 << 50) - 27,
+            (1 << 55) - 55,
+            (1 << 60) - 93,
+            4611686018427387847, // 62 bits
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state as u128 * bound as u128) >> 64) as u64
+        };
+        for p in primes {
+            let m = Modulus::new(p).unwrap();
+            let edges = [0, 1, p - 1, p, p + 1, 2 * p - 1];
+            let check = |x: u64, y: u64, acc: u64| {
+                let a = x as u128 * y as u128 + acc as u128;
+                let want = (a % p as u128) as u64;
+                assert_eq!(m.reduce_u128_lazy(a), want, "p={p} x={x} y={y} acc={acc}");
+            };
+            for x in edges {
+                for y in edges {
+                    for acc in edges {
+                        check(x, y, acc);
+                    }
+                }
+            }
+            for _ in 0..20_000 {
+                check(next(2 * p), next(2 * p), next(2 * p));
             }
         }
     }

@@ -40,16 +40,25 @@ use crate::prime::primitive_root_of_unity;
 use crate::scratch::with_scratch2;
 use crate::util::{four_step_split, log2_exact, reverse_bits};
 
+/// One butterfly twiddle table, structure-of-arrays: `w[i]` and, index
+/// for index, its Shoup companion `ws[i]`, so a vector body loads
+/// either with a plain unit-stride load.
+#[derive(Debug, Clone)]
+struct Twiddles {
+    w: Vec<u64>,
+    ws: Vec<u64>,
+}
+
 /// Precomputed tables for the negacyclic NTT of a fixed size and modulus.
 #[derive(Debug, Clone)]
 pub struct NttTable {
     modulus: Modulus,
     n: usize,
     log_n: u32,
-    /// psi^bitrev(i) for the forward transform, Shoup pairs.
-    psi_rev: Vec<(u64, u64)>,
-    /// psi^{-bitrev(i)} for the inverse transform, Shoup pairs.
-    psi_inv_rev: Vec<(u64, u64)>,
+    /// psi^bitrev(i) for the forward transform.
+    psi_rev: Twiddles,
+    /// psi^{-bitrev(i)} for the inverse transform.
+    psi_inv_rev: Twiddles,
     /// n^{-1} mod p as a Shoup pair.
     n_inv: (u64, u64),
     /// psi^i in natural order (for constant-geometry / four-step twists).
@@ -81,8 +90,11 @@ impl NttTable {
         let psi_inv = m.inv(psi).expect("psi invertible");
 
         let shoup = |w: u64| (w, m.shoup(w));
-        let mut psi_rev = vec![(0, 0); n];
-        let mut psi_inv_rev = vec![(0, 0); n];
+        let zeroed = || Twiddles {
+            w: vec![0; n],
+            ws: vec![0; n],
+        };
+        let (mut psi_rev, mut psi_inv_rev) = (zeroed(), zeroed());
         let mut pow_f = 1u64;
         let mut pow_i = 1u64;
         let mut psi_pow = Vec::with_capacity(n);
@@ -90,8 +102,9 @@ impl NttTable {
         let omega = m.mul(psi, psi);
         let mut wp = 1u64;
         for i in 0..n {
-            psi_rev[reverse_bits(i, log_n)] = shoup(pow_f);
-            psi_inv_rev[reverse_bits(i, log_n)] = shoup(pow_i);
+            let r = reverse_bits(i, log_n);
+            (psi_rev.w[r], psi_rev.ws[r]) = shoup(pow_f);
+            (psi_inv_rev.w[r], psi_inv_rev.ws[r]) = shoup(pow_i);
             psi_pow.push(shoup(pow_f));
             omega_pow.push(shoup(wp));
             pow_f = m.mul(pow_f, psi);
@@ -123,18 +136,19 @@ impl NttTable {
         &self.modulus
     }
 
-    /// Backend SPI: Shoup pairs `psi^bitrev(i)` for the forward
-    /// butterfly stages (see [`crate::kernel::KernelBackend`]).
+    /// Backend SPI: the forward butterfly twiddles `psi^bitrev(i)` and,
+    /// index for index, their Shoup companions — two slices of length
+    /// `n` (see [`crate::kernel::KernelBackend`]).
     #[inline]
-    pub fn psi_rev(&self) -> &[(u64, u64)] {
-        &self.psi_rev
+    pub fn psi_rev(&self) -> (&[u64], &[u64]) {
+        (&self.psi_rev.w, &self.psi_rev.ws)
     }
 
-    /// Backend SPI: Shoup pairs `psi^{-bitrev(i)}` for the inverse
-    /// butterfly stages.
+    /// Backend SPI: the inverse butterfly twiddles `psi^{-bitrev(i)}`,
+    /// laid out as [`Self::psi_rev`].
     #[inline]
-    pub fn psi_inv_rev(&self) -> &[(u64, u64)] {
-        &self.psi_inv_rev
+    pub fn psi_inv_rev(&self) -> (&[u64], &[u64]) {
+        (&self.psi_inv_rev.w, &self.psi_inv_rev.ws)
     }
 
     /// Backend SPI: `n^{-1} mod p` as a Shoup pair (the inverse
@@ -198,7 +212,7 @@ impl NttTable {
         while groups < self.n {
             t >>= 1;
             for i in 0..groups {
-                let (w, ws) = self.psi_rev[groups + i];
+                let (w, ws) = (self.psi_rev.w[groups + i], self.psi_rev.ws[groups + i]);
                 let j1 = 2 * i * t;
                 for j in j1..j1 + t {
                     let u = a[j];
@@ -227,7 +241,7 @@ impl NttTable {
             let h = groups >> 1;
             let mut j1 = 0usize;
             for i in 0..h {
-                let (w, ws) = self.psi_inv_rev[h + i];
+                let (w, ws) = (self.psi_inv_rev.w[h + i], self.psi_inv_rev.ws[h + i]);
                 for j in j1..j1 + t {
                     let u = a[j];
                     let v = a[j + t];

@@ -792,29 +792,72 @@ fn kernel_force(m: &FileModel, out: &mut Vec<Finding>) {
 // -------------------------------------------------------- unsafe-missing-safety
 
 /// Every `unsafe { .. }` block needs an adjacent `// SAFETY:` comment
-/// stating the invariant that makes it sound.
+/// stating the invariant that makes it sound, and every `unsafe fn` a
+/// `# Safety` section in its doc comment stating what the caller owes.
 fn unsafe_missing_safety(m: &FileModel, out: &mut Vec<Finding>) {
     let toks = m.toks();
     for i in 0..toks.len().saturating_sub(1) {
-        if !(toks[i].is_ident("unsafe") && toks[i + 1].is_punct('{')) {
+        if !toks[i].is_ident("unsafe") {
             continue;
         }
         let line = toks[i].line;
-        let documented =
-            m.lexed.comments.iter().any(|c| {
+        if toks[i + 1].is_punct('{') {
+            let documented = m.lexed.comments.iter().any(|c| {
                 c.text.contains("SAFETY") && c.line_end <= line && c.line_end + 15 >= line
             });
-        if !documented {
+            if !documented {
+                out.push(finding(
+                    "unsafe-missing-safety",
+                    m,
+                    &toks[i],
+                    "`unsafe` block without a `// SAFETY:` comment".into(),
+                    "state the invariant that makes this sound in a `// SAFETY:` comment \
+                     directly above the block",
+                ));
+            }
+        } else if is_unsafe_fn_item(toks, i) && !doc_has_safety_section(m, line) {
             out.push(finding(
                 "unsafe-missing-safety",
                 m,
                 &toks[i],
-                "`unsafe` block without a `// SAFETY:` comment".into(),
-                "state the invariant that makes this sound in a `// SAFETY:` comment \
-                 directly above the block",
+                "`unsafe fn` without a `# Safety` section in its doc comment".into(),
+                "document what the caller must guarantee under a `# Safety` heading \
+                 in the `///` comment above the function",
             ));
         }
     }
+}
+
+/// Whether the `unsafe` at `i` opens a function item (`unsafe fn name`,
+/// `unsafe extern "C" fn name`) — not a block, an `unsafe impl` or the
+/// function-pointer type `unsafe fn(..)`.
+fn is_unsafe_fn_item(toks: &[Token], i: usize) -> bool {
+    let mut j = i + 1;
+    if toks.get(j).is_some_and(|t| t.is_ident("extern")) {
+        j += 1;
+        if toks.get(j).is_some_and(|t| t.kind == TokKind::Str) {
+            j += 1;
+        }
+    }
+    toks.get(j).is_some_and(|t| t.is_ident("fn"))
+        && toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Ident)
+}
+
+/// Whether the `///` run above source line `line` (1-based; attribute
+/// and plain-comment lines in between are skipped) has a `# Safety`
+/// heading.
+fn doc_has_safety_section(m: &FileModel, line: u32) -> bool {
+    for text in m.lines[..line as usize - 1].iter().rev() {
+        let text = text.trim_start();
+        if let Some(doc) = text.strip_prefix("///") {
+            if doc.trim() == "# Safety" {
+                return true;
+            }
+        } else if !(text.starts_with("#[") || text.starts_with("//")) {
+            break;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -136,7 +136,11 @@ fn unsafe_missing_safety() {
         "crates/x/src/unsafe_missing_safety.rs",
         include_str!("fixtures/unsafe_missing_safety.rs"),
     );
-    assert_golden(&f, &[("unsafe-missing-safety", 4)]);
+    assert_golden(
+        &f,
+        &[("unsafe-missing-safety", 4), ("unsafe-missing-safety", 17)],
+    );
+    assert!(f[1].message.contains("# Safety"), "{f:#?}");
 }
 
 #[test]
