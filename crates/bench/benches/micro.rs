@@ -10,8 +10,7 @@ use rand::{Rng, SeedableRng};
 /// restoring the previously active one afterwards — how one criterion
 /// run measures several backends on the *same* pipeline functions.
 fn with_backend<R>(backend: &'static dyn fhe_math::KernelBackend, f: impl FnOnce() -> R) -> R {
-    let previous = fhe_math::kernel::active();
-    fhe_math::kernel::force(backend);
+    let previous = fhe_math::kernel::force(backend);
     let out = f();
     fhe_math::kernel::force(previous);
     out
@@ -177,7 +176,7 @@ fn bench_keyswitch_lazy_vs_canonical(c: &mut Criterion) {
         // scalar reference and the limb-parallel threaded pool (4
         // lanes). Bit-identical outputs (tests/backend_identity.rs);
         // only the row scheduling differs.
-        with_backend(fhe_math::kernel::by_name("scalar").unwrap(), || {
+        with_backend(&fhe_math::kernel::SCALAR, || {
             group.bench_function(format!("lazy_scalar_{tag}"), |b| {
                 b.iter(|| key_switch(&ctx, &d, &rlk, l))
             });
@@ -216,7 +215,7 @@ fn bench_threaded_scaling(c: &mut Criterion) {
         flat.extend(fhe_math::sampler::uniform_residues(&mut rng, m, ctx.n()));
     }
     let d = fhe_math::RnsPoly::from_flat(basis, flat, fhe_math::Representation::Eval);
-    with_backend(fhe_math::kernel::by_name("lanes").unwrap(), || {
+    with_backend(&fhe_math::kernel::LANES_BACKEND, || {
         group.bench_function("lane_n4096_l4", |b| {
             b.iter(|| key_switch(&ctx, &d, &rlk, l))
         });

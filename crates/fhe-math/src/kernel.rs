@@ -73,12 +73,10 @@
 //! `wide_passes_match_the_reference_words` sweeps the batches over
 //! every prime width on both sides of the rule.
 //!
-//! The active backend is process-wide: [`active`] resolves it once from
-//! `TRINITY_KERNEL_BACKEND` (`scalar`, `lanes`, or `threaded[:N]`;
-//! default `lanes`; unknown values warn once on stderr and fall back),
-//! or [`select`] pins it programmatically before first use. Tests and
-//! benches can also call a backend directly, or swap the global with
-//! [`force`].
+//! The active backend is process-wide and is [`LaneBackend`]: the
+//! platform and the modulus pick its bodies, nothing else. Tests and
+//! benches can call any backend directly, or swap the global with
+//! [`force`] to run whole pipelines under each one in-process.
 //!
 //! # Window contracts
 //!
@@ -107,7 +105,7 @@
 //! contracts hold.
 
 use std::ops::Range;
-use std::sync::{Mutex, Once, PoisonError, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
@@ -1204,8 +1202,8 @@ impl KernelBackend for LaneBackend {
 /// row-size threshold of the sequential fallback.
 const DEFAULT_MIN_JOB_ELEMS: usize = 4096;
 
-/// Hard ceiling on configurable worker counts (a typo like
-/// `threaded:100000` must not fork-bomb the process).
+/// Hard ceiling on worker counts (a caller asking for 100000 lanes
+/// must not fork-bomb the process).
 const MAX_THREADS: usize = 256;
 
 /// The limb-parallel backend. It overrides the eleven `*_batch`
@@ -1271,8 +1269,7 @@ impl ThreadedBackend {
         self.pool.threads()
     }
 
-    /// The underlying pool, for its gauges: parallel-job counters
-    /// (overall and per [`crate::pool::tag_dispatches`] tag) make
+    /// The underlying pool, for its parallel-job counter, which makes
     /// fan-out observable even on a single-CPU host.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
@@ -1469,7 +1466,7 @@ impl KernelBackend for ThreadedBackend {
 }
 
 // ---------------------------------------------------------------------
-// Runtime selection.
+// The process-wide backend.
 // ---------------------------------------------------------------------
 
 /// The scalar reference backend instance.
@@ -1477,15 +1474,15 @@ pub static SCALAR: ScalarBackend = ScalarBackend;
 /// The chunked/unrolled lane backend instance.
 pub static LANES_BACKEND: LaneBackend = LaneBackend;
 
-/// The process-wide active backend; `None` until first resolution.
-/// A `RwLock` (not a `OnceLock`) so benches and tests can swap it with
-/// [`force`] — the uncontended read on the kernel dispatch path costs
+/// The process-wide active backend: [`LANES_BACKEND`] unless a bench or
+/// test swapped it with [`force`]. A `RwLock` (not a constant) for that
+/// swap — the uncontended read on the kernel dispatch path costs
 /// nanoseconds against row passes of microseconds.
-static ACTIVE: RwLock<Option<&'static dyn KernelBackend>> = RwLock::new(None);
+static ACTIVE: RwLock<&'static dyn KernelBackend> = RwLock::new(&LANES_BACKEND);
 
 /// Leaked-for-the-process [`ThreadedBackend`]s, memoised per thread
-/// count so repeated lookups (env resolution, benches sweeping worker
-/// counts) share one persistent worker pool each.
+/// count so repeated lookups (benches and tests sweeping worker counts)
+/// share one persistent worker pool each.
 static THREADED: Mutex<Vec<(usize, &'static ThreadedBackend)>> = Mutex::new(Vec::new());
 
 /// The process-lived threaded backend with the given thread count
@@ -1509,128 +1506,26 @@ pub fn threaded(threads: Option<usize>) -> &'static ThreadedBackend {
     backend
 }
 
-/// Why a `TRINITY_KERNEL_BACKEND` value failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackendSpecError(String);
-
-impl std::fmt::Display for BackendSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for BackendSpecError {}
-
-/// Parses a backend spec: `scalar`, `lanes`, `threaded` (one lane per
-/// available CPU), or `threaded:N` (`1 <= N <= 256`).
-///
-/// # Errors
-///
-/// Returns a [`BackendSpecError`] describing the problem for anything
-/// else — including `threaded:0`, which would have no compute thread.
-pub fn parse_spec(spec: &str) -> Result<&'static dyn KernelBackend, BackendSpecError> {
-    match spec {
-        "scalar" => Ok(&SCALAR),
-        "lanes" => Ok(&LANES_BACKEND),
-        "threaded" => Ok(threaded(None)),
-        _ => {
-            if let Some(count) = spec.strip_prefix("threaded:") {
-                let n: usize = count.parse().map_err(|_| {
-                    BackendSpecError(format!("thread count {count:?} is not an integer"))
-                })?;
-                if n == 0 {
-                    return Err(BackendSpecError(
-                        "thread count must be >= 1 (the dispatching thread is a lane; \
-                         threaded:0 would have no compute thread)"
-                            .into(),
-                    ));
-                }
-                if n > MAX_THREADS {
-                    return Err(BackendSpecError(format!(
-                        "thread count {n} exceeds the {MAX_THREADS}-thread ceiling"
-                    )));
-                }
-                Ok(threaded(Some(n)))
-            } else {
-                Err(BackendSpecError(format!(
-                    "unknown backend {spec:?} (expected scalar, lanes, or threaded[:N])"
-                )))
-            }
-        }
-    }
-}
-
-/// Resolves an environment spec to a backend, warning **once** on
-/// stderr and falling back to the default [`LaneBackend`] when the
-/// value does not parse (a silent fallback hid typos like
-/// `TRINITY_KERNEL_BACKEND=lane` for a whole bench run).
-fn resolve(spec: Option<&str>) -> &'static dyn KernelBackend {
-    match spec {
-        None => &LANES_BACKEND,
-        Some(s) => parse_spec(s).unwrap_or_else(|err| {
-            static WARNED: Once = Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: ignoring TRINITY_KERNEL_BACKEND={s:?}: {err}; \
-                     using the default `lanes` backend"
-                );
-            });
-            &LANES_BACKEND
-        }),
-    }
-}
-
-/// Looks a shipped backend up by spec — same grammar as [`parse_spec`]
-/// (`"scalar"`, `"lanes"`, `"threaded"`, `"threaded:N"`), `None` on
-/// anything else.
-pub fn by_name(name: &str) -> Option<&'static dyn KernelBackend> {
-    parse_spec(name).ok()
-}
-
-/// The process-wide active backend, resolved on first use: the
-/// `TRINITY_KERNEL_BACKEND` environment variable if it parses
-/// ([`parse_spec`]; invalid values warn once and fall back), otherwise
-/// [`LaneBackend`]. All [`crate::NttTable`] and [`crate::RnsPoly`]
+/// The process-wide active backend: [`LaneBackend`], whose bodies the
+/// platform and the modulus pick (or whatever a bench or test
+/// [`force`]d). All [`crate::NttTable`] and [`crate::RnsPoly`]
 /// production entry points dispatch through this (the strict
 /// `*_strict` oracles never do — the reference stays fixed while
 /// backends evolve).
 pub fn active() -> &'static dyn KernelBackend {
-    if let Some(backend) = *ACTIVE.read().unwrap_or_else(PoisonError::into_inner) {
-        return backend;
-    }
-    let resolved = resolve(std::env::var("TRINITY_KERNEL_BACKEND").ok().as_deref());
-    let mut slot = ACTIVE.write().unwrap_or_else(PoisonError::into_inner);
-    *slot.get_or_insert(resolved)
+    *ACTIVE.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Pins the process-wide backend before first use.
-///
-/// # Errors
-///
-/// Returns the rejected backend's name if a backend was already
-/// resolved (by a previous [`select`], a [`force`], or any dispatched
-/// kernel call).
-pub fn select(backend: &'static dyn KernelBackend) -> Result<(), &'static str> {
-    let mut slot = ACTIVE.write().unwrap_or_else(PoisonError::into_inner);
-    match *slot {
-        Some(current) => Err(current.name()),
-        None => {
-            *slot = Some(backend);
-            Ok(())
-        }
-    }
-}
-
-/// Swaps the process-wide backend unconditionally, returning the
-/// previous one (if any was resolved). For benches and tests that
-/// measure several backends in one process — production code should
-/// rely on [`active`]'s one-time resolution instead, and callers here
-/// must serialise against concurrent kernel work themselves.
-pub fn force(backend: &'static dyn KernelBackend) -> Option<&'static dyn KernelBackend> {
-    ACTIVE
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .replace(backend)
+/// Swaps the process-wide backend, returning the previous one. For
+/// benches and tests that run several backends in one process —
+/// production code never swaps (lint rule `kernel-force-outside-test`),
+/// and callers here must serialise against concurrent kernel work
+/// themselves.
+pub fn force(backend: &'static dyn KernelBackend) -> &'static dyn KernelBackend {
+    std::mem::replace(
+        &mut *ACTIVE.write().unwrap_or_else(PoisonError::into_inner),
+        backend,
+    )
 }
 
 #[cfg(test)]
@@ -1744,48 +1639,14 @@ mod tests {
         }
     }
 
+    /// No unit test here forces the global, so it reads the default;
+    /// threaded backends share one pool per (clamped) thread count.
     #[test]
-    fn backend_lookup_by_name() {
-        assert_eq!(by_name("scalar").unwrap().name(), "scalar");
-        assert_eq!(by_name("lanes").unwrap().name(), "lanes");
-        assert_eq!(by_name("threaded:2").unwrap().name(), "threaded");
-        assert!(by_name("gpu").is_none());
-    }
-
-    #[test]
-    fn parse_spec_accepts_threaded_with_and_without_count() {
-        assert_eq!(parse_spec("threaded").unwrap().name(), "threaded");
-        let b = parse_spec("threaded:3").unwrap();
-        assert_eq!(b.name(), "threaded");
-        // Memoised per count: same instance, same pool.
-        assert!(std::ptr::eq(
-            parse_spec("threaded:3").unwrap(),
-            parse_spec("threaded:3").unwrap()
-        ));
+    fn active_is_lanes_and_threaded_pools_are_memoised() {
+        assert_eq!(active().name(), "lanes");
+        assert!(std::ptr::eq(threaded(Some(3)), threaded(Some(3))));
         assert_eq!(threaded(Some(3)).threads(), 3);
-    }
-
-    #[test]
-    fn parse_spec_rejects_garbage_empty_and_zero_threads() {
-        for bad in ["", "gpu", "lane", "threaded:", "threaded:x", "threaded:-1"] {
-            let err = parse_spec(bad).expect_err(bad);
-            assert!(!err.to_string().is_empty(), "{bad}: empty message");
-        }
-        let zero = parse_spec("threaded:0").expect_err("threaded:0");
-        assert!(zero.to_string().contains(">= 1"), "{zero}");
-        let huge = parse_spec("threaded:100000").expect_err("threaded:100000");
-        assert!(huge.to_string().contains("ceiling"), "{huge}");
-    }
-
-    #[test]
-    fn resolve_falls_back_to_lanes_on_invalid_spec() {
-        // The warn-once fallback path: invalid values resolve to the
-        // default backend instead of silently picking something else.
-        assert_eq!(resolve(None).name(), "lanes");
-        assert_eq!(resolve(Some("garbage")).name(), "lanes");
-        assert_eq!(resolve(Some("threaded:0")).name(), "lanes");
-        assert_eq!(resolve(Some("scalar")).name(), "scalar");
-        assert_eq!(resolve(Some("threaded:2")).name(), "threaded");
+        assert_eq!(threaded(Some(0)).threads(), 1);
     }
 
     /// All batched entry points must be bit-identical between the

@@ -20,9 +20,9 @@
 //!   operations over a flat contiguous limb buffer.
 //! * [`kernel`] — pluggable batched kernel backends ([`KernelBackend`]):
 //!   the scalar reference, a chunked/unrolled lane implementation, and
-//!   the limb-parallel [`ThreadedBackend`], runtime-selected. Production
-//!   dispatches only the `*_batch` (whole-poly) entry points; the row
-//!   passes behind them are the backend-internal SPI.
+//!   the limb-parallel [`ThreadedBackend`]; a process runs the lane
+//!   one. Production dispatches only the `*_batch` (whole-poly) entry
+//!   points; the row passes behind them are the backend-internal SPI.
 //! * [`pool`] — the persistent home-grown worker pool behind the
 //!   threaded backend (`std::thread` + channels; the build is offline,
 //!   so no `rayon`).

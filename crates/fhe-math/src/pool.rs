@@ -12,7 +12,7 @@
 //!
 //! * **Persistent workers.** [`WorkerPool::new`] spawns `threads - 1`
 //!   workers that live as long as the pool (for the process, for the
-//!   pool behind the selected process-wide backend). Jobs are pulled
+//!   pools behind [`crate::kernel::threaded`]). Jobs are pulled
 //!   from one shared injector channel, so several caller threads can
 //!   dispatch into the same pool concurrently.
 //! * **The caller is a worker too.** [`WorkerPool::run`] executes the
@@ -35,59 +35,11 @@
 //! every job owns a disjoint slice of the output, so results are
 //! bit-identical to the sequential schedule regardless of interleaving.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SendError, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
-
-/// Number of dispatch-attribution tags (see [`tag_dispatches`]). Tag
-/// `0` is the untagged default; callers that want per-lane accounting
-/// (e.g. a service scheduler's QoS lanes) claim tags `1..DISPATCH_TAGS`
-/// by convention.
-pub const DISPATCH_TAGS: usize = 8;
-
-thread_local! {
-    /// The dispatch tag of the *calling* thread: every fan-out this
-    /// thread performs while the tag is set is attributed to that tag's
-    /// per-pool counter.
-    static DISPATCH_TAG: Cell<usize> = const { Cell::new(0) };
-}
-
-/// RAII guard restoring the previous dispatch tag of this thread when
-/// dropped. Returned by [`tag_dispatches`].
-#[derive(Debug)]
-pub struct DispatchTagGuard {
-    prev: usize,
-}
-
-impl Drop for DispatchTagGuard {
-    fn drop(&mut self) {
-        DISPATCH_TAG.with(|t| t.set(self.prev));
-    }
-}
-
-/// Tags every pool fan-out performed by the current thread until the
-/// returned guard drops. Fan-outs are attributed to the per-tag
-/// counters readable via [`WorkerPool::parallel_jobs_dispatched_by_tag`],
-/// so an audit log or starvation detector can see which lane's work
-/// actually reached the parallel path.
-///
-/// # Panics
-///
-/// If `tag >= DISPATCH_TAGS`.
-pub fn tag_dispatches(tag: usize) -> DispatchTagGuard {
-    assert!(tag < DISPATCH_TAGS, "dispatch tag {tag} out of range");
-    let prev = DISPATCH_TAG.with(|t| t.replace(tag));
-    DispatchTagGuard { prev }
-}
-
-/// The dispatch tag currently set on this thread (0 when untagged).
-#[inline]
-pub fn current_dispatch_tag() -> usize {
-    DISPATCH_TAG.with(|t| t.get())
-}
 
 /// A borrowed unit of work: one whole-limb row (or a row group) of a
 /// batched kernel pass.
@@ -121,21 +73,6 @@ pub struct WorkerPool {
     /// a dispatch genuinely fanned out — observable parallelism even on
     /// a single-CPU host.
     parallel_jobs: AtomicU64,
-    /// `parallel_jobs` split by the dispatching thread's tag (see
-    /// [`tag_dispatches`]); index 0 collects untagged dispatches.
-    parallel_jobs_by_tag: [AtomicU64; DISPATCH_TAGS],
-    /// Dispatches (not jobs) currently inside the parallel path of
-    /// [`Self::run`], per dispatching tag — the instantaneous
-    /// in-flight gauge a multi-dispatch service reads to see which
-    /// lanes genuinely overlap on the pool.
-    in_flight_by_tag: [AtomicU64; DISPATCH_TAGS],
-    /// High-water mark of `in_flight_by_tag` over the pool's lifetime.
-    in_flight_peak_by_tag: [AtomicU64; DISPATCH_TAGS],
-    /// Jobs currently sitting in the injector queue (sent but not yet
-    /// received by a worker or stolen by a caller). A saturation
-    /// signal for admission control; inline shares never queue and are
-    /// not counted.
-    depth: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -146,7 +83,7 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>, depth: Arc<AtomicU64>) {
+fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>) {
     loop {
         // Hold the queue lock only for the blocking recv; an idle
         // worker parked here hands the lock back the moment a job
@@ -157,7 +94,6 @@ fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>, depth: Arc<AtomicU64>) {
         };
         match job {
             Ok(Job { run, done }) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
                 // A panicking kernel row must not kill the worker: catch
                 // it and ship the payload back to the dispatching caller.
                 let result = catch_unwind(AssertUnwindSafe(run));
@@ -181,14 +117,12 @@ impl WorkerPool {
         let threads = threads.max(1);
         let (tx, rx) = mpsc::channel::<Job>();
         let queue = Arc::new(Mutex::new(rx));
-        let depth = Arc::new(AtomicU64::new(0));
         let mut spawned = 0usize;
         for i in 0..threads - 1 {
             let q = Arc::clone(&queue);
-            let d = Arc::clone(&depth);
             match thread::Builder::new()
                 .name(format!("trinity-kernel-{i}"))
-                .spawn(move || worker_loop(q, d))
+                .spawn(move || worker_loop(q))
             {
                 Ok(_) => spawned += 1,
                 // Thread-starved environment: degrade to fewer lanes
@@ -201,10 +135,6 @@ impl WorkerPool {
             queue,
             threads: spawned + 1,
             parallel_jobs: AtomicU64::new(0),
-            parallel_jobs_by_tag: std::array::from_fn(|_| AtomicU64::new(0)),
-            in_flight_by_tag: std::array::from_fn(|_| AtomicU64::new(0)),
-            in_flight_peak_by_tag: std::array::from_fn(|_| AtomicU64::new(0)),
-            depth,
         }
     }
 
@@ -221,54 +151,6 @@ impl WorkerPool {
     #[inline]
     pub fn parallel_jobs_dispatched(&self) -> u64 {
         self.parallel_jobs.load(Ordering::Relaxed)
-    }
-
-    /// [`Self::parallel_jobs_dispatched`] restricted to fan-outs whose
-    /// dispatching thread carried `tag` (see [`tag_dispatches`]); tag 0
-    /// is the untagged remainder. The per-tag counters always sum to
-    /// the total.
-    ///
-    /// # Panics
-    ///
-    /// If `tag >= DISPATCH_TAGS`.
-    #[inline]
-    pub fn parallel_jobs_dispatched_by_tag(&self, tag: usize) -> u64 {
-        self.parallel_jobs_by_tag[tag].load(Ordering::Relaxed)
-    }
-
-    /// Dispatches currently inside the parallel path of [`Self::run`]
-    /// whose dispatching thread carried `tag` — an instantaneous gauge
-    /// (0 whenever the pool is idle). Sequential fallbacks are not
-    /// counted, matching [`Self::parallel_jobs_dispatched`].
-    ///
-    /// # Panics
-    ///
-    /// If `tag >= DISPATCH_TAGS`.
-    #[inline]
-    pub fn parallel_in_flight_by_tag(&self, tag: usize) -> u64 {
-        self.in_flight_by_tag[tag].load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`Self::parallel_in_flight_by_tag`] over the
-    /// pool's lifetime: how many `tag`-tagged dispatches were ever
-    /// inside the parallel path at once. A service with several
-    /// in-flight groups on one lane reads ≥ 2 here when its dispatches
-    /// genuinely overlapped on the pool.
-    ///
-    /// # Panics
-    ///
-    /// If `tag >= DISPATCH_TAGS`.
-    #[inline]
-    pub fn parallel_in_flight_peak_by_tag(&self, tag: usize) -> u64 {
-        self.in_flight_peak_by_tag[tag].load(Ordering::Relaxed)
-    }
-
-    /// Jobs currently queued in the injector (sent to workers but not
-    /// yet picked up or stolen). A point-in-time saturation gauge —
-    /// inline shares never queue, so an idle pool reads 0.
-    #[inline]
-    pub fn queue_depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
     }
 
     /// Runs all `tasks` to completion, distributing them over the pool.
@@ -295,10 +177,6 @@ impl WorkerPool {
             return;
         }
 
-        let tag = current_dispatch_tag();
-        let now = self.in_flight_by_tag[tag].fetch_add(1, Ordering::Relaxed) + 1;
-        self.in_flight_peak_by_tag[tag].fetch_max(now, Ordering::Relaxed);
-
         let (done_tx, done_rx) = mpsc::channel::<thread::Result<()>>();
         let mut outstanding = 0usize;
         {
@@ -324,10 +202,7 @@ impl WorkerPool {
                     run,
                     done: done_tx.clone(),
                 }) {
-                    Ok(()) => {
-                        outstanding += 1;
-                        self.depth.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Ok(()) => outstanding += 1,
                     // No live worker (cannot happen while the pool owns
                     // the injector, but be safe): run inline instead.
                     Err(SendError(job)) => (job.run)(),
@@ -336,17 +211,14 @@ impl WorkerPool {
         }
         drop(done_tx);
         // The inline first task plus every queued sibling went through
-        // the parallel path; attribute the fan-out to the dispatching
-        // thread's tag as well.
+        // the parallel path.
         self.parallel_jobs
             .fetch_add(outstanding as u64 + 1, Ordering::Relaxed);
-        self.parallel_jobs_by_tag[tag].fetch_add(outstanding as u64 + 1, Ordering::Relaxed);
 
         // Run our own share, deferring any panic until the dispatch has
         // fully drained (the borrows above must stay alive until then).
         let mine = catch_unwind(AssertUnwindSafe(first));
         let worker_panic = self.finish_dispatch(&done_rx, outstanding);
-        self.in_flight_by_tag[tag].fetch_sub(1, Ordering::Relaxed);
         if let Err(payload) = mine {
             resume_unwind(payload);
         }
@@ -388,7 +260,6 @@ impl WorkerPool {
                 .ok()
                 .and_then(|guard| guard.try_recv().ok());
             if let Some(Job { run, done }) = stolen {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
                 let result = catch_unwind(AssertUnwindSafe(run));
                 let _ = done.send(result);
                 continue;
@@ -562,127 +433,6 @@ mod tests {
         let tasks: Vec<Task<'_>> = (0..4).map(|_| Box::new(|| {}) as Task<'_>).collect();
         seq.run(tasks);
         assert_eq!(seq.parallel_jobs_dispatched(), 0);
-    }
-
-    #[test]
-    fn dispatch_tags_attribute_fanout_per_lane() {
-        let pool = WorkerPool::new(3);
-        let fan = |n: usize| {
-            let tasks: Vec<Task<'_>> = (0..n).map(|_| Box::new(|| {}) as Task<'_>).collect();
-            pool.run(tasks);
-        };
-        // Untagged dispatch lands on tag 0.
-        fan(5);
-        assert_eq!(pool.parallel_jobs_dispatched_by_tag(0), 5);
-        // Tagged dispatches land on their tag; the guard restores the
-        // previous tag on drop (including across nesting).
-        {
-            let _lane = tag_dispatches(2);
-            fan(4);
-            {
-                let _inner = tag_dispatches(3);
-                fan(3);
-            }
-            fan(2);
-        }
-        fan(6);
-        assert_eq!(pool.parallel_jobs_dispatched_by_tag(2), 4 + 2);
-        assert_eq!(pool.parallel_jobs_dispatched_by_tag(3), 3);
-        assert_eq!(pool.parallel_jobs_dispatched_by_tag(0), 5 + 6);
-        // Per-tag counters sum to the total.
-        let by_tag: u64 = (0..DISPATCH_TAGS)
-            .map(|t| pool.parallel_jobs_dispatched_by_tag(t))
-            .sum();
-        assert_eq!(by_tag, pool.parallel_jobs_dispatched());
-        // Sequential fallbacks are not attributed anywhere.
-        let _lane = tag_dispatches(1);
-        fan(1);
-        assert_eq!(pool.parallel_jobs_dispatched_by_tag(1), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dispatch_tag_out_of_range_panics() {
-        let _ = tag_dispatches(DISPATCH_TAGS);
-    }
-
-    #[test]
-    fn in_flight_gauge_tracks_overlapping_dispatches() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.parallel_in_flight_by_tag(0), 0);
-        assert_eq!(pool.parallel_in_flight_peak_by_tag(2), 0);
-        // A dispatch observes itself in flight from inside its own
-        // tasks, and the gauge returns to zero once it drains.
-        let seen = AtomicUsize::new(0);
-        {
-            let _lane = tag_dispatches(2);
-            let tasks: Vec<Task<'_>> = (0..4)
-                .map(|_| {
-                    let seen = &seen;
-                    let pool = &pool;
-                    Box::new(move || {
-                        seen.fetch_max(
-                            pool.parallel_in_flight_by_tag(2) as usize,
-                            Ordering::SeqCst,
-                        );
-                    }) as Task<'_>
-                })
-                .collect();
-            pool.run(tasks);
-        }
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
-        assert_eq!(pool.parallel_in_flight_by_tag(2), 0);
-        assert_eq!(pool.parallel_in_flight_peak_by_tag(2), 1);
-        // Two dispatchers racing on different tags: each peak records
-        // at least its own dispatch, and both gauges return to zero.
-        thread::scope(|s| {
-            for tag in [3usize, 4] {
-                let pool = &pool;
-                s.spawn(move || {
-                    let _lane = tag_dispatches(tag);
-                    for _ in 0..8 {
-                        let tasks: Vec<Task<'_>> =
-                            (0..4).map(|_| Box::new(|| {}) as Task<'_>).collect();
-                        pool.run(tasks);
-                    }
-                });
-            }
-        });
-        for tag in [3usize, 4] {
-            assert_eq!(pool.parallel_in_flight_by_tag(tag), 0, "tag {tag}");
-            assert_eq!(pool.parallel_in_flight_peak_by_tag(tag), 1, "tag {tag}");
-        }
-        // Sequential fallbacks never touch the gauge.
-        let seq = WorkerPool::new(1);
-        seq.run((0..4).map(|_| Box::new(|| {}) as Task<'_>).collect());
-        assert_eq!(seq.parallel_in_flight_peak_by_tag(0), 0);
-    }
-
-    #[test]
-    fn queue_depth_returns_to_zero_after_dispatch() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.queue_depth(), 0);
-        // While a dispatch is in flight the gauge is transiently
-        // positive; after `run` returns every queued job was consumed
-        // (by a worker or stolen by the caller), so it must read 0.
-        let observed_positive = AtomicUsize::new(0);
-        for _ in 0..8 {
-            let tasks: Vec<Task<'_>> = (0..6)
-                .map(|_| {
-                    let observed = &observed_positive;
-                    let pool = &pool;
-                    Box::new(move || {
-                        if pool.queue_depth() > 0 {
-                            observed.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }) as Task<'_>
-                })
-                .collect();
-            pool.run(tasks);
-            assert_eq!(pool.queue_depth(), 0);
-        }
-        // Not asserted > 0: on a loaded host the workers may drain the
-        // queue before any job samples the gauge.
     }
 
     #[test]

@@ -10,9 +10,17 @@
 //!   (slot `k` holds `f(psi^(2*bitrev(k)+1))`), evaluated in O(n^2)
 //!   straight from [`fhe_math::prime::primitive_root_of_unity`]. All
 //!   three hardware-shaped forward variants must match it slot by slot.
+//!
+//! Every test that transforms through `NttTable::forward` / `inverse`
+//! (one-row batches of the active backend) runs under each kernel
+//! backend in-process, forcing and restoring the global through the
+//! workspace's shared `under_each_backend`.
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use common::under_each_backend;
 use fhe_math::fft::negacyclic_mul_fft;
-use fhe_math::kernel::{self, KernelBackend};
 use fhe_math::ntt::negacyclic_mul_schoolbook;
 use fhe_math::prime::{ntt_primes, primitive_root_of_unity};
 use fhe_math::{Complex, FftPlan, Modulus, NttTable};
@@ -50,7 +58,9 @@ fn negacyclic_product_matches_external_golden() {
     let t = NttTable::new(m, 8);
     let a: Vec<u64> = (1..=8).collect();
     let b: Vec<u64> = (1..=8).rev().collect();
-    assert_eq!(t.negacyclic_mul(&a, &b), GOLDEN_NEGACYCLIC_257);
+    for (name, product) in under_each_backend(|| t.negacyclic_mul(&a, &b)) {
+        assert_eq!(product, GOLDEN_NEGACYCLIC_257, "backend {name}");
+    }
     // The O(n^2) oracle must agree with the same constants.
     assert_eq!(
         negacyclic_mul_schoolbook(t.modulus(), &a, &b),
@@ -79,14 +89,18 @@ fn every_forward_variant_reproduces_the_golden_product() {
         }),
     ];
     for (name, fwd) in variants {
-        let mut fa = a.clone();
-        let mut fb = b.clone();
-        fwd(&t, &mut fa);
-        fwd(&t, &mut fb);
-        let mut prod = vec![0u64; 8];
-        t.pointwise_mul_acc(&mut prod, &fa, &fb);
-        t.inverse(&mut prod);
-        assert_eq!(prod, GOLDEN_NEGACYCLIC_257, "variant {name}");
+        for (backend, prod) in under_each_backend(|| {
+            let mut fa = a.clone();
+            let mut fb = b.clone();
+            fwd(&t, &mut fa);
+            fwd(&t, &mut fb);
+            let mut prod = vec![0u64; 8];
+            t.pointwise_mul_acc(&mut prod, &fa, &fb);
+            t.inverse(&mut prod);
+            prod
+        }) {
+            assert_eq!(prod, GOLDEN_NEGACYCLIC_257, "{name} under {backend}");
+        }
     }
 }
 
@@ -126,10 +140,6 @@ fn all_variants_match_direct_evaluation() {
         }
         let expect = direct_spectrum(&t, &a);
 
-        let mut r = a.clone();
-        t.forward(&mut r);
-        assert_eq!(r, expect, "reference vs direct, n={n}");
-
         let mut c = a.clone();
         t.forward_constant_geometry(&mut c);
         assert_eq!(c, expect, "constant-geometry vs direct, n={n}");
@@ -138,23 +148,29 @@ fn all_variants_match_direct_evaluation() {
         t.forward_four_step(&mut f);
         assert_eq!(f, expect, "four-step vs direct, n={n}");
 
-        // And the inverse takes the direct spectrum back to the input.
-        let mut inv = expect;
-        t.inverse(&mut inv);
-        assert_eq!(inv, a, "inverse of direct spectrum, n={n}");
+        for (name, (r, inv)) in under_each_backend(|| {
+            let mut r = a.clone();
+            t.forward(&mut r);
+            let mut inv = expect.clone();
+            t.inverse(&mut inv);
+            (r, inv)
+        }) {
+            assert_eq!(r, expect, "reference vs direct, n={n}, backend {name}");
+            // And the inverse takes the direct spectrum back to the input.
+            assert_eq!(inv, a, "inverse of direct spectrum, n={n}, backend {name}");
+        }
     }
 }
 
-/// Every [`KernelBackend`] must reproduce the golden vectors: the full
+/// Every `KernelBackend` must reproduce the golden vectors: the full
 /// transform pipeline (stages + exit folds + scaling) run through the
-/// scalar reference and the lane backend explicitly, checked against
-/// the externally computed product and the direct spectrum. This is the
-/// acceptance gate for new backends — identical outputs on the golden
-/// vectors, not just on random data.
+/// scalar reference, the lane backend and the threaded pool explicitly,
+/// checked against the externally computed product and the direct
+/// spectrum. This is the acceptance gate for new backends — identical
+/// outputs on the golden vectors, not just on random data.
 #[test]
 fn kernel_backends_reproduce_golden_vectors() {
-    let backends: [&'static dyn KernelBackend; 2] = [&kernel::SCALAR, &kernel::LANES_BACKEND];
-    for backend in backends {
+    for backend in common::backends() {
         let name = backend.name();
 
         // Golden negacyclic product via explicit backend passes.
@@ -242,10 +258,8 @@ fn fft_and_ntt_paths_agree_on_small_inputs() {
     let t = NttTable::new(m, n);
     let au: Vec<u64> = GOLDEN_SIGNED_A.iter().map(|&v| m.from_i64(v)).collect();
     let bu: Vec<u64> = GOLDEN_SIGNED_B.iter().map(|&v| m.from_i64(v)).collect();
-    let exact: Vec<i64> = t
-        .negacyclic_mul(&au, &bu)
-        .iter()
-        .map(|&v| m.to_centered(v))
-        .collect();
-    assert_eq!(exact, GOLDEN_SIGNED_PROD);
+    for (name, product) in under_each_backend(|| t.negacyclic_mul(&au, &bu)) {
+        let exact: Vec<i64> = product.iter().map(|&v| m.to_centered(v)).collect();
+        assert_eq!(exact, GOLDEN_SIGNED_PROD, "backend {name}");
+    }
 }

@@ -15,9 +15,9 @@
 //!   and the backend (and its workers) must keep serving jobs.
 //!
 //! This binary forces the global backend to `threaded` up front, so
-//! every test in it runs the row-parallel dispatch — the CI matrix runs
-//! the cross-crate oracle suites under `TRINITY_KERNEL_BACKEND=threaded`
-//! the same way.
+//! every test in it runs the row-parallel dispatch; the cross-crate
+//! oracle suites run under `threaded` the same way, one sweep at a
+//! time (`tests/common/mod.rs`).
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;

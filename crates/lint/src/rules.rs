@@ -23,7 +23,7 @@ pub const RULES: &[&str] = &[
     "backend-coverage",
     "guard-across-dispatch",
     "lock-unwrap",
-    "env-read-outside-selector",
+    "env-read",
     "kernel-force-outside-test",
     "unsafe-missing-safety",
     "bad-allow",
@@ -100,8 +100,8 @@ const DISPATCH_CALLS: &[&str] = &["send", "dispatch", "run"];
 /// dedicated poison-recovery helpers.
 const POISON_HELPERS: &[&str] = &["read_cache", "write_cache"];
 
-/// The one module allowed to read process environment: the kernel
-/// backend selector.
+/// The kernel backend module: where `KernelBackend` (the
+/// `backend-coverage` subject) and the test-only `kernel::force` live.
 const SELECTOR_PATH_SUFFIX: &str = "fhe-math/src/kernel.rs";
 
 fn is_prod(m: &FileModel) -> bool {
@@ -111,8 +111,8 @@ fn is_prod(m: &FileModel) -> bool {
 /// Runs every rule over the file set and returns raw findings
 /// (allow-comment suppression happens in the caller).
 pub fn run(files: &[FileModel]) -> Vec<Finding> {
-    // Workspace mode: the real tree is being scanned (the backend
-    // selector module is present), so cross-file config staleness is
+    // Workspace mode: the real tree is being scanned (the kernel
+    // backend module is present), so cross-file config staleness is
     // checkable. Fixture sets stay quiet on those checks.
     let workspace_mode = files.iter().any(|m| m.path.ends_with(SELECTOR_PATH_SUFFIX));
 
@@ -722,13 +722,13 @@ fn lock_unwrap(m: &FileModel, out: &mut Vec<Finding>) {
     }
 }
 
-// --------------------------------------------------- env-read-outside-selector
+// -------------------------------------------------------------------- env-read
 
-/// `std::env::var` reads belong in exactly one place — the kernel
-/// backend selector — so configuration stays auditable and tests stay
-/// hermetic.
+/// No production code reads `std::env::var`: configuration arrives as
+/// explicit parameters, and the kernel backend is the platform's pick,
+/// so runs stay auditable and tests stay hermetic.
 fn env_read(m: &FileModel, out: &mut Vec<Finding>) {
-    if !is_prod(m) || m.path.ends_with(SELECTOR_PATH_SUFFIX) {
+    if !is_prod(m) {
         return;
     }
     let toks = m.toks();
@@ -744,13 +744,11 @@ fn env_read(m: &FileModel, out: &mut Vec<Finding>) {
             && toks[i + 4].is_punct('(')
         {
             out.push(finding(
-                "env-read-outside-selector",
+                "env-read",
                 m,
                 &toks[i],
-                "process-environment read outside the backend selector module".into(),
-                "thread configuration through explicit parameters; only \
-                 fhe-math/src/kernel.rs may consult the environment \
-                 (TRINITY_KERNEL_BACKEND)",
+                "process-environment read in production code".into(),
+                "thread configuration through explicit parameters",
             ));
         }
     }
@@ -760,8 +758,8 @@ fn env_read(m: &FileModel, out: &mut Vec<Finding>) {
 
 /// `kernel::force` swaps the process-global backend and is a test /
 /// bench affordance only. Production code — the service layer above
-/// all — must rely on `kernel::active`'s one-time resolution: a force
-/// under live multi-tenant traffic races every in-flight dispatch.
+/// all — runs under `kernel::active()`'s one backend: a force under
+/// live multi-tenant traffic races every in-flight dispatch.
 fn kernel_force(m: &FileModel, out: &mut Vec<Finding>) {
     if !is_prod(m) || m.path.ends_with(SELECTOR_PATH_SUFFIX) {
         return;
@@ -782,8 +780,7 @@ fn kernel_force(m: &FileModel, out: &mut Vec<Finding>) {
                 &toks[i + 3],
                 "`kernel::force` referenced in production code".into(),
                 "the global backend swap is test/bench-only; production (and the \
-                 service layer in particular) must use `kernel::active()`'s \
-                 one-time resolution",
+                 service layer in particular) runs under `kernel::active()`",
             ));
         }
     }

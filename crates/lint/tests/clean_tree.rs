@@ -26,7 +26,7 @@ fn workspace_has_zero_findings() {
 fn workspace_scan_is_workspace_mode() {
     // Guard against the walker silently skipping fhe-math (which would
     // disable the cross-file rules and make the clean assertion above
-    // vacuous): the selector module must be in the scanned set.
+    // vacuous): the kernel backend module must be in the scanned set.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)

@@ -70,7 +70,7 @@ fn untested_lazy_entry() {
 
 #[test]
 fn backend_coverage() {
-    // The backend rule only engages on the selector module's path.
+    // The backend rule only engages on the kernel module's path.
     // Scanning a lone kernel.rs puts the linter in workspace mode, so
     // the six undefined chain roots also (correctly) report stale
     // config; filter to the rule under test plus that known noise.
@@ -113,12 +113,12 @@ fn lock_unwrap() {
 }
 
 #[test]
-fn env_read_outside_selector() {
+fn env_read() {
     let f = lint_fixture(
         "crates/x/src/env_read.rs",
         include_str!("fixtures/env_read.rs"),
     );
-    assert_golden(&f, &[("env-read-outside-selector", 8)]);
+    assert_golden(&f, &[("env-read", 8)]);
 }
 
 #[test]
@@ -185,6 +185,6 @@ fn json_output_roundtrips_the_findings() {
         include_str!("fixtures/env_read.rs"),
     );
     let json = trinity_lint::diag::render_json(&f);
-    assert!(json.contains("\"rule\": \"env-read-outside-selector\""));
+    assert!(json.contains("\"rule\": \"env-read\""));
     assert!(json.contains("\"count\": 1"));
 }

@@ -1,6 +1,6 @@
 // Fixture: rule `backend-coverage`. Linted under the path
 // `crates/fhe-math/src/kernel.rs` so the rule engages (it only runs on
-// the backend-selector module).
+// the kernel backend module).
 //
 // `forward` and `convert_exact_batch` are swept by the test module
 // below; the `forward_batch` and `convert_approx_batch` defaults are

@@ -1,8 +1,8 @@
-// Fixture: rule `env-read-outside-selector`.
+// Fixture: rule `env-read`.
 //
-// Only the backend selector module (fhe-math/src/kernel.rs) may read
-// process environment; configuration everywhere else must arrive as
-// explicit parameters.
+// No production module reads process environment; configuration must
+// arrive as explicit parameters (the kernel backend is the platform's
+// pick, not a variable's).
 
 pub fn thread_count() -> usize {
     std::env::var("TRINITY_THREADS")

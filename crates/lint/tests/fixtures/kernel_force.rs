@@ -2,7 +2,7 @@
 //
 // Swapping the process-global kernel backend is a test/bench
 // affordance; production code — the service layer above all — must
-// ride `kernel::active()`'s one-time resolution.
+// run under `kernel::active()`'s one backend.
 
 pub fn pin_backend_for_tenant() {
     fhe_math::kernel::force(&fhe_math::kernel::ScalarBackend);

@@ -16,10 +16,7 @@
 //! audit log and every ciphertext are byte-for-byte identical for any
 //! `max_in_flight` and any kernel backend. `max_in_flight = 1` (the
 //! default) degenerates to the fully sequential core: each group
-//! retires in the same tick it forms. Each group executes under its
-//! lane's `fhe_math::pool` dispatch tag, so the pool's per-tag counters
-//! attribute threaded fan-out to QoS lanes for free — including the
-//! pool's in-flight gauge, which observes overlapping waves directly.
+//! retires in the same tick it forms.
 //!
 //! Time is measured in *ticks* — one tick per dispatch opportunity —
 //! which keeps budget enforcement and starvation detection exact and
@@ -30,7 +27,7 @@ use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, SwitchingKey};
 use fhe_math::galois::rotation_galois_element;
-use fhe_math::pool::tag_dispatches;
+use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{BatchedGateJob, GateOp, LweCiphertext, ServerKey};
 
 use crate::audit::{AuditEvent, AuditLog, PickCause};
@@ -217,7 +214,6 @@ enum GroupWork {
 /// not yet executed.
 struct InFlightGroup {
     id: u64,
-    lane: Lane,
     work: GroupWork,
 }
 
@@ -240,15 +236,14 @@ impl InFlightGroup {
     }
 }
 
-/// Executes one fully resolved group under its lane's dispatch tag.
-/// Free function so retiring waves can run it from scoped threads while
-/// the core only lends out `&KeyCache` / `&contexts`.
+/// Executes one fully resolved group. Free function so retiring waves
+/// can run it from scoped threads while the core only lends out
+/// `&KeyCache` / `&contexts`.
 fn exec_group(
     cache: &KeyCache,
     contexts: &[(Arc<CkksContext>, Evaluator)],
     group: &InFlightGroup,
 ) -> Vec<Response> {
-    let _tag = tag_dispatches(group.lane.dispatch_tag());
     match &group.work {
         GroupWork::Gates(jobs) => {
             let batch: Vec<BatchedGateJob<'_>> = jobs
@@ -289,6 +284,21 @@ fn exec_group(
                 .map(Response::Vector)
                 .collect()
         }
+    }
+}
+
+/// The shape the rotation engine asserts, checked in O(1) at the door:
+/// a level the tenant's context has, and in each component `level + 1`
+/// limbs of the context's degree, in evaluation form. Residue ranges
+/// are not checked.
+fn check_ckks_shape(ctx: &CkksContext, ct: &Ciphertext) -> Result<(), AdmissionError> {
+    let fits = |c: &RnsPoly| {
+        c.limbs() == ct.level + 1 && c.n() == ctx.n() && c.representation() == Representation::Eval
+    };
+    if ct.level <= ctx.params().max_level() && fits(&ct.c0) && fits(&ct.c1) {
+        Ok(())
+    } else {
+        Err(AdmissionError::MalformedCiphertext)
     }
 }
 
@@ -382,8 +392,9 @@ impl ServiceCore {
     }
 
     /// Admits a request or rejects it (queue saturated, keys not
-    /// resident / wrong scheme, uncovered rotation step). Every
-    /// outcome is audited.
+    /// resident / wrong scheme, a ciphertext whose shape the session
+    /// cannot evaluate, uncovered rotation step). Every outcome is
+    /// audited.
     pub fn submit(&mut self, tenant: usize, work: Workload) -> Result<RequestId, AdmissionError> {
         if let Err(e) = self.admissible(tenant, &work) {
             self.audit.push(AuditEvent::Reject {
@@ -441,20 +452,29 @@ impl ServiceCore {
             return Err(AdmissionError::QueueSaturated);
         }
         match (self.cache.get(tenant), work) {
-            (Some(TenantKeys::Tfhe { .. }), Workload::Gate { .. }) => Ok(()),
-            (Some(TenantKeys::Ckks { galois, .. }), Workload::Rotation { step, .. }) => {
+            (Some(TenantKeys::Tfhe { server }), Workload::Gate { a, b, .. }) => {
+                let n_lwe = server.ctx.params.n_lwe;
+                if a.dim() == n_lwe && b.dim() == n_lwe {
+                    Ok(())
+                } else {
+                    Err(AdmissionError::MalformedCiphertext)
+                }
+            }
+            (Some(TenantKeys::Ckks { ctx, galois }), Workload::Rotation { ct, step, .. }) => {
+                check_ckks_shape(ctx, ct)?;
                 if galois.contains_key(step) {
                     Ok(())
                 } else {
                     Err(AdmissionError::MissingGaloisKey { step: *step })
                 }
             }
-            (Some(TenantKeys::Ckks { galois, .. }), Workload::Analytics { steps, .. }) => {
+            (Some(TenantKeys::Ckks { ctx, galois }), Workload::Analytics { ct, steps }) => {
                 // An empty scan would pass the key check vacuously but
                 // has no step for the dispatcher to serve.
                 if steps.is_empty() {
                     return Err(AdmissionError::EmptyWorkload);
                 }
+                check_ckks_shape(ctx, ct)?;
                 steps
                     .iter()
                     .find(|s| !galois.contains_key(s))
@@ -489,11 +509,7 @@ impl ServiceCore {
                 waited: waits[lane.index()].unwrap_or(0),
             });
         }
-        let pending = [
-            self.lanes[0].len(),
-            self.lanes[1].len(),
-            self.lanes[2].len(),
-        ];
+        let pending = self.lanes.each_ref().map(VecDeque::len);
         match lane {
             Lane::Interactive => self.dispatch_gate(cause, pending),
             Lane::Timed | Lane::Bulk => self.dispatch_rotations(lane, cause, pending),
@@ -603,7 +619,6 @@ impl ServiceCore {
         }
         self.in_flight.push_back(InFlightGroup {
             id: group,
-            lane: Lane::Interactive,
             work: GroupWork::Gates(jobs),
         });
     }
@@ -697,7 +712,6 @@ impl ServiceCore {
         }
         self.in_flight.push_back(InFlightGroup {
             id: group,
-            lane,
             work: GroupWork::Rotations {
                 ctx: head_ctx,
                 galois: g,
@@ -828,15 +842,6 @@ impl ServiceCore {
     /// Requests queued across all lanes (excluding in-flight groups).
     pub fn pending_total(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Per-lane queue depths (`[interactive, timed, bulk]`).
-    pub fn queue_depths(&self) -> [usize; 3] {
-        [
-            self.lanes[0].len(),
-            self.lanes[1].len(),
-            self.lanes[2].len(),
-        ]
     }
 
     /// Dispatch groups formed but not yet executed.

@@ -32,12 +32,6 @@ impl Lane {
         }
     }
 
-    /// The `fhe_math::pool` dispatch tag this lane's kernel work is
-    /// attributed to (tag 0 stays reserved for untagged work).
-    pub fn dispatch_tag(self) -> usize {
-        self.index() + 1
-    }
-
     /// Lane name as it appears in the JSONL audit log.
     pub fn name(self) -> &'static str {
         match self {
@@ -146,14 +140,5 @@ mod tests {
         let err = over.validate().unwrap_err();
         assert_eq!(err.sum, 110);
         assert!(err.to_string().contains("110"));
-    }
-
-    #[test]
-    fn lanes_map_to_distinct_nonzero_dispatch_tags() {
-        let tags: Vec<usize> = Lane::ALL.iter().map(|l| l.dispatch_tag()).collect();
-        assert_eq!(tags, vec![1, 2, 3]);
-        assert!(tags
-            .iter()
-            .all(|&t| t != 0 && t < fhe_math::pool::DISPATCH_TAGS));
     }
 }

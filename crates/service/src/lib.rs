@@ -35,8 +35,7 @@
 //!   [`ServiceConfig::max_in_flight`] dispatch groups; independent
 //!   groups execute concurrently on scoped threads without changing a
 //!   decision, an audit byte or a ciphertext bit. Kernel parallelism
-//!   stays below, in the worker pool, attributed per lane via
-//!   dispatch tags.
+//!   stays below, in the process-wide kernel backend.
 //!
 //! Scheduling is measured in dispatch *ticks*, not wall-clock time,
 //! so every guarantee in this crate is exactly reproducible in tests:

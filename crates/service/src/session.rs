@@ -40,6 +40,11 @@ pub enum AdmissionError {
     /// The request carries no work (an analytics scan with zero
     /// steps).
     EmptyWorkload,
+    /// A ciphertext's shape does not match the tenant's session: a CKKS
+    /// level the context lacks, a limb count other than `level + 1`, a
+    /// foreign ring degree or coefficient form; an LWE mask of a length
+    /// other than the server key's `n_lwe`.
+    MalformedCiphertext,
     /// A rotation request names a step the tenant holds no Galois key
     /// for.
     MissingGaloisKey {
@@ -58,6 +63,7 @@ impl std::fmt::Display for AdmissionError {
                 write!(f, "tenant session has queued or in-flight jobs")
             }
             AdmissionError::EmptyWorkload => write!(f, "workload carries no steps"),
+            AdmissionError::MalformedCiphertext => write!(f, "malformed ciphertext"),
             AdmissionError::MissingGaloisKey { step } => {
                 write!(f, "no galois key covers rotation step {step}")
             }
@@ -76,6 +82,7 @@ impl AdmissionError {
             AdmissionError::UnknownTenant => "unknown_tenant",
             AdmissionError::SessionBusy => "session_busy",
             AdmissionError::EmptyWorkload => "empty_workload",
+            AdmissionError::MalformedCiphertext => "malformed_ciphertext",
             AdmissionError::MissingGaloisKey { .. } => "missing_galois_key",
         }
     }

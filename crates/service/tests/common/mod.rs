@@ -12,52 +12,20 @@
 #![allow(dead_code)] // each test binary uses its own slice of the harness
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use fhe_ckks::{
     Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, SwitchingKey,
 };
-use fhe_math::kernel::{self, KernelBackend};
 use fhe_math::Complex;
 use fhe_tfhe::{ClientKey, GateOp, MulBackend, ServerKey, TfheContext, TfheParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trinity_service::{Response, ServiceConfig, ServiceCore, Workload};
 
-/// Serialises `kernel::force` swaps across the tests of one binary.
-pub static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-pub fn backends() -> [&'static dyn KernelBackend; 3] {
-    [
-        kernel::by_name("scalar").unwrap(),
-        kernel::by_name("lanes").unwrap(),
-        kernel::threaded(Some(3)),
-    ]
-}
-
-pub fn under_each_backend<T>(mut work: impl FnMut() -> T) -> Vec<(&'static str, T)> {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let previous = kernel::active();
-    let out = backends()
-        .iter()
-        .map(|b| {
-            kernel::force(*b);
-            (b.name(), work())
-        })
-        .collect();
-    kernel::force(previous);
-    out
-}
-
-/// The `max_in_flight` the suite should exercise: CI's backend-oracle
-/// matrix sets `TRINITY_SERVICE_IN_FLIGHT` to sweep it; locally it
-/// defaults to the sequential core.
-pub fn configured_in_flight() -> usize {
-    std::env::var("TRINITY_SERVICE_IN_FLIGHT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
+/// The workspace's one in-process backend matrix.
+#[path = "../../../../tests/common/mod.rs"]
+pub mod backends;
 
 /// A CKKS tenant's keys (as the service will hold them) plus an
 /// encrypted input. The secret key is dropped: CKKS results are
@@ -326,8 +294,8 @@ pub fn run_mixed_scenario(cfg: ServiceConfig) -> ScenarioRun {
 
 /// The mixed scenario's configuration: the four tenants' real key
 /// material outgrows the CI-sized default cache, so give it room, and
-/// take `max_in_flight` from the caller (the determinism suite sweeps
-/// it; the e2e suite honors the CI matrix env).
+/// take `max_in_flight` from the caller (the determinism and e2e
+/// suites sweep it).
 pub fn mixed_cfg(max_in_flight: usize) -> ServiceConfig {
     ServiceConfig {
         key_cache_bytes: 1 << 30,

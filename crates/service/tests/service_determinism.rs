@@ -19,9 +19,9 @@
 
 mod common;
 
+use common::backends::under_each_backend;
 use common::{
     json_u64, mixed_cfg, parse_completes, parse_dispatches, run_mixed_scenario, strip_meta,
-    under_each_backend,
 };
 
 #[test]

@@ -8,243 +8,256 @@
 //!    in isolation, sequentially — under `scalar`, `lanes` *and*
 //!    `threaded` kernel backends (swapped in-process with
 //!    `kernel::force`, which is test-only by lint rule). Coalescing
-//!    and QoS must be invisible in the bits. The whole binary honors
-//!    `TRINITY_SERVICE_IN_FLIGHT` (CI sweeps it), so the same
-//!    contract is enforced under concurrent in-flight dispatch.
+//!    and QoS must be invisible in the bits. The scenario, budget and
+//!    starvation tests each run at `max_in_flight` 1 and 4, so the
+//!    same contract is enforced under concurrent in-flight dispatch.
 //! 2. **Coalescing.** The JSONL audit shows keyswitch dispatches that
 //!    carried at least two independent requests each.
 //! 3. **Budgets.** Over the audited prefix where every lane was
 //!    backlogged, each lane's dispatch share holds its configured
 //!    minimum (within the enforcement window's quantisation).
 //! 4. **Starvation + admission.** A starved lane is force-served and
-//!    audited within the threshold; saturated queues/caches and
-//!    uncovered keys are rejected at the door with audited reasons.
+//!    audited within the threshold; saturated queues/caches, uncovered
+//!    keys and malformed ciphertexts are rejected at the door with
+//!    audited reasons.
 //!
 //! Cross-`max_in_flight` determinism has its own metamorphic suite
 //! (`service_determinism.rs`); EDF ordering has `scheduler_props.rs`.
 
 mod common;
 
-use common::{
-    ckks_tenant, configured_in_flight, mixed_cfg, parse_dispatches, run_mixed_scenario,
-    under_each_backend,
-};
-use fhe_ckks::{CkksContext, CkksParams, SwitchingKey};
+use common::backends::under_each_backend;
+use common::{ckks_tenant, mixed_cfg, parse_dispatches, run_mixed_scenario};
+use fhe_ckks::{CkksContext, CkksParams, Evaluator, SwitchingKey};
+use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{ClientKey, GateOp, MulBackend, ServerKey, TfheContext, TfheParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trinity_service::{
-    AdmissionError, AuditEvent, Lane, LaneBudgets, PickCause, ServiceConfig, ServiceCore,
+    AdmissionError, AuditEvent, Lane, LaneBudgets, PickCause, Response, ServiceConfig, ServiceCore,
     StarvationPolicy, Workload,
 };
 
+/// The in-flight windows every scheduling test runs under: the
+/// sequential core and concurrent waves.
+const IN_FLIGHT: [usize; 2] = [1, 4];
+
 #[test]
 fn mixed_tenants_bit_identical_across_backends_and_coalesced() {
-    let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg(configured_in_flight())));
+    for max_in_flight in IN_FLIGHT {
+        println!("max_in_flight: {max_in_flight}");
+        let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg(max_in_flight)));
 
-    // The audit must show real cross-request coalescing: at least one
-    // keyswitch dispatch carrying >= 2 requests — and, since PR 10,
-    // at least one *gate* dispatch batching >= 2 blind rotations.
-    let (_, base) = &runs[0];
-    let dispatches = parse_dispatches(&base.jsonl);
-    let widest = dispatches
-        .iter()
-        .filter(|d| d.lane != "interactive")
-        .map(|d| d.jobs)
-        .max()
-        .unwrap();
-    assert!(
-        widest >= 2,
-        "no coalesced dispatch carried >= 2 requests: {dispatches:?}"
-    );
-    let widest_gates = dispatches
-        .iter()
-        .filter(|d| d.lane == "interactive")
-        .map(|d| d.jobs)
-        .max()
-        .unwrap();
-    assert!(
-        widest_gates >= 2,
-        "no batched gate dispatch carried >= 2 requests: {dispatches:?}"
-    );
-    // Every line is schema-versioned JSONL.
-    assert!(base
-        .jsonl
-        .lines()
-        .all(|l| l.starts_with("{\"schema_version\":2,") && l.ends_with('}')));
+        // The audit must show real cross-request coalescing: at least one
+        // keyswitch dispatch carrying >= 2 requests — and, since PR 10,
+        // at least one *gate* dispatch batching >= 2 blind rotations.
+        let (_, base) = &runs[0];
+        let dispatches = parse_dispatches(&base.jsonl);
+        let widest = dispatches
+            .iter()
+            .filter(|d| d.lane != "interactive")
+            .map(|d| d.jobs)
+            .max()
+            .unwrap();
+        assert!(
+            widest >= 2,
+            "no coalesced dispatch carried >= 2 requests: {dispatches:?}"
+        );
+        let widest_gates = dispatches
+            .iter()
+            .filter(|d| d.lane == "interactive")
+            .map(|d| d.jobs)
+            .max()
+            .unwrap();
+        assert!(
+            widest_gates >= 2,
+            "no batched gate dispatch carried >= 2 requests: {dispatches:?}"
+        );
+        // Every line is schema-versioned JSONL.
+        assert!(base
+            .jsonl
+            .lines()
+            .all(|l| l.starts_with("{\"schema_version\":2,") && l.ends_with('}')));
 
-    // Backend choice must be unobservable: identical ciphertext bits
-    // AND identical scheduling decisions.
-    for (name, run) in &runs[1..] {
-        assert_eq!(run.flats, base.flats, "{name} diverged from {}", runs[0].0);
-        assert_eq!(run.jsonl, base.jsonl, "{name} scheduled differently");
+        // Backend choice must be unobservable: identical ciphertext bits
+        // AND identical scheduling decisions.
+        for (name, run) in &runs[1..] {
+            assert_eq!(run.flats, base.flats, "{name} diverged from {}", runs[0].0);
+            assert_eq!(run.jsonl, base.jsonl, "{name} scheduled differently");
+        }
     }
 }
 
 #[test]
 fn lane_budgets_hold_over_the_backlogged_prefix() {
-    // max_batch = 1 isolates the scheduler: every dispatch serves
-    // exactly one request, so audited shares are pick shares.
-    let cfg = ServiceConfig {
-        max_batch: 1,
-        max_in_flight: configured_in_flight(),
-        ..ServiceConfig::default_config()
-    };
-    let mut svc = ServiceCore::new(cfg).unwrap();
+    for max_in_flight in IN_FLIGHT {
+        println!("max_in_flight: {max_in_flight}");
+        // max_batch = 1 isolates the scheduler: every dispatch serves
+        // exactly one request, so audited shares are pick shares.
+        let cfg = ServiceConfig {
+            max_batch: 1,
+            max_in_flight,
+            ..ServiceConfig::default_config()
+        };
+        let mut svc = ServiceCore::new(cfg).unwrap();
 
-    let mut trng = StdRng::seed_from_u64(902);
-    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
-    let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
-    svc.register_tfhe_tenant(0, server).unwrap();
-    let ctx = CkksContext::new(CkksParams::tiny_params());
-    let tenant = ckks_tenant(&ctx, 920, &[1, 2]);
-    svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
-        .unwrap();
+        let mut trng = StdRng::seed_from_u64(902);
+        let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
+        let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
+        svc.register_tfhe_tenant(0, server).unwrap();
+        let ctx = CkksContext::new(CkksParams::tiny_params());
+        let tenant = ckks_tenant(&ctx, 920, &[1, 2]);
+        svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
+            .unwrap();
 
-    // Backlog: 8 interactive, 20 timed, 30 bulk — enough that all
-    // three lanes stay non-empty for ~40 dispatches at 20/30/50.
-    for i in 0..8 {
-        let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
-        let b = ck.encrypt_bit(i % 3 == 0, &mut trng);
-        svc.submit(
-            0,
-            Workload::Gate {
-                op: GateOp::Xor,
-                a,
-                b,
-            },
-        )
-        .unwrap();
-    }
-    for i in 0..20 {
-        svc.submit(
-            1,
-            Workload::Rotation {
-                ct: tenant.input.clone(),
-                step: 1 + (i % 2),
-                deadline: 100,
-            },
-        )
-        .unwrap();
-    }
-    for i in 0..30 {
-        svc.submit(
-            1,
-            Workload::Analytics {
-                ct: tenant.input.clone(),
-                steps: vec![1 + (i % 2)],
-            },
-        )
-        .unwrap();
-    }
-    svc.run_until_idle();
+        // Backlog: 8 interactive, 20 timed, 30 bulk — enough that all
+        // three lanes stay non-empty for ~40 dispatches at 20/30/50.
+        for i in 0..8 {
+            let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
+            let b = ck.encrypt_bit(i % 3 == 0, &mut trng);
+            svc.submit(
+                0,
+                Workload::Gate {
+                    op: GateOp::Xor,
+                    a,
+                    b,
+                },
+            )
+            .unwrap();
+        }
+        for i in 0..20 {
+            svc.submit(
+                1,
+                Workload::Rotation {
+                    ct: tenant.input.clone(),
+                    step: 1 + (i % 2),
+                    deadline: 100,
+                },
+            )
+            .unwrap();
+        }
+        for i in 0..30 {
+            svc.submit(
+                1,
+                Workload::Analytics {
+                    ct: tenant.input.clone(),
+                    steps: vec![1 + (i % 2)],
+                },
+            )
+            .unwrap();
+        }
+        svc.run_until_idle();
 
-    let jsonl = svc.audit().to_jsonl();
-    // The on-disk rendering is byte-for-byte the in-memory one.
-    let path = std::env::temp_dir().join("trinity_service_e2e_audit.jsonl");
-    svc.audit().write_jsonl(&path).unwrap();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl);
-    let _ = std::fs::remove_file(&path);
-    let dispatches = parse_dispatches(&jsonl);
-    assert!(dispatches.iter().all(|d| d.jobs == 1));
-    // The enforcement claim applies while every lane is backlogged.
-    let prefix: Vec<_> = dispatches
-        .iter()
-        .take_while(|d| d.pending.iter().all(|&p| p > 0))
-        .collect();
-    assert!(
-        prefix.len() >= 20,
-        "backlogged prefix too short to measure: {}",
-        prefix.len()
-    );
-    let budgets = LaneBudgets::default_split();
-    for lane in Lane::ALL {
-        let count = prefix.iter().filter(|d| d.lane == lane.name()).count();
-        let share = count * 100 / prefix.len();
-        let min = budgets.min_for(lane) as usize;
-        // One window slot (100/20 = 5%) of quantisation slack, plus
-        // the enforcement lag of the first window.
+        let jsonl = svc.audit().to_jsonl();
+        // The on-disk rendering is byte-for-byte the in-memory one.
+        let path = std::env::temp_dir().join("trinity_service_e2e_audit.jsonl");
+        svc.audit().write_jsonl(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl);
+        let _ = std::fs::remove_file(&path);
+        let dispatches = parse_dispatches(&jsonl);
+        assert!(dispatches.iter().all(|d| d.jobs == 1));
+        // The enforcement claim applies while every lane is backlogged.
+        let prefix: Vec<_> = dispatches
+            .iter()
+            .take_while(|d| d.pending.iter().all(|&p| p > 0))
+            .collect();
         assert!(
-            share + 10 >= min,
-            "{} got {share}% < {min}% over the backlogged prefix (audit:\n{jsonl})",
-            lane.name()
+            prefix.len() >= 20,
+            "backlogged prefix too short to measure: {}",
+            prefix.len()
         );
+        let budgets = LaneBudgets::default_split();
+        for lane in Lane::ALL {
+            let count = prefix.iter().filter(|d| d.lane == lane.name()).count();
+            let share = count * 100 / prefix.len();
+            let min = budgets.min_for(lane) as usize;
+            // One window slot (100/20 = 5%) of quantisation slack, plus
+            // the enforcement lag of the first window.
+            assert!(
+                share + 10 >= min,
+                "{} got {share}% < {min}% over the backlogged prefix (audit:\n{jsonl})",
+                lane.name()
+            );
+        }
     }
 }
 
 #[test]
 fn starved_lane_is_force_served_and_audited() {
-    // All-slack budgets: priority alone would serve gates forever.
-    let cfg = ServiceConfig {
-        budgets: LaneBudgets {
-            interactive_min: 0,
-            timed_min: 0,
-            bulk_min: 0,
-        },
-        starvation: StarvationPolicy { max_wait_ticks: 3 },
-        max_batch: 1,
-        max_in_flight: configured_in_flight(),
-        ..ServiceConfig::default_config()
-    };
-    let mut svc = ServiceCore::new(cfg).unwrap();
-
-    let mut trng = StdRng::seed_from_u64(903);
-    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
-    let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
-    svc.register_tfhe_tenant(0, server).unwrap();
-    let ctx = CkksContext::new(CkksParams::tiny_params());
-    let tenant = ckks_tenant(&ctx, 930, &[1]);
-    svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
-        .unwrap();
-
-    for i in 0..6 {
-        let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
-        let b = ck.encrypt_bit(true, &mut trng);
-        svc.submit(
-            0,
-            Workload::Gate {
-                op: GateOp::And,
-                a,
-                b,
+    for max_in_flight in IN_FLIGHT {
+        println!("max_in_flight: {max_in_flight}");
+        // All-slack budgets: priority alone would serve gates forever.
+        let cfg = ServiceConfig {
+            budgets: LaneBudgets {
+                interactive_min: 0,
+                timed_min: 0,
+                bulk_min: 0,
             },
-        )
-        .unwrap();
-    }
-    let bulk = svc
-        .submit(
-            1,
-            Workload::Analytics {
-                ct: tenant.input.clone(),
-                steps: vec![1],
-            },
-        )
-        .unwrap();
-    svc.run_until_idle();
-    assert!(svc.take_result(bulk).is_some());
+            starvation: StarvationPolicy { max_wait_ticks: 3 },
+            max_batch: 1,
+            max_in_flight,
+            ..ServiceConfig::default_config()
+        };
+        let mut svc = ServiceCore::new(cfg).unwrap();
 
-    // The starvation event fired for bulk within threshold + 1 ticks,
-    // and the matching dispatch is cause-tagged.
-    let starvations: Vec<_> = svc
-        .audit()
-        .events()
-        .filter_map(|e| match e {
-            AuditEvent::Starvation { lane, waited, tick } => Some((*lane, *waited, *tick)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(starvations.len(), 1, "{starvations:?}");
-    let (lane, waited, tick) = starvations[0];
-    assert_eq!(lane, Lane::Bulk);
-    assert_eq!(waited, 4, "starved exactly one past the threshold");
-    assert_eq!(tick, 4, "force-served at the first over-threshold tick");
-    assert!(svc.audit().events().any(|e| matches!(
-        e,
-        AuditEvent::Dispatch {
-            lane: Lane::Bulk,
-            cause: PickCause::Starvation,
-            ..
+        let mut trng = StdRng::seed_from_u64(903);
+        let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
+        let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
+        svc.register_tfhe_tenant(0, server).unwrap();
+        let ctx = CkksContext::new(CkksParams::tiny_params());
+        let tenant = ckks_tenant(&ctx, 930, &[1]);
+        svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
+            .unwrap();
+
+        for i in 0..6 {
+            let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
+            let b = ck.encrypt_bit(true, &mut trng);
+            svc.submit(
+                0,
+                Workload::Gate {
+                    op: GateOp::And,
+                    a,
+                    b,
+                },
+            )
+            .unwrap();
         }
-    )));
+        let bulk = svc
+            .submit(
+                1,
+                Workload::Analytics {
+                    ct: tenant.input.clone(),
+                    steps: vec![1],
+                },
+            )
+            .unwrap();
+        svc.run_until_idle();
+        assert!(svc.take_result(bulk).is_some());
+
+        // The starvation event fired for bulk within threshold + 1 ticks,
+        // and the matching dispatch is cause-tagged.
+        let starvations: Vec<_> = svc
+            .audit()
+            .events()
+            .filter_map(|e| match e {
+                AuditEvent::Starvation { lane, waited, tick } => Some((*lane, *waited, *tick)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(starvations.len(), 1, "{starvations:?}");
+        let (lane, waited, tick) = starvations[0];
+        assert_eq!(lane, Lane::Bulk);
+        assert_eq!(waited, 4, "starved exactly one past the threshold");
+        assert_eq!(tick, 4, "force-served at the first over-threshold tick");
+        assert!(svc.audit().events().any(|e| matches!(
+            e,
+            AuditEvent::Dispatch {
+                lane: Lane::Bulk,
+                cause: PickCause::Starvation,
+                ..
+            }
+        )));
+    }
 }
 
 #[test]
@@ -394,4 +407,105 @@ fn huge_deadlines_and_failed_registrations_are_harmless() {
         AdmissionError::KeyCacheSaturated
     );
     assert!(svc.evaluator_for(&fresh).is_none());
+}
+
+fn malformed_rejects(svc: &ServiceCore) -> usize {
+    svc.audit()
+        .to_jsonl()
+        .matches("\"reason\":\"malformed_ciphertext\"")
+        .count()
+}
+
+/// CKKS ciphertexts whose shape the tenant's context cannot evaluate
+/// are refused at the door with an audited reject — the keyswitch
+/// engine asserts that shape, so admitting one would panic the core —
+/// while a well-formed mate submitted alongside still completes,
+/// bit-identical to isolated evaluation.
+#[test]
+fn malformed_rotation_is_rejected_and_its_mate_completes() {
+    let ctx = CkksContext::new(CkksParams::tiny_params());
+    let tenant = ckks_tenant(&ctx, 960, &[1]);
+    let mut svc = ServiceCore::new(ServiceConfig::default_config()).unwrap();
+    svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
+        .unwrap();
+    let good = &tenant.input;
+    let rotation = |ct| Workload::Rotation {
+        ct,
+        step: 1,
+        deadline: 10,
+    };
+    let mate = svc.submit(1, rotation(good.clone())).unwrap();
+
+    let mut level_mismatch = good.clone();
+    level_mismatch.level -= 1;
+    let mut beyond_top = good.clone();
+    beyond_top.level += 1;
+    let mut coeff_form = good.clone();
+    coeff_form.c1.to_coeff();
+    let mut foreign_degree = good.clone();
+    let wide = CkksContext::new(CkksParams::new(2 * ctx.n(), 3, 30, 2).unwrap());
+    let zero = RnsPoly::zero(wide.level_basis(good.level).clone(), Representation::Eval);
+    foreign_degree.c0 = zero.clone();
+    foreign_degree.c1 = zero;
+    let scan = |ct| Workload::Analytics { ct, steps: vec![1] };
+    for ct in [level_mismatch, beyond_top, coeff_form, foreign_degree] {
+        for work in [rotation(ct.clone()), scan(ct)] {
+            assert_eq!(
+                svc.submit(1, work).unwrap_err(),
+                AdmissionError::MalformedCiphertext
+            );
+        }
+    }
+    svc.run_until_idle();
+
+    let Some(Response::Vector(out)) = svc.take_result(mate) else {
+        panic!("the well-formed mate did not complete");
+    };
+    let expect = Evaluator::new(ctx.clone()).rotate(good, 1, &tenant.galois[&1]);
+    assert_eq!(out.c0.flat(), expect.c0.flat());
+    assert_eq!(out.c1.flat(), expect.c1.flat());
+    assert_eq!(malformed_rejects(&svc), 8);
+}
+
+/// Gate inputs whose LWE mask is not the server key's `n_lwe` long are
+/// refused at the door with an audited reject — the gate engine
+/// asserts that length, so admitting one would panic the core — while
+/// a well-formed gate submitted alongside completes and decrypts.
+#[test]
+fn malformed_gate_is_rejected_and_its_mate_completes() {
+    let mut trng = StdRng::seed_from_u64(904);
+    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
+    let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
+    let mut svc = ServiceCore::new(ServiceConfig::default_config()).unwrap();
+    svc.register_tfhe_tenant(0, server).unwrap();
+    let a = ck.encrypt_bit(true, &mut trng);
+    let b = ck.encrypt_bit(false, &mut trng);
+    let nand = |a, b| Workload::Gate {
+        op: GateOp::Nand,
+        a,
+        b,
+    };
+    let mate = svc.submit(0, nand(a.clone(), b.clone())).unwrap();
+
+    let mut short = a.clone();
+    short.a.pop();
+    let mut long = b.clone();
+    long.a.push(0);
+    for (x, y) in [
+        (short.clone(), b.clone()),
+        (a.clone(), long.clone()),
+        (short, long),
+    ] {
+        assert_eq!(
+            svc.submit(0, nand(x, y)).unwrap_err(),
+            AdmissionError::MalformedCiphertext
+        );
+    }
+    svc.run_until_idle();
+
+    let Some(Response::Bit(out)) = svc.take_result(mate) else {
+        panic!("the well-formed mate did not complete");
+    };
+    assert!(ck.decrypt_bit(&out), "NAND(1, 0) must decrypt to 1");
+    assert_eq!(malformed_rejects(&svc), 3);
 }

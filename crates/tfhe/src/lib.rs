@@ -39,10 +39,10 @@
 //! oracle; the workspace suite `tests/lazy_chains.rs` asserts
 //! bit-identity across the paper's Sets I–III.
 //!
-//! The row passes underneath dispatch through the runtime-selected
-//! [`fhe_math::kernel::KernelBackend`] (scalar reference or chunked
-//! lane implementation); backends are bit-identical by contract, so
-//! the selection never changes a ciphertext. See `README.md`.
+//! The row passes underneath dispatch through the process-wide
+//! [`fhe_math::kernel::KernelBackend`] (the lane implementation; tests
+//! swap in the scalar reference); backends are bit-identical by
+//! contract, so the swap never changes a ciphertext. See `README.md`.
 //!
 //! # Examples
 //!

@@ -15,19 +15,12 @@ use trinity::ckks::{
     CkksContext, CkksParams, Encoder, Encryptor, KeyGenerator, SecretKey, SwitchingKey,
 };
 use trinity::math::galois::rotation_galois_element;
-use trinity::math::kernel;
 use trinity::math::Complex;
 use trinity::service::{Lane, Response, ServiceConfig, ServiceCore, Workload};
 use trinity::tfhe::{ClientKey, GateOp, MulBackend, ServerKey, TfheContext, TfheParams};
 use trinity::workloads::{stream, RequestKind, TrafficMix};
 
 fn main() {
-    // Run under the threaded backend so the worker pool's per-lane
-    // dispatch attribution has fan-out to count. `select` pins the
-    // process-wide backend before first use.
-    let threaded = kernel::threaded(Some(3));
-    kernel::select(threaded).expect("no kernel dispatched yet");
-
     // --- Tenants ---------------------------------------------------
     // Tenant 0: TFHE boolean gates (Set-I parameters, NTT externals).
     let mut rng = StdRng::seed_from_u64(77);
@@ -220,19 +213,6 @@ fn main() {
     assert!(
         widest_gates >= 2,
         "no Interactive dispatch batched >= 2 gates (widest {widest_gates})"
-    );
-    let pool = threaded.pool();
-    println!(
-        "  worker-pool jobs by lane tag: interactive {}, timed {}, bulk {}",
-        pool.parallel_jobs_dispatched_by_tag(Lane::Interactive.dispatch_tag()),
-        pool.parallel_jobs_dispatched_by_tag(Lane::Timed.dispatch_tag()),
-        pool.parallel_jobs_dispatched_by_tag(Lane::Bulk.dispatch_tag()),
-    );
-    println!(
-        "  worker-pool in-flight peaks by lane tag: interactive {}, timed {}, bulk {}",
-        pool.parallel_in_flight_peak_by_tag(Lane::Interactive.dispatch_tag()),
-        pool.parallel_in_flight_peak_by_tag(Lane::Timed.dispatch_tag()),
-        pool.parallel_in_flight_peak_by_tag(Lane::Bulk.dispatch_tag()),
     );
     println!(
         "  key cache: {} / {} bytes resident, {} evictions",

@@ -1,10 +1,9 @@
 //! Cross-backend bit-identity of the production FHE chains.
 //!
 //! The lazy-chain suite (`tests/lazy_chains.rs`) proves lazy == strict
-//! under whatever backend the process resolved; the CI matrix re-runs
-//! it under `scalar`, `lanes` and `threaded`. This file closes the
-//! remaining gap **in one process**: it swaps the process-wide backend
-//! between `scalar`, `lanes` and `threaded` with [`kernel::force`] and
+//! under each of `scalar`, `lanes` and `threaded`. This file closes the
+//! remaining gap: it swaps the process-wide backend between the three
+//! with `kernel::force` (the shared `common::under_each_backend`) and
 //! asserts that CKKS keyswitch, HMult (+rescale), rotation (fused and
 //! hoisted), the TFHE external product and gate bootstrap — the
 //! `k = 1` instances of the batch engines — and the scheme-conversion
@@ -13,12 +12,12 @@
 //! correct-up-to-the-oracle. The `NttTable` single-row entry points
 //! (1-row batches of the same surface) are checked against their
 //! strict oracles under each backend too.
-//!
-//! `force` swaps global state, so every test serialises on one mutex
-//! and restores the previous backend before releasing it.
 
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+mod common;
 
+use std::sync::{Arc, OnceLock};
+
+use common::under_each_backend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trinity::ckks::{
@@ -26,43 +25,12 @@ use trinity::ckks::{
     LinearTransform, Plaintext,
 };
 use trinity::convert::{extract_lwes, RlwePacker};
-use trinity::math::kernel::{self, KernelBackend};
 use trinity::math::ntt::negacyclic_mul_schoolbook;
 use trinity::math::{galois, prime, sampler, Complex, Modulus, NttTable, Representation, RnsPoly};
 use trinity::tfhe::{
     ClientKey, GateOp, Ggsw, GlweCiphertext, GlweSecretKey, LweCiphertext, MulBackend, ServerKey,
     TfheContext, TfheParams, TfheRing,
 };
-
-/// Serialises `kernel::force` swaps across the tests of this binary.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// The three production backends under comparison (threaded with 3
-/// lanes so dispatch genuinely fans out where row sizes allow).
-fn backends() -> [&'static dyn KernelBackend; 3] {
-    [
-        kernel::by_name("scalar").unwrap(),
-        kernel::by_name("lanes").unwrap(),
-        kernel::threaded(Some(3)),
-    ]
-}
-
-/// Runs `work` once per backend with the process-wide dispatch forced
-/// to it, returning the per-backend results; restores the previously
-/// active backend afterwards.
-fn under_each_backend<T>(mut work: impl FnMut() -> T) -> Vec<(&'static str, T)> {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let previous = kernel::active();
-    let out = backends()
-        .iter()
-        .map(|b| {
-            kernel::force(*b);
-            (b.name(), work())
-        })
-        .collect();
-    kernel::force(previous);
-    out
-}
 
 fn assert_all_identical(results: Vec<(&'static str, Vec<u64>)>, what: &str) {
     let (base_name, base) = &results[0];
