@@ -20,7 +20,9 @@ use crate::lane::Lane;
 /// and batched dispatches retire several requests per group, which v1
 /// could not correlate post-hoc), and the log opens with a `meta` line
 /// stamping the service configuration the run used.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: meta no longer stamps `max_in_flight`; execution is always in-tick.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Why the scheduler served a lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,12 +50,8 @@ impl PickCause {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditEvent {
     /// The first line of every log: the service configuration this run
-    /// executed under. The determinism suites compare audit logs across
-    /// `max_in_flight` settings by ignoring exactly this line — every
-    /// other byte must match.
+    /// executed under.
     Meta {
-        /// Configured concurrent in-flight dispatch bound.
-        max_in_flight: usize,
         /// Configured coalescing/batching width.
         max_batch: usize,
         /// Scheduler fairness window (picks).
@@ -120,14 +118,9 @@ impl AuditEvent {
     /// Renders the event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         match self {
-            AuditEvent::Meta {
-                max_in_flight,
-                max_batch,
-                window,
-            } => format!(
+            AuditEvent::Meta { max_batch, window } => format!(
                 "{{\"schema_version\":{SCHEMA_VERSION},\"event\":\"meta\",\
-                 \"max_in_flight\":{max_in_flight},\"max_batch\":{max_batch},\
-                 \"window\":{window}}}"
+                 \"max_batch\":{max_batch},\"window\":{window}}}"
             ),
             AuditEvent::Admit {
                 tick,
@@ -239,7 +232,6 @@ mod tests {
     fn jsonl_lines_are_one_object_each_and_versioned() {
         let mut log = AuditLog::new();
         log.push(AuditEvent::Meta {
-            max_in_flight: 4,
             max_batch: 8,
             window: 20,
         });
@@ -266,14 +258,15 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
         for line in &lines {
-            assert!(line.starts_with("{\"schema_version\":2,"), "{line}");
+            assert!(line.starts_with("{\"schema_version\":3,"), "{line}");
             assert!(line.ends_with('}'), "{line}");
             // Flat objects: every key and string value is quoted, no
             // nested braces beyond the object itself.
             assert_eq!(line.matches('{').count(), 1, "{line}");
         }
-        assert!(
-            lines[0].contains("\"event\":\"meta\"") && lines[0].contains("\"max_in_flight\":4")
+        assert_eq!(
+            lines[0],
+            "{\"schema_version\":3,\"event\":\"meta\",\"max_batch\":8,\"window\":20}"
         );
         assert!(lines[1].contains("\"event\":\"admit\"") && lines[1].contains("\"request\":7"));
         assert!(

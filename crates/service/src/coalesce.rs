@@ -46,11 +46,6 @@ impl Geometry {
         }
     }
 
-    /// The job's level.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
     /// The job's Galois element.
     pub fn galois(&self) -> u64 {
         self.galois

@@ -1,28 +1,20 @@
 //! The service core: admission, queueing, dispatch, results.
 //!
-//! [`ServiceCore`] separates *deciding* from *executing*. A
-//! single-threaded decision loop admits requests, picks lanes, forms
-//! dispatch groups (coalesced rotations, batched gates) and writes the
-//! audit log — one group per tick, always, regardless of configuration.
-//! Execution is deferred: formed groups park in a FIFO in-flight window
-//! of at most [`ServiceConfig::max_in_flight`] groups, and whenever the
-//! window fills, a *wave* of mutually independent groups (pairwise
-//! disjoint tenants, no group consuming another in-flight group's
-//! output) retires — executed concurrently on scoped threads when the
-//! wave has more than one group, inline otherwise.
-//!
-//! Because every scheduling decision is made *before* its group
-//! executes, and group outputs are folded back in formation order, the
-//! audit log and every ciphertext are byte-for-byte identical for any
-//! `max_in_flight` and any kernel backend. `max_in_flight = 1` (the
-//! default) degenerates to the fully sequential core: each group
-//! retires in the same tick it forms.
+//! [`ServiceCore`] is one single-threaded loop that decides and
+//! executes. Each tick it picks a lane, forms one dispatch group
+//! (coalesced rotations or batched gates), audits the decision and runs
+//! the group through its batch engine before the tick ends: a finished
+//! request's result is collectable as soon as the
+//! [`ServiceCore::dispatch_next`] call that completed it returns, and a
+//! chained job goes back to its lane carrying its real intermediate
+//! ciphertext. Parallelism lives below the loop, inside one group's
+//! kernels, in the process-wide kernel backend.
 //!
 //! Time is measured in *ticks* — one tick per dispatch opportunity —
 //! which keeps budget enforcement and starvation detection exact and
 //! reproducible under test (no wall clock anywhere).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, SwitchingKey};
@@ -52,19 +44,17 @@ pub struct ServiceConfig {
     pub key_cache_bytes: usize,
     /// Maximum requests coalesced into one kernel dispatch.
     pub max_batch: usize,
-    /// Maximum dispatch groups formed but not yet executed. `1` (the
-    /// default) executes every group in the tick that forms it —
-    /// today's sequential behavior; larger values let independent
-    /// groups execute concurrently on scoped threads without changing
-    /// a single audit byte or ciphertext bit. `0` is treated as `1`.
+    /// Ignored: every dispatch group executes in the tick that forms
+    /// it, whatever this holds. The field exists only because
+    /// `benchmark/`'s frozen `ServiceConfig { .. }` literal sets it;
+    /// the benchmark re-baseline (ROADMAP item 2(a)) deletes it.
     pub max_in_flight: usize,
 }
 
 impl ServiceConfig {
     /// Defaults sized for the CI-scale contexts the test suites run:
     /// the 20/30/50 lane split over a 20-pick window, a 256-request
-    /// queue, a 64 MiB key cache, up to 8 requests per dispatch, and
-    /// strictly sequential execution (`max_in_flight = 1`).
+    /// queue, a 64 MiB key cache and up to 8 requests per dispatch.
     pub fn default_config() -> Self {
         ServiceConfig {
             budgets: LaneBudgets::default_split(),
@@ -130,25 +120,6 @@ pub enum Response {
     Vector(Ciphertext),
 }
 
-/// A rotation job's working ciphertext. `Pending` is the deferred-
-/// execution placeholder: the value is still being produced by an
-/// in-flight group, but the decision loop already knows everything it
-/// needs — the level (Galois keyswitching preserves it) for geometry
-/// matching, and the producing group for the wave-independence rule.
-enum CtSlot {
-    Ready(Ciphertext),
-    Pending { group: u64, level: usize },
-}
-
-impl CtSlot {
-    fn level(&self) -> usize {
-        match self {
-            CtSlot::Ready(ct) => ct.level,
-            CtSlot::Pending { level, .. } => *level,
-        }
-    }
-}
-
 enum JobWork {
     Gate {
         op: GateOp,
@@ -158,7 +129,7 @@ enum JobWork {
     /// A rotation chain; `next` indexes the step the job still owes.
     /// [`Workload::Rotation`] is the one-step instance.
     Rotations {
-        ct: CtSlot,
+        ct: Ciphertext,
         steps: Vec<i64>,
         next: usize,
     },
@@ -181,110 +152,6 @@ fn due_tick(job: &Job) -> u64 {
     job.deadline
         .and_then(|d| job.admitted.checked_add(d))
         .unwrap_or(u64::MAX)
-}
-
-struct GateJob {
-    request: u64,
-    tenant: usize,
-    op: GateOp,
-    a: LweCiphertext,
-    b: LweCiphertext,
-}
-
-struct RotJob {
-    request: u64,
-    tenant: usize,
-    step: i64,
-    input: CtSlot,
-    /// Whether this dispatch finishes the job's chain (result goes to
-    /// the tenant) or feeds its next step (result goes to `chain_out`).
-    last: bool,
-}
-
-enum GroupWork {
-    Gates(Vec<GateJob>),
-    Rotations {
-        ctx: Arc<CkksContext>,
-        galois: u64,
-        jobs: Vec<RotJob>,
-    },
-}
-
-/// A dispatch group that has been formed, audited and scheduled, but
-/// not yet executed.
-struct InFlightGroup {
-    id: u64,
-    work: GroupWork,
-}
-
-impl InFlightGroup {
-    fn tenants(&self) -> Vec<usize> {
-        match &self.work {
-            GroupWork::Gates(jobs) => jobs.iter().map(|j| j.tenant).collect(),
-            GroupWork::Rotations { jobs, .. } => jobs.iter().map(|j| j.tenant).collect(),
-        }
-    }
-
-    /// Whether any input is produced by a group in `wave`.
-    fn depends_on(&self, wave: &HashSet<u64>) -> bool {
-        match &self.work {
-            GroupWork::Gates(_) => false,
-            GroupWork::Rotations { jobs, .. } => jobs
-                .iter()
-                .any(|j| matches!(&j.input, CtSlot::Pending { group, .. } if wave.contains(group))),
-        }
-    }
-}
-
-/// Executes one fully resolved group. Free function so retiring waves
-/// can run it from scoped threads while the core only lends out
-/// `&KeyCache` / `&contexts`.
-fn exec_group(
-    cache: &KeyCache,
-    contexts: &[(Arc<CkksContext>, Evaluator)],
-    group: &InFlightGroup,
-) -> Vec<Response> {
-    match &group.work {
-        GroupWork::Gates(jobs) => {
-            let batch: Vec<BatchedGateJob<'_>> = jobs
-                .iter()
-                .map(|j| {
-                    let Some(TenantKeys::Tfhe { server }) = cache.get(j.tenant) else {
-                        unreachable!("admission pinned the tenant's TFHE session");
-                    };
-                    (server, j.op, &j.a, &j.b)
-                })
-                .collect();
-            fhe_tfhe::apply_gates_batched(&batch)
-                .into_iter()
-                .map(Response::Bit)
-                .collect()
-        }
-        GroupWork::Rotations { ctx, galois, jobs } => {
-            let eval = &contexts
-                .iter()
-                .find(|(c, _)| Arc::ptr_eq(c, ctx))
-                .expect("registration recorded the context")
-                .1;
-            let kjobs: Vec<(&Ciphertext, &SwitchingKey)> = jobs
-                .iter()
-                .map(|j| {
-                    let Some(TenantKeys::Ckks { galois: keys, .. }) = cache.get(j.tenant) else {
-                        unreachable!("admission pinned the tenant's CKKS session");
-                    };
-                    let CtSlot::Ready(ct) = &j.input else {
-                        unreachable!("wave inputs were resolved before execution");
-                    };
-                    let key = keys.get(&j.step).expect("admission validated every step");
-                    (ct, key)
-                })
-                .collect();
-            eval.apply_galois_coalesced(&kjobs, *galois)
-                .into_iter()
-                .map(Response::Vector)
-                .collect()
-        }
-    }
 }
 
 /// The shape the rotation engine asserts, checked in O(1) at the door:
@@ -316,11 +183,6 @@ pub struct ServiceCore {
     /// scheduler's starvation observation) is measured from here.
     last_served: [u64; 3],
     results: HashMap<u64, Response>,
-    /// Formed-but-unexecuted dispatch groups, oldest first.
-    in_flight: VecDeque<InFlightGroup>,
-    /// Intermediate chain outputs by request id, parked between a
-    /// producing group's retirement and the consuming dispatch's.
-    chain_out: HashMap<u64, Ciphertext>,
     tick: u64,
     next_request: u64,
     next_group: u64,
@@ -334,7 +196,6 @@ impl ServiceCore {
         let sched = Scheduler::new(cfg.budgets, cfg.starvation, cfg.window)?;
         let mut audit = AuditLog::new();
         audit.push(AuditEvent::Meta {
-            max_in_flight: cfg.max_in_flight,
             max_batch: cfg.max_batch,
             window: cfg.window,
         });
@@ -346,8 +207,6 @@ impl ServiceCore {
             lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             last_served: [0; 3],
             results: HashMap::new(),
-            in_flight: VecDeque::new(),
-            chain_out: HashMap::new(),
             tick: 0,
             next_request: 0,
             next_group: 0,
@@ -409,21 +268,15 @@ impl ServiceCore {
             Workload::Rotation { ct, step, deadline } => (
                 Lane::Timed,
                 JobWork::Rotations {
-                    ct: CtSlot::Ready(ct),
+                    ct,
                     steps: vec![step],
                     next: 0,
                 },
                 Some(deadline),
             ),
-            Workload::Analytics { ct, steps } => (
-                Lane::Bulk,
-                JobWork::Rotations {
-                    ct: CtSlot::Ready(ct),
-                    steps,
-                    next: 0,
-                },
-                None,
-            ),
+            Workload::Analytics { ct, steps } => {
+                (Lane::Bulk, JobWork::Rotations { ct, steps, next: 0 }, None)
+            }
         };
         let request = self.next_request;
         self.next_request += 1;
@@ -487,18 +340,15 @@ impl ServiceCore {
         }
     }
 
-    /// Runs dispatches until every lane drains, then retires every
-    /// in-flight group.
+    /// Runs dispatches until every lane drains.
     pub fn run_until_idle(&mut self) {
         while self.dispatch_next().is_some() {}
-        self.quiesce();
     }
 
-    /// Performs one dispatch decision (forming one group for one
-    /// lane), returning the lane served, or `None` when all lanes are
-    /// empty. When the in-flight window is full, retires waves until
-    /// it has room again — with `max_in_flight = 1` that executes the
-    /// freshly formed group immediately.
+    /// Performs one dispatch — forms one group for one lane and runs
+    /// it — returning the lane served, or `None` when all lanes are
+    /// empty. Every request the dispatch completes is collectable with
+    /// [`ServiceCore::take_result`] as soon as this returns.
     pub fn dispatch_next(&mut self) -> Option<Lane> {
         let waits = self.waits();
         let (lane, cause) = self.sched.pick(waits)?;
@@ -516,9 +366,6 @@ impl ServiceCore {
         }
         self.last_served[lane.index()] = self.tick;
         self.tick += 1;
-        while self.in_flight.len() >= self.cfg.max_in_flight.max(1) {
-            self.retire_wave();
-        }
         Some(lane)
     }
 
@@ -554,27 +401,20 @@ impl ServiceCore {
         w
     }
 
-    /// Forms one Interactive group: the head gate plus every queued
-    /// gate whose server key can share its batched blind rotation
-    /// ([`ServerKey::shares_ring_with`]), FIFO, capped at
+    /// Forms and runs one Interactive group: the head gate plus every
+    /// queued gate whose server key can share its batched blind
+    /// rotation ([`ServerKey::shares_ring_with`]), FIFO, capped at
     /// [`ServiceConfig::max_batch`] (the head counts).
     fn dispatch_gate(&mut self, cause: PickCause, pending: [usize; 3]) {
         let head = self.lanes[Lane::Interactive.index()]
             .pop_front()
             .expect("scheduler picked a non-empty lane");
         let picked: Vec<usize> = {
-            let Some(TenantKeys::Tfhe { server: head_key }) = self.cache.get(head.tenant) else {
-                unreachable!("admission pinned the tenant's TFHE session");
-            };
+            let head_key = self.server_key(head.tenant);
             self.lanes[Lane::Interactive.index()]
                 .iter()
                 .enumerate()
-                .filter(|(_, job)| {
-                    let Some(TenantKeys::Tfhe { server }) = self.cache.get(job.tenant) else {
-                        unreachable!("interactive lane carries TFHE jobs only");
-                    };
-                    head_key.shares_ring_with(server)
-                })
+                .filter(|(_, job)| head_key.shares_ring_with(self.server_key(job.tenant)))
                 .map(|(qi, _)| qi)
                 .take(self.cfg.max_batch.saturating_sub(1))
                 .collect()
@@ -589,45 +429,31 @@ impl ServiceCore {
         }
         // Canonical completion order: ascending request id.
         batch.sort_by_key(|j| j.request);
-        let group = self.next_group;
-        self.next_group += 1;
-        self.audit.push(AuditEvent::Dispatch {
-            tick: self.tick,
-            group,
-            lane: Lane::Interactive,
-            cause,
-            jobs: batch.len(),
-            pending,
-        });
-        let mut jobs = Vec::with_capacity(batch.len());
-        for job in batch {
-            let JobWork::Gate { op, a, b } = job.work else {
-                unreachable!("interactive lane carries gate jobs only");
-            };
-            self.audit.push(AuditEvent::Complete {
-                tick: self.tick,
-                group,
-                request: job.request,
-            });
-            jobs.push(GateJob {
-                request: job.request,
-                tenant: job.tenant,
-                op,
-                a,
-                b,
-            });
+        let group = self.open_group(Lane::Interactive, cause, batch.len(), pending);
+        let outs = {
+            let jobs: Vec<BatchedGateJob<'_>> = batch
+                .iter()
+                .map(|job| {
+                    let JobWork::Gate { op, a, b } = &job.work else {
+                        unreachable!("interactive lane carries gate jobs only");
+                    };
+                    (self.server_key(job.tenant), *op, a, b)
+                })
+                .collect();
+            fhe_tfhe::apply_gates_batched(&jobs)
+        };
+        for (job, out) in batch.iter().zip(outs) {
+            self.complete(group, job, Response::Bit(out));
         }
-        self.in_flight.push_back(InFlightGroup {
-            id: group,
-            work: GroupWork::Gates(jobs),
-        });
     }
 
-    /// Forms one rotation group for `lane`, coalescing every queued
-    /// Timed/Bulk job that shares the head's geometry (same shared
-    /// context, level, Galois element) — each job under its own
+    /// Forms and runs one rotation group for `lane`, coalescing every
+    /// queued Timed/Bulk job that shares the head's geometry (same
+    /// shared context, level, Galois element) — each job under its own
     /// tenant's switching key. The Timed lane serves
     /// earliest-deadline-first ([`queue::edf_pick`]); Bulk stays FIFO.
+    /// A chained job whose steps remain goes back to its lane carrying
+    /// this step's output.
     fn dispatch_rotations(&mut self, lane: Lane, cause: PickCause, pending: [usize; 3]) {
         let head_idx = if lane == Lane::Timed {
             let dues: Vec<(u64, u64)> = self.lanes[lane.index()]
@@ -643,7 +469,6 @@ impl ServiceCore {
             .expect("scheduler picked a non-empty lane");
         let head_ctx = self.job_ctx(&head);
         let head_geom = self.job_geometry(&head, &head_ctx);
-        let g = head_geom.galois();
 
         // Collect geometry-matching mates from both rotation lanes,
         // FIFO within each lane, Timed before Bulk.
@@ -670,6 +495,51 @@ impl ServiceCore {
         // job EDF or coalescing pulled first.
         batch.sort_by_key(|j| j.request);
 
+        let group = self.open_group(lane, cause, batch.len(), pending);
+        let outs = {
+            let eval = self
+                .evaluator_for(&head_ctx)
+                .expect("registration recorded the context");
+            let jobs: Vec<(&Ciphertext, &SwitchingKey)> = batch
+                .iter()
+                .map(|job| {
+                    let JobWork::Rotations { ct, steps, next } = &job.work else {
+                        unreachable!("rotation lanes carry rotation jobs only");
+                    };
+                    let Some(TenantKeys::Ckks { galois, .. }) = self.cache.get(job.tenant) else {
+                        unreachable!("admission pinned the tenant's CKKS session");
+                    };
+                    let key = galois
+                        .get(&steps[*next])
+                        .expect("admission validated every step");
+                    (ct, key)
+                })
+                .collect();
+            eval.apply_galois_coalesced(&jobs, head_geom.galois())
+        };
+        for (mut job, out) in batch.into_iter().zip(outs) {
+            let JobWork::Rotations { ct, steps, next } = &mut job.work else {
+                unreachable!("rotation lanes carry rotation jobs only");
+            };
+            *next += 1;
+            if *next == steps.len() {
+                self.complete(group, &job, Response::Vector(out));
+            } else {
+                *ct = out;
+                job.last_service = self.tick;
+                self.lanes[job.lane.index()].push_back(job);
+            }
+        }
+    }
+
+    /// Audits one dispatch decision and returns its group id.
+    fn open_group(
+        &mut self,
+        lane: Lane,
+        cause: PickCause,
+        jobs: usize,
+        pending: [usize; 3],
+    ) -> u64 {
         let group = self.next_group;
         self.next_group += 1;
         self.audit.push(AuditEvent::Dispatch {
@@ -677,142 +547,29 @@ impl ServiceCore {
             group,
             lane,
             cause,
-            jobs: batch.len(),
+            jobs,
             pending,
         });
-        // Galois keyswitching preserves the level, so every output of
-        // this group sits at the head geometry's level.
-        let level = head_geom.level();
-        let mut jobs = Vec::with_capacity(batch.len());
-        for mut job in batch {
-            let JobWork::Rotations { ct, steps, next } = &mut job.work else {
-                unreachable!("rotation lanes carry rotation jobs only");
-            };
-            let step = steps[*next];
-            let input = std::mem::replace(ct, CtSlot::Pending { group, level });
-            *next += 1;
-            let last = *next == steps.len();
-            jobs.push(RotJob {
-                request: job.request,
-                tenant: job.tenant,
-                step,
-                input,
-                last,
-            });
-            if last {
-                self.audit.push(AuditEvent::Complete {
-                    tick: self.tick,
-                    group,
-                    request: job.request,
-                });
-            } else {
-                job.last_service = self.tick;
-                self.lanes[job.lane.index()].push_back(job);
-            }
-        }
-        self.in_flight.push_back(InFlightGroup {
-            id: group,
-            work: GroupWork::Rotations {
-                ctx: head_ctx,
-                galois: g,
-                jobs,
-            },
+        group
+    }
+
+    /// Audits `job`'s completion by `group`, hands its result over and
+    /// unpins its tenant's session.
+    fn complete(&mut self, group: u64, job: &Job, out: Response) {
+        self.audit.push(AuditEvent::Complete {
+            tick: self.tick,
+            group,
+            request: job.request,
         });
+        self.results.insert(job.request, out);
+        self.cache.unpin(job.tenant);
     }
 
-    /// Retires the next *wave*: the maximal leading run of in-flight
-    /// groups that are mutually independent — pairwise-disjoint tenant
-    /// sets (so per-tenant key material and cache pins are never
-    /// shared across concurrent dispatches) and no group consuming a
-    /// ciphertext produced by an earlier group still in the wave. The
-    /// first group is always eligible (everything before it has
-    /// retired), so progress is guaranteed. A wave of one executes
-    /// inline; larger waves fan out on scoped threads, one per group.
-    /// Outputs fold back in formation order, keeping results and
-    /// chain hand-offs deterministic.
-    fn retire_wave(&mut self) {
-        if self.in_flight.is_empty() {
-            return;
-        }
-        let mut wave_tenants: HashSet<usize> = HashSet::new();
-        let mut wave_ids: HashSet<u64> = HashSet::new();
-        let mut len = 0;
-        for group in &self.in_flight {
-            let tenants = group.tenants();
-            let conflicts =
-                tenants.iter().any(|t| wave_tenants.contains(t)) || group.depends_on(&wave_ids);
-            if len > 0 && conflicts {
-                break;
-            }
-            wave_tenants.extend(tenants);
-            wave_ids.insert(group.id);
-            len += 1;
-        }
-        let mut wave: Vec<InFlightGroup> = self.in_flight.drain(..len).collect();
-        // Resolve chained inputs: the producer retired in an earlier
-        // wave (the independence rule guarantees it), so its output is
-        // parked in `chain_out` under this job's request id.
-        for group in &mut wave {
-            if let GroupWork::Rotations { jobs, .. } = &mut group.work {
-                for job in jobs {
-                    if matches!(job.input, CtSlot::Pending { .. }) {
-                        let ct = self
-                            .chain_out
-                            .remove(&job.request)
-                            .expect("producer group retired first");
-                        job.input = CtSlot::Ready(ct);
-                    }
-                }
-            }
-        }
-        let outputs: Vec<Vec<Response>> = {
-            let cache = &self.cache;
-            let contexts = &self.contexts[..];
-            if wave.len() == 1 {
-                vec![exec_group(cache, contexts, &wave[0])]
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|g| s.spawn(move || exec_group(cache, contexts, g)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("in-flight group execution panicked"))
-                        .collect()
-                })
-            }
+    fn server_key(&self, tenant: usize) -> &ServerKey {
+        let Some(TenantKeys::Tfhe { server }) = self.cache.get(tenant) else {
+            unreachable!("interactive lane carries TFHE jobs only");
         };
-        for (group, outs) in wave.into_iter().zip(outputs) {
-            match group.work {
-                GroupWork::Gates(jobs) => {
-                    for (job, out) in jobs.into_iter().zip(outs) {
-                        self.results.insert(job.request, out);
-                        self.cache.unpin(job.tenant);
-                    }
-                }
-                GroupWork::Rotations { jobs, .. } => {
-                    for (job, out) in jobs.into_iter().zip(outs) {
-                        if job.last {
-                            self.results.insert(job.request, out);
-                            self.cache.unpin(job.tenant);
-                        } else {
-                            let Response::Vector(ct) = out else {
-                                unreachable!("rotation groups yield vectors");
-                            };
-                            self.chain_out.insert(job.request, ct);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Retires every in-flight group.
-    fn quiesce(&mut self) {
-        while !self.in_flight.is_empty() {
-            self.retire_wave();
-        }
+        server
     }
 
     fn job_ctx(&self, job: &Job) -> Arc<CkksContext> {
@@ -827,26 +584,17 @@ impl ServiceCore {
             unreachable!("rotation lanes carry rotation jobs only");
         };
         let g = rotation_galois_element(steps[*next], ctx.n());
-        Geometry::new(ctx, ct.level(), g)
+        Geometry::new(ctx, ct.level, g)
     }
 
-    /// Collects a finished request's result, retiring in-flight groups
-    /// as needed to produce it.
+    /// Collects a finished request's result.
     pub fn take_result(&mut self, id: RequestId) -> Option<Response> {
-        while !self.results.contains_key(&id.0) && !self.in_flight.is_empty() {
-            self.retire_wave();
-        }
         self.results.remove(&id.0)
     }
 
-    /// Requests queued across all lanes (excluding in-flight groups).
+    /// Requests queued across all lanes.
     pub fn pending_total(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Dispatch groups formed but not yet executed.
-    pub fn in_flight_groups(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// The audit log so far.

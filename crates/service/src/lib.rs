@@ -30,20 +30,17 @@
 //! * [`audit`] — a JSONL log of every admission, rejection, dispatch
 //!   (with its coalesced job count and group id), completion and
 //!   starvation event, opened by a configuration-stamping meta line.
-//! * [`core`](mod@core) — [`ServiceCore`]: a single-threaded
-//!   *decision* loop (admission, lane picks, group formation, audit)
-//!   over a deferred-execution window of up to
-//!   [`ServiceConfig::max_in_flight`] dispatch groups; independent
-//!   groups execute concurrently on scoped threads without changing a
-//!   decision, an audit byte or a ciphertext bit. Kernel parallelism
-//!   stays below, in the process-wide kernel backend.
+//! * [`core`](mod@core) — [`ServiceCore`]: one single-threaded loop
+//!   that decides (admission, lane picks, group formation, audit) and
+//!   executes — each dispatch group runs in the tick that forms it.
+//!   Kernel parallelism stays below, in the process-wide kernel
+//!   backend.
 //!
 //! Scheduling is measured in dispatch *ticks*, not wall-clock time,
 //! so every guarantee in this crate is exactly reproducible in tests:
 //! lane shares, starvation bounds, batch sizes and results are all
-//! deterministic functions of the submitted stream — for any
-//! `max_in_flight` and any kernel backend, which
-//! `tests/service_determinism.rs` enforces metamorphically.
+//! deterministic functions of the submitted stream — under any kernel
+//! backend, which `tests/service_e2e.rs` replays three ways.
 //!
 //! # Example
 //!

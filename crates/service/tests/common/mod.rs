@@ -1,13 +1,12 @@
 //! Shared harness for the service integration suites (`service_e2e`,
-//! `service_determinism`, `scheduler_props`).
+//! `scheduler_props`).
 //!
 //! Everything here is deterministic from fixed seeds: the scenario
 //! builders regenerate tenant key material per run (TFHE server keys
 //! are deliberately not `Clone`), so two runs with the same seed —
-//! under any kernel backend or `max_in_flight` — must produce
-//! bit-identical ciphertexts and, modulo the schema-stamped meta line,
-//! byte-identical audit logs. The determinism suite is built on exactly
-//! that property.
+//! under any kernel backend — must produce bit-identical ciphertexts
+//! and byte-identical audit logs. The backend replay in `service_e2e`
+//! is built on exactly that property.
 
 #![allow(dead_code)] // each test binary uses its own slice of the harness
 
@@ -70,19 +69,6 @@ pub fn json_u64(line: &str, key: &str) -> Option<u64> {
         .take_while(char::is_ascii_digit)
         .collect();
     digits.parse().ok()
-}
-
-/// The audit log minus its configuration-stamped `meta` line — the
-/// part that must be byte-identical across `max_in_flight` settings.
-pub fn strip_meta(jsonl: &str) -> String {
-    jsonl
-        .lines()
-        .filter(|l| !l.contains("\"event\":\"meta\""))
-        .fold(String::new(), |mut s, l| {
-            s.push_str(l);
-            s.push('\n');
-            s
-        })
 }
 
 /// One parsed `dispatch` audit row.
@@ -293,13 +279,10 @@ pub fn run_mixed_scenario(cfg: ServiceConfig) -> ScenarioRun {
 }
 
 /// The mixed scenario's configuration: the four tenants' real key
-/// material outgrows the CI-sized default cache, so give it room, and
-/// take `max_in_flight` from the caller (the determinism and e2e
-/// suites sweep it).
-pub fn mixed_cfg(max_in_flight: usize) -> ServiceConfig {
+/// material outgrows the CI-sized default cache, so give it room.
+pub fn mixed_cfg() -> ServiceConfig {
     ServiceConfig {
         key_cache_bytes: 1 << 30,
-        max_in_flight,
         ..ServiceConfig::default_config()
     }
 }

@@ -12,7 +12,7 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{ckks_tenant, ct_flat, json_u64, parse_dispatches, strip_meta};
+use common::{ckks_tenant, json_u64, parse_dispatches};
 use fhe_ckks::{CkksContext, CkksParams};
 use proptest::prelude::*;
 use trinity_service::{
@@ -223,18 +223,18 @@ proptest! {
     }
 }
 
-/// Timed-only traffic for the real-core EDF tests: `len` deadline-
-/// skewed rotations across 3 CKKS tenants sharing one context, paced
-/// against the service's own tick (so admission ticks — and therefore
-/// due ticks — vary with the schedule itself). Returns each result's
-/// flat words (submit order) and the audit JSONL, after asserting the
-/// EDF service-order property against a replay of the audit.
-fn run_timed_edf(max_in_flight: usize, len: usize) -> (Vec<Vec<u64>>, String) {
+/// The Timed lane is EDF, proven by audit replay: `len` deadline-skewed
+/// rotations across 3 CKKS tenants sharing one context, paced against
+/// the service's own tick (so admission ticks — and therefore due
+/// ticks — vary with the schedule itself), every one of which
+/// completes.
+#[test]
+fn timed_lane_is_edf() {
+    let len = 24;
     // max_batch = 1 isolates EDF: every Timed dispatch serves exactly
     // the job `edf_pick` chose, with no coalescing mates riding along.
     let cfg = ServiceConfig {
         max_batch: 1,
-        max_in_flight,
         key_cache_bytes: 1 << 30,
         ..ServiceConfig::default_config()
     };
@@ -307,169 +307,122 @@ fn run_timed_edf(max_in_flight: usize, len: usize) -> (Vec<Vec<u64>>, String) {
         }
     }
     assert_eq!(completions, len, "every timed job completed");
-
-    let flats: Vec<Vec<u64>> = ids
-        .iter()
-        .map(
-            |&id| match svc.take_result(id).expect("request completed") {
-                Response::Vector(ct) => ct_flat(&ct),
-                Response::Bit(_) => unreachable!("timed-only traffic"),
-            },
-        )
-        .collect();
-    (flats, jsonl)
-}
-
-/// The Timed lane is EDF — proven by audit replay — and the whole
-/// schedule (audit bytes, ciphertext bits) is invariant across
-/// `max_in_flight` ∈ {1, 2, 4}.
-#[test]
-fn timed_lane_is_edf_at_any_in_flight() {
-    let (base_flats, base_jsonl) = run_timed_edf(1, 24);
-    let base_audit = strip_meta(&base_jsonl);
-    for n in [2usize, 4] {
-        let (flats, jsonl) = run_timed_edf(n, 24);
-        assert_eq!(flats, base_flats, "max_in_flight={n} ciphertexts diverged");
-        assert_eq!(
-            strip_meta(&jsonl),
-            base_audit,
-            "max_in_flight={n} audit diverged"
-        );
+    for id in ids {
+        assert!(matches!(svc.take_result(id), Some(Response::Vector(_))));
     }
 }
 
-/// The PR 9 fairness invariants survive concurrent in-flight
-/// dispatch: under a two-lane backlog, budget minimums hold over the
-/// backlogged prefix, and a starved lane is still force-served within
-/// its threshold — identically for `max_in_flight` ∈ {1, 2, 4}.
+/// Under a two-lane (Timed + Bulk) backlog, budget minimums hold over
+/// the backlogged prefix, and a starved lane is force-served one tick
+/// past its threshold.
 #[test]
-fn budget_and_starvation_invariants_hold_at_any_in_flight() {
+fn budget_and_starvation_invariants_hold() {
     let ctx = CkksContext::new(CkksParams::tiny_params());
     let t0 = ckks_tenant(&ctx, 970, &[1, 2]);
     let t1 = ckks_tenant(&ctx, 971, &[1, 2]);
 
-    let mut budget_audits = Vec::new();
-    let mut starve_audits = Vec::new();
-    for n in [1usize, 2, 4] {
-        // Budgets: timed 30 / bulk 50 over a 16 timed + 24 bulk
-        // backlog (no interactive traffic; its floor is 0).
-        let cfg = ServiceConfig {
-            budgets: LaneBudgets {
-                interactive_min: 0,
-                timed_min: 30,
-                bulk_min: 50,
+    // Budgets: timed 30 / bulk 50 over a 16 timed + 24 bulk backlog
+    // (no interactive traffic; its floor is 0).
+    let cfg = ServiceConfig {
+        budgets: LaneBudgets {
+            interactive_min: 0,
+            timed_min: 30,
+            bulk_min: 50,
+        },
+        max_batch: 1,
+        key_cache_bytes: 1 << 30,
+        ..ServiceConfig::default_config()
+    };
+    let mut svc = ServiceCore::new(cfg).unwrap();
+    svc.register_ckks_tenant(0, ctx.clone(), t0.galois.clone())
+        .unwrap();
+    svc.register_ckks_tenant(1, ctx.clone(), t1.galois.clone())
+        .unwrap();
+    for i in 0..16i64 {
+        svc.submit(
+            (i % 2) as usize,
+            Workload::Rotation {
+                ct: [&t0, &t1][(i % 2) as usize].input.clone(),
+                step: 1 + (i % 2),
+                deadline: 100,
             },
-            max_batch: 1,
-            max_in_flight: n,
-            key_cache_bytes: 1 << 30,
-            ..ServiceConfig::default_config()
-        };
-        let mut svc = ServiceCore::new(cfg).unwrap();
-        svc.register_ckks_tenant(0, ctx.clone(), t0.galois.clone())
-            .unwrap();
-        svc.register_ckks_tenant(1, ctx.clone(), t1.galois.clone())
-            .unwrap();
-        for i in 0..16i64 {
-            svc.submit(
-                (i % 2) as usize,
-                Workload::Rotation {
-                    ct: [&t0, &t1][(i % 2) as usize].input.clone(),
-                    step: 1 + (i % 2),
-                    deadline: 100,
-                },
-            )
-            .unwrap();
-        }
-        for i in 0..24i64 {
-            svc.submit(
-                (i % 2) as usize,
-                Workload::Analytics {
-                    ct: [&t0, &t1][(i % 2) as usize].input.clone(),
-                    steps: vec![1 + (i % 2)],
-                },
-            )
-            .unwrap();
-        }
-        svc.run_until_idle();
-        let jsonl = svc.audit().to_jsonl();
-        let prefix: Vec<_> = parse_dispatches(&jsonl)
-            .into_iter()
-            .take_while(|d| d.pending[1] > 0 && d.pending[2] > 0)
-            .collect();
-        assert!(prefix.len() >= 20, "short prefix: {}", prefix.len());
-        for (lane, min) in [(Lane::Timed, 30usize), (Lane::Bulk, 50)] {
-            let count = prefix.iter().filter(|d| d.lane == lane.name()).count();
-            let share = count * 100 / prefix.len();
-            assert!(
-                share + 10 >= min,
-                "max_in_flight={n}: {} got {share}% < {min}%",
-                lane.name()
-            );
-        }
-        budget_audits.push(strip_meta(&jsonl));
-
-        // Starvation: all-slack budgets, threshold 3 — priority alone
-        // would serve Timed forever, so Bulk must be force-served.
-        let cfg = ServiceConfig {
-            budgets: LaneBudgets {
-                interactive_min: 0,
-                timed_min: 0,
-                bulk_min: 0,
-            },
-            starvation: StarvationPolicy { max_wait_ticks: 3 },
-            max_batch: 1,
-            max_in_flight: n,
-            key_cache_bytes: 1 << 30,
-            ..ServiceConfig::default_config()
-        };
-        let mut svc = ServiceCore::new(cfg).unwrap();
-        svc.register_ckks_tenant(0, ctx.clone(), t0.galois.clone())
-            .unwrap();
-        svc.register_ckks_tenant(1, ctx.clone(), t1.galois.clone())
-            .unwrap();
-        for i in 0..6i64 {
-            svc.submit(
-                0,
-                Workload::Rotation {
-                    ct: t0.input.clone(),
-                    step: 1 + (i % 2),
-                    deadline: 100,
-                },
-            )
-            .unwrap();
-        }
-        let bulk = svc
-            .submit(
-                1,
-                Workload::Analytics {
-                    ct: t1.input.clone(),
-                    steps: vec![1],
-                },
-            )
-            .unwrap();
-        svc.run_until_idle();
-        assert!(svc.take_result(bulk).is_some());
-        let starved: Vec<_> = svc
-            .audit()
-            .events()
-            .filter_map(|e| match e {
-                AuditEvent::Starvation { lane, waited, .. } => Some((*lane, *waited)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            starved,
-            vec![(Lane::Bulk, 4)],
-            "max_in_flight={n}: bulk not force-served one past threshold"
-        );
-        starve_audits.push(strip_meta(&svc.audit().to_jsonl()));
+        )
+        .unwrap();
     }
-    assert!(
-        budget_audits.windows(2).all(|w| w[0] == w[1]),
-        "budget schedule varies with max_in_flight"
-    );
-    assert!(
-        starve_audits.windows(2).all(|w| w[0] == w[1]),
-        "starvation schedule varies with max_in_flight"
+    for i in 0..24i64 {
+        svc.submit(
+            (i % 2) as usize,
+            Workload::Analytics {
+                ct: [&t0, &t1][(i % 2) as usize].input.clone(),
+                steps: vec![1 + (i % 2)],
+            },
+        )
+        .unwrap();
+    }
+    svc.run_until_idle();
+    let jsonl = svc.audit().to_jsonl();
+    let prefix: Vec<_> = parse_dispatches(&jsonl)
+        .into_iter()
+        .take_while(|d| d.pending[1] > 0 && d.pending[2] > 0)
+        .collect();
+    assert!(prefix.len() >= 20, "short prefix: {}", prefix.len());
+    for (lane, min) in [(Lane::Timed, 30usize), (Lane::Bulk, 50)] {
+        let count = prefix.iter().filter(|d| d.lane == lane.name()).count();
+        let share = count * 100 / prefix.len();
+        assert!(share + 10 >= min, "{} got {share}% < {min}%", lane.name());
+    }
+
+    // Starvation: all-slack budgets, threshold 3 — priority alone
+    // would serve Timed forever, so Bulk must be force-served.
+    let cfg = ServiceConfig {
+        budgets: LaneBudgets {
+            interactive_min: 0,
+            timed_min: 0,
+            bulk_min: 0,
+        },
+        starvation: StarvationPolicy { max_wait_ticks: 3 },
+        max_batch: 1,
+        key_cache_bytes: 1 << 30,
+        ..ServiceConfig::default_config()
+    };
+    let mut svc = ServiceCore::new(cfg).unwrap();
+    svc.register_ckks_tenant(0, ctx.clone(), t0.galois.clone())
+        .unwrap();
+    svc.register_ckks_tenant(1, ctx.clone(), t1.galois.clone())
+        .unwrap();
+    for i in 0..6i64 {
+        svc.submit(
+            0,
+            Workload::Rotation {
+                ct: t0.input.clone(),
+                step: 1 + (i % 2),
+                deadline: 100,
+            },
+        )
+        .unwrap();
+    }
+    let bulk = svc
+        .submit(
+            1,
+            Workload::Analytics {
+                ct: t1.input.clone(),
+                steps: vec![1],
+            },
+        )
+        .unwrap();
+    svc.run_until_idle();
+    assert!(svc.take_result(bulk).is_some());
+    let starved: Vec<_> = svc
+        .audit()
+        .events()
+        .filter_map(|e| match e {
+            AuditEvent::Starvation { lane, waited, .. } => Some((*lane, *waited)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        starved,
+        vec![(Lane::Bulk, 4)],
+        "bulk not force-served one past threshold"
     );
 }

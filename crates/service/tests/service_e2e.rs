@@ -8,11 +8,11 @@
 //!    in isolation, sequentially — under `scalar`, `lanes` *and*
 //!    `threaded` kernel backends (swapped in-process with
 //!    `kernel::force`, which is test-only by lint rule). Coalescing
-//!    and QoS must be invisible in the bits. The scenario, budget and
-//!    starvation tests each run at `max_in_flight` 1 and 4, so the
-//!    same contract is enforced under concurrent in-flight dispatch.
+//!    and QoS must be invisible in the bits, and the audit bytes must
+//!    not depend on the backend.
 //! 2. **Coalescing.** The JSONL audit shows keyswitch dispatches that
-//!    carried at least two independent requests each.
+//!    carried at least two independent requests each, and every
+//!    completion correlates to the dispatch group that produced it.
 //! 3. **Budgets.** Over the audited prefix where every lane was
 //!    backlogged, each lane's dispatch share holds its configured
 //!    minimum (within the enforcement window's quantisation).
@@ -21,13 +21,14 @@
 //!    keys and malformed ciphertexts are rejected at the door with
 //!    audited reasons.
 //!
-//! Cross-`max_in_flight` determinism has its own metamorphic suite
-//! (`service_determinism.rs`); EDF ordering has `scheduler_props.rs`.
+//! EDF ordering has `scheduler_props.rs`.
 
 mod common;
 
+use std::collections::HashMap;
+
 use common::backends::under_each_backend;
-use common::{ckks_tenant, mixed_cfg, parse_dispatches, run_mixed_scenario};
+use common::{ckks_tenant, mixed_cfg, parse_completes, parse_dispatches, run_mixed_scenario};
 use fhe_ckks::{CkksContext, CkksParams, Evaluator, SwitchingKey};
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{ClientKey, GateOp, MulBackend, ServerKey, TfheContext, TfheParams};
@@ -38,226 +39,307 @@ use trinity_service::{
     StarvationPolicy, Workload,
 };
 
-/// The in-flight windows every scheduling test runs under: the
-/// sequential core and concurrent waves.
-const IN_FLIGHT: [usize; 2] = [1, 4];
-
 #[test]
 fn mixed_tenants_bit_identical_across_backends_and_coalesced() {
-    for max_in_flight in IN_FLIGHT {
-        println!("max_in_flight: {max_in_flight}");
-        let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg(max_in_flight)));
+    let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg()));
 
-        // The audit must show real cross-request coalescing: at least one
-        // keyswitch dispatch carrying >= 2 requests — and, since PR 10,
-        // at least one *gate* dispatch batching >= 2 blind rotations.
-        let (_, base) = &runs[0];
-        let dispatches = parse_dispatches(&base.jsonl);
-        let widest = dispatches
-            .iter()
-            .filter(|d| d.lane != "interactive")
-            .map(|d| d.jobs)
-            .max()
-            .unwrap();
-        assert!(
-            widest >= 2,
-            "no coalesced dispatch carried >= 2 requests: {dispatches:?}"
-        );
-        let widest_gates = dispatches
-            .iter()
-            .filter(|d| d.lane == "interactive")
-            .map(|d| d.jobs)
-            .max()
-            .unwrap();
-        assert!(
-            widest_gates >= 2,
-            "no batched gate dispatch carried >= 2 requests: {dispatches:?}"
-        );
-        // Every line is schema-versioned JSONL.
-        assert!(base
-            .jsonl
-            .lines()
-            .all(|l| l.starts_with("{\"schema_version\":2,") && l.ends_with('}')));
+    // The audit must show real cross-request coalescing: at least one
+    // keyswitch dispatch carrying >= 2 requests, and at least one gate
+    // dispatch batching >= 2 blind rotations.
+    let (_, base) = &runs[0];
+    let dispatches = parse_dispatches(&base.jsonl);
+    let widest = dispatches
+        .iter()
+        .filter(|d| d.lane != "interactive")
+        .map(|d| d.jobs)
+        .max()
+        .unwrap();
+    assert!(
+        widest >= 2,
+        "no coalesced dispatch carried >= 2 requests: {dispatches:?}"
+    );
+    let widest_gates = dispatches
+        .iter()
+        .filter(|d| d.lane == "interactive")
+        .map(|d| d.jobs)
+        .max()
+        .unwrap();
+    assert!(
+        widest_gates >= 2,
+        "no batched gate dispatch carried >= 2 requests: {dispatches:?}"
+    );
+    // Every line is schema-versioned JSONL.
+    assert!(base
+        .jsonl
+        .lines()
+        .all(|l| l.starts_with("{\"schema_version\":3,") && l.ends_with('}')));
 
-        // Backend choice must be unobservable: identical ciphertext bits
-        // AND identical scheduling decisions.
-        for (name, run) in &runs[1..] {
-            assert_eq!(run.flats, base.flats, "{name} diverged from {}", runs[0].0);
-            assert_eq!(run.jsonl, base.jsonl, "{name} scheduled differently");
+    // Canonical completion order: within one dispatch group,
+    // completions are audited in ascending request id.
+    let completes = parse_completes(&base.jsonl);
+    for pair in completes.windows(2) {
+        let ((_, g0, r0), (_, g1, r1)) = (pair[0], pair[1]);
+        assert!(
+            g0 != g1 || r0 < r1,
+            "group {g0} completions out of canonical order: {r0} before {r1}"
+        );
+    }
+    // Every completion's group correlates to a dispatched group wide
+    // enough to have produced it. Gate groups retire every job they
+    // carry; rotation groups may retire fewer (a chained job's
+    // intermediate steps complete nothing — the result feeds its next
+    // dispatch).
+    for d in &dispatches {
+        let retired = completes.iter().filter(|&&(_, g, _)| g == d.group).count();
+        assert!(
+            retired <= d.jobs,
+            "group {} dispatched {} jobs but retired {retired}",
+            d.group,
+            d.jobs
+        );
+        if d.lane == "interactive" {
+            assert_eq!(retired, d.jobs, "gate group {} retired short", d.group);
         }
     }
+
+    // Backend choice must be unobservable: identical ciphertext bits
+    // AND identical scheduling decisions.
+    for (name, run) in &runs[1..] {
+        assert_eq!(run.flats, base.flats, "{name} diverged from {}", runs[0].0);
+        assert_eq!(run.jsonl, base.jsonl, "{name} scheduled differently");
+    }
+}
+
+/// Every dispatch group runs in the tick that forms it: each request a
+/// `dispatch_next` call audits as complete is collectable the moment
+/// that call returns, chained scans included. `max_in_flight` is inert:
+/// a run that sets it audits byte for byte what the default run does,
+/// meta line included.
+#[test]
+fn results_are_ready_when_dispatch_returns() {
+    let ctx = CkksContext::new(CkksParams::tiny_params());
+    let tenants: Vec<_> = (0..2)
+        .map(|t| ckks_tenant(&ctx, 980 + t, &[1, 2]))
+        .collect();
+    let run = |cfg: ServiceConfig| {
+        let mut svc = ServiceCore::new(cfg).unwrap();
+        for (t, tenant) in tenants.iter().enumerate() {
+            svc.register_ckks_tenant(t, ctx.clone(), tenant.galois.clone())
+                .unwrap();
+        }
+        // Timed rotations due against admission order, interleaved
+        // with two-step Analytics chains.
+        let mut ids = HashMap::new();
+        for i in 0..8u64 {
+            let t = (i % 2) as usize;
+            let ct = tenants[t].input.clone();
+            let work = if i % 4 < 2 {
+                Workload::Rotation {
+                    ct,
+                    step: 1 + (i % 2) as i64,
+                    deadline: 12 - i,
+                }
+            } else {
+                Workload::Analytics {
+                    ct,
+                    steps: vec![1, 2],
+                }
+            };
+            let id = svc.submit(t, work).unwrap();
+            ids.insert(id.raw(), id);
+        }
+        let mut seen = svc.audit().len();
+        while svc.dispatch_next().is_some() {
+            let done: Vec<u64> = svc
+                .audit()
+                .events()
+                .skip(seen)
+                .filter_map(|e| match e {
+                    AuditEvent::Complete { request, .. } => Some(*request),
+                    _ => None,
+                })
+                .collect();
+            seen = svc.audit().len();
+            for r in done {
+                let id = ids.remove(&r).expect("a request completes once");
+                assert!(
+                    svc.take_result(id).is_some(),
+                    "request {r} audited complete but its result is not ready"
+                );
+            }
+        }
+        assert!(ids.is_empty(), "never completed: {:?}", ids.keys());
+        svc.audit().to_jsonl()
+    };
+    let inert = run(ServiceConfig {
+        max_in_flight: 4,
+        ..ServiceConfig::default_config()
+    });
+    assert_eq!(inert, run(ServiceConfig::default_config()));
 }
 
 #[test]
 fn lane_budgets_hold_over_the_backlogged_prefix() {
-    for max_in_flight in IN_FLIGHT {
-        println!("max_in_flight: {max_in_flight}");
-        // max_batch = 1 isolates the scheduler: every dispatch serves
-        // exactly one request, so audited shares are pick shares.
-        let cfg = ServiceConfig {
-            max_batch: 1,
-            max_in_flight,
-            ..ServiceConfig::default_config()
-        };
-        let mut svc = ServiceCore::new(cfg).unwrap();
+    // max_batch = 1 isolates the scheduler: every dispatch serves
+    // exactly one request, so audited shares are pick shares.
+    let cfg = ServiceConfig {
+        max_batch: 1,
+        ..ServiceConfig::default_config()
+    };
+    let mut svc = ServiceCore::new(cfg).unwrap();
 
-        let mut trng = StdRng::seed_from_u64(902);
-        let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
-        let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
-        svc.register_tfhe_tenant(0, server).unwrap();
-        let ctx = CkksContext::new(CkksParams::tiny_params());
-        let tenant = ckks_tenant(&ctx, 920, &[1, 2]);
-        svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
-            .unwrap();
+    let mut trng = StdRng::seed_from_u64(902);
+    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
+    let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
+    svc.register_tfhe_tenant(0, server).unwrap();
+    let ctx = CkksContext::new(CkksParams::tiny_params());
+    let tenant = ckks_tenant(&ctx, 920, &[1, 2]);
+    svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
+        .unwrap();
 
-        // Backlog: 8 interactive, 20 timed, 30 bulk — enough that all
-        // three lanes stay non-empty for ~40 dispatches at 20/30/50.
-        for i in 0..8 {
-            let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
-            let b = ck.encrypt_bit(i % 3 == 0, &mut trng);
-            svc.submit(
-                0,
-                Workload::Gate {
-                    op: GateOp::Xor,
-                    a,
-                    b,
-                },
-            )
-            .unwrap();
-        }
-        for i in 0..20 {
-            svc.submit(
-                1,
-                Workload::Rotation {
-                    ct: tenant.input.clone(),
-                    step: 1 + (i % 2),
-                    deadline: 100,
-                },
-            )
-            .unwrap();
-        }
-        for i in 0..30 {
-            svc.submit(
-                1,
-                Workload::Analytics {
-                    ct: tenant.input.clone(),
-                    steps: vec![1 + (i % 2)],
-                },
-            )
-            .unwrap();
-        }
-        svc.run_until_idle();
+    // Backlog: 8 interactive, 20 timed, 30 bulk — enough that all
+    // three lanes stay non-empty for ~40 dispatches at 20/30/50.
+    for i in 0..8 {
+        let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
+        let b = ck.encrypt_bit(i % 3 == 0, &mut trng);
+        svc.submit(
+            0,
+            Workload::Gate {
+                op: GateOp::Xor,
+                a,
+                b,
+            },
+        )
+        .unwrap();
+    }
+    for i in 0..20 {
+        svc.submit(
+            1,
+            Workload::Rotation {
+                ct: tenant.input.clone(),
+                step: 1 + (i % 2),
+                deadline: 100,
+            },
+        )
+        .unwrap();
+    }
+    for i in 0..30 {
+        svc.submit(
+            1,
+            Workload::Analytics {
+                ct: tenant.input.clone(),
+                steps: vec![1 + (i % 2)],
+            },
+        )
+        .unwrap();
+    }
+    svc.run_until_idle();
 
-        let jsonl = svc.audit().to_jsonl();
-        // The on-disk rendering is byte-for-byte the in-memory one.
-        let path = std::env::temp_dir().join("trinity_service_e2e_audit.jsonl");
-        svc.audit().write_jsonl(&path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl);
-        let _ = std::fs::remove_file(&path);
-        let dispatches = parse_dispatches(&jsonl);
-        assert!(dispatches.iter().all(|d| d.jobs == 1));
-        // The enforcement claim applies while every lane is backlogged.
-        let prefix: Vec<_> = dispatches
-            .iter()
-            .take_while(|d| d.pending.iter().all(|&p| p > 0))
-            .collect();
+    let jsonl = svc.audit().to_jsonl();
+    // The on-disk rendering is byte-for-byte the in-memory one.
+    let path = std::env::temp_dir().join("trinity_service_e2e_audit.jsonl");
+    svc.audit().write_jsonl(&path).unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl);
+    let _ = std::fs::remove_file(&path);
+    let dispatches = parse_dispatches(&jsonl);
+    assert!(dispatches.iter().all(|d| d.jobs == 1));
+    // The enforcement claim applies while every lane is backlogged.
+    let prefix: Vec<_> = dispatches
+        .iter()
+        .take_while(|d| d.pending.iter().all(|&p| p > 0))
+        .collect();
+    assert!(
+        prefix.len() >= 20,
+        "backlogged prefix too short to measure: {}",
+        prefix.len()
+    );
+    let budgets = LaneBudgets::default_split();
+    for lane in Lane::ALL {
+        let count = prefix.iter().filter(|d| d.lane == lane.name()).count();
+        let share = count * 100 / prefix.len();
+        let min = budgets.min_for(lane) as usize;
+        // One window slot (100/20 = 5%) of quantisation slack, plus
+        // the enforcement lag of the first window.
         assert!(
-            prefix.len() >= 20,
-            "backlogged prefix too short to measure: {}",
-            prefix.len()
+            share + 10 >= min,
+            "{} got {share}% < {min}% over the backlogged prefix (audit:\n{jsonl})",
+            lane.name()
         );
-        let budgets = LaneBudgets::default_split();
-        for lane in Lane::ALL {
-            let count = prefix.iter().filter(|d| d.lane == lane.name()).count();
-            let share = count * 100 / prefix.len();
-            let min = budgets.min_for(lane) as usize;
-            // One window slot (100/20 = 5%) of quantisation slack, plus
-            // the enforcement lag of the first window.
-            assert!(
-                share + 10 >= min,
-                "{} got {share}% < {min}% over the backlogged prefix (audit:\n{jsonl})",
-                lane.name()
-            );
-        }
     }
 }
 
 #[test]
 fn starved_lane_is_force_served_and_audited() {
-    for max_in_flight in IN_FLIGHT {
-        println!("max_in_flight: {max_in_flight}");
-        // All-slack budgets: priority alone would serve gates forever.
-        let cfg = ServiceConfig {
-            budgets: LaneBudgets {
-                interactive_min: 0,
-                timed_min: 0,
-                bulk_min: 0,
+    // All-slack budgets: priority alone would serve gates forever.
+    let cfg = ServiceConfig {
+        budgets: LaneBudgets {
+            interactive_min: 0,
+            timed_min: 0,
+            bulk_min: 0,
+        },
+        starvation: StarvationPolicy { max_wait_ticks: 3 },
+        max_batch: 1,
+        ..ServiceConfig::default_config()
+    };
+    let mut svc = ServiceCore::new(cfg).unwrap();
+
+    let mut trng = StdRng::seed_from_u64(903);
+    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
+    let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
+    svc.register_tfhe_tenant(0, server).unwrap();
+    let ctx = CkksContext::new(CkksParams::tiny_params());
+    let tenant = ckks_tenant(&ctx, 930, &[1]);
+    svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
+        .unwrap();
+
+    for i in 0..6 {
+        let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
+        let b = ck.encrypt_bit(true, &mut trng);
+        svc.submit(
+            0,
+            Workload::Gate {
+                op: GateOp::And,
+                a,
+                b,
             },
-            starvation: StarvationPolicy { max_wait_ticks: 3 },
-            max_batch: 1,
-            max_in_flight,
-            ..ServiceConfig::default_config()
-        };
-        let mut svc = ServiceCore::new(cfg).unwrap();
-
-        let mut trng = StdRng::seed_from_u64(903);
-        let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut trng);
-        let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut trng);
-        svc.register_tfhe_tenant(0, server).unwrap();
-        let ctx = CkksContext::new(CkksParams::tiny_params());
-        let tenant = ckks_tenant(&ctx, 930, &[1]);
-        svc.register_ckks_tenant(1, ctx.clone(), tenant.galois.clone())
-            .unwrap();
-
-        for i in 0..6 {
-            let a = ck.encrypt_bit(i % 2 == 0, &mut trng);
-            let b = ck.encrypt_bit(true, &mut trng);
-            svc.submit(
-                0,
-                Workload::Gate {
-                    op: GateOp::And,
-                    a,
-                    b,
-                },
-            )
-            .unwrap();
-        }
-        let bulk = svc
-            .submit(
-                1,
-                Workload::Analytics {
-                    ct: tenant.input.clone(),
-                    steps: vec![1],
-                },
-            )
-            .unwrap();
-        svc.run_until_idle();
-        assert!(svc.take_result(bulk).is_some());
-
-        // The starvation event fired for bulk within threshold + 1 ticks,
-        // and the matching dispatch is cause-tagged.
-        let starvations: Vec<_> = svc
-            .audit()
-            .events()
-            .filter_map(|e| match e {
-                AuditEvent::Starvation { lane, waited, tick } => Some((*lane, *waited, *tick)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(starvations.len(), 1, "{starvations:?}");
-        let (lane, waited, tick) = starvations[0];
-        assert_eq!(lane, Lane::Bulk);
-        assert_eq!(waited, 4, "starved exactly one past the threshold");
-        assert_eq!(tick, 4, "force-served at the first over-threshold tick");
-        assert!(svc.audit().events().any(|e| matches!(
-            e,
-            AuditEvent::Dispatch {
-                lane: Lane::Bulk,
-                cause: PickCause::Starvation,
-                ..
-            }
-        )));
+        )
+        .unwrap();
     }
+    let bulk = svc
+        .submit(
+            1,
+            Workload::Analytics {
+                ct: tenant.input.clone(),
+                steps: vec![1],
+            },
+        )
+        .unwrap();
+    svc.run_until_idle();
+    assert!(svc.take_result(bulk).is_some());
+
+    // The starvation event fired for bulk within threshold + 1 ticks,
+    // and the matching dispatch is cause-tagged.
+    let starvations: Vec<_> = svc
+        .audit()
+        .events()
+        .filter_map(|e| match e {
+            AuditEvent::Starvation { lane, waited, tick } => Some((*lane, *waited, *tick)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(starvations.len(), 1, "{starvations:?}");
+    let (lane, waited, tick) = starvations[0];
+    assert_eq!(lane, Lane::Bulk);
+    assert_eq!(waited, 4, "starved exactly one past the threshold");
+    assert_eq!(tick, 4, "force-served at the first over-threshold tick");
+    assert!(svc.audit().events().any(|e| matches!(
+        e,
+        AuditEvent::Dispatch {
+            lane: Lane::Bulk,
+            cause: PickCause::Starvation,
+            ..
+        }
+    )));
 }
 
 #[test]

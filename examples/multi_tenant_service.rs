@@ -56,26 +56,19 @@ fn main() {
     }
 
     // --- Service ---------------------------------------------------
-    // max_in_flight = 2: the decision loop stays sequential and
-    // deterministic, but independent dispatch groups execute
-    // concurrently on scoped threads. The audit and every result are
-    // bit-identical to a max_in_flight = 1 run by construction.
     let cfg = ServiceConfig {
         key_cache_bytes: 1 << 30,
-        max_in_flight: 2,
         ..ServiceConfig::default_config()
     };
     println!(
         "service: lanes interactive/timed/bulk >= {}/{}/{}% of dispatches, \
-         window {}, starvation threshold {} ticks, max batch {}, \
-         max in-flight {}",
+         window {}, starvation threshold {} ticks, max batch {}",
         cfg.budgets.interactive_min,
         cfg.budgets.timed_min,
         cfg.budgets.bulk_min,
         cfg.window,
         cfg.starvation.max_wait_ticks,
-        cfg.max_batch,
-        cfg.max_in_flight
+        cfg.max_batch
     );
     let mut svc = ServiceCore::new(cfg).expect("valid budgets");
     svc.register_tfhe_tenant(0, server).expect("cache fits");
