@@ -1,20 +1,17 @@
-//! Criterion microbenchmarks of the functional crates — the `measured`
-//! CPU-baseline rows of the reproduction, exercising the same kernels
-//! the accelerator model schedules.
+//! Criterion microbenchmarks of the functional crates — the tiers and
+//! shapes `benchmark/` does not run: kernel-level NTT and negacyclic
+//! variants, the strict oracles beside their lazy engines, the scalar
+//! backend, the TFHE Set-II bootstrap and the radix/NN units.
+//!
+//! Every operation `benchmark/` probes at a workload's shape (keyswitch,
+//! rotate, coalesced and hoisted rotations, HMult + rescale, gates,
+//! external product, CKKS bootstrap, repacking, threaded fan-out) is
+//! measured there and only there; `BENCH_micro.json` holds one run of
+//! the groups below.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Runs `f` with the process-wide kernel backend forced to `backend`,
-/// restoring the previously active one afterwards — how one criterion
-/// run measures several backends on the *same* pipeline functions.
-fn with_backend<R>(backend: &'static dyn fhe_math::KernelBackend, f: impl FnOnce() -> R) -> R {
-    let previous = fhe_math::kernel::force(backend);
-    let out = f();
-    fhe_math::kernel::force(previous);
-    out
-}
 
 /// NTT across polynomial lengths (the Fig. 1 x-axis, on the host CPU).
 fn bench_ntt(c: &mut Criterion) {
@@ -121,26 +118,6 @@ fn bench_poly_mul_flat(c: &mut Criterion) {
     group.finish();
 }
 
-/// Hybrid keyswitch (the paper's Algorithm 1) at test scale.
-fn bench_keyswitch(c: &mut Criterion) {
-    use fhe_ckks::*;
-    let ctx = CkksContext::new(CkksParams::tiny_params());
-    let mut rng = StdRng::seed_from_u64(3);
-    let kg = KeyGenerator::new(ctx.clone());
-    let sk = kg.secret_key(&mut rng);
-    let rlk = kg.relin_key(&sk, &mut rng);
-    let l = ctx.params().max_level();
-    let basis = ctx.level_basis(l).clone();
-    let mut flat = Vec::with_capacity(basis.len() * ctx.n());
-    for m in basis.moduli() {
-        flat.extend(fhe_math::sampler::uniform_residues(&mut rng, m, ctx.n()));
-    }
-    let d = fhe_math::RnsPoly::from_flat(basis, flat, fhe_math::Representation::Eval);
-    c.bench_function("ckks_hybrid_keyswitch_n1024_l3", |b| {
-        b.iter(|| key_switch(&ctx, &d, &rlk, l))
-    });
-}
-
 /// The cross-kernel lazy residue chain against its baselines, over the
 /// whole keyswitch pipeline (digit NTTs → inner products → iNTT →
 /// ModDown) — the tentpole's headline micro (acceptance: lazy >= 1.2x
@@ -172,59 +149,17 @@ fn bench_keyswitch_lazy_vs_canonical(c: &mut Criterion) {
         group.bench_function(format!("lazy_{tag}"), |b| {
             b.iter(|| key_switch(&ctx, &d, &rlk, l))
         });
-        // The same lazy chain under the other kernel backends: the
-        // scalar reference and the limb-parallel threaded pool (4
-        // lanes). Bit-identical outputs (tests/backend_identity.rs);
-        // only the row scheduling differs.
-        with_backend(&fhe_math::kernel::SCALAR, || {
-            group.bench_function(format!("lazy_scalar_{tag}"), |b| {
-                b.iter(|| key_switch(&ctx, &d, &rlk, l))
-            });
-        });
-        with_backend(fhe_math::kernel::threaded(Some(4)), || {
-            group.bench_function(format!("lazy_threaded4_{tag}"), |b| {
-                b.iter(|| key_switch(&ctx, &d, &rlk, l))
-            });
-        });
-        group.bench_function(format!("canonical_{tag}"), |b| {
-            b.iter(|| key_switch_strict(&ctx, &d, &rlk, l))
-        });
-    }
-    group.finish();
-}
-
-/// Worker-count scaling of the threaded limb-parallel backend on the
-/// full lazy keyswitch chain at n=4096/L=4 (the acceptance shape):
-/// the `lane` tier is the single-threaded baseline the `threaded:N`
-/// tiers are judged against (acceptance: threaded >= 1.3x over lane
-/// with >= 4 workers on a multi-core host; on a 1-CPU host the tiers
-/// collapse onto the baseline minus dispatch overhead).
-fn bench_threaded_scaling(c: &mut Criterion) {
-    use fhe_ckks::*;
-    let mut group = c.benchmark_group("threaded_scaling");
-    group.sample_size(20);
-    let ctx = CkksContext::new(CkksParams::test_params());
-    let mut rng = StdRng::seed_from_u64(33);
-    let kg = KeyGenerator::new(ctx.clone());
-    let sk = kg.secret_key(&mut rng);
-    let rlk = kg.relin_key(&sk, &mut rng);
-    let l = ctx.params().max_level();
-    let basis = ctx.level_basis(l).clone();
-    let mut flat = Vec::with_capacity(basis.len() * ctx.n());
-    for m in basis.moduli() {
-        flat.extend(fhe_math::sampler::uniform_residues(&mut rng, m, ctx.n()));
-    }
-    let d = fhe_math::RnsPoly::from_flat(basis, flat, fhe_math::Representation::Eval);
-    with_backend(&fhe_math::kernel::LANES_BACKEND, || {
-        group.bench_function("lane_n4096_l4", |b| {
+        // The same lazy chain under the scalar reference backend,
+        // forced process-wide for this one measurement. Bit-identical
+        // outputs (tests/backend_identity.rs); only the row bodies
+        // differ.
+        let previous = fhe_math::kernel::force(&fhe_math::kernel::SCALAR);
+        group.bench_function(format!("lazy_scalar_{tag}"), |b| {
             b.iter(|| key_switch(&ctx, &d, &rlk, l))
         });
-    });
-    for workers in [1usize, 2, 4, 8] {
-        with_backend(fhe_math::kernel::threaded(Some(workers)), || {
-            group.bench_function(format!("threaded{workers}_n4096_l4"), |b| {
-                b.iter(|| key_switch(&ctx, &d, &rlk, l))
-            });
+        fhe_math::kernel::force(previous);
+        group.bench_function(format!("canonical_{tag}"), |b| {
+            b.iter(|| key_switch_strict(&ctx, &d, &rlk, l))
         });
     }
     group.finish();
@@ -261,205 +196,10 @@ fn bench_rotate_lazy_vs_canonical(c: &mut Criterion) {
         group.bench_function(format!("lazy_{tag}"), |b| {
             b.iter(|| eval.apply_galois(&ct, g, gk))
         });
-        // The rotation chain under the threaded limb-parallel
-        // backend (4 lanes) — same pipeline, row-parallel dispatch.
-        with_backend(fhe_math::kernel::threaded(Some(4)), || {
-            group.bench_function(format!("lazy_threaded4_{tag}"), |b| {
-                b.iter(|| eval.apply_galois(&ct, g, gk))
-            });
-        });
         group.bench_function(format!("canonical_{tag}"), |b| {
             b.iter(|| eval.apply_galois_strict(&ct, g, gk))
         });
     }
-    group.finish();
-}
-
-/// An 8-rotation encrypted linear layer, oracle vs engine: the
-/// sequential oracle (`LinearTransform::apply_sequential`) runs the full
-/// hybrid keyswitch (Decompose + ModUp + digit NTTs + IP + ModDown)
-/// once per diagonal rotation; the engine (`LinearTransform::apply`)
-/// shares Decompose/ModUp/digit-NTTs across the batch and replays
-/// only the automorphism → IP → ModDown tail per rotation
-/// (`hoist_rotations` / `key_switch_galois_hoisted`). On the 1-CPU CI
-/// container the gate is the bit-identity assertion below plus the
-/// job-count assertions in the kernel tests, not a wall-clock ratio.
-fn bench_rotations_hoisted_vs_sequential(c: &mut Criterion) {
-    use trinity_workloads::LinearLayer;
-    let mut group = c.benchmark_group("rotations_hoisted_vs_sequential");
-    group.sample_size(10);
-    // 9x9 dense diagonal layer => exactly 8 rotations.
-    let layer = LinearLayer::random(9, 40);
-    assert_eq!(layer.rotation_count(), 8);
-    // The optimisation must be unobservable in the output bits.
-    let seq = layer.eval_sequential();
-    let hoisted = layer.eval();
-    assert_eq!(hoisted.c0.flat(), seq.c0.flat());
-    assert_eq!(hoisted.c1.flat(), seq.c1.flat());
-    group.bench_function("sequential_8rot", |b| b.iter(|| layer.eval_sequential()));
-    group.bench_function("hoisted_8rot", |b| b.iter(|| layer.eval()));
-    // The hoisted layer under the threaded limb-parallel backend: the
-    // pooled BConv/digit-NTT front half row-group-dispatches once.
-    with_backend(fhe_math::kernel::threaded(Some(4)), || {
-        group.bench_function("hoisted_threaded4_8rot", |b| b.iter(|| layer.eval()));
-    });
-    group.finish();
-}
-
-/// Cross-request keyswitch coalescing (the `trinity-service` batching
-/// path): four independent ciphertexts rotating by the same step under
-/// four *different* tenants' switching keys, evaluated as four
-/// sequential `apply_galois` calls vs one `apply_galois_coalesced`
-/// dispatch that concatenates the batch into single wide kernel calls.
-/// On the 1-CPU CI container the gate is the bit-identity assertion
-/// below plus the per-dispatch job-count assertions in the service
-/// end-to-end suite, not a wall-clock ratio.
-fn bench_coalesced_vs_sequential_keyswitch(c: &mut Criterion) {
-    use fhe_ckks::*;
-    let mut group = c.benchmark_group("coalesced_vs_sequential_keyswitch");
-    group.sample_size(10);
-    let ctx = CkksContext::new(CkksParams::tiny_params());
-    let mut rng = StdRng::seed_from_u64(33);
-    let g = fhe_math::galois::rotation_galois_element(1, ctx.n());
-    let enc = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone());
-    let eval = Evaluator::new(ctx.clone());
-    let l = ctx.params().max_level();
-    let tenants: Vec<(Ciphertext, SwitchingKey)> = (0..4)
-        .map(|t| {
-            let kg = KeyGenerator::new(ctx.clone());
-            let sk = kg.secret_key(&mut rng);
-            let ct = encryptor.encrypt_sk(&enc.encode_real(&[t as f64, 0.25], l), &sk, &mut rng);
-            (ct, kg.galois_key(&sk, g, &mut rng))
-        })
-        .collect();
-    let jobs: Vec<(&Ciphertext, &SwitchingKey)> = tenants.iter().map(|(ct, gk)| (ct, gk)).collect();
-    // Coalescing must be unobservable in the output bits.
-    let coalesced = eval.apply_galois_coalesced(&jobs, g);
-    for ((ct, gk), wide) in tenants.iter().zip(&coalesced) {
-        let alone = eval.apply_galois(ct, g, gk);
-        assert_eq!(wide.c0.flat(), alone.c0.flat());
-        assert_eq!(wide.c1.flat(), alone.c1.flat());
-    }
-    group.bench_function("sequential_4x", |b| {
-        b.iter(|| {
-            tenants
-                .iter()
-                .map(|(ct, gk)| eval.apply_galois(ct, g, gk))
-                .collect::<Vec<_>>()
-        })
-    });
-    group.bench_function("coalesced_4x", |b| {
-        b.iter(|| eval.apply_galois_coalesced(&jobs, g))
-    });
-    // Under the threaded limb-parallel backend the coalesced batch is
-    // where the row counts come from: 4x the rows per dispatch.
-    with_backend(fhe_math::kernel::threaded(Some(4)), || {
-        group.bench_function("sequential_threaded4_4x", |b| {
-            b.iter(|| {
-                tenants
-                    .iter()
-                    .map(|(ct, gk)| eval.apply_galois(ct, g, gk))
-                    .collect::<Vec<_>>()
-            })
-        });
-        group.bench_function("coalesced_threaded4_4x", |b| {
-            b.iter(|| eval.apply_galois_coalesced(&jobs, g))
-        });
-    });
-    group.finish();
-}
-
-/// Cross-request TFHE gate batching (the `trinity-service` Interactive
-/// lane path): four independent gates from one tenant through the one
-/// gate engine, as 4 × `k = 1` (`apply_gate` per job) vs 1 × `k = 4`
-/// (one `apply_gates_batched` dispatch whose blind rotations share
-/// each external-product sweep). On the 1-CPU CI container the gate is the
-/// bit-identity assertion below plus the batch-width assertions in the
-/// service suites, not a wall-clock ratio.
-fn bench_gates_batched_vs_sequential(c: &mut Criterion) {
-    use fhe_tfhe::*;
-    let mut group = c.benchmark_group("gates_batched_vs_sequential");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(34);
-    let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut rng);
-    let server = ServerKey::generate(&ck, MulBackend::Ntt, &mut rng);
-    let cases = [
-        (GateOp::Nand, true, true),
-        (GateOp::Xor, true, false),
-        (GateOp::And, false, true),
-        (GateOp::Or, false, false),
-    ];
-    let inputs: Vec<(GateOp, LweCiphertext, LweCiphertext)> = cases
-        .iter()
-        .map(|&(op, a, b)| (op, ck.encrypt_bit(a, &mut rng), ck.encrypt_bit(b, &mut rng)))
-        .collect();
-    let jobs: Vec<BatchedGateJob<'_>> = inputs
-        .iter()
-        .map(|(op, a, b)| (&server, *op, a, b))
-        .collect();
-    // Batching must be unobservable in the output bits.
-    let batched = apply_gates_batched(&jobs);
-    for ((op, a, b), wide) in inputs.iter().zip(&batched) {
-        let alone = server.apply_gate(*op, a, b);
-        assert_eq!(wide.a, alone.a);
-        assert_eq!(wide.b, alone.b);
-    }
-    group.bench_function("sequential_4x", |b| {
-        b.iter(|| {
-            inputs
-                .iter()
-                .map(|(op, x, y)| server.apply_gate(*op, x, y))
-                .collect::<Vec<_>>()
-        })
-    });
-    group.bench_function("batched_4x", |b| b.iter(|| apply_gates_batched(&jobs)));
-    // Under the threaded backend the batched blind rotation is where
-    // the fan-out comes from: 4x the external-product rows per sweep.
-    with_backend(fhe_math::kernel::threaded(Some(4)), || {
-        group.bench_function("sequential_threaded4_4x", |b| {
-            b.iter(|| {
-                inputs
-                    .iter()
-                    .map(|(op, x, y)| server.apply_gate(*op, x, y))
-                    .collect::<Vec<_>>()
-            })
-        });
-        group.bench_function("batched_threaded4_4x", |b| {
-            b.iter(|| apply_gates_batched(&jobs))
-        });
-    });
-    group.finish();
-}
-
-/// Homomorphic multiplication end to end.
-fn bench_hmult(c: &mut Criterion) {
-    use fhe_ckks::*;
-    let ctx = CkksContext::new(CkksParams::tiny_params());
-    let mut rng = StdRng::seed_from_u64(4);
-    let keys = KeyGenerator::new(ctx.clone()).key_set(&[], &mut rng);
-    let enc = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone());
-    let eval = Evaluator::new(ctx.clone());
-    let l = ctx.params().max_level();
-    let x = encryptor.encrypt_sk(&enc.encode_real(&[0.5; 8], l), &keys.secret, &mut rng);
-    let y = encryptor.encrypt_sk(&enc.encode_real(&[0.25; 8], l), &keys.secret, &mut rng);
-    c.bench_function("ckks_hmult_rescale", |b| {
-        b.iter(|| eval.rescale(&eval.mul(&x, &y, &keys.relin)))
-    });
-}
-
-/// One TFHE external product on the exact NTT path the engines run.
-fn bench_external_product(c: &mut Criterion) {
-    use fhe_tfhe::*;
-    let ring = TfheRing::new(1024, 32);
-    let mut rng = StdRng::seed_from_u64(5);
-    let sk = GlweSecretKey::generate(1, 1024, &mut rng);
-    let msg: Vec<u64> = (0..1024).map(|i| (i as u64 % 8) * (ring.q() / 8)).collect();
-    let glwe = GlweCiphertext::encrypt(&ring, &sk, &msg, 3.73e-9, &mut rng);
-    let ggsw = Ggsw::encrypt_scalar(&ring, &sk, 1, 2, 10, 3.73e-9, &mut rng);
-    let mut group = c.benchmark_group("tfhe_external_product_n1024");
-    group.bench_function("Ntt", |b| b.iter(|| ggsw.external_product(&ring, &glwe)));
     group.finish();
 }
 
@@ -504,31 +244,6 @@ fn bench_pbs(c: &mut Criterion) {
     group.finish();
 }
 
-/// LWE repacking (Table IX's `measured` CPU row) at reduced ring degree.
-fn bench_repack(c: &mut Criterion) {
-    use fhe_ckks::*;
-    use fhe_convert::*;
-    let ctx = CkksContext::new(CkksParams::tiny_params());
-    let mut rng = StdRng::seed_from_u64(7);
-    let kg = KeyGenerator::new(ctx.clone());
-    let sk = kg.secret_key(&mut rng);
-    let lwe_key = fhe_tfhe::LweSecretKey::from_coeffs(sk.coeffs().to_vec());
-    let packer = RlwePacker::new(ctx.clone(), &sk, 1, &mut rng);
-    let q0 = *ctx.level_basis(0).modulus(0);
-    let delta = q0.value() / (64 * ctx.n() as u64);
-    let mut group = c.benchmark_group("repack_n1024_l1");
-    group.sample_size(10);
-    for nslot in [2usize, 8] {
-        let lwes: Vec<fhe_tfhe::LweCiphertext> = (0..nslot)
-            .map(|_| fhe_tfhe::LweCiphertext::encrypt(&q0, &lwe_key, delta, 1e-8, &mut rng))
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(nslot), &nslot, |b, _| {
-            b.iter(|| packer.convert(&lwes, delta as f64))
-        });
-    }
-    group.finish();
-}
-
 /// Low-depth Chebyshev evaluation (EvalMod's workhorse) across degrees.
 fn bench_chebyshev(c: &mut Criterion) {
     use fhe_ckks::*;
@@ -549,32 +264,6 @@ fn bench_chebyshev(c: &mut Criterion) {
             b.iter(|| eval.eval_chebyshev(&ct, &fit.coeffs, &keys.relin, &enc))
         });
     }
-    group.finish();
-}
-
-/// Full packed CKKS bootstrapping at functional test scale — the
-/// `measured` counterpart of Table VI's Bootstrap row.
-fn bench_ckks_bootstrap(c: &mut Criterion) {
-    use fhe_ckks::bootstrap::bootstrap_test_params;
-    use fhe_ckks::*;
-    let ctx = CkksContext::new(bootstrap_test_params());
-    let boot = Bootstrapper::new(ctx.clone(), BootstrapParams::default());
-    let mut rng = StdRng::seed_from_u64(9);
-    let keys = boot.generate_keys(&mut rng);
-    let enc = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone());
-    let eval = Evaluator::new(ctx.clone());
-    let n = boot.params().sparse_slots;
-    let slots = ctx.n() / 2;
-    let tiled: Vec<f64> = (0..slots)
-        .map(|j| (j % n) as f64 / n as f64 - 0.5)
-        .collect();
-    let ct = encryptor.encrypt_sk(&enc.encode_real(&tiled, 0), &keys.secret, &mut rng);
-    let mut group = c.benchmark_group("ckks_bootstrap_n2048");
-    group.sample_size(10);
-    group.bench_function("sparse8", |b| {
-        b.iter(|| boot.bootstrap(&ct, &eval, &enc, &keys))
-    });
     group.finish();
 }
 
@@ -619,20 +308,11 @@ criterion_group!(
     bench_ntt_variants,
     bench_ntt_lazy_vs_strict,
     bench_poly_mul_flat,
-    bench_keyswitch,
     bench_keyswitch_lazy_vs_canonical,
-    bench_threaded_scaling,
     bench_rotate_lazy_vs_canonical,
-    bench_rotations_hoisted_vs_sequential,
-    bench_coalesced_vs_sequential_keyswitch,
-    bench_gates_batched_vs_sequential,
-    bench_hmult,
-    bench_external_product,
     bench_negacyclic_mul,
     bench_pbs,
-    bench_repack,
     bench_chebyshev,
-    bench_ckks_bootstrap,
     bench_radix_ops,
     bench_nn_neuron
 );

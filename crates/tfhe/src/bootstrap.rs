@@ -245,14 +245,14 @@ impl ServerKey {
     /// between them run gadget row outer so batch mates sharing a key
     /// meet `bsk[i]`'s row while it is hot; last, `acc += product` per
     /// slot. A job's output does not depend on its batch mates, whose
-    /// keys may differ from its own. A batch mixing parameter sets or
-    /// moduli cannot run in lockstep and is served job by job, each as
-    /// a batch of one.
+    /// keys may differ from its own; every key must share the head's
+    /// ring ([`Self::shares_ring_with`]), the lockstep condition.
     ///
     /// # Panics
     ///
-    /// Panics if `tv.len()` differs from the ring degree `N`, or any
-    /// job's `a_tilde.len()` from its key's `n_lwe`.
+    /// Panics if a job's key does not share the first job's ring,
+    /// `tv.len()` differs from the ring degree `N`, or any job's
+    /// `a_tilde.len()` from its key's `n_lwe`.
     pub fn blind_rotate_batch(
         jobs: &[(&ServerKey, &[u64], u64)],
         tv: &[u64],
@@ -260,12 +260,10 @@ impl ServerKey {
         let Some(&(head, ..)) = jobs.first() else {
             return Vec::new();
         };
-        if !jobs.iter().all(|(sk, ..)| sk.shares_ring_with(head)) {
-            return jobs
-                .iter()
-                .flat_map(|job| Self::blind_rotate_batch(std::slice::from_ref(job), tv))
-                .collect();
-        }
+        assert!(
+            jobs.iter().all(|(sk, ..)| sk.shares_ring_with(head)),
+            "every job in a batch must share the head's ring"
+        );
         let ring = &head.ctx.ring;
         let p = &head.ctx.params;
         assert_eq!(
@@ -300,12 +298,12 @@ impl ServerKey {
     }
 
     /// The programmable-bootstrap engine (Algorithm 2 lines 1–14):
-    /// per job the dimension check and `ModSwitch` to its own `2N`, one
-    /// [`Self::blind_rotate_batch`] over all jobs (its doc says how
-    /// jobs that cannot run in lockstep are served), per job
-    /// `SampleExtract` of coefficient 0. Outputs are *unswitched*: each
-    /// stays under its key's extracted GLWE key (dimension `k * N`) and
-    /// carries only the blind-rotation noise; chain
+    /// per job the dimension check and `ModSwitch` to `2N`, one
+    /// [`Self::blind_rotate_batch`] over all jobs (which must share one
+    /// ring), per job `SampleExtract` of coefficient 0. Outputs are
+    /// *unswitched*: each stays under its key's extracted GLWE key
+    /// (dimension `k * N`) and carries only the blind-rotation noise;
+    /// chain
     /// [`crate::lwe::LweKeySwitchKey::switch`] to return to the small
     /// key. A job's output does not depend on its batch mates:
     /// [`Self::bootstrap_with_tv_unswitched`] is the one-job instance,
@@ -315,7 +313,8 @@ impl ServerKey {
     /// # Panics
     ///
     /// Panics if a job's ciphertext is not of its key's dimension
-    /// `n_lwe`, or `tv.len()` differs from a job's ring degree `N`.
+    /// `n_lwe`, a job's key does not share the first job's ring, or
+    /// `tv.len()` differs from the ring degree `N`.
     pub fn bootstrap_batch(
         jobs: &[(&ServerKey, &LweCiphertext)],
         tv: &[u64],
@@ -672,13 +671,12 @@ mod tests {
     }
 
     /// Batch shapes beyond one key: the second Set-I tenant's job alone,
-    /// beside the first tenant's, and a batch mixing Set-I with Set-II
-    /// keys (same ring, different `n_lwe` and gadget) — every output
-    /// equal to the job's own single rotation and decrypting to its
-    /// input bit.
+    /// beside the first tenant's, and four jobs alternating the two
+    /// keys — every output equal to the job's own single rotation and
+    /// decrypting to its input bit.
     #[test]
-    fn blind_rotate_batch_serves_mixed_key_and_parameter_jobs() {
-        let fixtures = [set_i_second(), set_i_ntt(), set_ii_ntt(), set_i_second()];
+    fn blind_rotate_batch_serves_mixed_key_jobs() {
+        let fixtures = [set_i_second(), set_i_ntt(), set_i_ntt(), set_i_second()];
         let head = &fixtures[0].0.ctx;
         let tv = vec![head.q().value() / 8; head.params.n];
         let bits = [true, false, false, true];
@@ -693,8 +691,7 @@ mod tests {
             .zip(&switched)
             .map(|((_, sk), (a, b))| (sk, a.as_slice(), *b))
             .collect();
-        // [second] alone, [second, first] sharing Set-I, then all four
-        // with the Set-II key in the middle.
+        // [second] alone, [second, first], then all four.
         for batch in [&jobs[..1], &jobs[..2], &jobs[..]] {
             let got = ServerKey::blind_rotate_batch(batch, &tv);
             assert_eq!(got.len(), batch.len());
@@ -719,14 +716,12 @@ mod tests {
         acc.sample_extract(&sk.ctx.ring, 0)
     }
 
-    /// Three jobs in one call — two Set-I tenants and a Set-II key
-    /// (another parameter set: the batch cannot run in lockstep and
-    /// takes the rotation engine's fallback) — equal, word for word,
-    /// their three one-job calls and the reference pipeline, and
-    /// decrypt to their inputs after the keyswitch.
+    /// Three jobs in one call under two Set-I tenants' keys equal, word
+    /// for word, their three one-job calls and the reference pipeline,
+    /// and decrypt to their inputs after the keyswitch.
     #[test]
     fn bootstrap_batch_is_bit_identical_to_one_job_calls() {
-        let fixtures = [set_i_ntt(), set_i_second(), set_ii_ntt()];
+        let fixtures = [set_i_ntt(), set_i_second(), set_i_ntt()];
         let head = &fixtures[0].0.ctx;
         let tv = vec![head.q().value() / 8; head.params.n];
         let bits = [true, false, true];
@@ -741,7 +736,6 @@ mod tests {
             .zip(&inputs)
             .map(|((_, sk), ct)| (sk, ct))
             .collect();
-        // The two Set-I keys run in lockstep; all three do not.
         for batch in [&jobs[..2], &jobs[..]] {
             let got = ServerKey::bootstrap_batch(batch, &tv);
             assert_eq!(got.len(), batch.len());
@@ -798,6 +792,24 @@ mod tests {
                 assert_eq!(got.words(), reference.words(), "job {j} vs reference");
             }
         }
+    }
+
+    /// A Set-I and a Set-II key share the ring degree but not the
+    /// parameters (`n_lwe`, gadget): no lockstep rotation serves both,
+    /// and the serving layer never forms such a batch
+    /// ([`ServerKey::shares_ring_with`] groups its gates).
+    #[test]
+    #[should_panic(expected = "every job in a batch must share the head's ring")]
+    fn batch_engines_reject_jobs_of_another_parameter_set() {
+        let (ck_i, sk_i) = set_i_ntt();
+        let (ck_ii, sk_ii) = set_ii_ntt();
+        let mut rng = StdRng::seed_from_u64(122);
+        let a = ck_i.encrypt_bit(true, &mut rng);
+        let b = ck_ii.encrypt_bit(false, &mut rng);
+        crate::apply_gates_batched(&[
+            (sk_i, crate::GateOp::And, &a, &a),
+            (sk_ii, crate::GateOp::And, &b, &b),
+        ]);
     }
 
     #[test]
