@@ -465,12 +465,15 @@ mod tests {
     /// the service key cache's eviction arithmetic depends on this
     /// accounting being honest — and every buffer must be allocated at
     /// exactly its final size (`capacity == len`): the keys dominate a
-    /// process's resident set.
+    /// process's resident set. The keyswitch key's words are `u32`
+    /// under the 32-bit torus prime: 16 416 768 B (32 833 536 B as
+    /// `u64`), and `key_bytes` 49 208 768 B (65 625 536 B).
     #[test]
     fn key_bytes_pins_to_manual_capacity_sums() {
         let (_, sk) = set_i_ntt();
         let p = &sk.ctx.params;
         let word = std::mem::size_of::<u64>();
+        let ksk_word = std::mem::size_of::<u32>();
         let ggsw_words = (p.k + 1) * p.lb * (p.k + 1) * p.n;
         let ksk_words = p.k * p.n * p.lk * (p.n_lwe + 1);
         assert_eq!(sk.bsk.capacity(), sk.bsk.len());
@@ -478,12 +481,16 @@ mod tests {
             assert_eq!(ggsw.words().capacity(), ggsw.words().len());
             assert_eq!(ggsw.heap_bytes(), ggsw_words * word);
         }
-        assert_eq!(sk.ksk.words().capacity(), sk.ksk.words().len());
-        assert_eq!(sk.ksk.heap_bytes(), ksk_words * word);
+        // `heap_bytes` counts capacity: equal to the length in bytes,
+        // the matrix has no spare capacity.
+        assert_eq!(sk.ksk.words().count(), ksk_words);
+        assert_eq!(sk.ksk.heap_bytes(), ksk_words * ksk_word);
+        assert_eq!(sk.ksk.heap_bytes(), 16_416_768);
         assert_eq!(
             sk.key_bytes(),
-            p.n_lwe * (std::mem::size_of::<Ggsw>() + ggsw_words * word) + ksk_words * word
+            p.n_lwe * (std::mem::size_of::<Ggsw>() + ggsw_words * word) + ksk_words * ksk_word
         );
+        assert_eq!(sk.key_bytes(), 49_208_768);
     }
 
     /// Equal parameters and modulus are the lockstep condition, not one
@@ -501,18 +508,19 @@ mod tests {
     /// FNV-1a over the key words of `set_i_ntt()` — bsk in
     /// `[i][gadget row][component][coeff]` order, then ksk in
     /// `[i][j][n_out + 1]` order — computed at the commit that still
-    /// stored both keys as nested `Vec`s: the flat layout moved no key
-    /// bit and key generation still draws from the RNG in that order.
+    /// stored both keys as nested `u64` `Vec`s: neither the flat layout
+    /// nor the `u32` keyswitch words (hashed here widened) moved a key
+    /// bit, and key generation still draws from the RNG in that order.
     #[test]
     fn server_key_words_match_the_nested_layout_checksum() {
         let (_, sk) = set_i_ntt();
         let words = sk
             .bsk
             .iter()
-            .flat_map(|ggsw| ggsw.words().iter())
+            .flat_map(|ggsw| ggsw.words().iter().copied())
             .chain(sk.ksk.words());
         let (mut hash, mut count) = (0xcbf2_9ce4_8422_2325_u64, 0usize);
-        for &w in words {
+        for w in words {
             hash = (hash ^ w).wrapping_mul(0x0000_0100_0000_01b3);
             count += 1;
         }

@@ -5,7 +5,9 @@
 //! (line 1), `TFHE KeySwitch` (lines 16–17), plus `Decompose`. The
 //! keyswitching key is one flat `(n_in * levels) x (n_out + 1)` word
 //! matrix (per row the mask words, then the body) whose borrowed rows a
-//! switch streams past one stationary accumulator.
+//! switch streams past one stationary `i64` accumulator. Its words are
+//! as narrow as the modulus allows — `u32` under the paper's 32-bit
+//! torus primes, `u64` above — since a switch streams the whole key.
 
 use fhe_math::{kernel, Modulus};
 use rand::Rng;
@@ -201,21 +203,36 @@ pub fn gadget_element(q: u64, base_log: u32, j: usize) -> u64 {
 /// stored as row `i * levels + (j - 1)` of one flat matrix (module docs).
 #[derive(Debug, Clone)]
 pub struct LweKeySwitchKey {
-    rows: Vec<u64>,
+    rows: KeyWords,
     n_in: usize,
     n_out: usize,
     base_log: u32,
     levels: usize,
 }
 
+/// The key matrix at the narrowest word that holds a residue of its
+/// modulus — picked by [`LweKeySwitchKey::generate`] from `q`.
+#[derive(Debug, Clone)]
+enum KeyWords {
+    /// `q <= u32::MAX`: the paper's 32-bit torus.
+    Narrow(Vec<u32>),
+    /// Wider moduli (the cross-scheme key under a CKKS prime).
+    Wide(Vec<u64>),
+}
+
 impl LweKeySwitchKey {
-    /// Generates a keyswitching key.
+    /// Generates a keyswitching key, stored as `u32` words when `q`
+    /// fits one and as `u64` otherwise (the same values either way).
     ///
     /// # Panics
     ///
-    /// Panics if `base_log > 32` or the key has `2^31` rows or more:
-    /// [`Self::switch`] sums the `digit * word` products, each below
-    /// `2^95`, unreduced in an `i128`.
+    /// Panics unless `base_log * levels <= bits(q)` — deeper digits
+    /// carry no precision, and [`gadget_decompose`]'s rounded
+    /// `x * B^levels / q` must fit a word — and unless
+    /// `bits(q) + base_log + ceil_log2(n_in * levels) <= 62`: each
+    /// `digit * word` product of [`Self::switch`] is below
+    /// `2^(bits(q) + base_log - 1)`, so the unreduced sum of all rows
+    /// plus the body stays inside an `i64`.
     pub fn generate<R: Rng + ?Sized>(
         q: &Modulus,
         from: &LweSecretKey,
@@ -227,17 +244,18 @@ impl LweKeySwitchKey {
     ) -> Self {
         let (n_in, n_out) = (from.dim(), to.dim());
         assert!(
-            base_log <= 32 && n_in * levels < 1 << 31,
-            "keyswitch gadget too wide for exact accumulation"
+            base_log as usize * levels <= q.bits() as usize,
+            "keyswitch gadget deeper than the modulus"
         );
-        // Allocated once at its final size; every row is written in place.
-        let mut rows = vec![0u64; n_in * levels * (n_out + 1)];
-        for (r, row) in rows.chunks_exact_mut(n_out + 1).enumerate() {
-            let g = gadget_element(q.value(), base_log, r % levels + 1);
-            let msg = q.mul(q.from_i64(from.s[r / levels]), g);
-            let (a, b) = row.split_at_mut(n_out);
-            b[0] = LweCiphertext::encrypt_into(q, to, msg, noise_std, rng, a);
-        }
+        assert!(
+            accumulation_bits(q, base_log, n_in * levels) <= 62,
+            "keyswitch gadget too wide for exact i64 accumulation"
+        );
+        let rows = if q.value() <= u64::from(u32::MAX) {
+            KeyWords::Narrow(encrypt_rows(q, from, to, base_log, levels, noise_std, rng))
+        } else {
+            KeyWords::Wide(encrypt_rows(q, from, to, base_log, levels, noise_std, rng))
+        };
         Self {
             rows,
             n_in,
@@ -250,7 +268,10 @@ impl LweKeySwitchKey {
     /// Measured heap bytes of the key matrix (allocated capacity) — one
     /// summand of [`crate::ServerKey::key_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<u64>()
+        match &self.rows {
+            KeyWords::Narrow(w) => w.capacity() * std::mem::size_of::<u32>(),
+            KeyWords::Wide(w) => w.capacity() * std::mem::size_of::<u64>(),
+        }
     }
 
     /// Switches `ct` to the output key:
@@ -258,9 +279,10 @@ impl LweKeySwitchKey {
     ///
     /// One backend dispatch gadget-decomposes the whole mask; every
     /// non-zero digit then costs one fused `acc -= d * row` pass over
-    /// its borrowed key row in exact wide integers ([`Self::generate`]
-    /// asserts the bound that keeps them inside `i128`), folded once to
-    /// canonical residues — bit-identical to [`Self::switch_strict`].
+    /// its borrowed key row, widened on load, in exact `i64`
+    /// ([`Self::generate`] asserts the bound that keeps the sum inside
+    /// one), folded once to canonical residues — bit-identical to
+    /// [`Self::switch_strict`].
     ///
     /// # Panics
     ///
@@ -272,40 +294,33 @@ impl LweKeySwitchKey {
         // `digits[j * n_in + i]`.
         let mut digits = vec![0i64; n_in * levels];
         kernel::active().decompose_batch(q.value(), base_log, levels, n_in, &ct.a, &mut digits);
-        let mut acc = vec![0i128; n_out + 1];
-        acc[n_out] = ct.b as i128;
-        for (r, row) in self.rows.chunks_exact(n_out + 1).enumerate() {
-            let d = digits[(r % levels) * n_in + r / levels] as i128;
-            if d == 0 {
-                continue;
-            }
-            for (x, &w) in acc.iter_mut().zip(row) {
-                *x -= w as i128 * d;
-            }
-        }
-        let qv = q.value() as i128;
+        let digit = |r: usize| digits[(r % levels) * n_in + r / levels];
+        let acc = match &self.rows {
+            KeyWords::Narrow(rows) => sub_digit_rows(ct.b, rows, n_out + 1, digit),
+            KeyWords::Wide(rows) => sub_digit_rows(ct.b, rows, n_out + 1, digit),
+        };
+        let qv = q.value() as i64;
         let mut out: Vec<u64> = acc.iter().map(|&x| x.rem_euclid(qv) as u64).collect();
         let b = out.pop().expect("n_out + 1 words");
         LweCiphertext { a: out, b }
     }
 
     /// Strict-oracle keyswitch: per mask coefficient the scalar
-    /// reference decomposition, per non-zero digit a cloned key row
-    /// scaled by `mul_small` and folded in by `add_assign` /
+    /// reference decomposition, per non-zero digit one key row widened
+    /// on its own, scaled by `mul_small` and folded in by `add_assign` /
     /// `sub_assign`. The reference [`Self::switch`] is asserted against,
     /// with the same panic.
     pub fn switch_strict(&self, q: &Modulus, ct: &LweCiphertext) -> LweCiphertext {
         assert_eq!(ct.dim(), self.n_in, "input LWE dimension must equal n_in");
-        let n = self.n_out;
-        let mut out = LweCiphertext::trivial(n, ct.b);
-        let mut rows = self.rows.chunks_exact(n + 1);
-        for &ai in &ct.a {
+        let mut out = LweCiphertext::trivial(self.n_out, ct.b);
+        for (i, &ai) in ct.a.iter().enumerate() {
             let digits = gadget_decompose(q.value(), ai, self.base_log, self.levels);
-            for (&d, row) in digits.iter().zip(rows.by_ref()) {
+            for (j, &d) in digits.iter().enumerate() {
                 if d == 0 {
                     continue;
                 }
-                let (a, b) = (row[..n].to_vec(), row[n]);
+                let mut a = self.widened_row(i * self.levels + j);
+                let b = a.pop().expect("n_out + 1 words");
                 let mut term = LweCiphertext { a, b };
                 term.mul_small(q, d.unsigned_abs());
                 if d < 0 {
@@ -317,6 +332,81 @@ impl LweKeySwitchKey {
         }
         out
     }
+
+    /// Row `r` of the key matrix (mask words, then the body) as `u64`.
+    fn widened_row(&self, r: usize) -> Vec<u64> {
+        let span = r * (self.n_out + 1)..(r + 1) * (self.n_out + 1);
+        match &self.rows {
+            KeyWords::Narrow(w) => w[span].iter().map(|&x| u64::from(x)).collect(),
+            KeyWords::Wide(w) => w[span].to_vec(),
+        }
+    }
+}
+
+/// `bits(q) + base_log + ceil_log2(rows)`, an exclusive bound on the
+/// bits of a body below `q` minus `rows` products `digit * word` with
+/// `|digit| <= 2^(base_log - 1)` and `word < q`: the products sum below
+/// `2^(bits(q) + base_log - 1 + ceil_log2(rows))`, the body adds less.
+fn accumulation_bits(q: &Modulus, base_log: u32, rows: usize) -> u32 {
+    q.bits() + base_log + rows.next_power_of_two().trailing_zeros()
+}
+
+/// Encrypts the `n_in * levels` gadget rows of a keyswitching key into
+/// one flat matrix of `W` words, allocated once at its final size; row
+/// by row the RNG draws are those of [`LweCiphertext::encrypt`].
+fn encrypt_rows<W, R>(
+    q: &Modulus,
+    from: &LweSecretKey,
+    to: &LweSecretKey,
+    base_log: u32,
+    levels: usize,
+    noise_std: f64,
+    rng: &mut R,
+) -> Vec<W>
+where
+    W: Copy + Default + TryFrom<u64>,
+    W::Error: std::fmt::Debug,
+    R: Rng + ?Sized,
+{
+    let width = to.dim() + 1;
+    let mut rows = vec![W::default(); from.dim() * levels * width];
+    // One row encrypted at full width, then narrowed into the matrix:
+    // measured faster to set up than encrypting into `W` words in place.
+    let mut ct = vec![0u64; width];
+    for (r, row) in rows.chunks_exact_mut(width).enumerate() {
+        let g = gadget_element(q.value(), base_log, r % levels + 1);
+        let msg = q.mul(q.from_i64(from.s[r / levels]), g);
+        let (a, b) = ct.split_at_mut(width - 1);
+        b[0] = LweCiphertext::encrypt_into(q, to, msg, noise_std, rng, a);
+        for (w, &x) in row.iter_mut().zip(&ct) {
+            *w = W::try_from(x).expect("a residue of q fits the key word");
+        }
+    }
+    rows
+}
+
+/// The accumulation of [`LweKeySwitchKey::switch`]: `body` minus
+/// `digit(r) * row_r` for every `width`-word row `r` of `rows` with a
+/// non-zero digit, unreduced — exact under the
+/// [`LweKeySwitchKey::generate`] bound. The body is the last word.
+fn sub_digit_rows<W: Copy + Into<u64>>(
+    body: u64,
+    rows: &[W],
+    width: usize,
+    digit: impl Fn(usize) -> i64,
+) -> Vec<i64> {
+    let mut acc = vec![0i64; width];
+    acc[width - 1] = body as i64;
+    for (r, row) in rows.chunks_exact(width).enumerate() {
+        let d = digit(r);
+        if d == 0 {
+            continue;
+        }
+        for (x, &w) in acc.iter_mut().zip(row) {
+            *x -= w.into() as i64 * d;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -326,9 +416,10 @@ mod tests {
     use rand::SeedableRng;
 
     impl LweKeySwitchKey {
-        /// The key matrix, for the key-layout tests in `bootstrap`.
-        pub(crate) fn words(&self) -> &Vec<u64> {
-            &self.rows
+        /// The key matrix in row order, widened to `u64`, for the
+        /// key-layout tests in `bootstrap`.
+        pub(crate) fn words(&self) -> impl Iterator<Item = u64> + '_ {
+            (0..self.n_in * self.levels).flat_map(|r| self.widened_row(r))
         }
     }
 
@@ -509,6 +600,68 @@ mod tests {
             let switched = ksk.switch(&q, &zero_mask);
             assert!(switched.a.iter().all(|&w| w == 0) && switched.b == q.value() / 4);
         }
+    }
+
+    /// The accumulation at exactly the bound `generate` asserts: every
+    /// word `q - 1` times the most negative digit over `2^20` rows, for
+    /// a 40-bit (wide) and a 32-bit (narrow) modulus, equals its `i128`
+    /// recomputation word for word — no `i64` wrap.
+    #[test]
+    fn accumulation_is_exact_at_the_asserted_bound() {
+        const ROWS: usize = 1 << 20;
+        let q40 = Modulus::new(fhe_math::prime::prime_near(1 << 40, 1024)).unwrap();
+        for (modulus, base_log) in [(q40, 2u32), (q32(), 10)] {
+            assert_eq!(accumulation_bits(&modulus, base_log, ROWS), 62);
+            let q = modulus.value();
+            let d = -(1i64 << (base_log - 1));
+            let want = |body: u64| body as i128 - ROWS as i128 * d as i128 * (q - 1) as i128;
+            let got = if q <= u64::from(u32::MAX) {
+                sub_digit_rows(q - 1, &vec![(q - 1) as u32; 2 * ROWS], 2, |_| d)
+            } else {
+                sub_digit_rows(q - 1, &vec![q - 1; 2 * ROWS], 2, |_| d)
+            };
+            let got: Vec<i128> = got.into_iter().map(i128::from).collect();
+            assert_eq!(got, [want(0), want(q - 1)], "q {q}");
+        }
+    }
+
+    /// The key words are as narrow as the modulus: the paper's Set-I
+    /// key at 4 bytes a word, the ~45-bit cross-scheme shape at 8, each
+    /// allocated at exactly its final size.
+    #[test]
+    fn heap_bytes_count_one_word_width_per_modulus() {
+        let mut rng = StdRng::seed_from_u64(87);
+        let shapes = switch_shapes();
+        for ((q, n_in, n_out, base_log, levels), word) in [(&shapes[0], 4), (&shapes[3], 8)] {
+            let sk_in = LweSecretKey::generate(*n_in, &mut rng);
+            let sk_out = LweSecretKey::generate(*n_out, &mut rng);
+            let ksk =
+                LweKeySwitchKey::generate(q, &sk_in, &sk_out, *base_log, *levels, 1e-9, &mut rng);
+            let words = n_in * levels * (n_out + 1);
+            assert_eq!(ksk.words().count(), words);
+            assert_eq!(ksk.heap_bytes(), words * word, "q {}", q.value());
+        }
+    }
+
+    /// A gadget deeper than the modulus used to pass `base_log <= 32`
+    /// and silently truncate the decomposition's `x * B^levels / q`.
+    #[test]
+    #[should_panic(expected = "keyswitch gadget deeper than the modulus")]
+    fn generate_rejects_a_gadget_deeper_than_the_modulus() {
+        let mut rng = StdRng::seed_from_u64(88);
+        let sk = LweSecretKey::generate(4, &mut rng);
+        LweKeySwitchKey::generate(&q32(), &sk, &sk, 16, 3, 1e-7, &mut rng);
+    }
+
+    /// One row past the `i64` bound: a 32-bit modulus, base `2^10` and
+    /// `2^20 + 1` rows need 63 bits.
+    #[test]
+    #[should_panic(expected = "keyswitch gadget too wide for exact i64 accumulation")]
+    fn generate_rejects_a_gadget_past_the_i64_bound() {
+        let mut rng = StdRng::seed_from_u64(89);
+        let from = LweSecretKey::from_coeffs(vec![0; (1 << 20) + 1]);
+        let to = LweSecretKey::generate(1, &mut rng);
+        LweKeySwitchKey::generate(&q32(), &from, &to, 10, 1, 1e-7, &mut rng);
     }
 
     fn short_key() -> (Modulus, LweKeySwitchKey) {
