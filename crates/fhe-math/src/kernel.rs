@@ -24,31 +24,36 @@
 //! [`LaneBackend`] (see below) and [`ThreadedBackend`] (batches sliced
 //! by whole rows across a [`crate::pool::WorkerPool`] — the per-tower
 //! RNS parallelism of FAB and TREBUCHET — each slice a [`LaneBackend`]
-//! batch). Rows never share output words and the BConv `u128`
-//! accumulation is order-independent, so results do not depend on how
-//! rows are scheduled.
+//! batch). Rows never share output words and every BConv output word
+//! is the canonical residue of an exact integer sum, so results do not
+//! depend on how rows are scheduled.
 //!
 //! # What `LaneBackend` is
 //!
 //! *Portable row passes* — the SPI unrolled into 8-word branchless
-//! lanes, the BConv matmul streamed row-wise over 8-word accumulator
-//! blocks, the gadget decomposition division-free with unit-stride
-//! digit passes; the MAC and the pointwise multiply are the reference
-//! bodies — plus *wide batch passes*: `forward_batch`, `inverse_batch`,
-//! `mul_acc_lazy_batch` and `mul_lazy_batch` pick, **per row**, the
-//! AVX-512 IFMA body of the private `wide` module when
+//! lanes, the BConv matmul streamed row-wise over 8-word `u128`
+//! accumulator blocks, the gadget decomposition division-free with
+//! unit-stride digit passes; the MAC and the pointwise multiply are the
+//! reference bodies — plus *wide batch passes*: `forward_batch`,
+//! `inverse_batch`, `mul_acc_lazy_batch`, `mul_lazy_batch`,
+//! `convert_approx_batch` and `convert_exact_batch` pick, **per row**,
+//! the AVX-512 IFMA body of the private `wide` module when
 //!
 //! * the CPU reports `avx512f` and `avx512ifma`,
 //! * the row's modulus is at most `2^50` (`4p <= 2^52`: the whole
 //!   butterfly window fits the 52-bit multiplier) and not a power of
-//!   two, and
+//!   two — for a BConv output row also above `2^5` (identity 3),
 //! * the row is a power-of-two `n >= 16` (NTT) or a multiple of 8 words
-//!   (MAC),
+//!   (MAC, BConv), and
+//! * for BConv, every multiplier operand is below `2^52`: the row's at
+//!   most 16 weights, and the batch's digit words and overshoot
+//!   multiples — the kernel does not see the source moduli, so it scans
+//!   those once per batch, in every build,
 //!
 //! and the portable passes otherwise. Nothing selects between them but
 //! the platform and the modulus: no backend name, environment value,
 //! feature or flag. The wide bodies return the reference's words, not
-//! merely congruent ones, by two identities:
+//! merely congruent ones, by three identities:
 //!
 //! 1. **The Shoup quotient is exact in 52-bit pieces.**
 //!    [`Modulus::mul_shoup_lazy`] returns `a*w - q*p` for
@@ -67,10 +72,31 @@
 //!    have the proof; `reduce_u128_lazy_is_canonical_over_the_mac_range`
 //!    pins it), so *any* exact `(x*y + acc) mod p` is the MAC's word —
 //!    the wide body uses a 52-bit Barrett step of its own.
+//! 3. **BConv splits each product at bit 52 and folds once.** For
+//!    `y, w < 2^52` the multiply-adds `lo += lo52(y*w)` and
+//!    `hi += hi52(y*w)` keep `hi * 2^52 + lo` equal to the exact sum `S`
+//!    of the row's products: at most 17, `alpha <= 16` plus the exact
+//!    variant's correction `v * ((b - A mod b) mod b)`, which is `-v * A`
+//!    modulo `b`. Each half adds below `2^52` per term, so
+//!    `lo, hi < 17 * 2^52` do not wrap; with `L = lo mod 2^52` and
+//!    `H = hi + floor(lo / 2^52) < 17 * 2^52`, `S = H * 2^52 + L`. For
+//!    `2^s < b < 2^(s+1)`, identity 2's quotient estimate on one word
+//!    `x` (`t = floor(x / 2^s)`, `q = floor(t * mu / 2^52)`) needs
+//!    `t < 2^52`, i.e. `x < 2^(s+52)`. The bound on `H` meets that
+//!    exactly when `2^s >= 17`, i.e. `s >= 5`: hence the lower bound
+//!    `2^5 < b`. The raw remainder `x - q*b` then lies in `[0, 3b)`, so
+//!    one subtraction takes `H` and `L` into `[0, 2b)`, and the
+//!    canonical multiply-add of identity 2 returns
+//!    `(H * (2^52 mod b) + L) mod b = S mod b`. The reference computes
+//!    the same canonical `S mod b` — `reduce_u128` is exact on its
+//!    `u128` sum (`reduce_u128_exact_over_bconv_accumulator_range`) and
+//!    `bj.sub(.., bj.mul(..))` of canonical words is canonical — so the
+//!    words are equal.
 //!
 //! The row-pass SPI keeps the portable bodies on every host
 //! (`lane_backend_is_bit_identical_to_scalar`);
-//! `wide_passes_match_the_reference_words` sweeps the batches over
+//! `wide_passes_match_the_reference_words` and
+//! `wide_bconv_matches_the_reference_words` sweep the batches over
 //! every prime width on both sides of the rule.
 //!
 //! The active backend is process-wide and is [`LaneBackend`]: the
@@ -92,12 +118,18 @@
 //! | [`KernelBackend::mul_acc_lazy`] / [`KernelBackend::mul_lazy`] | `[0, 2p)` | `[0, 2p)` (*) |
 //! | [`KernelBackend::add_lazy`] / [`KernelBackend::sub_lazy`] | `[0, 2p)` | `[0, 2p)` |
 //! | [`KernelBackend::permute`]          | any         | unchanged |
-//! | [`KernelBackend::convert_approx_batch`] / [`KernelBackend::convert_exact_batch`] | canonical `[0, a_i)` digits | canonical `[0, b_j)` |
+//! | [`KernelBackend::convert_approx_batch`] / [`KernelBackend::convert_exact_batch`] | canonical `[0, a_i)` digits | canonical `[0, b_j)` (**) |
 //! | [`KernelBackend::decompose_batch`]  | `[0, q)`    | digits in `[-B/2, B/2)` |
 //!
 //! (*) The contract callers may rely on. Both shipped bodies (the
 //! reference and the wide one) return the canonical `[0, p)` word —
 //! identity 2 above — which is what makes them bit-identical.
+//!
+//! (**) Every body, the wide one included (identity 3), returns the
+//! canonical `S mod b_j`. The wide body takes a batch only when its
+//! digit words are below `2^52` — a source modulus of at most 52 bits;
+//! with a wider one (the 60-bit `q_0` and `P` of
+//! `bootstrap_test_params`) the portable body runs.
 //!
 //! A `*_batch` entry keeps the windows of the row passes it loops.
 //! Callers (the [`crate::NttTable`] and [`crate::RnsPoly`] entry points)
@@ -493,10 +525,17 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// `n` canonical residues) and `weights` is the row-major
     /// `to_moduli.len() x alpha` matrix of `|A/a_i| mod b_j` constants
     /// (`alpha` inferred as `weights.len() / to_moduli.len()`). Output
-    /// rows are canonical. The `u128` row accumulation is
-    /// order-independent and overflow-free for `alpha <= 16`
-    /// (`BasisConverter::new` enforces the bound), so any row
-    /// scheduling is bit-identical.
+    /// rows are canonical: each word is `S mod b_j` for the exact
+    /// integer sum `S`, which the reference accumulates in a `u128`
+    /// (overflow-free for `alpha <= 16`, which `BasisConverter::new`
+    /// enforces) and the wide body of [`LaneBackend`] in split 52-bit
+    /// halves (module docs, identity 3). A word depends on its row
+    /// alone, so any body and any row scheduling is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, on a ragged buffer or unless `y` spans
+    /// `alpha` rows of `n` words.
     fn convert_approx_batch(
         &self,
         to_moduli: &[Modulus],
@@ -504,13 +543,9 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         y: &[u64],
         out: &mut [u64],
     ) {
-        let Some(n) = batch_rows(to_moduli.len(), out.len()) else {
+        let Some((n, alpha)) = bconv_geometry(to_moduli, weights, None, y, out.len()) else {
             return;
         };
-        let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
-            return;
-        };
-        debug_assert_eq!(y.len(), alpha * n, "digit buffer size mismatch");
         for ((orow, wrow), bj) in out
             .chunks_exact_mut(n)
             .zip(weights.chunks_exact(alpha))
@@ -527,6 +562,11 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// **once by the caller** (`BasisConverter::convert_exact`) so every
     /// backend subtracts the identical correction regardless of how
     /// output rows are scheduled.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::convert_approx_batch`], and unless `a_mod_b` holds one
+    /// word per output limb and `v` one per coefficient.
     fn convert_exact_batch(
         &self,
         to_moduli: &[Modulus],
@@ -536,15 +576,10 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         y: &[u64],
         out: &mut [u64],
     ) {
-        let Some(n) = batch_rows(to_moduli.len(), out.len()) else {
+        let exact = Some((a_mod_b, v));
+        let Some((n, alpha)) = bconv_geometry(to_moduli, weights, exact, y, out.len()) else {
             return;
         };
-        let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
-            return;
-        };
-        debug_assert_eq!(y.len(), alpha * n, "digit buffer size mismatch");
-        debug_assert_eq!(v.len(), n, "one overshoot multiple per coefficient");
-        debug_assert_eq!(a_mod_b.len(), to_moduli.len(), "one A mod b_j per limb");
         for (((orow, wrow), bj), &am) in out
             .chunks_exact_mut(n)
             .zip(weights.chunks_exact(alpha))
@@ -607,6 +642,35 @@ fn assert_operand_lens(out_len: usize, operands: &[usize]) {
     for &len in operands {
         assert_eq!(len, out_len, "batch operand length mismatch");
     }
+}
+
+/// Row geometry of a BConv batch, `Some((n, alpha))` when there is
+/// work: `out_len` words in `to_moduli.len()` rows of `n`, the weights
+/// in as many rows of `alpha`. `exact` is the exact variant's
+/// `(a_mod_b, v)`.
+///
+/// # Panics
+///
+/// Panics, in every build, unless `y` spans `alpha` rows of `n` words
+/// and `exact` holds one `A mod b_j` per output limb and one overshoot
+/// multiple per coefficient: on a short operand the reference's `zip`
+/// would leave trailing rows or words unwritten, where a row-blocked
+/// body would index past the end.
+fn bconv_geometry(
+    to_moduli: &[Modulus],
+    weights: &[u64],
+    exact: Option<(&[u64], &[u64])>,
+    y: &[u64],
+    out_len: usize,
+) -> Option<(usize, usize)> {
+    let n = batch_rows(to_moduli.len(), out_len)?;
+    let alpha = batch_rows(to_moduli.len(), weights.len())?;
+    assert_eq!(y.len(), alpha * n, "digit buffer size mismatch");
+    if let Some((a_mod_b, v)) = exact {
+        assert_eq!(a_mod_b.len(), to_moduli.len(), "one A mod b_j per limb");
+        assert_eq!(v.len(), n, "one overshoot multiple per coefficient");
+    }
+    Some((n, alpha))
 }
 
 /// Branchless conditional subtraction: `x - bound` if `x >= bound`,
@@ -806,38 +870,55 @@ impl LaneBackend {
         }
     }
 
-    /// Both BConv batches: [`Self::bconv_row`] per output limb `j`, then
-    /// `finish_row(j, b_j, row)` (the exact variant's overshoot
-    /// correction). Skipping the per-term reduce rests the `u128` sum
-    /// bound on every digit word being a residue of some workspace
-    /// modulus — `BasisConverter::premultiply`'s canonical output always
-    /// is; debug-asserted here.
+    /// Both BConv batches, one output limb `j` at a time: the wide body
+    /// where `wide::takes_bconv` holds and every digit word is below
+    /// `2^52` (scanned once per batch, when the first row could take
+    /// it), else [`Self::bconv_row`] and, for the exact variant
+    /// (`exact = Some((a_mod_b, v))`), the overshoot correction. Skipping
+    /// the per-term reduce rests the `u128` sum bound on every digit
+    /// word being a residue of some workspace modulus —
+    /// `BasisConverter::premultiply`'s canonical output always is;
+    /// debug-asserted here.
     fn bconv_rows(
         to_moduli: &[Modulus],
         weights: &[u64],
+        exact: Option<(&[u64], &[u64])>,
         y: &[u64],
         out: &mut [u64],
-        finish_row: impl Fn(usize, &Modulus, &mut [u64]),
     ) {
-        let Some(n) = batch_rows(to_moduli.len(), out.len()) else {
+        let Some((n, alpha)) = bconv_geometry(to_moduli, weights, exact, y, out.len()) else {
             return;
         };
-        let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
-            return;
-        };
-        debug_assert_eq!(y.len(), alpha * n, "digit buffer size mismatch");
         debug_assert!(
             y.iter().all(|&x| x < Modulus::MAX),
             "BConv digit word outside [0, 2^62)"
         );
+        #[cfg(target_arch = "x86_64")]
+        let digits = std::cell::OnceCell::new();
         for (j, ((orow, wrow), bj)) in out
             .chunks_exact_mut(n)
             .zip(weights.chunks_exact(alpha))
             .zip(to_moduli)
             .enumerate()
         {
+            #[cfg(target_arch = "x86_64")]
+            if wide::takes_bconv(bj, n, wrow) {
+                let v = exact.map_or(&[][..], |(_, v)| v);
+                if let Some(d) = digits.get_or_init(|| wide::Digits::new(y, v)) {
+                    // SAFETY: `takes_bconv` holds only on a CPU that
+                    // reports avx512f and avx512ifma, the features
+                    // `wide::bconv` is compiled for; the pass asserts
+                    // its own shapes, and `Digits` bounds the words.
+                    unsafe { wide::bconv(bj, wrow, exact.map(|(a, _)| a[j]), d, orow) };
+                    continue;
+                }
+            }
             Self::bconv_row(bj, wrow, y, n, orow);
-            finish_row(j, bj, orow);
+            if let Some((a_mod_b, v)) = exact {
+                for (o, &vc) in orow.iter_mut().zip(v) {
+                    *o = bj.sub(*o, bj.mul(bj.reduce(vc), a_mod_b[j]));
+                }
+            }
         }
     }
 
@@ -1031,9 +1112,10 @@ impl KernelBackend for LaneBackend {
         }
     }
 
-    // The four batches below pick a body per row: the wide pass of
-    // `wide.rs` where `wide::takes_*` holds, else what the provided
-    // batch runs (this backend's row passes; for the MAC the reference).
+    // The four batches below, and the two BConv batches through
+    // `bconv_rows`, pick a body per row: the wide pass of `wide.rs`
+    // where `wide::takes_*` holds, else what the provided batch runs
+    // (this backend's row passes; for the MAC the reference).
 
     fn forward_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
         let Some(n) = batch_rows(tables.len(), flat.len()) else {
@@ -1122,7 +1204,7 @@ impl KernelBackend for LaneBackend {
         y: &[u64],
         out: &mut [u64],
     ) {
-        Self::bconv_rows(to_moduli, weights, y, out, |_, _, _| {});
+        Self::bconv_rows(to_moduli, weights, None, y, out);
     }
 
     fn convert_exact_batch(
@@ -1134,17 +1216,7 @@ impl KernelBackend for LaneBackend {
         y: &[u64],
         out: &mut [u64],
     ) {
-        debug_assert_eq!(a_mod_b.len(), to_moduli.len(), "one A mod b_j per limb");
-        Self::bconv_rows(to_moduli, weights, y, out, |j, bj, orow| {
-            debug_assert_eq!(
-                v.len(),
-                orow.len(),
-                "one overshoot multiple per coefficient"
-            );
-            for (o, &vc) in orow.iter_mut().zip(v) {
-                *o = bj.sub(*o, bj.mul(bj.reduce(vc), a_mod_b[j]));
-            }
-        });
+        Self::bconv_rows(to_moduli, weights, Some((a_mod_b, v)), y, out);
     }
 
     /// Division-free when `base_log >= 1` and `bits(q) + beta <= 63`
@@ -1905,6 +1977,121 @@ mod tests {
         assert!(threaded.pool().parallel_jobs_dispatched() > 0);
     }
 
+    /// Both BConv batches of `backend` against the scalar reference, word
+    /// for word, with the overshoot multiples `v` and the `A mod b_j`
+    /// words drawn here.
+    fn assert_bconv_batches_match(
+        backend: &dyn KernelBackend,
+        moduli: &[Modulus],
+        weights: &[u64],
+        y: &[u64],
+        rng: &mut StdRng,
+    ) {
+        let alpha = weights.len() / moduli.len();
+        let n = y.len() / alpha;
+        let mut v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=alpha as u64)).collect();
+        v[..2].copy_from_slice(&[0, alpha as u64]);
+        let a_mod: Vec<u64> = moduli.iter().map(|m| rng.gen_range(0..m.value())).collect();
+        let what = |op: &str| format!("{op} n={n} alpha={alpha} moduli={moduli:?}");
+        let (mut want, mut got) = (vec![0; moduli.len() * n], vec![0; moduli.len() * n]);
+        SCALAR.convert_approx_batch(moduli, weights, y, &mut want);
+        backend.convert_approx_batch(moduli, weights, y, &mut got);
+        assert_eq!(got, want, "{}", what("convert_approx_batch"));
+        SCALAR.convert_exact_batch(moduli, weights, &a_mod, &v, y, &mut want);
+        backend.convert_exact_batch(moduli, weights, &a_mod, &v, y, &mut got);
+        assert_eq!(got, want, "{}", what("convert_exact_batch"));
+    }
+
+    /// The wide BConv body of `LaneBackend` returns the reference's
+    /// words for every output width it takes, every source width up to
+    /// `alpha = 16`, digit words at the top of their range and weights
+    /// at the top of theirs (`b_j - 1`, and `2^52 - 1` for the largest
+    /// fold); and rows it must not take — a prime above `2^50` or below
+    /// `2^5`, a digit word of `2^52` — stay on the portable body.
+    #[test]
+    fn wide_bconv_matches_the_reference_words() {
+        let mut rng = StdRng::seed_from_u64(0xBC0);
+        let modulus = |p: u64| Modulus::new(p).unwrap();
+        // The smallest NTT prime above 2^50 (for every n <= 4096).
+        let above = (0..)
+            .map(|i| (1u64 << 50) + 1 + 8192 * i)
+            .find(|&c| crate::prime::is_prime(c))
+            .unwrap();
+        #[cfg(target_arch = "x86_64")]
+        let live = {
+            assert!(!wide::takes_bconv(&modulus(above), 64, &[1]));
+            assert!(!wide::takes_bconv(&modulus(31), 64, &[1]));
+            wide::takes_bconv(&modulus(37), 64, &[1])
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let live = false;
+        println!("wide BConv live on this host: {live}");
+
+        let n = 64;
+        let mut outputs: Vec<Vec<Modulus>> = (20..=50u32)
+            .map(|bits| ntt_primes(bits, 4096, 2).into_iter().map(modulus).collect())
+            .collect();
+        outputs.push(vec![modulus(above), modulus(37), modulus(31)]);
+        for alpha in [1usize, 2, 3, 8, 16] {
+            // Source primes just below 2^52: their `a_i - 1` are the
+            // widest canonical digits the wide body takes.
+            let sources = ntt_primes(52, 4096, alpha);
+            let rows = |word: &mut dyn FnMut(usize) -> u64| -> Vec<u64> {
+                (0..alpha * n).map(|k| word(k / n)).collect()
+            };
+            let mut wide_word = rows(&mut |_| rng.gen_range(0..1 << 52));
+            wide_word[n / 2] = 1 << 52;
+            let digit_sets = [
+                rows(&mut |_| rng.gen_range(0..1 << 52)),
+                rows(&mut |i| sources[i] - 1),
+                rows(&mut |_| (1 << 52) - 1),
+                wide_word,
+            ];
+            for moduli in &outputs {
+                let random: Vec<u64> = moduli
+                    .iter()
+                    .flat_map(|m| {
+                        (0..alpha)
+                            .map(|_| rng.gen_range(0..m.value()))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                let near_top: Vec<u64> = moduli
+                    .iter()
+                    .flat_map(|m| (0..alpha as u64).map(|i| m.value() - 1 - i % 3))
+                    .collect();
+                let widest = vec![(1 << 52) - 1; moduli.len() * alpha];
+                for y in &digit_sets {
+                    for weights in [&random, &near_top, &widest] {
+                        assert_bconv_batches_match(&LANES_BACKEND, moduli, weights, y, &mut rng);
+                    }
+                }
+            }
+        }
+
+        // One batch whose rows take different bodies, sequentially and
+        // fanned out over two lanes.
+        let (n, alpha) = (1024, 3);
+        let mixed: Vec<Modulus> = [ntt_primes(50, n, 1)[0], above, ntt_primes(32, n, 1)[0]]
+            .into_iter()
+            .chain([ntt_primes(61, n, 1)[0], 31])
+            .map(modulus)
+            .collect();
+        let weights: Vec<u64> = mixed
+            .iter()
+            .flat_map(|m| {
+                (0..alpha)
+                    .map(|_| rng.gen_range(0..m.value()))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let y: Vec<u64> = (0..alpha * n).map(|_| rng.gen_range(0..1 << 52)).collect();
+        assert_bconv_batches_match(&LANES_BACKEND, &mixed, &weights, &y, &mut rng);
+        let threaded = ThreadedBackend::with_config(2, 64);
+        assert_bconv_batches_match(&threaded, &mixed, &weights, &y, &mut rng);
+        assert!(threaded.pool().parallel_jobs_dispatched() > 0);
+    }
+
     /// The lanes decomposition equals the reference on every geometry —
     /// inside the one-word window (division-free pass) and outside it
     /// (fallback) — on the words where the rounded quotient or a digit
@@ -2093,5 +2280,63 @@ mod tests {
             }
         }
         assert_eq!(threaded.pool().parallel_jobs_dispatched(), 0);
+    }
+
+    /// An exact BConv batch with one operand a word short: `y` the digit
+    /// buffer, `v` the overshoot multiples, `a` the `A mod b_j` words.
+    fn short_bconv_operand(backend: &dyn KernelBackend, short: char) {
+        let (n, alpha) = (64usize, 2usize);
+        let moduli: Vec<Modulus> = ntt_primes(45, n, 3)
+            .iter()
+            .map(|&p| Modulus::new(p).unwrap())
+            .collect();
+        let cut = |words: Vec<u64>, operand: char| {
+            let keep = words.len() - usize::from(operand == short);
+            words[..keep].to_vec()
+        };
+        let (y, v, a_mod) = (
+            cut(vec![1; alpha * n], 'y'),
+            cut(vec![1; n], 'v'),
+            cut(vec![1; moduli.len()], 'a'),
+        );
+        let weights = vec![1u64; moduli.len() * alpha];
+        let mut out = vec![0u64; moduli.len() * n];
+        backend.convert_exact_batch(&moduli, &weights, &a_mod, &v, &y, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "digit buffer size mismatch")]
+    fn short_bconv_digits_panic_on_scalar() {
+        short_bconv_operand(&SCALAR, 'y');
+    }
+
+    #[test]
+    #[should_panic(expected = "digit buffer size mismatch")]
+    fn short_bconv_digits_panic_on_lanes() {
+        short_bconv_operand(&LANES_BACKEND, 'y');
+    }
+
+    #[test]
+    #[should_panic(expected = "one overshoot multiple per coefficient")]
+    fn short_bconv_multiples_panic_on_scalar() {
+        short_bconv_operand(&SCALAR, 'v');
+    }
+
+    #[test]
+    #[should_panic(expected = "one overshoot multiple per coefficient")]
+    fn short_bconv_multiples_panic_on_lanes() {
+        short_bconv_operand(&LANES_BACKEND, 'v');
+    }
+
+    #[test]
+    #[should_panic(expected = "one A mod b_j per limb")]
+    fn short_bconv_a_mod_b_panics_on_scalar() {
+        short_bconv_operand(&SCALAR, 'a');
+    }
+
+    #[test]
+    #[should_panic(expected = "one A mod b_j per limb")]
+    fn short_bconv_a_mod_b_panics_on_lanes() {
+        short_bconv_operand(&LANES_BACKEND, 'a');
     }
 }

@@ -1,15 +1,17 @@
-//! The wide bodies of the two kernels that are the machine: NTT
-//! butterflies and the modular multiply-accumulate on the 8 x 52-bit
-//! multiply-add unit of AVX-512 IFMA.
+//! The wide bodies of the kernels that are the machine: NTT butterflies
+//! and the modular multiply-accumulate — the key inner product's and
+//! the base conversion's — on the 8 x 52-bit multiply-add unit of
+//! AVX-512 IFMA.
 //!
 //! [`crate::kernel::LaneBackend`] picks these passes per row, from what
-//! it can observe ([`takes_ntt`] / [`takes_mac`]: the CPU reports both
-//! features, `p <= 2^50`, the row has a supported length), and runs its
-//! portable row passes otherwise. Every pass returns, word for word,
-//! what the scalar reference returns on the same `[0, 2p)` input; the
-//! [`crate::kernel`] module docs carry the two identities that rests on,
-//! and `kernel::tests::wide_passes_match_the_reference_words` sweeps
-//! them.
+//! it can observe ([`takes_ntt`] / [`takes_mac`] / [`takes_bconv`]: the
+//! CPU reports both features, the modulus is at most `2^50`, the row has
+//! a supported length; for BConv also the operand words, [`Digits`]),
+//! and runs its portable row passes otherwise. Every pass returns, word
+//! for word, what the scalar reference returns on the same input; the
+//! [`crate::kernel`] module docs carry the three identities that rests
+//! on, and `kernel::tests::wide_passes_match_the_reference_words` /
+//! `wide_bconv_matches_the_reference_words` sweep them.
 //!
 //! Every operand of a 52-bit multiply must be below `2^52`. With
 //! `4p <= 2^52` the whole `[0, 4p)` butterfly window is, and a remainder
@@ -19,7 +21,7 @@
 //! feature. Its `unsafe` is the two memory accesses at the top
 //! ([`load`], [`store`]), each over a borrowed array; the passes
 //! themselves are safe code over array chunks, callable only where both
-//! features are enabled — the four call sites in `kernel.rs` are
+//! features are enabled — the six call sites in `kernel.rs` are
 //! `unsafe` for that reason alone.
 
 use std::arch::x86_64::*;
@@ -30,6 +32,17 @@ use crate::ntt::NttTable;
 
 /// Largest modulus the wide passes take (`4p <= 2^52`).
 const MAX_P: u64 = 1 << 50;
+
+/// One past the largest 52-bit multiplier operand.
+const WORD: u64 = 1 << 52;
+
+/// Most source rows [`bconv`] accumulates — `BasisConverter::new`'s
+/// bound; the exact variant's correction makes one term more.
+const MAX_ALPHA: usize = 16;
+
+/// [`bconv`]'s output modulus exceeds this: `2^5 < b` keeps the high
+/// accumulator below `2^(s + 52)` (identity 3 of the kernel docs).
+const MIN_BCONV_P: u64 = 1 << 5;
 
 /// Whether the modulus suits the 52-bit multiplier: `4p <= 2^52`, and
 /// not a power of two (so `2^(b-1) < p` and the Barrett constant of
@@ -54,6 +67,22 @@ pub(crate) fn takes_ntt(m: &Modulus, n: usize) -> bool {
 /// CPU.
 pub(crate) fn takes_mac(m: &Modulus, n: usize) -> bool {
     fits(m) && n.is_multiple_of(8) && available()
+}
+
+/// Whether [`bconv`] serves an `n`-word output row under `m` with the
+/// weights `w` on this CPU; the digit words are [`Digits`]' to check.
+pub(crate) fn takes_bconv(m: &Modulus, n: usize, w: &[u64]) -> bool {
+    bconv_fits(m, n, w) && available()
+}
+
+/// `2^5 < b <= 2^50` not a power of two, rows of 8-word chunks, and at
+/// most 16 weights, each a 52-bit operand.
+fn bconv_fits(m: &Modulus, n: usize, w: &[u64]) -> bool {
+    fits(m)
+        && m.value() > MIN_BCONV_P
+        && n.is_multiple_of(8)
+        && w.len() <= MAX_ALPHA
+        && w.iter().all(|&x| x < WORD)
 }
 
 /// The `K <= 8` words of `c` in the low lanes, zero above.
@@ -416,6 +445,22 @@ impl Barrett {
         let r = _mm512_and_si512(_mm512_madd52lo_epu64(lo, q, k.neg_p), k.mask52);
         csub(csub(r, k.p), k.p)
     }
+
+    /// A `[0, 2p)` representative of `x < 2^(s + 52)`: the quotient
+    /// estimate of [`Self::mul_add`] with `T = x`, so
+    /// `floor(x / 2^s) < 2^52`, the raw remainder lies in `[0, 3p)` and
+    /// one subtraction is left.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn reduce(&self, x: __m512i) -> __m512i {
+        let k = &self.k;
+        let top = _mm512_srlv_epi64(x, self.s);
+        let q = _mm512_madd52hi_epu64(_mm512_setzero_si512(), top, self.mu);
+        csub(
+            _mm512_and_si512(_mm512_madd52lo_epu64(x, q, k.neg_p), k.mask52),
+            k.p,
+        )
+    }
 }
 
 /// `[0, 2p)` rows of equal length, a multiple of 8, under a modulus the
@@ -464,5 +509,80 @@ pub(crate) fn mul(m: &Modulus, a: &mut [u64], b: &[u64]) {
         .zip(b.as_chunks::<8>().0)
     {
         store(x, k.mul_add(load(x), load(b), _mm512_setzero_si512()));
+    }
+}
+
+/// The digit rows of one BConv batch and, for the exact variant, its
+/// overshoot multiples (empty for the approximate one), every word
+/// checked below `2^52` when the batch builds it. The kernel does not
+/// see the source moduli, so nothing else bounds them.
+pub(crate) struct Digits<'a> {
+    y: &'a [u64],
+    v: &'a [u64],
+}
+
+impl<'a> Digits<'a> {
+    /// `None` when a word of `y` or `v` is `2^52` or wider. One
+    /// branch-free scan, `alpha * n` words against the
+    /// `rows * alpha * n` products the batch multiplies.
+    pub(crate) fn new(y: &'a [u64], v: &'a [u64]) -> Option<Self> {
+        (y.iter().chain(v).fold(0, |or, &x| or | x) < WORD).then_some(Self { y, v })
+    }
+}
+
+/// `out[c] = (sum_i y_i[c] * w[i] + v[c] * (-a mod b)) mod b`,
+/// canonical, the last term present when `a_mod_b = Some(a)`: one output
+/// row of `KernelBackend::convert_approx_batch` /
+/// `convert_exact_batch`, with the words of the reference's
+/// `reduce_u128` / `bj.sub(.., bj.mul(..))` (identity 3 of the kernel
+/// docs). Per 8-word block every term adds the low and the high 52-bit
+/// half of its product into two accumulators; each word is folded once.
+///
+/// # Panics
+///
+/// Panics unless `2^5 < b <= 2^50` is not a power of two, `out.len()`
+/// is a multiple of 8, `w` holds at most 16 words below `2^52`, `d`
+/// spans `w.len()` rows of `out.len()` words and, with `a_mod_b`, one
+/// overshoot multiple per word.
+#[target_feature(enable = "avx512f,avx512ifma")]
+pub(crate) fn bconv(m: &Modulus, w: &[u64], a_mod_b: Option<u64>, d: &Digits, out: &mut [u64]) {
+    let n = out.len();
+    assert!(
+        bconv_fits(m, n, w),
+        "wide BConv needs 2^5 < b <= 2^50, 8-word chunks and <= 16 52-bit weights"
+    );
+    assert_eq!(
+        d.y.len(),
+        w.len() * n,
+        "digit rows must span the output row"
+    );
+    let k = Barrett::new(m);
+    // Term `t` reads the 8-word chunks `rows[t]` under the weight `ws[t]`.
+    let mut rows: [&[[u64; 8]]; MAX_ALPHA + 1] = [&[]; MAX_ALPHA + 1];
+    let mut ws = [_mm512_setzero_si512(); MAX_ALPHA + 1];
+    let y = d.y.as_chunks::<8>().0;
+    for (t, &wt) in w.iter().enumerate() {
+        rows[t] = &y[t * n / 8..][..n / 8];
+        ws[t] = _mm512_set1_epi64(wt as i64);
+    }
+    let mut terms = w.len();
+    if let Some(a) = a_mod_b {
+        assert_eq!(d.v.len(), n, "one overshoot multiple per word");
+        rows[terms] = d.v.as_chunks::<8>().0;
+        ws[terms] = _mm512_set1_epi64(m.neg(m.reduce(a)) as i64);
+        terms += 1;
+    }
+    let two52 = _mm512_set1_epi64(m.reduce(WORD) as i64);
+    let mask52 = k.k.mask52;
+    for (c, o) in out.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+        let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        for (row, &wt) in rows[..terms].iter().zip(&ws[..terms]) {
+            let x = load(&row[c]);
+            lo = _mm512_madd52lo_epu64(lo, x, wt);
+            hi = _mm512_madd52hi_epu64(hi, x, wt);
+        }
+        let h = _mm512_add_epi64(hi, _mm512_srli_epi64::<52>(lo));
+        let l = _mm512_and_si512(lo, mask52);
+        store(o, k.mul_add(k.reduce(h), two52, k.reduce(l)));
     }
 }
