@@ -32,28 +32,33 @@
 //!
 //! *Portable row passes* — the SPI unrolled into 8-word branchless
 //! lanes, the BConv matmul streamed row-wise over 8-word `u128`
-//! accumulator blocks, the gadget decomposition division-free with
+//! accumulator blocks, a division-free gadget decomposition with
 //! unit-stride digit passes; the MAC and the pointwise multiply are the
 //! reference bodies — plus *wide batch passes*: `forward_batch`,
 //! `inverse_batch`, `mul_acc_lazy_batch`, `mul_lazy_batch`,
-//! `convert_approx_batch` and `convert_exact_batch` pick, **per row**,
-//! the AVX-512 IFMA body of the private `wide` module when
+//! `convert_approx_batch`, `convert_exact_batch` and `decompose_batch`
+//! pick, **per row**, the AVX-512 IFMA body of the private `wide`
+//! module when
 //!
 //! * the CPU reports `avx512f` and `avx512ifma`,
 //! * the row's modulus is at most `2^50` (`4p <= 2^52`: the whole
 //!   butterfly window fits the 52-bit multiplier) and not a power of
-//!   two — for a BConv output row also above `2^5` (identity 3),
+//!   two — for a BConv output row also above `2^5` (identity 3); for
+//!   the decomposition `q < 2^32` with a gadget of depth
+//!   `beta = base_log * levels` in `1 <= base_log`, `beta <= 31`,
+//!   `2^beta < q` (identity 4),
 //! * the row is a power-of-two `n >= 16` (NTT) or a multiple of 8 words
-//!   (MAC, BConv), and
+//!   (MAC, BConv, decomposition), and
 //! * for BConv, every multiplier operand is below `2^52`: the row's at
 //!   most 16 weights, and the batch's digit words and overshoot
 //!   multiples — the kernel does not see the source moduli, so it scans
-//!   those once per batch, in every build,
+//!   those once per batch, in every build; for the decomposition, every
+//!   word of the row is below `q`, scanned per row,
 //!
 //! and the portable passes otherwise. Nothing selects between them but
 //! the platform and the modulus: no backend name, environment value,
 //! feature or flag. The wide bodies return the reference's words, not
-//! merely congruent ones, by three identities:
+//! merely congruent ones, by four identities:
 //!
 //! 1. **The Shoup quotient is exact in 52-bit pieces.**
 //!    [`Modulus::mul_shoup_lazy`] returns `a*w - q*p` for
@@ -92,11 +97,26 @@
 //!    `u128` sum (`reduce_u128_exact_over_bconv_accumulator_range`) and
 //!    `bj.sub(.., bj.mul(..))` of canonical words is canonical — so the
 //!    words are equal.
+//! 4. **The decomposition's rounded quotient is one high multiply and
+//!    one correction.** The reference digits are peeled from
+//!    `y = floor(t / q)`, `t = x * 2^beta + floor(q/2)`. For `x < q < 2^32`
+//!    and `2^beta < q`, `c = floor(2^(52+beta) / q)` is below `2^52`, and
+//!    `est = floor(x * c / 2^52)` is one 52-bit high multiply-add. From
+//!    `c <= 2^(52+beta) / q`, `est <= x * 2^beta / q <= t / q`; from
+//!    `c > 2^(52+beta) / q - 1`,
+//!    `est > x * 2^beta / q - x / 2^52 - 1 >= t / q - 1/2 - x / 2^52 - 1`.
+//!    So `est <= t/q < est + 3/2 + x/2^52 < est + 2`, and
+//!    `y - est` is `0` or `1`: `1` exactly when `r = t - est * q >= q`.
+//!    With `est < 2^beta <= 2^31` and `q < 2^32`, `est * q` is one
+//!    32 x 32-bit multiply, and `t < 2^63` and `r < 2q` are exact in a
+//!    64-bit lane. The digits are then the reference's own integer
+//!    steps on the same `y`.
 //!
 //! The row-pass SPI keeps the portable bodies on every host
 //! (`lane_backend_is_bit_identical_to_scalar`);
-//! `wide_passes_match_the_reference_words` and
-//! `wide_bconv_matches_the_reference_words` sweep the batches over
+//! `wide_passes_match_the_reference_words`,
+//! `wide_bconv_matches_the_reference_words` and
+//! `wide_decompose_matches_the_reference_words` sweep the batches over
 //! every prime width on both sides of the rule.
 //!
 //! The active backend is process-wide and is [`LaneBackend`]: the
@@ -603,6 +623,12 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// implementations slice across input rows, never across levels;
     /// results are bit-identical to the sequential reference either
     /// way.
+    ///
+    /// Precondition: the gadget is no deeper than the modulus,
+    /// `base_log * levels <= bits(q)`, as `fhe-tfhe`'s
+    /// `Ggsw::encrypt_scalar` and `LweKeySwitchKey::generate` assert.
+    /// Deeper digits carry no precision, and past `beta = 64` the
+    /// reference truncates its rounded quotient to a word.
     fn decompose_batch(
         &self,
         q: u64,
@@ -1219,8 +1245,11 @@ impl KernelBackend for LaneBackend {
         Self::bconv_rows(to_moduli, weights, Some((a_mod_b, v)), y, out);
     }
 
-    /// Division-free when `base_log >= 1` and `bits(q) + beta <= 63`
-    /// for `beta = base_log * levels` (every TFHE geometry here), so
+    /// The wide body where `wide::takes_decompose` holds and the row's
+    /// words are below `q` (identity 4 of the module docs; every TFHE
+    /// geometry of the paper's sets, bootstrapping and keyswitch).
+    /// Otherwise the portable pass, division-free when `base_log >= 1`
+    /// and `bits(q) + beta <= 63` for `beta = base_log * levels`, so
     /// that `num = x * 2^beta + ⌊q/2⌋ < 2^64` for every `x < q`.
     ///
     /// The rounded quotient `y = ⌊num / q⌋` is `mulhi(num, q_inv)`,
@@ -1252,8 +1281,18 @@ impl KernelBackend for LaneBackend {
         assert_eq!(src.len() % n, 0, "src not a multiple of the row length");
         assert_eq!(out.len(), src.len() * levels, "digit buffer size mismatch");
         let q_inv = u64::MAX / q;
+        #[cfg(target_arch = "x86_64")]
+        let wide = wide::takes_decompose(q, base_log, levels, n);
         crate::scratch::with_scratch(n, |rest| {
             for (srow, orows) in src.chunks_exact(n).zip(out.chunks_exact_mut(levels * n)) {
+                // SAFETY: `takes_decompose` holds only on a CPU that
+                // reports avx512f and avx512ifma, the features
+                // `wide::decompose` is compiled for; the pass asserts
+                // its own shapes and declines a row with a word >= q.
+                #[cfg(target_arch = "x86_64")]
+                if wide && unsafe { wide::decompose(q, base_log, levels, srow, orows) } {
+                    continue;
+                }
                 if srow.iter().all(|&x| x < q) {
                     Self::decompose_row(q, q_inv, base_log, levels, srow, orows, rest);
                 } else {
@@ -2092,6 +2131,113 @@ mod tests {
         assert!(threaded.pool().parallel_jobs_dispatched() > 0);
     }
 
+    /// The wide decomposition of `LaneBackend` returns the reference's
+    /// digits for every modulus width it takes — the largest primes
+    /// below `2^20`, `2^31` and `2^32` — at every gadget up to
+    /// `beta = 31` and across the `2^beta < q` edge, on the quotient
+    /// steps; moduli it must not take (the first prime above `2^32`, a
+    /// 40-bit one) stay on the portable pass, and so does `n = 7`.
+    #[test]
+    fn wide_decompose_matches_the_reference_words() {
+        let mut rng = StdRng::seed_from_u64(0xDEC4);
+        let prime = |from: u64, step: i64| {
+            (0..)
+                .map(|i| from.wrapping_add_signed(step * i))
+                .find(|&c| crate::prime::is_prime(c))
+                .unwrap()
+        };
+        let wide_q = [(1u64 << 20) - 1, (1 << 31) - 1, (1 << 32) - 1].map(|c| prime(c, -1));
+        let narrow_q = [prime((1 << 32) + 1, 1), prime((1 << 40) - 1, -1)];
+        #[cfg(target_arch = "x86_64")]
+        let live = {
+            for q in narrow_q {
+                assert!(!wide::takes_decompose(q, 8, 2, 1024), "q={q}");
+            }
+            assert!(!wide::takes_decompose(wide_q[1], 1, 31, 1024), "2^31 > q");
+            assert!(!wide::takes_decompose(wide_q[2], 8, 2, 1020), "n % 8 != 0");
+            wide::takes_decompose(wide_q[2], 1, 31, 1024)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let live = false;
+        println!("wide decompose live on this host: {live}");
+
+        let check =
+            |b: &dyn KernelBackend, q: u64, base_log: u32, levels: usize, n, src: &[u64]| {
+                let mut want = vec![0i64; src.len() * levels];
+                let mut got = vec![i64::MIN; src.len() * levels];
+                gadget_decompose_rows(q, base_log, levels, n, src, &mut want);
+                b.decompose_batch(q, base_log, levels, n, src, &mut got);
+                assert_eq!(got, want, "q={q} base_log={base_log} levels={levels} n={n}");
+            };
+        for q in wide_q.into_iter().chain(narrow_q) {
+            for base_log in 1..=16u32 {
+                for levels in 1..=31 / base_log as usize {
+                    let beta = base_log * levels as u32;
+                    let words = decompose_words(q, base_log, beta, &mut rng);
+                    for n in [7usize, 8, 1024, 2048] {
+                        let mut src = words.clone();
+                        src.resize_with(src.len().div_ceil(n) * n, || rng.gen_range(0..q));
+                        check(&LANES_BACKEND, q, base_log, levels, n, &src);
+                    }
+                }
+            }
+        }
+
+        // A word equal to q in the middle row of three: that row alone
+        // is declined by the wide body and takes the reference.
+        let (q, base_log, levels, n) = (wide_q[2], 8, 3, 1024);
+        let mut src: Vec<u64> = (0..3 * n).map(|_| rng.gen_range(0..q)).collect();
+        src[n + 5] = q;
+        #[cfg(target_arch = "x86_64")]
+        if live {
+            let mut digits = vec![0i64; levels * n];
+            let took: Vec<bool> = src
+                .chunks_exact(n)
+                // SAFETY: `live` is `takes_decompose` at this geometry,
+                // true only on a CPU with avx512f and avx512ifma.
+                .map(|row| unsafe { wide::decompose(q, base_log, levels, row, &mut digits) })
+                .collect();
+            assert_eq!(took, [true, false, true]);
+        }
+        check(&LANES_BACKEND, q, base_log, levels, n, &src);
+
+        // A batch fanned out over two lanes.
+        let src: Vec<u64> = (0..8 * n).map(|_| rng.gen_range(0..q)).collect();
+        let threaded = ThreadedBackend::with_config(2, 64);
+        check(&threaded, q, base_log, levels, n, &src);
+        assert!(threaded.pool().parallel_jobs_dispatched() > 0);
+    }
+
+    /// Decomposition inputs under `q` at depth `beta`: `0`, `1`, `q - 1`,
+    /// the words on both sides of the steps where the rounded quotient
+    /// changes, and 256 random words.
+    fn decompose_words(q: u64, base_log: u32, beta: u32, rng: &mut StdRng) -> Vec<u64> {
+        // The quotient steps from `j` to `j + 1` at the word
+        // `ceil((2j + 1) * q / 2^(beta + 1))`.
+        let steps = 1u128 << beta;
+        let boundary = |j: u128| (((2 * j + 1) * q as u128) >> (beta + 1)) as u64 + 1;
+        let mut js: Vec<u128> = if beta <= 8 {
+            (0..steps).collect()
+        } else {
+            // Quotients whose low digits sit at 0, B/2 - 1, B/2 and
+            // B - 1 (the balanced-digit carry), both ends of the range,
+            // and random ones.
+            let half = 1u128 << (base_log - 1);
+            let mut js = vec![0, 1, half - 1, half, 2 * half - 1, 2 * half];
+            js.extend([steps - 1, steps - half, steps - half - 1]);
+            js.extend((0..64).map(|_| rng.gen::<u128>() % steps));
+            js
+        };
+        js.retain(|&j| j < steps);
+        let mut words = vec![0, 1, q - 1];
+        for j in js {
+            let x = boundary(j);
+            words.extend([x - 1, x.min(q - 1)]);
+        }
+        words.extend((0..256).map(|_| rng.gen_range(0..q)));
+        words
+    }
+
     /// The lanes decomposition equals the reference on every geometry —
     /// inside the one-word window (division-free pass) and outside it
     /// (fallback) — on the words where the rounded quotient or a digit
@@ -2113,34 +2259,12 @@ mod tests {
                 .unwrap();
             for base_log in 1..=16u32 {
                 for levels in 1..=6usize {
-                    // The quotient steps from `j` to `j + 1` at the word
-                    // `ceil((2j + 1) * q / 2^(beta + 1))`.
                     let beta = base_log * levels as u32;
                     if bits + beta > 127 {
                         // The reference's own `u128` numerator overflows.
                         continue;
                     }
-                    let steps = 1u128 << beta;
-                    let boundary = |j: u128| (((2 * j + 1) * q as u128) >> (beta + 1)) as u64 + 1;
-                    let mut js: Vec<u128> = if beta <= 8 {
-                        (0..steps).collect()
-                    } else {
-                        // Quotients whose low digits sit at 0, B/2 - 1,
-                        // B/2 and B - 1 (the balanced-digit carry),
-                        // both ends of the range, and random ones.
-                        let half = 1u128 << (base_log - 1);
-                        let mut js = vec![0, 1, half - 1, half, 2 * half - 1, 2 * half];
-                        js.extend([steps - 1, steps - half, steps - half - 1]);
-                        js.extend((0..64).map(|_| rng.gen::<u128>() % steps));
-                        js
-                    };
-                    js.retain(|&j| j < steps);
-                    let mut words = vec![0, 1, q - 1];
-                    for j in js {
-                        let x = boundary(j);
-                        words.extend([x - 1, x.min(q - 1)]);
-                    }
-                    words.extend((0..256).map(|_| rng.gen_range(0..q)));
+                    let words = decompose_words(q, base_log, beta, &mut rng);
                     for n in [1usize, 7, 8, 1024] {
                         let mut src = words.clone();
                         let rows = src.len().div_ceil(n);

@@ -175,41 +175,50 @@ impl Modulus {
         }
     }
 
+    /// `d + p` when `d`, read as an `i64`, is negative, else `d`: the
+    /// correction of [`Self::add`] and [`Self::sub`], a mask from the
+    /// sign bit instead of a branch. With `p < 2^62`, every difference
+    /// of two words below `2^62` is negative exactly when it wrapped.
+    #[inline]
+    fn add_p_if_negative(&self, d: u64) -> u64 {
+        d.wrapping_add(self.p & ((d as i64 >> 63) as u64))
+    }
+
     /// Modular addition. Inputs must already be in `[0, p)`.
+    ///
+    /// Branch-free, as are [`Self::sub`] and [`Self::neg`]: over
+    /// ciphertext residues, which look uniformly random, a per-word
+    /// branch on the value is mispredicted half the time, and a select
+    /// lets every loop over canonical residues compile to straight-line
+    /// (vectorisable) code. `a + b - p` wraps exactly when `a + b < p`,
+    /// and the sign mask adds `p` back.
     #[inline]
     #[must_use]
     pub fn add(&self, a: u64, b: u64) -> u64 {
         crate::debug_assert_domain!(scalar_canonical: self, "add", a, b);
-        let s = a + b;
-        if s >= self.p {
-            s - self.p
-        } else {
-            s
-        }
+        self.add_p_if_negative((a + b).wrapping_sub(self.p))
     }
 
     /// Modular subtraction. Inputs must already be in `[0, p)`.
+    ///
+    /// Branch-free (see [`Self::add`]): `a - b` wraps exactly when
+    /// `a < b`, and the sign mask adds `p` back.
     #[inline]
     #[must_use]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
         crate::debug_assert_domain!(scalar_canonical: self, "sub", a, b);
-        if a >= b {
-            a - b
-        } else {
-            a + self.p - b
-        }
+        self.add_p_if_negative(a.wrapping_sub(b))
     }
 
     /// Modular negation. Input must be in `[0, p)`.
+    ///
+    /// Branch-free (see [`Self::add`]): `p - a`, masked to `0` when
+    /// `a = 0`.
     #[inline]
     #[must_use]
     pub fn neg(&self, a: u64) -> u64 {
         crate::debug_assert_domain!(scalar_canonical: self, "neg", a);
-        if a == 0 {
-            0
-        } else {
-            self.p - a
-        }
+        self.p.wrapping_sub(a) & u64::from(a != 0).wrapping_neg()
     }
 
     /// Lazy addition: operands and result are `[0, 2p)` representatives.
@@ -427,6 +436,108 @@ mod tests {
             }
             assert_eq!(m.add(a, m.neg(a)), 0);
         }
+    }
+
+    /// The branchy forms `add`, `sub` and `neg` had before they went
+    /// branch-free — the oracle the shipped ones must equal, word for
+    /// word. Wrapping where the old `a + p - b` / `p - a` would
+    /// overflow on a non-canonical operand, as release builds did.
+    fn branchy_add(p: u64, a: u64, b: u64) -> u64 {
+        let s = a + b;
+        if s >= p {
+            s - p
+        } else {
+            s
+        }
+    }
+
+    fn branchy_sub(p: u64, a: u64, b: u64) -> u64 {
+        if a >= b {
+            a - b
+        } else {
+            (a + p).wrapping_sub(b)
+        }
+    }
+
+    fn branchy_neg(p: u64, a: u64) -> u64 {
+        if a == 0 {
+            0
+        } else {
+            p.wrapping_sub(a)
+        }
+    }
+
+    /// 2, 3, a 32-bit, a 50-bit and the largest prime below `2^62`.
+    fn branch_free_primes() -> [Modulus; 5] {
+        let below = |bits: u32| {
+            (1..)
+                .map(|i| (1u64 << bits) - i)
+                .find(|&c| crate::prime::is_prime(c))
+                .unwrap()
+        };
+        [2, 3, below(32), below(50), below(62)].map(|p| Modulus::new(p).unwrap())
+    }
+
+    /// The shipped `add`, `sub` and `neg` on the canonical edges —
+    /// `0`, `p - 1`, `a = b` and `a + b = p` — and, through the bare
+    /// formulas they are built from, on non-canonical words up to
+    /// `2^62 - 1` (the methods' debug assertions reject those).
+    #[test]
+    fn branch_free_add_sub_neg_match_the_branchy_forms_on_the_edges() {
+        for m in branch_free_primes() {
+            let p = m.value();
+            let mut words = vec![0, 1, p / 2, p - 1];
+            words.retain(|&x| x < p);
+            for &a in &words {
+                for b in words.iter().copied().chain([a, (p - a) % p]) {
+                    assert_eq!(m.add(a, b), branchy_add(p, a, b), "p={p} {a}+{b}");
+                    assert_eq!(m.sub(a, b), branchy_sub(p, a, b), "p={p} {a}-{b}");
+                }
+                assert_eq!(m.neg(a), branchy_neg(p, a), "p={p} -{a}");
+            }
+            let mut wide = vec![0, 1, p - 1, p, p + 1, 2 * p - 1, Modulus::MAX - 1];
+            wide.retain(|&x| x < Modulus::MAX);
+            for &a in &wide {
+                for &b in &wide {
+                    let add = m.add_p_if_negative((a + b).wrapping_sub(p));
+                    assert_eq!(add, branchy_add(p, a, b), "p={p} {a}+{b}");
+                    let sub = m.add_p_if_negative(a.wrapping_sub(b));
+                    assert_eq!(sub, branchy_sub(p, a, b), "p={p} {a}-{b}");
+                }
+                let neg = p.wrapping_sub(a) & u64::from(a != 0).wrapping_neg();
+                assert_eq!(neg, branchy_neg(p, a), "p={p} -{a}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random canonical words under every prime of
+        /// [`branch_free_primes`].
+        #[test]
+        fn branch_free_add_sub_neg_match_the_branchy_forms(
+            a in proptest::prelude::any::<u64>(),
+            b in proptest::prelude::any::<u64>(),
+        ) {
+            for m in branch_free_primes() {
+                let p = m.value();
+                let (a, b) = (a % p, b % p);
+                proptest::prop_assert_eq!(m.add(a, b), branchy_add(p, a, b));
+                proptest::prop_assert_eq!(m.sub(a, b), branchy_sub(p, a, b));
+                proptest::prop_assert_eq!(m.neg(a), branchy_neg(p, a));
+            }
+        }
+    }
+
+    /// Branch-free does not mean unchecked: a non-canonical operand
+    /// still trips the domain assertion.
+    #[test]
+    #[should_panic(expected = "sub: operand outside the canonical [0, p) range")]
+    #[cfg(debug_assertions)]
+    fn branch_free_sub_still_asserts_canonical_operands() {
+        let m = Modulus::new(97).unwrap();
+        let _ = m.sub(3, 97);
     }
 
     #[test]

@@ -1,28 +1,31 @@
-//! The wide bodies of the kernels that are the machine: NTT butterflies
-//! and the modular multiply-accumulate — the key inner product's and
-//! the base conversion's — on the 8 x 52-bit multiply-add unit of
-//! AVX-512 IFMA.
+//! The wide bodies of the kernels that are the machine: NTT butterflies,
+//! the modular multiply-accumulate — the key inner product's and the
+//! base conversion's — and the TFHE gadget decomposition, on the
+//! 8 x 52-bit multiply-add unit of AVX-512 IFMA.
 //!
 //! [`crate::kernel::LaneBackend`] picks these passes per row, from what
-//! it can observe ([`takes_ntt`] / [`takes_mac`] / [`takes_bconv`]: the
-//! CPU reports both features, the modulus is at most `2^50`, the row has
-//! a supported length; for BConv also the operand words, [`Digits`]),
+//! it can observe ([`takes_ntt`] / [`takes_mac`] / [`takes_bconv`] /
+//! [`takes_decompose`]: the CPU reports both features, the modulus is
+//! at most `2^50` — below `2^32` for the decomposition — the row has a
+//! supported length; for BConv also the operand words, [`Digits`], and
+//! for the decomposition the row's words, which [`decompose`] scans),
 //! and runs its portable row passes otherwise. Every pass returns, word
 //! for word, what the scalar reference returns on the same input; the
-//! [`crate::kernel`] module docs carry the three identities that rests
+//! [`crate::kernel`] module docs carry the four identities that rests
 //! on, and `kernel::tests::wide_passes_match_the_reference_words` /
-//! `wide_bconv_matches_the_reference_words` sweep them.
+//! `wide_bconv_matches_the_reference_words` /
+//! `wide_decompose_matches_the_reference_words` sweep them.
 //!
 //! Every operand of a 52-bit multiply must be below `2^52`. With
 //! `4p <= 2^52` the whole `[0, 4p)` butterfly window is, and a remainder
 //! known to lie below `4p` can be computed modulo `2^52`.
 //!
 //! This file is the only place that names an intrinsic or a target
-//! feature. Its `unsafe` is the two memory accesses at the top
-//! ([`load`], [`store`]), each over a borrowed array; the passes
-//! themselves are safe code over array chunks, callable only where both
-//! features are enabled — the six call sites in `kernel.rs` are
-//! `unsafe` for that reason alone.
+//! feature. Its `unsafe` is the three memory accesses at the top
+//! ([`load`], [`store`], [`store_digits`]), each over a borrowed array;
+//! the passes themselves are safe code over array chunks, callable only
+//! where both features are enabled — the seven call sites in
+//! `kernel.rs` are `unsafe` for that reason alone.
 
 use std::arch::x86_64::*;
 
@@ -43,6 +46,14 @@ const MAX_ALPHA: usize = 16;
 /// [`bconv`]'s output modulus exceeds this: `2^5 < b` keeps the high
 /// accumulator below `2^(s + 52)` (identity 3 of the kernel docs).
 const MIN_BCONV_P: u64 = 1 << 5;
+
+/// [`decompose`]'s modulus is below this: the remainder of its quotient
+/// estimate is one 32 x 32-bit multiply away (identity 4).
+const DECOMPOSE_Q_LIMIT: u64 = 1 << 32;
+
+/// Deepest gadget [`decompose`] takes: `beta = base_log * levels <= 31`
+/// keeps the rounded quotient, at most `2^beta`, a 32-bit multiplier.
+const MAX_BETA: usize = 31;
 
 /// Whether the modulus suits the 52-bit multiplier: `4p <= 2^52`, and
 /// not a power of two (so `2^(b-1) < p` and the Barrett constant of
@@ -85,6 +96,25 @@ fn bconv_fits(m: &Modulus, n: usize, w: &[u64]) -> bool {
         && w.iter().all(|&x| x < WORD)
 }
 
+/// Whether [`decompose`] serves `n`-word rows of the base-`2^base_log`,
+/// `levels`-deep gadget under `q` on this CPU; the words of each row are
+/// [`decompose`]'s to check.
+pub(crate) fn takes_decompose(q: u64, base_log: u32, levels: usize, n: usize) -> bool {
+    decompose_fits(q, base_log, levels, n) && available()
+}
+
+/// `q < 2^32`, `base_log >= 1`, `beta = base_log * levels <= 31`,
+/// `2^beta < q` (so `floor(2^(52 + beta) / q)` is a 52-bit operand),
+/// rows of 8-word chunks.
+fn decompose_fits(q: u64, base_log: u32, levels: usize, n: usize) -> bool {
+    let beta = (base_log as usize).saturating_mul(levels);
+    q < DECOMPOSE_Q_LIMIT
+        && base_log >= 1
+        && beta <= MAX_BETA
+        && 1 << beta < q
+        && n.is_multiple_of(8)
+}
+
 /// The `K <= 8` words of `c` in the low lanes, zero above.
 #[inline]
 #[target_feature(enable = "avx512f")]
@@ -102,6 +132,15 @@ fn store(c: &mut [u64; 8], v: __m512i) {
     // SAFETY: `c` is 64 writable bytes; `storeu` has no alignment
     // requirement.
     unsafe { _mm512_storeu_epi64(c.as_mut_ptr().cast(), v) }
+}
+
+/// [`store`] for a row of signed digits.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn store_digits(c: &mut [i64; 8], v: __m512i) {
+    // SAFETY: `c` is 64 writable bytes; `storeu` has no alignment
+    // requirement.
+    unsafe { _mm512_storeu_epi64(c.as_mut_ptr(), v) }
 }
 
 /// `x - bound` where `x >= bound`, else `x` (`bound <= 2^63`, as
@@ -585,4 +624,67 @@ pub(crate) fn bconv(m: &Modulus, w: &[u64], a_mod_b: Option<u64>, d: &Digits, ou
         let l = _mm512_and_si512(lo, mask52);
         store(o, k.mul_add(k.reduce(h), two52, k.reduce(l)));
     }
+}
+
+/// The balanced base-`2^base_log` digits of one row, every word below
+/// `q`: the `levels` digit rows `orows` that `gadget_decompose_rows`
+/// writes for `srow`. Per 8 words, the rounded quotient
+/// `y = floor((x * 2^beta + floor(q/2)) / q)` is a 52-bit high multiply
+/// by `floor(2^(52 + beta) / q)` plus one correction (identity 4 of the
+/// kernel docs); the digits are peeled from `y` in registers, last level
+/// first, and each level's 8 go straight to its row.
+///
+/// Returns `false`, having written nothing, when a word of `srow` is
+/// `q` or wider: the estimate holds only below `q`, and the reference
+/// body takes such a row.
+///
+/// # Panics
+///
+/// Panics unless `q < 2^32`, `base_log >= 1`,
+/// `beta = base_log * levels <= 31`, `2^beta < q`, `srow.len()` is a
+/// multiple of 8 and `orows` spans `levels` rows of it.
+#[target_feature(enable = "avx512f,avx512ifma")]
+pub(crate) fn decompose(
+    q: u64,
+    base_log: u32,
+    levels: usize,
+    srow: &[u64],
+    orows: &mut [i64],
+) -> bool {
+    let n = srow.len();
+    assert!(
+        decompose_fits(q, base_log, levels, n),
+        "wide decompose needs q < 2^32, 1 <= base_log, base_log * levels <= 31, \
+         2^(base_log * levels) < q and 8-word chunks"
+    );
+    assert_eq!(orows.len(), levels * n, "digit buffer size mismatch");
+    let words = srow.as_chunks::<8>().0;
+    let splat = |w: u64| _mm512_set1_epi64(w as i64);
+    let (zero, qv) = (_mm512_setzero_si512(), splat(q));
+    let top = words.iter().fold(zero, |m, x| _mm512_max_epu64(m, load(x)));
+    if _mm512_cmpge_epu64_mask(top, qv) != 0 {
+        return false;
+    }
+    let beta = base_log * levels as u32;
+    let c = splat(((1u128 << (52 + beta)) / u128::from(q)) as u64);
+    let (shl_beta, half_q, one) = (splat(beta.into()), splat(q / 2), splat(1));
+    let (bl, top_bit) = (splat(base_log.into()), splat((base_log - 1).into()));
+    let mask = splat((1 << base_log) - 1);
+    let digits = orows.as_chunks_mut::<8>().0;
+    for (c_at, x) in words.iter().enumerate() {
+        let x = load(x);
+        let est = _mm512_madd52hi_epu64(zero, x, c);
+        let t = _mm512_add_epi64(_mm512_sllv_epi64(x, shl_beta), half_q);
+        // est < 2^beta <= 2^31 and q < 2^32: one 32 x 32-bit product.
+        let r = _mm512_sub_epi64(t, _mm512_mul_epu32(est, qv));
+        let mut y = _mm512_mask_add_epi64(est, _mm512_cmpge_epu64_mask(r, qv), est, one);
+        for level in (0..levels).rev() {
+            let d = _mm512_and_si512(y, mask);
+            let carry = _mm512_srlv_epi64(d, top_bit);
+            y = _mm512_add_epi64(_mm512_srlv_epi64(y, bl), carry);
+            let digit = _mm512_sub_epi64(d, _mm512_sllv_epi64(carry, bl));
+            store_digits(&mut digits[level * n / 8 + c_at], digit);
+        }
+    }
+    true
 }

@@ -82,6 +82,12 @@ pub struct Ggsw {
 impl Ggsw {
     /// Encrypts a small scalar `m` (0 or 1 for bootstrap keys) as a GGSW
     /// ciphertext in NTT evaluation form.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bg_log * lb <= bits(q)`: deeper digits carry no
+    /// precision, the decomposition's rounded `x * B_g^lb / q` must fit
+    /// a word, and [`gadget_element`] shifts by `bg_log * j`.
     pub fn encrypt_scalar<R: Rng + ?Sized>(
         ring: &TfheRing,
         sk: &GlweSecretKey,
@@ -94,6 +100,10 @@ impl Ggsw {
         let k = sk.k();
         let n = ring.n();
         let q = ring.modulus();
+        assert!(
+            bg_log as usize * lb <= q.bits() as usize,
+            "bootstrapping gadget deeper than the modulus"
+        );
         let zero = ring.zero_poly();
         // Allocated once at its final size; every row is written in place.
         let mut words = vec![0u64; (k + 1) * lb * (k + 1) * n];
@@ -444,6 +454,16 @@ mod tests {
             }
         }
         assert!(Ggsw::external_product_batch(&ring, &[]).is_empty());
+    }
+
+    /// A gadget deeper than the modulus used to be accepted, and the
+    /// reference decomposition truncated its rounded quotient to a word.
+    #[test]
+    #[should_panic(expected = "bootstrapping gadget deeper than the modulus")]
+    fn encrypt_scalar_rejects_a_gadget_deeper_than_the_modulus() {
+        let (ring, sk, mut rng) = setup();
+        assert_eq!(ring.modulus().bits(), 32);
+        Ggsw::encrypt_scalar(&ring, &sk, 1, 3, 11, 3.73e-9, &mut rng);
     }
 
     #[test]
