@@ -481,8 +481,11 @@ impl Evaluator {
     /// geometry — through **one** keyswitch pipeline whose kernel
     /// dispatches carry every job's limb rows at once
     /// ([`key_switch_galois_coalesced`]). A job's output does not
-    /// depend on its batch mates; the win is batch width, which is what
-    /// the threaded backend scales with.
+    /// depend on its batch mates; the win is batch width, which
+    /// amortises each kernel call over more limb rows. Because the jobs
+    /// are independent, a caller may also split one batch into several
+    /// narrower calls on different cores (the serving layer runs one
+    /// call per core) and get the same outputs.
     ///
     /// Counter contract: one `galois_ops` and one `keyswitches` bump
     /// **per job** (coalescing is an execution detail, not an

@@ -1,11 +1,20 @@
-//! A small persistent worker pool for limb-parallel kernel passes.
+//! A small persistent worker pool for independent work: limb rows of
+//! one kernel pass, or whole jobs of one batch.
 //!
-//! Trinity's hardware throughput comes from running many independent
-//! limb/row passes at once (FAB's parallel NTT lanes, TREBUCHET's
-//! per-tower RNS parallelism). The software counterpart is a handful of
-//! long-lived worker threads that whole-limb-row jobs are sliced
-//! across; [`crate::kernel::ThreadedBackend`] builds its batched passes
-//! on this pool.
+//! Trinity's hardware throughput comes from giving independent work to
+//! every compute unit at once (FAB's parallel NTT lanes, TREBUCHET's
+//! per-tower RNS parallelism, Trinity's own dynamic scheduling). The
+//! software counterpart is a handful of long-lived worker threads and
+//! two ways to slice work across them:
+//!
+//! * **Rows.** [`WorkerPool::run_partition`] and
+//!   [`crate::kernel::ThreadedBackend`]'s batched passes slice one
+//!   kernel call by whole limb rows.
+//! * **Jobs.** [`WorkerPool::map_chunks`] slices a batch of independent
+//!   jobs into one narrower batch per lane; the serving layer runs each
+//!   dispatch group through it on the pool of
+//!   [`crate::kernel::threaded`]`(None)`, so a group occupies every
+//!   core while each chunk's kernels stay as wide as its jobs make them.
 //!
 //! The build environment is offline (no `rayon`), so the pool is
 //! home-grown from `std::thread` + `std::sync::mpsc`:
@@ -19,7 +28,9 @@
 //!   first task inline on the calling thread, and while waiting for
 //!   completions it *steals* queued jobs — a pool of `N` threads always
 //!   has `N` lanes of compute, and a 1-thread pool is simply the
-//!   sequential fallback.
+//!   sequential fallback. Dispatches may nest — a `map_chunks` chunk
+//!   may run a `ThreadedBackend` kernel on the same pool — and a
+//!   nested dispatcher likewise runs queued jobs while it waits.
 //! * **Scoped borrows without `std::thread::scope`.** Tasks may borrow
 //!   the caller's stack (the limb rows being transformed). `run` does
 //!   not return until every dispatched job has either completed or
@@ -32,8 +43,9 @@
 //!   the process-wide backend.
 //!
 //! Determinism: the pool imposes no ordering on job *execution*, but
-//! every job owns a disjoint slice of the output, so results are
-//! bit-identical to the sequential schedule regardless of interleaving.
+//! every job owns a disjoint slice of the output (a chunk of
+//! `map_chunks` its own output vector), so results are bit-identical to
+//! the sequential schedule regardless of interleaving.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,20 +311,65 @@ impl WorkerPool {
             f(0..len);
             return;
         }
-        let (base, extra) = (len / chunks, len % chunks);
         let f = &f;
-        let mut start = 0usize;
-        let tasks: Vec<Task<'_>> = (0..chunks)
-            .map(|i| {
-                let size = base + usize::from(i < extra);
-                let range = start..start + size;
-                start += size;
-                Box::new(move || f(range)) as Task<'_>
-            })
+        let tasks: Vec<Task<'_>> = balanced_ranges(len, chunks)
+            .map(|range| Box::new(move || f(range)) as Task<'_>)
             .collect();
-        debug_assert_eq!(start, len);
         self.run(tasks);
     }
+
+    /// The job-axis entry point: splits `items` into at most
+    /// [`Self::threads`] contiguous, non-empty chunks whose sizes differ
+    /// by at most one, runs `f` on each chunk on its own lane, and
+    /// returns the outputs concatenated in item order. One item, or a
+    /// 1-thread pool, calls `f(items)` once inline with no pool traffic;
+    /// no items return an empty vector without calling `f`.
+    ///
+    /// Where [`Self::run_partition`] slices the rows of one kernel pass,
+    /// this slices a batch of independent jobs — each chunk a whole,
+    /// narrower batch-engine call — so it only preserves results when a
+    /// job's output does not depend on its batch mates.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run`]: a chunk's panic is re-raised on the caller
+    /// after every other chunk has finished.
+    pub fn map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&[T]) -> Vec<R> + Sync,
+    {
+        let chunks = self.threads.min(items.len());
+        if chunks == 0 {
+            return Vec::new();
+        }
+        if chunks == 1 {
+            return f(items);
+        }
+        let f = &f;
+        let mut outs: Vec<Vec<R>> = (0..chunks).map(|_| Vec::new()).collect();
+        let tasks: Vec<Task<'_>> = balanced_ranges(items.len(), chunks)
+            .zip(outs.iter_mut())
+            .map(|(range, out)| {
+                let chunk = &items[range];
+                Box::new(move || *out = f(chunk)) as Task<'_>
+            })
+            .collect();
+        self.run(tasks);
+        outs.into_iter().flatten().collect()
+    }
+}
+
+/// `0..len` as `chunks` contiguous ranges in order, the first
+/// `len % chunks` one item longer than the rest.
+fn balanced_ranges(len: usize, chunks: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let (base, extra) = (len / chunks, len % chunks);
+    (0..chunks).scan(0usize, move |start, i| {
+        let range = *start..*start + base + usize::from(i < extra);
+        *start = range.end;
+        Some(range)
+    })
 }
 
 #[cfg(test)]
@@ -378,6 +435,117 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn map_chunks_splits_in_order_into_balanced_contiguous_chunks() {
+        for threads in [1usize, 2, 3] {
+            let pool = WorkerPool::new(threads);
+            for len in 0..=9usize {
+                let items: Vec<usize> = (0..len).collect();
+                let chunks = Mutex::new(Vec::new());
+                let out = pool.map_chunks(&items, |chunk| {
+                    chunks
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(chunk.to_vec());
+                    chunk.iter().map(|&i| 10 * i).collect()
+                });
+                let ctx = format!("threads={threads} len={len}");
+                assert_eq!(
+                    out,
+                    items.iter().map(|&i| 10 * i).collect::<Vec<_>>(),
+                    "{ctx}"
+                );
+
+                let mut chunks = chunks.into_inner().unwrap_or_else(PoisonError::into_inner);
+                chunks.sort();
+                assert!(chunks.len() <= pool.threads(), "{ctx}: {chunks:?}");
+                assert_eq!(chunks.len(), pool.threads().min(len), "{ctx}");
+                assert!(chunks.iter().all(|c| !c.is_empty()), "{ctx}: {chunks:?}");
+                // Contiguous: the sorted chunks concatenate to the items.
+                assert_eq!(chunks.concat(), items, "{ctx}");
+                let sizes = chunks.iter().map(Vec::len);
+                let spread = sizes.clone().max().unwrap_or(0) - sizes.min().unwrap_or(0);
+                assert!(spread <= 1, "{ctx}: {chunks:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_chunks_runs_one_item_or_one_lane_inline() {
+        let caller = thread::current().id();
+        let on_caller = |chunk: &[u32]| {
+            assert_eq!(thread::current().id(), caller, "must run inline");
+            chunk.to_vec()
+        };
+        let pool = WorkerPool::new(3);
+        assert_eq!(pool.map_chunks(&[7], on_caller), [7]);
+        assert_eq!(pool.parallel_jobs_dispatched(), 0);
+        let seq = WorkerPool::new(1);
+        assert_eq!(seq.map_chunks(&[1, 2, 3, 4], on_caller), [1, 2, 3, 4]);
+        assert_eq!(seq.parallel_jobs_dispatched(), 0);
+        // A wider batch on the 3-lane pool fans out, one job per chunk.
+        assert_eq!(
+            pool.map_chunks(&[1, 2, 3, 4], <[u32]>::to_vec),
+            [1, 2, 3, 4]
+        );
+        assert_eq!(pool.parallel_jobs_dispatched(), 3);
+    }
+
+    #[test]
+    fn map_chunks_chunks_may_dispatch_into_the_same_pool() {
+        let pool = WorkerPool::new(2);
+        let items: Vec<usize> = (0..6).collect();
+        for _ in 0..50 {
+            let out = pool.map_chunks(&items, |chunk| {
+                let sums: Vec<AtomicUsize> = chunk.iter().map(|_| AtomicUsize::new(0)).collect();
+                pool.run_partition(chunk.len(), 1, |range| {
+                    for (s, &i) in sums[range.clone()].iter().zip(&chunk[range]) {
+                        s.fetch_add(i + 1, Ordering::SeqCst);
+                    }
+                });
+                sums.into_iter().map(AtomicUsize::into_inner).collect()
+            });
+            assert_eq!(out, [1, 2, 3, 4, 5, 6]);
+        }
+    }
+
+    #[test]
+    fn map_chunks_reraises_a_chunk_panic_after_its_siblings() {
+        let pool = WorkerPool::new(3);
+        let finished = AtomicUsize::new(0);
+        // Chunk 2 finishes only after chunk 1 is about to panic (chunks
+        // are queued in order, so chunk 1 is taken first).
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map_chunks(&[0u32, 1, 2], |chunk| {
+                if chunk == [1] {
+                    tx.send(()).expect("chunk 2 is waiting");
+                    panic!("injected chunk panic");
+                }
+                if chunk == [2] {
+                    let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
+                    rx.recv().expect("chunk 1 signals");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                chunk.to_vec()
+            })
+        }));
+        let payload = caught.expect_err("panic must propagate to the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected chunk panic")
+        );
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            2,
+            "siblings ran to the end"
+        );
+
+        // The pool still serves the next call.
+        assert_eq!(pool.map_chunks(&[1u32, 2, 3], <[u32]>::to_vec), [1, 2, 3]);
     }
 
     #[test]

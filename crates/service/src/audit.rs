@@ -4,7 +4,7 @@
 //! event is appended as one self-describing JSON object per line, so a
 //! deployment (or a test) can replay exactly what the scheduler did
 //! and why — which lane was served, under which cause, how many jobs
-//! one kernel dispatch carried, and what the lane backlogs looked like
+//! one dispatch group carried, and what the lane backlogs looked like
 //! at the moment of decision. The encoder is hand-rolled: events are
 //! flat maps of identifiers and small integers, which keeps the
 //! serialisation trivially reviewable and the crate dependency-free.

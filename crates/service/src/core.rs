@@ -1,14 +1,20 @@
 //! The service core: admission, queueing, dispatch, results.
 //!
-//! [`ServiceCore`] is one single-threaded loop that decides and
-//! executes. Each tick it picks a lane, forms one dispatch group
+//! [`ServiceCore`] is one loop that decides on one thread and executes
+//! on every core. Each tick it picks a lane, forms one dispatch group
 //! (coalesced rotations or batched gates), audits the decision and runs
-//! the group through its batch engine before the tick ends: a finished
-//! request's result is collectable as soon as the
-//! [`ServiceCore::dispatch_next`] call that completed it returns, and a
-//! chained job goes back to its lane carrying its real intermediate
-//! ciphertext. Parallelism lives below the loop, inside one group's
-//! kernels, in the process-wide kernel backend.
+//! the group before the tick ends: a finished request's result is
+//! collectable as soon as the [`ServiceCore::dispatch_next`] call that
+//! completed it returns, and a chained job goes back to its lane
+//! carrying its real intermediate ciphertext.
+//!
+//! A group's jobs are independent — a job's output does not depend on
+//! its batch mates — so the group is split into one contiguous
+//! sub-batch per lane of the [`fhe_math::kernel::threaded`]`(None)`
+//! pool ([`WorkerPool::map_chunks`]), and each sub-batch runs through
+//! the batch engine on its own core. Results, the audit and completion
+//! order are those of one unsplit engine call; a 1-wide group, or a
+//! 1-core host, makes exactly that one call inline.
 //!
 //! Time is measured in *ticks* — one tick per dispatch opportunity —
 //! which keeps budget enforcement and starvation detection exact and
@@ -19,6 +25,8 @@ use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, SwitchingKey};
 use fhe_math::galois::rotation_galois_element;
+use fhe_math::kernel;
+use fhe_math::pool::WorkerPool;
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{BatchedGateJob, GateOp, LweCiphertext, ServerKey};
 
@@ -42,7 +50,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Key-cache byte budget.
     pub key_cache_bytes: usize,
-    /// Maximum requests coalesced into one kernel dispatch.
+    /// Maximum requests in one dispatch group. The group is split into
+    /// one batch-engine call per core, so one kernel dispatch carries
+    /// at most `ceil(max_batch / cores)` of them.
     pub max_batch: usize,
     /// Ignored: every dispatch group executes in the tick that forms
     /// it, whatever this holds. The field exists only because
@@ -186,6 +196,9 @@ pub struct ServiceCore {
     tick: u64,
     next_request: u64,
     next_group: u64,
+    /// The process-lived pool of [`kernel::threaded`]`(None)`, one lane
+    /// per core: each dispatch group's jobs are split across it.
+    pool: &'static WorkerPool,
 }
 
 impl ServiceCore {
@@ -210,6 +223,7 @@ impl ServiceCore {
             tick: 0,
             next_request: 0,
             next_group: 0,
+            pool: kernel::threaded(None).pool(),
             cfg,
         })
     }
@@ -404,7 +418,8 @@ impl ServiceCore {
     /// Forms and runs one Interactive group: the head gate plus every
     /// queued gate whose server key can share its batched blind
     /// rotation ([`ServerKey::shares_ring_with`]), FIFO, capped at
-    /// [`ServiceConfig::max_batch`] (the head counts).
+    /// [`ServiceConfig::max_batch`] (the head counts). The group runs as
+    /// one [`fhe_tfhe::apply_gates_batched`] call per pool chunk.
     fn dispatch_gate(&mut self, cause: PickCause, pending: [usize; 3]) {
         let head = self.lanes[Lane::Interactive.index()]
             .pop_front()
@@ -440,7 +455,7 @@ impl ServiceCore {
                     (self.server_key(job.tenant), *op, a, b)
                 })
                 .collect();
-            fhe_tfhe::apply_gates_batched(&jobs)
+            self.pool.map_chunks(&jobs, fhe_tfhe::apply_gates_batched)
         };
         for (job, out) in batch.iter().zip(outs) {
             self.complete(group, job, Response::Bit(out));
@@ -452,8 +467,9 @@ impl ServiceCore {
     /// shared context, level, Galois element) — each job under its own
     /// tenant's switching key. The Timed lane serves
     /// earliest-deadline-first ([`queue::edf_pick`]); Bulk stays FIFO.
-    /// A chained job whose steps remain goes back to its lane carrying
-    /// this step's output.
+    /// The group runs as one [`Evaluator::apply_galois_coalesced`] call
+    /// per pool chunk. A chained job whose steps remain goes back to its
+    /// lane carrying this step's output.
     fn dispatch_rotations(&mut self, lane: Lane, cause: PickCause, pending: [usize; 3]) {
         let head_idx = if lane == Lane::Timed {
             let dues: Vec<(u64, u64)> = self.lanes[lane.index()]
@@ -515,7 +531,9 @@ impl ServiceCore {
                     (ct, key)
                 })
                 .collect();
-            eval.apply_galois_coalesced(&jobs, head_geom.galois())
+            let g = head_geom.galois();
+            self.pool
+                .map_chunks(&jobs, |chunk| eval.apply_galois_coalesced(chunk, g))
         };
         for (mut job, out) in batch.into_iter().zip(outs) {
             let JobWork::Rotations { ct, steps, next } = &mut job.work else {

@@ -30,11 +30,10 @@
 //! * [`audit`] — a JSONL log of every admission, rejection, dispatch
 //!   (with its coalesced job count and group id), completion and
 //!   starvation event, opened by a configuration-stamping meta line.
-//! * [`core`](mod@core) — [`ServiceCore`]: one single-threaded loop
-//!   that decides (admission, lane picks, group formation, audit) and
-//!   executes — each dispatch group runs in the tick that forms it.
-//!   Kernel parallelism stays below, in the process-wide kernel
-//!   backend.
+//! * [`core`](mod@core) — [`ServiceCore`]: one loop that decides
+//!   (admission, lane picks, group formation, audit) on one thread and
+//!   executes — each dispatch group runs in the tick that forms it,
+//!   split into one batch-engine call per core.
 //!
 //! Scheduling is measured in dispatch *ticks*, not wall-clock time,
 //! so every guarantee in this crate is exactly reproducible in tests:

@@ -30,6 +30,7 @@ use std::collections::HashMap;
 use common::backends::under_each_backend;
 use common::{ckks_tenant, mixed_cfg, parse_completes, parse_dispatches, run_mixed_scenario};
 use fhe_ckks::{CkksContext, CkksParams, Evaluator, SwitchingKey};
+use fhe_math::kernel;
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{ClientKey, GateOp, MulBackend, ServerKey, TfheContext, TfheParams};
 use rand::rngs::StdRng;
@@ -41,7 +42,18 @@ use trinity_service::{
 
 #[test]
 fn mixed_tenants_bit_identical_across_backends_and_coalesced() {
+    let pool = kernel::threaded(None).pool();
+    let fanned_before = pool.parallel_jobs_dispatched();
     let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg()));
+    // On a multi-core host the service split its groups across the
+    // pool's lanes, so the identities below cover the split path.
+    if pool.threads() >= 2 {
+        assert!(
+            pool.parallel_jobs_dispatched() > fanned_before,
+            "no dispatch group was split across the {} pool lanes",
+            pool.threads()
+        );
+    }
 
     // The audit must show real cross-request coalescing: at least one
     // keyswitch dispatch carrying >= 2 requests, and at least one gate
