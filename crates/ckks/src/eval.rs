@@ -20,9 +20,8 @@ use crate::context::CkksContext;
 use crate::encoding::Plaintext;
 use crate::keys::SwitchingKey;
 use crate::keyswitch::{
-    hoist_rotations, key_switch, key_switch_galois_coalesced, key_switch_galois_hoisted,
+    hoist_rotations, key_switch, key_switch_galois, key_switch_galois_hoisted,
     key_switch_galois_strict, key_switch_strict, sub_scale_into, table_rows, HoistedRotations,
-    KsJob,
 };
 
 /// Relative scale mismatch tolerated by additive operations.
@@ -424,8 +423,7 @@ impl Evaluator {
         self.apply_galois(a, g, gk)
     }
 
-    /// Applies an arbitrary Galois automorphism with its switching key —
-    /// the one-job instance of [`Self::apply_galois_coalesced`].
+    /// Applies an arbitrary Galois automorphism with its switching key.
     ///
     /// Runs the *lazy rotation chain*: `c1` goes through the keyswitch
     /// pipeline un-rotated and the automorphism is applied to the
@@ -433,7 +431,7 @@ impl Evaluator {
     /// preserves the `[0, 2p)` window — so the whole HRotate kernel
     /// chain (digit NTT → `Auto` → `IP`) stays
     /// [`fhe_math::ReductionState::Lazy2p`] and is canonicalised exactly
-    /// once per limb, by ModDown ([`key_switch_galois_coalesced`]).
+    /// once per limb, by ModDown ([`key_switch_galois`]).
     /// `c0` only needs the slot permutation itself. Bit-identical to
     /// [`Self::apply_galois_strict`] (asserted by
     /// `tests/lazy_chains.rs`).
@@ -448,9 +446,8 @@ impl Evaluator {
     /// model counts each rotation CoeffToSlot shares across its two
     /// halves once.
     pub fn apply_galois(&self, a: &Ciphertext, g: u64, gk: &SwitchingKey) -> Ciphertext {
-        self.apply_galois_coalesced(&[(a, gk)], g)
-            .pop()
-            .expect("one job in, one ciphertext out")
+        let ks = key_switch_galois(&self.ctx, &a.c1, g, gk, a.level);
+        self.assemble_galois(a, g, ks)
     }
 
     /// The tail every lazy Galois application shares: counts the
@@ -475,58 +472,17 @@ impl Evaluator {
         }
     }
 
-    /// Applies the *same* Galois automorphism to many independent
-    /// ciphertexts — typically coalesced from different requests (even
-    /// different tenants, hence per-job keys) that happen to share
-    /// geometry — through **one** keyswitch pipeline whose kernel
-    /// dispatches carry every job's limb rows at once
-    /// ([`key_switch_galois_coalesced`]). A job's output does not
-    /// depend on its batch mates; the win is batch width, which
-    /// amortises each kernel call over more limb rows. Because the jobs
-    /// are independent, a caller may also split one batch into several
-    /// narrower calls on different cores (the serving layer runs one
-    /// call per core) and get the same outputs.
-    ///
-    /// Counter contract: one `galois_ops` and one `keyswitches` bump
-    /// **per job** (coalescing is an execution detail, not an
-    /// operation-count change).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the jobs' levels disagree, or per job as
-    /// [`key_switch_galois_coalesced`].
-    pub fn apply_galois_coalesced(
-        &self,
-        jobs: &[(&Ciphertext, &SwitchingKey)],
-        g: u64,
-    ) -> Vec<Ciphertext> {
-        let Some(level) = jobs.first().map(|(a, _)| a.level) else {
-            return Vec::new();
-        };
-        let ks_jobs: Vec<KsJob<'_>> = jobs
-            .iter()
-            .map(|(a, key)| {
-                assert_eq!(a.level, level, "coalesced jobs must share a level");
-                KsJob { d: &a.c1, key }
-            })
-            .collect();
-        let switched = key_switch_galois_coalesced(&self.ctx, &ks_jobs, g, level);
-        jobs.iter()
-            .zip(switched)
-            .map(|((a, _), ks)| self.assemble_galois(a, g, ks))
-            .collect()
-    }
-
-    /// [`Self::apply_galois_coalesced`] for slot rotations: rotates
-    /// every ciphertext by the same amount `r` under its own key, in
-    /// one coalesced dispatch.
+    /// [`Self::rotate`] mapped over `jobs`: rotates every ciphertext by
+    /// the same amount `r` under its own key, in order, one counter
+    /// bump pair per job. It exists only because `benchmark/`'s frozen
+    /// `ckks.coalesced4_ms` probe calls it; the benchmark re-baseline
+    /// (ROADMAP item 2(a)) deletes it together with that probe.
     pub fn rotate_coalesced(
         &self,
         jobs: &[(&Ciphertext, &SwitchingKey)],
         r: i64,
     ) -> Vec<Ciphertext> {
-        let g = fhe_math::galois::rotation_galois_element(r, self.ctx.n());
-        self.apply_galois_coalesced(jobs, g)
+        jobs.iter().map(|&(a, gk)| self.rotate(a, r, gk)).collect()
     }
 
     /// Computes the shared ModUp state of `a.c1` for a batch of
@@ -1063,9 +1019,8 @@ mod tests {
         assert_eq!(f.eval.counters().snapshot(), (0, 0, 0, 6, 6, 0));
     }
 
-    /// Coalescing k independent rotations into one dispatch must be
-    /// bit-identical to k sequential `rotate` calls and count exactly
-    /// like them — per job, not per dispatch.
+    /// `rotate_coalesced` is bit-identical to k sequential `rotate`
+    /// calls and counts exactly like them — per job.
     #[test]
     fn coalesced_galois_matches_sequential_and_counts_per_job() {
         let mut f = fixture();
@@ -1099,7 +1054,7 @@ mod tests {
             assert_eq!(c.scale, s.scale);
             assert_eq!(c.level, s.level);
         }
-        assert!(f.eval.apply_galois_coalesced(&[], g).is_empty());
+        assert!(f.eval.rotate_coalesced(&[], r).is_empty());
     }
 
     /// Exhaustive plaintext-slot oracle for

@@ -49,22 +49,19 @@
 //! applied to the raised digits in evaluation form, where it is a pure,
 //! reduction-agnostic slot permutation.
 //!
-//! The engine is **batch-first**: `k` jobs that share geometry (ring
-//! degree, level, Galois element — keys may differ per job, e.g. per
-//! tenant) go through one pipeline whose transform and permute
-//! dispatches carry all `k` jobs' limb rows at once, so
-//! [`fhe_math::ThreadedBackend`] sees `k`-fold wider batches even at
-//! small `L`; the inner product goes out per job and key segment,
-//! because that is what lets it borrow the key. [`key_switch`] and
-//! [`key_switch_galois`] are its `k = 1` instances. Batching
-//! concatenates rows and never changes a per-row kernel, which is why
-//! coalesced results are bit-identical to per-request execution.
+//! The engine runs **one job per call**: one input, one key, one
+//! `(ks0, ks1)` out. Independent keyswitches — a service's dispatch
+//! group, a PackLWEs merge round — are independent calls, which a
+//! caller may spread over cores (the serving layer runs one sub-batch
+//! per core); inside a call each transform dispatch carries every limb
+//! row of its stage, and the ModDown tail takes both accumulators in
+//! one dispatch per transform.
 //!
-//! It runs in three stages: (1) *raise* — `inputs_to_coeff` once, then
+//! It runs in three stages: (1) *raise* — `input_to_coeff` once, then
 //! `raise_digit_lazy` per digit (Decompose + ModUp + lazy NTT of the
 //! converted rows); (2) *accumulate* — `LazyAccumulators::mac_digit` per
-//! digit ((permute +) lazy MAC of converted and own rows against every
-//! job's borrowed key row); (3) *finish* — `LazyAccumulators::finish`
+//! digit ((permute +) lazy MAC of converted and own rows against the
+//! borrowed key row); (3) *finish* — `LazyAccumulators::finish`
 //! (ModDown in the evaluation domain). The fused entry points
 //! interleave stages 1–2 digit by digit over one leased buffer.
 //! **Rotation hoisting is a stage split, not another pipeline**:
@@ -92,7 +89,7 @@ use crate::keys::SwitchingKey;
 /// `level`), producing the pair `(ks0, ks1)` such that
 /// `ks0 + ks1 * s_to ≈ d * s_from` — both in evaluation form at `level`.
 ///
-/// The `k = 1` instance of the lazy engine (see the module docs).
+/// The fused lazy engine, one job per call (see the module docs).
 /// Bit-identical to [`key_switch_strict`] (asserted by
 /// `tests/lazy_chains.rs`).
 ///
@@ -106,8 +103,7 @@ pub fn key_switch(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    let mut out = key_switch_coalesced_impl(ctx, &[KsJob { d, key }], level, None);
-    out.pop().expect("one job in, one result out")
+    key_switch_impl(ctx, d, key, level, None)
 }
 
 /// Galois keyswitch: applies the automorphism `sigma_g` *inside* the
@@ -143,59 +139,7 @@ pub fn key_switch_galois(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    let mut out = key_switch_coalesced_impl(ctx, &[KsJob { d, key }], level, Some(g));
-    out.pop().expect("one job in, one result out")
-}
-
-/// One request of a coalesced keyswitch batch: the evaluation-form
-/// polynomial to switch and the switching key to apply. Keys may
-/// differ per job (different tenants); the geometry — ring degree,
-/// level, and for the Galois variant the Galois element — must be
-/// shared across the batch, because that is what lets all `k` jobs ride
-/// one kernel dispatch.
-#[derive(Debug, Clone, Copy)]
-pub struct KsJob<'a> {
-    /// The polynomial to keyswitch (evaluation form, `level + 1` limbs).
-    pub d: &'a RnsPoly,
-    /// The switching key (relinearisation or Galois) for this job.
-    pub key: &'a SwitchingKey,
-}
-
-/// Runs `k` independent [`key_switch`] jobs through one coalesced
-/// pipeline: every transform dispatch (input iNTT, digit NTTs, the
-/// ModDown iNTT and NTT) carries all `k` jobs' limb rows at once; the
-/// inner products go out per job, against that job's borrowed key.
-/// Output `i` is bit-identical to
-/// `key_switch(ctx, jobs[i].d, jobs[i].key, level)` — the per-row
-/// kernels are unchanged, only the batch width grows.
-///
-/// # Panics
-///
-/// As [`key_switch`], per job.
-pub fn key_switch_coalesced(
-    ctx: &CkksContext,
-    jobs: &[KsJob<'_>],
-    level: usize,
-) -> Vec<(RnsPoly, RnsPoly)> {
-    key_switch_coalesced_impl(ctx, jobs, level, None)
-}
-
-/// The Galois form of [`key_switch_coalesced`]: `k` independent
-/// rotations by the *same* Galois element `g` (per-job keys, e.g. one
-/// per tenant), coalesced into one pipeline. Output `i` is
-/// bit-identical to `key_switch_galois(ctx, jobs[i].d, g, jobs[i].key,
-/// level)`.
-///
-/// # Panics
-///
-/// As [`key_switch_galois`], per job.
-pub fn key_switch_galois_coalesced(
-    ctx: &CkksContext,
-    jobs: &[KsJob<'_>],
-    g: u64,
-    level: usize,
-) -> Vec<(RnsPoly, RnsPoly)> {
-    key_switch_coalesced_impl(ctx, jobs, level, Some(g))
+    key_switch_impl(ctx, d, key, level, Some(g))
 }
 
 /// The fully-canonical strict oracle of [`key_switch_galois`]:
@@ -341,9 +285,9 @@ fn key_switch_strict_impl(
     (mod_down(acc0), mod_down(acc1))
 }
 
-/// The NTT tables of `basis`, repeated for `k` jobs' limb rows — the
-/// row-metadata side of widening a transform dispatch from one job's
-/// limb rows to a whole batch's.
+/// The NTT tables of `basis`, repeated for `k` polynomials laid out one
+/// after another — the row metadata of one transform dispatch over all
+/// their limb rows.
 pub(crate) fn table_rows(basis: &RnsBasis, k: usize) -> Vec<&NttTable> {
     (0..k)
         .flat_map(|_| basis.tables().iter().map(|t| t.as_ref()))
@@ -389,69 +333,54 @@ fn digit_range(ctx: &CkksContext, level: usize, j: usize) -> Range<usize> {
     limbs.start..limbs.end.min(level + 1)
 }
 
-/// Engine stage 1a: the canonical coefficient-form limb rows of every
-/// input, job after job. Decompose needs true `[0, p)` representatives
-/// and every limb is read by its digit's BConv, so the batched input
-/// iNTT covers all `k * (l+1)` rows and exits canonically — one
-/// dispatch.
+/// Engine stage 1a: the canonical coefficient-form limb rows of the
+/// input. Decompose needs true `[0, p)` representatives and every limb
+/// is read by its digit's BConv, so the input iNTT covers all `l + 1`
+/// rows and exits canonically — one dispatch.
 ///
 /// # Panics
 ///
-/// Panics if an input is not in evaluation form at `level`.
-fn inputs_to_coeff<'a>(
-    ctx: &CkksContext,
-    inputs: impl ExactSizeIterator<Item = &'a RnsPoly>,
-    level: usize,
-) -> Vec<u64> {
-    let k = inputs.len();
-    let mut d_coeff = Vec::with_capacity(k * (level + 1) * ctx.n());
-    for d in inputs {
-        assert_eq!(d.representation(), Representation::Eval);
-        assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
-        d_coeff.extend_from_slice(d.flat());
-    }
+/// Panics if `d` is not in evaluation form at `level`.
+fn input_to_coeff(ctx: &CkksContext, d: &RnsPoly, level: usize) -> Vec<u64> {
+    assert_eq!(d.representation(), Representation::Eval);
+    assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
+    let mut d_coeff = d.flat().to_vec();
     kernel::active().inverse_batch(
-        &table_rows(ctx.level_basis(level), k),
+        &table_rows(ctx.level_basis(level), 1),
         &mut d_coeff,
         ExitFold::Canonical,
     );
     d_coeff
 }
 
-/// Engine stage 1b: ModUp of digit `j` for every job in `d_coeff`. The
-/// digit's limbs are contiguous, so its BConv source is a slice of the
-/// job's coefficient rows; the `ext - |digit|` converted rows — the
+/// Engine stage 1b: ModUp of digit `j` of the input's coefficient rows
+/// `d_coeff`. The digit's limbs are contiguous, so its BConv source is
+/// a slice of those rows; the `ext - |digit|` converted rows — the
 /// limbs of `mod_up.to_basis()`: the other `q` limbs, then `P` — fill
-/// `out` job after job, and one lazy-exit dispatch NTTs them all into
-/// the `[0, 2p)` window. The digit's own limbs are not produced: in
-/// evaluation form they are the input rows themselves.
+/// `out`, and one lazy-exit dispatch NTTs them into the `[0, 2p)`
+/// window. The digit's own limbs are not produced: in evaluation form
+/// they are the input rows themselves.
 fn raise_digit_lazy(ctx: &CkksContext, d_coeff: &[u64], level: usize, j: usize, out: &mut [u64]) {
     let n = ctx.n();
     let mod_up = &ctx.keyswitch_precomp(level).digits[j].mod_up;
     let digit = digit_range(ctx, level, j);
-    let inputs = d_coeff.chunks_exact((level + 1) * n);
-    let converted_words = mod_up.to_basis().len() * n;
-    assert_eq!(out.len(), inputs.len() * converted_words);
-    let tables_k = table_rows(mod_up.to_basis(), inputs.len());
-    for (d_flat, converted) in inputs.zip(out.chunks_exact_mut(converted_words)) {
-        mod_up.convert_approx_into(&d_flat[digit.start * n..digit.end * n], converted);
-    }
-    kernel::active().forward_batch(&tables_k, out, ExitFold::Lazy2p);
+    assert_eq!(out.len(), mod_up.to_basis().len() * n);
+    mod_up.convert_approx_into(&d_coeff[digit.start * n..digit.end * n], out);
+    kernel::active().forward_batch(&table_rows(mod_up.to_basis(), 1), out, ExitFold::Lazy2p);
 }
 
-/// Engine stages 2 and 3: the lazy inner-product accumulators of `k`
-/// jobs, split by what ModDown does with them — the `q` limbs
-/// (`acc_q`) stay in evaluation form to the end, the `P` limbs
-/// (`acc_p`) are what its BConv reads. Each buffer holds acc0 rows for
-/// all jobs, then acc1 rows for all jobs, so the tail transforms are
-/// single dispatches over `2k * |P|` and `2k * (l+1)` rows.
+/// Engine stages 2 and 3: the two lazy inner-product accumulators,
+/// split by what ModDown does with them — the `q` limbs (`acc_q`) stay
+/// in evaluation form to the end, the `P` limbs (`acc_p`) are what its
+/// BConv reads. Each buffer holds the acc0 rows, then the acc1 rows, so
+/// each tail transform is one dispatch over both.
 struct LazyAccumulators<'a> {
     ctx: &'a CkksContext,
     level: usize,
-    /// Per job, the `(l+1) * n` evaluation-form input words every
-    /// raised digit takes its own limbs from: borrowed as they are, or
-    /// their slot-permuted copy for the Galois variants.
-    own: Vec<Cow<'a, [u64]>>,
+    /// The `(l+1) * n` evaluation-form input words every raised digit
+    /// takes its own limbs from: borrowed as they are, or their
+    /// slot-permuted copy for the Galois variants.
+    own: Cow<'a, [u64]>,
     acc_q: Vec<u64>,
     acc_p: Vec<u64>,
     /// The eval-form slot permutation of the Galois variants, with the
@@ -460,63 +389,47 @@ struct LazyAccumulators<'a> {
 }
 
 impl<'a> LazyAccumulators<'a> {
-    /// Zeroed accumulators for the jobs whose evaluation-form input
-    /// rows (`(level + 1) * n` words each, in `[0, 2p)`) are `inputs`.
+    /// Zeroed accumulators for the input whose evaluation-form rows
+    /// (`(level + 1) * n` words, in `[0, 2p)`) are `own`.
     ///
     /// # Panics
     ///
     /// Panics if `galois` holds an even element.
-    fn new(
-        ctx: &'a CkksContext,
-        level: usize,
-        inputs: impl Iterator<Item = &'a [u64]>,
-        galois: Option<u64>,
-    ) -> Self {
+    fn new(ctx: &'a CkksContext, level: usize, own: &'a [u64], galois: Option<u64>) -> Self {
         let n = ctx.n();
+        debug_assert_eq!(own.len(), (level + 1) * n);
         let perm = galois.map(|g| ctx.galois().eval_permutation(g));
-        let own: Vec<Cow<'a, [u64]>> = inputs
-            .map(|rows| {
-                debug_assert_eq!(rows.len(), (level + 1) * n);
-                match &perm {
-                    Some(perm) => {
-                        let mut permuted = vec![0u64; rows.len()];
-                        kernel::active().permute_batch(perm.as_slice(), rows, &mut permuted);
-                        Cow::Owned(permuted)
-                    }
-                    None => Cow::Borrowed(rows),
-                }
-            })
-            .collect();
-        let k = own.len();
+        let own = match &perm {
+            Some(perm) => {
+                let mut permuted = vec![0u64; own.len()];
+                kernel::active().permute_batch(perm.as_slice(), own, &mut permuted);
+                Cow::Owned(permuted)
+            }
+            None => Cow::Borrowed(own),
+        };
         Self {
             ctx,
             level,
-            acc_q: vec![0u64; 2 * k * (level + 1) * n],
-            acc_p: vec![0u64; 2 * k * ctx.special_basis().len() * n],
             own,
+            acc_q: vec![0u64; 2 * (level + 1) * n],
+            acc_p: vec![0u64; 2 * ctx.special_basis().len() * n],
             perm: perm.map(|perm| (perm, Vec::new())),
         }
     }
 
-    /// Stage 2 for digit `j`: `converted` holds every job's converted
-    /// rows of the raised digit (lazy evaluation form, as
-    /// `raise_digit_lazy` lays them out). The automorphism, when
-    /// present, is a pure slot permutation that preserves the `[0, 2p)`
-    /// window — one gather over the batch. Then, per job and
-    /// accumulator, the raised digit meets the key row *in place*: its
-    /// limbs are the converted `q` rows below the digit, the job's own
-    /// input rows, the converted `q` rows above it and the converted
-    /// `P` rows, each run one lazy MAC against the matching slice of
-    /// the borrowed key segment.
-    fn mac_digit<'k>(
-        &mut self,
-        j: usize,
-        converted: &[u64],
-        keys: impl Iterator<Item = &'k SwitchingKey>,
-    ) {
-        let (ctx, level, k) = (self.ctx, self.level, self.own.len());
+    /// Stage 2 for digit `j`: `converted` holds the raised digit's
+    /// converted rows (lazy evaluation form, as `raise_digit_lazy` lays
+    /// them out). The automorphism, when present, is a pure slot
+    /// permutation that preserves the `[0, 2p)` window — one gather.
+    /// Then, per accumulator, the raised digit meets the key row *in
+    /// place*: its limbs are the converted `q` rows below the digit,
+    /// the input's own rows, the converted `q` rows above it and the
+    /// converted `P` rows, each run one lazy MAC against the matching
+    /// slice of the borrowed key segment.
+    fn mac_digit(&mut self, j: usize, converted: &[u64], key: &SwitchingKey) {
+        let (ctx, level) = (self.ctx, self.level);
         let n = ctx.n();
-        let converted = match &mut self.perm {
+        let conv = match &mut self.perm {
             Some((perm, permuted)) => {
                 permuted.resize(converted.len(), 0);
                 kernel::active().permute_batch(perm.as_slice(), converted, permuted);
@@ -529,62 +442,61 @@ impl<'a> LazyAccumulators<'a> {
         let (q_words, p_words) = (q_moduli.len() * n, p_moduli.len() * n);
         let digit = digit_range(ctx, level, j);
         // Word offsets: where the digit sits in a `q` part, and where
-        // the rows above it end in a job's converted rows.
+        // the rows above it end in the converted rows.
         let (lo, hi) = (digit.start * n, digit.end * n);
         let above_end = q_words - (hi - lo);
+        debug_assert_eq!(conv.len(), above_end + p_words);
+        let own = &self.own[lo..hi];
         let mac = |moduli: &[Modulus], acc: &mut [u64], raised: &[u64], key: &[u64]| {
             if !acc.is_empty() {
                 kernel::active().mul_acc_lazy_batch(moduli, acc, raised, key);
             }
         };
-        for (i, key) in keys.enumerate() {
-            let own = &self.own[i][lo..hi];
-            let conv = &converted[i * (above_end + p_words)..][..above_end + p_words];
-            for (half, (key_q, key_p)) in key.row_segments(j, level).into_iter().enumerate() {
-                let chunk = half * k + i;
-                let acc_q = &mut self.acc_q[chunk * q_words..][..q_words];
-                let acc_p = &mut self.acc_p[chunk * p_words..][..p_words];
-                mac(
-                    &q_moduli[..digit.start],
-                    &mut acc_q[..lo],
-                    &conv[..lo],
-                    &key_q[..lo],
-                );
-                mac(
-                    &q_moduli[digit.clone()],
-                    &mut acc_q[lo..hi],
-                    own,
-                    &key_q[lo..hi],
-                );
-                mac(
-                    &q_moduli[digit.end..],
-                    &mut acc_q[hi..],
-                    &conv[lo..above_end],
-                    &key_q[hi..],
-                );
-                mac(p_moduli, acc_p, &conv[above_end..], key_p);
-            }
+        let accs = self
+            .acc_q
+            .chunks_exact_mut(q_words)
+            .zip(self.acc_p.chunks_exact_mut(p_words));
+        for ((acc_q, acc_p), (key_q, key_p)) in accs.zip(key.row_segments(j, level)) {
+            mac(
+                &q_moduli[..digit.start],
+                &mut acc_q[..lo],
+                &conv[..lo],
+                &key_q[..lo],
+            );
+            mac(
+                &q_moduli[digit.clone()],
+                &mut acc_q[lo..hi],
+                own,
+                &key_q[lo..hi],
+            );
+            mac(
+                &q_moduli[digit.end..],
+                &mut acc_q[hi..],
+                &conv[lo..above_end],
+                &key_q[hi..],
+            );
+            mac(p_moduli, acc_p, &conv[above_end..], key_p);
         }
     }
 
     /// Stage 3, ModDown in the evaluation domain: a canonical-exit iNTT
-    /// over the `2k * |P|` special-limb rows (all a BConv reads), the
-    /// exact BConv of each `P`-part down to `C_l`, one lazy-exit NTT
-    /// over the `2k * (l+1)` converted rows, and the `(acc - conv) *
-    /// P^{-1}` pass against the `q` limbs that never left evaluation
-    /// form — canonical out, split into per-job `(ks0, ks1)` pairs.
-    fn finish(mut self) -> Vec<(RnsPoly, RnsPoly)> {
-        let (ctx, level, k) = (self.ctx, self.level, self.own.len());
+    /// over the `2|P|` special-limb rows (all a BConv reads), the exact
+    /// BConv of each `P`-part down to `C_l`, one lazy-exit NTT over the
+    /// `2(l+1)` converted rows, and the `(acc - conv) * P^{-1}` pass
+    /// against the `q` limbs that never left evaluation form —
+    /// canonical out, as the pair `(ks0, ks1)`.
+    fn finish(mut self) -> (RnsPoly, RnsPoly) {
+        let (ctx, level) = (self.ctx, self.level);
         let precomp = ctx.keyswitch_precomp(level);
         let level_basis = ctx.level_basis(level);
         let special = ctx.special_basis();
         let stride = level_basis.len() * ctx.n();
         kernel::active().inverse_batch(
-            &table_rows(special, 2 * k),
+            &table_rows(special, 2),
             &mut self.acc_p,
             ExitFold::Canonical,
         );
-        scratch::with_scratch(2 * k * stride, |conv| {
+        scratch::with_scratch(2 * stride, |conv| {
             for (p_part, conv) in self
                 .acc_p
                 .chunks_exact(special.len() * ctx.n())
@@ -592,9 +504,9 @@ impl<'a> LazyAccumulators<'a> {
             {
                 precomp.mod_down.convert_exact_into(p_part, conv);
             }
-            kernel::active().forward_batch(&table_rows(level_basis, 2 * k), conv, ExitFold::Lazy2p);
+            kernel::active().forward_batch(&table_rows(level_basis, 2), conv, ExitFold::Lazy2p);
 
-            // Job i's ks0 rows sit at chunk i, its ks1 rows at chunk k + i.
+            // ks0's rows sit at chunk 0, ks1's at chunk 1.
             let poly = |chunk: usize| {
                 let rows = chunk * stride..(chunk + 1) * stride;
                 let mut flat = Vec::with_capacity(stride);
@@ -607,31 +519,27 @@ impl<'a> LazyAccumulators<'a> {
                 );
                 RnsPoly::from_flat(level_basis.clone(), flat, Representation::Eval)
             };
-            (0..k).map(|i| (poly(i), poly(k + i))).collect()
+            (poly(0), poly(1))
         })
     }
 }
 
-/// The lazy engine, fused: all `jobs` — same `ctx`/`level`/`galois`
-/// geometry, per-job inputs and keys — go through the three stages with
-/// stages 1–2 interleaved digit by digit over one leased buffer, so the
-/// working set holds a single raised digit per job.
-fn key_switch_coalesced_impl(
+/// The lazy engine, fused: the three stages with stages 1–2 interleaved
+/// digit by digit over one leased buffer, so the working set holds a
+/// single raised digit.
+fn key_switch_impl(
     ctx: &CkksContext,
-    jobs: &[KsJob<'_>],
+    d: &RnsPoly,
+    key: &SwitchingKey,
     level: usize,
     galois: Option<u64>,
-) -> Vec<(RnsPoly, RnsPoly)> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let d_coeff = inputs_to_coeff(ctx, jobs.iter().map(|job| job.d), level);
-    let mut acc = LazyAccumulators::new(ctx, level, jobs.iter().map(|job| job.d.flat()), galois);
+) -> (RnsPoly, RnsPoly) {
+    let d_coeff = input_to_coeff(ctx, d, level);
+    let mut acc = LazyAccumulators::new(ctx, level, d.flat(), galois);
     for (j, digit) in ctx.keyswitch_precomp(level).digits.iter().enumerate() {
-        let words = jobs.len() * digit.mod_up.to_basis().len() * ctx.n();
-        scratch::with_scratch(words, |converted| {
+        scratch::with_scratch(digit.mod_up.to_basis().len() * ctx.n(), |converted| {
             raise_digit_lazy(ctx, &d_coeff, level, j, converted);
-            acc.mac_digit(j, converted, jobs.iter().map(|job| job.key));
+            acc.mac_digit(j, converted, key);
         });
     }
     acc.finish()
@@ -682,7 +590,7 @@ impl HoistedRotations {
 ///
 /// As [`key_switch`].
 pub fn hoist_rotations(ctx: &CkksContext, d: &RnsPoly, level: usize) -> HoistedRotations {
-    let d_coeff = inputs_to_coeff(ctx, std::iter::once(d), level);
+    let d_coeff = input_to_coeff(ctx, d, level);
     let raise = |(j, digit): (usize, &DigitPrecomp)| {
         let mut converted = vec![0u64; digit.mod_up.to_basis().len() * ctx.n()];
         raise_digit_lazy(ctx, &d_coeff, level, j, &mut converted);
@@ -716,12 +624,11 @@ pub fn key_switch_galois_hoisted(
     g: u64,
     key: &SwitchingKey,
 ) -> (RnsPoly, RnsPoly) {
-    let own = std::iter::once(hoisted.own.as_slice());
-    let mut acc = LazyAccumulators::new(ctx, hoisted.level, own, Some(g));
+    let mut acc = LazyAccumulators::new(ctx, hoisted.level, &hoisted.own, Some(g));
     for (j, converted) in hoisted.digits.iter().enumerate() {
-        acc.mac_digit(j, converted, std::iter::once(key));
+        acc.mac_digit(j, converted, key);
     }
-    acc.finish().pop().expect("one job in, one result out")
+    acc.finish()
 }
 
 #[cfg(test)]
@@ -870,7 +777,9 @@ mod tests {
 
     /// Both tiers of the Galois pipeline — lazy engine and strict
     /// oracle — are bit-identical: the rotation-chain counterpart of the
-    /// plain keyswitch assertions in `tests/lazy_chains.rs`.
+    /// plain keyswitch assertions in `tests/lazy_chains.rs`. At the top
+    /// level a key row is one contiguous run; one below it the MAC reads
+    /// two segments of the row and the last digit is cut short.
     #[test]
     fn galois_keyswitch_tiers_bit_identical() {
         let ctx = CkksContext::new(CkksParams::tiny_params());
@@ -879,7 +788,8 @@ mod tests {
         let sk = kg.secret_key(&mut rng);
         let g = fhe_math::galois::rotation_galois_element(1, ctx.n());
         let gk = kg.galois_key(&sk, g, &mut rng);
-        for level in [ctx.params().max_level(), 0] {
+        let max_level = ctx.params().max_level();
+        for level in [max_level, max_level - 1, 0] {
             let basis = ctx.level_basis(level).clone();
             let mut flat = Vec::with_capacity(basis.len() * ctx.n());
             for m in basis.moduli() {
@@ -929,97 +839,6 @@ mod tests {
                     assert_eq!(h1.flat(), s1.flat(), "ks1 r={r} level={level}");
                 }
             }
-        }
-    }
-
-    /// Coalescing k independent keyswitch jobs (distinct inputs AND
-    /// distinct keys, as cross-tenant coalescing produces) must leave
-    /// every output bitwise identical to its own sequential call —
-    /// batching widens kernel dispatches, it never changes a per-row
-    /// kernel.
-    #[test]
-    fn coalesced_keyswitch_bit_identical_to_sequential() {
-        let ctx = CkksContext::new(CkksParams::tiny_params());
-        let mut rng = StdRng::seed_from_u64(57);
-        let kg = KeyGenerator::new(ctx.clone());
-        for level in [ctx.params().max_level(), 0] {
-            let basis = ctx.level_basis(level).clone();
-            let mut ds = Vec::new();
-            let mut keys = Vec::new();
-            for _ in 0..3 {
-                let sk = kg.secret_key(&mut rng);
-                keys.push(kg.relin_key(&sk, &mut rng));
-                let mut flat = Vec::with_capacity(basis.len() * ctx.n());
-                for m in basis.moduli() {
-                    flat.extend(sampler::uniform_residues(&mut rng, m, ctx.n()));
-                }
-                ds.push(RnsPoly::from_flat(
-                    basis.clone(),
-                    flat,
-                    Representation::Eval,
-                ));
-            }
-            let jobs: Vec<KsJob<'_>> = ds
-                .iter()
-                .zip(&keys)
-                .map(|(d, key)| KsJob { d, key })
-                .collect();
-            let coalesced = key_switch_coalesced(&ctx, &jobs, level);
-            assert_eq!(coalesced.len(), jobs.len());
-            for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
-                let (s0, s1) = key_switch(&ctx, job.d, job.key, level);
-                assert_eq!(c0.flat(), s0.flat(), "ks0 job {i} level {level}");
-                assert_eq!(c1.flat(), s1.flat(), "ks1 job {i} level {level}");
-                assert_eq!(c0.reduction_state(), ReductionState::Canonical);
-                assert_eq!(c0.representation(), Representation::Eval);
-            }
-        }
-    }
-
-    /// The Galois form of the same guarantee: k rotations by one
-    /// element under per-job keys, coalesced, each output bit-identical
-    /// to its sequential `key_switch_galois` (and hence to the strict
-    /// oracle, by `galois_keyswitch_tiers_bit_identical`) — at the top
-    /// level, where a key row is one contiguous run, and one below it,
-    /// where every job's MAC reads two segments of its own key and the
-    /// last digit is cut short.
-    #[test]
-    fn coalesced_galois_keyswitch_bit_identical_to_sequential() {
-        let ctx = CkksContext::new(CkksParams::tiny_params());
-        let mut rng = StdRng::seed_from_u64(58);
-        let kg = KeyGenerator::new(ctx.clone());
-        let g = fhe_math::galois::rotation_galois_element(1, ctx.n());
-        let max_level = ctx.params().max_level();
-        for level in [max_level, max_level - 1] {
-            let basis = ctx.level_basis(level).clone();
-            let mut ds = Vec::new();
-            let mut keys = Vec::new();
-            for _ in 0..4 {
-                let sk = kg.secret_key(&mut rng);
-                keys.push(kg.galois_key(&sk, g, &mut rng));
-                let mut flat = Vec::with_capacity(basis.len() * ctx.n());
-                for m in basis.moduli() {
-                    flat.extend(sampler::uniform_residues(&mut rng, m, ctx.n()));
-                }
-                ds.push(RnsPoly::from_flat(
-                    basis.clone(),
-                    flat,
-                    Representation::Eval,
-                ));
-            }
-            let jobs: Vec<KsJob<'_>> = ds
-                .iter()
-                .zip(&keys)
-                .map(|(d, key)| KsJob { d, key })
-                .collect();
-            let coalesced = key_switch_galois_coalesced(&ctx, &jobs, g, level);
-            for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
-                let (s0, s1) = key_switch_galois(&ctx, job.d, g, job.key, level);
-                assert_eq!(c0.flat(), s0.flat(), "ks0 job {i}");
-                assert_eq!(c1.flat(), s1.flat(), "ks1 job {i}");
-            }
-            // An empty batch is a no-op, not a panic.
-            assert!(key_switch_galois_coalesced(&ctx, &[], g, level).is_empty());
         }
     }
 

@@ -20,9 +20,9 @@
 //!   inside op implementations and the short-lived [`Ciphertext3`]
 //!   tensor (folded by [`Evaluator::relinearize`] or
 //!   [`Ciphertext3::canonicalize`]).
-//! * [`key_switch`] — the `k = 1` instance of the one batch-first lazy
-//!   engine ([`key_switch_coalesced`] widens it, [`hoist_rotations`]
-//!   splits its stages) — keeps digit NTTs and inner-product
+//! * [`key_switch`] — the one lazy engine, one job per call
+//!   ([`hoist_rotations`] splits its stages) — keeps digit NTTs and
+//!   inner-product
 //!   accumulators lazy and transforms only the limbs a base conversion
 //!   reads; ModDown, run in the evaluation domain, canonicalises each
 //!   accumulator limb once.
@@ -88,9 +88,8 @@ pub use encryption::{Decryptor, Encryptor};
 pub use eval::Evaluator;
 pub use keys::{KeyGenerator, KeySet, PublicKey, SecretKey, SwitchingKey};
 pub use keyswitch::{
-    hoist_rotations, key_switch, key_switch_coalesced, key_switch_galois,
-    key_switch_galois_coalesced, key_switch_galois_hoisted, key_switch_galois_strict,
-    key_switch_strict, HoistedRotations, KsJob,
+    hoist_rotations, key_switch, key_switch_galois, key_switch_galois_hoisted,
+    key_switch_galois_strict, key_switch_strict, HoistedRotations,
 };
 pub use linalg::LinearTransform;
 pub use noise::{measure_noise_bits, NoiseEstimate, NoiseModel};

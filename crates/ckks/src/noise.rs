@@ -118,14 +118,6 @@ impl NoiseModel {
         a + b
     }
 
-    /// Noise after multiplying by a plaintext with slot magnitude
-    /// `|m| <= m_max` and rescaling: the input error is scaled by the
-    /// plaintext (then divided back by the dropped prime, which the
-    /// relative-bits view absorbs), plus the rescale rounding term.
-    pub fn pmult_rescale(&self, a: NoiseEstimate, m_max: f64) -> NoiseEstimate {
-        a.scale(m_max) + self.rescale_term()
-    }
-
     /// Noise after ciphertext multiplication (scales with the other
     /// operand's message magnitude), relinearisation and rescale.
     pub fn hmult_rescale(

@@ -20,9 +20,8 @@
 //! Extraction leaves the evaluation domain once per ciphertext (two
 //! iNTT rows) and gathers every index from the coefficient rows; the
 //! modulus raise of the ring embedding is word arithmetic. The keyed
-//! rotations of a `PackLWEs` merge round go through one
-//! `fhe_ckks::Evaluator::apply_galois_coalesced` dispatch (the field
-//! trace's, each reading the last, are its one-job instances), so they
+//! rotations of the `PackLWEs` merge rounds and the field trace are
+//! `fhe_ckks::Evaluator::apply_galois` calls, one per rotation, so they
 //! ride the lazy Galois chain: the automorphism is hoisted into the
 //! keyswitch as an evaluation-form slot permutation and the digit-NTT →
 //! `Auto` → `IP` → iNTT pipeline stays in the `[0, 2p)` window, folding

@@ -16,11 +16,11 @@
 //!    computes `(even + X^{N/m} odd) + sigma_{m+1}(even - X^{N/m} odd)`,
 //!    where `sigma` is a keyswitched automorphism (`HRotate`) and the
 //!    monomial multiplication is the key-free `Rotate`. A round's
-//!    `m/2` differences share the Galois element and the key, so they
-//!    go through one `Evaluator::apply_galois_coalesced` dispatch.
+//!    `m/2` differences share the Galois element and the key; each is
+//!    one `Evaluator::apply_galois` call.
 //! 3. **Field trace** — `log2(N/nslot)` rounds `ct += sigma_{2^t+1}(ct)`
 //!    kill every non-aligned coefficient exactly and double the aligned
-//!    ones (each round reads the previous one: batches of one).
+//!    ones (each round reads the previous one).
 //!
 //! The aggregate multiplication by `N` is absorbed into the CKKS scale
 //! field rather than corrected with an `N^{-1}` multiplication, keeping
@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, KeyGenerator, SecretKey, SwitchingKey};
+use fhe_math::galois::trace_galois_element;
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::LweCiphertext;
 use rand::Rng;
@@ -77,7 +78,7 @@ impl RlwePacker {
         let log_n = fhe_math::util::log2_exact(ctx.n());
         let mut keys = HashMap::new();
         for t in 1..=log_n {
-            let g = (1u64 << t) + 1;
+            let g = trace_galois_element(t);
             keys.insert(g, kg.galois_key(sk, g, rng));
         }
         let basis = ctx.level_basis(level);
@@ -139,9 +140,9 @@ impl RlwePacker {
     }
 
     /// PackLWEs (Algorithm 4): merges `2^k` embedded ciphertexts (a
-    /// shorter input is padded with zero ciphertexts). Each round forms
-    /// every pair's sum and difference, then rotates all differences in
-    /// one coalesced dispatch.
+    /// shorter input is padded with zero ciphertexts). Each round merges
+    /// every pair: sum and difference, one keyswitched rotation of the
+    /// difference, then their sum.
     ///
     /// # Panics
     ///
@@ -176,25 +177,16 @@ impl RlwePacker {
         while cts.len() > 1 {
             size *= 2;
             let shift = (n / size) as i64; // X^{N/size}
-            let g = size as u64 + 1;
+            let g = trace_galois_element(size.trailing_zeros());
             let gk = &self.keys[&g];
-            let (sums, diffs): (Vec<Ciphertext>, Vec<Ciphertext>) = cts
+            cts = cts
                 .chunks(2)
                 .map(|pair| {
                     let odd_shifted = self.eval.mul_monomial(&pair[1], shift);
-                    (
-                        self.eval.add(&pair[0], &odd_shifted),
-                        self.eval.sub(&pair[0], &odd_shifted),
-                    )
-                })
-                .unzip();
-            let jobs: Vec<(&Ciphertext, &SwitchingKey)> = diffs.iter().map(|d| (d, gk)).collect();
-            let rotated = self.eval.apply_galois_coalesced(&jobs, g);
-            cts = sums
-                .iter()
-                .zip(&rotated)
-                .map(|(sum, rot)| {
-                    let mut merged = self.eval.add(sum, rot);
+                    let sum = self.eval.add(&pair[0], &odd_shifted);
+                    let diff = self.eval.sub(&pair[0], &odd_shifted);
+                    let rotated = self.eval.apply_galois(&diff, g, gk);
+                    let mut merged = self.eval.add(&sum, &rotated);
                     merged.scale = sum.scale * 2.0;
                     merged
                 })
@@ -216,7 +208,7 @@ impl RlwePacker {
         let log_ns = fhe_math::util::log2_exact(nslot);
         let mut cur = ct.clone();
         for k in 1..=(log_n - log_ns) {
-            let g = (1u64 << (log_n - k + 1)) + 1;
+            let g = trace_galois_element(log_n - k + 1);
             let rotated = self.eval.apply_galois(&cur, g, &self.keys[&g]);
             let mut sum = self.eval.add(&cur, &rotated);
             sum.scale = cur.scale * 2.0;
@@ -414,8 +406,8 @@ mod tests {
         }
     }
 
-    /// The coalesced merge rounds and the whole conversion against the
-    /// one-keyswitch-at-a-time reference: nslot 1, 2, 4, 8, and a
+    /// The merge rounds and the whole conversion against the
+    /// reference bodies: nslot 1, 2, 4, 8, and a
     /// three-ciphertext `pack_embedded` input (padded to four).
     #[test]
     fn pack_and_convert_are_bit_identical_to_the_sequential_reference() {

@@ -517,15 +517,15 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if `src.len() != dst.len()`. Implementations may assume
-    /// that length is an exact multiple of `perm.len()` (callers
-    /// assert; debug-asserted here).
+    /// Panics, in every build, if `src.len() != dst.len()` or that
+    /// length is not a multiple of `perm.len()` — before any word is
+    /// written.
     fn permute_batch(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
         assert_operand_lens(dst.len(), &[src.len()]);
         if perm.is_empty() || src.is_empty() {
             return;
         }
-        debug_assert_eq!(
+        assert_eq!(
             src.len() % perm.len(),
             0,
             "flat buffer not a multiple of the permutation length"
@@ -1505,7 +1505,7 @@ impl KernelBackend for ThreadedBackend {
         if n == 0 || src.is_empty() {
             return;
         }
-        debug_assert_eq!(
+        assert_eq!(
             src.len() % n,
             0,
             "flat buffer not a multiple of the permutation length"
@@ -1567,7 +1567,8 @@ impl KernelBackend for ThreadedBackend {
         if n == 0 || levels == 0 || src.is_empty() {
             return;
         }
-        debug_assert_eq!(src.len() % n, 0, "src not a multiple of the row length");
+        assert_eq!(src.len() % n, 0, "src not a multiple of the row length");
+        assert_eq!(out.len(), src.len() * levels, "digit buffer size mismatch");
         // Each input row expands into `levels * n` digit words — that
         // is the job size the threshold must weigh, not `n`.
         self.fan_out(src.len() / n, levels * n, out, |g, rows| {
@@ -2402,6 +2403,38 @@ mod tests {
                 assert!(msg.contains("operand length"), "op {op}: {msg}");
                 assert_eq!(out, full, "{} op {op} touched rows", b.name());
             }
+        }
+        assert_eq!(threaded.pool().parallel_jobs_dispatched(), 0);
+    }
+
+    /// A ragged buffer — not a whole number of rows — panics on every
+    /// backend in every build, before any output word is written,
+    /// instead of returning with the tail rows unwritten.
+    #[test]
+    fn ragged_permute_and_decompose_panic_on_every_backend() {
+        let perm = [3usize, 2, 1, 0];
+        let src = [1u64; 6];
+        let (n, levels) = (8usize, 2usize);
+        let digits_src = [1u64; 35];
+        let threaded = ThreadedBackend::with_config(2, 1);
+        let backends: [&dyn KernelBackend; 3] = [&SCALAR, &LANES_BACKEND, &threaded];
+        for b in backends {
+            let name = b.name();
+            let mut dst = [7u64; 6];
+            let run = std::panic::AssertUnwindSafe(|| b.permute_batch(&perm, &src, &mut dst));
+            let panic = std::panic::catch_unwind(run).expect_err("ragged permute accepted");
+            let msg = panic.downcast::<String>().expect("assert_eq! message");
+            assert!(msg.contains("not a multiple"), "{name} permute: {msg}");
+            assert_eq!(dst, [7; 6], "{name} permute touched words");
+
+            let mut out = vec![7i64; digits_src.len() * levels];
+            let run = std::panic::AssertUnwindSafe(|| {
+                b.decompose_batch(1 << 20, 8, levels, n, &digits_src, &mut out)
+            });
+            let panic = std::panic::catch_unwind(run).expect_err("ragged decompose accepted");
+            let msg = panic.downcast::<String>().expect("assert_eq! message");
+            assert!(msg.contains("not a multiple"), "{name} decompose: {msg}");
+            assert_eq!(out, [7; 70], "{name} decompose touched words");
         }
         assert_eq!(threaded.pool().parallel_jobs_dispatched(), 0);
     }

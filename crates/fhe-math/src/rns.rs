@@ -289,11 +289,6 @@ impl BasisConverter {
         }
     }
 
-    /// Source basis.
-    pub fn from_basis(&self) -> &RnsBasis {
-        &self.from
-    }
-
     /// Destination basis.
     pub fn to_basis(&self) -> &RnsBasis {
         &self.to

@@ -1,13 +1,12 @@
-//! Cross-request batch coalescing.
+//! Cross-request grouping of rotation jobs.
 //!
-//! The threaded kernel backend amortises its dispatch overhead over
-//! the rows of one batch call — but a single small-`L` keyswitch only
-//! brings `L + k` rows, far short of saturating even a modest worker
-//! pool. A multi-tenant queue fixes that *statistically*: independent
+//! A single small-`L` keyswitch is far too little work to occupy every
+//! core. A multi-tenant queue fixes that *statistically*: independent
 //! rotation requests from different tenants frequently share geometry,
-//! and [`fhe_ckks::key_switch_galois_coalesced`] can run any number of
-//! same-geometry jobs (each under its own tenant key) as one wide
-//! dispatch, bit-identically to running them apart.
+//! so the service gathers same-geometry jobs (each under its own tenant
+//! key) into one dispatch group and spreads the group over the cores,
+//! one [`fhe_ckks::Evaluator::apply_galois`] per job — bit-identically
+//! to running the jobs one dispatch each.
 //!
 //! Two jobs may share a dispatch exactly when they agree on
 //! [`Geometry`]: the same context instance (same ring degree, RNS

@@ -11,10 +11,11 @@
 //! A group's jobs are independent — a job's output does not depend on
 //! its batch mates — so the group is split into one contiguous
 //! sub-batch per lane of the [`fhe_math::kernel::threaded`]`(None)`
-//! pool ([`WorkerPool::map_chunks`]), and each sub-batch runs through
-//! the batch engine on its own core. Results, the audit and completion
-//! order are those of one unsplit engine call; a 1-wide group, or a
-//! 1-core host, makes exactly that one call inline.
+//! pool ([`WorkerPool::map_chunks`]), and each sub-batch runs on its
+//! own core — gates through one batched-gate call, rotations one
+//! keyswitch per job. Results, the audit and completion order are
+//! those of running the group unsplit; a 1-wide group, or a 1-core
+//! host, runs it inline.
 //!
 //! Time is measured in *ticks* — one tick per dispatch opportunity —
 //! which keeps budget enforcement and starvation detection exact and
@@ -51,8 +52,9 @@ pub struct ServiceConfig {
     /// Key-cache byte budget.
     pub key_cache_bytes: usize,
     /// Maximum requests in one dispatch group. The group is split into
-    /// one batch-engine call per core, so one kernel dispatch carries
-    /// at most `ceil(max_batch / cores)` of them.
+    /// one sub-batch per core, so one batched-gate call carries at most
+    /// `ceil(max_batch / cores)` of them; a rotation is always one
+    /// keyswitch of its own.
     pub max_batch: usize,
     /// Ignored: every dispatch group executes in the tick that forms
     /// it, whatever this holds. The field exists only because
@@ -185,8 +187,9 @@ pub struct ServiceCore {
     sched: Scheduler,
     audit: AuditLog,
     cache: KeyCache,
-    /// One evaluator per distinct shared context, so coalesced
-    /// dispatches have a single op-counter home.
+    /// One evaluator per distinct shared context, so every rotation
+    /// over that context — whichever tenant and core ran it — counts
+    /// in one place.
     contexts: Vec<(Arc<CkksContext>, Evaluator)>,
     lanes: [VecDeque<Job>; 3],
     /// Tick each lane last received a dispatch; lane wait (the
@@ -467,9 +470,10 @@ impl ServiceCore {
     /// shared context, level, Galois element) — each job under its own
     /// tenant's switching key. The Timed lane serves
     /// earliest-deadline-first ([`queue::edf_pick`]); Bulk stays FIFO.
-    /// The group runs as one [`Evaluator::apply_galois_coalesced`] call
-    /// per pool chunk. A chained job whose steps remain goes back to its
-    /// lane carrying this step's output.
+    /// The group is split into one sub-batch per core, and each job of
+    /// a sub-batch is one [`Evaluator::apply_galois`] call. A chained
+    /// job whose steps remain goes back to its lane carrying this
+    /// step's output.
     fn dispatch_rotations(&mut self, lane: Lane, cause: PickCause, pending: [usize; 3]) {
         let head_idx = if lane == Lane::Timed {
             let dues: Vec<(u64, u64)> = self.lanes[lane.index()]
@@ -532,8 +536,12 @@ impl ServiceCore {
                 })
                 .collect();
             let g = head_geom.galois();
-            self.pool
-                .map_chunks(&jobs, |chunk| eval.apply_galois_coalesced(chunk, g))
+            self.pool.map_chunks(&jobs, |chunk| {
+                chunk
+                    .iter()
+                    .map(|&(ct, key)| eval.apply_galois(ct, g, key))
+                    .collect()
+            })
         };
         for (mut job, out) in batch.into_iter().zip(outs) {
             let JobWork::Rotations { ct, steps, next } = &mut job.work else {

@@ -6,10 +6,10 @@
 //! needs. This crate is the layer in between: a long-running service
 //! core that queues encrypted jobs, schedules them over QoS lanes,
 //! holds tenant evaluation keys behind an eviction-managed cache, and
-//! — the throughput lever — coalesces independent same-geometry
-//! keyswitch jobs from *different requests* into single wide kernel
-//! dispatches, so the batch-oriented backends see the row counts they
-//! were built for even when each individual request is small.
+//! — the throughput lever — groups independent same-geometry jobs
+//! from *different requests* into one dispatch spread over every
+//! core, so the host stays busy even when each individual request is
+//! small.
 //!
 //! The moving parts, bottom-up:
 //!
@@ -33,7 +33,7 @@
 //! * [`core`](mod@core) — [`ServiceCore`]: one loop that decides
 //!   (admission, lane picks, group formation, audit) on one thread and
 //!   executes — each dispatch group runs in the tick that forms it,
-//!   split into one batch-engine call per core.
+//!   split into one sub-batch per core.
 //!
 //! Scheduling is measured in dispatch *ticks*, not wall-clock time,
 //! so every guarantee in this crate is exactly reproducible in tests:

@@ -1,11 +1,12 @@
-//! The service splits each dispatch group into one batch-engine call
-//! per pool lane; this binary pins that the split conserves kernel
-//! traffic. A 4-gate group and a 4-rotation group run through
-//! [`ServiceCore`] under a counting [`KernelBackend`] decorator
-//! installed with [`kernel::force`], and each kernel class's row total
-//! must equal that of the same jobs through one unsplit engine call —
-//! only the number of calls may differ. `force` swaps process-wide
-//! state, so this binary holds exactly one test.
+//! The service splits each dispatch group into one sub-batch per pool
+//! lane; this binary pins that the split conserves kernel traffic. A
+//! 4-gate group and a 4-rotation group run through [`ServiceCore`]
+//! under a counting [`KernelBackend`] decorator installed with
+//! [`kernel::force`], and each kernel class's row total must equal that
+//! of the same jobs run unsplit on the calling thread — one batched-gate
+//! call, one `apply_galois` per rotation — only the number of calls may
+//! differ. `force` swaps process-wide state, so this binary holds
+//! exactly one test.
 
 mod common;
 
@@ -206,7 +207,11 @@ fn split_groups_conserve_per_class_kernel_rows() {
         .map(|j| (&tenants[j % 2].input, &tenants[j % 2].galois[&1]))
         .collect();
     let g = fhe_math::galois::rotation_galois_element(1, ctx.n());
-    let (want, unsplit) = counted(|| eval.apply_galois_coalesced(&jobs, g));
+    let (want, unsplit) = counted(|| {
+        jobs.iter()
+            .map(|&(ct, key)| eval.apply_galois(ct, g, key))
+            .collect::<Vec<_>>()
+    });
 
     let mut svc = ServiceCore::new(ServiceConfig::default_config()).unwrap();
     for (t, tenant) in tenants.iter().enumerate() {

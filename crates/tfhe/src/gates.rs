@@ -151,11 +151,10 @@ impl ServerKey {
 pub type BatchedGateJob<'a> = (&'a ServerKey, GateOp, &'a LweCiphertext, &'a LweCiphertext);
 
 /// The gate engine: applies `k` independent binary gates as one
-/// dispatch — the Interactive-lane analogue of the CKKS
-/// `apply_galois_coalesced`. Per job the gate's linear combination,
-/// then the `k` sign bootstraps as one [`ServerKey::bootstrap_batch`]
-/// (one wide kernel batch call per CMUX step instead of `k` narrow
-/// ones), then keyswitch and negate per job. [`ServerKey::apply_gate`]
+/// dispatch — the serving layer's Interactive-lane batch. Per job the
+/// gate's linear combination, then the `k` sign bootstraps as one
+/// [`ServerKey::bootstrap_batch`] (one wide kernel batch call per CMUX
+/// step instead of `k` narrow ones), then keyswitch and negate per job. [`ServerKey::apply_gate`]
 /// is the one-job instance, so a job's output does not depend on how it
 /// was batched. Different tenants' keys may share a dispatch as long as
 /// they share one ring ([`ServerKey::shares_ring_with`], the grouping

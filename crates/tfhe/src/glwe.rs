@@ -28,17 +28,6 @@ impl GlweSecretKey {
         }
     }
 
-    /// Builds from explicit coefficients (shared-secret scenarios in the
-    /// scheme-conversion layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coefficient is outside {0, 1} (binary GLWE keys).
-    pub fn from_polys(polys: Vec<Vec<i64>>) -> Self {
-        assert!(polys.iter().all(|p| p.iter().all(|&c| c == 0 || c == 1)));
-        Self { polys }
-    }
-
     /// GLWE dimension `k`.
     pub fn k(&self) -> usize {
         self.polys.len()

@@ -104,21 +104,6 @@ impl TfheParams {
     pub fn paper_sets() -> [Self; 3] {
         [Self::set_i(), Self::set_ii(), Self::set_iii()]
     }
-
-    /// Extracted LWE dimension after sample extraction (`k * N`).
-    pub fn extracted_dim(&self) -> usize {
-        self.k * self.n
-    }
-
-    /// The bootstrapping decomposition base `B_g`.
-    pub fn bg(&self) -> u64 {
-        1 << self.bg_log
-    }
-
-    /// The keyswitch decomposition base.
-    pub fn ks_base(&self) -> u64 {
-        1 << self.ks_base_log
-    }
 }
 
 #[cfg(test)]

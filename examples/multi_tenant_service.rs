@@ -2,8 +2,8 @@
 //! boolean tenant, three CKKS analytics tenants sharing a context)
 //! submit a deterministic request stream through the QoS-laned job
 //! queue. The service enforces the 20/30/50 lane budgets, coalesces
-//! same-geometry keyswitches from different requests into single wide
-//! kernel dispatches, and audits every decision as JSONL.
+//! same-geometry rotations from different requests into one dispatch
+//! spread over the cores, and audits every decision as JSONL.
 //!
 //! Run with: `cargo run --release --example multi_tenant_service`
 
@@ -190,7 +190,7 @@ fn main() {
     }
     let coalesced = dispatches.iter().filter(|&&(_, jobs)| jobs >= 2).count();
     println!(
-        "  {coalesced} dispatches carried >= 2 coalesced requests (cross-tenant keyswitch batching)"
+        "  {coalesced} dispatches carried >= 2 coalesced requests (cross-tenant rotation groups)"
     );
     // The oversubscribed pacing must actually build an Interactive
     // backlog: at least one dispatch batches >= 2 gates through a

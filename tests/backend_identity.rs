@@ -6,7 +6,7 @@
 //! with `kernel::force` (the shared `common::under_each_backend`) and
 //! asserts that CKKS keyswitch, HMult (+rescale), rotation (fused and
 //! hoisted), the TFHE external product and gate bootstrap — the
-//! `k = 1` instances of the batch engines — and the scheme-conversion
+//! single-request forms of the engines — and the scheme-conversion
 //! round trip (extract, then pack) produce bit-identical
 //! ciphertexts under all three — i.e. backend choice is unobservable, not merely
 //! correct-up-to-the-oracle. The `NttTable` single-row entry points
