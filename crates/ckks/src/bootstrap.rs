@@ -24,6 +24,17 @@
 //!    coefficients back, leaving a fresh encryption of the original
 //!    slots at a usable level.
 //!
+//! After CoeffToSlot the two halves never meet again until SlotToCoeff's
+//! final add: each one runs EvalMod and then its own one-output
+//! SlotToCoeff matvec. [`Bootstrapper::bootstrap`] runs the two halves
+//! as one two-job
+//! [`map_chunks`](fhe_math::pool::WorkerPool::map_chunks) on the
+//! process pool ([`fhe_math::pool::shared`]), so on a multi-core host
+//! they run on two cores at once; on a one-lane host the pool calls
+//! them inline, half 0 then half 1. Each half's words depend only on
+//! its input, so the result is bit-identical either way. ModRaise,
+//! SubSum and CoeffToSlot run on the calling thread.
+//!
 //! The linear transforms here are single dense `n x n`-diagonal passes
 //! (one level each) through the crate's one diagonal engine
 //! ([`crate::linalg`]), which hoists each input once and shares its
@@ -34,6 +45,7 @@
 
 use std::f64::consts::PI;
 
+use fhe_math::pool;
 use fhe_math::{Complex, RnsPoly};
 use rand::Rng;
 
@@ -115,7 +127,9 @@ impl Bootstrapper {
     /// # Panics
     ///
     /// Panics if `sparse_slots` is not a power of two in `[2, N/4]`, or
-    /// if the context has fewer levels than [`BootstrapParams::depth`].
+    /// if the context's top level `L` is not above
+    /// [`BootstrapParams::depth`] (`L > depth` is required, so the
+    /// output keeps at least one level).
     pub fn new(ctx: Arc<CkksContext>, params: BootstrapParams) -> Self {
         let n_ring = ctx.n();
         let n = params.sparse_slots;
@@ -328,7 +342,10 @@ impl Bootstrapper {
 
     /// SlotToCoeff: maps the two cleaned coefficient-halves back through
     /// the forward embedding, producing the refreshed ciphertext. One
-    /// level.
+    /// level. The halves live on different sources, so each is its own
+    /// one-output matvec, rescaled before the add. Both run on the
+    /// calling thread, half 0 then half 1; [`Self::bootstrap`] runs the
+    /// same per-half matvec on the process pool instead.
     ///
     /// # Panics
     ///
@@ -341,19 +358,24 @@ impl Bootstrapper {
         enc: &Encoder,
         keys: &KeySet,
     ) -> Ciphertext {
-        // Two one-output calls, each rescaled before the add: the
-        // halves live on different sources, so there is nothing to share.
-        let a = self.diagonal_matvec(&[(t0, &[(0, &self.s2c[0])])], eval, enc, keys);
-        let b = self.diagonal_matvec(&[(t1, &[(0, &self.s2c[1])])], eval, enc, keys);
-        eval.add(&a[0], &b[0])
+        let a = self.s2c_half(0, t0, eval, enc, keys);
+        let b = self.s2c_half(1, t1, eval, enc, keys);
+        eval.add(&a, &b)
     }
 
-    /// The full pipeline: ModRaise, SubSum, CoeffToSlot, EvalMod (on
-    /// both halves), SlotToCoeff.
+    /// The full pipeline: ModRaise, SubSum, CoeffToSlot, then EvalMod
+    /// and SlotToCoeff per half.
     ///
     /// The input must be at level 0 and encode an `n`-periodic slot
     /// vector; the output encodes the same slots at level
     /// `L - `[`BootstrapParams::depth`] with the default scale.
+    ///
+    /// The first three stages run on the calling thread. Each half's
+    /// [`Self::eval_mod`] and SlotToCoeff matvec then run as one job of
+    /// a two-job [`map_chunks`](fhe_math::pool::WorkerPool::map_chunks)
+    /// on the process pool, and the two outputs are added: the words
+    /// are those of [`Self::eval_mod`] on each half followed by
+    /// [`Self::slot_to_coeff`] on the calling thread.
     pub fn bootstrap(
         &self,
         ct: &Ciphertext,
@@ -361,12 +383,36 @@ impl Bootstrapper {
         enc: &Encoder,
         keys: &KeySet,
     ) -> Ciphertext {
-        let raised = self.mod_raise(ct);
-        let traced = self.sub_sum(&raised, eval, keys);
-        let (t0, t1) = self.coeff_to_slot(&traced, eval, enc, keys);
-        let m0 = self.eval_mod(&t0, eval, enc, keys);
-        let m1 = self.eval_mod(&t1, eval, enc, keys);
-        self.slot_to_coeff(&m0, &m1, eval, enc, keys)
+        // The raised and traced ciphertexts are dropped before the
+        // halves start, which is when the working set peaks.
+        let (t0, t1) = {
+            let traced = self.sub_sum(&self.mod_raise(ct), eval, keys);
+            self.coeff_to_slot(&traced, eval, enc, keys)
+        };
+        let halves = [(0, &t0), (1, &t1)];
+        let outs = pool::shared().map_chunks(&halves, |chunk: &[(usize, &Ciphertext)]| {
+            chunk
+                .iter()
+                .map(|&(h, t)| {
+                    self.s2c_half(h, &self.eval_mod(t, eval, enc, keys), eval, enc, keys)
+                })
+                .collect()
+        });
+        eval.add(&outs[0], &outs[1])
+    }
+
+    /// SlotToCoeff's one-output matvec for half `h` — the one path both
+    /// [`Self::slot_to_coeff`] and [`Self::bootstrap`] take.
+    fn s2c_half(
+        &self,
+        h: usize,
+        m: &Ciphertext,
+        eval: &Evaluator,
+        enc: &Encoder,
+        keys: &KeySet,
+    ) -> Ciphertext {
+        let mut outs = self.diagonal_matvec(&[(m, &[(0, &self.s2c[h])])], eval, enc, keys);
+        outs.pop().expect("one output")
     }
 
     /// Predicted operation counts for one full bootstrap — the

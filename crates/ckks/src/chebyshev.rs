@@ -17,6 +17,7 @@
 //! shared target), so no scale-drift error accumulates even over deep
 //! chains of near-but-not-exactly-`2^scale_bits` primes.
 
+use std::borrow::Cow;
 use std::f64::consts::PI;
 
 use crate::ciphertext::Ciphertext;
@@ -205,17 +206,19 @@ fn trim_zeros(mut v: Vec<f64>) -> Vec<f64> {
     v
 }
 
-/// Precomputed Chebyshev power ciphertexts: `T_1` and the power-of-two
-/// giants `T_2, T_4, ..., T_{split}`.
-struct ChebPowers {
-    /// `powers[k]` = ciphertext of `T_k(u)` where present.
-    powers: Vec<Option<Ciphertext>>,
+/// Precomputed Chebyshev power ciphertexts: `T_1`, which is the input
+/// itself (borrowed, not copied), and the power-of-two giants
+/// `T_2, T_4, ..., T_{split}`.
+struct ChebPowers<'a> {
+    /// `powers[j]` = ciphertext of `T_{2^j}(u)`.
+    powers: Vec<Cow<'a, Ciphertext>>,
 }
 
-impl ChebPowers {
+impl ChebPowers<'_> {
     fn get(&self, k: usize) -> &Ciphertext {
-        self.powers[k]
-            .as_ref()
+        assert!(k.is_power_of_two(), "T_{k} is not a power-of-two giant");
+        self.powers
+            .get(k.trailing_zeros() as usize)
             .unwrap_or_else(|| panic!("T_{k} was not precomputed"))
     }
 }
@@ -255,21 +258,18 @@ impl Evaluator {
 
     /// Builds `T_1` and the power-of-two giants up to the top split
     /// point, each with exact scale tracking.
-    fn cheb_powers(
+    fn cheb_powers<'a>(
         &self,
-        u: &Ciphertext,
+        u: &'a Ciphertext,
         degree: usize,
         rlk: &SwitchingKey,
         enc: &Encoder,
-    ) -> ChebPowers {
+    ) -> ChebPowers<'a> {
         let top = split_point(degree.max(1));
-        let mut powers: Vec<Option<Ciphertext>> = vec![None; top + 1];
-        powers[1] = Some(u.clone());
-        let mut k = 2;
-        while k <= top {
-            let half = powers[k / 2].as_ref().expect("built in order");
-            powers[k] = Some(self.cheb_double(half, enc, rlk));
-            k *= 2;
+        let mut powers = vec![Cow::Borrowed(u)];
+        while 1 << powers.len() <= top {
+            let half = powers.last().expect("T_1 is present");
+            powers.push(Cow::Owned(self.cheb_double(half, enc, rlk)));
         }
         ChebPowers { powers }
     }
@@ -300,16 +300,21 @@ impl Evaluator {
         }
         let k = split_point(degree);
         let (q, r) = cheb_divide(coeffs, k);
-        let tk = self.mod_down_to(powers.get(k), target_level + 1);
         let q_last = self
             .context()
             .level_basis(target_level + 1)
             .modulus(target_level + 1)
             .value() as f64;
-        // q evaluated so that rescale(q_ct * T_k) lands at the target.
-        let q_scale = target_scale * q_last / tk.scale;
-        let q_ct = self.cheb_recurse(&q, target_level + 1, q_scale, powers, rlk, enc);
-        let mut prod = self.rescale(&self.mul(&q_ct, &tk, rlk));
+        // q evaluated so that rescale(q_ct * T_k) lands at the target;
+        // `mod_down_to` keeps the scale, so T_k's is read off the giant.
+        let q_scale = target_scale * q_last / powers.get(k).scale;
+        // The truncated T_k and q's ciphertext live only until `prod` is
+        // formed, not across either recursion: that bounds the live set.
+        let mut prod = {
+            let q_ct = self.cheb_recurse(&q, target_level + 1, q_scale, powers, rlk, enc);
+            let tk = self.mod_down_to(powers.get(k), target_level + 1);
+            self.rescale(&self.mul(&q_ct, &tk, rlk))
+        };
         prod.scale = target_scale; // snap f64 round-off; exact by construction
         let r_ct = self.cheb_recurse(&r, target_level, target_scale, powers, rlk, enc);
         self.add(&prod, &r_ct)

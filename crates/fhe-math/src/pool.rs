@@ -11,10 +11,11 @@
 //!   [`crate::kernel::ThreadedBackend`]'s batched passes slice one
 //!   kernel call by whole limb rows.
 //! * **Jobs.** [`WorkerPool::map_chunks`] slices a batch of independent
-//!   jobs into one narrower batch per lane; the serving layer runs each
-//!   dispatch group through it on the pool of
-//!   [`crate::kernel::threaded`]`(None)`, so a group occupies every
-//!   core while each chunk's kernels stay as wide as its jobs make them.
+//!   jobs into one narrower batch per lane, on the process pool
+//!   [`shared`]. The serving layer runs each dispatch group through it,
+//!   so a group occupies every core while each chunk's kernels stay as
+//!   wide as its jobs make them; the library runs the CKKS bootstrap's
+//!   two EvalMod + SlotToCoeff halves through it as a two-job batch.
 //!
 //! The build environment is offline (no `rayon`), so the pool is
 //! home-grown from `std::thread` + `std::sync::mpsc`:
@@ -359,6 +360,15 @@ impl WorkerPool {
         self.run(tasks);
         outs.into_iter().flatten().collect()
     }
+}
+
+/// The process pool: one lane per
+/// [`std::thread::available_parallelism`], workers living for the
+/// process. Every job-axis caller ([`WorkerPool::map_chunks`]) shares
+/// it, so independent jobs from the service and the library never
+/// oversubscribe the cores with a second set of workers.
+pub fn shared() -> &'static WorkerPool {
+    crate::kernel::threaded(None).pool()
 }
 
 /// `0..len` as `chunks` contiguous ranges in order, the first

@@ -10,8 +10,8 @@
 //!
 //! A group's jobs are independent — a job's output does not depend on
 //! its batch mates — so the group is split into one contiguous
-//! sub-batch per lane of the [`fhe_math::kernel::threaded`]`(None)`
-//! pool ([`WorkerPool::map_chunks`]), and each sub-batch runs on its
+//! sub-batch per lane of the process pool [`fhe_math::pool::shared`]
+//! ([`WorkerPool::map_chunks`]), and each sub-batch runs on its
 //! own core — gates through one batched-gate call, rotations one
 //! keyswitch per job. Results, the audit and completion order are
 //! those of running the group unsplit; a 1-wide group, or a 1-core
@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, SwitchingKey};
 use fhe_math::galois::rotation_galois_element;
-use fhe_math::kernel;
-use fhe_math::pool::WorkerPool;
+use fhe_math::pool::{self, WorkerPool};
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{BatchedGateJob, GateOp, LweCiphertext, ServerKey};
 
@@ -199,8 +198,8 @@ pub struct ServiceCore {
     tick: u64,
     next_request: u64,
     next_group: u64,
-    /// The process-lived pool of [`kernel::threaded`]`(None)`, one lane
-    /// per core: each dispatch group's jobs are split across it.
+    /// The process pool ([`pool::shared`]), one lane per core: each
+    /// dispatch group's jobs are split across it.
     pool: &'static WorkerPool,
 }
 
@@ -226,7 +225,7 @@ impl ServiceCore {
             tick: 0,
             next_request: 0,
             next_group: 0,
-            pool: kernel::threaded(None).pool(),
+            pool: pool::shared(),
             cfg,
         })
     }

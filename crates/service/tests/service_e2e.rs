@@ -30,7 +30,6 @@ use std::collections::HashMap;
 use common::backends::under_each_backend;
 use common::{ckks_tenant, mixed_cfg, parse_completes, parse_dispatches, run_mixed_scenario};
 use fhe_ckks::{CkksContext, CkksParams, Evaluator, SwitchingKey};
-use fhe_math::kernel;
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{ClientKey, GateOp, MulBackend, ServerKey, TfheContext, TfheParams};
 use rand::rngs::StdRng;
@@ -42,7 +41,7 @@ use trinity_service::{
 
 #[test]
 fn mixed_tenants_bit_identical_across_backends_and_coalesced() {
-    let pool = kernel::threaded(None).pool();
+    let pool = fhe_math::pool::shared();
     let fanned_before = pool.parallel_jobs_dispatched();
     let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg()));
     // On a multi-core host the service split its groups across the

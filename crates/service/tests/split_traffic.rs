@@ -155,7 +155,7 @@ fn dispatch_one_group(svc: &mut ServiceCore, width: usize) -> Traffic {
 
 #[test]
 fn split_groups_conserve_per_class_kernel_rows() {
-    let pool = kernel::threaded(None).pool();
+    let pool = fhe_math::pool::shared();
     let fanned_before = pool.parallel_jobs_dispatched();
 
     // A 4-gate Interactive group under one Set-I server key.
