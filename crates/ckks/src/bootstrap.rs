@@ -99,6 +99,13 @@ impl BootstrapParams {
 /// `N = 2^11`, `L = 16`, 50-bit scale (60-bit `q0`), sparse ternary
 /// secret with Hamming weight 32 so the ModRaise overflow stays within
 /// the default `K = 16`.
+///
+/// Every prime but `q0` sits at or below
+/// [`fhe_math::kernel::WIDE_MAX_P`]: the 16 scale primes just below
+/// `2^50` and seven 50-bit special primes (`alpha = 6`; a seventh
+/// brings `P` to the 310 bits of digit 0). So 23 of the 24 limbs, and
+/// every BConv but the one from digit 0, run on the wide unit where
+/// the CPU has one.
 pub fn bootstrap_test_params() -> CkksParams {
     let mut p = CkksParams::new(1 << 11, 16, 50, 3).expect("bootstrap parameters are valid");
     p.secret_hamming_weight = Some(32);
@@ -632,6 +639,27 @@ mod tests {
         for i in 0..n {
             assert!((back[i].re - back[n + i].re).abs() < 3e-2);
         }
+    }
+
+    /// The margin under `bootstrap_refreshes_exhausted_ciphertext`'s
+    /// 2e-2: at the fixture every one of the `N/2` slots, real and
+    /// imaginary parts together, lands within 2e-3 of its input, so a
+    /// parameter change that eats into the margin fails here first.
+    #[test]
+    fn bootstrap_error_keeps_a_tenfold_margin() {
+        let mut f = fixture(905);
+        let vals = [0.95, -0.8, 0.6, -0.45, 0.3, -0.15, 0.05, -0.99];
+        let ct = encrypt_sparse_at_level0(&mut f, &vals);
+        let fresh = f.boot.bootstrap(&ct, &f.eval, &f.enc, &f.keys);
+        let back = f.decryptor.decrypt(&fresh, &f.keys.secret, &f.enc);
+        assert_eq!(back.len(), f.ctx.n() / 2);
+        let worst = back
+            .iter()
+            .enumerate()
+            .map(|(j, z)| (z.re - vals[j % vals.len()]).hypot(z.im))
+            .fold(0.0, f64::max);
+        println!("bootstrap max slot error: {worst:.2e}");
+        assert!(worst < 2e-3, "max slot error {worst:.2e}");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub struct CkksContext {
     level_bases: Vec<Arc<RnsBasis>>,
     /// Basis over the special primes.
     special_basis: Arc<RnsBasis>,
-    /// `extended_bases[l]` = `q_0..q_l ++ p_0..p_{alpha-1}`.
+    /// `extended_bases[l]` = `q_0..q_l ++ p_0..p_{|P|-1}`.
     extended_bases: Vec<Arc<RnsBasis>>,
     /// Galois slot permutations (shared across levels; ring-degree keyed).
     galois: Arc<GaloisPerms>,

@@ -39,10 +39,12 @@
 //! NTT rows per keyswitch at level `l` with `beta` digits:
 //! `2(l+1) + beta*ext + 2|P|` (input iNTT `l+1`, digit NTTs
 //! `beta*ext - (l+1)`, tail `2|P| + 2(l+1)`) against Algorithm 1's
-//! `3(l+1) + (beta+2)*ext` — 35 vs 50 at `test_params` level 4, 115 vs
-//! 166 at `bootstrap_test_params` level 16. Everything between the two
-//! boundaries stays in the redundant `[0, 2p)` window — lazy-exit digit
-//! NTTs, `IP` accumulators lazy across all `beta` digits — mirroring how
+//! `3(l+1) + (beta+2)*ext` — 35 vs 50 at `test_params` level 4
+//! (`beta = 3`, `|P| = 2`, `ext = 7`), 120 vs 171 at
+//! `bootstrap_test_params` level 16 (`beta = 3`, `|P| = 7`, `ext = 24`).
+//! Everything between the two boundaries stays in the redundant
+//! `[0, 2p)` window — lazy-exit digit NTTs, `IP` accumulators lazy
+//! across all `beta` digits — mirroring how
 //! Trinity/FAB pipelines keep operands in redundant form between
 //! butterfly and MAC stages and only fully reduce at memory writeback.
 //! For the Galois variants the automorphism rides the same chain,

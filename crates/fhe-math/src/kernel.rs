@@ -41,10 +41,10 @@
 //! module when
 //!
 //! * the CPU reports `avx512f` and `avx512ifma`,
-//! * the row's modulus is at most `2^50` (`4p <= 2^52`: the whole
-//!   butterfly window fits the 52-bit multiplier) and not a power of
-//!   two — for a BConv output row also above `2^5` (identity 3); for
-//!   the decomposition `q < 2^32` with a gadget of depth
+//! * the row's modulus is at most [`WIDE_MAX_P`] `= 2^50` (`4p <= 2^52`:
+//!   the whole butterfly window fits the 52-bit multiplier) and not a
+//!   power of two — for a BConv output row also above `2^5` (identity
+//!   3); for the decomposition `q < 2^32` with a gadget of depth
 //!   `beta = base_log * levels` in `1 <= base_log`, `beta <= 31`,
 //!   `2^beta < q` (identity 4),
 //! * the row is a power-of-two `n >= 16` (NTT) or a multiple of 8 words
@@ -148,7 +148,7 @@
 //! (**) Every body, the wide one included (identity 3), returns the
 //! canonical `S mod b_j`. The wide body takes a batch only when its
 //! digit words are below `2^52` — a source modulus of at most 52 bits;
-//! with a wider one (the 60-bit `q_0` and `P` of
+//! with a wider one (a digit holding the 60-bit `q_0` of
 //! `bootstrap_test_params`) the portable body runs.
 //!
 //! A `*_batch` entry keeps the windows of the row passes it loops.
@@ -170,6 +170,12 @@ use crate::wide;
 /// select chains LLVM can keep in flight (or vectorise where the ISA
 /// allows).
 const LANES: usize = 8;
+
+/// Largest modulus the wide (AVX-512 IFMA) bodies take: `4p <= 2^52`,
+/// so the whole `[0, 4p)` butterfly window fits the 52-bit multiplier.
+/// A parameter set whose primes sit at or below it runs its NTT, MAC
+/// and BConv rows on the wide unit where the CPU has one.
+pub const WIDE_MAX_P: u64 = 1 << 50;
 
 /// Which window a batched transform leaves its rows in.
 ///
@@ -1973,7 +1979,7 @@ mod tests {
         let table = |p: u64, n: usize| NttTable::new(Modulus::new(p).unwrap(), n);
         // The smallest NTT prime above 2^50 (for every n <= 4096).
         let above = (0..)
-            .map(|i| (1u64 << 50) + 1 + 8192 * i)
+            .map(|i| WIDE_MAX_P + 1 + 8192 * i)
             .find(|&c| crate::prime::is_prime(c))
             .unwrap();
         #[cfg(target_arch = "x86_64")]
@@ -2054,7 +2060,7 @@ mod tests {
         let modulus = |p: u64| Modulus::new(p).unwrap();
         // The smallest NTT prime above 2^50 (for every n <= 4096).
         let above = (0..)
-            .map(|i| (1u64 << 50) + 1 + 8192 * i)
+            .map(|i| WIDE_MAX_P + 1 + 8192 * i)
             .find(|&c| crate::prime::is_prime(c))
             .unwrap();
         #[cfg(target_arch = "x86_64")]

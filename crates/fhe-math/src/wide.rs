@@ -29,12 +29,9 @@
 
 use std::arch::x86_64::*;
 
-use crate::kernel::ExitFold;
+use crate::kernel::{ExitFold, WIDE_MAX_P};
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
-
-/// Largest modulus the wide passes take (`4p <= 2^52`).
-const MAX_P: u64 = 1 << 50;
 
 /// One past the largest 52-bit multiplier operand.
 const WORD: u64 = 1 << 52;
@@ -59,7 +56,7 @@ const MAX_BETA: usize = 31;
 /// not a power of two (so `2^(b-1) < p` and the Barrett constant of
 /// [`Barrett::new`] stays below `2^52`; no NTT modulus is one).
 fn fits(m: &Modulus) -> bool {
-    m.value() <= MAX_P && !m.value().is_power_of_two()
+    m.value() <= WIDE_MAX_P && !m.value().is_power_of_two()
 }
 
 /// Whether this CPU has the two features every pass here is compiled
