@@ -261,7 +261,7 @@ fn bench_chebyshev(c: &mut Criterion) {
     for degree in [7usize, 31] {
         let fit = ChebyshevPoly::fit(|x| (2.0 * x).tanh(), -1.0, 1.0, degree);
         group.bench_with_input(BenchmarkId::from_parameter(degree), &degree, |b, _| {
-            b.iter(|| eval.eval_chebyshev(&ct, &fit.coeffs, &keys.relin, &enc))
+            b.iter(|| eval.eval_chebyshev(&ct, &fit.coeffs, &keys.relin))
         });
     }
     group.finish();

@@ -31,9 +31,17 @@
 //! [`map_chunks`](fhe_math::pool::WorkerPool::map_chunks) on the
 //! process pool ([`fhe_math::pool::shared`]), so on a multi-core host
 //! they run on two cores at once; on a one-lane host the pool calls
-//! them inline, half 0 then half 1. Each half's words depend only on
-//! its input, so the result is bit-identical either way. ModRaise,
-//! SubSum and CoeffToSlot run on the calling thread.
+//! them inline, half 0 then half 1. CoeffToSlot's two sources, the
+//! ciphertext and its conjugate, likewise run as two jobs of one
+//! `map_chunks` inside the diagonal engine, each with its own hoist.
+//! Each job's words depend only on its input, so the result is
+//! bit-identical either way. ModRaise and SubSum run on the calling
+//! thread.
+//!
+//! EvalMod's constants (the Chebyshev coefficients, the double-angle
+//! `- 1`) and CoeffToSlot's quarter shift never become plaintexts: they
+//! are applied by [`Evaluator::add_const`] and [`Evaluator::mul_const`],
+//! one scalar per limb.
 //!
 //! The linear transforms here are single dense `n x n`-diagonal passes
 //! (one level each) through the crate's one diagonal engine
@@ -291,7 +299,9 @@ impl Bootstrapper {
     /// normalised onto the Chebyshev domain `[-1, 1]` minus the quarter
     /// shift. One level. Both halves come out of one engine call over
     /// the sources `ct` and `conj(ct)`, so each of the `2(n - 1)`
-    /// rotations is computed once and folded into both outputs.
+    /// rotations is computed once and folded into both outputs; the two
+    /// sources run as two jobs on the process pool, which calls them
+    /// inline on a one-lane host.
     ///
     /// # Panics
     ///
@@ -312,33 +322,22 @@ impl Bootstrapper {
         let shift = 0.25 / dom;
         let halves = self.diagonal_matvec(&[(ct, &direct), (&ct_conj, &conj)], eval, enc, keys);
         // Subtract the Han–Ki quarter shift: u = (y - 1/4) / width.
-        let shifted = |t: &Ciphertext| {
-            let c = enc.encode_constant_at(shift, t.level, t.scale);
-            eval.sub_plain(t, &c)
-        };
-        (shifted(&halves[0]), shifted(&halves[1]))
+        (
+            eval.add_const(&halves[0], -shift),
+            eval.add_const(&halves[1], -shift),
+        )
     }
 
     /// EvalMod: evaluates the shrunken-cosine Chebyshev fit then applies
     /// the double-angle steps, turning slots `u = (y - 1/4)/width` into
     /// `sin(2 pi y)`; the output's declared scale is adjusted so slots
     /// read `m / Delta` directly.
-    pub fn eval_mod(
-        &self,
-        ct: &Ciphertext,
-        eval: &Evaluator,
-        enc: &Encoder,
-        keys: &KeySet,
-    ) -> Ciphertext {
-        let mut acc = eval.eval_chebyshev(ct, &self.cos_fit.coeffs, &keys.relin, enc);
+    pub fn eval_mod(&self, ct: &Ciphertext, eval: &Evaluator, keys: &KeySet) -> Ciphertext {
+        let mut acc = eval.eval_chebyshev(ct, &self.cos_fit.coeffs, &keys.relin);
         for _ in 0..self.params.double_angle {
             // cos(2 theta) = 2 cos^2(theta) - 1, one level per step.
             let sq = eval.mul(&acc, &acc, &keys.relin);
-            let doubled = eval.add(&sq, &sq);
-            let mut next = eval.rescale(&doubled);
-            let one = enc.encode_constant_at(1.0, next.level, next.scale);
-            next = eval.sub_plain(&next, &one);
-            acc = next;
+            acc = eval.add_const(&eval.rescale(&eval.add(&sq, &sq)), -1.0);
         }
         // Slots now hold sin(2 pi y) with y = (Delta t + q0 I)/q0, i.e.
         // ~ 2 pi Delta t / q0. Redeclare the scale so slots read t.
@@ -377,11 +376,13 @@ impl Bootstrapper {
     /// vector; the output encodes the same slots at level
     /// `L - `[`BootstrapParams::depth`] with the default scale.
     ///
-    /// The first three stages run on the calling thread. Each half's
-    /// [`Self::eval_mod`] and SlotToCoeff matvec then run as one job of
-    /// a two-job [`map_chunks`](fhe_math::pool::WorkerPool::map_chunks)
-    /// on the process pool, and the two outputs are added: the words
-    /// are those of [`Self::eval_mod`] on each half followed by
+    /// ModRaise and SubSum run on the calling thread, and CoeffToSlot
+    /// runs its two sources as two pool jobs (see
+    /// [`Self::coeff_to_slot`]). Each half's [`Self::eval_mod`] and
+    /// SlotToCoeff matvec then run as one job of a two-job
+    /// [`map_chunks`](fhe_math::pool::WorkerPool::map_chunks) on the
+    /// process pool, and the two outputs are added: the words are those
+    /// of [`Self::eval_mod`] on each half followed by
     /// [`Self::slot_to_coeff`] on the calling thread.
     pub fn bootstrap(
         &self,
@@ -400,9 +401,7 @@ impl Bootstrapper {
         let outs = pool::shared().map_chunks(&halves, |chunk: &[(usize, &Ciphertext)]| {
             chunk
                 .iter()
-                .map(|&(h, t)| {
-                    self.s2c_half(h, &self.eval_mod(t, eval, enc, keys), eval, enc, keys)
-                })
+                .map(|&(h, t)| self.s2c_half(h, &self.eval_mod(t, eval, keys), eval, enc, keys))
                 .collect()
         });
         eval.add(&outs[0], &outs[1])
@@ -426,8 +425,8 @@ impl Bootstrapper {
     /// analytic cost model the performance layer consumes, pinned to
     /// the implementation by `tests::op_counters_match_prediction`.
     ///
-    /// Returns `(ct_mults, galois_ops, keyswitches)`.
-    pub fn expected_ops(&self) -> (u64, u64, u64) {
+    /// Returns `(ct_mults, galois_ops, keyswitches, rescales)`.
+    pub fn expected_ops(&self) -> (u64, u64, u64, u64) {
         let n = self.params.sparse_slots as u64;
         let slots = (self.ctx.n() / 2) as u64;
         // SubSum: one rotation per doubling of the trace.
@@ -443,8 +442,14 @@ impl Bootstrapper {
         // squaring per double-angle step.
         let cheb = crate::chebyshev::multiplication_count(&self.cos_fit.coeffs) as u64;
         let ct_mults = 2 * (cheb + self.params.double_angle as u64);
+        // Rescales: one per CoeffToSlot and SlotToCoeff output; in
+        // EvalMod one per doubling of the power chain, one per
+        // recursion split (its `q` branch) and one at the top of the
+        // Chebyshev evaluation, so one more than its ct-mults, plus one
+        // per double-angle step.
+        let rescales = 2 + 2 + 2 * (cheb + 1 + self.params.double_angle as u64);
         // Every Galois op and every ct-mult relinearisation keyswitches.
-        (ct_mults, galois, galois + ct_mults)
+        (ct_mults, galois, galois + ct_mults, rescales)
     }
 
     /// One pass of the crate's diagonal engine ([`diagonal_sums`]):
@@ -672,11 +677,15 @@ mod tests {
         let ct = encrypt_sparse_at_level0(&mut f, &vals);
         f.eval.counters().reset();
         let _ = f.boot.bootstrap(&ct, &f.eval, &f.enc, &f.keys);
-        let (ct_mults, _pt, _rs, keyswitches, galois, _adds) = f.eval.counters().snapshot();
-        let (want_mults, want_galois, want_ks) = f.boot.expected_ops();
+        let (ct_mults, _pt, rescales, keyswitches, galois, _adds) = f.eval.counters().snapshot();
+        let (want_mults, want_galois, want_ks, want_rescales) = f.boot.expected_ops();
         assert_eq!(ct_mults, want_mults, "ct-mult count");
         assert_eq!(galois, want_galois, "galois count");
         assert_eq!(keyswitches, want_ks, "keyswitch count");
+        assert_eq!(rescales, want_rescales, "rescale count");
+        // One rescale per Chebyshev node, not one per term: 50 at the
+        // fixture (degree 31, three double-angle steps, n = 8).
+        assert_eq!(rescales, 50, "rescale count at the fixture");
     }
 
     /// `rescale(sum of sum_sequential)` snapped to the default scale —
@@ -726,15 +735,14 @@ mod tests {
                     (&f.boot.c2s_conj[half], &conj),
                 ],
             );
-            let c = f.enc.encode_constant_at(shift, t.level, t.scale);
-            f.eval.sub_plain(&t, &c)
+            f.eval.add_const(&t, -shift)
         };
         let (w0, w1) = (want_half(0), want_half(1));
         assert_bit_identical(&t0, &w0, "coeff_to_slot half 0");
         assert_bit_identical(&t1, &w1, "coeff_to_slot half 1");
 
-        let m0 = f.boot.eval_mod(&w0, &f.eval, &f.enc, &f.keys);
-        let m1 = f.boot.eval_mod(&w1, &f.eval, &f.enc, &f.keys);
+        let m0 = f.boot.eval_mod(&w0, &f.eval, &f.keys);
+        let m1 = f.boot.eval_mod(&w1, &f.eval, &f.keys);
         let want = f.eval.add(
             &sequential_output(&f, &[(&f.boot.s2c[0], &m0)]),
             &sequential_output(&f, &[(&f.boot.s2c[1], &m1)]),

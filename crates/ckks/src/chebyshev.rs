@@ -12,16 +12,22 @@
 //!   `ceil(log2 d) + 1` levels instead of `d`.
 //!
 //! Scale management is exact: every ciphertext addition in the recursion
-//! is between operands whose scales match by construction (plaintext
-//! operands are encoded at the precise scale that lands each term on the
-//! shared target), so no scale-drift error accumulates even over deep
-//! chains of near-but-not-exactly-`2^scale_bits` primes.
+//! is between operands whose scales match by construction (each constant
+//! is rounded at the precise scale that lands its term on the shared
+//! target), so no scale-drift error accumulates even over deep chains of
+//! near-but-not-exactly-`2^scale_bits` primes.
+//!
+//! The constants never become plaintexts: in evaluation form a constant
+//! polynomial is that constant in every word, so [`Evaluator::add_const`]
+//! and [`Evaluator::mul_const`] apply them as one scalar per limb. And
+//! each recursion node rescales once: its product `q * T_k` and its
+//! remainder `r` are added at the shared pre-rescale scale, and only the
+//! sum is rescaled.
 
 use std::borrow::Cow;
 use std::f64::consts::PI;
 
 use crate::ciphertext::Ciphertext;
-use crate::encoding::Encoder;
 use crate::eval::Evaluator;
 use crate::keys::SwitchingKey;
 
@@ -235,13 +241,7 @@ impl Evaluator {
     ///
     /// Panics if `coeffs` is empty or the ciphertext lacks the required
     /// levels.
-    pub fn eval_chebyshev(
-        &self,
-        u: &Ciphertext,
-        coeffs: &[f64],
-        rlk: &SwitchingKey,
-        enc: &Encoder,
-    ) -> Ciphertext {
+    pub fn eval_chebyshev(&self, u: &Ciphertext, coeffs: &[f64], rlk: &SwitchingKey) -> Ciphertext {
         assert!(!coeffs.is_empty(), "polynomial needs coefficients");
         let degree = coeffs.len() - 1;
         let depth = chebyshev_depth(degree);
@@ -250,10 +250,13 @@ impl Evaluator {
             "chebyshev degree {degree} needs {depth} levels, ciphertext has {}",
             u.level
         );
-        let powers = self.cheb_powers(u, degree, rlk, enc);
+        let powers = self.cheb_powers(u, degree, rlk);
         let target_level = u.level - depth;
         let target_scale = self.context().params().scale();
-        self.cheb_recurse(coeffs, target_level, target_scale, &powers, rlk, enc)
+        let mut out =
+            self.rescale(&self.cheb_recurse(coeffs, target_level, target_scale, &powers, rlk));
+        out.scale = target_scale; // snap f64 round-off; exact by construction
+        out
     }
 
     /// Builds `T_1` and the power-of-two giants up to the top split
@@ -263,28 +266,38 @@ impl Evaluator {
         u: &'a Ciphertext,
         degree: usize,
         rlk: &SwitchingKey,
-        enc: &Encoder,
     ) -> ChebPowers<'a> {
         let top = split_point(degree.max(1));
         let mut powers = vec![Cow::Borrowed(u)];
         while 1 << powers.len() <= top {
             let half = powers.last().expect("T_1 is present");
-            powers.push(Cow::Owned(self.cheb_double(half, enc, rlk)));
+            powers.push(Cow::Owned(self.cheb_double(half, rlk)));
         }
         ChebPowers { powers }
     }
 
     /// `T_{2k} = 2 T_k^2 - 1`: one level, exact scale bookkeeping.
-    fn cheb_double(&self, t: &Ciphertext, enc: &Encoder, rlk: &SwitchingKey) -> Ciphertext {
+    fn cheb_double(&self, t: &Ciphertext, rlk: &SwitchingKey) -> Ciphertext {
         let sq = self.mul(t, t, rlk);
         let doubled = self.add(&sq, &sq);
-        let out = self.rescale(&doubled);
-        let one = enc.encode_constant_at(1.0, out.level, out.scale);
-        self.sub_plain(&out, &one)
+        self.add_const(&self.rescale(&doubled), -1.0)
     }
 
-    /// Recursive split evaluation: returns a ciphertext at exactly
-    /// (`target_level`, `target_scale`).
+    /// The scale every term of a node's sum shares before its one
+    /// rescale: `target_scale * q_{target_level + 1}`.
+    fn pre_rescale_scale(&self, target_level: usize, target_scale: f64) -> f64 {
+        let q_next = self
+            .context()
+            .level_basis(target_level + 1)
+            .modulus(target_level + 1)
+            .value() as f64;
+        target_scale * q_next
+    }
+
+    /// Recursive split evaluation: returns the node's sum **before** its
+    /// rescale, at exactly (`target_level + 1`,
+    /// `target_scale * q_{target_level + 1}`), so the product and the
+    /// remainder are added first and the caller rescales once.
     fn cheb_recurse(
         &self,
         coeffs: &[f64],
@@ -292,58 +305,46 @@ impl Evaluator {
         target_scale: f64,
         powers: &ChebPowers,
         rlk: &SwitchingKey,
-        enc: &Encoder,
     ) -> Ciphertext {
         let degree = coeffs.len() - 1;
         if degree < 2 {
-            return self.cheb_base_case(coeffs, target_level, target_scale, powers, enc);
+            return self.cheb_base_case(coeffs, target_level, target_scale, powers);
         }
         let k = split_point(degree);
         let (q, r) = cheb_divide(coeffs, k);
-        let q_last = self
-            .context()
-            .level_basis(target_level + 1)
-            .modulus(target_level + 1)
-            .value() as f64;
-        // q evaluated so that rescale(q_ct * T_k) lands at the target;
+        let pre_scale = self.pre_rescale_scale(target_level, target_scale);
+        // q evaluated so that q_ct * T_k lands on the pre-rescale scale;
         // `mod_down_to` keeps the scale, so T_k's is read off the giant.
-        let q_scale = target_scale * q_last / powers.get(k).scale;
+        let q_scale = pre_scale / powers.get(k).scale;
         // The truncated T_k and q's ciphertext live only until `prod` is
         // formed, not across either recursion: that bounds the live set.
-        let mut prod = {
-            let q_ct = self.cheb_recurse(&q, target_level + 1, q_scale, powers, rlk, enc);
+        let prod = {
+            let q_ct = self.rescale(&self.cheb_recurse(&q, target_level + 1, q_scale, powers, rlk));
             let tk = self.mod_down_to(powers.get(k), target_level + 1);
-            self.rescale(&self.mul(&q_ct, &tk, rlk))
+            self.mul(&q_ct, &tk, rlk)
         };
-        prod.scale = target_scale; // snap f64 round-off; exact by construction
-        let r_ct = self.cheb_recurse(&r, target_level, target_scale, powers, rlk, enc);
-        self.add(&prod, &r_ct)
+        let r_ct = self.cheb_recurse(&r, target_level, target_scale, powers, rlk);
+        let mut out = self.add(&prod, &r_ct);
+        out.scale = pre_scale; // snap f64 round-off; exact by construction
+        out
     }
 
-    /// Base case: `c_0 + c_1 T_1` as a plaintext multiply at the exact
-    /// pre-rescale scale (one level).
+    /// Base case: `c_0 + c_1 T_1` at the pre-rescale scale, as one scalar
+    /// multiply and one scalar add (no rescale; see [`Self::cheb_recurse`]).
     fn cheb_base_case(
         &self,
         coeffs: &[f64],
         target_level: usize,
         target_scale: f64,
         powers: &ChebPowers,
-        enc: &Encoder,
     ) -> Ciphertext {
-        let q_last = self
-            .context()
-            .level_basis(target_level + 1)
-            .modulus(target_level + 1)
-            .value() as f64;
-        let pre_scale = target_scale * q_last;
+        let pre_scale = self.pre_rescale_scale(target_level, target_scale);
         let c1 = coeffs.get(1).copied().unwrap_or(0.0);
         let t1 = self.mod_down_to(powers.get(1), target_level + 1);
-        let pt = enc.encode_constant_at(c1, target_level + 1, pre_scale / t1.scale);
-        let mut out = self.rescale(&self.mul_plain(&t1, &pt));
-        debug_assert!((out.scale - target_scale).abs() / target_scale < 1e-9);
-        out.scale = target_scale; // snap f64 round-off; exact by construction
-        let c0 = enc.encode_constant_at(coeffs[0], target_level, target_scale);
-        self.add_plain(&out, &c0)
+        let mut out = self.mul_const(&t1, c1, pre_scale / t1.scale);
+        debug_assert!((out.scale - pre_scale).abs() / pre_scale < 1e-9);
+        out.scale = pre_scale; // snap f64 round-off; exact by construction
+        self.add_const(&out, coeffs[0])
     }
 }
 
@@ -351,6 +352,7 @@ impl Evaluator {
 mod tests {
     use super::*;
     use crate::context::CkksContext;
+    use crate::encoding::Encoder;
     use crate::encryption::{Decryptor, Encryptor};
     use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
@@ -475,7 +477,7 @@ mod tests {
         let xs: Vec<f64> = (0..8).map(|_| rng.gen_range(-0.95..0.95)).collect();
         let l = ctx.params().max_level();
         let ct = encryptor.encrypt_sk(&enc.encode_real(&xs, l), &keys.secret, &mut rng);
-        let out = eval.eval_chebyshev(&ct, &p.coeffs, &keys.relin, &enc);
+        let out = eval.eval_chebyshev(&ct, &p.coeffs, &keys.relin);
         assert_eq!(out.level, l - chebyshev_depth(7));
         let back = dec.decrypt(&out, &keys.secret, &enc);
         for (i, &x) in xs.iter().enumerate() {
@@ -498,7 +500,7 @@ mod tests {
         let xs: Vec<f64> = (0..8).map(|_| rng.gen_range(-0.9..0.9)).collect();
         let l = ctx.params().max_level();
         let ct = encryptor.encrypt_sk(&enc.encode_real(&xs, l), &keys.secret, &mut rng);
-        let out = eval.eval_chebyshev(&ct, &p.coeffs, &keys.relin, &enc);
+        let out = eval.eval_chebyshev(&ct, &p.coeffs, &keys.relin);
         assert_eq!(out.level, l - chebyshev_depth(31));
         let back = dec.decrypt(&out, &keys.secret, &enc);
         for (i, &x) in xs.iter().enumerate() {
@@ -518,7 +520,7 @@ mod tests {
         let xs = [0.25, -0.5, 0.75];
         let ct = encryptor.encrypt_sk(&enc.encode_real(&xs, l), &keys.secret, &mut rng);
         // p(u) = 0.3 - 0.6 u.
-        let out = eval.eval_chebyshev(&ct, &[0.3, -0.6], &keys.relin, &enc);
+        let out = eval.eval_chebyshev(&ct, &[0.3, -0.6], &keys.relin);
         let back = dec.decrypt(&out, &keys.secret, &enc);
         for (i, &x) in xs.iter().enumerate() {
             let want = 0.3 - 0.6 * x;
@@ -532,7 +534,7 @@ mod tests {
         let p = ChebyshevPoly::fit(|x| x * x, -1.0, 1.0, 7);
         let l = ctx.params().max_level();
         let ct = encryptor.encrypt_sk(&enc.encode_real(&[0.5], l), &keys.secret, &mut rng);
-        let out = eval.eval_chebyshev(&ct, &p.coeffs, &keys.relin, &enc);
+        let out = eval.eval_chebyshev(&ct, &p.coeffs, &keys.relin);
         let rel = (out.scale - ctx.params().scale()).abs() / ctx.params().scale();
         assert!(rel < 1e-9, "scale drifted: {}", out.scale);
     }
@@ -543,6 +545,6 @@ mod tests {
         let (_ctx, enc, encryptor, _dec, eval, keys, mut rng) = cheb_fixture(3, 415);
         let ct = encryptor.encrypt_sk(&enc.encode_real(&[0.5], 3), &keys.secret, &mut rng);
         let coeffs = vec![0.1; 32]; // degree 31 needs 5 levels
-        let _ = eval.eval_chebyshev(&ct, &coeffs, &keys.relin, &enc);
+        let _ = eval.eval_chebyshev(&ct, &coeffs, &keys.relin);
     }
 }

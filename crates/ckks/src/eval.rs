@@ -174,6 +174,8 @@ impl Evaluator {
     /// Panics on level or scale mismatch.
     pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         assert_eq!(a.level, pt.level, "plaintext level mismatch");
+        let rel = (a.scale - pt.scale).abs() / a.scale;
+        assert!(rel < SCALE_TOLERANCE, "plaintext scale mismatch");
         let mut out = a.clone();
         out.c0.sub_assign(&pt.poly);
         out
@@ -192,6 +194,64 @@ impl Evaluator {
         out.c1.mul_assign_pointwise(&pt.poly);
         out.scale = a.scale * pt.scale;
         out
+    }
+
+    /// PAdd of the constant `c` in every slot, at the ciphertext's own
+    /// scale.
+    ///
+    /// A constant polynomial is that constant in every evaluation-form
+    /// word, so this is one scalar add of `round(c * a.scale) mod q_i`
+    /// per limb of `c0`: no encode, no NTT. Bit-identical to
+    /// [`Self::add_plain`] of the polynomial `[round(c * a.scale), 0, ...]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|c * a.scale|` is not below `2^127`.
+    pub fn add_const(&self, a: &Ciphertext, c: f64) -> Ciphertext {
+        let residues = self.const_residues(c * a.scale, a.level);
+        let mut out = a.clone();
+        out.c0.add_scalar_residues(&residues);
+        out
+    }
+
+    /// PMult by the constant `c` in every slot, encoded at `scale`: one
+    /// scalar multiply of both components by `round(c * scale) mod q_i`
+    /// per limb. The scales multiply, as in [`Self::mul_plain`], and the
+    /// words are those of [`Self::mul_plain`] by the polynomial
+    /// `[round(c * scale), 0, ...]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|c * scale|` is not below `2^127`.
+    pub fn mul_const(&self, a: &Ciphertext, c: f64, scale: f64) -> Ciphertext {
+        OpCounters::bump(&self.counters.pt_mults);
+        let residues = self.const_residues(c * scale, a.level);
+        let mut out = a.clone();
+        out.c0.mul_scalar_residues(&residues);
+        out.c1.mul_scalar_residues(&residues);
+        out.scale = a.scale * scale;
+        out
+    }
+
+    /// `round(v) mod q_i` for every limb at `level`. The magnitude is
+    /// reduced as a `u128`: constants added at a pre-rescale scale
+    /// (`Delta * q_l`, about `2^100`) do not fit an `i64`.
+    fn const_residues(&self, v: f64, level: usize) -> Vec<u64> {
+        assert!(v.abs() < 2f64.powi(127), "constant {v} overflows u128");
+        let magnitude = v.abs().round() as u128;
+        self.ctx
+            .level_basis(level)
+            .moduli()
+            .iter()
+            .map(|m| {
+                let r = m.reduce_u128(magnitude);
+                if v < 0.0 {
+                    m.neg(r)
+                } else {
+                    r
+                }
+            })
+            .collect()
     }
 
     /// Tensor product without relinearisation: returns the degree-2
@@ -1098,6 +1158,129 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The plaintext `[v, 0, ..., 0]` in evaluation form at `level`.
+    fn constant_plaintext(f: &Fixture, v: i64, level: usize, scale: f64) -> Plaintext {
+        let mut coeffs = vec![0i64; f.ctx.n()];
+        coeffs[0] = v;
+        let mut poly = RnsPoly::from_signed_coeffs(f.ctx.level_basis(level).clone(), &coeffs);
+        poly.to_eval();
+        Plaintext { poly, scale, level }
+    }
+
+    /// Below `2^62` the scalar ops equal `add_plain` / `mul_plain` of
+    /// the constant polynomial `[round(c * s), 0, ...]` bit for bit, at
+    /// every level and for both signs.
+    #[test]
+    fn const_ops_match_constant_plaintexts() {
+        let mut f = fixture();
+        let top = f.ctx.params().max_level();
+        let x = [0.3, -0.7, 0.9, 0.05];
+        for level in [0, 1, top] {
+            let ct =
+                f.encryptor
+                    .encrypt_sk(&f.enc.encode_real(&x, level), &f.keys.secret, &mut f.rng);
+            for c in [0.37, -1.25, 3.0e8, -3.0e8] {
+                let v = (c * ct.scale).round();
+                assert!(v.abs() < 2f64.powi(62));
+                let pt = constant_plaintext(&f, v as i64, level, ct.scale);
+                let got = f.eval.add_const(&ct, c);
+                let want = f.eval.add_plain(&ct, &pt);
+                assert_eq!(
+                    got.c0.flat(),
+                    want.c0.flat(),
+                    "add_const c0 at {level}, {c}"
+                );
+                assert_eq!(
+                    got.c1.flat(),
+                    want.c1.flat(),
+                    "add_const c1 at {level}, {c}"
+                );
+                assert_eq!((got.level, got.scale), (want.level, want.scale));
+
+                let s = 2f64.powi(25) + 3.0;
+                let pt = constant_plaintext(&f, (c * s).round() as i64, level, s);
+                let got = f.eval.mul_const(&ct, c, s);
+                let want = f.eval.mul_plain(&ct, &pt);
+                assert_eq!(
+                    got.c0.flat(),
+                    want.c0.flat(),
+                    "mul_const c0 at {level}, {c}"
+                );
+                assert_eq!(
+                    got.c1.flat(),
+                    want.c1.flat(),
+                    "mul_const c1 at {level}, {c}"
+                );
+                assert_eq!((got.level, got.scale), (want.level, want.scale));
+            }
+        }
+    }
+
+    /// Above `2^63` (a constant added at a pre-rescale scale near
+    /// `2^100`) the scalar is the `u128` reduction of the same `f64`
+    /// integer, negated for a negative constant.
+    #[test]
+    fn const_ops_reduce_wide_constants_as_u128() {
+        let mut f = fixture();
+        let top = f.ctx.params().max_level();
+        let mut ct =
+            f.encryptor
+                .encrypt_sk(&f.enc.encode_real(&[0.5], top), &f.keys.secret, &mut f.rng);
+        ct.scale = 2f64.powi(100);
+        let moduli = f.ctx.level_basis(top).moduli().to_vec();
+        let residue = |m: &fhe_math::Modulus, v: f64| {
+            let r = (v.abs().round() as u128 % u128::from(m.value())) as u64;
+            if v < 0.0 {
+                (m.value() - r) % m.value()
+            } else {
+                r
+            }
+        };
+        for c in [0.7, -0.7, 3.0e5, -3.3] {
+            let v = c * ct.scale;
+            assert!(v.abs() > 2f64.powi(63));
+            let got = f.eval.add_const(&ct, c);
+            for (i, m) in moduli.iter().enumerate() {
+                let r = residue(m, v);
+                let want: Vec<u64> = ct.c0.limb(i).iter().map(|&x| m.add(x, r)).collect();
+                assert_eq!(got.c0.limb(i), want, "add_const limb {i}, c = {c}");
+            }
+            assert_eq!(got.c1.flat(), ct.c1.flat());
+
+            let s = 2f64.powi(90);
+            let got = f.eval.mul_const(&ct, c, s);
+            for (i, m) in moduli.iter().enumerate() {
+                let r = residue(m, c * s);
+                let mul =
+                    |p: &RnsPoly| -> Vec<u64> { p.limb(i).iter().map(|&x| m.mul(x, r)).collect() };
+                assert_eq!(
+                    got.c0.limb(i),
+                    mul(&ct.c0),
+                    "mul_const c0 limb {i}, c = {c}"
+                );
+                assert_eq!(
+                    got.c1.limb(i),
+                    mul(&ct.c1),
+                    "mul_const c1 limb {i}, c = {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scale")]
+    fn sub_plain_rejects_mismatched_scale() {
+        let mut f = fixture();
+        let l = f.ctx.params().max_level();
+        let ct = f
+            .encryptor
+            .encrypt_sk(&f.enc.encode_real(&[0.1], l), &f.keys.secret, &mut f.rng);
+        let pt = f
+            .enc
+            .encode_at_scale(&[fhe_math::Complex::new(0.1, 0.0)], l, ct.scale * 2.0);
+        let _ = f.eval.sub_plain(&ct, &pt);
     }
 
     #[test]

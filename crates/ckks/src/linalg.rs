@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use fhe_math::Complex;
+use fhe_math::{pool, Complex};
 
 use crate::ciphertext::Ciphertext;
 use crate::encoding::Encoder;
@@ -67,12 +67,21 @@ fn fold(eval: &Evaluator, acc: &mut Option<Ciphertext>, term: Ciphertext) {
 /// folded — `mul_plain` by the diagonal encoded at `pt_scale`, then add
 /// — into **every** output with a diagonal `d` on that source and dropped
 /// before the next step, so transforms sharing a source share its
-/// rotations and at most one rotated ciphertext is alive at a time.
+/// rotations and at most one rotated ciphertext per source is alive at a
+/// time.
+///
+/// Sources are independent until the final per-output add, so they are
+/// split over one [`map_chunks`](fhe_math::pool::WorkerPool::map_chunks)
+/// on the process pool ([`fhe_math::pool::shared`]), each source with
+/// its own hoist; the chunks' partial sums are then added per output in
+/// source order. One source, or a 1-lane pool, runs as one chunk inline
+/// on the calling thread, accumulating every source into one set of
+/// outputs.
 ///
 /// Output `o` is bit-identical to the sum over its transforms of
 /// [`LinearTransform::sum_sequential`]: a hoisted rotation equals the
 /// sequential one bit for bit and ciphertext accumulation is exact
-/// modular arithmetic, so order cannot matter.
+/// modular arithmetic, so neither order nor the thread can matter.
 ///
 /// # Panics
 ///
@@ -85,36 +94,60 @@ pub(crate) fn diagonal_sums(
     sources: &[Source<'_>],
     pt_scale: f64,
 ) -> Vec<Ciphertext> {
-    let n = eval.context().n();
     let all_terms = sources.iter().flat_map(|&(_, terms)| terms);
     let outputs = all_terms.map(|&(o, _)| o + 1).max().unwrap_or(0);
+    let partials = pool::shared().map_chunks(sources, |chunk: &[Source<'_>]| {
+        let mut accs = vec![None; outputs];
+        for &source in chunk {
+            accumulate_source(eval, enc, galois_keys, source, pt_scale, &mut accs);
+        }
+        vec![accs]
+    });
     let mut accs: Vec<Option<Ciphertext>> = vec![None; outputs];
-    for &(src, terms) in sources {
-        let steps: BTreeSet<i64> = terms
-            .iter()
-            .flat_map(|&(_, lt)| lt.diagonals.keys().copied())
-            .collect();
-        let mut hoisted = None;
-        for d in steps {
-            let rotated;
-            let operand = if d == 0 {
-                src
-            } else {
-                let h = hoisted.get_or_insert_with(|| eval.hoist_rotations(src));
-                rotated = eval.rotate_hoisted(src, h, d, galois_key(galois_keys, d, n));
-                &rotated
-            };
-            for &(o, lt) in terms {
-                if let Some(diag) = lt.diagonals.get(&d) {
-                    let pt = enc.encode_at_scale(&lt.tile(diag, enc.slots()), src.level, pt_scale);
-                    fold(eval, &mut accs[o], eval.mul_plain(operand, &pt));
-                }
+    for partial in partials {
+        for (acc, term) in accs.iter_mut().zip(partial) {
+            if let Some(term) = term {
+                fold(eval, acc, term);
             }
         }
     }
     accs.into_iter()
         .map(|acc| acc.expect("every output has at least one diagonal"))
         .collect()
+}
+
+/// One source's share of [`diagonal_sums`], folded into `accs` (one
+/// entry per output, `None` until a term reaches it).
+fn accumulate_source(
+    eval: &Evaluator,
+    enc: &Encoder,
+    galois_keys: &HashMap<u64, SwitchingKey>,
+    (src, terms): Source<'_>,
+    pt_scale: f64,
+    accs: &mut [Option<Ciphertext>],
+) {
+    let n = eval.context().n();
+    let steps: BTreeSet<i64> = terms
+        .iter()
+        .flat_map(|&(_, lt)| lt.diagonals.keys().copied())
+        .collect();
+    let mut hoisted = None;
+    for d in steps {
+        let rotated;
+        let operand = if d == 0 {
+            src
+        } else {
+            let h = hoisted.get_or_insert_with(|| eval.hoist_rotations(src));
+            rotated = eval.rotate_hoisted(src, h, d, galois_key(galois_keys, d, n));
+            &rotated
+        };
+        for &(o, lt) in terms {
+            if let Some(diag) = lt.diagonals.get(&d) {
+                let pt = enc.encode_at_scale(&lt.tile(diag, enc.slots()), src.level, pt_scale);
+                fold(eval, &mut accs[o], eval.mul_plain(operand, &pt));
+            }
+        }
+    }
 }
 
 impl LinearTransform {

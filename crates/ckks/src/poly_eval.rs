@@ -6,7 +6,6 @@
 //! provides Horner evaluation with automatic level/scale alignment.
 
 use crate::ciphertext::Ciphertext;
-use crate::encoding::Encoder;
 use crate::eval::Evaluator;
 use crate::keys::SwitchingKey;
 
@@ -25,7 +24,6 @@ impl Evaluator {
         x: &Ciphertext,
         coeffs: &[f64],
         rlk: &SwitchingKey,
-        encoder: &Encoder,
     ) -> Ciphertext {
         assert!(!coeffs.is_empty(), "polynomial needs coefficients");
         let degree = coeffs.len() - 1;
@@ -35,19 +33,14 @@ impl Evaluator {
             degree,
             x.level
         );
-        // acc = a_d (as a plaintext-born ciphertext at x's level/scale):
-        // start from a_d * x + a_{d-1} to avoid encrypting a constant.
-        let mut acc = {
-            let ad = encoder.encode_constant_at(coeffs[degree], x.level, x.scale);
-            self.mul_plain(x, &ad)
-        };
+        // Start from a_d * x (a constant at x's scale) to avoid
+        // encrypting a constant.
+        let mut acc = self.mul_const(x, coeffs[degree], x.scale);
         let mut next_coeff = degree.wrapping_sub(1);
         loop {
             // acc currently has scale x.scale^2-ish; rescale then add the
             // next coefficient at the matching scale.
-            acc = self.rescale(&acc);
-            let c = encoder.encode_constant_at(coeffs[next_coeff], acc.level, acc.scale);
-            acc = self.add_plain(&acc, &c);
+            acc = self.add_const(&self.rescale(&acc), coeffs[next_coeff]);
             if next_coeff == 0 {
                 break;
             }
@@ -60,21 +53,11 @@ impl Evaluator {
     }
 }
 
-impl Encoder {
-    /// Encodes a constant into all slots at an explicit level and scale
-    /// (plaintext operand alignment for [`Evaluator::eval_poly_horner`]).
-    pub fn encode_constant_at(&self, value: f64, level: usize, scale: f64) -> crate::Plaintext {
-        let slots: Vec<fhe_math::Complex> = (0..self.slots())
-            .map(|_| fhe_math::Complex::new(value, 0.0))
-            .collect();
-        self.encode_at_scale(&slots, level, scale)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::CkksContext;
+    use crate::encoding::Encoder;
     use crate::encryption::{Decryptor, Encryptor};
     use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
@@ -100,7 +83,7 @@ mod tests {
         let xs = [0.9, -0.5, 0.1, 0.7];
         let l = ctx.params().max_level();
         let ct = encryptor.encrypt_sk(&enc.encode_real(&xs, l), &keys.secret, &mut rng);
-        let out_ct = eval.eval_poly_horner(&ct, &coeffs, &keys.relin, &enc);
+        let out_ct = eval.eval_poly_horner(&ct, &coeffs, &keys.relin);
         let out = dec.decrypt(&out_ct, &keys.secret, &enc);
         for (i, &x) in xs.iter().enumerate() {
             let expect = eval_poly_plain(&coeffs, x);
@@ -127,7 +110,7 @@ mod tests {
         let xs = [-2.0, -0.5, 0.0, 0.5, 2.0];
         let l = ctx.params().max_level();
         let ct = encryptor.encrypt_sk(&enc.encode_real(&xs, l), &keys.secret, &mut rng);
-        let out_ct = eval.eval_poly_horner(&ct, &coeffs, &keys.relin, &enc);
+        let out_ct = eval.eval_poly_horner(&ct, &coeffs, &keys.relin);
         assert_eq!(out_ct.level, l - 3);
         let out = dec.decrypt(&out_ct, &keys.secret, &enc);
         for (i, &x) in xs.iter().enumerate() {
@@ -158,6 +141,6 @@ mod tests {
         let eval = Evaluator::new(ctx.clone());
         let ct = encryptor.encrypt_sk(&enc.encode_real(&[0.1], 1), &keys.secret, &mut rng);
         // Degree 5 needs 5 levels; the ciphertext has 1.
-        let _ = eval.eval_poly_horner(&ct, &[1.0; 6], &keys.relin, &enc);
+        let _ = eval.eval_poly_horner(&ct, &[1.0; 6], &keys.relin);
     }
 }

@@ -1,6 +1,7 @@
-//! The bootstrap runs its two EvalMod + SlotToCoeff halves as one
-//! two-job batch on the process pool; this binary pins that doing so
-//! conserves kernel traffic and words. One bootstrap runs under a
+//! The bootstrap runs CoeffToSlot's two sources, and then its two
+//! EvalMod + SlotToCoeff halves, as two-job batches on the process
+//! pool; this binary pins that doing so conserves kernel traffic and
+//! words. One bootstrap runs under a
 //! counting [`KernelBackend`] decorator installed with
 //! [`kernel::force`], which books rows from whichever thread makes the
 //! call, and its per-class totals and output words must equal those of
@@ -178,8 +179,8 @@ fn bootstrap_on_pool_conserves_kernel_rows_and_words() {
     let (want, sequential) = counted(|| {
         let traced = boot.sub_sum(&boot.mod_raise(&ct), &eval, &keys);
         let (t0, t1) = boot.coeff_to_slot(&traced, &eval, &enc, &keys);
-        let m0 = boot.eval_mod(&t0, &eval, &enc, &keys);
-        let m1 = boot.eval_mod(&t1, &eval, &enc, &keys);
+        let m0 = boot.eval_mod(&t0, &eval, &keys);
+        let m1 = boot.eval_mod(&t1, &eval, &keys);
         boot.slot_to_coeff(&m0, &m1, &eval, &enc, &keys)
     });
 
@@ -204,8 +205,10 @@ fn bootstrap_on_pool_conserves_kernel_rows_and_words() {
         );
     }
 
-    // On a multi-core host the two halves really ran as two pool jobs.
+    // On a multi-core host CoeffToSlot's two sources and the two halves
+    // really ran as pool jobs: two of each.
     if pool.threads() >= 2 {
-        assert!(pool.parallel_jobs_dispatched() >= fanned_before + 2);
+        let fanned = pool.parallel_jobs_dispatched() - fanned_before;
+        assert!(fanned >= 4, "{fanned} parallel jobs per bootstrap");
     }
 }

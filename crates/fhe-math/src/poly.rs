@@ -616,6 +616,30 @@ impl RnsPoly {
         }
     }
 
+    /// Adds per-limb scalar residues to every word of the limb. In
+    /// evaluation form this adds the constant polynomial, whose every
+    /// word is that constant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s.len() != self.limbs()`.
+    pub fn add_scalar_residues(&mut self, s: &[u64]) {
+        assert_eq!(s.len(), self.limbs());
+        self.debug_assert_canonical("add_scalar_residues");
+        let n = self.basis.n();
+        for ((row, m), &sv) in self
+            .data
+            .chunks_exact_mut(n)
+            .zip(self.basis.moduli())
+            .zip(s)
+        {
+            let sv = m.reduce(sv);
+            for x in row.iter_mut() {
+                *x = m.add(*x, sv);
+            }
+        }
+    }
+
     /// Multiplies by the monomial `X^k` (negacyclic; `k` may be any
     /// integer, negative meaning `X^{-k} = -X^{2n-k}` handling included).
     ///

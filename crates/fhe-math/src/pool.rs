@@ -15,7 +15,8 @@
 //!   [`shared`]. The serving layer runs each dispatch group through it,
 //!   so a group occupies every core while each chunk's kernels stay as
 //!   wide as its jobs make them; the library runs the CKKS bootstrap's
-//!   two EvalMod + SlotToCoeff halves through it as a two-job batch.
+//!   two CoeffToSlot sources, and then its two EvalMod + SlotToCoeff
+//!   halves, through it as two-job batches.
 //!
 //! The build environment is offline (no `rayon`), so the pool is
 //! home-grown from `std::thread` + `std::sync::mpsc`:

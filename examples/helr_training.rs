@@ -7,7 +7,9 @@
 //! inner-product offload) and the sigmoid is a low-depth Chebyshev
 //! evaluation.
 //!
-//! Run with: `cargo run --release --example helr_training`
+//! Run with: `cargo run --release --example helr_training`. Exits
+//! non-zero when the encrypted-trained accuracy differs from the plain
+//! reference's, or when a weight is off the plain one by 1e-2 or more.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -112,9 +114,8 @@ fn main() {
         // Encrypted step.
         let xw = lt_x.apply_bsgs(&eval, &enc, &ct_w, galois, 4);
         // u = Xw scaled onto the Chebyshev domain [-1, 1].
-        let scale_pt = enc.encode_constant_at(1.0 / 8.0, xw.level, ctx.params().scale());
-        let u = eval.rescale(&eval.mul_plain(&xw, &scale_pt));
-        let s = eval.eval_chebyshev(&u, &fit.coeffs, &keys.relin, &enc);
+        let u = eval.rescale(&eval.mul_const(&xw, 1.0 / 8.0, ctx.params().scale()));
+        let s = eval.eval_chebyshev(&u, &fit.coeffs, &keys.relin);
         // r = y - sigmoid(Xw).
         let y_pt = enc.encode_at_scale(
             &tile(&labels)
@@ -127,8 +128,7 @@ fn main() {
         let r = eval.negate(&eval.sub_plain(&s, &y_pt));
         // grad = X^T r; w += (lr/m) grad.
         let grad = lt_xt.apply_bsgs(&eval, &enc, &r, galois, 4);
-        let step_pt = enc.encode_constant_at(lr / dim as f64, grad.level, ctx.params().scale());
-        let step = eval.rescale(&eval.mul_plain(&grad, &step_pt));
+        let step = eval.rescale(&eval.mul_const(&grad, lr / dim as f64, ctx.params().scale()));
         let w_low = eval.mod_down_to(&ct_w, step.level);
         // Align the tiny scale drift by re-encoding the step at w's scale.
         let mut step_aligned = step.clone();
@@ -162,9 +162,19 @@ fn main() {
 
     let w_final = dec.decrypt(&ct_w, &keys.secret, &enc);
     let w_dec: Vec<f64> = (0..dim).map(|i| w_final[i].re).collect();
-    println!(
-        "\nencrypted-trained accuracy: {}/{dim} (plain reference {}/{dim})",
-        plain_acc(&w_dec),
-        plain_acc(&w_plain)
-    );
+    let (acc_enc, acc_plain) = (plain_acc(&w_dec), plain_acc(&w_plain));
+    println!("\nencrypted-trained accuracy: {acc_enc}/{dim} (plain reference {acc_plain}/{dim})");
+    let max_dev = w_dec
+        .iter()
+        .zip(&w_plain)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    if acc_enc != acc_plain {
+        eprintln!("encrypted-trained accuracy {acc_enc} differs from the plain {acc_plain}");
+        std::process::exit(1);
+    }
+    if max_dev >= 1e-2 {
+        eprintln!("max|w - w_plain| {max_dev:.2e} reaches the 1e-2 bound");
+        std::process::exit(1);
+    }
 }

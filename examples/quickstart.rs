@@ -42,9 +42,10 @@ fn main() {
     let prod = evaluator.rescale(&evaluator.mul(&ct_x, &ct_y, &keys.relin));
     // ... + x. Addition needs matching scales; after a rescale the
     // scale is Delta^2 / q_top, not Delta, so route x through the same
-    // multiply-by-one + rescale to land on the identical scale.
-    let one = encoder.encode_constant_at(1.0, level, ctx.params().scale());
-    let ct_x_low = evaluator.rescale(&evaluator.mul_plain(&ct_x, &one));
+    // multiply-by-one (a constant at scale Delta) + rescale to land on
+    // the identical scale.
+    let one_x = evaluator.mul_const(&ct_x, 1.0, ctx.params().scale());
+    let ct_x_low = evaluator.rescale(&one_x);
     let sum = evaluator.add(&prod, &ct_x_low);
 
     let out = decryptor.decrypt(&sum, &keys.secret, &encoder);

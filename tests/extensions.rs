@@ -40,7 +40,7 @@ fn bootstrap_then_keep_computing() {
 
     // p(x) = 0.5 + x - 0.25 x^3 on the refreshed data.
     let coeffs = [0.5, 1.0, 0.0, -0.25];
-    let out_ct = eval.eval_poly_horner(&fresh, &coeffs, &keys.relin, &enc);
+    let out_ct = eval.eval_poly_horner(&fresh, &coeffs, &keys.relin);
     let out = dec.decrypt(&out_ct, &keys.secret, &enc);
     for (i, &v) in vals.iter().enumerate() {
         let expect = 0.5 + v - 0.25 * v * v * v;
