@@ -5,9 +5,8 @@
 //!
 //! Every operation `benchmark/` probes at a workload's shape (keyswitch,
 //! rotate, coalesced and hoisted rotations, HMult + rescale, gates,
-//! external product, CKKS bootstrap, repacking, threaded fan-out) is
-//! measured there and only there; `BENCH_micro.json` holds one run of
-//! the groups below.
+//! external product, CKKS bootstrap, repacking) is measured there and
+//! only there; `BENCH_micro.json` holds one run of the groups below.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

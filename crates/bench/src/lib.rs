@@ -21,13 +21,12 @@
 //!
 //! The `micro` target keeps only the tiers and shapes `benchmark/`
 //! does not probe; keyswitch, rotation, HMult, gate, external-product,
-//! bootstrap, repacking and threaded fan-out costs are `benchmark/`
-//! metrics (`ckks.keyswitch_ms`, `tfhe.gate_ms`,
-//! `math.threaded_speedup`, ...). Its `lazy_scalar_*` tier swaps the
-//! process-wide kernel backend with `fhe_math::kernel::force` around
-//! its measurement; the workspace `tests/backend_identity.rs` asserts
-//! the swapped backends are bit-identical, so the tier measures row
-//! bodies, never different arithmetic. Simulated (`Modeled`) rows are
+//! bootstrap and repacking costs are `benchmark/` metrics
+//! (`ckks.keyswitch_ms`, `tfhe.gate_ms`, ...). Its `lazy_scalar_*` tier
+//! swaps the process-wide kernel backend with `fhe_math::kernel::force`
+//! around its measurement; the workspace `tests/backend_identity.rs`
+//! asserts the swapped backends are bit-identical, so the tier measures
+//! row bodies, never different arithmetic. Simulated (`Modeled`) rows are
 //! deterministic; `Measured` rows are host wall-clock under
 //! `[profile.bench]` and inherit the functional crates' lazy-domain
 //! discipline (one fold per limb at chain boundaries — see

@@ -18,7 +18,9 @@ impl Evaluator {
     ///
     /// # Panics
     ///
-    /// Panics if `coeffs` is empty or `x.level < coeffs.len() - 1`.
+    /// Panics if `coeffs` is empty or `x.level < coeffs.len() - 1`, and
+    /// on a constant (`coeffs.len() == 1`): a constant needs no Horner;
+    /// use [`Evaluator::add_const`].
     pub fn eval_poly_horner(
         &self,
         x: &Ciphertext,
@@ -26,6 +28,10 @@ impl Evaluator {
         rlk: &SwitchingKey,
     ) -> Ciphertext {
         assert!(!coeffs.is_empty(), "polynomial needs coefficients");
+        assert!(
+            coeffs.len() > 1,
+            "a constant needs no Horner; use `add_const`"
+        );
         let degree = coeffs.len() - 1;
         assert!(
             x.level >= degree,
@@ -36,7 +42,7 @@ impl Evaluator {
         // Start from a_d * x (a constant at x's scale) to avoid
         // encrypting a constant.
         let mut acc = self.mul_const(x, coeffs[degree], x.scale);
-        let mut next_coeff = degree.wrapping_sub(1);
+        let mut next_coeff = degree - 1;
         loop {
             // acc currently has scale x.scale^2-ish; rescale then add the
             // next coefficient at the matching scale.
@@ -142,5 +148,19 @@ mod tests {
         let ct = encryptor.encrypt_sk(&enc.encode_real(&[0.1], 1), &keys.secret, &mut rng);
         // Degree 5 needs 5 levels; the ciphertext has 1.
         let _ = eval.eval_poly_horner(&ct, &[1.0; 6], &keys.relin);
+    }
+
+    #[test]
+    #[should_panic(expected = "a constant needs no Horner")]
+    fn constant_polynomial_rejected() {
+        let ctx = CkksContext::new(CkksParams::tiny_params());
+        let mut rng = StdRng::seed_from_u64(304);
+        let keys = KeyGenerator::new(ctx.clone()).key_set(&[], &mut rng);
+        let enc = Encoder::new(ctx.clone());
+        let encryptor = Encryptor::new(ctx.clone());
+        let eval = Evaluator::new(ctx.clone());
+        let l = ctx.params().max_level();
+        let ct = encryptor.encrypt_sk(&enc.encode_real(&[0.1], l), &keys.secret, &mut rng);
+        let _ = eval.eval_poly_horner(&ct, &[0.5], &keys.relin);
     }
 }

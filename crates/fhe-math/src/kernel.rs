@@ -20,13 +20,10 @@
 //!   one-element-at-a-time provided body; every override must match it
 //!   **bit for bit** (asserted against the NTT golden vectors).
 //!
-//! Three implementations ship: [`ScalarBackend`] (the provided bodies),
-//! [`LaneBackend`] (see below) and [`ThreadedBackend`] (batches sliced
-//! by whole rows across a [`crate::pool::WorkerPool`] — the per-tower
-//! RNS parallelism of FAB and TREBUCHET — each slice a [`LaneBackend`]
-//! batch). Rows never share output words and every BConv output word
-//! is the canonical residue of an exact integer sum, so results do not
-//! depend on how rows are scheduled.
+//! Two implementations ship: [`ScalarBackend`] (the provided bodies)
+//! and [`LaneBackend`] (see below). Both run a batch's rows in order on
+//! the calling thread; concurrency is whole jobs on the process pool
+//! ([`crate::pool::shared`]), never the rows of one kernel call.
 //!
 //! # What `LaneBackend` is
 //!
@@ -156,12 +153,10 @@
 //! own the debug-assert window checks; backends may assume their
 //! contracts hold.
 
-use std::ops::Range;
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock};
 
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
-use crate::pool::{Task, WorkerPool};
 #[cfg(target_arch = "x86_64")]
 use crate::wide;
 
@@ -197,11 +192,10 @@ pub enum ExitFold {
 /// Production code dispatches the `*_batch` entry points only; the
 /// twelve row passes are the SPI those entries loop, and their provided
 /// bodies are the scalar reference. A backend overrides what it
-/// accelerates — row passes ([`LaneBackend`]), batch scheduling
-/// ([`ThreadedBackend`]) or nothing ([`ScalarBackend`]) — and must stay
-/// element-wise **bit-identical** to the provided bodies; the NTT
-/// golden-vector suite asserts this. See the module docs for the window
-/// contract of every method.
+/// accelerates — row passes and batches ([`LaneBackend`]) or nothing
+/// ([`ScalarBackend`]) — and must stay element-wise **bit-identical**
+/// to the provided bodies; the NTT golden-vector suite asserts this.
+/// See the module docs for the window contract of every method.
 ///
 /// # Examples
 ///
@@ -406,7 +400,7 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     // dispatches. One limb row per table/modulus; `flat` is the
     // limb-major buffer of an `RnsPoly` (`rows * n` words). Defaults
     // loop rows sequentially through `self`'s row passes;
-    // `ThreadedBackend` overrides them with limb-parallel dispatch.
+    // `LaneBackend` overrides some with its wide bodies.
 
     /// Batched forward negacyclic NTT over all limb rows of `flat`
     /// (row `i` under `tables[i]`): butterfly stages plus the chosen
@@ -1310,280 +1304,6 @@ impl KernelBackend for LaneBackend {
 }
 
 // ---------------------------------------------------------------------
-// Threaded limb-parallel backend.
-// ---------------------------------------------------------------------
-
-/// Default minimum number of elements a dispatched job must cover
-/// before a batched pass fans out. Below this the channel round-trip
-/// costs more than the row work, so the pass runs sequentially — the
-/// row-size threshold of the sequential fallback.
-const DEFAULT_MIN_JOB_ELEMS: usize = 4096;
-
-/// Hard ceiling on worker counts (a caller asking for 100000 lanes
-/// must not fork-bomb the process).
-const MAX_THREADS: usize = 256;
-
-/// The limb-parallel backend. It overrides the eleven `*_batch`
-/// entries and no row pass: one private `fan_out` slices a batch into
-/// at most `threads` contiguous row groups of at least `min_job`
-/// elements, each run as one [`WorkerPool`] job calling the
-/// [`LaneBackend`] batch on its rows. A batch below the threshold — any
-/// 1-row batch included — runs the lane batch inline: slicing inside a
-/// row would need a barrier per NTT stage, so the profitable axis is
-/// *across* limb rows (the paper's per-tower RNS parallelism).
-///
-/// Every row is computed by the sequential lane pass and rows never
-/// share output words, so results are **bit-identical** to
-/// [`ScalarBackend`] whichever worker ran the row.
-///
-/// # Examples
-///
-/// ```
-/// use fhe_math::kernel::{ExitFold, KernelBackend, ThreadedBackend, SCALAR};
-/// use fhe_math::{prime, Modulus, NttTable, RnsBasis};
-///
-/// let n = 256;
-/// let basis = RnsBasis::new(&prime::ntt_primes(40, n, 3), n);
-/// let tables: Vec<&NttTable> = basis.tables().iter().map(|t| t.as_ref()).collect();
-/// let mut flat: Vec<u64> = (0..(3 * n) as u64).collect();
-/// let mut oracle = flat.clone();
-///
-/// // Two compute lanes, and a tiny job threshold so this small batch
-/// // actually fans out; results are bit-identical to the scalar
-/// // reference either way.
-/// let threaded = ThreadedBackend::with_config(2, 64);
-/// threaded.forward_batch(&tables, &mut flat, ExitFold::Lazy2p);
-/// SCALAR.forward_batch(&tables, &mut oracle, ExitFold::Lazy2p);
-/// assert_eq!(flat, oracle);
-/// assert_eq!(threaded.pool().parallel_jobs_dispatched(), 2);
-/// ```
-#[derive(Debug)]
-pub struct ThreadedBackend {
-    pool: WorkerPool,
-    min_job: usize,
-}
-
-impl ThreadedBackend {
-    /// A backend with `threads` total compute lanes (the dispatching
-    /// thread counts as one; see [`WorkerPool::new`]) and the default
-    /// job-size threshold.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_config(threads, DEFAULT_MIN_JOB_ELEMS)
-    }
-
-    /// As [`Self::with_threads`] with an explicit minimum number of
-    /// elements per dispatched job (tuning/test knob; batches whose
-    /// rows cannot fill two such jobs run sequentially).
-    pub fn with_config(threads: usize, min_job: usize) -> Self {
-        Self {
-            pool: WorkerPool::new(threads.min(MAX_THREADS)),
-            min_job: min_job.max(1),
-        }
-    }
-
-    /// Total compute lanes of the underlying pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// The underlying pool, for its parallel-job counter, which makes
-    /// fan-out observable even on a single-CPU host.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// The one scheduler behind every batch override: partitions `out`
-    /// (`rows` rows of `words_per_row` words) into contiguous row groups
-    /// — at most one per lane, each covering at least `min_job` words —
-    /// and runs `job(group, group's rows of out)` as one pool job per
-    /// group, or `job(0..rows, out)` inline when fewer than two fit.
-    /// Jobs slice their read-only operands by the row range they get.
-    fn fan_out<T: Send>(
-        &self,
-        rows: usize,
-        words_per_row: usize,
-        out: &mut [T],
-        job: impl Fn(Range<usize>, &mut [T]) + Sync,
-    ) {
-        let lanes = self.pool.threads().min(rows);
-        let k = (rows * words_per_row / self.min_job).min(lanes);
-        if k < 2 {
-            return job(0..rows, out);
-        }
-        let (base, extra) = (rows / k, rows % k);
-        let job = &job;
-        let (mut rest, mut start) = (out, 0usize);
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(k);
-        for i in 0..k {
-            let len = base + usize::from(i < extra);
-            let (chunk, tail) = rest.split_at_mut(len * words_per_row);
-            rest = tail;
-            let group = start..start + len;
-            start += len;
-            tasks.push(Box::new(move || job(group, chunk)));
-        }
-        self.pool.run(tasks);
-    }
-}
-
-/// The words rows `g` occupy in a flat buffer of `n`-word rows.
-#[inline]
-fn row_words(g: &Range<usize>, n: usize) -> Range<usize> {
-    g.start * n..g.end * n
-}
-
-impl KernelBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn forward_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
-        let Some(n) = batch_rows(tables.len(), flat.len()) else {
-            return;
-        };
-        self.fan_out(tables.len(), n, flat, |g, rows| {
-            LANES_BACKEND.forward_batch(&tables[g], rows, exit)
-        });
-    }
-
-    fn inverse_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
-        let Some(n) = batch_rows(tables.len(), flat.len()) else {
-            return;
-        };
-        self.fan_out(tables.len(), n, flat, |g, rows| {
-            LANES_BACKEND.inverse_batch(&tables[g], rows, exit)
-        });
-    }
-
-    fn fold_2p_to_canonical_batch(&self, moduli: &[Modulus], flat: &mut [u64]) {
-        let Some(n) = batch_rows(moduli.len(), flat.len()) else {
-            return;
-        };
-        self.fan_out(moduli.len(), n, flat, |g, rows| {
-            LANES_BACKEND.fold_2p_to_canonical_batch(&moduli[g], rows)
-        });
-    }
-
-    fn add_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
-        assert_operand_lens(a.len(), &[b.len()]);
-        let Some(n) = batch_rows(moduli.len(), a.len()) else {
-            return;
-        };
-        self.fan_out(moduli.len(), n, a, |g, rows| {
-            LANES_BACKEND.add_lazy_batch(&moduli[g.clone()], rows, &b[row_words(&g, n)])
-        });
-    }
-
-    fn sub_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
-        assert_operand_lens(a.len(), &[b.len()]);
-        let Some(n) = batch_rows(moduli.len(), a.len()) else {
-            return;
-        };
-        self.fan_out(moduli.len(), n, a, |g, rows| {
-            LANES_BACKEND.sub_lazy_batch(&moduli[g.clone()], rows, &b[row_words(&g, n)])
-        });
-    }
-
-    fn mul_lazy_batch(&self, moduli: &[Modulus], a: &mut [u64], b: &[u64]) {
-        assert_operand_lens(a.len(), &[b.len()]);
-        let Some(n) = batch_rows(moduli.len(), a.len()) else {
-            return;
-        };
-        self.fan_out(moduli.len(), n, a, |g, rows| {
-            LANES_BACKEND.mul_lazy_batch(&moduli[g.clone()], rows, &b[row_words(&g, n)])
-        });
-    }
-
-    fn mul_acc_lazy_batch(&self, moduli: &[Modulus], acc: &mut [u64], a: &[u64], b: &[u64]) {
-        assert_operand_lens(acc.len(), &[a.len(), b.len()]);
-        let Some(n) = batch_rows(moduli.len(), acc.len()) else {
-            return;
-        };
-        self.fan_out(moduli.len(), n, acc, |g, rows| {
-            let w = row_words(&g, n);
-            LANES_BACKEND.mul_acc_lazy_batch(&moduli[g], rows, &a[w.clone()], &b[w])
-        });
-    }
-
-    fn permute_batch(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
-        assert_operand_lens(dst.len(), &[src.len()]);
-        let n = perm.len();
-        if n == 0 || src.is_empty() {
-            return;
-        }
-        assert_eq!(
-            src.len() % n,
-            0,
-            "flat buffer not a multiple of the permutation length"
-        );
-        self.fan_out(src.len() / n, n, dst, |g, rows| {
-            LANES_BACKEND.permute_batch(perm, &src[row_words(&g, n)], rows)
-        });
-    }
-
-    fn convert_approx_batch(
-        &self,
-        to_moduli: &[Modulus],
-        weights: &[u64],
-        y: &[u64],
-        out: &mut [u64],
-    ) {
-        let Some(n) = batch_rows(to_moduli.len(), out.len()) else {
-            return;
-        };
-        let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
-            return;
-        };
-        self.fan_out(to_moduli.len(), n, out, |g, rows| {
-            let ws = &weights[row_words(&g, alpha)];
-            LANES_BACKEND.convert_approx_batch(&to_moduli[g], ws, y, rows)
-        });
-    }
-
-    fn convert_exact_batch(
-        &self,
-        to_moduli: &[Modulus],
-        weights: &[u64],
-        a_mod_b: &[u64],
-        v: &[u64],
-        y: &[u64],
-        out: &mut [u64],
-    ) {
-        let Some(n) = batch_rows(to_moduli.len(), out.len()) else {
-            return;
-        };
-        let Some(alpha) = batch_rows(to_moduli.len(), weights.len()) else {
-            return;
-        };
-        self.fan_out(to_moduli.len(), n, out, |g, rows| {
-            let ws = &weights[row_words(&g, alpha)];
-            LANES_BACKEND.convert_exact_batch(&to_moduli[g.clone()], ws, &a_mod_b[g], v, y, rows)
-        });
-    }
-
-    fn decompose_batch(
-        &self,
-        q: u64,
-        base_log: u32,
-        levels: usize,
-        n: usize,
-        src: &[u64],
-        out: &mut [i64],
-    ) {
-        if n == 0 || levels == 0 || src.is_empty() {
-            return;
-        }
-        assert_eq!(src.len() % n, 0, "src not a multiple of the row length");
-        assert_eq!(out.len(), src.len() * levels, "digit buffer size mismatch");
-        // Each input row expands into `levels * n` digit words — that
-        // is the job size the threshold must weigh, not `n`.
-        self.fan_out(src.len() / n, levels * n, out, |g, rows| {
-            LANES_BACKEND.decompose_batch(q, base_log, levels, n, &src[row_words(&g, n)], rows)
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
 // The process-wide backend.
 // ---------------------------------------------------------------------
 
@@ -1598,30 +1318,13 @@ pub static LANES_BACKEND: LaneBackend = LaneBackend;
 /// nanoseconds against row passes of microseconds.
 static ACTIVE: RwLock<&'static dyn KernelBackend> = RwLock::new(&LANES_BACKEND);
 
-/// Leaked-for-the-process [`ThreadedBackend`]s, memoised per thread
-/// count so repeated lookups (benches and tests sweeping worker counts)
-/// share one persistent worker pool each.
-static THREADED: Mutex<Vec<(usize, &'static ThreadedBackend)>> = Mutex::new(Vec::new());
-
-/// The process-lived threaded backend with the given thread count
-/// (`None` = one lane per [`std::thread::available_parallelism`]).
-/// Workers live for the process; calling this twice with the same
-/// count returns the same instance and pool.
-pub fn threaded(threads: Option<usize>) -> &'static ThreadedBackend {
-    let n = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-        })
-        .clamp(1, MAX_THREADS);
-    let mut registry = THREADED.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&(_, backend)) = registry.iter().find(|(count, _)| *count == n) {
-        return backend;
-    }
-    let backend: &'static ThreadedBackend = Box::leak(Box::new(ThreadedBackend::with_threads(n)));
-    registry.push((n, backend));
-    backend
+/// The lane backend, under the name the frozen `math.threaded_speedup`
+/// probe of `benchmark/` swaps in. The row-sliced backend it once
+/// returned is deleted, so that probe now times lanes against lanes
+/// (1.0 up to its own noise); this shim leaves with the probe (ROADMAP
+/// item 2(a)).
+pub fn threaded(_threads: Option<usize>) -> &'static LaneBackend {
+    &LANES_BACKEND
 }
 
 /// The process-wide active backend: [`LaneBackend`], whose bodies the
@@ -1758,25 +1461,22 @@ mod tests {
     }
 
     /// No unit test here forces the global, so it reads the default;
-    /// threaded backends share one pool per (clamped) thread count.
+    /// the process pool is one instance with one lane per core.
     #[test]
     fn active_is_lanes_and_threaded_pools_are_memoised() {
         assert_eq!(active().name(), "lanes");
-        assert!(std::ptr::eq(threaded(Some(3)), threaded(Some(3))));
-        assert_eq!(threaded(Some(3)).threads(), 3);
-        assert_eq!(threaded(Some(0)).threads(), 1);
+        let pool = crate::pool::shared();
+        assert!(std::ptr::eq(pool, crate::pool::shared()));
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(pool.threads(), cores.clamp(1, 256));
     }
 
     /// All batched entry points must be bit-identical between the
-    /// sequential default (scalar), the lane override, and the
-    /// threaded row-parallel dispatch — across geometries that
-    /// exercise both the fan-out and the sequential-fallback paths.
+    /// sequential default (scalar) and the lane override, across batch
+    /// geometries from one row to eight.
     #[test]
     fn batch_entry_points_are_bit_identical_across_backends() {
         let mut rng = StdRng::seed_from_u64(0xBA7C4);
-        // Tiny min_job so small batches genuinely fan out.
-        let threaded2 = ThreadedBackend::with_config(2, 64);
-        let threaded4 = ThreadedBackend::with_config(4, 64);
         for (n, limbs) in [(64usize, 1usize), (64, 3), (256, 5), (128, 8)] {
             let primes = crate::prime::ntt_primes(45, n, limbs);
             let basis = crate::rns::RnsBasis::new(&primes, n);
@@ -1805,8 +1505,7 @@ mod tests {
                     (0..n).map(|_| rng.gen_range(0..2 * p)).collect::<Vec<_>>()
                 })
                 .collect();
-            let backends: [&dyn KernelBackend; 4] =
-                [&SCALAR, &LANES_BACKEND, &threaded2, &threaded4];
+            let backends: [&dyn KernelBackend; 2] = [&SCALAR, &LANES_BACKEND];
 
             let apply = |f: &dyn Fn(&dyn KernelBackend, &mut Vec<u64>)| -> Vec<Vec<u64>> {
                 backends
@@ -2007,8 +1706,7 @@ mod tests {
             }
         }
 
-        // One batch whose rows take different bodies, sequentially and
-        // fanned out over two lanes.
+        // One batch whose rows take different bodies.
         let n = 1024;
         let mixed = [
             table(ntt_primes(50, n, 1)[0], n),
@@ -2018,9 +1716,6 @@ mod tests {
         ];
         let mixed: Vec<&NttTable> = mixed.iter().collect();
         assert_ntt_and_mac_batches_match(&LANES_BACKEND, &mixed, &mut rng);
-        let threaded = ThreadedBackend::with_config(2, 64);
-        assert_ntt_and_mac_batches_match(&threaded, &mixed, &mut rng);
-        assert!(threaded.pool().parallel_jobs_dispatched() > 0);
     }
 
     /// Both BConv batches of `backend` against the scalar reference, word
@@ -2115,8 +1810,7 @@ mod tests {
             }
         }
 
-        // One batch whose rows take different bodies, sequentially and
-        // fanned out over two lanes.
+        // One batch whose rows take different bodies.
         let (n, alpha) = (1024, 3);
         let mixed: Vec<Modulus> = [ntt_primes(50, n, 1)[0], above, ntt_primes(32, n, 1)[0]]
             .into_iter()
@@ -2133,9 +1827,6 @@ mod tests {
             .collect();
         let y: Vec<u64> = (0..alpha * n).map(|_| rng.gen_range(0..1 << 52)).collect();
         assert_bconv_batches_match(&LANES_BACKEND, &mixed, &weights, &y, &mut rng);
-        let threaded = ThreadedBackend::with_config(2, 64);
-        assert_bconv_batches_match(&threaded, &mixed, &weights, &y, &mut rng);
-        assert!(threaded.pool().parallel_jobs_dispatched() > 0);
     }
 
     /// The wide decomposition of `LaneBackend` returns the reference's
@@ -2207,12 +1898,6 @@ mod tests {
             assert_eq!(took, [true, false, true]);
         }
         check(&LANES_BACKEND, q, base_log, levels, n, &src);
-
-        // A batch fanned out over two lanes.
-        let src: Vec<u64> = (0..8 * n).map(|_| rng.gen_range(0..q)).collect();
-        let threaded = ThreadedBackend::with_config(2, 64);
-        check(&threaded, q, base_log, levels, n, &src);
-        assert!(threaded.pool().parallel_jobs_dispatched() > 0);
     }
 
     /// Decomposition inputs under `q` at depth `beta`: `0`, `1`, `q - 1`,
@@ -2288,71 +1973,6 @@ mod tests {
         }
     }
 
-    /// The pool's parallel-jobs counter makes fan-out observable even
-    /// on a single-CPU host: each batched BConv / gadget-decomposition
-    /// dispatch must split into the expected number of jobs, and
-    /// below-threshold batches must not fan out at all.
-    #[test]
-    fn bconv_and_decompose_dispatch_expected_job_counts() {
-        let mut rng = StdRng::seed_from_u64(0xD15C);
-        let threaded = ThreadedBackend::with_config(4, 64);
-        let (n, limbs, alpha, levels) = (256usize, 8usize, 4usize, 3usize);
-        let moduli: Vec<Modulus> = ntt_primes(45, n, limbs)
-            .iter()
-            .map(|&p| Modulus::new(p).unwrap())
-            .collect();
-        let weights: Vec<u64> = moduli
-            .iter()
-            .flat_map(|m| {
-                let p = m.value();
-                (0..alpha).map(|_| rng.gen_range(0..p)).collect::<Vec<_>>()
-            })
-            .collect();
-        let digits: Vec<u64> = (0..alpha * n)
-            .map(|_| rng.gen_range(0..Modulus::MAX))
-            .collect();
-        let a_mod: Vec<u64> = moduli.iter().map(|m| rng.gen_range(0..m.value())).collect();
-        let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=alpha as u64)).collect();
-        let mut out = vec![0u64; limbs * n];
-
-        // fan_out(8 rows, 256 words, min_job 64) on 4 lanes:
-        // k = min(8*256/64, 4, 8) = 4 jobs per dispatch.
-        let before = threaded.pool().parallel_jobs_dispatched();
-        threaded.convert_approx_batch(&moduli, &weights, &digits, &mut out);
-        assert_eq!(threaded.pool().parallel_jobs_dispatched() - before, 4);
-
-        let before = threaded.pool().parallel_jobs_dispatched();
-        threaded.convert_exact_batch(&moduli, &weights, &a_mod, &v, &digits, &mut out);
-        assert_eq!(threaded.pool().parallel_jobs_dispatched() - before, 4);
-
-        let src: Vec<u64> = (0..limbs * n)
-            .map(|_| rng.gen_range(0..moduli[0].value()))
-            .collect();
-        let mut dig = vec![0i64; limbs * levels * n];
-        let before = threaded.pool().parallel_jobs_dispatched();
-        threaded.decompose_batch(moduli[0].value(), 7, levels, n, &src, &mut dig);
-        assert_eq!(threaded.pool().parallel_jobs_dispatched() - before, 4);
-
-        // Below the job-size threshold the passes fall back to the
-        // sequential lane loops: no parallel jobs recorded.
-        let seq = ThreadedBackend::with_config(4, 1 << 20);
-        seq.convert_approx_batch(&moduli, &weights, &digits, &mut out);
-        seq.convert_exact_batch(&moduli, &weights, &a_mod, &v, &digits, &mut out);
-        seq.decompose_batch(moduli[0].value(), 7, levels, n, &src, &mut dig);
-        assert_eq!(seq.pool().parallel_jobs_dispatched(), 0);
-
-        // So does a 1-row batch at any threshold — the inline path
-        // `NttTable::forward` / `inverse` take under `threaded`.
-        let t = table(45, n);
-        let mut row: Vec<u64> = (0..n as u64).collect();
-        let before = threaded.pool().parallel_jobs_dispatched();
-        threaded.forward_batch(&[&t], &mut row, ExitFold::Lazy2p);
-        threaded.inverse_batch(&[&t], &mut row, ExitFold::Lazy2p);
-        let (a, b) = (row.clone(), row.clone());
-        threaded.mul_acc_lazy_batch(&[*t.modulus()], &mut row, &a, &b);
-        assert_eq!(threaded.pool().parallel_jobs_dispatched(), before);
-    }
-
     /// A buffer that is not a whole number of rows: three rows' worth
     /// of words plus one, handed over as a three-row batch.
     fn ragged_batch(backend: &dyn KernelBackend) {
@@ -2373,12 +1993,6 @@ mod tests {
         ragged_batch(&LANES_BACKEND);
     }
 
-    #[test]
-    #[should_panic(expected = "not a multiple of rows")]
-    fn ragged_batch_panics_on_threaded() {
-        ragged_batch(&ThreadedBackend::with_config(2, 64));
-    }
-
     /// The operand-length contract holds at the batch boundary on every
     /// backend: a short operand panics before any row is touched
     /// instead of truncating a row pass (scalar `zip`) or skipping
@@ -2393,9 +2007,7 @@ mod tests {
         let perm: Vec<usize> = (0..n).rev().collect();
         let full = vec![1u64; limbs * n];
         let short = &full[..(limbs - 1) * n];
-        let threaded = ThreadedBackend::with_config(2, 64);
-        let backends: [&dyn KernelBackend; 3] = [&SCALAR, &LANES_BACKEND, &threaded];
-        for b in backends {
+        for b in [&SCALAR as &dyn KernelBackend, &LANES_BACKEND] {
             for op in 0..4 {
                 let mut out = full.clone();
                 let run = std::panic::AssertUnwindSafe(|| match op {
@@ -2410,7 +2022,6 @@ mod tests {
                 assert_eq!(out, full, "{} op {op} touched rows", b.name());
             }
         }
-        assert_eq!(threaded.pool().parallel_jobs_dispatched(), 0);
     }
 
     /// A ragged buffer — not a whole number of rows — panics on every
@@ -2422,9 +2033,7 @@ mod tests {
         let src = [1u64; 6];
         let (n, levels) = (8usize, 2usize);
         let digits_src = [1u64; 35];
-        let threaded = ThreadedBackend::with_config(2, 1);
-        let backends: [&dyn KernelBackend; 3] = [&SCALAR, &LANES_BACKEND, &threaded];
-        for b in backends {
+        for b in [&SCALAR as &dyn KernelBackend, &LANES_BACKEND] {
             let name = b.name();
             let mut dst = [7u64; 6];
             let run = std::panic::AssertUnwindSafe(|| b.permute_batch(&perm, &src, &mut dst));
@@ -2442,7 +2051,6 @@ mod tests {
             assert!(msg.contains("not a multiple"), "{name} decompose: {msg}");
             assert_eq!(out, [7; 70], "{name} decompose touched words");
         }
-        assert_eq!(threaded.pool().parallel_jobs_dispatched(), 0);
     }
 
     /// An exact BConv batch with one operand a word short: `y` the digit

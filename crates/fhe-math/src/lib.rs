@@ -19,13 +19,13 @@
 //! * [`RnsPoly`] — RNS polynomials with NTT, automorphism, and monomial
 //!   operations over a flat contiguous limb buffer.
 //! * [`kernel`] — pluggable batched kernel backends ([`KernelBackend`]):
-//!   the scalar reference, a chunked/unrolled lane implementation, and
-//!   the limb-parallel [`ThreadedBackend`]; a process runs the lane
-//!   one. Production dispatches only the `*_batch` (whole-poly) entry
-//!   points; the row passes behind them are the backend-internal SPI.
-//! * [`pool`] — the persistent home-grown worker pool behind the
-//!   threaded backend (`std::thread` + channels; the build is offline,
-//!   so no `rayon`).
+//!   the scalar reference and a chunked/unrolled lane implementation;
+//!   a process runs the lane one. Production dispatches only the
+//!   `*_batch` (whole-poly) entry points; the row passes behind them
+//!   are the backend-internal SPI.
+//! * [`pool`] — the persistent home-grown worker pool that runs
+//!   independent jobs on every core (`std::thread` + channels; the
+//!   build is offline, so no `rayon`).
 //! * [`sampler`] — uniform / ternary / binary / Gaussian samplers.
 //! * [`scratch`] — thread-local scratch buffers for the transform hot
 //!   paths.
@@ -109,7 +109,7 @@ mod wide;
 pub use bigint::UBig;
 pub use fft::{Complex, FftPlan};
 pub use galois::GaloisPerms;
-pub use kernel::{KernelBackend, LaneBackend, ScalarBackend, ThreadedBackend};
+pub use kernel::{KernelBackend, LaneBackend, ScalarBackend};
 pub use modulus::{InvalidModulusError, Modulus};
 pub use ntt::NttTable;
 pub use poly::{ReductionState, Representation, RnsPoly};

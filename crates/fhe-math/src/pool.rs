@@ -1,48 +1,45 @@
-//! A small persistent worker pool for independent work: limb rows of
-//! one kernel pass, or whole jobs of one batch.
+//! A small persistent worker pool for independent jobs.
 //!
 //! Trinity's hardware throughput comes from giving independent work to
-//! every compute unit at once (FAB's parallel NTT lanes, TREBUCHET's
-//! per-tower RNS parallelism, Trinity's own dynamic scheduling). The
-//! software counterpart is a handful of long-lived worker threads and
-//! two ways to slice work across them:
-//!
-//! * **Rows.** [`WorkerPool::run_partition`] and
-//!   [`crate::kernel::ThreadedBackend`]'s batched passes slice one
-//!   kernel call by whole limb rows.
-//! * **Jobs.** [`WorkerPool::map_chunks`] slices a batch of independent
-//!   jobs into one narrower batch per lane, on the process pool
-//!   [`shared`]. The serving layer runs each dispatch group through it,
-//!   so a group occupies every core while each chunk's kernels stay as
-//!   wide as its jobs make them; the library runs the CKKS bootstrap's
-//!   two CoeffToSlot sources, and then its two EvalMod + SlotToCoeff
-//!   halves, through it as two-job batches.
+//! every compute unit at once (its dynamic workload scheduling). The
+//! software counterpart is a handful of long-lived worker threads, the
+//! process pool [`shared`], and one way to slice work across them:
+//! [`WorkerPool::map_chunks`] splits a batch of independent jobs into
+//! one narrower batch per lane. The serving layer runs each dispatch
+//! group through it, so a group occupies every core while each chunk's
+//! kernels stay as wide as its jobs make them; the library runs the
+//! CKKS bootstrap's two CoeffToSlot sources, and then its two EvalMod +
+//! SlotToCoeff halves, through it as two-job batches. Kernel calls
+//! themselves run on the calling thread: slicing one call's limb rows
+//! across the pool never beat the lane backend on the benchmark
+//! workloads. [`WorkerPool::run_partition`], the range-slicing entry,
+//! stays only for the `math.pool_roundtrip_us` probe of `benchmark/`.
 //!
 //! The build environment is offline (no `rayon`), so the pool is
 //! home-grown from `std::thread` + `std::sync::mpsc`:
 //!
 //! * **Persistent workers.** [`WorkerPool::new`] spawns `threads - 1`
-//!   workers that live as long as the pool (for the process, for the
-//!   pools behind [`crate::kernel::threaded`]). Jobs are pulled
-//!   from one shared injector channel, so several caller threads can
-//!   dispatch into the same pool concurrently.
-//! * **The caller is a worker too.** [`WorkerPool::run`] executes the
+//!   workers that live as long as the pool ([`shared`]'s for the
+//!   process). Jobs are pulled from one shared injector channel, so
+//!   several caller threads can dispatch into the same pool
+//!   concurrently.
+//! * **The caller is a worker too.** Every dispatch executes the
 //!   first task inline on the calling thread, and while waiting for
 //!   completions it *steals* queued jobs — a pool of `N` threads always
 //!   has `N` lanes of compute, and a 1-thread pool is simply the
 //!   sequential fallback. Dispatches may nest — a `map_chunks` chunk
-//!   may run a `ThreadedBackend` kernel on the same pool — and a
-//!   nested dispatcher likewise runs queued jobs while it waits.
+//!   may dispatch into the same pool — and a nested dispatcher
+//!   likewise runs queued jobs while it waits.
 //! * **Scoped borrows without `std::thread::scope`.** Tasks may borrow
-//!   the caller's stack (the limb rows being transformed). `run` does
+//!   the caller's stack (the jobs and their output slots). `run` does
 //!   not return until every dispatched job has either completed or
 //!   been dropped unrun, which is what makes the internal lifetime
-//!   erasure sound — see the safety comment in [`WorkerPool::run`].
+//!   erasure sound — see the safety comment in `WorkerPool::run`.
 //! * **Panic recovery.** A panicking job is caught on the worker, the
 //!   worker survives, and the payload is re-raised on the caller after
 //!   all sibling jobs of the dispatch have finished. All pool mutexes
-//!   recover from poisoning, so one panicked kernel row cannot wedge
-//!   the process-wide backend.
+//!   recover from poisoning, so one panicked job cannot wedge the
+//!   process pool.
 //!
 //! Determinism: the pool imposes no ordering on job *execution*, but
 //! every job owns a disjoint slice of the output (a chunk of
@@ -52,12 +49,11 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SendError, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 
-/// A borrowed unit of work: one whole-limb row (or a row group) of a
-/// batched kernel pass.
-pub type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+/// A borrowed unit of work: one chunk of a dispatch.
+type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// A task whose borrows have been erased to `'static` for the trip
 /// through the injector channel. Only constructed inside
@@ -71,7 +67,7 @@ struct Job {
     done: Sender<thread::Result<()>>,
 }
 
-/// A persistent pool of kernel worker threads (see the module docs).
+/// A persistent pool of worker threads (see the module docs).
 pub struct WorkerPool {
     /// Injector half of the shared job queue, serialised so concurrent
     /// dispatchers do not interleave their sends mid-batch.
@@ -108,7 +104,7 @@ fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>) {
         };
         match job {
             Ok(Job { run, done }) => {
-                // A panicking kernel row must not kill the worker: catch
+                // A panicking job must not kill the worker: catch
                 // it and ship the payload back to the dispatching caller.
                 let result = catch_unwind(AssertUnwindSafe(run));
                 let _ = done.send(result);
@@ -122,7 +118,7 @@ fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>) {
 impl WorkerPool {
     /// Creates a pool with `threads` total compute lanes (the calling
     /// thread counts as one, so `threads - 1` workers are spawned;
-    /// `threads <= 1` spawns none and [`Self::run`] degenerates to the
+    /// `threads <= 1` spawns none and every dispatch degenerates to the
     /// sequential loop).
     ///
     /// Workers are named `trinity-kernel-N` and live until the pool is
@@ -159,9 +155,9 @@ impl WorkerPool {
     }
 
     /// Cumulative number of jobs dispatched through the parallel path
-    /// of [`Self::run`] over this pool's lifetime (inline share
-    /// included; sequential fallbacks excluded). Diff before/after a
-    /// call to assert that a batched pass actually fanned out.
+    /// over this pool's lifetime (inline share included; sequential
+    /// fallbacks excluded). Diff before/after a call to assert that it
+    /// actually fanned out.
     #[inline]
     pub fn parallel_jobs_dispatched(&self) -> u64 {
         self.parallel_jobs.load(Ordering::Relaxed)
@@ -180,7 +176,7 @@ impl WorkerPool {
     /// — after every other task of this dispatch has finished, so
     /// borrowed captures never outlive the call. The pool itself
     /// survives (worker threads catch job panics).
-    pub fn run(&self, tasks: Vec<Task<'_>>) {
+    fn run(&self, tasks: Vec<Task<'_>>) {
         let mut tasks = tasks.into_iter();
         let Some(first) = tasks.next() else { return };
         if self.threads == 1 || tasks.len() == 0 {
@@ -296,9 +292,8 @@ impl WorkerPool {
     /// balanced, non-empty ranges of at least `min_chunk` items and
     /// runs `f` on each in parallel; below the threshold (or on a
     /// 1-thread pool) it simply calls `f(0..len)` inline — the
-    /// sequential fallback. The single-buffer (intra-row) counterpart
-    /// of the row-group slicing in
-    /// [`crate::kernel::ThreadedBackend`]'s batch passes.
+    /// sequential fallback. No library path calls it; it stays for the
+    /// `math.pool_roundtrip_us` probe of `benchmark/`.
     pub fn run_partition<F>(&self, len: usize, min_chunk: usize, f: F)
     where
         F: Fn(std::ops::Range<usize>) + Sync,
@@ -327,15 +322,14 @@ impl WorkerPool {
     /// 1-thread pool, calls `f(items)` once inline with no pool traffic;
     /// no items return an empty vector without calling `f`.
     ///
-    /// Where [`Self::run_partition`] slices the rows of one kernel pass,
-    /// this slices a batch of independent jobs — each chunk a whole,
-    /// narrower batch-engine call — so it only preserves results when a
-    /// job's output does not depend on its batch mates.
+    /// Each chunk is a whole, narrower batch-engine call, so this only
+    /// preserves results when a job's output does not depend on its
+    /// batch mates.
     ///
     /// # Panics
     ///
-    /// As [`Self::run`]: a chunk's panic is re-raised on the caller
-    /// after every other chunk has finished.
+    /// A chunk's panic is re-raised on the caller after every other
+    /// chunk has finished.
     pub fn map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -363,13 +357,21 @@ impl WorkerPool {
     }
 }
 
+/// Hard ceiling on the process pool's lanes (a host reporting 100000
+/// CPUs must not make the process spawn as many threads).
+const MAX_THREADS: usize = 256;
+
 /// The process pool: one lane per
-/// [`std::thread::available_parallelism`], workers living for the
-/// process. Every job-axis caller ([`WorkerPool::map_chunks`]) shares
-/// it, so independent jobs from the service and the library never
-/// oversubscribe the cores with a second set of workers.
+/// [`std::thread::available_parallelism`] (at most 256), workers living
+/// for the process. Every job-axis caller ([`WorkerPool::map_chunks`])
+/// shares it, so independent jobs from the service and the library
+/// never oversubscribe the cores with a second set of workers.
 pub fn shared() -> &'static WorkerPool {
-    crate::kernel::threaded(None).pool()
+    static SHARED: OnceLock<WorkerPool> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        let cores = thread::available_parallelism().map_or(1, usize::from);
+        WorkerPool::new(cores.clamp(1, MAX_THREADS))
+    })
 }
 
 /// `0..len` as `chunks` contiguous ranges in order, the first

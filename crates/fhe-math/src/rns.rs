@@ -208,7 +208,8 @@ pub struct BasisConverter {
     /// `|A/a_i| mod b_j`, flat row-major per **output** limb
     /// (`[j*alpha + i]`) — the weight layout
     /// [`crate::kernel::KernelBackend::convert_approx_batch`] consumes,
-    /// so the threaded backend can slice contiguous output-limb rows.
+    /// so each output row's `alpha` weights are one contiguous slice —
+    /// the per-row weight operand of the wide BConv body.
     a_hat_mod_b: Vec<u64>,
     /// `A mod b_j` for the exact correction.
     a_mod_b: Vec<u64>,

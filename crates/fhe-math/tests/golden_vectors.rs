@@ -166,7 +166,7 @@ fn all_variants_match_direct_evaluation() {
 
 /// Every `KernelBackend` must reproduce the golden vectors: the full
 /// transform pipeline (stages + exit folds + scaling) run through the
-/// scalar reference, the lane backend and the threaded pool explicitly,
+/// scalar reference and the lane backend explicitly,
 /// checked against the externally computed product and the direct
 /// spectrum. This is the acceptance gate for new backends — identical
 /// outputs on the golden vectors, not just on random data.

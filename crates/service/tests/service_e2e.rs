@@ -5,9 +5,9 @@
 //! 1. **Bit-identity.** A mixed TFHE + CKKS tenant stream scheduled,
 //!    coalesced, batched and executed by [`ServiceCore`] produces
 //!    ciphertexts bit-identical to evaluating each tenant's requests
-//!    in isolation, sequentially — under `scalar`, `lanes` *and*
-//!    `threaded` kernel backends (swapped in-process with
-//!    `kernel::force`, which is test-only by lint rule). Coalescing
+//!    in isolation, sequentially — under the `scalar` *and* `lanes`
+//!    kernel backends (swapped in-process with `kernel::force`, which
+//!    is test-only by lint rule). Coalescing
 //!    and QoS must be invisible in the bits, and the audit bytes must
 //!    not depend on the backend.
 //! 2. **Coalescing.** The JSONL audit shows keyswitch dispatches that

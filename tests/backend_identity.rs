@@ -1,14 +1,14 @@
 //! Cross-backend bit-identity of the production FHE chains.
 //!
 //! The lazy-chain suite (`tests/lazy_chains.rs`) proves lazy == strict
-//! under each of `scalar`, `lanes` and `threaded`. This file closes the
-//! remaining gap: it swaps the process-wide backend between the three
+//! under each of `scalar` and `lanes`. This file closes the
+//! remaining gap: it swaps the process-wide backend between the two
 //! with `kernel::force` (the shared `common::under_each_backend`) and
 //! asserts that CKKS keyswitch, HMult (+rescale), rotation (fused and
 //! hoisted), the TFHE external product and gate bootstrap — the
 //! single-request forms of the engines — and the scheme-conversion
 //! round trip (extract, then pack) produce bit-identical
-//! ciphertexts under all three — i.e. backend choice is unobservable, not merely
+//! ciphertexts under both — i.e. backend choice is unobservable, not merely
 //! correct-up-to-the-oracle. The `NttTable` single-row entry points
 //! (1-row batches of the same surface) are checked against their
 //! strict oracles under each backend too.
@@ -143,10 +143,10 @@ fn hmult_rescale_and_rotation_are_bit_identical_across_backends() {
 /// The hoisted rotation batch: one shared ModUp feeding several
 /// rotations must (a) match the sequential `apply_galois` bit for bit
 /// *within* each backend, and (b) be bit-identical *across* backends —
-/// the pooled BConv/digit-NTT front half dispatches through the worker
-/// pool on `threaded`, and that must be unobservable. The diagonal
-/// engine (`LinearTransform::apply`) is swept the same way against its
-/// sequential oracle.
+/// the pooled BConv/digit-NTT front half takes the wide bodies on
+/// `lanes` where the host has them, and that must be unobservable. The
+/// diagonal engine (`LinearTransform::apply`) is swept the same way
+/// against its sequential oracle.
 #[test]
 fn hoisted_rotations_are_bit_identical_across_backends() {
     let f = test_shape();

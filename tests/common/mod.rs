@@ -13,15 +13,9 @@ use fhe_math::kernel::{self, KernelBackend};
 
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
-/// The scalar reference, the default lane backend, and the threaded
-/// pool at 3 lanes (so dispatch genuinely fans out where row sizes
-/// allow).
-pub fn backends() -> [&'static dyn KernelBackend; 3] {
-    [
-        &kernel::SCALAR,
-        &kernel::LANES_BACKEND,
-        kernel::threaded(Some(3)),
-    ]
+/// The scalar reference and the default lane backend.
+pub fn backends() -> [&'static dyn KernelBackend; 2] {
+    [&kernel::SCALAR, &kernel::LANES_BACKEND]
 }
 
 /// Runs `work` once per backend with the process-wide dispatch forced

@@ -20,7 +20,7 @@
 //!   and stay within the `ckks::noise` estimator band.
 //!
 //! Every test that dispatches a kernel runs its assertions under each
-//! backend — `scalar`, `lanes` and `threaded` — in-process
+//! backend — `scalar` and `lanes` — in-process
 //! (`common::under_each_backend`); the strict oracles never dispatch,
 //! so each backend is checked against the same fixed reference.
 
