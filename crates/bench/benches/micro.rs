@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the functional crates — the tiers and
-//! shapes `benchmark/` does not run: kernel-level NTT and negacyclic
-//! variants, the strict oracles beside their lazy engines, the scalar
-//! backend, the TFHE Set-II bootstrap and the radix/NN units.
+//! shapes `benchmark/` does not run: the kernel-level NTT and
+//! negacyclic product, the strict oracles beside their lazy engines,
+//! the scalar backend, the TFHE Set-II bootstrap and the radix/NN
+//! units.
 //!
 //! Every operation `benchmark/` probes at a workload's shape (keyswitch,
 //! rotate, coalesced and hoisted rotations, HMult + rescale, gates,
@@ -29,31 +30,6 @@ fn bench_ntt(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// NTT variants: reference vs constant-geometry vs four-step.
-fn bench_ntt_variants(c: &mut Criterion) {
-    let n = 1 << 12;
-    let p = fhe_math::prime::ntt_primes(50, n, 1)[0];
-    let table = fhe_math::NttTable::new(fhe_math::Modulus::new(p).unwrap(), n);
-    let mut rng = StdRng::seed_from_u64(2);
-    let poly: Vec<u64> = (0..n).map(|_| rng.gen_range(0..p)).collect();
-    let mut group = c.benchmark_group("ntt_variants_4096");
-    group.bench_function("reference", |b| {
-        b.iter(|| {
-            let mut x = poly.clone();
-            table.forward(&mut x);
-            x
-        })
-    });
-    group.bench_function("constant_geometry", |b| {
-        b.iter(|| {
-            let mut x = poly.clone();
-            table.forward_constant_geometry(&mut x);
-            x
-        })
-    });
     group.finish();
 }
 
@@ -304,7 +280,6 @@ fn bench_nn_neuron(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ntt,
-    bench_ntt_variants,
     bench_ntt_lazy_vs_strict,
     bench_poly_mul_flat,
     bench_keyswitch_lazy_vs_canonical,

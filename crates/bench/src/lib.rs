@@ -32,6 +32,7 @@
 //! discipline (one fold per limb at chain boundaries — see
 //! `ARCHITECTURE.md`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

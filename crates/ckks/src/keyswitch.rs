@@ -641,7 +641,6 @@ mod tests {
     use fhe_math::{sampler, ReductionState};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     /// Keyswitching d with the relin key must produce (ks0, ks1) with
     /// ks0 + ks1*s ≈ d*s^2 — the defining property.
@@ -855,8 +854,4 @@ mod tests {
         let d = RnsPoly::zero(ctx.level_basis(1).clone(), Representation::Eval);
         let _ = key_switch(&ctx, &d, &rlk, 2);
     }
-
-    // Arc import used by helper signatures in sibling tests.
-    #[allow(dead_code)]
-    fn _keep(_: Arc<CkksContext>) {}
 }

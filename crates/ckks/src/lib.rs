@@ -63,6 +63,7 @@
 //! assert!((slots[1].re - 0.125).abs() < 1e-2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

@@ -54,6 +54,7 @@
 //! to end, or `cargo run --release --example encrypted_db` for the
 //! hybrid HE3DB query compiled and scheduled the same way.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ir;

@@ -31,6 +31,7 @@
 //! runtime-selected `fhe_math::kernel::KernelBackend` bit for bit.
 //! See `README.md` for the kernel mapping.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod extract;

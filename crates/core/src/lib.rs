@@ -45,6 +45,7 @@
 //! assert!(result.total_cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;

@@ -1463,7 +1463,7 @@ mod tests {
     /// No unit test here forces the global, so it reads the default;
     /// the process pool is one instance with one lane per core.
     #[test]
-    fn active_is_lanes_and_threaded_pools_are_memoised() {
+    fn active_is_lanes_and_the_shared_pool_is_one_core_sized_instance() {
         assert_eq!(active().name(), "lanes");
         let pool = crate::pool::shared();
         assert!(std::ptr::eq(pool, crate::pool::shared()));

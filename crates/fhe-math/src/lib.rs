@@ -7,10 +7,11 @@
 //! * [`prime`] — Miller–Rabin, NTT-friendly prime generation, and the
 //!   paper's "closest prime to `q`" selection for the FFT→NTT
 //!   substitution in TFHE (§II-B).
-//! * [`NttTable`] — negacyclic NTTs in hardware-relevant flavours: the
-//!   lazy-reduction hot path (Harvey), a fully-reduced strict reference,
-//!   constant-geometry (Pease — Trinity's NTTU/CU dataflow), and
-//!   four-step (Bailey — Trinity's long-NTT strategy).
+//! * [`NttTable`] — the negacyclic NTT: one lazy-reduction engine
+//!   (Harvey, dispatched through the kernel backend) and its
+//!   fully-reduced strict oracle. The paper's hardware dataflows
+//!   (constant-geometry NTTU, four-step long NTT) are modelled by
+//!   `trinity_core::ntt_engine`.
 //! * [`FftPlan`] — the double-precision FFT that FFT-based TFHE
 //!   accelerators use, kept as a comparison baseline.
 //! * [`RnsBasis`] / [`BasisConverter`] — RNS bases and the `BConv`
@@ -27,8 +28,9 @@
 //!   independent jobs on every core (`std::thread` + channels; the
 //!   build is offline, so no `rayon`).
 //! * [`sampler`] — uniform / ternary / binary / Gaussian samplers.
-//! * [`scratch`] — thread-local scratch buffers for the transform hot
-//!   paths.
+//! * [`scratch`] — thread-local scratch buffers for the kernels that
+//!   need a temporary row (monomial multiply, automorphism, BConv,
+//!   gadget decomposition).
 //! * [`UBig`] — minimal big integers for CRT reconstruction.
 //!
 //! # Data layout and reduction discipline

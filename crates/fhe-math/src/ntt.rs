@@ -1,7 +1,6 @@
 //! Negacyclic Number Theoretic Transforms over `Z_p[X]/(X^N + 1)`.
 //!
-//! Four interchangeable implementations are provided, mirroring the
-//! hardware structures discussed in the Trinity paper:
+//! One transform and its oracle:
 //!
 //! * [`NttTable::forward`] / [`NttTable::inverse`] — the production hot
 //!   path: in-place Cooley–Tukey / Gentleman–Sande with merged ψ-twisting
@@ -13,32 +12,20 @@
 //! * [`NttTable::forward_strict`] / [`NttTable::inverse_strict`] — the
 //!   fully-reduced reference transform (every butterfly reduces to
 //!   `[0, p)`), kept as the oracle the lazy path is asserted against.
-//! * [`NttTable::forward_constant_geometry`] — the Pease constant-geometry
-//!   dataflow used by Trinity's NTTU and CU butterfly networks (§IV-B:
-//!   "constant-geometry NTT ... maintains a consistent access pattern for
-//!   the computation of BUs in each stage"). Fully reduced.
-//! * [`NttTable::forward_four_step`] — Bailey's four-step decomposition
-//!   (§IV-E), splitting an N-point NTT into phase-1 column NTTs, an
-//!   on-the-fly twisting step (OF-Twist, Fig. 4), and phase-2 row NTTs
-//!   with a final transpose. This is exactly how Trinity computes NTTs
-//!   longer than its 256-point pipeline. Fully reduced.
-//!
-//! All variants produce bit-identical results (asserted by the test
-//! suite), so higher layers can use the fast lazy transform while the
-//! simulator reasons about the hardware-shaped variants.
 //!
 //! `forward` and `inverse` are one-row batches of the process-wide
 //! [`crate::kernel::KernelBackend`] (the lazy-exit and MAC forms live
 //! on its `*_batch` surface, which [`crate::RnsPoly`] wraps); the
-//! `*_strict` oracles and the hardware-dataflow variants never
-//! dispatch, so the reference the backends are asserted against stays
-//! fixed.
+//! `*_strict` oracles never dispatch, so the reference the backends
+//! are asserted against stays fixed. The paper's hardware NTT
+//! dataflows (the constant-geometry NTTU of §IV-C and the four-step
+//! long NTT of §IV-E) are modelled by `trinity_core::ntt_engine`, not
+//! here.
 
 use crate::kernel::{self, ExitFold};
 use crate::modulus::Modulus;
 use crate::prime::primitive_root_of_unity;
-use crate::scratch::with_scratch2;
-use crate::util::{four_step_split, log2_exact, reverse_bits};
+use crate::util::{log2_exact, reverse_bits};
 
 /// One butterfly twiddle table, structure-of-arrays: `w[i]` and, index
 /// for index, its Shoup companion `ws[i]`, so a vector body loads
@@ -54,17 +41,12 @@ struct Twiddles {
 pub struct NttTable {
     modulus: Modulus,
     n: usize,
-    log_n: u32,
     /// psi^bitrev(i) for the forward transform.
     psi_rev: Twiddles,
     /// psi^{-bitrev(i)} for the inverse transform.
     psi_inv_rev: Twiddles,
     /// n^{-1} mod p as a Shoup pair.
     n_inv: (u64, u64),
-    /// psi^i in natural order (for constant-geometry / four-step twists).
-    psi_pow: Vec<(u64, u64)>,
-    /// omega^i = psi^{2i} powers in natural order for cyclic sub-NTTs.
-    omega_pow: Vec<(u64, u64)>,
 }
 
 impl NttTable {
@@ -97,30 +79,20 @@ impl NttTable {
         let (mut psi_rev, mut psi_inv_rev) = (zeroed(), zeroed());
         let mut pow_f = 1u64;
         let mut pow_i = 1u64;
-        let mut psi_pow = Vec::with_capacity(n);
-        let mut omega_pow = Vec::with_capacity(n);
-        let omega = m.mul(psi, psi);
-        let mut wp = 1u64;
         for i in 0..n {
             let r = reverse_bits(i, log_n);
             (psi_rev.w[r], psi_rev.ws[r]) = shoup(pow_f);
             (psi_inv_rev.w[r], psi_inv_rev.ws[r]) = shoup(pow_i);
-            psi_pow.push(shoup(pow_f));
-            omega_pow.push(shoup(wp));
             pow_f = m.mul(pow_f, psi);
             pow_i = m.mul(pow_i, psi_inv);
-            wp = m.mul(wp, omega);
         }
         let n_inv = m.inv(n as u64).expect("n invertible mod prime");
         Self {
             modulus: m,
             n,
-            log_n,
             psi_rev,
             psi_inv_rev,
             n_inv: shoup(n_inv),
-            psi_pow,
-            omega_pow,
         }
     }
 
@@ -257,144 +229,6 @@ impl NttTable {
         for x in a.iter_mut() {
             *x = m.mul_shoup(*x, ni, nis);
         }
-    }
-
-    /// Forward negacyclic NTT using the Pease constant-geometry dataflow.
-    ///
-    /// Every stage reads pairs `(src[2j], src[2j+1])` and writes
-    /// `(dst[j], dst[j + n/2])` — the identical access pattern in all
-    /// stages that lets Trinity's NTTU wire a fixed butterfly network
-    /// (§IV-B). Produces the same output as [`Self::forward`].
-    ///
-    /// Returns the number of butterfly stages executed (= log2 n), which
-    /// the simulator uses as a structural cross-check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`.
-    pub fn forward_constant_geometry(&self, a: &mut [u64]) -> u32 {
-        assert_eq!(a.len(), self.n);
-        let m = &self.modulus;
-        let n = self.n;
-        // Pre-twist by psi^i, then a cyclic constant-geometry NTT with
-        // omega = psi^2, consuming input in bit-reversed order.
-        for (i, x) in a.iter_mut().enumerate() {
-            let (w, ws) = self.psi_pow[i];
-            *x = m.mul_shoup(*x, w, ws);
-        }
-        with_scratch2(n, |src, dst| {
-            let mut src: &mut [u64] = src;
-            let mut dst: &mut [u64] = dst;
-            for (i, s) in src.iter_mut().enumerate() {
-                *s = a[reverse_bits(i, self.log_n)];
-            }
-            for s in 0..self.log_n {
-                let shift = self.log_n - 1 - s;
-                for j in 0..n / 2 {
-                    // Twiddle exponent: top bits of j, aligned — identical
-                    // schedule every stage, only the mask widens.
-                    let e = (j >> shift) << shift;
-                    let (w, ws) = self.omega_pow[e];
-                    let u = src[2 * j];
-                    let v = m.mul_shoup(src[2 * j + 1], w, ws);
-                    dst[j] = m.add(u, v);
-                    dst[j + n / 2] = m.sub(u, v);
-                }
-                std::mem::swap(&mut src, &mut dst);
-            }
-            // The constant-geometry pipeline produces the spectrum in
-            // natural exponent order (slot k holds f(psi^{2k+1})); the
-            // reference transform stores slot k = f(psi^{2 bitrev(k) + 1}).
-            // Reconcile so all implementations are drop-in interchangeable.
-            for k in 0..n {
-                a[k] = src[reverse_bits(k, self.log_n)];
-            }
-        });
-        self.log_n
-    }
-
-    /// Forward negacyclic NTT via Bailey's four-step method (§IV-E).
-    ///
-    /// Splits `n = n1 * n2` (balanced powers of two), runs phase-1 column
-    /// NTTs of length `n1`, applies the on-the-fly twisting factors
-    /// (OF-Twist: each row's factors form a geometric sequence, so the
-    /// hardware streams them from a first item and common ratio, Fig. 4),
-    /// runs phase-2 row NTTs of length `n2`, and transposes. Produces the
-    /// same output as [`Self::forward`].
-    ///
-    /// Returns `(n1, n2)` as used, for the simulator's structural checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()` or `n < 4`.
-    pub fn forward_four_step(&self, a: &mut [u64]) -> (usize, usize) {
-        assert_eq!(a.len(), self.n);
-        assert!(self.n >= 4, "four-step needs n >= 4");
-        let m = &self.modulus;
-        let (n1, n2) = four_step_split(self.n);
-
-        // Negacyclic pre-twist by psi^i, then cyclic four-step with
-        // omega = psi^2. Finally outputs land in natural order but the
-        // cyclic DFT uses a different output indexing than the merged
-        // reference; we reconcile by writing through the DFT index map
-        // and then applying the reference's output permutation (which is
-        // the identity: both produce X[k] = sum a[j] omega^{jk} psi^j
-        // evaluated at k — see module tests for the equality assertion).
-        for (i, x) in a.iter_mut().enumerate() {
-            let (w, ws) = self.psi_pow[i];
-            *x = m.mul_shoup(*x, w, ws);
-        }
-
-        // Column NTTs: for each j2, transform over j1 with root omega^{n2}.
-        // We materialise small cyclic NTTs directly from omega powers.
-        let omega_at = |e: usize| self.omega_pow[e % self.n].0;
-        with_scratch2(self.n, |c, r| {
-            for j2 in 0..n2 {
-                for k1 in 0..n1 {
-                    let mut acc = 0u64;
-                    for j1 in 0..n1 {
-                        let w = omega_at(n2 * ((j1 * k1) % n1));
-                        acc = m.add(acc, m.mul(a[j1 * n2 + j2], w));
-                    }
-                    c[k1 * n2 + j2] = acc;
-                }
-            }
-            // Twist: row k1, column j2 multiplied by omega^{j2*k1} — a
-            // geometric sequence along each row with ratio omega^{k1}.
-            for k1 in 0..n1 {
-                let ratio = omega_at(k1);
-                let mut tw = 1u64;
-                for j2 in 0..n2 {
-                    c[k1 * n2 + j2] = m.mul(c[k1 * n2 + j2], tw);
-                    tw = m.mul(tw, ratio);
-                }
-            }
-            // Row NTTs over j2 with root omega^{n1}; output index k2.
-            for k1 in 0..n1 {
-                for k2 in 0..n2 {
-                    let mut acc = 0u64;
-                    for j2 in 0..n2 {
-                        let w = omega_at(n1 * ((j2 * k2) % n2));
-                        acc = m.add(acc, m.mul(c[k1 * n2 + j2], w));
-                    }
-                    r[k1 * n2 + k2] = acc;
-                }
-            }
-            // Transpose: X[k2 * n1 + k1] = r[k1][k2] gives the spectrum in
-            // natural exponent order (slot k holds f(psi^{2k+1})). The
-            // reference transform stores slot k = f(psi^{2 bitrev(k) + 1}),
-            // so fold the bit-reversal into the final write-out, reusing
-            // the column buffer for the transposed spectrum.
-            for k1 in 0..n1 {
-                for k2 in 0..n2 {
-                    c[k2 * n1 + k1] = r[k1 * n2 + k2];
-                }
-            }
-            for k in 0..self.n {
-                a[k] = c[reverse_bits(k, self.log_n)];
-            }
-        });
-        (n1, n2)
     }
 
     /// Pointwise multiply-accumulate in evaluation form:
@@ -621,36 +455,6 @@ mod tests {
         assert_eq!(c[0], p - 16); // -b[15]
         for i in 1..16 {
             assert_eq!(c[i], b[i - 1]);
-        }
-    }
-
-    #[test]
-    fn constant_geometry_equals_reference() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for n in [4usize, 8, 64, 256, 2048] {
-            let t = table(45, n);
-            let a = rand_poly(&mut rng, t.modulus(), n);
-            let mut r = a.clone();
-            t.forward(&mut r);
-            let mut c = a.clone();
-            let stages = t.forward_constant_geometry(&mut c);
-            assert_eq!(stages, log2_exact(n));
-            assert_eq!(r, c, "constant-geometry mismatch for n={n}");
-        }
-    }
-
-    #[test]
-    fn four_step_equals_reference() {
-        let mut rng = StdRng::seed_from_u64(10);
-        for n in [16usize, 64, 256, 1024] {
-            let t = table(45, n);
-            let a = rand_poly(&mut rng, t.modulus(), n);
-            let mut r = a.clone();
-            t.forward(&mut r);
-            let mut f = a.clone();
-            let (n1, n2) = t.forward_four_step(&mut f);
-            assert_eq!(n1 * n2, n);
-            assert_eq!(r, f, "four-step mismatch for n={n}");
         }
     }
 

@@ -29,6 +29,14 @@ pub struct RnsBasis {
     n: usize,
 }
 
+/// Panics unless every prime in `primes` is distinct.
+fn assert_distinct(primes: impl IntoIterator<Item = u64>) {
+    let mut seen = std::collections::HashSet::new();
+    for p in primes {
+        assert!(seen.insert(p), "duplicate prime {p} in RNS basis");
+    }
+}
+
 impl RnsBasis {
     /// Builds a basis over `primes` for ring degree `n`.
     ///
@@ -37,10 +45,7 @@ impl RnsBasis {
     /// Panics if primes are not distinct, or any prime is not
     /// NTT-friendly for `n`.
     pub fn new(primes: &[u64], n: usize) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for &p in primes {
-            assert!(seen.insert(p), "duplicate prime {p} in RNS basis");
-        }
+        assert_distinct(primes.iter().copied());
         let moduli: Vec<Modulus> = primes
             .iter()
             .map(|&p| Modulus::new(p).expect("prime in range"))
@@ -126,28 +131,21 @@ impl RnsBasis {
         }
     }
 
-    /// Concatenates two bases (over the same ring degree).
+    /// Concatenates two bases (over the same ring degree), sharing the
+    /// parts' NTT tables rather than building new ones.
     ///
     /// # Panics
     ///
     /// Panics if ring degrees differ or primes collide.
     pub fn concat(&self, other: &RnsBasis) -> RnsBasis {
         assert_eq!(self.n, other.n);
-        let primes: Vec<u64> = self
-            .moduli
-            .iter()
-            .chain(other.moduli.iter())
-            .map(|m| m.value())
-            .collect();
-        let mut b = RnsBasis::new(&primes, self.n);
-        // Reuse existing tables rather than rebuilding.
-        b.tables = self
-            .tables
-            .iter()
-            .chain(other.tables.iter())
-            .cloned()
-            .collect();
-        b
+        let moduli: Vec<Modulus> = [&self.moduli[..], &other.moduli[..]].concat();
+        assert_distinct(moduli.iter().map(|m| m.value()));
+        Self {
+            moduli,
+            tables: [&self.tables[..], &other.tables[..]].concat(),
+            n: self.n,
+        }
     }
 
     /// CRT-reconstructs the centered value of the residue vector `x`
@@ -674,9 +672,22 @@ mod tests {
         let (a, b) = two_bases(16);
         let c = a.concat(&b);
         assert_eq!(c.len(), 6);
+        // The concatenation shares its parts' tables.
+        for (t, part) in c.tables().iter().zip(a.tables().iter().chain(b.tables())) {
+            assert!(Arc::ptr_eq(t, part));
+        }
         let s = c.select(&[0, 3, 5]);
         assert_eq!(s.modulus(0).value(), a.modulus(0).value());
         assert_eq!(s.modulus(1).value(), b.modulus(0).value());
         assert_eq!(s.modulus(2).value(), b.modulus(2).value());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate prime")]
+    fn concat_rejects_a_shared_prime() {
+        let primes = ntt_primes(40, 16, 3);
+        let a = RnsBasis::new(&primes[..2], 16);
+        let b = RnsBasis::new(&primes[1..], 16);
+        let _ = a.concat(&b);
     }
 }

@@ -1,7 +1,7 @@
-//! Reusable thread-local scratch buffers for transform hot paths.
+//! Reusable thread-local scratch buffers for kernel hot paths.
 //!
-//! The constant-geometry and four-step NTTs, monomial multiplication,
-//! automorphisms, and base conversion all need short-lived `Vec<u64>`
+//! Monomial multiplication, automorphisms, base conversion, gadget
+//! decomposition and the CKKS keyswitch all need short-lived `Vec<u64>`
 //! temporaries. Allocating them per call dominates the runtime of small
 //! transforms, so this module leases buffers from a thread-local pool:
 //! a lease pops a buffer (or creates one the first time), resizes it,
@@ -57,12 +57,6 @@ pub fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
     let out = f(&mut buf);
     give_back(buf);
     out
-}
-
-/// Like [`with_scratch`] but leases two independent buffers at once
-/// (e.g. the ping-pong pair of the constant-geometry NTT).
-pub fn with_scratch2<T>(len: usize, f: impl FnOnce(&mut [u64], &mut [u64]) -> T) -> T {
-    with_scratch(len, |a| with_scratch(len, |b| f(a, b)))
 }
 
 /// Leases a buffer initialised to a **copy of `data`** (skipping the
@@ -128,7 +122,7 @@ mod tests {
             // A burst of leases respects both the count and the
             // capacity cap.
             for _ in 0..MAX_POOLED + 4 {
-                with_scratch2(1024, |_, _| {});
+                with_scratch(1024, |_| with_scratch(1024, |_| {}));
             }
             assert!(retained_words() <= MAX_POOLED_WORDS);
         })
@@ -138,10 +132,12 @@ mod tests {
 
     #[test]
     fn nested_leases_are_independent() {
-        with_scratch2(8, |a, b| {
-            a[0] = 1;
-            b[0] = 2;
-            assert_ne!(a[0], b[0]);
+        with_scratch(8, |a| {
+            with_scratch(8, |b| {
+                a[0] = 1;
+                b[0] = 2;
+                assert_ne!(a[0], b[0]);
+            });
         });
         with_scratch(16, |a| {
             with_scratch(4, |b| {

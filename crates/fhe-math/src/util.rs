@@ -37,14 +37,6 @@ pub fn log2_exact(n: usize) -> u32 {
     n.trailing_zeros()
 }
 
-/// Splits `n = n1 * n2` for the four-step NTT with `n1 <= n2`, both powers
-/// of two ("balanced" split: n1 = 2^(log n / 2) rounded down).
-pub fn four_step_split(n: usize) -> (usize, usize) {
-    let logn = log2_exact(n);
-    let log1 = logn / 2;
-    (1usize << log1, 1usize << (logn - log1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,13 +57,5 @@ mod tests {
         assert_ne!(v, orig);
         bit_reverse_permute(&mut v);
         assert_eq!(v, orig);
-    }
-
-    #[test]
-    fn four_step_splits() {
-        assert_eq!(four_step_split(256), (16, 16));
-        assert_eq!(four_step_split(512), (16, 32));
-        assert_eq!(four_step_split(65536), (256, 256));
-        assert_eq!(four_step_split(2048), (32, 64));
     }
 }

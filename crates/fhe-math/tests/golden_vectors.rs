@@ -1,4 +1,4 @@
-//! Golden-vector tests for the NTT variants and the FFT.
+//! Golden-vector tests for the NTT (production and strict) and the FFT.
 //!
 //! Two kinds of oracle pin the transforms down:
 //!
@@ -8,8 +8,9 @@
 //!   so they catch any regression in the whole transform pipeline.
 //! * **direct evaluation** — the spectrum definition itself
 //!   (slot `k` holds `f(psi^(2*bitrev(k)+1))`), evaluated in O(n^2)
-//!   straight from [`fhe_math::prime::primitive_root_of_unity`]. All
-//!   three hardware-shaped forward variants must match it slot by slot.
+//!   straight from [`fhe_math::prime::primitive_root_of_unity`]. The
+//!   production forward transform and its strict oracle must match it
+//!   slot by slot.
 //!
 //! Every test that transforms through `NttTable::forward` / `inverse`
 //! (one-row batches of the active backend) runs under each kernel
@@ -70,9 +71,10 @@ fn negacyclic_product_matches_external_golden() {
     );
 }
 
-/// Runs the product through each forward variant explicitly
-/// (forward -> pointwise -> inverse), so a regression in any variant's
-/// output ordering breaks against the external constants.
+/// Runs the product through the production forward transform and its
+/// strict oracle explicitly (forward -> pointwise -> inverse), so a
+/// regression in either one's output ordering breaks against the
+/// external constants.
 #[test]
 fn every_forward_variant_reproduces_the_golden_product() {
     let m = Modulus::new(257).unwrap();
@@ -81,14 +83,9 @@ fn every_forward_variant_reproduces_the_golden_product() {
     let b: Vec<u64> = (1..=8).rev().collect();
 
     type Fwd = fn(&NttTable, &mut [u64]);
-    let variants: [(&str, Fwd); 3] = [
+    let variants: [(&str, Fwd); 2] = [
         ("reference", |t, x| t.forward(x)),
-        ("constant-geometry", |t, x| {
-            t.forward_constant_geometry(x);
-        }),
-        ("four-step", |t, x| {
-            t.forward_four_step(x);
-        }),
+        ("strict", |t, x| t.forward_strict(x)),
     ];
     for (name, fwd) in variants {
         for (backend, prod) in under_each_backend(|| {
@@ -142,13 +139,9 @@ fn all_variants_match_direct_evaluation() {
         }
         let expect = direct_spectrum(&t, &a);
 
-        let mut c = a.clone();
-        t.forward_constant_geometry(&mut c);
-        assert_eq!(c, expect, "constant-geometry vs direct, n={n}");
-
-        let mut f = a.clone();
-        t.forward_four_step(&mut f);
-        assert_eq!(f, expect, "four-step vs direct, n={n}");
+        let mut s = a.clone();
+        t.forward_strict(&mut s);
+        assert_eq!(s, expect, "strict vs direct, n={n}");
 
         for (name, (r, inv)) in under_each_backend(|| {
             let mut r = a.clone();

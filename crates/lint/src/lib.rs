@@ -21,6 +21,8 @@
 //! unknown rule name or a missing reason is itself a finding
 //! (`bad-allow`).
 
+#![forbid(unsafe_code)]
+
 pub mod diag;
 pub mod lexer;
 pub mod parse;

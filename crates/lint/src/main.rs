@@ -1,6 +1,8 @@
 //! The `trinity-lint` CLI: lints the workspace and exits non-zero on
 //! findings, so CI can gate on it.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -48,6 +48,7 @@
 //! `crates/service/tests/` for the end-to-end bit-identity and
 //! fairness suites.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

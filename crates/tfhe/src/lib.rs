@@ -59,6 +59,7 @@
 //! assert!(ck.decrypt_bit(&out));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

@@ -53,6 +53,7 @@
 //! `cargo run --release --example accelerator_sim` for a scheduled
 //! workload end to end.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

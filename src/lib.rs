@@ -3,8 +3,8 @@
 //! This facade crate re-exports the whole workspace reproducing
 //! *"Trinity: A General Purpose FHE Accelerator"* (MICRO 2024):
 //!
-//! * [`math`] (`fhe-math`) — modular arithmetic, NTT (reference /
-//!   constant-geometry / four-step), FFT, RNS and base conversion.
+//! * [`math`] (`fhe-math`) — modular arithmetic, NTT (lazy engine and
+//!   strict oracle), FFT, RNS and base conversion.
 //! * [`ckks`] (`fhe-ckks`) — RNS-CKKS: encoding, hybrid keyswitch
 //!   (Algorithm 1), rotations, rescaling, BSGS linear transforms.
 //! * [`tfhe`] (`fhe-tfhe`) — TFHE: programmable bootstrapping
@@ -46,6 +46,8 @@
 //!
 //! See `examples/` for end-to-end scenarios including the hybrid
 //! encrypted-database query that motivates the paper.
+
+#![forbid(unsafe_code)]
 
 pub use fhe_ckks as ckks;
 pub use fhe_convert as convert;
