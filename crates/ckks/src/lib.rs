@@ -78,7 +78,6 @@ pub mod keyswitch;
 pub mod linalg;
 pub mod noise;
 pub mod params;
-pub mod poly_eval;
 
 pub use bootstrap::{BootstrapParams, Bootstrapper};
 pub use chebyshev::ChebyshevPoly;

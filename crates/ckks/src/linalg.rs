@@ -457,6 +457,23 @@ mod tests {
         assert_bit_identical(&engine, &oracle, "apply vs apply_sequential");
     }
 
+    /// The engine and the sequential oracle bump the op counters
+    /// identically: a hoisted rotation still counts as one Galois op
+    /// and one keyswitch.
+    #[test]
+    fn hoisted_apply_counts_like_sequential() {
+        let mut rng = StdRng::seed_from_u64(73);
+        let lt = LinearTransform::from_matrix(&real_matrix(&mut rng), DIM);
+        let f = fixture(&mut rng, &lt.required_rotations());
+        f.eval.counters().reset();
+        let _ = lt.apply(&f.eval, &f.enc, &f.ct, &f.keys.galois);
+        let engine_ops = f.eval.counters().snapshot();
+        f.eval.counters().reset();
+        let _ = lt.apply_sequential(&f.eval, &f.enc, &f.ct, &f.keys.galois);
+        assert_eq!(f.eval.counters().snapshot(), engine_ops, "op counters");
+        assert_eq!(engine_ops.4, DIM as u64 - 1, "one Galois op per rotation");
+    }
+
     /// Same identity on a sparse diagonal set without the main
     /// diagonal, where BSGS groups are ragged (g = 4: {3}, {5, 6}).
     #[test]

@@ -133,19 +133,31 @@ impl Ggsw {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// External product `self ⊡ glwe` — the `k = 1` instance of
-    /// [`Self::external_product_batch`].
+    /// External product `self ⊡ glwe` (Algorithm 2 lines 6–10): one
+    /// step of the crate's one dataflow (module docs) with one job, its
+    /// GLWE as the operand. Bit-identical to
+    /// [`Self::external_product_strict`] (`tests/lazy_chains.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `glwe` is not of this GGSW's `(k, n)`.
     pub fn external_product(&self, ring: &TfheRing, glwe: &GlweCiphertext) -> GlweCiphertext {
-        Self::external_product_batch(ring, &[(self, glwe)])
-            .pop()
-            .expect("one job in, one product out")
+        self.assert_shape(ring, glwe);
+        let mut cmux = CmuxScratch::new(ring, self.k, self.lb, self.bg_log, 1);
+        cmux.step(
+            |_| Some(self),
+            |_, operand| operand.copy_from_slice(glwe.words()),
+        );
+        let (_, prod) = cmux.products().next().expect("one job in, one product out");
+        let mut out = GlweCiphertext::zero(ring, self.k);
+        out.words_mut().copy_from_slice(prod);
+        out
     }
 
     /// Strict-oracle external product: fully-reduced transforms
     /// (`forward_strict`/`inverse_strict`) and canonical
     /// multiply-accumulates, every kernel canonicalising its output.
-    /// The reference [`Self::external_product_batch`] is asserted
-    /// against.
+    /// The reference [`Self::external_product`] is asserted against.
     ///
     /// # Panics
     ///
@@ -193,48 +205,6 @@ impl Ggsw {
             glwe.k() == self.k && glwe.words().len() == (self.k + 1) * ring.n(),
             "GLWE shape differs from the GGSW's (k, n)"
         );
-    }
-
-    /// The external-product engine: `jobs[i].0 ⊡ jobs[i].1` for every
-    /// job (Algorithm 2 lines 6–10) — one step of the crate's one
-    /// dataflow (module docs) with every job taking part and its GLWE
-    /// as the operand. [`Self::external_product`] is its one-job
-    /// instance.
-    ///
-    /// All jobs share one `decompose_batch`, one lazy-exit forward NTT
-    /// and one canonicalising inverse NTT; the multiply-accumulates
-    /// between them read each transformed digit row and each key
-    /// polynomial in place. A job's output does not depend on its batch
-    /// mates and is bit-identical to [`Self::external_product_strict`]
-    /// (`tests/lazy_chains.rs`).
-    ///
-    /// All jobs must share the gadget geometry (`k`, `lb`, `bg_log`)
-    /// and live on `ring`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the jobs disagree on gadget geometry, or a GLWE is not
-    /// of its GGSW's `(k, n)`.
-    pub fn external_product_batch(
-        ring: &TfheRing,
-        jobs: &[(&Ggsw, &GlweCiphertext)],
-    ) -> Vec<GlweCiphertext> {
-        let Some(&(head, _)) = jobs.first() else {
-            return Vec::new();
-        };
-        let mut cmux = CmuxScratch::new(ring, head.k, head.lb, head.bg_log, jobs.len());
-        cmux.step(
-            |job| Some(jobs[job].0),
-            |job, operand| {
-                head.assert_shape(ring, jobs[job].1);
-                operand.copy_from_slice(jobs[job].1.words());
-            },
-        );
-        let mut outs = vec![GlweCiphertext::zero(ring, head.k); jobs.len()];
-        for (job, prod) in cmux.products() {
-            outs[job].words_mut().copy_from_slice(prod);
-        }
-        outs
     }
 }
 
@@ -422,40 +392,6 @@ mod tests {
         assert!(err < (q / 64) as i64, "err {err}");
     }
 
-    fn job(
-        ring: &TfheRing,
-        sk: &GlweSecretKey,
-        i: usize,
-        rng: &mut StdRng,
-    ) -> (Ggsw, GlweCiphertext) {
-        let ggsw = Ggsw::encrypt_scalar(ring, sk, (i % 2) as u64, 2, 10, 3.73e-9, rng);
-        let mut msg = ring.zero_poly();
-        msg[i] = ring.q() / 8;
-        (ggsw, GlweCiphertext::encrypt(ring, sk, &msg, 3.73e-9, rng))
-    }
-
-    /// "Sequential" is the `k = 1` instance of the same engine, so the
-    /// independent reference for the wide batch is the strict oracle.
-    #[test]
-    fn batched_external_product_is_bit_identical_to_sequential() {
-        let (ring, sk, mut rng) = setup();
-        // Distinct GGSWs and GLWEs per job so the batch cannot get away
-        // with evaluating only one and fanning it out.
-        let jobs: Vec<(Ggsw, GlweCiphertext)> =
-            (0..4).map(|i| job(&ring, &sk, i, &mut rng)).collect();
-        let refs: Vec<(&Ggsw, &GlweCiphertext)> = jobs.iter().map(|(g, c)| (g, c)).collect();
-        let batched = Ggsw::external_product_batch(&ring, &refs);
-        for ((ggsw, glwe), got) in jobs.iter().zip(&batched) {
-            let strict = ggsw.external_product_strict(&ring, glwe);
-            let single = ggsw.external_product(&ring, glwe);
-            for want in [strict, single] {
-                assert_eq!(got.mask(0), want.mask(0));
-                assert_eq!(got.body(), want.body());
-            }
-        }
-        assert!(Ggsw::external_product_batch(&ring, &[]).is_empty());
-    }
-
     /// A gadget deeper than the modulus used to be accepted, and the
     /// reference decomposition truncated its rounded quotient to a word.
     #[test]
@@ -466,25 +402,13 @@ mod tests {
         Ggsw::encrypt_scalar(&ring, &sk, 1, 3, 11, 3.73e-9, &mut rng);
     }
 
+    /// A GLWE of another dimension `k` is rejected at entry, before
+    /// any kernel reads past its buffer.
     #[test]
-    #[should_panic(expected = "one gadget geometry")]
-    fn batched_external_product_rejects_mixed_geometry() {
+    #[should_panic(expected = "GLWE shape")]
+    fn external_product_rejects_a_glwe_of_another_k() {
         let (ring, sk, mut rng) = setup();
-        let two = Ggsw::encrypt_scalar(&ring, &sk, 1, 2, 10, 3.73e-9, &mut rng);
-        let three = Ggsw::encrypt_scalar(&ring, &sk, 1, 3, 7, 3.73e-9, &mut rng);
-        let glwe = GlweCiphertext::encrypt(&ring, &sk, &ring.zero_poly(), 3.73e-9, &mut rng);
-        // A GLWE of the wrong dimension `k` is rejected too, at engine
-        // entry, before any kernel reads past its buffer.
-        let wrong_k = GlweCiphertext::zero(&ring, 2);
-        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Ggsw::external_product_batch(&ring, &[(&two, &glwe), (&two, &wrong_k)])
-        }))
-        .expect_err("a wrong-k GLWE must be rejected");
-        let message = rejected.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(
-            message.contains("GLWE shape"),
-            "unexpected panic: {message}"
-        );
-        Ggsw::external_product_batch(&ring, &[(&two, &glwe), (&three, &glwe)]);
+        let ggsw = Ggsw::encrypt_scalar(&ring, &sk, 1, 2, 10, 3.73e-9, &mut rng);
+        ggsw.external_product(&ring, &GlweCiphertext::zero(&ring, 2));
     }
 }

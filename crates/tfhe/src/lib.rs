@@ -20,9 +20,10 @@
 //!
 //! # Lazy-domain invariants
 //!
-//! Every operation is one batch engine whose single-request form is
-//! its `k = 1` instance ([`Ggsw::external_product`] over
-//! [`Ggsw::external_product_batch`], [`ServerKey::blind_rotate`] over
+//! Every operation is one engine. [`Ggsw::external_product`] is a
+//! one-job step of the CMUX dataflow every blind rotation runs; the
+//! batch engines' single-request form is their `k = 1` instance
+//! ([`ServerKey::blind_rotate`] over
 //! [`ServerKey::blind_rotate_batch`], every `bootstrap_*` over
 //! [`ServerKey::bootstrap_batch`], [`ServerKey::apply_gate`] over
 //! [`apply_gates_batched`], itself a `bootstrap_batch` under the sign
@@ -63,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod bootstrap;
-pub mod circuits;
 pub mod gates;
 pub mod ggsw;
 pub mod glwe;
@@ -74,7 +74,6 @@ pub mod params;
 pub mod ring;
 
 pub use bootstrap::{ClientKey, ServerKey, TfheContext};
-pub use circuits::BitWord;
 pub use gates::{apply_gates_batched, BatchedGateJob, GateOp};
 pub use ggsw::{Ggsw, MulBackend};
 pub use glwe::{GlweCiphertext, GlweSecretKey};

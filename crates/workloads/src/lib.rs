@@ -9,13 +9,14 @@
 //! * [`tfhe_ops`] — programmable bootstrapping (Algorithm 2), gates.
 //! * [`conversion`] — LWE repacking (Algorithms 4 and 5).
 //! * [`apps`] — Bootstrap / HELR / ResNet-20 / NN-x / HE3DB-x.
-//! * [`linear`] — a *functional* encrypted linear layer run with
-//!   `fhe-ckks` (not modeled): the hoisted-rotation matvec and its
-//!   sequential bit-identity oracle.
 //! * [`reference`](mod@reference) — cited constants for rows the simulator does not
 //!   regenerate, tagged by provenance.
 //! * [`traffic`] — deterministic multi-tenant request streams feeding
-//!   the `trinity-service` QoS scheduler and its property tests.
+//!   the `trinity-service` QoS scheduler, its property tests and the
+//!   end-to-end benchmark.
+//!
+//! Like the rest of the model layer, the crate links no functional
+//! `fhe-*` crate: it counts kernels, it does not run them.
 //!
 //! Every builder appends kernels to a
 //! [`trinity_core::kernel::KernelGraph`] and returns the frontier
@@ -59,7 +60,6 @@
 pub mod apps;
 pub mod ckks_ops;
 pub mod conversion;
-pub mod linear;
 pub mod reference;
 pub mod tfhe_ops;
 pub mod traffic;
@@ -67,7 +67,6 @@ pub mod traffic;
 pub use apps::{bootstrap, helr, resnet20, He3dbRecipe, NnRecipe};
 pub use ckks_ops::{CkksShape, KeySwitchOpts};
 pub use conversion::{repack, repack_keyswitch_count};
-pub use linear::LinearLayer;
 pub use reference::Source;
 pub use tfhe_ops::{pbs, pbs_batch, TfheShape};
 pub use traffic::{stream, RequestKind, TrafficEvent, TrafficMix};

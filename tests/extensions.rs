@@ -38,9 +38,10 @@ fn bootstrap_then_keep_computing() {
     let fresh = boot.bootstrap(&exhausted, &eval, &enc, &keys);
     assert!(fresh.level >= 3, "need levels for the polynomial");
 
-    // p(x) = 0.5 + x - 0.25 x^3 on the refreshed data.
-    let coeffs = [0.5, 1.0, 0.0, -0.25];
-    let out_ct = eval.eval_poly_horner(&fresh, &coeffs, &keys.relin);
+    // p(x) = 0.5 + x - 0.25 x^3 on the refreshed data, in the
+    // Chebyshev basis (x^3 = (3 T_1 + T_3) / 4).
+    let coeffs = [0.5, 0.8125, 0.0, -0.0625];
+    let out_ct = eval.eval_chebyshev(&fresh, &coeffs, &keys.relin);
     let out = dec.decrypt(&out_ct, &keys.secret, &enc);
     for (i, &v) in vals.iter().enumerate() {
         let expect = 0.5 + v - 0.25 * v * v * v;
