@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the functional crates — the tiers and
 //! shapes `benchmark/` does not run: the kernel-level NTT and
 //! negacyclic product, the strict oracles beside their lazy engines,
-//! the scalar backend, the TFHE Set-II bootstrap and the radix/NN
-//! units.
+//! the scalar backend against each `LaneBackend` row-pass override, the
+//! TFHE Set-II bootstrap and the radix/NN units.
 //!
 //! Every operation `benchmark/` probes at a workload's shape (keyswitch,
 //! rotate, coalesced and hoisted rotations, HMult + rescale, gates,
@@ -178,6 +178,74 @@ fn bench_rotate_lazy_vs_canonical(c: &mut Criterion) {
     group.finish();
 }
 
+/// Each row pass `LaneBackend` overrides, under the reference
+/// (`scalar`) and the override (`lanes`), on one row of `n = 2048` under
+/// a 60-bit prime: above `WIDE_MAX_P`, so the portable overrides run on
+/// every host. A pass stays overridden only while its `lanes` row beats
+/// its `scalar` row (`tests/ledger.rs` checks the committed snapshot).
+/// `convert_approx` takes a digit of the 60-bit prime and one of a 50-bit
+/// prime to two 50-bit limbs: the ModUp of the digit holding `q_0` under
+/// the CKKS bootstrap's parameters, whose other primes are 50-bit.
+fn bench_lane_row_passes(c: &mut Criterion) {
+    use fhe_math::kernel::{KernelBackend, LANES_BACKEND, SCALAR};
+    use fhe_math::Modulus;
+    let n = 2048;
+    let p = fhe_math::prime::ntt_primes(60, n, 1)[0];
+    let m = Modulus::new(p).unwrap();
+    let table = fhe_math::NttTable::new(m, n);
+    let narrow = fhe_math::prime::ntt_primes(50, n, 3);
+    let to: Vec<Modulus> = narrow[1..]
+        .iter()
+        .map(|&q| Modulus::new(q).unwrap())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(46);
+    let four_p: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * p)).collect();
+    let two_p: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2 * p)).collect();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..=i));
+    }
+    let weights: Vec<u64> = (0..4)
+        .map(|i| rng.gen_range(0..narrow[1 + i / 2]))
+        .collect();
+    let digits: Vec<u64> = (0..2 * n)
+        .map(|i| rng.gen_range(0..[p, narrow[0]][i / n]))
+        .collect();
+
+    let mut group = c.benchmark_group("lane_row_passes");
+    // 60 samples of about 10 ms each, so a row spans more than a burst
+    // of host noise.
+    group.sample_size(60);
+    let backends: [&dyn KernelBackend; 2] = [&SCALAR, &LANES_BACKEND];
+    // Both backends run back to back per pass, so host drift between
+    // passes does not land on one side only.
+    let mut pair = |pass: &str, body: &mut dyn FnMut(&dyn KernelBackend)| {
+        for backend in backends {
+            let id = format!("{pass}/{}", backend.name());
+            group.bench_function(id, |b| b.iter(|| body(backend)));
+        }
+    };
+    // The folds refill their `[0, 4p)` input every iteration; the other
+    // passes keep their input window, so they run in place.
+    let mut x = four_p.clone();
+    pair("fold_4p_to_2p", &mut |k| {
+        x.copy_from_slice(&four_p);
+        k.fold_4p_to_2p(&m, &mut x);
+    });
+    pair("fold_4p_to_canonical", &mut |k| {
+        x.copy_from_slice(&four_p);
+        k.fold_4p_to_canonical(&m, &mut x);
+    });
+    pair("permute", &mut |k| k.permute(&perm, &two_p, &mut x));
+    x.copy_from_slice(&two_p);
+    pair("inverse_stages", &mut |k| k.inverse_stages(&table, &mut x));
+    let mut out = vec![0u64; 2 * n];
+    pair("convert_approx", &mut |k| {
+        k.convert_approx_batch(&to, &weights, &digits, &mut out);
+    });
+    group.finish();
+}
+
 /// One negacyclic product at the TFHE shape (a gadget digit times a
 /// key polynomial, n = 1024, the prime closest to 2^32): exact NTT vs
 /// approximate double-precision FFT — the paper's core substitution,
@@ -284,6 +352,7 @@ criterion_group!(
     bench_poly_mul_flat,
     bench_keyswitch_lazy_vs_canonical,
     bench_rotate_lazy_vs_canonical,
+    bench_lane_row_passes,
     bench_negacyclic_mul,
     bench_pbs,
     bench_chebyshev,

@@ -90,3 +90,39 @@ fn every_row_is_a_registered_group_and_every_group_has_a_row() {
         assert!(rows.iter().any(|r| r.name == name), "{name} missing");
     }
 }
+
+/// `LaneBackend` overrides a row pass only where it beats the reference:
+/// every `lane_row_passes/<pass>/lanes` row, one per kept override, has a
+/// lower median than its `scalar` row. A regenerated snapshot in which an
+/// override stops winning fails here, and that override is the next to go.
+#[test]
+fn lane_row_passes_beat_the_reference() {
+    let rows = rows();
+    let median = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name);
+        row.unwrap_or_else(|| panic!("{name} missing")).median_ns
+    };
+    let passes = [
+        "fold_4p_to_2p",
+        "fold_4p_to_canonical",
+        "permute",
+        "inverse_stages",
+        "convert_approx",
+    ];
+    for pass in passes {
+        let lanes = median(&format!("lane_row_passes/{pass}/lanes"));
+        let scalar = median(&format!("lane_row_passes/{pass}/scalar"));
+        assert!(
+            lanes < scalar,
+            "{pass}: lanes {lanes} ns, scalar {scalar} ns"
+        );
+    }
+    let group = rows
+        .iter()
+        .filter(|r| r.name.starts_with("lane_row_passes/"));
+    assert_eq!(
+        group.count(),
+        2 * passes.len(),
+        "a lane_row_passes row outside `passes`"
+    );
+}

@@ -27,11 +27,18 @@
 //!
 //! # What `LaneBackend` is
 //!
-//! *Portable row passes* — the SPI unrolled into 8-word branchless
-//! lanes, the BConv matmul streamed row-wise over 8-word `u128`
-//! accumulator blocks, a division-free gadget decomposition with
-//! unit-stride digit passes; the MAC and the pointwise multiply are the
-//! reference bodies — plus *wide batch passes*: `forward_batch`,
+//! A row pass is overridden only where the `lane_row_passes` group of
+//! `crates/bench/benches/micro.rs` shows a win over the reference (the
+//! ledger test `lane_row_passes_beat_the_reference` holds every
+//! committed row to it). The *portable overrides* are the 8-word
+//! branchless `fold_4p_to_2p` and `fold_4p_to_canonical`, the 8-word
+//! `permute` gather, the Gentleman–Sande `inverse_stages`, the BConv
+//! matmul streamed row-wise over 8-word `u128` accumulator blocks, and
+//! a division-free gadget decomposition with unit-stride digit passes.
+//! Every other row pass — `forward_stages`, `fold_2p_to_canonical`,
+//! `scale_shoup`, `scale_shoup_lazy`, the MAC, the pointwise multiply,
+//! `add_lazy` and `sub_lazy` — is the reference body. Beside them sit
+//! the *wide batch passes*: `forward_batch`,
 //! `inverse_batch`, `mul_acc_lazy_batch`, `mul_lazy_batch`,
 //! `convert_approx_batch`, `convert_exact_batch` and `decompose_batch`
 //! pick, **per row**, the AVX-512 IFMA body of the private `wide`
@@ -52,7 +59,7 @@
 //!   those once per batch, in every build; for the decomposition, every
 //!   word of the row is below `q`, scanned per row,
 //!
-//! and the portable passes otherwise. Nothing selects between them but
+//! and the row passes otherwise. Nothing selects between them but
 //! the platform and the modulus: no backend name, environment value,
 //! feature or flag. The wide bodies return the reference's words, not
 //! merely congruent ones, by four identities:
@@ -109,7 +116,7 @@
 //!    64-bit lane. The digits are then the reference's own integer
 //!    steps on the same `y`.
 //!
-//! The row-pass SPI keeps the portable bodies on every host
+//! The portable overrides run on every host
 //! (`lane_backend_is_bit_identical_to_scalar`);
 //! `wide_passes_match_the_reference_words`,
 //! `wide_bconv_matches_the_reference_words` and
@@ -800,42 +807,19 @@ impl KernelBackend for ScalarBackend {
 // Chunked/unrolled lane backend.
 // ---------------------------------------------------------------------
 
-/// Fixed-width-lane implementation: the row passes are split into
-/// `LANES`-wide (8-word) chunks with branchless window folds, the layout
-/// that lets the compiler batch independent butterflies the way a
-/// hardware BU array consumes a scratchpad row, and the NTT / MAC
-/// batches run an AVX-512 IFMA body on the rows it serves (module docs:
-/// "What `LaneBackend` is"). Bit-identical to [`ScalarBackend`].
+/// Fixed-width-lane implementation. It overrides a row pass only where
+/// the `lane_row_passes` micro group shows a win over the reference:
+/// the two `[0, 4p)` folds, `permute` and `inverse_stages` run in
+/// `LANES`-wide (8-word) branchless chunks, BConv rows accumulate in
+/// `u128` blocks and the gadget decomposition is division-free; every
+/// other row pass is the reference body. The NTT, MAC, BConv and
+/// decomposition batches run an AVX-512 IFMA body on the rows it serves
+/// (module docs: "What `LaneBackend` is"). Bit-identical to
+/// [`ScalarBackend`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LaneBackend;
 
 impl LaneBackend {
-    /// One forward-butterfly row: `lo/hi` are the two half-rows sharing
-    /// the twiddle `(w, ws)`.
-    #[inline]
-    fn forward_row(m: &Modulus, two_p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64]) {
-        let mut lc = lo.chunks_exact_mut(LANES);
-        let mut hc = hi.chunks_exact_mut(LANES);
-        for (lch, hch) in lc.by_ref().zip(hc.by_ref()) {
-            for k in 0..LANES {
-                let u = csub(lch[k], two_p);
-                let v = m.mul_shoup_lazy(hch[k], w, ws);
-                lch[k] = u + v;
-                hch[k] = u + two_p - v;
-            }
-        }
-        for (x, y) in lc
-            .into_remainder()
-            .iter_mut()
-            .zip(hc.into_remainder().iter_mut())
-        {
-            let u = csub(*x, two_p);
-            let v = m.mul_shoup_lazy(*y, w, ws);
-            *x = u + v;
-            *y = u + two_p - v;
-        }
-    }
-
     /// One inverse-butterfly row (Gentleman–Sande).
     #[inline]
     fn inverse_row(m: &Modulus, two_p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64]) {
@@ -988,26 +972,6 @@ impl KernelBackend for LaneBackend {
         "lanes"
     }
 
-    fn forward_stages(&self, t: &NttTable, a: &mut [u64]) {
-        assert_eq!(a.len(), t.n());
-        let m = t.modulus();
-        let two_p = 2 * m.value();
-        let (psi, psi_shoup) = t.psi_rev();
-        let n = t.n();
-        let mut len = n;
-        let mut groups = 1usize;
-        while groups < n {
-            len >>= 1;
-            for i in 0..groups {
-                let (w, ws) = (psi[groups + i], psi_shoup[groups + i]);
-                let base = 2 * i * len;
-                let (lo, hi) = a[base..base + 2 * len].split_at_mut(len);
-                Self::forward_row(m, two_p, w, ws, lo, hi);
-            }
-            groups <<= 1;
-        }
-    }
-
     fn inverse_stages(&self, t: &NttTable, a: &mut [u64]) {
         assert_eq!(a.len(), t.n());
         let m = t.modulus();
@@ -1056,74 +1020,6 @@ impl KernelBackend for LaneBackend {
         }
     }
 
-    fn fold_2p_to_canonical(&self, m: &Modulus, a: &mut [u64]) {
-        let p = m.value();
-        let mut chunks = a.chunks_exact_mut(LANES);
-        for ch in chunks.by_ref() {
-            for x in ch.iter_mut() {
-                *x = csub(*x, p);
-            }
-        }
-        for x in chunks.into_remainder() {
-            *x = csub(*x, p);
-        }
-    }
-
-    fn scale_shoup(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
-        let p = m.value();
-        let mut chunks = a.chunks_exact_mut(LANES);
-        for ch in chunks.by_ref() {
-            for x in ch.iter_mut() {
-                *x = csub(m.mul_shoup_lazy(*x, w, w_shoup), p);
-            }
-        }
-        for x in chunks.into_remainder() {
-            *x = csub(m.mul_shoup_lazy(*x, w, w_shoup), p);
-        }
-    }
-
-    fn scale_shoup_lazy(&self, m: &Modulus, w: u64, w_shoup: u64, a: &mut [u64]) {
-        let mut chunks = a.chunks_exact_mut(LANES);
-        for ch in chunks.by_ref() {
-            for x in ch.iter_mut() {
-                *x = m.mul_shoup_lazy(*x, w, w_shoup);
-            }
-        }
-        for x in chunks.into_remainder() {
-            *x = m.mul_shoup_lazy(*x, w, w_shoup);
-        }
-    }
-
-    fn add_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        let two_p = 2 * m.value();
-        let mut ac = a.chunks_exact_mut(LANES);
-        let mut bc = b.chunks_exact(LANES);
-        for (ach, bch) in ac.by_ref().zip(bc.by_ref()) {
-            for k in 0..LANES {
-                ach[k] = csub(ach[k] + bch[k], two_p);
-            }
-        }
-        for (x, &y) in ac.into_remainder().iter_mut().zip(bc.remainder()) {
-            *x = csub(*x + y, two_p);
-        }
-    }
-
-    fn sub_lazy(&self, m: &Modulus, a: &mut [u64], b: &[u64]) {
-        assert_eq!(a.len(), b.len());
-        let two_p = 2 * m.value();
-        let mut ac = a.chunks_exact_mut(LANES);
-        let mut bc = b.chunks_exact(LANES);
-        for (ach, bch) in ac.by_ref().zip(bc.by_ref()) {
-            for k in 0..LANES {
-                ach[k] = csub(ach[k] + two_p - bch[k], two_p);
-            }
-        }
-        for (x, &y) in ac.into_remainder().iter_mut().zip(bc.remainder()) {
-            *x = csub(*x + two_p - y, two_p);
-        }
-    }
-
     fn permute(&self, perm: &[usize], src: &[u64], dst: &mut [u64]) {
         assert_eq!(perm.len(), dst.len());
         let mut dc = dst.chunks_exact_mut(LANES);
@@ -1141,7 +1037,7 @@ impl KernelBackend for LaneBackend {
     // The four batches below, and the two BConv batches through
     // `bconv_rows`, pick a body per row: the wide pass of `wide.rs`
     // where `wide::takes_*` holds, else what the provided batch runs
-    // (this backend's row passes; for the MAC the reference).
+    // (this backend's row passes, the reference where it keeps none).
 
     fn forward_batch(&self, tables: &[&NttTable], flat: &mut [u64], exit: ExitFold) {
         let Some(n) = batch_rows(tables.len(), flat.len()) else {
@@ -1372,9 +1268,11 @@ mod tests {
         }
     }
 
-    /// Every trait method must agree bit-for-bit between the scalar and
-    /// lane backends on random data across sizes exercising both the
-    /// chunked body and the remainders.
+    /// The row passes must agree bit-for-bit between the scalar and lane
+    /// backends on random data across sizes exercising both the chunked
+    /// body and the remainders. The passes `LaneBackend` leaves to the
+    /// reference (`forward_stages`, `fold_2p_to_canonical`, the two
+    /// Shoup scalings, `add_lazy`, `sub_lazy`) have no arm here.
     #[test]
     fn lane_backend_is_bit_identical_to_scalar() {
         let mut rng = StdRng::seed_from_u64(0x1A7E5);
@@ -1393,11 +1291,10 @@ mod tests {
                     })
                     .collect();
 
-                // Stage loops.
-                let (mut s, mut l) = (lifted.clone(), lifted.clone());
+                // Stage loops, from the reference's forward output.
+                let mut s = lifted.clone();
                 SCALAR.forward_stages(&t, &mut s);
-                LANES_BACKEND.forward_stages(&t, &mut l);
-                assert_eq!(s, l, "forward_stages n={n} bits={bits}");
+                let mut l = s.clone();
                 SCALAR.fold_4p_to_2p(&m, &mut s);
                 LANES_BACKEND.fold_4p_to_2p(&m, &mut l);
                 assert_eq!(s, l, "fold_4p_to_2p n={n} bits={bits}");
@@ -1405,7 +1302,7 @@ mod tests {
                 LANES_BACKEND.inverse_stages(&t, &mut l);
                 assert_eq!(s, l, "inverse_stages n={n} bits={bits}");
 
-                // Folds and scales from a fresh [0, 4p) buffer.
+                // The canonical fold from a fresh [0, 4p) buffer.
                 let wide: Vec<u64> = poly
                     .iter()
                     .map(|&x| x + rng.gen_range(0..4u64) * p)
@@ -1414,20 +1311,6 @@ mod tests {
                 SCALAR.fold_4p_to_canonical(&m, &mut s);
                 LANES_BACKEND.fold_4p_to_canonical(&m, &mut l);
                 assert_eq!(s, l, "fold_4p_to_canonical");
-                let (mut s, mut l) = (lifted.clone(), lifted.clone());
-                SCALAR.fold_2p_to_canonical(&m, &mut s);
-                LANES_BACKEND.fold_2p_to_canonical(&m, &mut l);
-                assert_eq!(s, l, "fold_2p_to_canonical");
-                let w = rng.gen_range(1..p);
-                let ws = m.shoup(w);
-                let (mut s, mut l) = (lifted.clone(), lifted.clone());
-                SCALAR.scale_shoup(&m, w, ws, &mut s);
-                LANES_BACKEND.scale_shoup(&m, w, ws, &mut l);
-                assert_eq!(s, l, "scale_shoup");
-                let (mut s, mut l) = (lifted.clone(), lifted.clone());
-                SCALAR.scale_shoup_lazy(&m, w, ws, &mut s);
-                LANES_BACKEND.scale_shoup_lazy(&m, w, ws, &mut l);
-                assert_eq!(s, l, "scale_shoup_lazy");
 
                 // Pointwise families.
                 let (mut s, mut l) = (lifted.clone(), lifted.clone());
@@ -1438,14 +1321,6 @@ mod tests {
                 SCALAR.mul_lazy(&m, &mut s, &other);
                 LANES_BACKEND.mul_lazy(&m, &mut l, &other);
                 assert_eq!(s, l, "mul_lazy");
-                let (mut s, mut l) = (lifted.clone(), lifted.clone());
-                SCALAR.add_lazy(&m, &mut s, &other);
-                LANES_BACKEND.add_lazy(&m, &mut l, &other);
-                assert_eq!(s, l, "add_lazy");
-                let (mut s, mut l) = (lifted.clone(), lifted.clone());
-                SCALAR.sub_lazy(&m, &mut s, &other);
-                LANES_BACKEND.sub_lazy(&m, &mut l, &other);
-                assert_eq!(s, l, "sub_lazy");
 
                 // Permute (random bijection).
                 let mut perm: Vec<usize> = (0..n).collect();
@@ -1456,6 +1331,55 @@ mod tests {
                 SCALAR.permute(&perm, &lifted, &mut s);
                 LANES_BACKEND.permute(&perm, &lifted, &mut l);
                 assert_eq!(s, l, "permute");
+            }
+        }
+    }
+
+    /// The row passes `LaneBackend` leaves to the reference keep the
+    /// windows of the module docs' table on both backends, and return a
+    /// representative of the canonical result (the transforms against
+    /// the `*_strict` oracles).
+    #[test]
+    fn reference_row_passes_keep_their_windows() {
+        let mut rng = StdRng::seed_from_u64(0xC0471);
+        for (n, bits) in [(4usize, 30u32), (256, 50), (256, 61)] {
+            let t = table(bits, n);
+            let m = *t.modulus();
+            let p = m.value();
+            let x: Vec<u64> = (0..n).map(|_| rng.gen_range(0..p)).collect();
+            let y: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2 * p)).collect();
+            let (w, (ni, nis)) = (rng.gen_range(1..p), t.n_inv());
+            let mut spectrum = x.clone();
+            t.forward_strict(&mut spectrum);
+            let want = |f: &dyn Fn(u64, u64) -> u64| -> Vec<u64> {
+                x.iter().zip(&y).map(|(&a, &b)| f(a, b % p)).collect()
+            };
+            for b in [&SCALAR as &dyn KernelBackend, &LANES_BACKEND] {
+                let what = format!("n={n} bits={bits} ({})", b.name());
+                let within =
+                    |v: &[u64], bound: u64| assert!(v.iter().all(|&e| e < bound), "{what}");
+                let mut v = x.clone();
+                b.forward_stages(&t, &mut v);
+                within(&v, 4 * p);
+                b.fold_4p_to_canonical(&m, &mut v);
+                assert_eq!(v, spectrum, "forward_stages {what}");
+                b.inverse_stages(&t, &mut v);
+                b.scale_shoup(&m, ni, nis, &mut v);
+                assert_eq!(v, x, "scale_shoup {what}");
+                let mut lazy: [Vec<u64>; 3] = [y.clone(), x.clone(), x.clone()];
+                b.scale_shoup_lazy(&m, w, m.shoup(w), &mut lazy[0]);
+                b.add_lazy(&m, &mut lazy[1], &y);
+                b.sub_lazy(&m, &mut lazy[2], &y);
+                let canonical: [Vec<u64>; 3] = [
+                    want(&|_, c| m.mul(c, w)),
+                    want(&|a, c| m.add(a, c)),
+                    want(&|a, c| m.sub(a, c)),
+                ];
+                for (mut v, c) in lazy.into_iter().zip(canonical) {
+                    within(&v, 2 * p);
+                    b.fold_2p_to_canonical(&m, &mut v);
+                    assert_eq!(v, c, "lazy pass {what}");
+                }
             }
         }
     }

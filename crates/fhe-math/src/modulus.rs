@@ -8,8 +8,8 @@
 //!
 //! Alongside the canonical operations (`add`/`sub`/`mul`/... over
 //! `[0, p)`) there is a `*_lazy` family working on the redundant window
-//! `[0, 2p)`: `add_lazy`, `sub_lazy`, `mul_lazy`, `mul_add_lazy`,
-//! `reduce_u128_lazy` and the folding pass `reduce_2p`. These are the
+//! `[0, 2p)`: `add_lazy`, `sub_lazy`, `mul_lazy`, `reduce_u128_lazy`
+//! and the folding pass `reduce_2p`. These are the
 //! scalar primitives of cross-kernel lazy residue chains, where
 //! canonicalisation is deferred to ciphertext boundaries the way
 //! hardware pipelines keep operands in redundant form until memory
@@ -254,18 +254,6 @@ impl Modulus {
         }
     }
 
-    /// Lazy negation of a `[0, 2p)` representative.
-    #[inline]
-    #[must_use]
-    pub fn neg_lazy(&self, a: u64) -> u64 {
-        crate::debug_assert_domain!(scalar_within_2p: self, "neg_lazy", a);
-        if a == 0 {
-            0
-        } else {
-            2 * self.p - a
-        }
-    }
-
     /// Modular multiplication via Barrett reduction.
     #[inline]
     #[must_use]
@@ -284,15 +272,6 @@ impl Modulus {
     pub fn mul_lazy(&self, a: u64, b: u64) -> u64 {
         crate::debug_assert_domain!(scalar_within_2p: self, "mul_lazy", a, b);
         self.reduce_u128_lazy(a as u128 * b as u128)
-    }
-
-    /// Lazy fused multiply-add: `a*b + c` with all operands in
-    /// `[0, 2p)`, result in `[0, 2p)` (`4p^2 + 2p` still fits u128).
-    #[inline]
-    #[must_use]
-    pub fn mul_add_lazy(&self, a: u64, b: u64, c: u64) -> u64 {
-        crate::debug_assert_domain!(scalar_within_2p: self, "mul_add_lazy", a, b, c);
-        self.reduce_u128_lazy(a as u128 * b as u128 + c as u128)
     }
 
     /// Fused multiply-add: `a*b + c mod p`.
@@ -669,13 +648,7 @@ mod tests {
                 let prod = m.mul_lazy(a, b);
                 assert!(prod < 2 * p);
                 assert_eq!(prod % p, m.mul(ca, cb));
-                let fma = m.mul_add_lazy(a, b, a);
-                assert!(fma < 2 * p);
-                assert_eq!(fma % p, m.mul_add(ca, cb, ca));
             }
-            let n = m.neg_lazy(a);
-            assert!(n < 2 * p);
-            assert_eq!(n % p, m.neg(a % p));
             assert_eq!(m.reduce_2p(a), a % p);
         }
     }

@@ -746,25 +746,6 @@ impl RnsPoly {
         self.permute_slots(g, perms);
     }
 
-    /// Keeps only the first `k` limbs (dropping the rest), switching to
-    /// the prefix basis. With limb-major flat storage this is a single
-    /// truncation — no per-limb moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or exceeds the current limb count.
-    pub fn keep_limbs(&mut self, k: usize, prefix_basis: Arc<RnsBasis>) {
-        assert!(k > 0 && k <= self.limbs());
-        assert_eq!(prefix_basis.len(), k);
-        debug_assert!(prefix_basis
-            .moduli()
-            .iter()
-            .zip(self.basis.moduli())
-            .all(|(a, b)| a.value() == b.value()));
-        self.data.truncate(k * self.basis.n());
-        self.basis = prefix_basis;
-    }
-
     /// Reconstructs centered coefficient values as `f64` (exact for small
     /// magnitudes). Test/diagnostic helper.
     ///
@@ -1081,16 +1062,5 @@ mod tests {
         let mut q = RnsPoly::from_signed_coeffs(b, &[1i64; 16]);
         q.to_eval();
         q.add_assign(&p); // rhs is Lazy2p -> debug assert fires
-    }
-
-    #[test]
-    fn keep_limbs_truncates_flat_buffer() {
-        let b = basis(16, 3);
-        let prefix = Arc::new(b.prefix(2));
-        let mut p = RnsPoly::from_signed_coeffs(b, &[7i64; 16]);
-        p.keep_limbs(2, prefix);
-        assert_eq!(p.limbs(), 2);
-        assert_eq!(p.flat().len(), 2 * 16);
-        assert_eq!(p.to_centered_f64(), vec![7.0; 16]);
     }
 }
