@@ -12,8 +12,17 @@
 //! SlotToCoeff halves, through it as two-job batches. Kernel calls
 //! themselves run on the calling thread: slicing one call's limb rows
 //! across the pool never beat the lane backend on the benchmark
-//! workloads. [`WorkerPool::run_partition`], the range-slicing entry,
-//! stays only for the `math.pool_roundtrip_us` probe of `benchmark/`.
+//! workloads, because each of those calls lasts microseconds and a
+//! two-job dispatch costs tens of them. [`WorkerPool::run_partition`]
+//! slices a range instead of a batch; the TFHE LWE keyswitch
+//! (`fhe_tfhe::LweKeySwitchKey::switch`) runs its key rows through it,
+//! one contiguous range per lane, each folded into its own partial
+//! sum. That grain is coarser than row slicing was: one dispatch per
+//! switch, and each lane's range streams at least a million key words,
+//! about 0.8 ms of the paper's Set-I key (a whole switch is 3.3 ms on
+//! one lane, the cross-scheme one 35–40 ms), against 20–40 µs for the
+//! dispatch. Those timings come from a 2-lane host; wider hosts split
+//! at the same grain, untimed.
 //!
 //! The build environment is offline (no `rayon`), so the pool is
 //! home-grown from `std::thread` + `std::sync::mpsc`:
@@ -289,30 +298,40 @@ impl WorkerPool {
     }
 
     /// Partitions `0..len` into at most [`Self::threads`] contiguous,
-    /// balanced, non-empty ranges of at least `min_chunk` items and
-    /// runs `f` on each in parallel; below the threshold (or on a
-    /// 1-thread pool) it simply calls `f(0..len)` inline — the
-    /// sequential fallback. No library path calls it; it stays for the
-    /// `math.pool_roundtrip_us` probe of `benchmark/`.
-    pub fn run_partition<F>(&self, len: usize, min_chunk: usize, f: F)
+    /// balanced, non-empty ranges of at least `min_chunk` items, runs
+    /// `f` on each on its own lane and returns the outputs in range
+    /// order. Below two such ranges (or on a 1-thread pool) it calls
+    /// `f(0..len)` once inline, the sequential fallback; `len == 0`
+    /// returns no outputs without calling `f`.
+    ///
+    /// # Panics
+    ///
+    /// A range's panic is re-raised on the caller after every other
+    /// range has finished.
+    pub fn run_partition<R, F>(&self, len: usize, min_chunk: usize, f: F) -> Vec<R>
     where
-        F: Fn(std::ops::Range<usize>) + Sync,
+        R: Send,
+        F: Fn(std::ops::Range<usize>) -> R + Sync,
     {
         if len == 0 {
-            return;
+            return Vec::new();
         }
         // Never more chunks than items: every range stays non-empty
         // and in bounds even when `threads` exceeds `len`.
         let chunks = (len / min_chunk.max(1)).clamp(1, self.threads.min(len));
-        if chunks <= 1 || self.threads == 1 {
-            f(0..len);
-            return;
+        if chunks == 1 {
+            return vec![f(0..len)];
         }
         let f = &f;
+        let mut outs: Vec<Option<R>> = (0..chunks).map(|_| None).collect();
         let tasks: Vec<Task<'_>> = balanced_ranges(len, chunks)
-            .map(|range| Box::new(move || f(range)) as Task<'_>)
+            .zip(outs.iter_mut())
+            .map(|(range, out)| Box::new(move || *out = Some(f(range))) as Task<'_>)
             .collect();
         self.run(tasks);
+        outs.into_iter()
+            .map(|out| out.expect("`run` returns after every task ran"))
+            .collect()
     }
 
     /// The job-axis entry point: splits `items` into at most
@@ -336,24 +355,10 @@ impl WorkerPool {
         R: Send,
         F: Fn(&[T]) -> Vec<R> + Sync,
     {
-        let chunks = self.threads.min(items.len());
-        if chunks == 0 {
-            return Vec::new();
-        }
-        if chunks == 1 {
-            return f(items);
-        }
-        let f = &f;
-        let mut outs: Vec<Vec<R>> = (0..chunks).map(|_| Vec::new()).collect();
-        let tasks: Vec<Task<'_>> = balanced_ranges(items.len(), chunks)
-            .zip(outs.iter_mut())
-            .map(|(range, out)| {
-                let chunk = &items[range];
-                Box::new(move || *out = f(chunk)) as Task<'_>
-            })
-            .collect();
-        self.run(tasks);
-        outs.into_iter().flatten().collect()
+        self.run_partition(items.len(), 1, |range| f(&items[range]))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 }
 
@@ -363,9 +368,9 @@ const MAX_THREADS: usize = 256;
 
 /// The process pool: one lane per
 /// [`std::thread::available_parallelism`] (at most 256), workers living
-/// for the process. Every job-axis caller ([`WorkerPool::map_chunks`])
-/// shares it, so independent jobs from the service and the library
-/// never oversubscribe the cores with a second set of workers.
+/// for the process. Every caller — the service, the CKKS bootstrap and
+/// the LWE keyswitch — shares it, so work from the service and the
+/// library never oversubscribes the cores with a second set of workers.
 pub fn shared() -> &'static WorkerPool {
     static SHARED: OnceLock<WorkerPool> = OnceLock::new();
     SHARED.get_or_init(|| {
@@ -435,16 +440,23 @@ mod tests {
             let pool = WorkerPool::new(threads);
             for (len, min_chunk) in [(0usize, 8), (5, 8), (10, 1), (64, 8), (65, 8), (1000, 1)] {
                 let seen: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-                pool.run_partition(len, min_chunk, |range| {
+                let ranges = pool.run_partition(len, min_chunk, |range| {
                     // Slice to prove the range is in bounds, not just
                     // iterable.
-                    for c in &seen[range] {
+                    for c in &seen[range.clone()] {
                         c.fetch_add(1, Ordering::SeqCst);
                     }
+                    range
                 });
+                let ctx = format!("threads={threads} len={len} min_chunk={min_chunk}");
+                assert!(seen.iter().all(|c| c.load(Ordering::SeqCst) == 1), "{ctx}");
+                // One output per range, in range order.
+                let items: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
+                assert_eq!(items, (0..len).collect::<Vec<_>>(), "{ctx}");
+                assert!(ranges.len() <= threads, "{ctx}: {ranges:?}");
                 assert!(
-                    seen.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-                    "threads={threads} len={len} min_chunk={min_chunk}"
+                    ranges.len() == 1 || ranges.iter().all(|r| r.len() >= min_chunk),
+                    "{ctx}: {ranges:?}"
                 );
             }
         }

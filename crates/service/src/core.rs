@@ -22,6 +22,7 @@
 //! reproducible under test (no wall clock anywhere).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, SwitchingKey};
@@ -201,6 +202,8 @@ pub struct ServiceCore {
     /// The process pool ([`pool::shared`]), one lane per core: each
     /// dispatch group's jobs are split across it.
     pool: &'static WorkerPool,
+    /// Dispatch groups that ran as more than one sub-batch.
+    split_groups: u64,
 }
 
 impl ServiceCore {
@@ -226,6 +229,7 @@ impl ServiceCore {
             next_request: 0,
             next_group: 0,
             pool: pool::shared(),
+            split_groups: 0,
             cfg,
         })
     }
@@ -447,6 +451,7 @@ impl ServiceCore {
         // Canonical completion order: ascending request id.
         batch.sort_by_key(|j| j.request);
         let group = self.open_group(Lane::Interactive, cause, batch.len(), pending);
+        let sub_batches = AtomicUsize::new(0);
         let outs = {
             let jobs: Vec<BatchedGateJob<'_>> = batch
                 .iter()
@@ -457,8 +462,12 @@ impl ServiceCore {
                     (self.server_key(job.tenant), *op, a, b)
                 })
                 .collect();
-            self.pool.map_chunks(&jobs, fhe_tfhe::apply_gates_batched)
+            self.pool.map_chunks(&jobs, |chunk| {
+                sub_batches.fetch_add(1, Ordering::Relaxed);
+                fhe_tfhe::apply_gates_batched(chunk)
+            })
         };
+        self.split_groups += u64::from(sub_batches.into_inner() > 1);
         for (job, out) in batch.iter().zip(outs) {
             self.complete(group, job, Response::Bit(out));
         }
@@ -515,6 +524,7 @@ impl ServiceCore {
         batch.sort_by_key(|j| j.request);
 
         let group = self.open_group(lane, cause, batch.len(), pending);
+        let sub_batches = AtomicUsize::new(0);
         let outs = {
             let eval = self
                 .evaluator_for(&head_ctx)
@@ -536,12 +546,14 @@ impl ServiceCore {
                 .collect();
             let g = head_geom.galois();
             self.pool.map_chunks(&jobs, |chunk| {
+                sub_batches.fetch_add(1, Ordering::Relaxed);
                 chunk
                     .iter()
                     .map(|&(ct, key)| eval.apply_galois(ct, g, key))
                     .collect()
             })
         };
+        self.split_groups += u64::from(sub_batches.into_inner() > 1);
         for (mut job, out) in batch.into_iter().zip(outs) {
             let JobWork::Rotations { ct, steps, next } = &mut job.work else {
                 unreachable!("rotation lanes carry rotation jobs only");
@@ -620,6 +632,14 @@ impl ServiceCore {
     /// Requests queued across all lanes.
     pub fn pending_total(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
+    }
+
+    /// Dispatch groups so far that ran as more than one pool sub-batch:
+    /// the service's own record of splitting a group across cores,
+    /// apart from whatever the jobs inside a sub-batch dispatch into the
+    /// pool themselves (each gate's LWE keyswitch does).
+    pub fn split_groups(&self) -> u64 {
+        self.split_groups
     }
 
     /// The audit log so far.

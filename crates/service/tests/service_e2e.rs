@@ -41,16 +41,17 @@ use trinity_service::{
 
 #[test]
 fn mixed_tenants_bit_identical_across_backends_and_coalesced() {
-    let pool = fhe_math::pool::shared();
-    let fanned_before = pool.parallel_jobs_dispatched();
+    let lanes = fhe_math::pool::shared().threads();
     let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg()));
     // On a multi-core host the service split its groups across the
-    // pool's lanes, so the identities below cover the split path.
-    if pool.threads() >= 2 {
-        assert!(
-            pool.parallel_jobs_dispatched() > fanned_before,
-            "no dispatch group was split across the {} pool lanes",
-            pool.threads()
+    // pool's lanes, so the identities below cover the split path; on
+    // one core it never splits.
+    for (backend, run) in &runs {
+        assert_eq!(
+            run.split_groups > 0,
+            lanes >= 2,
+            "{backend}: {} groups split across {lanes} pool lanes",
+            run.split_groups
         );
     }
 

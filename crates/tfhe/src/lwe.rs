@@ -5,10 +5,13 @@
 //! (line 1), `TFHE KeySwitch` (lines 16–17), plus `Decompose`. The
 //! keyswitching key is one flat `(n_in * levels) x (n_out + 1)` word
 //! matrix (per row the mask words, then the body) whose borrowed rows a
-//! switch streams past one stationary `i64` accumulator. Its words are
-//! as narrow as the modulus allows — `u32` under the paper's 32-bit
-//! torus primes, `u64` above — since a switch streams the whole key.
+//! switch streams past one stationary `i64` accumulator per lane of the
+//! process pool, each lane over its own contiguous range of rows. Its
+//! words are as narrow as the modulus allows — `u32` under the paper's
+//! 32-bit torus primes, `u64` above — since a switch streams the whole
+//! key.
 
+use fhe_math::pool::{self, WorkerPool};
 use fhe_math::{kernel, Modulus};
 use rand::Rng;
 
@@ -279,10 +282,22 @@ impl LweKeySwitchKey {
     ///
     /// One backend dispatch gadget-decomposes the whole mask; every
     /// non-zero digit then costs one fused `acc -= d * row` pass over
-    /// its borrowed key row, widened on load, in exact `i64`
-    /// ([`Self::generate`] asserts the bound that keeps the sum inside
-    /// one), folded once to canonical residues — bit-identical to
+    /// its borrowed key row, widened on load, in exact `i64`, folded
+    /// once to canonical residues — bit-identical to
     /// [`Self::switch_strict`].
+    ///
+    /// The switch is bound by streaming the key, so its `n_in * levels`
+    /// rows are split into one contiguous range per lane of
+    /// [`pool::shared`] ([`WorkerPool::run_partition`]), each at least a
+    /// million key words: each lane folds its range into its own `i64`
+    /// partial, and the caller adds the partials to the body.
+    /// [`Self::generate`] asserts that the body plus *every* row's
+    /// product fits an `i64`; a partial, and the body plus any prefix of
+    /// the partials, sums a subset of those products, so each is exact
+    /// too and the words do not depend on the split. A one-lane pool, or
+    /// a key under two ranges' worth of words, folds the rows inline on
+    /// the caller; called from inside a pool chunk (the service's split
+    /// gate groups) the split nests, which the pool supports.
     ///
     /// # Panics
     ///
@@ -385,25 +400,57 @@ where
     rows
 }
 
+/// Key words each lane of a split switch streams at least: about 0.8 ms
+/// of the Set-I key on one lane, against 20–40 µs for the dispatch
+/// (both timed on a 2-lane host; wider hosts split at the same grain,
+/// untimed). A smaller switch runs inline on the caller.
+const SPLIT_MIN_WORDS: usize = 1 << 20;
+
 /// The accumulation of [`LweKeySwitchKey::switch`]: `body` minus
 /// `digit(r) * row_r` for every `width`-word row `r` of `rows` with a
 /// non-zero digit, unreduced — exact under the
-/// [`LweKeySwitchKey::generate`] bound. The body is the last word.
-fn sub_digit_rows<W: Copy + Into<u64>>(
+/// [`LweKeySwitchKey::generate`] bound. The body is the last word. The
+/// rows are folded on [`pool::shared`].
+fn sub_digit_rows<W: Copy + Into<u64> + Sync>(
     body: u64,
     rows: &[W],
     width: usize,
-    digit: impl Fn(usize) -> i64,
+    digit: impl Fn(usize) -> i64 + Sync,
 ) -> Vec<i64> {
+    sub_digit_rows_on(pool::shared(), body, rows, width, digit)
+}
+
+/// [`sub_digit_rows`] on `pool`: one contiguous range of rows per lane
+/// ([`WorkerPool::run_partition`], at least [`SPLIT_MIN_WORDS`] words a
+/// range), each folded into its own `i64` partial, zero digits skipped;
+/// the partials are then added to the body.
+fn sub_digit_rows_on<W: Copy + Into<u64> + Sync>(
+    pool: &WorkerPool,
+    body: u64,
+    rows: &[W],
+    width: usize,
+    digit: impl Fn(usize) -> i64 + Sync,
+) -> Vec<i64> {
+    let min_rows = SPLIT_MIN_WORDS.div_ceil(width);
+    let partials = pool.run_partition(rows.len() / width, min_rows, |range| {
+        let mut acc = vec![0i64; width];
+        let lane_rows = rows[range.start * width..range.end * width].chunks_exact(width);
+        for (r, row) in range.zip(lane_rows) {
+            let d = digit(r);
+            if d == 0 {
+                continue;
+            }
+            for (x, &w) in acc.iter_mut().zip(row) {
+                *x -= w.into() as i64 * d;
+            }
+        }
+        acc
+    });
     let mut acc = vec![0i64; width];
     acc[width - 1] = body as i64;
-    for (r, row) in rows.chunks_exact(width).enumerate() {
-        let d = digit(r);
-        if d == 0 {
-            continue;
-        }
-        for (x, &w) in acc.iter_mut().zip(row) {
-            *x -= w.into() as i64 * d;
+    for partial in partials {
+        for (x, p) in acc.iter_mut().zip(partial) {
+            *x += p;
         }
     }
     acc
@@ -600,6 +647,55 @@ mod tests {
             let switched = ksk.switch(&q, &zero_mask);
             assert!(switched.a.iter().all(|&w| w == 0) && switched.b == q.value() / 4);
         }
+    }
+
+    /// At the Set-III extracted switch's shape (`k * N * lk` rows of
+    /// `n_lwe + 1` words) a two-lane pool folds the rows as exactly two
+    /// jobs and a one-lane pool inline, to the same words; a switch
+    /// under two ranges' worth of words stays inline on both.
+    #[test]
+    fn switch_rows_split_once_per_lane_above_the_grain() {
+        let p = crate::TfheParams::set_iii();
+        let (q, width) = (q32().value(), p.n_lwe + 1);
+        let rows_at = |n_rows: usize| -> Vec<u32> {
+            (0..n_rows * width)
+                .map(|i| ((i as u64).wrapping_mul(0x9e37_79b9) % q) as u32)
+                .collect()
+        };
+        let digit = |r: usize| (r % 5) as i64 - 2;
+        for (n_rows, split) in [(p.k * p.n * p.lk, true), (SPLIT_MIN_WORDS / width, false)] {
+            let rows = rows_at(n_rows);
+            let (one, two) = (WorkerPool::new(1), WorkerPool::new(2));
+            let inline = sub_digit_rows_on(&one, q - 1, &rows, width, digit);
+            let halves = sub_digit_rows_on(&two, q - 1, &rows, width, digit);
+            assert_eq!(halves, inline, "{n_rows} rows");
+            assert_eq!(one.parallel_jobs_dispatched(), 0, "{n_rows} rows");
+            // A thread-starved host may have built a one-lane `two`.
+            let jobs = if split && two.threads() == 2 { 2 } else { 0 };
+            assert_eq!(two.parallel_jobs_dispatched(), jobs, "{n_rows} rows");
+        }
+    }
+
+    /// Two switches run as the two jobs of one `map_chunks` — the
+    /// nesting a service gate group split over the pool creates — give
+    /// the words of the same two switches on the caller.
+    #[test]
+    fn switches_inside_pool_chunks_match_switches_on_the_caller() {
+        let mut rng = StdRng::seed_from_u64(91);
+        let (q, n_in, n_out, base_log, levels) = switch_shapes().swap_remove(0);
+        let sk_in = LweSecretKey::generate(n_in, &mut rng);
+        let sk_out = LweSecretKey::generate(n_out, &mut rng);
+        let ksk = LweKeySwitchKey::generate(&q, &sk_in, &sk_out, base_log, levels, 1e-9, &mut rng);
+        let cts: Vec<LweCiphertext> = [1, 3]
+            .map(|m| LweCiphertext::encrypt(&q, &sk_in, m * (q.value() / 8), 1e-7, &mut rng))
+            .into();
+        let words = |ct: &LweCiphertext| {
+            let out = ksk.switch(&q, ct);
+            (out.a, out.b)
+        };
+        let nested = pool::shared().map_chunks(&cts, |chunk| chunk.iter().map(words).collect());
+        let inline: Vec<_> = cts.iter().map(words).collect();
+        assert_eq!(nested, inline);
     }
 
     /// The accumulation at exactly the bound `generate` asserts: every
