@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fhe_math::kernel::{self, ExitFold};
+use fhe_math::pool::{self, WorkerPool};
 use fhe_math::{scratch, Representation, RnsPoly};
 
 use crate::ciphertext::{Ciphertext, Ciphertext3};
@@ -532,17 +533,51 @@ impl Evaluator {
         }
     }
 
-    /// [`Self::rotate`] mapped over `jobs`: rotates every ciphertext by
-    /// the same amount `r` under its own key, in order, one counter
-    /// bump pair per job. It exists only because `benchmark/`'s frozen
-    /// `ckks.coalesced4_ms` probe calls it; the benchmark re-baseline
-    /// (ROADMAP item 2(a)) deletes it together with that probe.
+    /// [`Self::apply_galois`] mapped over `jobs`: applies the Galois
+    /// element `g` to every ciphertext under its own key, split into one
+    /// contiguous chunk per lane of the process pool
+    /// [`pool::shared`] ([`WorkerPool::map_chunks`]; one job, or a
+    /// one-lane pool, runs inline). Outputs come back in job order, each
+    /// bit-identical to its own `apply_galois` call, with one counter
+    /// bump pair per job. The serving layer runs each coalesced rotation
+    /// group through it.
+    pub fn apply_galois_batch(
+        &self,
+        jobs: &[(&Ciphertext, &SwitchingKey)],
+        g: u64,
+    ) -> Vec<Ciphertext> {
+        self.apply_galois_batch_on(pool::shared(), jobs, g)
+    }
+
+    /// [`Self::apply_galois_batch`] split over `pool`'s lanes.
+    pub(crate) fn apply_galois_batch_on(
+        &self,
+        pool: &WorkerPool,
+        jobs: &[(&Ciphertext, &SwitchingKey)],
+        g: u64,
+    ) -> Vec<Ciphertext> {
+        pool.map_chunks(jobs, |chunk| {
+            chunk
+                .iter()
+                .map(|&(a, gk)| self.apply_galois(a, g, gk))
+                .collect()
+        })
+    }
+
+    /// [`Self::apply_galois_batch`] for the rotation by `r`: every
+    /// ciphertext rotated by the same amount under its own key, so
+    /// `benchmark/`'s frozen `ckks.coalesced4_ms` probe, which calls
+    /// this, times a pooled 4-job group. It exists only for that probe;
+    /// the benchmark re-baseline (ROADMAP item 2(a)) deletes both.
     pub fn rotate_coalesced(
         &self,
         jobs: &[(&Ciphertext, &SwitchingKey)],
         r: i64,
     ) -> Vec<Ciphertext> {
-        jobs.iter().map(|&(a, gk)| self.rotate(a, r, gk)).collect()
+        self.apply_galois_batch(
+            jobs,
+            fhe_math::galois::rotation_galois_element(r, self.ctx.n()),
+        )
     }
 
     /// Computes the shared ModUp state of `a.c1` for a batch of
@@ -1115,6 +1150,48 @@ mod tests {
             assert_eq!(c.level, s.level);
         }
         assert!(f.eval.rotate_coalesced(&[], r).is_empty());
+    }
+
+    /// `k` Galois jobs split over a private one-lane pool run inline,
+    /// over a two-lane pool as `min(k, 2)` chunks, and both give the
+    /// words of `k` `apply_galois` calls, one counter bump pair each.
+    #[test]
+    fn galois_batch_splits_match_apply_galois_per_job_on_one_and_two_lanes() {
+        let mut f = fixture();
+        let l = f.ctx.params().max_level();
+        let slots = f.enc.slots();
+        let cts: Vec<Ciphertext> = (0..3)
+            .map(|t| {
+                let x: Vec<f64> = (0..slots).map(|i| ((i + t) % 5) as f64 / 5.0).collect();
+                f.encryptor
+                    .encrypt_sk(&f.enc.encode_real(&x, l), &f.keys.secret, &mut f.rng)
+            })
+            .collect();
+        let g = fhe_math::galois::rotation_galois_element(2, f.ctx.n());
+        let gk = &f.keys.galois[&g];
+        let jobs: Vec<(&Ciphertext, &SwitchingKey)> = cts.iter().map(|ct| (ct, gk)).collect();
+        let singles: Vec<Ciphertext> = cts
+            .iter()
+            .map(|ct| f.eval.apply_galois(ct, g, gk))
+            .collect();
+        for k in 1..=jobs.len() {
+            let (one, two) = (WorkerPool::new(1), WorkerPool::new(2));
+            for pool in [&one, &two] {
+                f.eval.counters().reset();
+                let got = f.eval.apply_galois_batch_on(pool, &jobs[..k], g);
+                let k64 = k as u64;
+                assert_eq!(f.eval.counters().snapshot(), (0, 0, 0, k64, k64, 0));
+                assert_eq!(got.len(), k);
+                for (i, (c, s)) in got.iter().zip(&singles).enumerate() {
+                    assert_eq!(c.c0.flat(), s.c0.flat(), "c0 job {i} of {k}, {pool:?}");
+                    assert_eq!(c.c1.flat(), s.c1.flat(), "c1 job {i} of {k}, {pool:?}");
+                }
+            }
+            assert_eq!(one.parallel_jobs_dispatched(), 0, "k = {k}");
+            // A thread-starved host may have built a one-lane `two`.
+            let chunks = if k >= 2 && two.threads() == 2 { 2 } else { 0 };
+            assert_eq!(two.parallel_jobs_dispatched(), chunks, "k = {k}");
+        }
     }
 
     /// Exhaustive plaintext-slot oracle for

@@ -54,8 +54,8 @@
 //! The engine runs **one job per call**: one input, one key, one
 //! `(ks0, ks1)` out. Independent keyswitches — a service's dispatch
 //! group, a PackLWEs merge round — are independent calls, which a
-//! caller may spread over cores (the serving layer runs one sub-batch
-//! per core); inside a call each transform dispatch carries every limb
+//! caller may spread over cores (`Evaluator::apply_galois_batch`
+//! runs one chunk of them per core); inside a call each transform dispatch carries every limb
 //! row of its stage, and the ModDown tail takes both accumulators in
 //! one dispatch per transform.
 //!

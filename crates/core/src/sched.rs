@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::kernel::{KernelClass, KernelGraph};
+use crate::kernel::KernelGraph;
 use crate::mapping::Machine;
 
 /// One kernel's placement in the schedule.
@@ -227,7 +227,6 @@ pub fn simulate(machine: &Machine, graph: &KernelGraph) -> SimResult {
         *class_busy
             .entry(format!("{:?}", k.kind.class()))
             .or_insert(0) += dur;
-        let _ = KernelClass::Ntt;
     }
 
     let total_cycles = finish.iter().copied().max().unwrap_or(0);

@@ -5,10 +5,11 @@
 //! software counterpart is a handful of long-lived worker threads, the
 //! process pool [`shared`], and one way to slice work across them:
 //! [`WorkerPool::map_chunks`] splits a batch of independent jobs into
-//! one narrower batch per lane. The serving layer runs each dispatch
-//! group through it, so a group occupies every core while each chunk's
-//! kernels stay as wide as its jobs make them; the library runs the
-//! CKKS bootstrap's two CoeffToSlot sources, and then its two EvalMod +
+//! one narrower batch per lane. The TFHE gate engine and the CKKS
+//! Galois batch engine run each of their batches through it — so a
+//! service dispatch group occupies every core while each chunk's
+//! kernels stay as wide as its jobs make them. The CKKS bootstrap runs
+//! its two CoeffToSlot sources, and then its two EvalMod +
 //! SlotToCoeff halves, through it as two-job batches. Kernel calls
 //! themselves run on the calling thread: slicing one call's limb rows
 //! across the pool never beat the lane backend on the benchmark
@@ -368,9 +369,9 @@ const MAX_THREADS: usize = 256;
 
 /// The process pool: one lane per
 /// [`std::thread::available_parallelism`] (at most 256), workers living
-/// for the process. Every caller — the service, the CKKS bootstrap and
-/// the LWE keyswitch — shares it, so work from the service and the
-/// library never oversubscribes the cores with a second set of workers.
+/// for the process. Every caller — the gate and Galois batch engines,
+/// the CKKS bootstrap and the LWE keyswitch — shares it, so nested
+/// work never oversubscribes the cores with a second set of workers.
 pub fn shared() -> &'static WorkerPool {
     static SHARED: OnceLock<WorkerPool> = OnceLock::new();
     SHARED.get_or_init(|| {

@@ -8,26 +8,22 @@
 //! completed it returns, and a chained job goes back to its lane
 //! carrying its real intermediate ciphertext.
 //!
-//! A group's jobs are independent — a job's output does not depend on
-//! its batch mates — so the group is split into one contiguous
-//! sub-batch per lane of the process pool [`fhe_math::pool::shared`]
-//! ([`WorkerPool::map_chunks`]), and each sub-batch runs on its
-//! own core — gates through one batched-gate call, rotations one
-//! keyswitch per job. Results, the audit and completion order are
-//! those of running the group unsplit; a 1-wide group, or a 1-core
-//! host, runs it inline.
+//! The service decides and the engines execute: a gate group is one
+//! [`fhe_tfhe::apply_gates_batched`] call and a rotation group one
+//! [`Evaluator::apply_galois_batch`] call, and each engine splits its
+//! jobs over every core itself. A job's output does not depend on its
+//! batch mates, so results, the audit and completion order do not
+//! depend on the split.
 //!
 //! Time is measured in *ticks* — one tick per dispatch opportunity —
 //! which keeps budget enforcement and starvation detection exact and
 //! reproducible under test (no wall clock anywhere).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fhe_ckks::{Ciphertext, CkksContext, Evaluator, SwitchingKey};
 use fhe_math::galois::rotation_galois_element;
-use fhe_math::pool::{self, WorkerPool};
 use fhe_math::{Representation, RnsPoly};
 use fhe_tfhe::{BatchedGateJob, GateOp, LweCiphertext, ServerKey};
 
@@ -51,10 +47,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Key-cache byte budget.
     pub key_cache_bytes: usize,
-    /// Maximum requests in one dispatch group. The group is split into
-    /// one sub-batch per core, so one batched-gate call carries at most
-    /// `ceil(max_batch / cores)` of them; a rotation is always one
-    /// keyswitch of its own.
+    /// Maximum requests in one dispatch group, the width of one
+    /// batched-gate or Galois-batch engine call (the engine splits it
+    /// over the cores; a rotation is always one keyswitch of its own).
     pub max_batch: usize,
     /// Ignored: every dispatch group executes in the tick that forms
     /// it, whatever this holds. The field exists only because
@@ -199,11 +194,6 @@ pub struct ServiceCore {
     tick: u64,
     next_request: u64,
     next_group: u64,
-    /// The process pool ([`pool::shared`]), one lane per core: each
-    /// dispatch group's jobs are split across it.
-    pool: &'static WorkerPool,
-    /// Dispatch groups that ran as more than one sub-batch.
-    split_groups: u64,
 }
 
 impl ServiceCore {
@@ -228,8 +218,6 @@ impl ServiceCore {
             tick: 0,
             next_request: 0,
             next_group: 0,
-            pool: pool::shared(),
-            split_groups: 0,
             cfg,
         })
     }
@@ -425,7 +413,7 @@ impl ServiceCore {
     /// queued gate whose server key can share its batched blind
     /// rotation ([`ServerKey::shares_ring_with`]), FIFO, capped at
     /// [`ServiceConfig::max_batch`] (the head counts). The group runs as
-    /// one [`fhe_tfhe::apply_gates_batched`] call per pool chunk.
+    /// one [`fhe_tfhe::apply_gates_batched`] call.
     fn dispatch_gate(&mut self, cause: PickCause, pending: [usize; 3]) {
         let head = self.lanes[Lane::Interactive.index()]
             .pop_front()
@@ -451,7 +439,6 @@ impl ServiceCore {
         // Canonical completion order: ascending request id.
         batch.sort_by_key(|j| j.request);
         let group = self.open_group(Lane::Interactive, cause, batch.len(), pending);
-        let sub_batches = AtomicUsize::new(0);
         let outs = {
             let jobs: Vec<BatchedGateJob<'_>> = batch
                 .iter()
@@ -462,12 +449,8 @@ impl ServiceCore {
                     (self.server_key(job.tenant), *op, a, b)
                 })
                 .collect();
-            self.pool.map_chunks(&jobs, |chunk| {
-                sub_batches.fetch_add(1, Ordering::Relaxed);
-                fhe_tfhe::apply_gates_batched(chunk)
-            })
+            fhe_tfhe::apply_gates_batched(&jobs)
         };
-        self.split_groups += u64::from(sub_batches.into_inner() > 1);
         for (job, out) in batch.iter().zip(outs) {
             self.complete(group, job, Response::Bit(out));
         }
@@ -478,10 +461,9 @@ impl ServiceCore {
     /// shared context, level, Galois element) — each job under its own
     /// tenant's switching key. The Timed lane serves
     /// earliest-deadline-first ([`queue::edf_pick`]); Bulk stays FIFO.
-    /// The group is split into one sub-batch per core, and each job of
-    /// a sub-batch is one [`Evaluator::apply_galois`] call. A chained
-    /// job whose steps remain goes back to its lane carrying this
-    /// step's output.
+    /// The group runs as one [`Evaluator::apply_galois_batch`] call. A
+    /// chained job whose steps remain goes back to its lane carrying
+    /// this step's output.
     fn dispatch_rotations(&mut self, lane: Lane, cause: PickCause, pending: [usize; 3]) {
         let head_idx = if lane == Lane::Timed {
             let dues: Vec<(u64, u64)> = self.lanes[lane.index()]
@@ -524,7 +506,6 @@ impl ServiceCore {
         batch.sort_by_key(|j| j.request);
 
         let group = self.open_group(lane, cause, batch.len(), pending);
-        let sub_batches = AtomicUsize::new(0);
         let outs = {
             let eval = self
                 .evaluator_for(&head_ctx)
@@ -544,16 +525,8 @@ impl ServiceCore {
                     (ct, key)
                 })
                 .collect();
-            let g = head_geom.galois();
-            self.pool.map_chunks(&jobs, |chunk| {
-                sub_batches.fetch_add(1, Ordering::Relaxed);
-                chunk
-                    .iter()
-                    .map(|&(ct, key)| eval.apply_galois(ct, g, key))
-                    .collect()
-            })
+            eval.apply_galois_batch(&jobs, head_geom.galois())
         };
-        self.split_groups += u64::from(sub_batches.into_inner() > 1);
         for (mut job, out) in batch.into_iter().zip(outs) {
             let JobWork::Rotations { ct, steps, next } = &mut job.work else {
                 unreachable!("rotation lanes carry rotation jobs only");
@@ -632,14 +605,6 @@ impl ServiceCore {
     /// Requests queued across all lanes.
     pub fn pending_total(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Dispatch groups so far that ran as more than one pool sub-batch:
-    /// the service's own record of splitting a group across cores,
-    /// apart from whatever the jobs inside a sub-batch dispatch into the
-    /// pool themselves (each gate's LWE keyswitch does).
-    pub fn split_groups(&self) -> u64 {
-        self.split_groups
     }
 
     /// The audit log so far.

@@ -32,8 +32,8 @@
 //!   starvation event, opened by a configuration-stamping meta line.
 //! * [`core`](mod@core) — [`ServiceCore`]: one loop that decides
 //!   (admission, lane picks, group formation, audit) on one thread and
-//!   executes — each dispatch group runs in the tick that forms it,
-//!   split into one sub-batch per core.
+//!   executes — each dispatch group runs in the tick that forms it, as
+//!   one batch-engine call that splits the group over the cores.
 //!
 //! Scheduling is measured in dispatch *ticks*, not wall-clock time,
 //! so every guarantee in this crate is exactly reproducible in tests:

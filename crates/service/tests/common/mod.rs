@@ -130,13 +130,10 @@ pub fn parse_completes(jsonl: &str) -> Vec<(u64, u64, u64)> {
 }
 
 /// Everything one mixed-scenario run produces: each request's result
-/// as flat words (submit order), the audit JSONL and the number of
-/// dispatch groups the service split across the pool
-/// ([`ServiceCore::split_groups`]).
+/// as flat words (submit order) and the audit JSONL.
 pub struct ScenarioRun {
     pub flats: Vec<Vec<u64>>,
     pub jsonl: String,
-    pub split_groups: u64,
 }
 
 /// Runs the canonical mixed TFHE + CKKS tenant scenario once under the
@@ -278,7 +275,6 @@ pub fn run_mixed_scenario(cfg: ServiceConfig) -> ScenarioRun {
     ScenarioRun {
         flats,
         jsonl: svc.audit().to_jsonl(),
-        split_groups: svc.split_groups(),
     }
 }
 

@@ -41,19 +41,7 @@ use trinity_service::{
 
 #[test]
 fn mixed_tenants_bit_identical_across_backends_and_coalesced() {
-    let lanes = fhe_math::pool::shared().threads();
     let runs = under_each_backend(|| run_mixed_scenario(mixed_cfg()));
-    // On a multi-core host the service split its groups across the
-    // pool's lanes, so the identities below cover the split path; on
-    // one core it never splits.
-    for (backend, run) in &runs {
-        assert_eq!(
-            run.split_groups > 0,
-            lanes >= 2,
-            "{backend}: {} groups split across {lanes} pool lanes",
-            run.split_groups
-        );
-    }
 
     // The audit must show real cross-request coalescing: at least one
     // keyswitch dispatch carrying >= 2 requests, and at least one gate

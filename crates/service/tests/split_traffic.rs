@@ -1,12 +1,12 @@
-//! The service splits each dispatch group into one sub-batch per pool
-//! lane; this binary pins that the split conserves kernel traffic. A
-//! 4-gate group and a 4-rotation group run through [`ServiceCore`]
-//! under a counting [`KernelBackend`] decorator installed with
-//! [`kernel::force`], and each kernel class's row total must equal that
-//! of the same jobs run unsplit on the calling thread — one batched-gate
-//! call, one `apply_galois` per rotation — only the number of calls may
-//! differ. `force` swaps process-wide state, so this binary holds
-//! exactly one test.
+//! The gate and Galois batch engines split each dispatch group into
+//! one chunk per pool lane; this binary pins that the split conserves
+//! kernel traffic. A 4-gate group and a 4-rotation group run through
+//! [`ServiceCore`] under a counting [`KernelBackend`] decorator
+//! installed with [`kernel::force`], and each kernel class's row total
+//! must equal that of the same jobs run as one-job calls on the calling
+//! thread — one `apply_gate` per gate, one `apply_galois` per rotation —
+//! only the number of calls may differ. `force` swaps process-wide
+//! state, so this binary holds exactly one test.
 
 mod common;
 
@@ -155,10 +155,8 @@ fn dispatch_one_group(svc: &mut ServiceCore, width: usize) -> Traffic {
 
 #[test]
 fn split_groups_conserve_per_class_kernel_rows() {
-    // On a multi-core host the service splits each 4-job group; the
+    // On a multi-core host the engines split each 4-job group; the
     // identities below then cover the split path.
-    let split_expected = u64::from(fhe_math::pool::shared().threads() >= 2);
-
     // A 4-gate Interactive group under one Set-I server key.
     let mut rng = StdRng::seed_from_u64(35);
     let ck = ClientKey::generate(TfheContext::new(TfheParams::set_i()), &mut rng);
@@ -176,7 +174,11 @@ fn split_groups_conserve_per_class_kernel_rows() {
         .iter()
         .map(|(op, a, b)| (&server, *op, a, b))
         .collect();
-    let (want, unsplit) = counted(|| fhe_tfhe::apply_gates_batched(&jobs));
+    let (want, unsplit) = counted(|| {
+        jobs.iter()
+            .map(|&(sk, op, a, b)| sk.apply_gate(op, a, b))
+            .collect::<Vec<_>>()
+    });
     drop(jobs);
 
     let mut svc = ServiceCore::new(ServiceConfig::default_config()).unwrap();
@@ -186,7 +188,6 @@ fn split_groups_conserve_per_class_kernel_rows() {
         .map(|(op, a, b)| svc.submit(0, Workload::Gate { op, a, b }).unwrap())
         .collect();
     let split = dispatch_one_group(&mut svc, 4);
-    assert_eq!(svc.split_groups(), split_expected, "gate group split");
     for (id, want) in ids.into_iter().zip(&want) {
         let Some(Response::Bit(got)) = svc.take_result(id) else {
             panic!("gate {id:?} did not complete");
@@ -231,7 +232,6 @@ fn split_groups_conserve_per_class_kernel_rows() {
         })
         .collect();
     let split = dispatch_one_group(&mut svc, 4);
-    assert_eq!(svc.split_groups(), split_expected, "rotation group split");
     for (id, want) in ids.into_iter().zip(&want) {
         let Some(Response::Vector(got)) = svc.take_result(id) else {
             panic!("rotation {id:?} did not complete");

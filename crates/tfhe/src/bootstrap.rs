@@ -805,7 +805,10 @@ mod tests {
     /// A Set-I and a Set-II key share the ring degree but not the
     /// parameters (`n_lwe`, gadget): no lockstep rotation serves both,
     /// and the serving layer never forms such a batch
-    /// ([`ServerKey::shares_ring_with`] groups its gates).
+    /// ([`ServerKey::shares_ring_with`] groups its gates). The gate
+    /// engine checks the whole batch before it splits it: on a two-lane
+    /// pool the Set-II job would otherwise sit alone in the second
+    /// chunk.
     #[test]
     #[should_panic(expected = "every job in a batch must share the head's ring")]
     fn batch_engines_reject_jobs_of_another_parameter_set() {
@@ -814,10 +817,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(122);
         let a = ck_i.encrypt_bit(true, &mut rng);
         let b = ck_ii.encrypt_bit(false, &mut rng);
-        crate::apply_gates_batched(&[
-            (sk_i, crate::GateOp::And, &a, &a),
-            (sk_ii, crate::GateOp::And, &b, &b),
-        ]);
+        let two = fhe_math::pool::WorkerPool::new(2);
+        crate::gates::apply_gates_batched_on(
+            &two,
+            &[
+                (sk_i, crate::GateOp::And, &a, &a),
+                (sk_ii, crate::GateOp::And, &b, &b),
+            ],
+        );
     }
 
     #[test]

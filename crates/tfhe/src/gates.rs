@@ -3,8 +3,12 @@
 //! Each binary gate is one linear combination followed by one sign PBS —
 //! the throughput unit of the paper's Table VII and the building block
 //! of its NN-x benchmarks. Booleans are encoded as `±q/8`. A dispatch
-//! of `k` gates is the linear parts, one [`ServerKey::bootstrap_batch`]
-//! under the sign test vector, then keyswitch and negate per gate.
+//! of `k` gates is split into one chunk per lane of the process pool
+//! [`pool::shared`], and each chunk runs the linear parts, one
+//! [`ServerKey::bootstrap_batch`] under the sign test vector, then
+//! keyswitch and negate per gate.
+
+use fhe_math::pool::{self, WorkerPool};
 
 use crate::bootstrap::ServerKey;
 use crate::lwe::LweCiphertext;
@@ -151,42 +155,60 @@ impl ServerKey {
 pub type BatchedGateJob<'a> = (&'a ServerKey, GateOp, &'a LweCiphertext, &'a LweCiphertext);
 
 /// The gate engine: applies `k` independent binary gates as one
-/// dispatch — the serving layer's Interactive-lane batch. Per job the
-/// gate's linear combination, then the `k` sign bootstraps as one
-/// [`ServerKey::bootstrap_batch`] (one wide kernel batch call per CMUX
-/// step instead of `k` narrow ones), then keyswitch and negate per job. [`ServerKey::apply_gate`]
-/// is the one-job instance, so a job's output does not depend on how it
-/// was batched. Different tenants' keys may share a dispatch as long as
-/// they share one ring ([`ServerKey::shares_ring_with`], the grouping
-/// the serving layer forms): the sign test vector is `q/8` over the
-/// head's `N` coefficients.
+/// dispatch — the serving layer's Interactive-lane batch. The jobs are
+/// split into one contiguous chunk per lane of [`pool::shared`]
+/// ([`WorkerPool::map_chunks`]; one job, or a one-lane pool, runs
+/// inline), and each chunk runs per job the gate's linear combination,
+/// then its sign bootstraps as one [`ServerKey::bootstrap_batch`] (one
+/// wide kernel batch call per CMUX step instead of one narrow call per
+/// job), then keyswitch and negate per job. [`ServerKey::apply_gate`] is
+/// the one-job instance, so a job's output does not depend on how it
+/// was batched or split. Different tenants' keys may share a dispatch
+/// as long as they share one ring ([`ServerKey::shares_ring_with`], the
+/// grouping the serving layer forms): the sign test vector is `q/8`
+/// over the head's `N` coefficients.
 ///
 /// # Panics
 ///
-/// Panics if a job's key does not share the first job's ring, or a
-/// job's inputs are not of its key's LWE dimension `n_lwe`.
+/// Panics if a job's key does not share the first job's ring — checked
+/// over the whole batch, before it is split — or a job's inputs are not
+/// of its key's LWE dimension `n_lwe`.
 pub fn apply_gates_batched(jobs: &[BatchedGateJob<'_>]) -> Vec<LweCiphertext> {
+    apply_gates_batched_on(pool::shared(), jobs)
+}
+
+/// [`apply_gates_batched`] split over `pool`'s lanes.
+pub(crate) fn apply_gates_batched_on(
+    pool: &WorkerPool,
+    jobs: &[BatchedGateJob<'_>],
+) -> Vec<LweCiphertext> {
     let Some(&(head, ..)) = jobs.first() else {
         return Vec::new();
     };
-    let lins: Vec<(LweCiphertext, bool)> = jobs
-        .iter()
-        .map(|&(sk, op, a, b)| sk.gate_linear(op, a, b))
-        .collect();
-    let boots: Vec<(&ServerKey, &LweCiphertext)> = jobs
-        .iter()
-        .zip(&lins)
-        .map(|(&(sk, ..), (lin, _))| (sk, lin))
-        .collect();
+    assert!(
+        jobs.iter().all(|(sk, ..)| sk.shares_ring_with(head)),
+        "every job in a batch must share the head's ring"
+    );
     let tv = vec![head.ctx.ring.q() / 8; head.ctx.ring.n()];
-    let mut outs = ServerKey::bootstrap_batch(&boots, &tv);
-    for ((out, &(sk, ..)), &(_, negate)) in outs.iter_mut().zip(jobs).zip(&lins) {
-        *out = sk.ksk.switch(sk.ctx.q(), out);
-        if negate {
-            out.neg_assign(sk.ctx.q());
+    pool.map_chunks(jobs, |chunk| {
+        let lins: Vec<(LweCiphertext, bool)> = chunk
+            .iter()
+            .map(|&(sk, op, a, b)| sk.gate_linear(op, a, b))
+            .collect();
+        let boots: Vec<(&ServerKey, &LweCiphertext)> = chunk
+            .iter()
+            .zip(&lins)
+            .map(|(&(sk, ..), (lin, _))| (sk, lin))
+            .collect();
+        let mut outs = ServerKey::bootstrap_batch(&boots, &tv);
+        for ((out, &(sk, ..)), &(_, negate)) in outs.iter_mut().zip(chunk).zip(&lins) {
+            *out = sk.ksk.switch(sk.ctx.q(), out);
+            if negate {
+                out.neg_assign(sk.ctx.q());
+            }
         }
-    }
-    outs
+        outs
+    })
 }
 
 #[cfg(test)]
@@ -320,6 +342,44 @@ mod tests {
                 assert_eq!(out.b, single.b, "job {i} of {}", batch.len());
                 assert_eq!(tenants[i].0.decrypt_bit(out), op.eval(true, false));
             }
+        }
+    }
+
+    /// `k` Set-I gates split over a private one-lane pool run inline,
+    /// over a two-lane pool as `min(k, 2)` chunks, and both give the
+    /// words of `k` one-job `apply_gate` calls. Each gate's keyswitch
+    /// dispatches into the process pool, never into the private one.
+    #[test]
+    fn split_gates_match_one_job_calls_on_one_and_two_lanes() {
+        let (ck, sk, mut rng) = setup();
+        let inputs: Vec<(GateOp, LweCiphertext, LweCiphertext)> = GateOp::ALL[..3]
+            .iter()
+            .enumerate()
+            .map(|(i, &op)| {
+                let a = ck.encrypt_bit(i % 2 == 0, &mut rng);
+                (op, a, ck.encrypt_bit(true, &mut rng))
+            })
+            .collect();
+        let jobs: Vec<BatchedGateJob<'_>> =
+            inputs.iter().map(|(op, a, b)| (&sk, *op, a, b)).collect();
+        let singles: Vec<LweCiphertext> = jobs
+            .iter()
+            .map(|&(sk, op, a, b)| sk.apply_gate(op, a, b))
+            .collect();
+        for k in 1..=jobs.len() {
+            let (one, two) = (WorkerPool::new(1), WorkerPool::new(2));
+            for pool in [&one, &two] {
+                let got = apply_gates_batched_on(pool, &jobs[..k]);
+                assert_eq!(got.len(), k);
+                for (i, (out, want)) in got.iter().zip(&singles).enumerate() {
+                    assert_eq!(out.a, want.a, "job {i} of {k}, {pool:?}");
+                    assert_eq!(out.b, want.b, "job {i} of {k}, {pool:?}");
+                }
+            }
+            assert_eq!(one.parallel_jobs_dispatched(), 0, "k = {k}");
+            // A thread-starved host may have built a one-lane `two`.
+            let chunks = if k >= 2 && two.threads() == 2 { 2 } else { 0 };
+            assert_eq!(two.parallel_jobs_dispatched(), chunks, "k = {k}");
         }
     }
 

@@ -296,8 +296,9 @@ impl LweKeySwitchKey {
     /// the partials, sums a subset of those products, so each is exact
     /// too and the words do not depend on the split. A one-lane pool, or
     /// a key under two ranges' worth of words, folds the rows inline on
-    /// the caller; called from inside a pool chunk (the service's split
-    /// gate groups) the split nests, which the pool supports.
+    /// the caller; called from inside a pool chunk (a chunk of
+    /// [`crate::apply_gates_batched`]) the split nests, which the pool
+    /// supports.
     ///
     /// # Panics
     ///
@@ -677,7 +678,7 @@ mod tests {
     }
 
     /// Two switches run as the two jobs of one `map_chunks` — the
-    /// nesting a service gate group split over the pool creates — give
+    /// nesting a gate batch split over the pool creates — give
     /// the words of the same two switches on the caller.
     #[test]
     fn switches_inside_pool_chunks_match_switches_on_the_caller() {
