@@ -3,6 +3,8 @@
 use fhe_math::RnsPoly;
 
 /// A degree-1 RLWE ciphertext `(c0, c1)` decrypting to `c0 + c1 * s`.
+/// Both components hold canonical `[0, p)` residues, like every
+/// `RnsPoly` at rest.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
     /// Constant component (evaluation form).
@@ -28,14 +30,8 @@ impl Ciphertext {
 }
 
 /// A degree-2 ciphertext produced by tensoring, before relinearisation:
-/// decrypts to `d0 + d1 s + d2 s^2`.
-///
-/// Unlike [`Ciphertext`] (whose components are always canonical), a
-/// tensor from the lazy chain (`Evaluator::mul_no_relin`) carries its
-/// components in the `[0, 2p)` window
-/// ([`fhe_math::ReductionState::Lazy2p`]); `Evaluator::relinearize`
-/// folds them at the ciphertext boundary, or call
-/// [`Self::canonicalize`] when consuming the tensor directly.
+/// decrypts to `d0 + d1 s + d2 s^2`. Its components are canonical, like
+/// a [`Ciphertext`]'s.
 #[derive(Debug, Clone)]
 pub struct Ciphertext3 {
     /// Constant component.
@@ -48,14 +44,4 @@ pub struct Ciphertext3 {
     pub level: usize,
     /// Scale (product of the operand scales).
     pub scale: f64,
-}
-
-impl Ciphertext3 {
-    /// Folds all three components back to canonical residues (no-op if
-    /// already canonical).
-    pub fn canonicalize(&mut self) {
-        self.d0.canonicalize();
-        self.d1.canonicalize();
-        self.d2.canonicalize();
-    }
 }

@@ -258,29 +258,41 @@ impl Evaluator {
     /// Tensor product without relinearisation: returns the degree-2
     /// ciphertext `(d0, d1, d2)`.
     ///
-    /// The tensor runs as a lazy residue chain: all pointwise products
-    /// and the `d1` cross-term addition stay in the `[0, 2p)` window, so
-    /// the returned components are in [`fhe_math::ReductionState::Lazy2p`]. The
-    /// deferred fold happens inside [`Self::relinearize`] (or call
-    /// [`Ciphertext3::canonicalize`] when consuming the tensor
-    /// directly). Bit-identical after canonicalisation to
-    /// [`Self::mul_no_relin_strict`].
+    /// The tensor runs as a lazy residue chain on the components' flat
+    /// buffers: the four pointwise products and the `d1` cross-term
+    /// addition stay in the `[0, 2p)` window, and each component is
+    /// folded once before it is returned, so the tensor is canonical.
+    /// Bit-identical to [`Self::mul_no_relin_strict`].
     ///
     /// # Panics
     ///
-    /// Panics on level mismatch.
+    /// Panics on level or basis mismatch, or if a component is in
+    /// coefficient form.
     pub fn mul_no_relin(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext3 {
         assert_eq!(a.level, b.level, "level mismatch");
         OpCounters::bump(&self.counters.ct_mults);
-        let mut d0 = a.c0.clone();
-        d0.mul_assign_pointwise_lazy(&b.c0);
-        let mut d1 = a.c0.clone();
-        d1.mul_assign_pointwise_lazy(&b.c1);
-        let mut d1b = a.c1.clone();
-        d1b.mul_assign_pointwise_lazy(&b.c0);
-        d1.add_assign_lazy(&d1b);
-        let mut d2 = a.c1.clone();
-        d2.mul_assign_pointwise_lazy(&b.c1);
+        let moduli = a.c0.basis().moduli();
+        for c in [&a.c0, &a.c1, &b.c0, &b.c1] {
+            assert_eq!(
+                c.representation(),
+                Representation::Eval,
+                "tensor needs eval form"
+            );
+            assert_eq!(c.basis().moduli(), moduli, "RNS moduli mismatch");
+        }
+        let k = kernel::active();
+        let product = |x: &RnsPoly, y: &RnsPoly| {
+            let mut out = x.clone();
+            k.mul_lazy_batch(moduli, out.flat_mut(), y.flat());
+            out
+        };
+        let mut d0 = product(&a.c0, &b.c0);
+        let mut d1 = product(&a.c0, &b.c1);
+        k.add_lazy_batch(moduli, d1.flat_mut(), product(&a.c1, &b.c0).flat());
+        let mut d2 = product(&a.c1, &b.c1);
+        for d in [&mut d0, &mut d1, &mut d2] {
+            k.fold_2p_to_canonical_batch(moduli, d.flat_mut());
+        }
         Ciphertext3 {
             d0,
             d1,
@@ -290,9 +302,9 @@ impl Evaluator {
         }
     }
 
-    /// Strict-oracle tensor product: every kernel canonicalises, all
-    /// components return [`fhe_math::ReductionState::Canonical`]. The reference
-    /// the lazy tensor is asserted against in `tests/lazy_chains.rs`.
+    /// Strict-oracle tensor product: every kernel canonicalises. The
+    /// reference the lazy tensor is asserted against in
+    /// `tests/lazy_chains.rs`.
     ///
     /// # Panics
     ///
@@ -319,37 +331,23 @@ impl Evaluator {
     }
 
     /// Relinearises a degree-2 ciphertext with the relin key (the
-    /// KeySwitch inside HMult).
-    ///
-    /// Accepts tensors in either reduction state ([`Self::mul_no_relin`]
-    /// hands over lazy components): the keyswitch input iNTT
-    /// canonicalises `d2` for the digit decompose, and `d0`/`d1` are
-    /// folded exactly once when the keyswitch output is added — the
-    /// ciphertext-boundary canonicalisation of the HMult chain. The
-    /// returned ciphertext is always canonical.
+    /// KeySwitch inside HMult): keyswitches `d2` and adds the canonical
+    /// keyswitch output to `d0` / `d1`.
     pub fn relinearize(&self, ct: &Ciphertext3, rlk: &SwitchingKey) -> Ciphertext {
-        OpCounters::bump(&self.counters.keyswitches);
-        let (ks0, ks1) = key_switch(&self.ctx, &ct.d2, rlk, ct.level);
-        let mut c0 = ct.d0.clone();
-        c0.add_assign_lazy(&ks0);
-        c0.canonicalize();
-        let mut c1 = ct.d1.clone();
-        c1.add_assign_lazy(&ks1);
-        c1.canonicalize();
-        Ciphertext {
-            c0,
-            c1,
-            level: ct.level,
-            scale: ct.scale,
-        }
+        let ks = key_switch(&self.ctx, &ct.d2, rlk, ct.level);
+        self.assemble_relin(ct, ks)
     }
 
-    /// Strict-oracle relinearisation over [`key_switch_strict`] and
-    /// canonical additions; expects a canonical tensor (from
-    /// [`Self::mul_no_relin_strict`]).
+    /// Strict-oracle relinearisation over [`key_switch_strict`].
     pub fn relinearize_strict(&self, ct: &Ciphertext3, rlk: &SwitchingKey) -> Ciphertext {
+        let ks = key_switch_strict(&self.ctx, &ct.d2, rlk, ct.level);
+        self.assemble_relin(ct, ks)
+    }
+
+    /// The tail both relinearisations share: counts the keyswitch and
+    /// adds its output pair `(ks0, ks1)` to `d0` / `d1`.
+    fn assemble_relin(&self, ct: &Ciphertext3, (ks0, ks1): (RnsPoly, RnsPoly)) -> Ciphertext {
         OpCounters::bump(&self.counters.keyswitches);
-        let (ks0, ks1) = key_switch_strict(&self.ctx, &ct.d2, rlk, ct.level);
         let mut c0 = ct.d0.clone();
         c0.add_assign(&ks0);
         let mut c1 = ct.d1.clone();
@@ -490,9 +488,9 @@ impl Evaluator {
     /// pipeline un-rotated and the automorphism is applied to the
     /// raised digits in evaluation form — a pure slot permutation that
     /// preserves the `[0, 2p)` window — so the whole HRotate kernel
-    /// chain (digit NTT → `Auto` → `IP`) stays
-    /// [`fhe_math::ReductionState::Lazy2p`] and is canonicalised exactly
-    /// once per limb, by ModDown ([`key_switch_galois`]).
+    /// chain (digit NTT → `Auto` → `IP`) stays in that window and is
+    /// canonicalised exactly once per limb, by ModDown
+    /// ([`key_switch_galois`]).
     /// `c0` only needs the slot permutation itself. Bit-identical to
     /// [`Self::apply_galois_strict`] (asserted by
     /// `tests/lazy_chains.rs`).
@@ -523,7 +521,7 @@ impl Evaluator {
         OpCounters::bump(&self.counters.galois_ops);
         OpCounters::bump(&self.counters.keyswitches);
         let mut c0 = a.c0.clone();
-        c0.automorphism_lazy(g, self.ctx.galois());
+        c0.automorphism(g, self.ctx.galois());
         c0.add_assign(&ks0);
         Ciphertext {
             c0,
@@ -789,7 +787,10 @@ mod tests {
                     assert_eq!(got.flat(), want.flat(), "n={n} level {level}, {what}");
                     assert_eq!(got.limbs(), level);
                     assert_eq!(got.representation(), Representation::Eval);
-                    assert_eq!(got.reduction_state(), fhe_math::ReductionState::Canonical);
+                    assert!(
+                        crate::test_common::is_canonical(&got),
+                        "n={n} level {level}, {what}"
+                    );
                 }
             }
         }

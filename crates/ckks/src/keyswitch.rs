@@ -638,7 +638,8 @@ mod tests {
     use super::*;
     use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
-    use fhe_math::{sampler, ReductionState};
+    use crate::test_common::is_canonical;
+    use fhe_math::sampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -801,8 +802,7 @@ mod tests {
             let (s0, s1) = key_switch_galois_strict(&ctx, &d, g, &gk, level);
             assert_eq!(l0.flat(), s0.flat(), "lazy vs strict ks0, level {level}");
             assert_eq!(l1.flat(), s1.flat(), "lazy vs strict ks1, level {level}");
-            assert_eq!(l0.reduction_state(), ReductionState::Canonical);
-            assert_eq!(l1.reduction_state(), ReductionState::Canonical);
+            assert!(is_canonical(&l0) && is_canonical(&l1), "level {level}");
         }
     }
 

@@ -11,15 +11,16 @@
 //! # Lazy-domain invariants
 //!
 //! The chained hot paths keep residues in the redundant `[0, 2p)`
-//! window *across* kernels ([`fhe_math::ReductionState::Lazy2p`]),
-//! canonicalising once at ciphertext boundaries — the way hardware
-//! pipelines keep operands in redundant form between butterfly/MAC
-//! stages and only fully reduce at memory writeback:
+//! window *across* kernels inside one engine call, on flat word
+//! buffers, canonicalising once per limb before the call returns — the
+//! way hardware pipelines keep operands in redundant form between
+//! butterfly/MAC stages and only fully reduce at memory writeback:
 //!
-//! * [`Ciphertext`] components are **always canonical**; laziness lives
-//!   inside op implementations and the short-lived [`Ciphertext3`]
-//!   tensor (folded by [`Evaluator::relinearize`] or
-//!   [`Ciphertext3::canonicalize`]).
+//! * Every [`fhe_math::RnsPoly`] is **canonical at rest**: the
+//!   [`Ciphertext`] and [`Ciphertext3`] components, keys and every
+//!   value crossing a public API. [`Evaluator::mul_no_relin`] runs its
+//!   tensor with the lazy pointwise kernels and folds each component
+//!   once before returning it.
 //! * [`key_switch`] — the one lazy engine, one job per call
 //!   ([`hoist_rotations`] splits its stages) — keeps digit NTTs and
 //!   inner-product
@@ -78,6 +79,10 @@ pub mod keyswitch;
 pub mod linalg;
 pub mod noise;
 pub mod params;
+#[cfg(test)]
+#[allow(dead_code)] // the unit tests use only the word-range check
+#[path = "../../../tests/common/mod.rs"]
+mod test_common;
 
 pub use bootstrap::{BootstrapParams, Bootstrapper};
 pub use chebyshev::ChebyshevPoly;

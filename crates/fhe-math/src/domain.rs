@@ -2,10 +2,12 @@
 //!
 //! Every kernel entry point in this workspace sits on one side of the
 //! lazy-reduction contract: strict kernels require canonical `[0, p)`
-//! residues, lazy kernels require (and produce) `[0, 2p)`
-//! representatives. Those contracts used to be policed by hand-written
-//! per-entry `debug_assert!`s with drifting messages; this macro is the
-//! single shared form, so the checks are uniform and `trinity-lint`
+//! residues (everything at rest, every [`RnsPoly`](crate::RnsPoly)
+//! included), lazy kernels require (and produce) `[0, 2p)`
+//! representatives inside one engine call. Those contracts used to be
+//! policed by hand-written per-entry `debug_assert!`s with drifting
+//! messages; this macro is the single shared form, so the checks are
+//! uniform and `trinity-lint`
 //! (rule `missing-domain-assert`) has one anchor to verify — every
 //! public `*_lazy` kernel entry must invoke it (or carry an explicit
 //! `trinity-lint: allow(...)` with a reason).
@@ -14,7 +16,7 @@
 //!
 //! | form | checks |
 //! |------|--------|
-//! | `canonical: poly, kernel` | an [`RnsPoly`](crate::RnsPoly) is in [`ReductionState::Canonical`](crate::ReductionState) |
+//! | `canonical: poly, kernel` | every residue of an [`RnsPoly`](crate::RnsPoly) is `< p` for its limb |
 //! | `within_2p: poly, kernel` | every residue of an `RnsPoly` is `< 2p` for its limb |
 //! | `slice_canonical: m, row, kernel` | every element of a `&[u64]` row is `< p` |
 //! | `slice_within_2p: m, row, kernel` | every element of a `&[u64]` row is `< 2p` |
@@ -45,9 +47,14 @@
 macro_rules! debug_assert_domain {
     (canonical: $poly:expr, $kernel:expr) => {
         debug_assert!(
-            $poly.reduction_state() == $crate::ReductionState::Canonical,
-            "{} requires canonical residues — a Lazy2p polynomial leaked in; \
-             call canonicalize() at the ciphertext boundary first",
+            {
+                let p = &$poly;
+                p.flat()
+                    .chunks_exact(p.n())
+                    .zip(p.basis().moduli())
+                    .all(|(row, m)| row.iter().all(|&x| x < m.value()))
+            },
+            "{} requires canonical residues — a word outside [0, p) leaked in",
             $kernel
         )
     };

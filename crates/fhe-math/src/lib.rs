@@ -46,30 +46,30 @@
 //! [`NttTable::inverse`] butterfly operands roam in `[0, 4p)` (forward)
 //! and `[0, 2p)` (inverse) — Harvey's trick, sound because every modulus
 //! is below `2^62`. That `[0, 4p)` window never escapes a transform.
-//! The narrower `[0, 2p)` window, however, *may* cross kernel
-//! boundaries: the `*_lazy` kernel family (the `RnsPoly::*_lazy` ops,
-//! the [`KernelBackend`] `*_batch` entries with [`kernel::ExitFold::Lazy2p`],
-//! and the scalar `Modulus::*_lazy` primitives) consumes and produces
-//! `[0, 2p)` representatives so whole
-//! kernel chains — keyswitch digit NTTs feeding inner products, tensor
+//! The narrower `[0, 2p)` window crosses kernel boundaries only inside
+//! one engine call, on flat limb-major buffers: the [`KernelBackend`]
+//! `*_batch` transforms with [`kernel::ExitFold::Lazy2p`], the
+//! `*_lazy_batch` kernels and the scalar `Modulus::*_lazy` primitives
+//! consume and produce `[0, 2p)` representatives, so whole kernel
+//! chains — keyswitch digit NTTs feeding inner products, tensor
 //! products, external-product accumulators — skip per-kernel
-//! canonicalisation and fold exactly once at the ciphertext boundary
-//! ([`RnsPoly::canonicalize`]).
+//! canonicalisation and fold exactly once per limb before the engine
+//! returns (`fold_2p_to_canonical_batch`, a canonicalising transform
+//! exit, or `Modulus::reduce_2p` on raw words).
 //!
-//! **Explicit reduction state.** An [`RnsPoly`] tracks which window it
-//! is in via [`ReductionState`] (`Canonical` vs `Lazy2p`), orthogonal
-//! to [`Representation`]. Strict kernels debug-assert `Canonical` on
-//! entry, so a lazy residue can never leak into a strict-only kernel
-//! unnoticed; the lazy chains are asserted bit-identical (after
-//! canonicalisation) to the strict oracle by `tests/lazy_chains.rs` at
-//! the workspace root.
-//!
-//! **Canonical residues at rest.** Ciphertexts and keys store canonical
-//! residues in `[0, p)` per limb; `BasisConverter::convert_*` requires
-//! canonical input (base conversion depends on the actual
-//! representative, not just its residue class — a `[0, 2p)` lift would
-//! change the overshoot estimate). The scalar lazy primitives say so in
-//! their names: `Modulus::mul_shoup_lazy`, `add_lazy`, `mul_lazy`,
+//! **Canonical residues at rest.** Every [`RnsPoly`] — ciphertext
+//! components, keys, every value crossing a public API — holds
+//! canonical residues in `[0, p)` per limb; there is no reduction tag.
+//! Strict kernels check the words on entry under `debug_assertions`
+//! ([`debug_assert_domain!`]), so a redundant word written through
+//! [`RnsPoly::limb_mut`] / [`RnsPoly::flat_mut`] fails loudly. The lazy
+//! chains are asserted bit-identical to the strict oracle by
+//! `tests/lazy_chains.rs` at the workspace root.
+//! `BasisConverter::convert_*` requires canonical input (base
+//! conversion depends on the actual representative, not just its
+//! residue class — a `[0, 2p)` lift would change the overshoot
+//! estimate). The scalar lazy primitives say so in their names:
+//! `Modulus::mul_shoup_lazy`, `add_lazy`, `mul_lazy`,
 //! `reduce_u128_lazy` return `[0, 2p)`; `Modulus::reduce_2p` folds
 //! back.
 //!
@@ -114,5 +114,5 @@ pub use galois::GaloisPerms;
 pub use kernel::{KernelBackend, LaneBackend, ScalarBackend};
 pub use modulus::{InvalidModulusError, Modulus};
 pub use ntt::NttTable;
-pub use poly::{ReductionState, Representation, RnsPoly};
+pub use poly::{Representation, RnsPoly};
 pub use rns::{BasisConverter, RnsBasis};

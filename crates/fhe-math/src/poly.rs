@@ -11,32 +11,18 @@
 //! The poly tracks whether it is in coefficient or evaluation (NTT)
 //! representation — mirroring the paper's kernel taxonomy, where
 //! `NTT`/`iNTT` convert between the two and `ModMul`/`ModAdd` act
-//! pointwise in evaluation form — and, orthogonally, which *reduction
-//! state* its residues are in ([`ReductionState`]):
+//! pointwise in evaluation form.
 //!
-//! * [`ReductionState::Canonical`] — every residue in `[0, p)` per
-//!   limb. All strict kernels require and preserve this.
-//! * [`ReductionState::Lazy2p`] — residues are `[0, 2p)`
-//!   representatives. Produced by the `*_lazy` kernels, which skip the
-//!   per-kernel canonicalisation pass; a single [`RnsPoly::canonicalize`]
-//!   folds back at the ciphertext boundary, the way hardware pipelines
-//!   keep operands in redundant form between butterfly/MAC stages and
-//!   only fully reduce at memory writeback.
-//!
-//! The legal transitions (asserted by `tests/lazy_chains.rs`):
-//!
-//! ```text
-//! Canonical --to_eval/to_coeff/strict ops----------------> Canonical
-//! Canonical --to_eval_lazy/to_coeff_lazy/*_lazy ops------> Lazy2p
-//! Lazy2p    --to_eval_lazy/to_coeff_lazy/*_lazy ops------> Lazy2p
-//! any state --automorphism_lazy (eval-form slot perm)----> same state
-//! Lazy2p    --canonicalize / to_eval / to_coeff----------> Canonical
-//! Lazy2p    --strict kernels (add_assign, mul_*, ...)----> debug panic
-//! ```
-//!
-//! The `[0, 4p)` inter-stage window of the Harvey butterflies never
-//! escapes [`crate::NttTable`]; only the `[0, 2p)` window crosses
-//! kernel boundaries, and only under the `Lazy2p` marker.
+//! Every `RnsPoly` is **canonical at rest**: each residue is in
+//! `[0, p)` for its limb at every public API boundary, and every method
+//! here requires and preserves that (checked word by word under
+//! `debug_assertions` by [`crate::debug_assert_domain!`]). The redundant
+//! windows of the paper's pipelines live only inside one engine call:
+//! the `[0, 4p)` window of the Harvey butterflies never escapes
+//! [`crate::NttTable`], and the `[0, 2p)` window crosses kernels only on
+//! flat buffers inside an engine (the [`crate::KernelBackend`]
+//! `*_lazy_batch` kernels and [`ExitFold::Lazy2p`] transform exits),
+//! which folds once per limb before it hands back an `RnsPoly`.
 
 use std::sync::Arc;
 
@@ -56,21 +42,6 @@ pub enum Representation {
     Eval,
 }
 
-/// The reduction state a polynomial's residues are currently in.
-///
-/// Tracked alongside [`Representation`]: representation says which
-/// *domain* (coefficient vs evaluation) the residues live in, reduction
-/// state says which *window* (`[0, p)` vs `[0, 2p)`) they are reduced
-/// into. See the module docs for the legal transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReductionState {
-    /// Every residue is canonical: `[0, p)` for its limb.
-    Canonical,
-    /// Residues are lazy `[0, 2p)` representatives awaiting a deferred
-    /// [`RnsPoly::canonicalize`] at the ciphertext boundary.
-    Lazy2p,
-}
-
 /// Borrowed per-limb NTT tables in backend-SPI form (the batched kernel
 /// entry points take plain references). A free function — not a method
 /// — so the returned borrows pin only the basis, leaving the flat data
@@ -88,19 +59,13 @@ pub struct RnsPoly {
     /// Limb-major flat residues: limb `i` at `data[i*n .. (i+1)*n]`.
     data: Vec<u64>,
     repr: Representation,
-    red: ReductionState,
 }
 
 impl RnsPoly {
     /// The zero polynomial in the given representation.
     pub fn zero(basis: Arc<RnsBasis>, repr: Representation) -> Self {
         let data = vec![0u64; basis.len() * basis.n()];
-        Self {
-            basis,
-            data,
-            repr,
-            red: ReductionState::Canonical,
-        }
+        Self { basis, data, repr }
     }
 
     /// Lifts small signed coefficients into every limb (coefficient form).
@@ -118,7 +83,6 @@ impl RnsPoly {
             basis,
             data,
             repr: Representation::Coeff,
-            red: ReductionState::Canonical,
         }
     }
 
@@ -131,16 +95,9 @@ impl RnsPoly {
     /// every residue is canonical for its limb.
     pub fn from_flat(basis: Arc<RnsBasis>, data: Vec<u64>, repr: Representation) -> Self {
         assert_eq!(data.len(), basis.len() * basis.n());
-        debug_assert!(data
-            .chunks_exact(basis.n())
-            .zip(basis.moduli())
-            .all(|(row, m)| row.iter().all(|&x| x < m.value())));
-        Self {
-            basis,
-            data,
-            repr,
-            red: ReductionState::Canonical,
-        }
+        let poly = Self { basis, data, repr };
+        poly.debug_assert_canonical("from_flat");
+        poly
     }
 
     /// The RNS basis.
@@ -167,44 +124,12 @@ impl RnsPoly {
         self.repr
     }
 
-    /// Current reduction state.
-    #[inline]
-    #[must_use]
-    pub fn reduction_state(&self) -> ReductionState {
-        self.red
-    }
-
-    /// Debug-assert guard at strict-kernel entry: a lazy `[0, 2p)`
-    /// polynomial must never reach a kernel that assumes canonical
-    /// residues unnoticed. A thin wrapper over the workspace-wide
-    /// [`crate::debug_assert_domain!`] form.
+    /// Debug-assert guard at kernel entry: every word must be a
+    /// canonical `[0, p)` residue for its limb. A thin wrapper over the
+    /// workspace-wide [`crate::debug_assert_domain!`] form.
     #[inline]
     fn debug_assert_canonical(&self, kernel: &str) {
         crate::debug_assert_domain!(canonical: self, kernel);
-    }
-
-    /// Debug-assert guard at batched-kernel entry: every residue must
-    /// be inside the `[0, 2p)` window its limb's kernels assume
-    /// (backends are entitled to that contract; the caller owns the
-    /// check). Wraps [`crate::debug_assert_domain!`].
-    #[inline]
-    fn debug_assert_rows_within_2p(&self, kernel: &str) {
-        crate::debug_assert_domain!(within_2p: self, kernel);
-    }
-
-    /// Folds every residue back into the canonical `[0, p)` window.
-    ///
-    /// The single deferred reduction pass of a lazy kernel chain —
-    /// higher layers call this once per ciphertext limb at ciphertext
-    /// boundaries instead of letting every kernel canonicalise its
-    /// output. No-op when already canonical.
-    pub fn canonicalize(&mut self) {
-        if self.red == ReductionState::Canonical {
-            return;
-        }
-        self.debug_assert_rows_within_2p("canonicalize");
-        kernel::active().fold_2p_to_canonical_batch(self.basis.moduli(), &mut self.data);
-        self.red = ReductionState::Canonical;
     }
 
     /// Residues of limb `i` (a slice view into the flat buffer).
@@ -214,8 +139,8 @@ impl RnsPoly {
         &self.data[i * n..(i + 1) * n]
     }
 
-    /// Mutable residues of limb `i`. Callers must preserve canonical
-    /// range invariants.
+    /// Mutable residues of limb `i`. Callers must leave canonical
+    /// `[0, p)` residues behind.
     #[inline]
     pub fn limb_mut(&mut self, i: usize) -> &mut [u64] {
         let n = self.basis.n();
@@ -228,8 +153,8 @@ impl RnsPoly {
         &self.data
     }
 
-    /// Mutable flat residue buffer. Callers must preserve canonical
-    /// range invariants.
+    /// Mutable flat residue buffer. Callers must leave canonical
+    /// `[0, p)` residues behind.
     #[inline]
     pub fn flat_mut(&mut self) -> &mut [u64] {
         &mut self.data
@@ -252,55 +177,50 @@ impl RnsPoly {
         self.data.capacity() * std::mem::size_of::<u64>()
     }
 
+    /// Panics unless `other` lives over the same primes: equal shape
+    /// alone would let two bases of different primes combine into
+    /// garbage. O(L) word compares, skipped for a shared basis.
     fn assert_same_basis(&self, other: &RnsPoly) {
         assert_eq!(self.basis.n(), other.basis.n(), "ring degree mismatch");
         assert_eq!(self.limbs(), other.limbs(), "limb count mismatch");
-        debug_assert!(self
-            .basis
-            .moduli()
-            .iter()
-            .zip(other.basis.moduli())
-            .all(|(a, b)| a.value() == b.value()));
+        assert!(
+            Arc::ptr_eq(&self.basis, &other.basis)
+                || self
+                    .basis
+                    .moduli()
+                    .iter()
+                    .zip(other.basis.moduli())
+                    .all(|(a, b)| a.value() == b.value()),
+            "RNS moduli mismatch"
+        );
     }
 
-    /// Converts to evaluation form (no-op on the representation if
-    /// already there, but always canonicalises).
-    ///
-    /// Accepts either reduction state — the transform's exit correction
-    /// folds lazy input for free — and returns a canonical polynomial.
+    /// Converts to evaluation form (no-op if already there).
     pub fn to_eval(&mut self) {
         if self.repr == Representation::Eval {
-            self.canonicalize();
             return;
         }
-        self.debug_assert_rows_within_2p("to_eval");
+        self.debug_assert_canonical("to_eval");
         kernel::active().forward_batch(
             &table_refs(&self.basis),
             &mut self.data,
             ExitFold::Canonical,
         );
         self.repr = Representation::Eval;
-        self.red = ReductionState::Canonical;
     }
 
-    /// Converts to coefficient form (no-op on the representation if
-    /// already there, but always canonicalises).
-    ///
-    /// Accepts either reduction state and returns a canonical
-    /// polynomial, like [`Self::to_eval`].
+    /// Converts to coefficient form (no-op if already there).
     pub fn to_coeff(&mut self) {
         if self.repr == Representation::Coeff {
-            self.canonicalize();
             return;
         }
-        self.debug_assert_rows_within_2p("to_coeff");
+        self.debug_assert_canonical("to_coeff");
         kernel::active().inverse_batch(
             &table_refs(&self.basis),
             &mut self.data,
             ExitFold::Canonical,
         );
         self.repr = Representation::Coeff;
-        self.red = ReductionState::Canonical;
     }
 
     /// Converts to evaluation form with the fully-reduced
@@ -310,8 +230,7 @@ impl RnsPoly {
     ///
     /// # Panics
     ///
-    /// Panics if already in evaluation form; debug-panics on lazy
-    /// input.
+    /// Panics if already in evaluation form.
     pub fn to_eval_strict(&mut self) {
         assert_eq!(self.repr, Representation::Coeff, "already in eval form");
         self.debug_assert_canonical("to_eval_strict");
@@ -328,8 +247,7 @@ impl RnsPoly {
     ///
     /// # Panics
     ///
-    /// Panics if already in coefficient form; debug-panics on lazy
-    /// input.
+    /// Panics if already in coefficient form.
     pub fn to_coeff_strict(&mut self) {
         assert_eq!(self.repr, Representation::Eval, "already in coeff form");
         self.debug_assert_canonical("to_coeff_strict");
@@ -338,69 +256,6 @@ impl RnsPoly {
             t.inverse_strict(row);
         }
         self.repr = Representation::Coeff;
-    }
-
-    /// Converts to evaluation form *lazily*: the batched forward
-    /// transform exits into the `[0, 2p)` window (skipping the
-    /// canonicalising half of the fold), leaving the polynomial in
-    /// [`ReductionState::Lazy2p`].
-    ///
-    /// This is the entry of every lazy kernel chain. A keyswitch digit,
-    /// for instance, is raised, transformed here, multiply-accumulated
-    /// with [`Self::mul_acc_pointwise_lazy`], and only folded once at
-    /// the ModDown boundary:
-    ///
-    /// ```
-    /// use fhe_math::{prime, ReductionState, Representation, RnsBasis, RnsPoly};
-    /// use std::sync::Arc;
-    ///
-    /// let n = 64;
-    /// let basis = Arc::new(RnsBasis::new(&prime::ntt_primes(45, n, 3), n));
-    /// let coeffs: Vec<i64> = (0..n as i64).map(|i| i - 32).collect();
-    ///
-    /// // Lazy chain: NTT -> IP accumulate -> iNTT, one fold at the end.
-    /// let mut digit = RnsPoly::from_signed_coeffs(basis.clone(), &coeffs);
-    /// digit.to_eval_lazy();
-    /// assert_eq!(digit.reduction_state(), ReductionState::Lazy2p);
-    /// let mut acc = RnsPoly::zero(basis.clone(), Representation::Eval);
-    /// acc.mul_acc_pointwise_lazy(&digit, &digit);
-    /// acc.to_coeff_lazy();
-    /// acc.canonicalize(); // the single deferred fold
-    ///
-    /// // Bit-identical to the strict chain on the same inputs.
-    /// let mut strict = RnsPoly::from_signed_coeffs(basis.clone(), &coeffs);
-    /// strict.to_eval();
-    /// let mut strict_acc = RnsPoly::zero(basis, Representation::Eval);
-    /// strict_acc.mul_acc_pointwise(&strict, &strict);
-    /// strict_acc.to_coeff();
-    /// assert_eq!(acc.flat(), strict_acc.flat());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if already in evaluation form (a lazy chain always knows
-    /// its dataflow; an accidental double transform is a bug).
-    pub fn to_eval_lazy(&mut self) {
-        assert_eq!(self.repr, Representation::Coeff, "already in eval form");
-        crate::debug_assert_domain!(within_2p: self, "to_eval_lazy");
-        kernel::active().forward_batch(&table_refs(&self.basis), &mut self.data, ExitFold::Lazy2p);
-        self.repr = Representation::Eval;
-        self.red = ReductionState::Lazy2p;
-    }
-
-    /// Converts to coefficient form *lazily* (the batched inverse
-    /// transform with a lazy exit), leaving the polynomial in
-    /// [`ReductionState::Lazy2p`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if already in coefficient form.
-    pub fn to_coeff_lazy(&mut self) {
-        assert_eq!(self.repr, Representation::Eval, "already in coeff form");
-        crate::debug_assert_domain!(within_2p: self, "to_coeff_lazy");
-        kernel::active().inverse_batch(&table_refs(&self.basis), &mut self.data, ExitFold::Lazy2p);
-        self.repr = Representation::Coeff;
-        self.red = ReductionState::Lazy2p;
     }
 
     /// `self += other` (element-wise per limb; representations must match).
@@ -511,75 +366,6 @@ impl RnsPoly {
                 *x = m.reduce_u128(ya as u128 * yb as u128 + *x as u128);
             }
         }
-    }
-
-    /// Lazy `self += other`: operands may be in either reduction state;
-    /// the result is a [`ReductionState::Lazy2p`] polynomial (one
-    /// conditional subtraction at `2p` per residue, no canonicalising
-    /// pass).
-    ///
-    /// # Panics
-    ///
-    /// Panics on basis or representation mismatch.
-    pub fn add_assign_lazy(&mut self, other: &RnsPoly) {
-        self.assert_same_basis(other);
-        assert_eq!(self.repr, other.repr, "representation mismatch");
-        crate::debug_assert_domain!(within_2p: self, "add_assign_lazy");
-        crate::debug_assert_domain!(within_2p: other, "add_assign_lazy (rhs)");
-        kernel::active().add_lazy_batch(self.basis.moduli(), &mut self.data, &other.data);
-        self.red = ReductionState::Lazy2p;
-    }
-
-    /// Lazy `self -= other` (see [`Self::add_assign_lazy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on basis or representation mismatch.
-    pub fn sub_assign_lazy(&mut self, other: &RnsPoly) {
-        self.assert_same_basis(other);
-        assert_eq!(self.repr, other.repr, "representation mismatch");
-        crate::debug_assert_domain!(within_2p: self, "sub_assign_lazy");
-        crate::debug_assert_domain!(within_2p: other, "sub_assign_lazy (rhs)");
-        kernel::active().sub_lazy_batch(self.basis.moduli(), &mut self.data, &other.data);
-        self.red = ReductionState::Lazy2p;
-    }
-
-    /// Lazy pointwise multiply: operands in either reduction state
-    /// (their `[0, 2p)` windows multiply exactly under Barrett), result
-    /// [`ReductionState::Lazy2p`]. Both must be in evaluation form.
-    ///
-    /// # Panics
-    ///
-    /// Panics on basis mismatch or if either operand is in coefficient
-    /// form.
-    pub fn mul_assign_pointwise_lazy(&mut self, other: &RnsPoly) {
-        self.assert_same_basis(other);
-        assert_eq!(self.repr, Representation::Eval, "lhs must be in eval form");
-        assert_eq!(other.repr, Representation::Eval, "rhs must be in eval form");
-        crate::debug_assert_domain!(within_2p: self, "mul_assign_pointwise_lazy");
-        crate::debug_assert_domain!(within_2p: other, "mul_assign_pointwise_lazy (rhs)");
-        kernel::active().mul_lazy_batch(self.basis.moduli(), &mut self.data, &other.data);
-        self.red = ReductionState::Lazy2p;
-    }
-
-    /// Lazy `self += a * b` pointwise — the `IP` kernel of lazy
-    /// keyswitch chains. All three in evaluation form, any reduction
-    /// state; the accumulator stays in `[0, 2p)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on basis or representation mismatch.
-    pub fn mul_acc_pointwise_lazy(&mut self, a: &RnsPoly, b: &RnsPoly) {
-        self.assert_same_basis(a);
-        self.assert_same_basis(b);
-        assert_eq!(self.repr, Representation::Eval);
-        assert_eq!(a.repr, Representation::Eval);
-        assert_eq!(b.repr, Representation::Eval);
-        crate::debug_assert_domain!(within_2p: self, "mul_acc_pointwise_lazy");
-        crate::debug_assert_domain!(within_2p: a, "mul_acc_pointwise_lazy (a)");
-        crate::debug_assert_domain!(within_2p: b, "mul_acc_pointwise_lazy (b)");
-        kernel::active().mul_acc_lazy_batch(self.basis.moduli(), &mut self.data, &a.data, &b.data);
-        self.red = ReductionState::Lazy2p;
     }
 
     /// Multiplies by a small signed scalar.
@@ -696,54 +482,13 @@ impl RnsPoly {
                     }
                 });
             }
-            Representation::Eval => self.permute_slots(g, perms),
+            Representation::Eval => {
+                let perm = perms.eval_permutation(g);
+                crate::scratch::with_scratch_copy(&mut self.data, |src, dst| {
+                    kernel::active().permute_batch(&perm, src, dst);
+                });
+            }
         }
-    }
-
-    /// The evaluation-domain slot permutation shared by
-    /// [`Self::automorphism`] and [`Self::automorphism_lazy`]: a pure
-    /// per-limb gather through the active kernel backend, touching no
-    /// arithmetic (and therefore no reduction window).
-    fn permute_slots(&mut self, g: u64, perms: &GaloisPerms) {
-        let perm = perms.eval_permutation(g);
-        crate::scratch::with_scratch_copy(&mut self.data, |src, dst| {
-            kernel::active().permute_batch(&perm, src, dst);
-        });
-    }
-
-    /// Applies the automorphism `X -> X^g` to an **evaluation-form**
-    /// polynomial in whatever reduction state it is in.
-    ///
-    /// In evaluation form `sigma_g` is a pure slot permutation — slot
-    /// `psi^e` reads slot `psi^{e*g}`, no arithmetic at all — so it is
-    /// *reduction-agnostic*: `[0, 2p)` representatives permute exactly
-    /// like canonical ones and the [`ReductionState`] is preserved.
-    /// This is what lets a rotation chain stay [`ReductionState::Lazy2p`]
-    /// from the digit NTT through the automorphism to the keyswitch
-    /// inner product, folding once at ModDown (the paper's `Auto`
-    /// kernel riding the same redundant-form pipeline as `NTT`/`IP`).
-    ///
-    /// Bit-identical, after canonicalisation, to
-    /// [`Self::automorphism`] on the folded input (asserted by
-    /// `tests/lazy_chains.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is even or the polynomial is in coefficient form
-    /// (the coefficient-domain automorphism negates wrapped indices,
-    /// which is not reduction-agnostic — canonicalise and use
-    /// [`Self::automorphism`] there).
-    // trinity-lint: allow(missing-domain-assert): pure slot permutation —
-    // no arithmetic touches the residues, so the kernel is
-    // reduction-agnostic and legitimately accepts either window.
-    pub fn automorphism_lazy(&mut self, g: u64, perms: &GaloisPerms) {
-        assert_eq!(g % 2, 1, "galois element must be odd");
-        assert_eq!(
-            self.repr,
-            Representation::Eval,
-            "automorphism_lazy requires evaluation form"
-        );
-        self.permute_slots(g, perms);
     }
 
     /// Reconstructs centered coefficient values as `f64` (exact for small
@@ -944,41 +689,12 @@ mod tests {
         assert_eq!(p.flat(), q.flat());
     }
 
-    #[test]
-    fn reduction_state_transitions() {
-        let b = basis(16, 2);
-        let coeffs: Vec<i64> = (0..16).map(|i| i as i64 - 8).collect();
-        let mut p = RnsPoly::from_signed_coeffs(b.clone(), &coeffs);
-        assert_eq!(p.reduction_state(), ReductionState::Canonical);
-
-        // Canonical --to_eval_lazy--> Lazy2p.
-        p.to_eval_lazy();
-        assert_eq!(p.reduction_state(), ReductionState::Lazy2p);
-
-        // Lazy2p --lazy op--> Lazy2p.
-        let mut q = RnsPoly::from_signed_coeffs(b.clone(), &coeffs);
-        q.to_eval();
-        assert_eq!(q.reduction_state(), ReductionState::Canonical);
-        p.mul_assign_pointwise_lazy(&q);
-        assert_eq!(p.reduction_state(), ReductionState::Lazy2p);
-
-        // Lazy2p --to_coeff_lazy--> Lazy2p, then canonicalize.
-        p.to_coeff_lazy();
-        assert_eq!(p.reduction_state(), ReductionState::Lazy2p);
-        p.canonicalize();
-        assert_eq!(p.reduction_state(), ReductionState::Canonical);
-
-        // Canonical ops keep the canonical state.
-        let r = RnsPoly::from_signed_coeffs(b, &coeffs);
-        p.add_assign(&r);
-        assert_eq!(p.reduction_state(), ReductionState::Canonical);
-    }
-
+    /// The one lazy encoding, on flat buffers: forward transform with
+    /// a lazy exit, lazy multiply-accumulate, lazy add/sub, inverse with
+    /// a lazy exit, one fold — bit-identical to the strict `RnsPoly`
+    /// chain on the same inputs.
     #[test]
     fn lazy_poly_chain_matches_strict_after_canonicalize() {
-        // to_eval_lazy -> lazy mul -> lazy acc -> lazy add/sub ->
-        // to_coeff_lazy -> canonicalize must be bit-identical to the
-        // strict chain.
         let b = basis(64, 3);
         let xs: Vec<i64> = (0..64).map(|i| (i * 7 % 37) as i64 - 18).collect();
         let ys: Vec<i64> = (0..64).map(|i| (i * 11 % 29) as i64 - 14).collect();
@@ -994,73 +710,91 @@ mod tests {
         strict_acc.sub_assign(&strict_y);
         strict_acc.to_coeff();
 
-        let mut lazy_x = RnsPoly::from_signed_coeffs(b.clone(), &xs);
-        let mut lazy_y = RnsPoly::from_signed_coeffs(b.clone(), &ys);
-        lazy_x.to_eval_lazy();
-        lazy_y.to_eval_lazy();
-        let mut lazy_acc = RnsPoly::zero(b, Representation::Eval);
-        lazy_acc.mul_acc_pointwise_lazy(&lazy_x, &lazy_y);
-        lazy_acc.mul_acc_pointwise_lazy(&lazy_y, &lazy_y);
-        lazy_acc.add_assign_lazy(&lazy_x);
-        lazy_acc.sub_assign_lazy(&lazy_y);
-        lazy_acc.to_coeff_lazy();
-        lazy_acc.canonicalize();
+        let k = kernel::active();
+        let (tables, moduli) = (table_refs(&b), b.moduli());
+        let mut x = RnsPoly::from_signed_coeffs(b.clone(), &xs).into_flat();
+        let mut y = RnsPoly::from_signed_coeffs(b.clone(), &ys).into_flat();
+        k.forward_batch(&tables, &mut x, ExitFold::Lazy2p);
+        k.forward_batch(&tables, &mut y, ExitFold::Lazy2p);
+        let mut acc = vec![0u64; x.len()];
+        k.mul_acc_lazy_batch(moduli, &mut acc, &x, &y);
+        k.mul_acc_lazy_batch(moduli, &mut acc, &y, &y);
+        k.add_lazy_batch(moduli, &mut acc, &x);
+        k.sub_lazy_batch(moduli, &mut acc, &y);
+        k.inverse_batch(&tables, &mut acc, ExitFold::Lazy2p);
+        k.fold_2p_to_canonical_batch(moduli, &mut acc);
 
-        assert_eq!(lazy_acc.flat(), strict_acc.flat());
+        assert_eq!(acc, strict_acc.flat());
     }
 
+    /// Lazy add/sub over operands lifted to their high `[p, 2p)`
+    /// representatives stay in the window and fold to the canonical
+    /// `add_assign` / `sub_assign` words.
     #[test]
     fn lazy_add_sub_stay_in_window_and_agree_with_strict() {
-        // sub_assign_lazy / add_assign_lazy with both operands already
-        // lifted to [0, 2p) — including the 2p-1 extremes — must agree
-        // with the canonical ops after folding.
         let b = basis(16, 2);
         let xs: Vec<i64> = (0..16).map(|i| i as i64 - 8).collect();
         let ys: Vec<i64> = (0..16).map(|i| 7 - (i as i64 % 5)).collect();
-        let mut lx = RnsPoly::from_signed_coeffs(b.clone(), &xs);
-        let mut ly = RnsPoly::from_signed_coeffs(b.clone(), &ys);
-        // Lift every residue to its high [p, 2p) representative where
-        // possible (x + p), stressing the fold boundary.
-        for i in 0..lx.limbs() {
-            let p = b.modulus(i).value();
-            for x in lx.limb_mut(i) {
-                *x += p;
-            }
-            for y in ly.limb_mut(i) {
-                *y += p;
-            }
-        }
-        let mut sum = lx.clone();
-        sum.add_assign_lazy(&ly);
-        let mut diff = lx.clone();
-        diff.sub_assign_lazy(&ly);
-        for i in 0..sum.limbs() {
-            let p = b.modulus(i).value();
-            assert!(sum.limb(i).iter().all(|&v| v < 2 * p), "sum escaped 2p");
-            assert!(diff.limb(i).iter().all(|&v| v < 2 * p), "diff escaped 2p");
-        }
-        sum.canonicalize();
-        diff.canonicalize();
-
         let sx = RnsPoly::from_signed_coeffs(b.clone(), &xs);
-        let sy = RnsPoly::from_signed_coeffs(b, &ys);
+        let sy = RnsPoly::from_signed_coeffs(b.clone(), &ys);
+        let lift = |p: &RnsPoly| -> Vec<u64> {
+            p.flat()
+                .chunks_exact(16)
+                .zip(b.moduli())
+                .flat_map(|(row, m)| row.iter().map(move |&x| x + m.value()))
+                .collect()
+        };
+        let (lx, ly) = (lift(&sx), lift(&sy));
+        let k = kernel::active();
+        let mut sum = lx.clone();
+        k.add_lazy_batch(b.moduli(), &mut sum, &ly);
+        let mut diff = lx;
+        k.sub_lazy_batch(b.moduli(), &mut diff, &ly);
+        for ((s_row, d_row), m) in sum
+            .chunks_exact(16)
+            .zip(diff.chunks_exact(16))
+            .zip(b.moduli())
+        {
+            let p = m.value();
+            assert!(s_row.iter().all(|&v| v < 2 * p), "sum escaped 2p");
+            assert!(d_row.iter().all(|&v| v < 2 * p), "diff escaped 2p");
+        }
+        k.fold_2p_to_canonical_batch(b.moduli(), &mut sum);
+        k.fold_2p_to_canonical_batch(b.moduli(), &mut diff);
+
         let mut ssum = sx.clone();
         ssum.add_assign(&sy);
-        let mut sdiff = sx.clone();
+        let mut sdiff = sx;
         sdiff.sub_assign(&sy);
-        assert_eq!(sum.flat(), ssum.flat());
-        assert_eq!(diff.flat(), sdiff.flat());
+        assert_eq!(sum, ssum.flat());
+        assert_eq!(diff, sdiff.flat());
     }
 
+    /// The canonical check reads the words, not a tag: one word `>= p`
+    /// written through `limb_mut` trips the next strict kernel.
     #[test]
-    #[should_panic(expected = "Lazy2p polynomial leaked")]
+    #[should_panic(expected = "add_assign (rhs) requires canonical residues")]
     #[cfg(debug_assertions)]
     fn strict_kernel_rejects_lazy_poly() {
         let b = basis(16, 1);
+        let p_val = b.modulus(0).value();
         let mut p = RnsPoly::from_signed_coeffs(b.clone(), &[3i64; 16]);
-        p.to_eval_lazy();
+        p.limb_mut(0)[5] = p_val + 3;
         let mut q = RnsPoly::from_signed_coeffs(b, &[1i64; 16]);
-        q.to_eval();
-        q.add_assign(&p); // rhs is Lazy2p -> debug assert fires
+        q.add_assign(&p);
+    }
+
+    /// Two polynomials of equal shape over different primes must not
+    /// combine: the moduli check holds in release builds too.
+    #[test]
+    #[should_panic(expected = "RNS moduli mismatch")]
+    fn same_shape_over_other_primes_is_rejected() {
+        let n = 16;
+        let primes = ntt_primes(45, n, 2);
+        let a = Arc::new(RnsBasis::new(&primes[..1], n));
+        let other = Arc::new(RnsBasis::new(&primes[1..], n));
+        let mut x = RnsPoly::from_signed_coeffs(a, &[1i64; 16]);
+        let y = RnsPoly::from_signed_coeffs(other, &[2i64; 16]);
+        x.add_assign(&y);
     }
 }

@@ -41,7 +41,10 @@ pub const LAZY_CHAIN_ROOTS: &[&str] = &[
 ];
 
 /// Kernels that *mark their receiver* lazy: after `x.to_eval_lazy()`,
-/// `x` holds `[0, 2p)` residues until something folds them.
+/// `x` holds `[0, 2p)` residues until something folds them. `RnsPoly`
+/// no longer has these methods (it is canonical at rest); the names
+/// stay so the fixtures and the unit tests below can drive the
+/// receiver state machine.
 const RECEIVER_LAZY_MARKERS: &[&str] = &[
     "to_eval_lazy",
     "to_coeff_lazy",
@@ -57,8 +60,9 @@ const RECEIVER_LAZY_MARKERS: &[&str] = &[
 const PRESERVERS: &[&str] = &["automorphism_lazy", "permute"];
 
 /// Kernels that *mark their `&mut` argument* lazy (slice-level APIs
-/// where the mutated buffer is the first argument).
-const ARG_LAZY_MARKERS: &[&str] = &["mul_acc_lazy_batch"];
+/// where the mutated buffer is the first argument): the flat-buffer
+/// kernels the engines run their `[0, 2p)` chains on.
+const ARG_LAZY_MARKERS: &[&str] = &["mul_acc_lazy_batch", "mul_lazy_batch", "add_lazy_batch"];
 
 /// Strict kernels: debug-panic on a lazy receiver at runtime, so a
 /// statically-proven lazy receiver here is a guaranteed debug failure.
@@ -89,6 +93,7 @@ const CLEARERS: &[&str] = &[
     "inverse",
     "reduce_2p",
     "fold_2p_to_canonical",
+    "fold_2p_to_canonical_batch",
     "fold_4p_to_canonical",
 ];
 
@@ -275,8 +280,8 @@ fn lazy_domain(m: &FileModel, out: &mut Vec<Finding>) {
                                             callee, t, toks[marker].text, toks[marker].line
                                         ),
                                         format!(
-                                            "fold first (`{}.canonicalize()` or the kernel's \
-                                             `*_lazy` variant), or keep the whole chain lazy",
+                                            "fold `{}` first (`fold_2p_to_canonical_batch` or a \
+                                             canonicalising exit), or keep the whole chain lazy",
                                             t
                                         ),
                                     ));

@@ -1,7 +1,8 @@
 //! The in-process backend matrix, shared by every suite that runs its
 //! assertions under each kernel backend: this crate's `tests/`, and —
 //! through `#[path]` — `fhe-math`'s golden vectors and the service
-//! suites.
+//! suites; and the word-range check [`is_canonical`], shared with the
+//! `fhe-ckks` unit tests the same way.
 //!
 //! [`kernel::force`] swaps process-wide state, so every sweep in one
 //! test binary serialises on one mutex and restores the previously
@@ -10,6 +11,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use fhe_math::kernel::{self, KernelBackend};
+use fhe_math::RnsPoly;
 
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -35,4 +37,15 @@ pub fn under_each_backend<T>(mut work: impl FnMut() -> T) -> Vec<(&'static str, 
             (b.name(), result)
         })
         .collect()
+}
+
+/// Whether every word of `p` is a canonical `[0, p)` residue for its
+/// limb — the invariant every `RnsPoly` holds at rest, read off the
+/// words themselves.
+#[allow(dead_code)] // not every suite that includes this module checks words
+pub fn is_canonical(p: &RnsPoly) -> bool {
+    p.flat()
+        .chunks_exact(p.n())
+        .zip(p.basis().moduli())
+        .all(|(row, m)| row.iter().all(|&x| x < m.value()))
 }

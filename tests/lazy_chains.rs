@@ -7,14 +7,15 @@
 //! at ciphertext boundaries. This suite is the safety harness for that
 //! change:
 //!
-//! * every lazy chain must be **bit-identical** (after canonicalisation)
-//!   to the strict fully-reduced oracle, across every workspace modulus
-//!   shape — CKKS `tiny`/`test`/`bootstrap` parameter sets and TFHE
-//!   Sets I–III;
-//! * the [`ReductionState`] transitions must be exactly the documented
-//!   ones (`Canonical → Lazy2p → Canonical`, never silently through a
-//!   strict kernel — the debug-assert domain checks fire under this
-//!   test profile, which keeps `debug-assertions = true`);
+//! * every lazy chain must be **bit-identical** to the strict
+//!   fully-reduced oracle, across every workspace modulus shape — CKKS
+//!   `tiny`/`test`/`bootstrap` parameter sets and TFHE Sets I–III;
+//! * every `RnsPoly` a chain hands back is canonical: the redundant
+//!   `[0, 2p)` window lives only on flat buffers inside one engine call,
+//!   and every word at rest is `< p` for its limb
+//!   (`common::is_canonical`; the debug-assert domain checks also read
+//!   the words under this test profile, which keeps
+//!   `debug-assertions = true`);
 //! * deterministic-seed noise regressions: measured noise through lazy
 //!   keyswitch/rescale chains must equal the strict path **exactly**
 //!   and stay within the `ckks::noise` estimator band.
@@ -28,7 +29,7 @@ mod common;
 
 use std::sync::{Arc, OnceLock};
 
-use common::under_each_backend;
+use common::{is_canonical, under_each_backend};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +39,8 @@ use trinity::ckks::{
     key_switch_strict, CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator,
     KeyGenerator, KeySet, NoiseModel,
 };
-use trinity::math::{sampler, ReductionState, Representation, RnsPoly};
+use trinity::math::kernel;
+use trinity::math::{sampler, Representation, RnsPoly};
 use trinity::tfhe::{Ggsw, GlweCiphertext, GlweSecretKey, TfheParams, TfheRing};
 
 // ---------------------------------------------------------------------
@@ -136,8 +138,8 @@ proptest! {
                     );
                     // The chain's outputs are canonical at the ciphertext
                     // boundary — never a leaked lazy window.
-                    prop_assert_eq!(l0.reduction_state(), ReductionState::Canonical);
-                    prop_assert_eq!(l1.reduction_state(), ReductionState::Canonical);
+                    prop_assert!(is_canonical(&l0));
+                    prop_assert!(is_canonical(&l1));
                 }
             }
             Ok(())
@@ -272,8 +274,8 @@ proptest! {
                         "c1 mismatch: shape={} op={} seed={}", name, what, seed
                     );
                     // The chain folds at ModDown: outputs are canonical.
-                    prop_assert_eq!(lazy.c0.reduction_state(), ReductionState::Canonical);
-                    prop_assert_eq!(lazy.c1.reduction_state(), ReductionState::Canonical);
+                    prop_assert!(is_canonical(&lazy.c0));
+                    prop_assert!(is_canonical(&lazy.c1));
                 }
             }
             Ok(())
@@ -380,9 +382,11 @@ fn double_conjugation_is_identity() {
     });
 }
 
-/// The eval-form automorphism is reduction-agnostic: applied lazily to a
-/// `[0, 2p)` polynomial it preserves the window and commutes with the
-/// deferred fold, bit for bit.
+/// The eval-form automorphism is reduction-agnostic: the slot
+/// permutation the rotation chain applies to its lazy digits preserves
+/// the `[0, 2p)` window of flat words and commutes with the deferred
+/// fold, bit for bit, against `RnsPoly::automorphism` on canonical
+/// words.
 #[test]
 fn automorphism_lazy_preserves_window_and_commutes_with_fold() {
     under_each_backend(|| {
@@ -396,45 +400,39 @@ fn automorphism_lazy_preserves_window_and_commutes_with_fold() {
         ] {
             let level = f.ctx.params().max_level();
             let canonical = random_eval_poly(&f.ctx, level, &mut rng);
+            let moduli = canonical.basis().moduli();
+            let k = kernel::active();
 
             // Lazy chain: lift to [0, 2p) via a lazy square, permute
-            // lazily, then fold once.
-            let mut lazy = canonical.clone();
-            lazy.mul_assign_pointwise_lazy(&canonical);
-            assert_eq!(lazy.reduction_state(), ReductionState::Lazy2p);
-            lazy.automorphism_lazy(g, perms);
-            assert_eq!(
-                lazy.reduction_state(),
-                ReductionState::Lazy2p,
-                "slot permutation must preserve the lazy window"
-            );
-            lazy.canonicalize();
+            // the words, then fold once.
+            let mut lazy = canonical.flat().to_vec();
+            k.mul_lazy_batch(moduli, &mut lazy, canonical.flat());
+            let mut permuted = vec![0u64; lazy.len()];
+            k.permute_batch(&perms.eval_permutation(g), &lazy, &mut permuted);
+            for (row, m) in permuted.chunks_exact(f.ctx.n()).zip(moduli) {
+                assert!(
+                    row.iter().all(|&x| x < 2 * m.value()),
+                    "slot permutation must preserve the lazy window"
+                );
+            }
+            k.fold_2p_to_canonical_batch(moduli, &mut permuted);
 
             // Strict chain: canonical square, canonical permute.
             let mut strict = canonical.clone();
             strict.mul_assign_pointwise(&canonical);
             strict.automorphism(g, perms);
 
-            assert_eq!(lazy.flat(), strict.flat(), "g={g}");
-
-            // And on canonical input the lazy permutation IS the
-            // canonical permutation (state preserved either way).
-            let mut a = canonical.clone();
-            a.automorphism_lazy(g, perms);
-            assert_eq!(a.reduction_state(), ReductionState::Canonical);
-            let mut b = canonical.clone();
-            b.automorphism(g, perms);
-            assert_eq!(a.flat(), b.flat(), "g={g}");
+            assert_eq!(permuted, strict.flat(), "g={g}");
         }
     });
 }
 
 // ---------------------------------------------------------------------
-// ReductionState transitions through the public chain APIs.
+// The HMult chain hands back canonical words at every public boundary.
 // ---------------------------------------------------------------------
 
 #[test]
-fn reduction_state_transitions_through_hmult_chain() {
+fn hmult_chain_hands_back_canonical_words() {
     under_each_backend(|| {
         let f = tiny();
         let mut rng = StdRng::seed_from_u64(7101);
@@ -443,70 +441,39 @@ fn reduction_state_transitions_through_hmult_chain() {
         let eval = Evaluator::new(f.ctx.clone());
         let l = f.ctx.params().max_level();
         let x = encryptor.encrypt_sk(&enc.encode_real(&[0.5], l), &f.keys.secret, &mut rng);
-
-        // Fresh ciphertexts are canonical.
-        assert_eq!(x.c0.reduction_state(), ReductionState::Canonical);
-        assert_eq!(x.c1.reduction_state(), ReductionState::Canonical);
-
-        // The lazy tensor hands over Lazy2p components...
-        let tensor = eval.mul_no_relin(&x, &x);
-        assert_eq!(tensor.d0.reduction_state(), ReductionState::Lazy2p);
-        assert_eq!(tensor.d1.reduction_state(), ReductionState::Lazy2p);
-        assert_eq!(tensor.d2.reduction_state(), ReductionState::Lazy2p);
-
-        // ...the strict oracle stays canonical...
-        let tensor_strict = eval.mul_no_relin_strict(&x, &x);
-        assert_eq!(
-            tensor_strict.d0.reduction_state(),
-            ReductionState::Canonical
+        assert!(
+            is_canonical(&x.c0) && is_canonical(&x.c1),
+            "fresh ciphertext"
         );
 
-        // ...and relinearisation folds at the ciphertext boundary.
+        // The lazy tensor folds before it returns: its three components
+        // are the strict oracle's canonical words.
+        let tensor = eval.mul_no_relin(&x, &x);
+        let tensor_strict = eval.mul_no_relin_strict(&x, &x);
+        for (what, got, want) in [
+            ("d0", &tensor.d0, &tensor_strict.d0),
+            ("d1", &tensor.d1, &tensor_strict.d1),
+            ("d2", &tensor.d2, &tensor_strict.d2),
+        ] {
+            assert!(is_canonical(got), "tensor {what}");
+            assert_eq!(got.flat(), want.flat(), "tensor {what}");
+        }
+
+        // Relinearisation and rescale hand back canonical words, equal
+        // to the strict chain's.
         let relin = eval.relinearize(&tensor, &f.keys.relin);
-        assert_eq!(relin.c0.reduction_state(), ReductionState::Canonical);
-        assert_eq!(relin.c1.reduction_state(), ReductionState::Canonical);
-
-        // An explicitly canonicalised tensor is indistinguishable from
-        // the strict one.
-        let mut folded = tensor.clone();
-        folded.canonicalize();
-        assert_eq!(folded.d0.reduction_state(), ReductionState::Canonical);
-        assert_eq!(folded.d0.flat(), tensor_strict.d0.flat());
-        assert_eq!(folded.d1.flat(), tensor_strict.d1.flat());
-        assert_eq!(folded.d2.flat(), tensor_strict.d2.flat());
-
-        // Rescale of the (canonical) relinearised ciphertext is
-        // canonical.
+        let relin_strict = eval.relinearize_strict(&tensor_strict, &f.keys.relin);
         let rescaled = eval.rescale(&relin);
-        assert_eq!(rescaled.c0.reduction_state(), ReductionState::Canonical);
-        assert_eq!(rescaled.c1.reduction_state(), ReductionState::Canonical);
-    });
-}
-
-#[test]
-fn reduction_state_transitions_at_poly_level() {
-    under_each_backend(|| {
-        let f = tiny();
-        let mut rng = StdRng::seed_from_u64(7102);
-        let mut p = random_eval_poly(&f.ctx, 1, &mut rng);
-        assert_eq!(p.reduction_state(), ReductionState::Canonical);
-
-        // Eval -> Coeff lazily: Lazy2p until canonicalize().
-        p.to_coeff_lazy();
-        assert_eq!(p.reduction_state(), ReductionState::Lazy2p);
-
-        // Lazy -> Eval through the canonicalising transform: Canonical.
-        p.to_eval();
-        assert_eq!(p.reduction_state(), ReductionState::Canonical);
-
-        // Lazy pointwise ops stay lazy; canonicalize() folds.
-        let q = p.clone();
-        p.mul_assign_pointwise_lazy(&q);
-        assert_eq!(p.reduction_state(), ReductionState::Lazy2p);
-        p.add_assign_lazy(&q);
-        assert_eq!(p.reduction_state(), ReductionState::Lazy2p);
-        p.canonicalize();
-        assert_eq!(p.reduction_state(), ReductionState::Canonical);
+        let rescaled_strict = eval.rescale(&relin_strict);
+        for (what, got, want) in [
+            ("relinearize c0", &relin.c0, &relin_strict.c0),
+            ("relinearize c1", &relin.c1, &relin_strict.c1),
+            ("rescale c0", &rescaled.c0, &rescaled_strict.c0),
+            ("rescale c1", &rescaled.c1, &rescaled_strict.c1),
+        ] {
+            assert!(is_canonical(got), "{what}");
+            assert_eq!(got.flat(), want.flat(), "{what}");
+        }
     });
 }
 
